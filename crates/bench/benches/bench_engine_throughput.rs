@@ -127,7 +127,7 @@ fn bench_engine_repeated_queries(c: &mut Criterion) {
 /// not run at all). One iteration = register the dataset with the forced
 /// backend + an 8-query GoodRadius batch, so the measurement covers
 /// exactly the work the backend choice changes: the one-time geometry
-/// build (`O(n² d)` matrix + `O(n² log² n)` profile vs `O(n log n)` build
+/// build (`O(n² d)` matrix + `O(n² log n)` profile vs `O(n log n)` build
 /// + `O(B² log B)` profile) plus profile-served queries.
 fn bench_engine_backend_scaling(c: &mut Criterion) {
     let mut group = c.benchmark_group("engine_backend_register_and_8_queries");

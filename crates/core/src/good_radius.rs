@@ -82,21 +82,55 @@ impl QualityOracle for RadiusQuality<'_> {
     }
 
     fn segment_starts(&self) -> Option<Vec<u64>> {
-        // Q changes only where L(r) or L(r/2) changes: at grid radii that
-        // first reach a pairwise distance d, or first reach 2·d.
-        let mut starts: Vec<u64> = vec![0];
-        for &bp in self.profile.breakpoints() {
-            for candidate in [bp, 2.0 * bp] {
-                let idx = self.domain.radius_index_ceil(candidate);
-                if idx > 0 && idx < self.grid_len {
-                    starts.push(idx);
-                }
-            }
-        }
-        starts.sort_unstable();
-        starts.dedup();
-        Some(starts)
+        Some(segment_starts(
+            self.domain,
+            self.profile.breakpoints(),
+            self.grid_len,
+        ))
     }
+}
+
+/// The grid indices where `Q` can change value, ascending: 0, and every
+/// grid radius below `grid_len` that first reaches a breakpoint `d` (where
+/// `L(r)` changes) or `2·d` (where `L(r/2)` changes).
+///
+/// `radius_index_ceil` is monotone and the breakpoints are sorted, so the
+/// indices of the `d`s, and of the `2·d`s, come in runs: each run is
+/// visited once instead of sorting one index per breakpoint. The list must
+/// not change, because the piecewise exponential mechanism draws one
+/// Gumbel per segment.
+fn segment_starts(domain: &GridDomain, breakpoints: &[f64], grid_len: u64) -> Vec<u64> {
+    let mut starts = distinct_runs(breakpoints, |bp| domain.radius_index_ceil(bp));
+    starts.extend(distinct_runs(breakpoints, |bp| {
+        domain.radius_index_ceil(2.0 * bp)
+    }));
+    starts.push(0);
+    starts.retain(|&idx| idx < grid_len);
+    starts.sort_unstable();
+    starts.dedup();
+    starts
+}
+
+/// The distinct values of a non-decreasing `key` over `sorted`, ascending:
+/// per distinct value, an exponential probe for the end of its run and a
+/// binary search within the last doubling.
+fn distinct_runs(sorted: &[f64], key: impl Fn(f64) -> u64) -> Vec<u64> {
+    let mut values = Vec::new();
+    let mut start = 0;
+    while start < sorted.len() {
+        let value = key(sorted[start]);
+        values.push(value);
+        // `start + step / 2` is in the run; `start + step` is past it (or
+        // past the end).
+        let mut step = 1;
+        while start + step < sorted.len() && key(sorted[start + step]) <= value {
+            step *= 2;
+        }
+        let lo = start + step / 2 + 1;
+        let hi = (start + step).min(sorted.len());
+        start = lo + sorted[lo..hi].partition_point(|&x| key(x) <= value);
+    }
+    values
 }
 
 /// Runs Algorithm 1 on `data` with target cluster size `t`, privacy budget
@@ -195,9 +229,10 @@ fn good_radius_inner<R: Rng + ?Sized>(
     let grid_len = domain.radius_grid_len();
     diagnostics.metric("radius_grid_len", grid_len as f64);
 
-    // L at all breakpoints. With a shared index: O(n² log² n) on the first
-    // use of this cap, a cache lookup on every later query. Without one:
-    // built from scratch, exactly as before the index existed.
+    // L at all breakpoints. With a shared index: O(n² log n) on the first
+    // use of this cap (and about 8·n² transient bytes), a cache lookup on
+    // every later query. Without one: built from scratch, exactly as before
+    // the index existed.
     let profile: Arc<LProfile> = match index {
         Some(index) => index.l_profile(t),
         None => Arc::new(BallCounter::new(data, t).l_profile()),
@@ -608,5 +643,70 @@ mod tests {
         )
         .unwrap();
         out.diagnostics.ledger().verify_within(privacy).unwrap();
+    }
+
+    /// The segment list before galloping: one candidate index per
+    /// breakpoint and per doubled breakpoint, sorted and deduplicated.
+    fn reference_segment_starts(
+        domain: &GridDomain,
+        breakpoints: &[f64],
+        grid_len: u64,
+    ) -> Vec<u64> {
+        let mut starts: Vec<u64> = vec![0];
+        for &bp in breakpoints {
+            for candidate in [bp, 2.0 * bp] {
+                let idx = domain.radius_index_ceil(candidate);
+                if idx > 0 && idx < grid_len {
+                    starts.push(idx);
+                }
+            }
+        }
+        starts.sort_unstable();
+        starts.dedup();
+        starts
+    }
+
+    /// Sorted breakpoints mixing zeros, exact grid radii (ties at run
+    /// boundaries), off-grid radii, repeats and radii past the grid's end,
+    /// on domains of 1 to 3 dimensions.
+    fn domain_and_breakpoints() -> impl proptest::prelude::Strategy<Value = (GridDomain, Vec<f64>)>
+    {
+        use proptest::prelude::{prop, Strategy};
+        let domain = (1usize..=3, 2u64..300)
+            .prop_map(|(dim, size)| GridDomain::unit_cube(dim, size).expect("valid domain"));
+        let picks = prop::collection::vec((0u32..5, 0.0f64..1.0), 0..120);
+        (domain, picks).prop_map(|(domain, picks)| {
+            let grid_len = domain.radius_grid_len();
+            let diameter = domain.diameter();
+            let mut breakpoints: Vec<f64> = Vec::with_capacity(picks.len());
+            for (kind, u) in picks {
+                let bp = match kind {
+                    0 => 0.0,
+                    1 => domain.radius_from_index((u * grid_len as f64) as u64),
+                    2 => u * diameter / 8.0,
+                    3 => diameter * (1.0 + 2.0 * u),
+                    _ => breakpoints.last().copied().unwrap_or(0.0),
+                };
+                breakpoints.push(bp);
+            }
+            breakpoints.sort_by(f64::total_cmp);
+            (domain, breakpoints)
+        })
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(300))]
+
+        /// Galloping over the sorted breakpoints finds exactly the segment
+        /// list the push, sort and dedup construction built.
+        #[test]
+        fn segment_starts_match_the_sorted_candidate_list(input in domain_and_breakpoints()) {
+            let (domain, breakpoints) = input;
+            let grid_len = domain.radius_grid_len();
+            proptest::prop_assert_eq!(
+                segment_starts(&domain, &breakpoints, grid_len),
+                reference_segment_starts(&domain, &breakpoints, grid_len)
+            );
+        }
     }
 }

@@ -421,18 +421,9 @@ impl GeometryBackend for ProjectedBackend {
 
     fn l_profile(&self, cap: usize) -> Arc<LProfile> {
         assert!(cap >= 1, "cap t must be at least 1");
-        // Same discipline as GeometryIndex: never hold the lock across the
-        // sweep; a same-cap race wastes one deterministic rebuild at most.
-        if let Some(profile) = lock_recover(&self.profiles).get(cap) {
-            return profile;
-        }
-        let built = Arc::new(self.build_profile(cap));
-        let mut cache = lock_recover(&self.profiles);
-        if let Some(existing) = cache.get(cap) {
-            return existing;
-        }
-        cache.insert(cap, Arc::clone(&built));
-        built
+        // Same single-flight slot discipline as GeometryIndex.
+        let slot = lock_recover(&self.profiles).slot(cap);
+        Arc::clone(slot.get_or_init(|| Arc::new(self.build_profile(cap))))
     }
 
     fn count_within(&self, i: usize, r: f64) -> usize {

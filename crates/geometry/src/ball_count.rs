@@ -14,6 +14,11 @@
 //! function is built from it. The *combinatorial* evaluation of `L` lives
 //! here (it has no privacy content); the sensitivity argument (Lemma 4.5) is
 //! exercised by tests in `privcluster-core`.
+//!
+//! [`BallCounter::l_profile`] evaluates `L` at every breakpoint in one sweep
+//! over the `n(n+1)/2` distance-sorted pairs (`O(n² log n)`, dominated by
+//! that sort, with an `8·n²`-byte transient buffer), updating the sum of
+//! the `t` largest capped counts in `O(1)` per ball-membership event.
 
 use crate::dataset::Dataset;
 use crate::distance::DistanceMatrix;
@@ -23,7 +28,7 @@ use crate::tol;
 static PROFILE_BUILD_COUNT: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
 
 /// How many `L(·, S)` profile builds have run in this process — both the
-/// exact `O(n² log² n)` sweep of [`BallCounter::l_profile`] and the
+/// exact `O(n² log n)` sweep of [`BallCounter::l_profile`] and the
 /// projected backend's weighted sweep. Always 0 in release builds (the
 /// counter only exists under `debug_assertions`); tests assert on *deltas*.
 /// This is the profile-level twin of
@@ -148,53 +153,107 @@ impl BallCounter {
 
     /// Precomputes `L(r, S)` at every breakpoint in a single sweep.
     ///
-    /// `L` only changes at pairwise distances; processing the `n²` "point `j`
-    /// enters the ball around point `i`" events in distance order while
-    /// maintaining the sum of the `t` largest capped counts in a Fenwick tree
-    /// costs `O(n² log² n)` in total, after which any number of `L`
-    /// evaluations are `O(log n)` lookups. GoodRadius needs `L` at `O(n²)`
-    /// radii, so this is the difference between a quadratic and a quartic
-    /// algorithm.
+    /// `L` only changes at pairwise distances. The sweep walks the matrix's
+    /// distance-sorted pair list — each unordered pair once, since pair
+    /// `{i, j}` puts `j` in the ball around `i` and `i` in the ball around
+    /// `j` at the same radius — while keeping the sum of the `t` largest
+    /// capped counts in `O(1)` per increment. The `O(n² log n)` sort
+    /// dominates, and its buffer of `n(n+1)/2` pairs takes about `8·n²`
+    /// bytes; afterwards any number of `L` evaluations are `O(log n)`
+    /// lookups. GoodRadius needs `L` at `O(n²)` radii, so this is the
+    /// difference between a quadratic and a quartic algorithm.
     pub fn l_profile(&self) -> LProfile {
         note_profile_build();
-        let n = self.n;
-        let cap = self.cap;
-        // Events: (distance, center index). Includes the zero self-distance.
-        let mut events: Vec<(f64, usize)> = Vec::with_capacity(n * n);
-        for i in 0..n {
-            for &d in self.dm.sorted_row(i) {
-                events.push((d, i));
-            }
-        }
-        events.sort_by(|a, b| a.0.total_cmp(&b.0));
-
-        let mut counts = vec![0usize; n];
-        let mut tree = TopSumTree::new(cap);
+        let pairs = self.dm.sorted_pairs();
+        let mut top = TopCounts::new(self.n, self.cap);
         let mut breakpoints = Vec::new();
         let mut values = Vec::new();
         let mut idx = 0usize;
-        while idx < events.len() {
-            let d = events[idx].0;
-            // Process every event at (numerically) this distance — "same"
+        while idx < pairs.len() {
+            let d = pairs[idx].0;
+            // Process every pair at (numerically) this distance — "same"
             // exactly as `sorted_all_distances`'s dedup defines it, so the
             // profile's groups and the breakpoint list can never disagree.
-            while idx < events.len() && tol::same_distance(events[idx].0, d) {
-                let i = events[idx].1;
-                if counts[i] < cap {
-                    if counts[i] > 0 {
-                        tree.remove(counts[i]);
-                    }
-                    counts[i] += 1;
-                    tree.insert(counts[i]);
+            // The group's end state depends only on which counts it raised,
+            // so the order of equal distances within it cannot matter.
+            while idx < pairs.len() && tol::same_distance(pairs[idx].0, d) {
+                let (_, i, j) = pairs[idx];
+                top.increment(i as usize);
+                if j != i {
+                    top.increment(j as usize);
                 }
                 idx += 1;
             }
             breakpoints.push(d);
-            values.push(tree.top_sum(cap) as f64 / cap as f64);
+            values.push(top.sum as f64 / self.cap as f64);
         }
         LProfile {
             breakpoints,
             values,
+        }
+    }
+}
+
+/// The sum of the `t` largest of `n` counts capped at `t`, where every
+/// update raises one count by one (the exact sweep's ball-membership
+/// events), maintained in `O(1)` per update.
+///
+/// Let `θ` be the `t`-th largest count, reading missing counts as zero.
+/// The top `t` are then every count above `θ` plus enough counts equal to
+/// `θ`. Raising a count below `θ` changes nothing; raising one at or above
+/// `θ` adds one to the sum. `θ` itself only moves when a count leaves `θ`
+/// and the counts above `θ` fill all `t` slots: the new `t`-th largest is
+/// then the smallest of them, which is `θ + 1` because the raised count
+/// sits there. A histogram of the counts says how many of them stay above
+/// the new `θ`.
+#[derive(Debug)]
+struct TopCounts {
+    cap: usize,
+    counts: Vec<usize>,
+    /// `hist[v]`: how many counts equal `v`. No count exceeds `n` (a point
+    /// has `n` membership events), so `v ≤ min(t, n)`.
+    hist: Vec<usize>,
+    /// The `t`-th largest count (zero while fewer than `t` are positive).
+    theta: usize,
+    /// How many counts exceed `theta`; always fewer than `t`.
+    above: usize,
+    /// Sum of the `t` largest counts.
+    sum: u64,
+}
+
+impl TopCounts {
+    fn new(n: usize, cap: usize) -> Self {
+        let mut hist = vec![0; cap.min(n) + 1];
+        hist[0] = n;
+        TopCounts {
+            cap,
+            counts: vec![0; n],
+            hist,
+            theta: 0,
+            above: 0,
+            sum: 0,
+        }
+    }
+
+    /// Raises count `i` by one unless it already sits at the cap.
+    fn increment(&mut self, i: usize) {
+        let v = self.counts[i];
+        if v == self.cap {
+            return;
+        }
+        self.counts[i] = v + 1;
+        self.hist[v] -= 1;
+        self.hist[v + 1] += 1;
+        if v < self.theta {
+            return;
+        }
+        self.sum += 1;
+        if v == self.theta {
+            self.above += 1;
+            if self.above == self.cap {
+                self.theta += 1;
+                self.above -= self.hist[self.theta];
+            }
         }
     }
 }
@@ -250,9 +309,10 @@ impl LProfile {
 }
 
 /// A Fenwick-tree-backed multiset over integer values `1..=cap` supporting
-/// "sum of the largest `t` elements" queries. Shared with the projected
-/// backend's weighted profile sweep, which inserts whole buckets at once via
-/// [`TopSumTree::update`]'s multiplicity argument.
+/// "sum of the largest `t` elements" queries, for the projected backend's
+/// weighted profile sweep: it moves whole buckets at once via
+/// [`TopSumTree::update`]'s multiplicity argument, which [`TopCounts`]'
+/// one-step updates cannot express.
 #[derive(Debug, Clone)]
 pub(crate) struct TopSumTree {
     cap: usize,
@@ -283,14 +343,6 @@ impl TopSumTree {
         }
         self.total_count = (self.total_count as i64 + count_delta) as usize;
         self.total_sum = (self.total_sum as i64 + count_delta * value as i64) as u64;
-    }
-
-    fn insert(&mut self, value: usize) {
-        self.update(value, 1);
-    }
-
-    fn remove(&mut self, value: usize) {
-        self.update(value, -1);
     }
 
     /// Number of elements with value ≤ v and their sum.
@@ -336,6 +388,7 @@ impl TopSumTree {
 mod tests {
     use super::*;
     use crate::dataset::Dataset;
+    use proptest::prelude::{prop, Strategy};
 
     fn clustered() -> Dataset {
         // 5 points near the origin, 3 points near (10, 10).
@@ -467,6 +520,115 @@ mod tests {
             let mid = (w[0] + w[1]) / 2.0;
             let just_after_lo = w[0] + (w[1] - w[0]) * 0.25;
             assert!((bc.l_value(mid) - bc.l_value(just_after_lo)).abs() < 1e-12);
+        }
+    }
+
+    /// The sweep `l_profile` replaced, kept as its bit-for-bit reference:
+    /// every row entry is an event (each pair twice, plus the diagonal),
+    /// all `n²` of them comparison-sorted, with a Fenwick `top_sum` after
+    /// each group.
+    fn reference_l_profile(bc: &BallCounter) -> LProfile {
+        let (n, cap) = (bc.n, bc.cap);
+        let mut events: Vec<(f64, usize)> = Vec::with_capacity(n * n);
+        for i in 0..n {
+            for &d in bc.dm.sorted_row(i) {
+                events.push((d, i));
+            }
+        }
+        events.sort_by(|a, b| a.0.total_cmp(&b.0));
+        let mut counts = vec![0usize; n];
+        let mut tree = TopSumTree::new(cap);
+        let (mut breakpoints, mut values) = (Vec::new(), Vec::new());
+        let mut idx = 0usize;
+        while idx < events.len() {
+            let d = events[idx].0;
+            while idx < events.len() && tol::same_distance(events[idx].0, d) {
+                let i = events[idx].1;
+                if counts[i] < cap {
+                    if counts[i] > 0 {
+                        tree.update(counts[i], -1);
+                    }
+                    counts[i] += 1;
+                    tree.update(counts[i], 1);
+                }
+                idx += 1;
+            }
+            breakpoints.push(d);
+            values.push(tree.top_sum(cap) as f64 / cap as f64);
+        }
+        LProfile {
+            breakpoints,
+            values,
+        }
+    }
+
+    /// The breakpoint list the pair list replaced: all `n²` row entries,
+    /// sorted and deduplicated.
+    fn reference_breakpoints(dm: &DistanceMatrix) -> Vec<f64> {
+        let mut all: Vec<f64> = (0..dm.len())
+            .flat_map(|i| dm.sorted_row(i).to_vec())
+            .collect();
+        all.sort_by(f64::total_cmp);
+        all.dedup_by(|a, b| tol::same_distance(*a, *b));
+        all
+    }
+
+    /// Rows on a coarse grid (step 1/4, so distances tie), off-grid rows,
+    /// and exact copies of earlier rows, in 1 to 3 dimensions.
+    fn tie_heavy_dataset() -> impl Strategy<Value = Dataset> {
+        (1usize..=3).prop_flat_map(|dim| {
+            let row = (
+                0u32..3,
+                prop::collection::vec(0u32..5, dim),
+                prop::collection::vec(0.0f64..1.0, dim),
+                0usize..64,
+            );
+            prop::collection::vec(row, 1..40).prop_map(|specs| {
+                let mut rows: Vec<Vec<f64>> = Vec::with_capacity(specs.len());
+                for (kind, grid, off_grid, copy) in specs {
+                    let row = match kind {
+                        1 => off_grid,
+                        2 if !rows.is_empty() => rows[copy % rows.len()].clone(),
+                        _ => grid.iter().map(|&k| f64::from(k) / 4.0).collect(),
+                    };
+                    rows.push(row);
+                }
+                Dataset::from_rows(rows).expect("uniform dimension")
+            })
+        })
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(200))]
+
+        /// The pairs-once sweep reproduces the n²-event Fenwick sweep bit
+        /// for bit, at t = 1, t = n, t > n and caps in between.
+        #[test]
+        fn l_profile_matches_the_event_sweep_bit_for_bit(
+            data in tie_heavy_dataset(),
+            cap_kind in 0usize..4,
+            extra in 1usize..50,
+        ) {
+            let n = data.len();
+            let cap = match cap_kind {
+                0 => 1,
+                1 => n,
+                2 => n + extra,
+                _ => 1 + extra % n,
+            };
+            let bc = BallCounter::new(&data, cap);
+            let profile = bc.l_profile();
+            let reference = reference_l_profile(&bc);
+            proptest::prop_assert_eq!(bits(profile.breakpoints()), bits(reference.breakpoints()));
+            proptest::prop_assert_eq!(bits(profile.values()), bits(reference.values()));
+            proptest::prop_assert_eq!(
+                bits(&bc.breakpoints()),
+                bits(&reference_breakpoints(bc.distances()))
+            );
         }
     }
 }

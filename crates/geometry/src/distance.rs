@@ -15,14 +15,18 @@
 //! (Remark 4.4, and item 2 in DESIGN.md §3).
 //!
 //! Storage is one flat row-major `Vec<f64>` of `n²` entries (`8·n²` bytes)
-//! behind an [`Arc`], so a [`DistanceMatrix`] clones in `O(1)` and can be
-//! shared across threads and cached per dataset (see
+//! plus the `n` points the rows were computed from, together behind one
+//! [`Arc`], so a [`DistanceMatrix`] clones in `O(1)` and can be shared
+//! across threads and cached per dataset (see
 //! [`GeometryIndex`](crate::index::GeometryIndex)). Rows can be filled in
 //! parallel with [`DistanceMatrix::build_parallel`]; each row is computed
 //! and sorted independently, so the result is bit-identical at any thread
-//! count.
+//! count. Sorting a row forgets which point each entry belongs to, so the
+//! pair list behind the breakpoints recomputes its distances from the
+//! kept points.
 
 use crate::dataset::Dataset;
+use crate::point::Point;
 use crate::tol;
 use std::sync::Arc;
 
@@ -47,14 +51,22 @@ pub fn debug_build_count() -> u64 {
 
 /// Pairwise Euclidean distances of a dataset with per-row sorted order.
 ///
-/// Clones are `O(1)`: the flat `n × n` storage sits behind an [`Arc`].
+/// Clones are `O(1)`: the flat `n × n` storage and the points sit behind
+/// an [`Arc`].
 #[derive(Debug, Clone)]
 pub struct DistanceMatrix {
     n: usize,
+    shared: Arc<Shared>,
+}
+
+#[derive(Debug)]
+struct Shared {
     /// Row-major `n × n` distances; row `i` (`rows[i·n .. (i+1)·n]`) holds
     /// the distances from point `i` to all `n` points (including itself,
     /// distance 0), sorted ascending.
-    rows: Arc<Vec<f64>>,
+    rows: Vec<f64>,
+    /// The points the rows were computed from.
+    points: Vec<Point>,
 }
 
 impl DistanceMatrix {
@@ -102,7 +114,10 @@ impl DistanceMatrix {
         }
         DistanceMatrix {
             n,
-            rows: Arc::new(rows),
+            shared: Arc::new(Shared {
+                rows,
+                points: pts.to_vec(),
+            }),
         }
     }
 
@@ -119,7 +134,7 @@ impl DistanceMatrix {
     /// The sorted (ascending) distances from point `i` to all points,
     /// including the zero distance to itself.
     pub fn sorted_row(&self, i: usize) -> &[f64] {
-        &self.rows[i * self.n..(i + 1) * self.n]
+        &self.shared.rows[i * self.n..(i + 1) * self.n]
     }
 
     /// `B_r(x_i)`: how many points (including `x_i` itself) lie within
@@ -153,17 +168,34 @@ impl DistanceMatrix {
     /// All pairwise distances (each unordered pair once, plus the `n` zeros
     /// from the diagonal), sorted ascending and deduplicated at the unified
     /// tolerance [`tol::same_distance`] — the same predicate the
-    /// `l_profile` sweep uses to group events, so a pair of distances that
-    /// survives this dedup is never merged there (and vice versa). These are
-    /// the breakpoints of every `B_r(x_i)` as a function of `r`.
+    /// `l_profile` sweep uses to group the same sorted pair list, so a pair
+    /// of distances that survives this dedup is never merged there (and
+    /// vice versa). These are the breakpoints of every `B_r(x_i)` as a
+    /// function of `r`.
     pub fn sorted_all_distances(&self) -> Vec<f64> {
-        // Each unordered pair {i,j} (i != j) appears exactly twice in the
-        // flat storage and each diagonal zero once; callers only need the
-        // breakpoint *values*, so duplicates are fine after dedup.
-        let mut all: Vec<f64> = self.rows.as_ref().clone();
-        all.sort_by(f64::total_cmp);
+        let mut all: Vec<f64> = self.sorted_pairs().into_iter().map(|(d, _, _)| d).collect();
         all.dedup_by(|a, b| tol::same_distance(*a, *b));
         all
+    }
+
+    /// Every unordered pair `{i, j}` once as `(d, i, j)` with `i < j`, plus
+    /// the `n` diagonal entries `(0, i, i)`, sorted ascending by distance:
+    /// `n(n+1)/2` entries of 16 bytes, about `8·n²` bytes in all. Each
+    /// distance is recomputed with [`Point::distance`] and is bit-equal to
+    /// both row entries of the pair, because `(a − b)² = (b − a)²`. Equal
+    /// distances come out in no particular order; both consumers group
+    /// runs at the unified tolerance and depend only on which entries a
+    /// group holds, never on their order within it.
+    pub(crate) fn sorted_pairs(&self) -> Vec<(f64, u32, u32)> {
+        let pts = &self.shared.points;
+        let mut pairs = Vec::with_capacity(self.n * (self.n + 1) / 2);
+        for (i, p) in pts.iter().enumerate() {
+            for (j, q) in pts.iter().enumerate().skip(i) {
+                pairs.push((p.distance(q), i as u32, j as u32));
+            }
+        }
+        pairs.sort_unstable_by(|a, b| a.0.total_cmp(&b.0));
+        pairs
     }
 
     /// The paper's smallest-ball-around-an-input-point radius: the minimum

@@ -13,19 +13,21 @@
 //!
 //! Memory: the matrix is one flat `Vec<f64>` of `8·n²` bytes (2 MB at
 //! `n = 500`, 800 MB at `n = 10_000` — the quadratic footprint, like the
-//! quadratic build, is inherent to the paper's breakpoint structure); each
-//! cached profile adds at most `8·n²` further bytes in the worst case of
-//! all-distinct pairwise distances, though ties usually make it far
-//! smaller; at most [`MAX_CACHED_PROFILES`] profiles are retained (the cap
-//! `t` is client-controlled on the engine's query wire, so the memoisation
-//! must be bounded).
+//! quadratic build, is inherent to the paper's breakpoint structure) plus
+//! the `n` points it was built from; each cached profile adds at most
+//! `8·n²` further bytes in the worst case of all-distinct pairwise
+//! distances, though ties usually make it far smaller, and building one
+//! briefly holds a sorted pair list of about `8·n²` bytes; at most
+//! [`MAX_CACHED_PROFILES`] profiles are retained (the cap `t` is
+//! client-controlled on the engine's query wire, so the memoisation must
+//! be bounded).
 
 use crate::ball_count::{BallCounter, LProfile};
 use crate::dataset::Dataset;
 use crate::distance::DistanceMatrix;
 use crate::sync::lock_recover;
 use std::collections::{HashMap, VecDeque};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// Most distinct caps whose `L` profiles one index memoises. The cap `t` is
 /// client-controlled in an engine deployment (it arrives on the query wire),
@@ -36,7 +38,7 @@ use std::sync::{Arc, Mutex};
 /// time, never change a result); honest workloads reuse a handful of caps
 /// and never evict. The policy matches the engine's `ResultCache`: a FIFO
 /// policy here let an adversarial client rotate fresh caps to evict a hot,
-/// constantly-reused cap and force its `O(n² log² n)` rebuild every time.
+/// constantly-reused cap and force its `O(n² log n)` rebuild every time.
 pub const MAX_CACHED_PROFILES: usize = 8;
 
 /// Precomputed pairwise-distance geometry of one dataset, shareable across
@@ -53,34 +55,36 @@ pub struct GeometryIndex {
 /// Shared by the exact [`GeometryIndex`] and the projected backend
 /// ([`crate::backend::ProjectedBackend`]), which face the same
 /// client-controlled-cap memory-exhaustion vector.
+///
+/// Each cap owns a [`ProfileSlot`], taken under the cache lock and filled
+/// outside it: first users of *different* caps build in parallel, while
+/// racing users of the *same* cap build it once — the first to reach the
+/// slot builds, the rest wait on it.
 #[derive(Debug, Default)]
 pub(crate) struct ProfileCache {
-    by_cap: HashMap<usize, Arc<LProfile>>,
+    by_cap: HashMap<usize, ProfileSlot>,
     /// Memoised caps, least-recently-used first.
     order: VecDeque<usize>,
 }
 
-impl ProfileCache {
-    /// Looks up a cap, refreshing its recency on a hit.
-    pub(crate) fn get(&mut self, cap: usize) -> Option<Arc<LProfile>> {
-        let hit = self.by_cap.get(&cap).cloned();
-        if hit.is_some() {
-            self.touch(cap);
-        }
-        hit
-    }
+/// One cap's profile, built at most once while the slot stays cached.
+type ProfileSlot = Arc<OnceLock<Arc<LProfile>>>;
 
-    /// Inserts a built profile, evicting the least-recently-used cap at
-    /// capacity. The map never exceeds [`MAX_CACHED_PROFILES`] entries, so
-    /// the linear `touch` scan is O(1) in practice.
-    pub(crate) fn insert(&mut self, cap: usize, profile: Arc<LProfile>) {
-        if self.by_cap.len() >= MAX_CACHED_PROFILES && !self.by_cap.contains_key(&cap) {
+impl ProfileCache {
+    /// The slot for `cap`, refreshing its recency; on a miss, a new empty
+    /// slot, evicting the least-recently-used cap at capacity. The map never
+    /// exceeds [`MAX_CACHED_PROFILES`] entries, so the linear `touch` scan
+    /// is O(1) in practice. Evicting a slot that is still being filled only
+    /// drops the cache's handle: its builder keeps its own.
+    pub(crate) fn slot(&mut self, cap: usize) -> ProfileSlot {
+        if !self.by_cap.contains_key(&cap) && self.by_cap.len() >= MAX_CACHED_PROFILES {
             if let Some(lru) = self.order.pop_front() {
                 self.by_cap.remove(&lru);
             }
         }
-        self.by_cap.insert(cap, profile);
+        let slot = Arc::clone(self.by_cap.entry(cap).or_default());
         self.touch(cap);
+        slot
     }
 
     fn touch(&mut self, cap: usize) {
@@ -139,24 +143,17 @@ impl GeometryIndex {
     /// evicted first). Identical (bit-for-bit) to
     /// `BallCounter::new(data, t).l_profile()`.
     ///
+    /// A build is the `O(n² log n)` pairs-once sweep and briefly holds about
+    /// `8·n²` bytes of sorted pairs. It runs outside the cache lock, so
+    /// first users of different caps build in parallel, and once per cap:
+    /// callers racing on a cap that is being built wait for that build.
+    ///
     /// # Panics
     /// Panics if `cap == 0`.
     pub fn l_profile(&self, cap: usize) -> Arc<LProfile> {
         assert!(cap >= 1, "cap t must be at least 1");
-        // Don't hold the lock across the O(n² log² n) sweep: concurrent
-        // first-users of *different* caps should build in parallel. A racing
-        // pair on the same cap both build, and the loser's identical result
-        // is dropped — wasteful but correct (the build is deterministic).
-        if let Some(profile) = lock_recover(&self.profiles).get(cap) {
-            return profile;
-        }
-        let built = Arc::new(self.ball_counter(cap).l_profile());
-        let mut cache = lock_recover(&self.profiles);
-        if let Some(existing) = cache.get(cap) {
-            return existing; // a racer finished first
-        }
-        cache.insert(cap, Arc::clone(&built));
-        built
+        let slot = lock_recover(&self.profiles).slot(cap);
+        Arc::clone(slot.get_or_init(|| Arc::new(self.ball_counter(cap).l_profile())))
     }
 
     /// How many distinct caps have a cached profile (diagnostics/tests).

@@ -5,7 +5,7 @@
 //! controls the access pattern. Under the old FIFO eviction, a workload
 //! that keeps one *hot* cap in constant use while rotating fresh caps past
 //! the bound evicted the hot cap anyway (FIFO ignores recency), forcing
-//! its `O(n² log² n)` profile rebuild on every single use. LRU keeps the
+//! its `O(n² log n)` profile rebuild on every single use. LRU keeps the
 //! hot cap resident no matter how many cold caps stream by.
 //!
 //! `ball_count::debug_profile_build_count()` counts every profile build in

@@ -176,6 +176,10 @@ pub fn lint_sources(files: &[(&str, &str)], lock_config: &LockOrderConfig) -> Ve
 /// violating fixtures.
 const SKIP_DIRS: &[&str] = &["target", "vendor", ".git", "fixtures", ".github"];
 
+/// Collects the `.rs` files under `dir`, skipping [`SKIP_DIRS`] and every
+/// subdirectory that is a workspace of its own (such as the benchmark
+/// harness, which builds against the crates by path): its code is outside
+/// the scanned workspace and is not held to its invariants.
 fn walk(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
     for entry in fs::read_dir(dir)? {
         let entry = entry?;
@@ -183,7 +187,7 @@ fn walk(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
         let name = entry.file_name();
         let name = name.to_string_lossy();
         if path.is_dir() {
-            if !SKIP_DIRS.contains(&name.as_ref()) {
+            if !SKIP_DIRS.contains(&name.as_ref()) && !declares_workspace(&path) {
                 walk(&path, out)?;
             }
         } else if name.ends_with(".rs") {
@@ -239,15 +243,17 @@ pub fn check_workspace(root: &Path) -> io::Result<Report> {
 pub fn find_workspace_root(start: &Path) -> Option<PathBuf> {
     let mut dir = Some(start.to_path_buf());
     while let Some(d) = dir {
-        let manifest = d.join("Cargo.toml");
-        if let Ok(text) = fs::read_to_string(&manifest) {
-            if text.contains("[workspace]") {
-                return Some(d);
-            }
+        if declares_workspace(&d) {
+            return Some(d);
         }
         dir = d.parent().map(Path::to_path_buf);
     }
     None
+}
+
+/// Whether `dir` has a `Cargo.toml` that declares a `[workspace]` section.
+fn declares_workspace(dir: &Path) -> bool {
+    fs::read_to_string(dir.join("Cargo.toml")).is_ok_and(|text| text.contains("[workspace]"))
 }
 
 #[cfg(test)]
@@ -280,5 +286,49 @@ fn f() {
         let out = lint_source("crates/engine/src/a.rs", src);
         assert_eq!(out.findings.len(), 1);
         assert_eq!(out.findings[0].rule, "malformed-waiver");
+    }
+
+    #[test]
+    fn walk_skips_nested_workspaces() {
+        let root = std::env::temp_dir().join(format!("privlint-walk-{}", std::process::id()));
+        let files = [
+            ("Cargo.toml", "[workspace]\nmembers = [\"member\"]\n"),
+            ("src/lib.rs", ""),
+            ("member/Cargo.toml", "[package]\nname = \"member\"\n"),
+            ("member/src/lib.rs", ""),
+            (
+                "nested/Cargo.toml",
+                "[package]\nname = \"nested\"\n\n[workspace]\n",
+            ),
+            ("nested/src/main.rs", ""),
+        ];
+        for (rel, text) in files {
+            let path = root.join(rel);
+            fs::create_dir_all(path.parent().unwrap()).unwrap();
+            fs::write(path, text).unwrap();
+        }
+        let mut found = Vec::new();
+        walk(&root, &mut found).unwrap();
+        let mut rel: Vec<String> = found
+            .iter()
+            .map(|p| {
+                p.strip_prefix(&root)
+                    .unwrap()
+                    .to_string_lossy()
+                    .replace('\\', "/")
+            })
+            .collect();
+        rel.sort();
+        assert_eq!(rel, ["member/src/lib.rs", "src/lib.rs"]);
+        // The nested workspace is its own root, found by the same test.
+        assert_eq!(
+            find_workspace_root(&root.join("nested/src")),
+            Some(root.join("nested"))
+        );
+        assert_eq!(
+            find_workspace_root(&root.join("member/src")),
+            Some(root.clone())
+        );
+        fs::remove_dir_all(&root).unwrap();
     }
 }
