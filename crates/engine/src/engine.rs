@@ -433,9 +433,10 @@ impl Engine {
     /// declaring a budget.
     ///
     /// Registration also builds the dataset's shared geometry backend (the
-    /// `8·n²`-byte exact index filled with the engine's worker threads, or
-    /// the `O(n + B²)` projected sampler), so the one-time cost is paid
-    /// here and **no** later query ever rebuilds it.
+    /// exact index, an `O(n d)` copy of the points whose `8·n²`-byte sorted
+    /// rows no query reads, or the `O(n + B²)` projected sampler), so no
+    /// later query ever rebuilds it. The exact backend's first query for
+    /// each cap `t` builds and memoises that cap's `L` profile.
     pub fn register_dataset(
         &self,
         name: impl Into<String>,

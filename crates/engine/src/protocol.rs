@@ -751,11 +751,13 @@ fn serve_lines_bounded_with<R: BufRead, W: Write, F: FnMut(&str) -> (Value, bool
         let (response, stop) = handler(&line);
         let encoded =
             serde_json::to_string(&response).expect("response serialization is infallible");
-        writeln!(writer, "{encoded}")?;
-        writer.flush()?;
+        let written = writeln!(writer, "{encoded}").and_then(|()| writer.flush());
+        // A shutdown takes effect even when its answer cannot be delivered:
+        // a client may hang up right after sending it.
         if stop {
             return Ok(true);
         }
+        written?;
     }
 }
 
@@ -1019,6 +1021,36 @@ mod tests {
         assert!(lines[0].contains("exceeds"), "{}", lines[0]);
         assert!(lines[1].contains(r#""op":"list""#), "{}", lines[1]);
         assert!(lines[2].contains(r#""kind":"protocol""#), "{}", lines[2]);
+    }
+
+    /// A writer whose every write fails, like a socket the peer closed.
+    struct HungUp;
+
+    impl Write for HungUp {
+        fn write(&mut self, _: &[u8]) -> std::io::Result<usize> {
+            Err(std::io::ErrorKind::BrokenPipe.into())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Err(std::io::ErrorKind::BrokenPipe.into())
+        }
+    }
+
+    #[test]
+    fn shutdown_takes_effect_when_its_answer_cannot_be_written() {
+        let script = "{\"op\":\"shutdown\"}\n{\"op\":\"list\"}\n";
+        let mut handled = Vec::new();
+        let stopped = serve_lines_with(script.as_bytes(), HungUp, |line| {
+            handled.push(line.to_string());
+            (Value::Null, line.contains("shutdown"))
+        });
+        assert!(matches!(stopped, Ok(true)), "got {stopped:?}");
+        assert_eq!(handled.len(), 1, "nothing after the shutdown is served");
+        // Any other request still reports the failed write.
+        let err = serve_lines_with("{\"op\":\"list\"}\n".as_bytes(), HungUp, |_| {
+            (Value::Null, false)
+        });
+        assert!(err.is_err());
     }
 
     #[test]

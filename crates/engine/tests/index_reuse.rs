@@ -1,18 +1,21 @@
-//! The shared per-dataset geometry index removes the `O(n² d)` rebuild from
-//! the repeated-query path.
+//! The shared per-dataset geometry index removes the matrix build from
+//! the repeated-query path, and serving never fills the `n × n` sorted
+//! distance rows.
 //!
 //! `privcluster_geometry::distance::debug_build_count()` counts every
-//! `DistanceMatrix` build in the process (debug builds only). This file
+//! `DistanceMatrix` build in the process and `debug_rows_build_count()`
+//! every fill of a matrix's sorted rows (debug builds only). This file
 //! holds exactly **one** test so nothing else in the binary races the
-//! counter: after registration builds the index once, GoodRadius /
-//! OneCluster / KCluster queries — cached or not, batched or not — must
-//! perform **zero** further builds.
+//! counters: registration and re-registration build one index each, and
+//! GoodRadius / OneCluster / KCluster queries — cached or not, batched or
+//! not — must perform **zero** further builds and **zero** row fills (the
+//! `L` profile recomputes its pair distances from the kept points).
 
 use privcluster_datagen::planted_ball_cluster;
 use privcluster_dp::composition::CompositionMode;
 use privcluster_dp::PrivacyParams;
 use privcluster_engine::{Engine, EngineConfig, Query, QueryRequest};
-use privcluster_geometry::distance::debug_build_count;
+use privcluster_geometry::distance::{debug_build_count, debug_rows_build_count};
 use privcluster_geometry::GridDomain;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -38,23 +41,29 @@ fn repeated_queries_never_rebuild_the_distance_matrix() {
     let domain = GridDomain::unit_cube(2, 1 << 10).unwrap();
     let mut rng = StdRng::seed_from_u64(11);
     let inst = planted_ball_cluster(&domain, 300, 150, 0.02, &mut rng);
+    let next = planted_ball_cluster(&domain, 300, 150, 0.02, &mut rng);
 
+    let rows_before = debug_rows_build_count();
     let before_registration = debug_build_count();
     engine
         .register_dataset(
             "reuse",
             inst.data,
-            domain,
+            domain.clone(),
             PrivacyParams::new(1e6, 0.4).unwrap(),
             CompositionMode::Basic,
         )
+        .unwrap();
+    // Version 2 under the same name: a fresh index, still no row fill.
+    engine
+        .reregister_dataset("reuse", next.data, domain)
         .unwrap();
     let after_registration = debug_build_count();
     if cfg!(debug_assertions) {
         assert_eq!(
             after_registration,
-            before_registration + 1,
-            "registration builds the index exactly once"
+            before_registration + 2,
+            "registration and re-registration build one index each"
         );
     }
 
@@ -100,5 +109,10 @@ fn repeated_queries_never_rebuild_the_distance_matrix() {
         debug_build_count(),
         after_registration,
         "the repeated-query path must perform zero DistanceMatrix builds"
+    );
+    assert_eq!(
+        debug_rows_build_count(),
+        rows_before,
+        "registration and serving must fill zero sorted distance rows"
     );
 }

@@ -3,12 +3,15 @@
 //! Every clustering query the pipeline answers reduces to the same two
 //! primitives over an immutable dataset: ball counts `B_r(x_i)` and the
 //! averaged step-function profile `L(·, S)`. The **exact** implementation —
-//! [`GeometryIndex`] over the full
+//! [`GeometryIndex`] over the pairwise
 //! [`DistanceMatrix`](crate::distance::DistanceMatrix) — answers both
-//! perfectly but costs `O(n² d)` time and `8·n²` bytes, a hard scaling
-//! cliff (80 GB at `n = 100_000`). The paper's own remedy (§4) is to give
-//! up exactness: Johnson–Lindenstrauss-project to `k = O(log n)` dimensions
-//! and reason about *coarse spatial buckets* instead of individual points.
+//! perfectly. It registers in `O(n d)`, but its first profile for each cap
+//! sorts all `n(n+1)/2` pairs (`O(n² log n)` time, about `8·n²` transient
+//! bytes), and ball counts read `8·n²` bytes of sorted rows filled on first
+//! use: a hard scaling cliff (80 GB at `n = 100_000`). The paper's own
+//! remedy (§4) is to give up exactness: Johnson–Lindenstrauss-project to
+//! `k = O(log n)` dimensions and reason about *coarse spatial buckets*
+//! instead of individual points.
 //!
 //! [`GeometryBackend`] abstracts over the two regimes so the solvers in
 //! `privcluster-core` and the engine's planner never branch on which one
@@ -25,6 +28,14 @@
 //!   weighted by its bucket's occupancy. Build cost is `O(n d k + B² log B)`
 //!   time and `O(n + B²)` memory — it never materialises an `n × n`
 //!   structure (pinned by `distance::debug_build_count` in tests).
+//!
+//! Neither the solvers nor the engine call
+//! [`GeometryBackend::count_within`] on the serving path: GoodRadius, the
+//! 1-cluster and k-cluster drivers read only [`GeometryBackend::l_profile`],
+//! [`GeometryBackend::len`] and [`GeometryBackend::kind`] (plus
+//! [`GeometryBackend::rebuild_for`] between k-cluster rounds), so the exact
+//! backend never fills its sorted rows while serving (pinned by
+//! `distance::debug_rows_build_count` in the engine's `index_reuse` test).
 //!
 //! # Approximation contract
 //!

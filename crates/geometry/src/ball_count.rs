@@ -385,7 +385,7 @@ impl TopSumTree {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::dataset::Dataset;
     use proptest::prelude::{prop, Strategy};
@@ -575,7 +575,7 @@ mod tests {
 
     /// Rows on a coarse grid (step 1/4, so distances tie), off-grid rows,
     /// and exact copies of earlier rows, in 1 to 3 dimensions.
-    fn tie_heavy_dataset() -> impl Strategy<Value = Dataset> {
+    pub(crate) fn tie_heavy_dataset() -> impl Strategy<Value = Dataset> {
         (1usize..=3).prop_flat_map(|dim| {
             let row = (
                 0u32..3,

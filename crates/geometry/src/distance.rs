@@ -4,40 +4,46 @@
 //! within distance `r` of the input point `x_i` — for *many* radii `r`
 //! (every candidate radius the quasi-concave solver probes). Recomputing the
 //! `O(n d)` distances for every probe would make the solver quadratic in the
-//! number of probes; instead we build the full pairwise-distance matrix once
-//! (`O(n² d)`), sort each row (`O(n² log n)`), and then each `B_r(x_i)` query
-//! is a binary search (`O(log n)`).
+//! number of probes; instead the matrix can hold the full pairwise
+//! distances (`O(n² d)`) with each row sorted (`O(n² log n)`), and then each
+//! `B_r(x_i)` query is a binary search (`O(log n)`).
 //!
 //! The matrix also exposes the sorted multiset of *all* pairwise distances,
 //! which is exactly the set of breakpoints at which the paper's step function
 //! `L(r, S)` can change value. That set is what lets the exponential
 //! mechanism over the (enormous) radius grid run in `poly(n)` time
-//! (Remark 4.4, and item 2 in DESIGN.md §3).
+//! (Remark 4.4, and item 2 in DESIGN.md §3). The pair list behind it
+//! recomputes its distances from the kept points, so the `L` profile never
+//! reads the sorted rows.
 //!
-//! Storage is one flat row-major `Vec<f64>` of `n²` entries (`8·n²` bytes)
-//! plus the `n` points the rows were computed from, together behind one
-//! [`Arc`], so a [`DistanceMatrix`] clones in `O(1)` and can be shared
-//! across threads and cached per dataset (see
-//! [`GeometryIndex`](crate::index::GeometryIndex)). Rows can be filled in
-//! parallel with [`DistanceMatrix::build_parallel`]; each row is computed
-//! and sorted independently, so the result is bit-identical at any thread
-//! count. Sorting a row forgets which point each entry belongs to, so the
-//! pair list behind the breakpoints recomputes its distances from the
-//! kept points.
+//! Building a [`DistanceMatrix`] only copies the `n` points (`O(n d)`) and
+//! records a thread count. The sorted rows — one flat row-major `Vec<f64>`
+//! of `n²` entries (`8·n²` bytes) — are filled the first time a method
+//! reads them ([`DistanceMatrix::sorted_row`], the `count_within` family,
+//! [`DistanceMatrix::kth_distance`], [`DistanceMatrix::two_approx_radius`]),
+//! exactly once even when several threads read first at the same time.
+//! Points and rows sit together behind one [`Arc`], so a [`DistanceMatrix`]
+//! clones in `O(1)` and can be shared across threads and cached per
+//! dataset (see [`GeometryIndex`](crate::index::GeometryIndex)). Each row
+//! is computed and sorted independently, with up to the recorded number of
+//! threads, so the rows are bit-identical at any thread count.
 
 use crate::dataset::Dataset;
 use crate::point::Point;
 use crate::tol;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 #[cfg(debug_assertions)]
 static BUILD_COUNT: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+
+#[cfg(debug_assertions)]
+static ROWS_BUILD_COUNT: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
 
 /// How many [`DistanceMatrix`] builds have run in this process. Always 0 in
 /// release builds (the counter only exists under `debug_assertions`); tests
 /// assert on *deltas*, so they stay valid either way. This exists so
 /// integration tests can prove that the engine's shared per-dataset index
-/// really removes the `O(n² d)` rebuild from the repeated-query path.
+/// really removes the rebuild from the repeated-query path.
 pub fn debug_build_count() -> u64 {
     #[cfg(debug_assertions)]
     {
@@ -49,10 +55,27 @@ pub fn debug_build_count() -> u64 {
     }
 }
 
-/// Pairwise Euclidean distances of a dataset with per-row sorted order.
+/// How many times the `n × n` sorted rows of some [`DistanceMatrix`] have
+/// been filled in this process. Always 0 in release builds, like
+/// [`debug_build_count`]; tests assert on deltas. This lets integration
+/// tests prove that serving never pays the `O(n² log n)` row fill or its
+/// `8·n²` bytes.
+pub fn debug_rows_build_count() -> u64 {
+    #[cfg(debug_assertions)]
+    {
+        ROWS_BUILD_COUNT.load(std::sync::atomic::Ordering::Relaxed)
+    }
+    #[cfg(not(debug_assertions))]
+    {
+        0
+    }
+}
+
+/// Pairwise Euclidean distances of a dataset with per-row sorted order,
+/// filled on first read.
 ///
-/// Clones are `O(1)`: the flat `n × n` storage and the points sit behind
-/// an [`Arc`].
+/// Clones are `O(1)`: the points and the (lazily filled) flat `n × n`
+/// storage sit behind an [`Arc`].
 #[derive(Debug, Clone)]
 pub struct DistanceMatrix {
     n: usize,
@@ -61,64 +84,77 @@ pub struct DistanceMatrix {
 
 #[derive(Debug)]
 struct Shared {
-    /// Row-major `n × n` distances; row `i` (`rows[i·n .. (i+1)·n]`) holds
-    /// the distances from point `i` to all `n` points (including itself,
-    /// distance 0), sorted ascending.
-    rows: Vec<f64>,
-    /// The points the rows were computed from.
+    /// The points the rows are computed from.
     points: Vec<Point>,
+    /// Worker threads for the row fill (at least 1, at most `n`).
+    threads: usize,
+    /// Row-major `n × n` distances, filled on first read; row `i`
+    /// (`rows[i·n .. (i+1)·n]`) holds the distances from point `i` to all
+    /// `n` points (including itself, distance 0), sorted ascending.
+    rows: OnceLock<Vec<f64>>,
 }
 
 impl DistanceMatrix {
-    /// Builds the matrix in `O(n² d + n² log n)` time on the calling thread.
+    /// Builds the matrix; its rows will be filled on the calling thread.
     pub fn build(data: &Dataset) -> Self {
         Self::build_parallel(data, 1)
     }
 
-    /// Builds the matrix with up to `threads` worker threads sharing the row
-    /// fill. Each row is computed and sorted independently, in place, in the
-    /// final flat buffer — no per-worker staging copies, so peak memory
-    /// stays at the advertised `8·n²` bytes — and the result is
-    /// **bit-identical** to [`DistanceMatrix::build`] at every thread count.
+    /// Builds the matrix in `O(n d)`: copies the points and records that up
+    /// to `threads` worker threads share the row fill when something first
+    /// reads the rows. The rows are **bit-identical** to those of
+    /// [`DistanceMatrix::build`] at every thread count.
     pub fn build_parallel(data: &Dataset, threads: usize) -> Self {
         #[cfg(debug_assertions)]
         BUILD_COUNT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         let n = data.len();
-        let pts = data.points();
-        let fill_row = |i: usize, row: &mut [f64]| {
-            for (j, slot) in row.iter_mut().enumerate() {
-                *slot = pts[i].distance(&pts[j]);
-            }
-            row.sort_by(f64::total_cmp);
-        };
-        let threads = threads.max(1).min(n.max(1));
-        let mut rows = vec![0.0f64; n * n];
-        if threads <= 1 {
-            for (i, row) in rows.chunks_mut(n.max(1)).enumerate() {
-                fill_row(i, row);
-            }
-        } else {
-            // One contiguous block of rows per worker: the scoped threads
-            // write disjoint `chunks_mut` ranges of the final buffer.
-            let per_block = n.div_ceil(threads);
-            std::thread::scope(|scope| {
-                for (block, chunk) in rows.chunks_mut(per_block * n).enumerate() {
-                    let fill_row = &fill_row;
-                    scope.spawn(move || {
-                        for (offset, row) in chunk.chunks_mut(n).enumerate() {
-                            fill_row(block * per_block + offset, row);
-                        }
-                    });
-                }
-            });
-        }
         DistanceMatrix {
             n,
             shared: Arc::new(Shared {
-                rows,
-                points: pts.to_vec(),
+                points: data.points().to_vec(),
+                threads: threads.max(1).min(n.max(1)),
+                rows: OnceLock::new(),
             }),
         }
+    }
+
+    /// The flat sorted rows, filled on the first call. Each row is computed
+    /// and sorted independently, in place, in the final buffer — no
+    /// per-worker staging copies, so peak memory stays at `8·n²` bytes.
+    fn rows(&self) -> &[f64] {
+        self.shared.rows.get_or_init(|| {
+            #[cfg(debug_assertions)]
+            ROWS_BUILD_COUNT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            let n = self.n;
+            let pts = &self.shared.points;
+            let fill_row = |i: usize, row: &mut [f64]| {
+                for (j, slot) in row.iter_mut().enumerate() {
+                    *slot = pts[i].distance(&pts[j]);
+                }
+                row.sort_by(f64::total_cmp);
+            };
+            let mut rows = vec![0.0f64; n * n];
+            if self.shared.threads <= 1 {
+                for (i, row) in rows.chunks_mut(n.max(1)).enumerate() {
+                    fill_row(i, row);
+                }
+            } else {
+                // One contiguous block of rows per worker: the scoped threads
+                // write disjoint `chunks_mut` ranges of the final buffer.
+                let per_block = n.div_ceil(self.shared.threads);
+                std::thread::scope(|scope| {
+                    for (block, chunk) in rows.chunks_mut(per_block * n).enumerate() {
+                        let fill_row = &fill_row;
+                        scope.spawn(move || {
+                            for (offset, row) in chunk.chunks_mut(n).enumerate() {
+                                fill_row(block * per_block + offset, row);
+                            }
+                        });
+                    }
+                });
+            }
+            rows
+        })
     }
 
     /// Number of points.
@@ -134,7 +170,7 @@ impl DistanceMatrix {
     /// The sorted (ascending) distances from point `i` to all points,
     /// including the zero distance to itself.
     pub fn sorted_row(&self, i: usize) -> &[f64] {
-        &self.shared.rows[i * self.n..(i + 1) * self.n]
+        &self.rows()[i * self.n..(i + 1) * self.n]
     }
 
     /// `B_r(x_i)`: how many points (including `x_i` itself) lie within
@@ -330,6 +366,26 @@ mod tests {
             dm.sorted_row(0).as_ptr(),
             copy.sorted_row(0).as_ptr()
         ));
+    }
+
+    #[test]
+    fn rows_are_filled_on_first_read_only() {
+        let dm = DistanceMatrix::build_parallel(&line_dataset(), 2);
+        let copy = dm.clone();
+        assert!(
+            dm.shared.rows.get().is_none(),
+            "building must not fill rows"
+        );
+        assert_eq!(dm.count_within(0, -1.0), 0);
+        assert!(
+            dm.shared.rows.get().is_none(),
+            "a negative radius reads nothing"
+        );
+        assert_eq!(copy.count_within(1, 1.0), 3);
+        assert!(
+            dm.shared.rows.get().is_some(),
+            "clones share the filled rows"
+        );
     }
 
     #[test]

@@ -1,26 +1,25 @@
 //! A shared, per-dataset geometry index.
 //!
 //! Every query the paper's pipeline answers starts from the same two
-//! objects: the `O(n²)` pairwise [`DistanceMatrix`] and, per cap `t`, the
+//! objects: the pairwise [`DistanceMatrix`] and, per cap `t`, the
 //! precomputed step function [`LProfile`] of `L(·, S)`. Both depend only on
 //! the (immutable) dataset, yet historically every solver call rebuilt them
 //! from scratch — `O(n² d)` of work per query. A [`GeometryIndex`] pays
-//! that cost **once per dataset**: the matrix is built eagerly (optionally
-//! in parallel), profiles are built lazily on first use of each cap and
+//! that cost **once per dataset**: building it copies the points into the
+//! matrix (`O(n d)`), profiles are built lazily on first use of each cap and
 //! memoised, and the whole index is `Sync`, so an engine can stash one
 //! behind an `Arc` at registration time and serve every later query at
 //! `O(n log n)`.
 //!
-//! Memory: the matrix is one flat `Vec<f64>` of `8·n²` bytes (2 MB at
-//! `n = 500`, 800 MB at `n = 10_000` — the quadratic footprint, like the
-//! quadratic build, is inherent to the paper's breakpoint structure) plus
-//! the `n` points it was built from; each cached profile adds at most
-//! `8·n²` further bytes in the worst case of all-distinct pairwise
-//! distances, though ties usually make it far smaller, and building one
-//! briefly holds a sorted pair list of about `8·n²` bytes; at most
-//! [`MAX_CACHED_PROFILES`] profiles are retained (the cap `t` is
-//! client-controlled on the engine's query wire, so the memoisation must
-//! be bounded).
+//! Memory: the index holds the `n` points; the matrix's `8·n²`-byte sorted
+//! rows (2 MB at `n = 500`, 800 MB at `n = 10_000`) are filled only if
+//! something reads them, and no profile build or GoodRadius query does.
+//! Each cached profile adds at most `8·n²` bytes in the worst case of
+//! all-distinct pairwise distances, though ties usually make it far
+//! smaller, and building one briefly holds a sorted pair list of about
+//! `8·n²` bytes; at most [`MAX_CACHED_PROFILES`] profiles are retained
+//! (the cap `t` is client-controlled on the engine's query wire, so the
+//! memoisation must be bounded).
 
 use crate::ball_count::{BallCounter, LProfile};
 use crate::dataset::Dataset;
@@ -100,8 +99,9 @@ impl ProfileCache {
 }
 
 impl GeometryIndex {
-    /// Builds the index for `data`, filling the distance matrix with up to
-    /// `threads` workers (bit-identical at any thread count).
+    /// Builds the index for `data` in `O(n d)`. Should anything read the
+    /// matrix's sorted rows, up to `threads` workers fill them
+    /// (bit-identical at any thread count).
     pub fn build(data: &Dataset, threads: usize) -> Self {
         Self::from_matrix(DistanceMatrix::build_parallel(data, threads))
     }

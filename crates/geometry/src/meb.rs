@@ -18,7 +18,6 @@
 
 use crate::ball::Ball;
 use crate::dataset::Dataset;
-use crate::distance::DistanceMatrix;
 use crate::error::GeometryError;
 use crate::point::Point;
 use rand::seq::SliceRandom;
@@ -134,7 +133,13 @@ pub fn welzl_meb<R: Rng + ?Sized>(data: &Dataset, rng: &mut R) -> Result<Ball, G
 
 /// The folklore 2-approximation for the smallest ball containing at least `t`
 /// points: restrict centres to input points (§3, fact 3). Returns the best
-/// such ball. `O(n² d + n² log n)`.
+/// such ball: the input point whose `t`-th nearest point (itself first) is
+/// closest, the lowest index winning ties, with that distance as radius —
+/// bit-identical to [`DistanceMatrix::two_approx_radius`]. Each point's
+/// `t`-th smallest distance is selected in one reused buffer of `n`
+/// distances: `O(n² d)` expected time and `O(n)` extra memory.
+///
+/// [`DistanceMatrix::two_approx_radius`]: crate::distance::DistanceMatrix::two_approx_radius
 pub fn smallest_ball_two_approx(data: &Dataset, t: usize) -> Result<Ball, GeometryError> {
     if data.is_empty() {
         return Err(GeometryError::EmptyDataset);
@@ -145,11 +150,27 @@ pub fn smallest_ball_two_approx(data: &Dataset, t: usize) -> Result<Ball, Geomet
             data.len()
         )));
     }
-    let dm = DistanceMatrix::build(data);
-    let (center_idx, radius) = dm
-        .two_approx_radius(t)
-        .expect("t validated against n above");
+    let (center_idx, radius) = two_approx_center(data.points(), t);
     Ball::new(data.point(center_idx).clone(), radius)
+}
+
+/// The centre index and radius of [`smallest_ball_two_approx`], for
+/// non-empty `pts` and `1 ≤ t ≤ n`.
+fn two_approx_center(pts: &[Point], t: usize) -> (usize, f64) {
+    let mut row = vec![0.0f64; pts.len()];
+    let mut best: Option<(usize, f64)> = None;
+    for (i, p) in pts.iter().enumerate() {
+        for (slot, q) in row.iter_mut().zip(pts) {
+            *slot = p.distance(q);
+        }
+        // Under `total_cmp` the t-th smallest value has one bit pattern, so
+        // selecting it matches reading position t − 1 of the sorted row.
+        let (_, &mut r, _) = row.select_nth_unstable_by(t - 1, f64::total_cmp);
+        if best.is_none_or(|(_, br)| r < br) {
+            best = Some((i, r));
+        }
+    }
+    best.expect("pts is non-empty")
 }
 
 /// Exact smallest ball containing at least `t` points, by enumerating all
@@ -257,6 +278,7 @@ pub fn smallest_interval_1d(data: &Dataset, t: usize) -> Result<Ball, GeometryEr
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::distance::DistanceMatrix;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -352,6 +374,27 @@ mod tests {
         assert!(exact.radius() <= approx.radius() + 1e-9);
         // Exact optimum for the unit square is radius sqrt(2)/2.
         assert!((exact.radius() - (0.5_f64).sqrt()).abs() < 1e-6);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(200))]
+
+        /// Selecting each point's t-th distance in one buffer reproduces
+        /// the ball read off the sorted rows bit for bit, ties included.
+        #[test]
+        fn two_approx_matches_the_sorted_rows_bit_for_bit(
+            data in crate::ball_count::tests::tie_heavy_dataset(),
+            pick in 0usize..64,
+        ) {
+            let t = 1 + pick % data.len();
+            let (center, radius) = two_approx_center(data.points(), t);
+            let (ref_center, ref_radius) =
+                DistanceMatrix::build(&data).two_approx_radius(t).unwrap();
+            proptest::prop_assert_eq!(center, ref_center);
+            proptest::prop_assert_eq!(radius.to_bits(), ref_radius.to_bits());
+            let ball = smallest_ball_two_approx(&data, t).unwrap();
+            proptest::prop_assert_eq!(ball.radius().to_bits(), ref_radius.to_bits());
+        }
     }
 
     #[test]
