@@ -13,11 +13,21 @@
 //! holding 10k records, with and without a covering snapshot: the snapshot
 //! replaces tail replay with one framed read, which is the entire reason
 //! `--snapshot-every` exists.
+//!
+//! Group 3 (`accountant_try_charge`) times granted
+//! `BudgetAccountant::try_charge` calls on an accountant that already
+//! holds 10², 10³, 10⁴ or 10⁵ charges, under basic and advanced
+//! composition — the admission-path cost that must not grow with the
+//! ledger. Each sample runs [`CHARGES_PER_SAMPLE`] charges on a fresh clone
+//! of the prepared accountant (cloned outside the timing, and dropped after
+//! the group), so the printed time is per batch of that many charges.
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use privcluster_dp::composition::CompositionMode;
 use privcluster_dp::PrivacyParams;
-use privcluster_engine::{query_fingerprint, Engine, EngineConfig, Query, QueryRequest};
+use privcluster_engine::{
+    query_fingerprint, BudgetAccountant, Engine, EngineConfig, Query, QueryRequest,
+};
 use privcluster_geometry::{Dataset, GridDomain};
 use privcluster_store::{ChargeRecord, ReleaseRecord, Store, StoreConfig, StoreRecord};
 use serde::Value;
@@ -190,9 +200,46 @@ fn bench_recovery(c: &mut Criterion) {
     std::fs::remove_dir_all(snapshotted.journal_path.parent().unwrap()).ok();
 }
 
+/// Charges per timed sample of `accountant_try_charge`.
+const CHARGES_PER_SAMPLE: usize = 100;
+
+fn bench_try_charge(c: &mut Criterion) {
+    let mut group = c.benchmark_group("accountant_try_charge");
+    group.sample_size(20);
+    let charge = PrivacyParams::new(1e-4, 1e-12).unwrap();
+    // Roomy: every charge is granted, however many came before.
+    let budget = PrivacyParams::new(1e6, 0.5).unwrap();
+    let modes = [
+        ("basic", CompositionMode::Basic),
+        ("advanced", CompositionMode::Advanced { delta_prime: 1e-6 }),
+    ];
+    for (mode_name, mode) in modes {
+        for prior in [100usize, 1_000, 10_000, 100_000] {
+            let mut prepared = BudgetAccountant::new("bench", budget, mode).unwrap();
+            for _ in 0..prior {
+                prepared.try_charge(charge).unwrap();
+            }
+            let mut spent = Vec::with_capacity(64);
+            group.bench_function(format!("{mode_name}/{prior}"), |b| {
+                b.iter_batched(
+                    || prepared.clone(),
+                    |mut accountant| {
+                        for _ in 0..CHARGES_PER_SAMPLE {
+                            accountant.try_charge(charge).unwrap();
+                        }
+                        spent.push(accountant);
+                    },
+                    BatchSize::SmallInput,
+                )
+            });
+        }
+    }
+    group.finish();
+}
+
 criterion_group! {
     name = benches;
     config = config();
-    targets = bench_admission, bench_recovery
+    targets = bench_admission, bench_recovery, bench_try_charge
 }
 criterion_main!(benches);

@@ -5,11 +5,18 @@
 //! * Advanced composition (Theorem 4.7, Dwork–Rothblum–Vadhan): they are also
 //!   `(ε', kδ + δ')`-DP for `ε' = 2kε² + ε·√(2k·ln(1/δ'))`.
 //!
+//! Both theorems read a run of charges through five numbers only: the
+//! count, Σε, Σδ, max ε and max δ. [`LedgerTotals`] keeps exactly those,
+//! so composing, checking a budget and admitting one more charge cost O(1)
+//! however long the run — the engine's budget accountant and the store's
+//! snapshots hold nothing else.
+//!
 //! [`PrivacyLedger`] records every charge an algorithm makes against its
-//! budget. The paper's algorithms split their budgets *statically* (e.g.
-//! GoodCenter charges ε/4 to four sub-mechanisms), and the ledger lets tests
-//! and the experiment harness verify that the declared total is never
-//! exceeded under either composition theorem.
+//! budget, with a label per charge, and reads its totals from a
+//! [`LedgerTotals`]. The paper's algorithms split their budgets
+//! *statically* (e.g. GoodCenter charges ε/4 to four sub-mechanisms), and
+//! the ledger lets tests and the experiment harness verify that the
+//! declared total is never exceeded under either composition theorem.
 
 use crate::error::DpError;
 use crate::params::PrivacyParams;
@@ -184,10 +191,267 @@ impl Deserialize for LedgerEntry {
     }
 }
 
-/// Records the privacy charges of an algorithm's sub-mechanisms.
+/// The sufficient statistics of a run of charges under both composition
+/// theorems: the count, Σε and Σδ (added in charge order), max ε and
+/// max δ. Basic composition reads the sums and advanced composition the
+/// count and the maxima, so every total, budget check and refusal needs
+/// these five numbers only, and one charge updates them in O(1).
+///
+/// The sums start from the first charge's own value and add each later
+/// one in order — the fold `Iterator::sum` performs over the same list —
+/// and the maxima fold `f64::max` from 0.0, so [`LedgerTotals::basic`] and
+/// [`LedgerTotals::advanced`] are bit-identical to [`basic_composition`]
+/// and [`advanced_composition`] applied to the charges themselves.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub struct LedgerTotals {
+    count: u64,
+    epsilon_sum: f64,
+    delta_sum: f64,
+    epsilon_max: f64,
+    delta_max: f64,
+}
+
+impl LedgerTotals {
+    /// The totals of no charges.
+    pub fn new() -> Self {
+        LedgerTotals::default()
+    }
+
+    /// These totals with one more charge folded in (`self` is unchanged).
+    pub fn with_charge(&self, params: PrivacyParams) -> LedgerTotals {
+        let (epsilon_sum, delta_sum) = if self.count == 0 {
+            (params.epsilon(), params.delta())
+        } else {
+            (
+                self.epsilon_sum + params.epsilon(),
+                self.delta_sum + params.delta(),
+            )
+        };
+        LedgerTotals {
+            count: self.count + 1,
+            epsilon_sum,
+            delta_sum,
+            epsilon_max: self.epsilon_max.max(params.epsilon()),
+            delta_max: self.delta_max.max(params.delta()),
+        }
+    }
+
+    /// Folds one charge in, unconditionally.
+    pub fn charge(&mut self, params: PrivacyParams) {
+        *self = self.with_charge(params);
+    }
+
+    /// Number of charges.
+    pub fn count(&self) -> u64 {
+        self.count
+    }
+
+    /// Whether no charge was folded in.
+    pub fn is_empty(&self) -> bool {
+        self.count == 0
+    }
+
+    /// Σε over the charges (0 when empty).
+    pub fn epsilon_sum(&self) -> f64 {
+        self.epsilon_sum
+    }
+
+    /// Σδ over the charges (0 when empty).
+    pub fn delta_sum(&self) -> f64 {
+        self.delta_sum
+    }
+
+    /// The largest ε charged (0 when empty).
+    pub fn epsilon_max(&self) -> f64 {
+        self.epsilon_max
+    }
+
+    /// The largest δ charged (0 when empty).
+    pub fn delta_max(&self) -> f64 {
+        self.delta_max
+    }
+
+    fn require_charges(&self) -> Result<(), DpError> {
+        if self.count == 0 {
+            return Err(DpError::InvalidParameter(
+                "cannot compose an empty list of mechanisms".into(),
+            ));
+        }
+        Ok(())
+    }
+
+    /// Total privacy cost under basic composition (Theorem 2.1).
+    pub fn basic(&self) -> Result<PrivacyParams, DpError> {
+        self.require_charges()?;
+        PrivacyParams::new(self.epsilon_sum, self.delta_sum.min(1.0 - f64::EPSILON))
+    }
+
+    /// Total privacy cost under advanced composition with slack
+    /// `delta_prime`, treating every charge as a `(max εᵢ, max δᵢ)`
+    /// mechanism (sound for heterogeneous charges, tight for homogeneous
+    /// ones; see [`CompositionMode`]).
+    pub fn advanced(&self, delta_prime: f64) -> Result<PrivacyParams, DpError> {
+        self.require_charges()?;
+        advanced_composition(
+            PrivacyParams::new(self.epsilon_max, self.delta_max)?,
+            self.count as usize,
+            delta_prime,
+        )
+    }
+
+    /// Total privacy cost under `mode`: under [`CompositionMode::Advanced`]
+    /// both the basic and the advanced pair are valid guarantees, and the
+    /// one with the smaller ε is returned.
+    pub fn under(&self, mode: CompositionMode) -> Result<PrivacyParams, DpError> {
+        let basic = self.basic()?;
+        match mode {
+            CompositionMode::Basic => Ok(basic),
+            CompositionMode::Advanced { delta_prime } => {
+                let advanced = self.advanced(delta_prime)?;
+                if advanced.epsilon() < basic.epsilon() {
+                    Ok(advanced)
+                } else {
+                    Ok(basic)
+                }
+            }
+        }
+    }
+
+    /// Verifies the totals stay within `budget` under `mode` (up to a small
+    /// numerical slack). Under advanced mode the check passes when *either*
+    /// the basic or the advanced pair fits the budget.
+    pub fn verify_within(
+        &self,
+        budget: PrivacyParams,
+        mode: CompositionMode,
+    ) -> Result<(), DpError> {
+        let basic = self.basic()?;
+        if fits_within(basic, budget) {
+            return Ok(());
+        }
+        if let CompositionMode::Advanced { delta_prime } = mode {
+            if fits_within(self.advanced(delta_prime)?, budget) {
+                return Ok(());
+            }
+        }
+        Err(DpError::BudgetExhausted {
+            requested_epsilon: basic.epsilon(),
+            remaining_epsilon: budget.epsilon(),
+        })
+    }
+
+    /// Folds `params` in *only if* the totals stay within `budget` under
+    /// `mode` afterwards, returning the new total under `mode`. The
+    /// candidate totals are checked before anything is stored, so on any
+    /// error the totals are left as they were — nothing is ever taken back
+    /// out. A refusal is [`DpError::BudgetExhausted`] quoting the requested
+    /// ε and the ε still unspent under `mode`.
+    pub fn charge_within(
+        &mut self,
+        params: PrivacyParams,
+        budget: PrivacyParams,
+        mode: CompositionMode,
+    ) -> Result<PrivacyParams, DpError> {
+        let candidate = self.with_charge(params);
+        match candidate.verify_within(budget, mode) {
+            Ok(()) => {
+                let total = candidate.under(mode)?;
+                *self = candidate;
+                Ok(total)
+            }
+            Err(DpError::BudgetExhausted { .. }) => {
+                // Report headroom under the *selected* theorem so refusals
+                // quote the same figure as status/spend queries.
+                let spent = if self.is_empty() {
+                    0.0
+                } else {
+                    self.under(mode)?.epsilon()
+                };
+                Err(DpError::BudgetExhausted {
+                    requested_epsilon: params.epsilon(),
+                    remaining_epsilon: (budget.epsilon() - spent).max(0.0),
+                })
+            }
+            // A non-budget error (e.g. an invalid δ' reaching `advanced`)
+            // is a caller bug, not a refusal: surface it as-is.
+            Err(other) => Err(other),
+        }
+    }
+}
+
+impl Serialize for LedgerTotals {
+    /// `{"count":k,"epsilon_sum":Σε,"delta_sum":Σδ,"epsilon_max":..,
+    /// "delta_max":..}` — the durable form of a dataset's spend in the
+    /// store's snapshots. Floats round-trip bit-exactly through the JSON
+    /// writer.
+    fn to_json_value(&self) -> Value {
+        Value::Object(vec![
+            ("count".to_string(), Value::Number(self.count as f64)),
+            ("epsilon_sum".to_string(), Value::Number(self.epsilon_sum)),
+            ("delta_sum".to_string(), Value::Number(self.delta_sum)),
+            ("epsilon_max".to_string(), Value::Number(self.epsilon_max)),
+            ("delta_max".to_string(), Value::Number(self.delta_max)),
+        ])
+    }
+}
+
+impl Deserialize for LedgerTotals {
+    /// Accepts only totals some run of valid charges could produce, so a
+    /// damaged snapshot can never decode to a smaller — refunded — spend
+    /// than a sum of valid charges: every float is finite and non-negative,
+    /// empty totals are all zero, and otherwise max ε is positive and no
+    /// maximum exceeds its sum.
+    fn from_json_value(value: &Value) -> Result<Self, String> {
+        let field = |key: &str| -> Result<f64, String> {
+            value
+                .as_object()
+                .and_then(|entries| entries.iter().find(|(k, _)| k == key))
+                .and_then(|(_, v)| v.as_f64())
+                .ok_or_else(|| format!("ledger totals need a numeric `{key}` field"))
+        };
+        let count = field("count")?;
+        if !(count >= 0.0 && count.fract() == 0.0 && count <= u64::MAX as f64) {
+            return Err(format!(
+                "ledger totals count must be a non-negative integer, got {count}"
+            ));
+        }
+        let totals = LedgerTotals {
+            count: count as u64,
+            epsilon_sum: field("epsilon_sum")?,
+            delta_sum: field("delta_sum")?,
+            epsilon_max: field("epsilon_max")?,
+            delta_max: field("delta_max")?,
+        };
+        let floats = [
+            totals.epsilon_sum,
+            totals.delta_sum,
+            totals.epsilon_max,
+            totals.delta_max,
+        ];
+        let consistent = floats.iter().all(|x| x.is_finite() && *x >= 0.0)
+            && if totals.count == 0 {
+                floats.iter().all(|x| *x == 0.0)
+            } else {
+                totals.epsilon_max > 0.0
+                    && totals.epsilon_max <= totals.epsilon_sum
+                    && totals.delta_max <= totals.delta_sum
+            };
+        if !consistent {
+            return Err(format!(
+                "ledger totals are not the totals of any run of valid charges: {totals:?}"
+            ));
+        }
+        Ok(totals)
+    }
+}
+
+/// Records the privacy charges of an algorithm's sub-mechanisms: each
+/// charge's label (for diagnostics) and the running [`LedgerTotals`] every
+/// composed total is read from.
 #[derive(Debug, Clone, Default)]
 pub struct PrivacyLedger {
     entries: Vec<LedgerEntry>,
+    totals: LedgerTotals,
 }
 
 impl PrivacyLedger {
@@ -202,6 +466,7 @@ impl PrivacyLedger {
             label: label.into(),
             params,
         });
+        self.totals.charge(params);
     }
 
     /// The recorded entries.
@@ -221,59 +486,19 @@ impl PrivacyLedger {
 
     /// Total privacy cost under basic composition.
     pub fn total_basic(&self) -> Result<PrivacyParams, DpError> {
-        basic_composition(
-            &self
-                .entries
-                .iter()
-                .map(|e| e.params)
-                .collect::<Vec<PrivacyParams>>(),
-        )
+        self.totals.basic()
     }
 
-    /// Total privacy cost under the given composition mode.
-    ///
-    /// Under [`CompositionMode::Advanced`] both the basic pair and the
-    /// (heterogeneous-safe, see [`CompositionMode`]) advanced pair are valid
-    /// guarantees; the one with the smaller ε is returned.
+    /// Total privacy cost under the given composition mode (see
+    /// [`LedgerTotals::under`]).
     pub fn total_under(&self, mode: CompositionMode) -> Result<PrivacyParams, DpError> {
-        let basic = self.total_basic()?;
-        match mode {
-            CompositionMode::Basic => Ok(basic),
-            CompositionMode::Advanced { delta_prime } => {
-                let advanced = self.total_advanced(delta_prime)?;
-                if advanced.epsilon() < basic.epsilon() {
-                    Ok(advanced)
-                } else {
-                    Ok(basic)
-                }
-            }
-        }
+        self.totals.under(mode)
     }
 
-    /// Total privacy cost under advanced composition with slack `delta_prime`,
-    /// treating every entry as a `(max εᵢ, max δᵢ)` mechanism (sound for
-    /// heterogeneous ledgers, tight for homogeneous ones).
+    /// Total privacy cost under advanced composition with slack `delta_prime`
+    /// (see [`LedgerTotals::advanced`]).
     pub fn total_advanced(&self, delta_prime: f64) -> Result<PrivacyParams, DpError> {
-        if self.entries.is_empty() {
-            return Err(DpError::InvalidParameter(
-                "cannot compose an empty list of mechanisms".into(),
-            ));
-        }
-        let eps_max = self
-            .entries
-            .iter()
-            .map(|e| e.params.epsilon())
-            .fold(0.0, f64::max);
-        let delta_max = self
-            .entries
-            .iter()
-            .map(|e| e.params.delta())
-            .fold(0.0, f64::max);
-        advanced_composition(
-            PrivacyParams::new(eps_max, delta_max)?,
-            self.entries.len(),
-            delta_prime,
-        )
+        self.totals.advanced(delta_prime)
     }
 
     /// Verifies the ledger total (basic composition) does not exceed `budget`
@@ -282,77 +507,23 @@ impl PrivacyLedger {
         self.verify_within_mode(budget, CompositionMode::Basic)
     }
 
-    /// Verifies the ledger stays within `budget` under `mode`. Under advanced
-    /// mode the check passes when *either* the basic or the advanced composed
-    /// pair fits the budget (each is a valid guarantee on its own).
+    /// Verifies the ledger stays within `budget` under `mode` (see
+    /// [`LedgerTotals::verify_within`]).
     pub fn verify_within_mode(
         &self,
         budget: PrivacyParams,
         mode: CompositionMode,
     ) -> Result<(), DpError> {
-        let basic = self.total_basic()?;
-        if fits_within(basic, budget) {
-            return Ok(());
-        }
-        if let CompositionMode::Advanced { delta_prime } = mode {
-            let advanced = self.total_advanced(delta_prime)?;
-            if fits_within(advanced, budget) {
-                return Ok(());
-            }
-        }
-        Err(DpError::BudgetExhausted {
-            requested_epsilon: basic.epsilon(),
-            remaining_epsilon: budget.epsilon(),
-        })
-    }
-
-    /// Atomically records a charge *only if* the ledger stays within `budget`
-    /// under `mode` afterwards. On refusal the ledger is left unchanged and
-    /// [`DpError::BudgetExhausted`] reports the requested ε and the ε still
-    /// unspent under basic composition.
-    pub fn charge_within(
-        &mut self,
-        label: impl Into<String>,
-        params: PrivacyParams,
-        budget: PrivacyParams,
-        mode: CompositionMode,
-    ) -> Result<PrivacyParams, DpError> {
-        self.entries.push(LedgerEntry {
-            label: label.into(),
-            params,
-        });
-        match self.verify_within_mode(budget, mode) {
-            Ok(()) => self.total_under(mode),
-            Err(DpError::BudgetExhausted { .. }) => {
-                let entry = self.entries.pop().expect("entry was just pushed");
-                // Report headroom under the *selected* theorem so refusals
-                // quote the same figure as status/spend queries.
-                let spent = if self.entries.is_empty() {
-                    0.0
-                } else {
-                    self.total_under(mode)?.epsilon()
-                };
-                Err(DpError::BudgetExhausted {
-                    requested_epsilon: entry.params.epsilon(),
-                    remaining_epsilon: (budget.epsilon() - spent).max(0.0),
-                })
-            }
-            // A non-budget error (e.g. an invalid δ' reaching
-            // total_advanced) is a caller bug, not a refusal: surface it
-            // as-is, with the speculative entry rolled back.
-            Err(other) => {
-                self.entries.pop();
-                Err(other)
-            }
-        }
+        self.totals.verify_within(budget, mode)
     }
 }
 
 impl Serialize for PrivacyLedger {
-    /// Serializes the full charge history — the durable form a ledger takes
-    /// in the engine's journal snapshots. The composed totals are *not*
-    /// stored: they are recomputed from the entries on load, so a snapshot
-    /// can never disagree with its own charge list.
+    /// Serializes the labelled charge history, for diagnostics output. The
+    /// totals are not stored: they are refolded from the entries on load,
+    /// so the JSON can never disagree with its own charge list. (The
+    /// store's snapshots do not use this form; they keep one
+    /// [`LedgerTotals`] per dataset.)
     fn to_json_value(&self) -> Value {
         Value::Object(vec![(
             "entries".to_string(),
@@ -371,7 +542,11 @@ impl Deserialize for PrivacyLedger {
             .iter()
             .map(LedgerEntry::from_json_value)
             .collect::<Result<Vec<_>, _>>()?;
-        Ok(PrivacyLedger { entries })
+        let mut ledger = PrivacyLedger::new();
+        for entry in entries {
+            ledger.charge(entry.label, entry.params);
+        }
+        Ok(ledger)
     }
 }
 
@@ -440,13 +615,13 @@ mod tests {
     fn charge_within_commits_only_affordable_charges() {
         let budget = PrivacyParams::new(1.0, 1e-6).unwrap();
         let mode = CompositionMode::Basic;
-        let mut ledger = PrivacyLedger::new();
+        let mut totals = LedgerTotals::new();
         let step = PrivacyParams::new(0.4, 1e-7).unwrap();
-        assert!(ledger.charge_within("q0", step, budget, mode).is_ok());
-        assert!(ledger.charge_within("q1", step, budget, mode).is_ok());
-        // A third 0.4 would compose to 1.2 > 1.0: refused, ledger unchanged.
-        let before = ledger.entries().to_vec();
-        let err = ledger.charge_within("q2", step, budget, mode).unwrap_err();
+        assert!(totals.charge_within(step, budget, mode).is_ok());
+        assert!(totals.charge_within(step, budget, mode).is_ok());
+        // A third 0.4 would compose to 1.2 > 1.0: refused, totals unchanged.
+        let before = totals;
+        let err = totals.charge_within(step, budget, mode).unwrap_err();
         match err {
             DpError::BudgetExhausted {
                 requested_epsilon,
@@ -457,11 +632,12 @@ mod tests {
             }
             other => panic!("expected BudgetExhausted, got {other:?}"),
         }
-        assert_eq!(ledger.entries(), &before[..]);
+        assert_eq!(totals, before);
         // A smaller charge still fits.
         let small = PrivacyParams::new(0.15, 1e-8).unwrap();
-        let total = ledger.charge_within("q3", small, budget, mode).unwrap();
+        let total = totals.charge_within(small, budget, mode).unwrap();
         assert!((total.epsilon() - 0.95).abs() < 1e-12);
+        assert_eq!(totals.count(), 3);
     }
 
     #[test]
@@ -469,19 +645,16 @@ mod tests {
         let budget = PrivacyParams::new(1.0, 1e-4).unwrap();
         let per = PrivacyParams::new(0.02, 1e-9).unwrap();
         let count = |mode: CompositionMode| {
-            let mut ledger = PrivacyLedger::new();
+            let mut totals = LedgerTotals::new();
             let mut granted = 0usize;
-            for i in 0..5_000 {
-                if ledger
-                    .charge_within(format!("q{i}"), per, budget, mode)
-                    .is_err()
-                {
+            for _ in 0..5_000 {
+                if totals.charge_within(per, budget, mode).is_err() {
                     break;
                 }
                 granted += 1;
             }
             // Whatever was granted must verify under the same mode.
-            ledger.verify_within_mode(budget, mode).unwrap();
+            totals.verify_within(budget, mode).unwrap();
             granted
         };
         let basic = count(CompositionMode::Basic);
@@ -491,6 +664,89 @@ mod tests {
             advanced > basic,
             "advanced composition should admit more ε=0.02 queries (basic {basic}, advanced {advanced})"
         );
+    }
+
+    /// The reference the totals must reproduce bit for bit: today's
+    /// whole-list folds (`basic_composition`'s `Iterator::sum`, and
+    /// `fold(0.0, f64::max)` for advanced composition's maxima).
+    fn folded(charges: &[PrivacyParams], delta_prime: f64) -> (PrivacyParams, PrivacyParams) {
+        let basic = basic_composition(charges).unwrap();
+        let eps_max = charges.iter().map(|p| p.epsilon()).fold(0.0, f64::max);
+        let delta_max = charges.iter().map(|p| p.delta()).fold(0.0, f64::max);
+        let advanced = advanced_composition(
+            PrivacyParams::new(eps_max, delta_max).unwrap(),
+            charges.len(),
+            delta_prime,
+        )
+        .unwrap();
+        (basic, advanced)
+    }
+
+    #[test]
+    fn totals_are_bit_identical_to_whole_list_composition() {
+        let bits = |p: PrivacyParams| (p.epsilon().to_bits(), p.delta().to_bits());
+        // Awkward decimal values whose sums depend on the addition order,
+        // and a -0.0 δ (valid: δ ∈ [0, 1)) that `Iterator::sum` keeps.
+        let mut charges = Vec::new();
+        let mut totals = LedgerTotals::new();
+        for i in 0..2_000u32 {
+            let eps = 0.1 + f64::from(i % 7) * 0.01 + 1.0 / f64::from(i + 3);
+            let delta = if i % 5 == 0 {
+                0.0
+            } else {
+                1e-9 / f64::from(i + 1)
+            };
+            let params = PrivacyParams::new(eps, delta).unwrap();
+            charges.push(params);
+            totals.charge(params);
+            let (basic, advanced) = folded(&charges, 1e-7);
+            assert_eq!(
+                bits(totals.basic().unwrap()),
+                bits(basic),
+                "basic after {i}"
+            );
+            assert_eq!(bits(totals.advanced(1e-7).unwrap()), bits(advanced));
+        }
+        let negative_zero = PrivacyParams::new(0.5, -0.0).unwrap();
+        let one = LedgerTotals::new().with_charge(negative_zero);
+        assert_eq!(
+            bits(one.basic().unwrap()),
+            bits(basic_composition(&[negative_zero]).unwrap())
+        );
+        assert!(LedgerTotals::new().basic().is_err());
+        assert!(LedgerTotals::new().advanced(1e-6).is_err());
+    }
+
+    #[test]
+    fn totals_round_trip_bit_exactly_and_reject_refunds() {
+        let mut totals = LedgerTotals::new();
+        totals.charge(PrivacyParams::new(0.1 + 0.2, 1e-300).unwrap());
+        totals.charge(PrivacyParams::new(0.7, 3e-9).unwrap());
+        let json = serde_json::to_string(&totals).unwrap();
+        let back: LedgerTotals = serde_json::from_str(&json).unwrap();
+        assert_eq!(back.count(), totals.count());
+        for (a, b) in [
+            (back.epsilon_sum(), totals.epsilon_sum()),
+            (back.delta_sum(), totals.delta_sum()),
+            (back.epsilon_max(), totals.epsilon_max()),
+            (back.delta_max(), totals.delta_max()),
+        ] {
+            assert_eq!(a.to_bits(), b.to_bits());
+        }
+        let empty: LedgerTotals =
+            serde_json::from_str(&serde_json::to_string(&LedgerTotals::new()).unwrap()).unwrap();
+        assert!(empty.is_empty());
+        // Totals no run of valid charges produces must not decode.
+        for bad in [
+            r#"{"count":2,"epsilon_sum":-0.5,"delta_sum":0,"epsilon_max":0.5,"delta_max":0}"#,
+            r#"{"count":2,"epsilon_sum":0.5,"delta_sum":0,"epsilon_max":0.7,"delta_max":0}"#,
+            r#"{"count":0,"epsilon_sum":0.5,"delta_sum":0,"epsilon_max":0.5,"delta_max":0}"#,
+            r#"{"count":1.5,"epsilon_sum":0.5,"delta_sum":0,"epsilon_max":0.5,"delta_max":0}"#,
+            r#"{"count":1,"epsilon_sum":0.5,"delta_sum":0}"#,
+        ] {
+            let value: Value = serde_json::from_str(bad).unwrap();
+            assert!(LedgerTotals::from_json_value(&value).is_err(), "{bad}");
+        }
     }
 
     #[test]

@@ -48,7 +48,9 @@ pub mod sparse_vector;
 pub mod stability_histogram;
 pub mod util;
 
-pub use composition::{advanced_composition, basic_composition, CompositionMode, PrivacyLedger};
+pub use composition::{
+    advanced_composition, basic_composition, CompositionMode, LedgerTotals, PrivacyLedger,
+};
 pub use error::DpError;
 pub use exponential::{
     exp_mech_error_bound, exponential_mechanism, piecewise_exponential_mechanism, PiecewiseQuality,

@@ -17,7 +17,6 @@ use crate::error::DpError;
 use crate::sampling::laplace;
 use rand::Rng;
 use std::collections::HashMap;
-use std::hash::Hash;
 
 /// Parameters of a stability-histogram release.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -69,22 +68,21 @@ impl StabilityHistogramConfig {
 /// threshold (the `⊥` outcome).
 ///
 /// The caller must pass every non-empty bin (and may pass empty ones; they
-/// are ignored). Ties in noisy counts are broken arbitrarily.
+/// are ignored). Bins draw their noise in ascending key order, so for a
+/// fixed RNG stream the result does not depend on the map's hash seed; a
+/// tie in noisy counts goes to the smaller key.
 pub fn choose_heavy_bin<K, R>(
     counts: &HashMap<K, usize>,
     config: &StabilityHistogramConfig,
     rng: &mut R,
 ) -> Result<(K, f64), DpError>
 where
-    K: Clone + Eq + Hash,
+    K: Clone + Ord,
     R: Rng + ?Sized,
 {
     let threshold = config.release_threshold();
     let mut best: Option<(K, f64)> = None;
-    for (key, &count) in counts.iter() {
-        if count == 0 {
-            continue;
-        }
+    for (key, count) in nonempty_bins_in_key_order(counts) {
         let noisy = count as f64 + laplace(rng, 2.0 / config.epsilon);
         if noisy > threshold && best.as_ref().map(|(_, b)| noisy > *b).unwrap_or(true) {
             best = Some((key.clone(), noisy));
@@ -96,27 +94,39 @@ where
 /// Releases the whole histogram: every non-empty bin whose noisy count clears
 /// the stability threshold, with its noisy count. (This is the classical
 /// stability-based histogram; `choose_heavy_bin` is its arg-max variant.)
+/// Bins are visited, and released, in ascending key order.
 pub fn release_stable_histogram<K, R>(
     counts: &HashMap<K, usize>,
     config: &StabilityHistogramConfig,
     rng: &mut R,
 ) -> Vec<(K, f64)>
 where
-    K: Clone + Eq + Hash,
+    K: Clone + Ord,
     R: Rng + ?Sized,
 {
     let threshold = config.release_threshold();
     let mut out = Vec::new();
-    for (key, &count) in counts.iter() {
-        if count == 0 {
-            continue;
-        }
+    for (key, count) in nonempty_bins_in_key_order(counts) {
         let noisy = count as f64 + laplace(rng, 2.0 / config.epsilon);
         if noisy > threshold {
             out.push((key.clone(), noisy));
         }
     }
     out
+}
+
+/// The non-empty bins in ascending key order. A `HashMap` iterates in an
+/// order drawn from its per-process hash seed; drawing one Laplace sample
+/// per bin in that order would let the seed decide which bin gets which
+/// noise, and so the released bin.
+fn nonempty_bins_in_key_order<K: Ord>(counts: &HashMap<K, usize>) -> Vec<(&K, usize)> {
+    let mut bins: Vec<(&K, usize)> = counts
+        .iter()
+        .filter(|(_, &count)| count > 0)
+        .map(|(key, &count)| (key, count))
+        .collect();
+    bins.sort_unstable_by(|a, b| a.0.cmp(b.0));
+    bins
 }
 
 #[cfg(test)]
@@ -235,5 +245,55 @@ mod tests {
         assert!(keys.contains(&"heavy".to_string()));
         assert!(keys.contains(&"heavy2".to_string()));
         assert!(!keys.contains(&"tiny".to_string()));
+    }
+
+    #[test]
+    fn released_bins_do_not_depend_on_the_hash_seed() {
+        use std::collections::hash_map::RandomState;
+        // The same 64 bins, inserted in opposite orders into maps with two
+        // independently seeded hashers, so their iteration orders differ.
+        let bins: Vec<(Vec<i64>, usize)> = (0..64i64)
+            .map(|i| (vec![i % 8, i / 8], 40 + (i as usize * 37) % 23))
+            .collect();
+        let mut first: HashMap<Vec<i64>, usize> = HashMap::with_hasher(RandomState::new());
+        let mut second: HashMap<Vec<i64>, usize> = HashMap::with_hasher(RandomState::new());
+        for (key, count) in &bins {
+            first.insert(key.clone(), *count);
+        }
+        for (key, count) in bins.iter().rev() {
+            second.insert(key.clone(), *count);
+        }
+        let cfg = StabilityHistogramConfig::new(0.5, 1e-6).unwrap();
+        for seed in 0..32 {
+            let a = choose_heavy_bin(&first, &cfg, &mut StdRng::seed_from_u64(seed));
+            let b = choose_heavy_bin(&second, &cfg, &mut StdRng::seed_from_u64(seed));
+            match (a, b) {
+                (Ok((ka, na)), Ok((kb, nb))) => {
+                    assert_eq!(ka, kb, "seed {seed}");
+                    assert_eq!(na.to_bits(), nb.to_bits(), "seed {seed}");
+                }
+                (Err(_), Err(_)) => {}
+                other => panic!("seed {seed}: outcomes differ: {other:?}"),
+            }
+            let bits = |released: Vec<(Vec<i64>, f64)>| -> Vec<(Vec<i64>, u64)> {
+                released
+                    .into_iter()
+                    .map(|(k, v)| (k, v.to_bits()))
+                    .collect()
+            };
+            assert_eq!(
+                bits(release_stable_histogram(
+                    &first,
+                    &cfg,
+                    &mut StdRng::seed_from_u64(seed)
+                )),
+                bits(release_stable_histogram(
+                    &second,
+                    &cfg,
+                    &mut StdRng::seed_from_u64(seed)
+                )),
+                "seed {seed}"
+            );
+        }
     }
 }

@@ -1,16 +1,22 @@
-//! The budget accountant: the engine-side gate over [`PrivacyLedger`].
+//! The budget accountant: the engine-side gate over one dataset's spend.
 //!
-//! Every admitted query records a [`LedgerEntry`] charge; a query whose
-//! charge would push the composed spend (under the dataset's selected
-//! composition theorem) past the declared budget is *refused* with
-//! [`EngineError::BudgetExhausted`] and the ledger is left unchanged. Cache
-//! hits are free: replaying an already-released result is post-processing.
+//! An admitted query folds its `(ε, δ)` into the dataset's
+//! [`LedgerTotals`] — the count, Σε, Σδ, max ε and max δ that both
+//! composition theorems read — so a charge, a refusal, a status read and
+//! the headroom a cache hit reports all cost O(1), however many queries
+//! came before. A query whose charge would push the composed spend (under
+//! the dataset's selected composition theorem) past the declared budget
+//! is *refused* with [`EngineError::BudgetExhausted`]: the candidate totals
+//! are checked before anything is stored, so a refusal changes nothing
+//! and nothing is ever subtracted. Cache hits are free: replaying an
+//! already-released result is post-processing.
 //!
-//! [`LedgerEntry`]: privcluster_dp::composition::LedgerEntry
+//! The per-charge labels live in the durability journal's charge records,
+//! not here.
 
 use crate::error::EngineError;
-use privcluster_dp::composition::{fits_within, CompositionMode};
-use privcluster_dp::{DpError, PrivacyLedger, PrivacyParams};
+use privcluster_dp::composition::{fits_within, CompositionMode, LedgerTotals};
+use privcluster_dp::{DpError, PrivacyParams};
 
 /// Tracks and enforces one dataset's privacy budget across queries.
 #[derive(Debug, Clone)]
@@ -18,7 +24,7 @@ pub struct BudgetAccountant {
     dataset: String,
     budget: PrivacyParams,
     mode: CompositionMode,
-    ledger: PrivacyLedger,
+    totals: LedgerTotals,
     refused: usize,
 }
 
@@ -41,23 +47,16 @@ impl BudgetAccountant {
             dataset: dataset.into(),
             budget,
             mode,
-            ledger: PrivacyLedger::new(),
+            totals: LedgerTotals::new(),
             refused: 0,
         })
     }
 
-    /// Attempts to charge `params` for the query described by `label`.
-    /// Returns the new composed spend on success; on refusal the ledger is
-    /// unchanged and the refusal is counted.
-    pub fn try_charge(
-        &mut self,
-        label: impl Into<String>,
-        params: PrivacyParams,
-    ) -> Result<PrivacyParams, EngineError> {
-        match self
-            .ledger
-            .charge_within(label, params, self.budget, self.mode)
-        {
+    /// Attempts to charge `params`. Returns the new composed spend on
+    /// success; on refusal the totals are unchanged and the refusal is
+    /// counted.
+    pub fn try_charge(&mut self, params: PrivacyParams) -> Result<PrivacyParams, EngineError> {
+        match self.totals.charge_within(params, self.budget, self.mode) {
             Ok(total) => Ok(total),
             Err(DpError::BudgetExhausted {
                 requested_epsilon,
@@ -74,15 +73,20 @@ impl BudgetAccountant {
         }
     }
 
-    /// Replays a committed charge from the durability journal into the
-    /// ledger, **without** re-checking the budget. Recovery must apply
-    /// every journaled charge unconditionally: the charge was admitted (and
-    /// possibly released) before the crash, so dropping or re-litigating it
-    /// would refund spent budget — the one thing the journal exists to
-    /// prevent. Never use this on the live admission path; that is
+    /// Installs the durable totals of this dataset's committed charges,
+    /// **without** re-checking the budget. Recovery must apply every
+    /// journaled charge unconditionally: the charge was admitted (and
+    /// possibly released) before the crash, so dropping or re-litigating
+    /// it would refund spent budget — the one thing the journal exists to
+    /// prevent. Recovery installs totals in journal order, so they only
+    /// ever grow. Never use this on the live admission path; that is
     /// [`BudgetAccountant::try_charge`]'s job.
-    pub fn restore_charge(&mut self, label: impl Into<String>, params: PrivacyParams) {
-        self.ledger.charge(label, params);
+    pub fn restore_totals(&mut self, totals: LedgerTotals) {
+        debug_assert!(
+            totals.count() >= self.totals.count(),
+            "recovery must never shrink a ledger"
+        );
+        self.totals = totals;
     }
 
     /// The composed spend so far under the selected theorem (`None` before
@@ -94,22 +98,22 @@ impl BudgetAccountant {
     /// least one fits — so status never quotes a δ above the declared
     /// budget's δ while the ledger is in fact within budget.
     pub fn composed_spend(&self) -> Option<PrivacyParams> {
-        if self.ledger.is_empty() {
+        if self.totals.is_empty() {
             return None;
         }
-        let basic = self.ledger.total_basic().ok()?;
+        let basic = self.totals.basic().ok()?;
         let CompositionMode::Advanced { delta_prime } = self.mode else {
             return Some(basic);
         };
-        let advanced = self.ledger.total_advanced(delta_prime).ok()?;
+        let advanced = self.totals.advanced(delta_prime).ok()?;
         let candidates = [advanced, basic];
         let fitting = candidates
             .iter()
             .filter(|p| fits_within(**p, self.budget))
             .min_by(|a, b| a.epsilon().total_cmp(&b.epsilon()));
         Some(*fitting.unwrap_or_else(|| {
-            // Unreachable for ledgers built through try_charge; fall back
-            // to the smaller-ε pair for hand-built ledgers.
+            // Unreachable for totals built through try_charge; fall back
+            // to the smaller-ε pair for restored totals over budget.
             if advanced.epsilon() < basic.epsilon() {
                 &candidates[0]
             } else {
@@ -121,8 +125,8 @@ impl BudgetAccountant {
     /// ε headroom under the selected composition theorem: the budget's ε
     /// minus [`BudgetAccountant::composed_spend`]'s ε. Refusal errors quote
     /// the same figure. (Under advanced composition this is indicative —
-    /// admission of a future query depends on the whole recomposed ledger,
-    /// not on subtracting its bid from this number.)
+    /// admission of a future query depends on the recomposed totals, not
+    /// on subtracting its bid from this number.)
     pub fn remaining_epsilon(&self) -> f64 {
         let spent = self.composed_spend().map(|p| p.epsilon()).unwrap_or(0.0);
         (self.budget.epsilon() - spent).max(0.0)
@@ -140,7 +144,7 @@ impl BudgetAccountant {
 
     /// Number of granted queries.
     pub fn granted(&self) -> usize {
-        self.ledger.len()
+        self.totals.count() as usize
     }
 
     /// Number of refused queries.
@@ -158,9 +162,9 @@ impl BudgetAccountant {
         self.mode
     }
 
-    /// The underlying ledger (for inspection and tests).
-    pub fn ledger(&self) -> &PrivacyLedger {
-        &self.ledger
+    /// The running totals of the granted charges.
+    pub fn totals(&self) -> LedgerTotals {
+        self.totals
     }
 }
 
@@ -173,14 +177,14 @@ mod tests {
         let budget = PrivacyParams::new(1.0, 1e-6).unwrap();
         let mut acc = BudgetAccountant::new("d", budget, CompositionMode::Basic).unwrap();
         let step = PrivacyParams::new(0.6, 1e-7).unwrap();
-        assert!(acc.try_charge("q0", step).is_ok());
+        assert!(acc.try_charge(step).is_ok());
         assert_eq!(acc.granted(), 1);
-        let err = acc.try_charge("q1", step).unwrap_err();
+        let err = acc.try_charge(step).unwrap_err();
         assert!(matches!(err, EngineError::BudgetExhausted { .. }));
         assert_eq!(acc.granted(), 1);
         assert_eq!(acc.refused(), 1);
         assert!((acc.remaining_epsilon() - 0.4).abs() < 1e-12);
-        assert_eq!(acc.ledger().len(), 1);
+        assert_eq!(acc.totals().count(), 1);
         assert_eq!(acc.budget(), budget);
         assert_eq!(acc.mode(), CompositionMode::Basic);
     }
@@ -192,8 +196,8 @@ mod tests {
         assert!(acc.composed_spend().is_none());
         assert!((acc.remaining_epsilon() - 2.0).abs() < 1e-12);
         let step = PrivacyParams::new(0.5, 1e-7).unwrap();
-        acc.try_charge("a", step).unwrap();
-        acc.try_charge("b", step).unwrap();
+        acc.try_charge(step).unwrap();
+        acc.try_charge(step).unwrap();
         let spend = acc.composed_spend().unwrap();
         assert!((spend.epsilon() - 1.0).abs() < 1e-12);
         assert!((acc.remaining_epsilon() - 1.0).abs() < 1e-12);

@@ -27,7 +27,7 @@ use crate::query::{QueryRequest, QueryValue};
 use crate::registry::{BackendChoice, DatasetEntry, DatasetRegistry};
 use crate::telemetry::Telemetry;
 use privcluster_dp::composition::CompositionMode;
-use privcluster_dp::PrivacyParams;
+use privcluster_dp::{LedgerTotals, PrivacyParams};
 use privcluster_geometry::sync::lock_recover;
 use privcluster_geometry::{BackendKind, Dataset, GridDomain};
 use privcluster_obs::{event, EventStream, MetricsSnapshot, Severity, Stopwatch};
@@ -115,6 +115,20 @@ pub struct DurabilityStatus {
     pub journal_seq: u64,
     /// Whether this engine recovered prior committed state at open.
     pub recovered: bool,
+}
+
+/// The durability layer's health, exported as the `store_*` gauges.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct DurabilityHealth {
+    /// Whether commits can still become durable: the group-commit writer
+    /// thread is running, or none is needed (per-append fsync, or
+    /// in-memory).
+    pub writer_alive: bool,
+    /// Whether the store's sticky commit error is set (a group fsync
+    /// failed or the writer died, so every later charge fails).
+    pub commit_error: bool,
+    /// Size in bytes of the newest snapshot file (0 when there is none).
+    pub snapshot_bytes: u64,
 }
 
 /// The response to a granted (or cache-served) query.
@@ -217,27 +231,24 @@ impl Engine {
             );
         }
 
-        // Replay registrations, re-registrations, and charges **merged in
-        // journal order**. The order matters for versioning: a
+        // Replay registrations and re-registrations **merged in journal
+        // order**, then install each dataset's charge totals. A
         // re-registration's inherited spend is the chain's composed spend
-        // at that point in the journal, so every charge committed before
-        // it must already be restored when the successor entry is built —
-        // only then does the recovered `inherited_spend` match what the
-        // live engine captured under the accountant lock.
+        // at that point in the journal: the store kept the dataset's totals
+        // over the charges before it, and installing those before the
+        // successor entry is built makes the recovered `inherited_spend`
+        // bit-identical to what the live engine captured under the
+        // accountant lock.
         enum Step<'a> {
             Register(&'a RegisterRecord),
-            Reregister(&'a ReregisterRecord),
-            Charge(&'a ChargeRecord),
+            Reregister(&'a ReregisterRecord, LedgerTotals),
         }
         let mut steps: Vec<(u64, Step)> = Vec::new();
         for reg in report.state.registers() {
             steps.push((reg.seq, Step::Register(reg)));
         }
-        for rereg in report.state.reregisters() {
-            steps.push((rereg.seq, Step::Reregister(rereg)));
-        }
-        for charge in report.state.charges() {
-            steps.push((charge.seq, Step::Charge(charge)));
+        for (rereg, inherited) in report.state.reregisters() {
+            steps.push((rereg.seq, Step::Reregister(rereg, *inherited)));
         }
         steps.sort_by_key(|(seq, _)| *seq);
         for (_, step) in steps {
@@ -274,7 +285,7 @@ impl Engine {
                         .register(entry)
                         .map_err(|e| EngineError::Durability(e.to_string()))?;
                 }
-                Step::Reregister(rereg) => {
+                Step::Reregister(rereg, inherited_totals) => {
                     let kind = replayed_backend_kind(&rereg.dataset, &rereg.backend)?;
                     let domain = replayed_domain(&rereg.dataset, &rereg.domain)?;
                     let dataset = replayed_rows(&rereg.dataset, &rereg.rows)?;
@@ -288,7 +299,8 @@ impl Engine {
                     // the re-registration record: read them — and the spend
                     // accumulated so far — from the chain's accountant.
                     let (inherited, budget, mode) = {
-                        let accountant = current.accountant();
+                        let mut accountant = current.accountant();
+                        accountant.restore_totals(inherited_totals);
                         (
                             accountant.composed_spend(),
                             accountant.budget(),
@@ -326,18 +338,15 @@ impl Engine {
                         .push_version(entry)
                         .map_err(|e| EngineError::Durability(e.to_string()))?;
                 }
-                Step::Charge(charge) => {
-                    let entry = engine.registry.get(&charge.dataset).map_err(|_| {
-                        EngineError::Durability(format!(
-                            "journaled charge {} references unregistered dataset `{}`",
-                            charge.fingerprint, charge.dataset
-                        ))
-                    })?;
-                    entry
-                        .accountant()
-                        .restore_charge(&charge.label, charge.params);
-                }
             }
+        }
+        for (dataset, totals) in report.state.totals() {
+            let entry = engine.registry.get(dataset).map_err(|_| {
+                EngineError::Durability(format!(
+                    "journaled charges reference unregistered dataset `{dataset}`"
+                ))
+            })?;
+            entry.accountant().restore_totals(*totals);
         }
         // Build geometry backends for each chain's **latest** version only:
         // that is the version unpinned queries execute against. Superseded
@@ -393,7 +402,12 @@ impl Engine {
             torn_tail = report.torn_tail.is_some(),
             datasets = report.state.registers().len(),
             reregistrations = report.state.reregisters().len(),
-            charges = report.state.charges().len(),
+            charges = report
+                .state
+                .totals()
+                .values()
+                .map(LedgerTotals::count)
+                .sum::<u64>(),
             releases = report.state.releases().len(),
         );
         engine.store = Some(store);
@@ -690,6 +704,23 @@ impl Engine {
         self.store.as_ref().map_or(0, |s| s.commit_queue_depth())
     }
 
+    /// The store's durability health (healthy, with no snapshot, when
+    /// in-memory).
+    pub fn durability_health(&self) -> DurabilityHealth {
+        match &self.store {
+            Some(store) => DurabilityHealth {
+                writer_alive: store.writer_alive(),
+                commit_error: store.commit_error(),
+                snapshot_bytes: store.snapshot_bytes(),
+            },
+            None => DurabilityHealth {
+                writer_alive: true,
+                commit_error: false,
+                snapshot_bytes: 0,
+            },
+        }
+    }
+
     /// Cache hit / miss counters of the released-result cache.
     pub fn cache_stats(&self) -> (u64, u64) {
         let cache = lock_recover(&self.cache);
@@ -715,7 +746,8 @@ impl Engine {
     }
 
     /// Recomputes the derived gauges — per-dataset budget headroom, spend
-    /// counts, cache hits/misses, refusals, and the worker-pool occupancy.
+    /// counts, cache hits/misses, refusals, the commit queue and
+    /// durability health, and the worker-pool occupancy.
     ///
     /// Gauges are **pulled** here (at snapshot/scrape time) rather than
     /// pushed from admission: a labeled-gauge write would take the metrics
@@ -763,6 +795,16 @@ impl Engine {
         registry
             .gauge("commit_queue_depth")
             .set(self.commit_queue_depth() as f64);
+        let health = self.durability_health();
+        registry
+            .gauge("store_writer_alive")
+            .set(f64::from(u8::from(health.writer_alive)));
+        registry
+            .gauge("store_commit_error")
+            .set(f64::from(u8::from(health.commit_error)));
+        registry
+            .gauge("store_snapshot_bytes")
+            .set(health.snapshot_bytes as f64);
         registry
             .gauge("pool_queue_depth")
             .set(crate::pool::queue_depth() as f64);
@@ -839,30 +881,28 @@ impl Engine {
         };
         let charged = {
             let mut accountant = entry.accountant();
-            accountant
-                .try_charge(request.query.label(), request.privacy)
-                .and_then(|_| {
-                    // Write-ahead: the admitted charge is journaled while
-                    // the accountant lock is held — journal order is charge
-                    // order — *before* the plan runs or any result can be
-                    // released. If the append fails, the in-memory spend
-                    // stands (budget is never refunded) and the result is
-                    // withheld: the error below aborts admission before
-                    // execution.
-                    let ticket = match &self.store {
-                        Some(store) => {
-                            Some(store.append_deferred(StoreRecord::Charge(ChargeRecord {
-                                seq: 0, // assigned by the store
-                                dataset: entry.name().to_string(),
-                                fingerprint: key.clone(),
-                                label: request.query.label(),
-                                params: request.privacy,
-                            }))?)
-                        }
-                        None => None,
-                    };
-                    Ok((accountant.remaining_epsilon(), ticket))
-                })
+            accountant.try_charge(request.privacy).and_then(|_| {
+                // Write-ahead: the admitted charge is journaled while
+                // the accountant lock is held — journal order is charge
+                // order — *before* the plan runs or any result can be
+                // released. If the append fails, the in-memory spend
+                // stands (budget is never refunded) and the result is
+                // withheld: the error below aborts admission before
+                // execution.
+                let ticket = match &self.store {
+                    Some(store) => {
+                        Some(store.append_deferred(StoreRecord::Charge(ChargeRecord {
+                            seq: 0, // assigned by the store
+                            dataset: entry.name().to_string(),
+                            fingerprint: key.clone(),
+                            label: request.query.label(),
+                            params: request.privacy,
+                        }))?)
+                    }
+                    None => None,
+                };
+                Ok((accountant.remaining_epsilon(), ticket))
+            })
         };
         // The fsync wait happens *after* the accountant lock is dropped:
         // under group commit other queries on this dataset charge (and

@@ -103,7 +103,9 @@ mod wire;
 
 pub use accountant::BudgetAccountant;
 pub use cache::ResultCache;
-pub use engine::{DatasetStatus, DurabilityStatus, Engine, EngineConfig, QueryResponse};
+pub use engine::{
+    DatasetStatus, DurabilityHealth, DurabilityStatus, Engine, EngineConfig, QueryResponse,
+};
 pub use error::EngineError;
 pub use fingerprint::{
     query_fingerprint, registration_fingerprint, versioned_query_fingerprint,

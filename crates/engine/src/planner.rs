@@ -526,6 +526,54 @@ mod tests {
         }
     }
 
+    /// GoodCenter draws one Laplace sample per histogram bin; each run
+    /// builds its maps with a fresh hash seed, so two runs in one process
+    /// give the same bits only if the bins are visited in a fixed order.
+    /// Three equal clusters make the heavy bins close in count, so the
+    /// noise a bin draws decides which one wins.
+    #[test]
+    fn one_cluster_execution_is_bit_identical_within_a_process() {
+        let domain = GridDomain::unit_cube(2, 1 << 10).unwrap();
+        let mut rng = StdRng::seed_from_u64(5);
+        let mixture = privcluster_datagen::gaussian_mixture(&domain, 3, 200, 0.02, 0, &mut rng);
+        let e = DatasetEntry::new(
+            "mixture",
+            mixture.data,
+            domain,
+            PrivacyParams::new(8.0, 1e-4).unwrap(),
+            CompositionMode::Basic,
+            privcluster_geometry::BackendKind::Exact,
+        )
+        .unwrap();
+        let p = plan(
+            &Query::OneCluster {
+                t: 200,
+                beta: 0.1,
+                paper_constants: false,
+            },
+            PrivacyParams::new(4.0, 1e-4).unwrap(),
+            &e,
+        )
+        .unwrap();
+        let bits = |value: QueryValue| match value {
+            QueryValue::Ball { ball, captured, .. } => (
+                ball.center
+                    .iter()
+                    .map(|c| c.to_bits())
+                    .collect::<Vec<u64>>(),
+                ball.radius.to_bits(),
+                captured,
+            ),
+            other => panic!("expected a ball, got {other:?}"),
+        };
+        for seed in 0..8 {
+            let first = bits(p.execute(&e, seed).unwrap());
+            for _ in 0..4 {
+                assert_eq!(bits(p.execute(&e, seed).unwrap()), first, "seed {seed}");
+            }
+        }
+    }
+
     #[test]
     fn nonprivate_baseline_is_flagged() {
         let e = entry();

@@ -235,9 +235,11 @@ impl DatasetEntry {
         &self.domain
     }
 
-    /// Locks and returns the entry's budget accountant, recovering the
-    /// ledger if a charging thread panicked (the accountant mutates only
-    /// under [`BudgetAccountant::charge`], which never panics mid-update).
+    /// Locks and returns the entry's budget accountant, recovering it if a
+    /// charging thread panicked (its totals change only by whole
+    /// assignment, in [`BudgetAccountant::try_charge`] and
+    /// [`BudgetAccountant::restore_totals`], so no panic leaves them
+    /// half-updated).
     pub fn accountant(&self) -> std::sync::MutexGuard<'_, BudgetAccountant> {
         lock_recover(&self.accountant)
     }
@@ -431,7 +433,7 @@ mod tests {
         assert_eq!(v1.version(), 1);
         assert_eq!(v1.inherited_spend(), None);
         let spend = PrivacyParams::new(0.5, 1e-7).unwrap();
-        v1.accountant().try_charge("q", spend).unwrap();
+        v1.accountant().try_charge(spend).unwrap();
         v1.record_cache_hit();
 
         let inherited = v1.accountant().composed_spend();
@@ -466,7 +468,7 @@ mod tests {
             Err(EngineError::UnknownDataset(_))
         ));
         assert_eq!(v2.accountant().granted(), 1, "ledger is inherited");
-        v2.accountant().try_charge("q2", spend).unwrap();
+        v2.accountant().try_charge(spend).unwrap();
         assert_eq!(v1.accountant().granted(), 2, "and shared both ways");
         assert_eq!(v2.cache_hit_count(), 1, "stats are inherited");
         // Registration stays write-once; the chain refuses version gaps.
@@ -504,7 +506,7 @@ mod tests {
         let registry = DatasetRegistry::new();
         let e = registry.register(entry("a")).unwrap();
         e.accountant()
-            .try_charge("q", PrivacyParams::new(0.5, 1e-7).unwrap())
+            .try_charge(PrivacyParams::new(0.5, 1e-7).unwrap())
             .unwrap();
         // Visible through a fresh lookup: the entry is shared, not cloned.
         assert_eq!(registry.get("a").unwrap().accountant().granted(), 1);

@@ -15,7 +15,8 @@
 use privcluster_dp::composition::CompositionMode;
 use privcluster_dp::PrivacyParams;
 use privcluster_engine::{
-    query_fingerprint, Engine, EngineConfig, EngineError, Query, QueryRequest, Store, StoreConfig,
+    protocol, query_fingerprint, Engine, EngineConfig, EngineError, Query, QueryRequest, Store,
+    StoreConfig,
 };
 use privcluster_geometry::{Dataset, GridDomain};
 use std::path::{Path, PathBuf};
@@ -457,4 +458,97 @@ fn snapshot_recovery_equals_journal_recovery() {
     assert_eq!(final_engine.query(&request(4)).unwrap().value, fresh.value);
 
     std::fs::remove_dir_all(&dir).ok();
+}
+
+fn store_fixtures() -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("../store/tests/data")
+}
+
+/// Copies a committed store fixture (journal, optional snapshot
+/// directory) into a scratch directory, since opening a store may write.
+fn fixture_copy(name: &str, tag: &str) -> PathBuf {
+    let source = store_fixtures().join(name);
+    let dir = scratch_dir(tag);
+    std::fs::copy(source.join("journal.pcsj"), dir.join("journal.pcsj")).unwrap();
+    if let Ok(entries) = std::fs::read_dir(source.join("snapshots")) {
+        std::fs::create_dir_all(dir.join("snapshots")).unwrap();
+        for entry in entries {
+            let entry = entry.unwrap();
+            std::fs::copy(entry.path(), dir.join("snapshots").join(entry.file_name())).unwrap();
+        }
+    }
+    dir
+}
+
+/// The `status` objects of a transcript's lines, as JSON text: the float
+/// writer prints the shortest round-trip form, so equal text means equal
+/// bits.
+fn status_objects(transcript: &str) -> Vec<String> {
+    transcript
+        .lines()
+        .map(|line| {
+            let value: serde::Value = serde_json::from_str(line).unwrap();
+            let status = value
+                .as_object()
+                .and_then(|fields| fields.iter().find(|(k, _)| k == "status"))
+                .map(|(_, v)| v)
+                .expect("a status response");
+            serde_json::to_string(status).unwrap()
+        })
+        .collect()
+}
+
+/// What `engine` answers to the status requests of `v2_requests.jsonl`.
+fn fixture_statuses(engine: &Engine) -> Vec<String> {
+    let requests = std::fs::read_to_string(store_fixtures().join("v2_requests.jsonl")).unwrap();
+    let status_requests: String = requests
+        .lines()
+        .filter(|line| line.contains(r#""op":"status""#))
+        .map(|line| format!("{line}\n"))
+        .collect();
+    let mut out = Vec::new();
+    protocol::serve_lines(engine, status_requests.as_bytes(), &mut out).unwrap();
+    status_objects(&String::from_utf8(out).unwrap())
+}
+
+/// `crates/store/tests/data` holds a version-2 snapshot and its journal
+/// tail, and a journal-only copy of the same history, both written by the
+/// record-list snapshot writer this crate used before payload version 3:
+/// `serve --snapshot-every 11` (and plain `serve --journal`) over
+/// `v2_requests.jsonl` — two datasets, one basic and one advanced, each
+/// re-registered between charges — with `v2_statuses.jsonl` the status
+/// answers that writer's server gave before shutting down. Recovering
+/// either copy, and recovering the version-3 snapshot written from the
+/// first, must answer every status field — spend, headroom and each
+/// version's inherited spend — bit for bit as that server did.
+#[test]
+fn version_two_snapshots_recover_bit_identically_to_a_journal_replay() {
+    let expected = status_objects(
+        &std::fs::read_to_string(store_fixtures().join("v2_statuses.jsonl")).unwrap(),
+    );
+    assert_eq!(expected.len(), 4);
+
+    let journal_dir = fixture_copy("v2_journal_only", "v2-journal-only");
+    let engine = Engine::open(engine_config(), store_config(&journal_dir)).unwrap();
+    assert_eq!(fixture_statuses(&engine), expected, "journal-only replay");
+    drop(engine);
+
+    let snapshot_dir = fixture_copy("v2_snapshot", "v2-snapshot");
+    let mut config = store_config(&snapshot_dir);
+    config.snapshot_dir = Some(snapshot_dir.join("snapshots"));
+    {
+        let engine = Engine::open(engine_config(), config.clone()).unwrap();
+        assert_eq!(engine.durability().journal_seq, 16);
+        assert_eq!(fixture_statuses(&engine), expected, "v2 snapshot + tail");
+        engine.snapshot_now().unwrap().expect("snapshot dir is set");
+    }
+    let engine = Engine::open(engine_config(), config).unwrap();
+    assert_eq!(
+        fixture_statuses(&engine),
+        expected,
+        "v3 snapshot written from it"
+    );
+
+    std::fs::remove_dir_all(&journal_dir).ok();
+    std::fs::remove_dir_all(&snapshot_dir).ok();
 }

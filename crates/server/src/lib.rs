@@ -66,6 +66,9 @@ pub struct ShardedServer {
     rejections: Arc<Counter>,
     inflight_gauges: Vec<Arc<Gauge>>,
     queue_gauges: Vec<Arc<Gauge>>,
+    /// Per shard: `store_writer_alive`, `store_commit_error` and
+    /// `store_snapshot_bytes`.
+    health_gauges: Vec<[Arc<Gauge>; 3]>,
 }
 
 /// RAII decrement of a shard's in-flight count.
@@ -92,11 +95,20 @@ impl ShardedServer {
         let rejections = registry.counter("backpressure_rejections_total");
         let mut inflight_gauges = Vec::with_capacity(engines.len());
         let mut queue_gauges = Vec::with_capacity(engines.len());
+        let mut health_gauges = Vec::with_capacity(engines.len());
         for i in 0..engines.len() {
             let label = i.to_string();
             let labels: &[(&str, &str)] = &[("shard", label.as_str())];
             inflight_gauges.push(registry.gauge_with("shard_inflight", labels));
             queue_gauges.push(registry.gauge_with("commit_queue_depth", labels));
+            health_gauges.push(
+                [
+                    "store_writer_alive",
+                    "store_commit_error",
+                    "store_snapshot_bytes",
+                ]
+                .map(|name| registry.gauge_with(name, labels)),
+            );
         }
         ShardedServer {
             inflight: engines.iter().map(|_| AtomicUsize::new(0)).collect(),
@@ -106,6 +118,7 @@ impl ShardedServer {
             rejections,
             inflight_gauges,
             queue_gauges,
+            health_gauges,
         }
     }
 
@@ -271,6 +284,11 @@ impl ShardedServer {
         for (i, engine) in self.shards.iter().enumerate() {
             self.inflight_gauges[i].set(self.inflight[i].load(Ordering::Acquire) as f64);
             self.queue_gauges[i].set(engine.commit_queue_depth() as f64);
+            let health = engine.durability_health();
+            let [alive, error, bytes] = &self.health_gauges[i];
+            alive.set(f64::from(u8::from(health.writer_alive)));
+            error.set(f64::from(u8::from(health.commit_error)));
+            bytes.set(health.snapshot_bytes as f64);
         }
         let mut merged = self.shards[0].metrics_snapshot();
         for shard in &self.shards[1..] {

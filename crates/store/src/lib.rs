@@ -14,7 +14,7 @@
 //!    charge-then-release invariant);
 //! 2. released results are appended afterwards ([`ReleaseRecord`]) so
 //!    recovery can repopulate the zero-charge replay cache;
-//! 3. recovery ([`StoreState::recover`]) replays the newest valid snapshot
+//! 3. recovery ([`StoreState::recover`]) replays the newest snapshot
 //!    plus the journal tail, sequence-gated so replay is idempotent. A
 //!    charge with no release is *charged-but-unreleased*: its budget stays
 //!    spent — never refunded — because whether the in-flight result leaked

@@ -282,27 +282,8 @@ impl StoreRecord {
 
     pub(crate) fn to_json_value(&self) -> Value {
         match self {
-            StoreRecord::Register(r) => obj(vec![
-                ("type", s("register")),
-                ("seq", num(r.seq as f64)),
-                ("dataset", s(r.dataset.clone())),
-                ("domain", Self::domain_to_json(&r.domain)),
-                ("budget", r.budget.to_json_value()),
-                ("composition", r.mode.to_json_value()),
-                ("backend", s(r.backend.clone())),
-                ("fingerprint", s(r.fingerprint.clone())),
-                ("rows", Self::rows_to_json(&r.rows)),
-            ]),
-            StoreRecord::Reregister(r) => obj(vec![
-                ("type", s("reregister")),
-                ("seq", num(r.seq as f64)),
-                ("dataset", s(r.dataset.clone())),
-                ("version", num(r.version as f64)),
-                ("domain", Self::domain_to_json(&r.domain)),
-                ("backend", s(r.backend.clone())),
-                ("fingerprint", s(r.fingerprint.clone())),
-                ("rows", Self::rows_to_json(&r.rows)),
-            ]),
+            StoreRecord::Register(r) => r.to_json_value(),
+            StoreRecord::Reregister(r) => r.to_json_value(),
             StoreRecord::Charge(r) => obj(vec![
                 ("type", s("charge")),
                 ("seq", num(r.seq as f64)),
@@ -311,14 +292,54 @@ impl StoreRecord {
                 ("label", s(r.label.clone())),
                 ("params", r.params.to_json_value()),
             ]),
-            StoreRecord::Release(r) => obj(vec![
-                ("type", s("release")),
-                ("seq", num(r.seq as f64)),
-                ("dataset", s(r.dataset.clone())),
-                ("fingerprint", s(r.fingerprint.clone())),
-                ("value", r.value.clone()),
-            ]),
+            StoreRecord::Release(r) => r.to_json_value(),
         }
+    }
+}
+
+impl RegisterRecord {
+    /// The record's JSON form (as in the journal).
+    pub(crate) fn to_json_value(&self) -> Value {
+        obj(vec![
+            ("type", s("register")),
+            ("seq", num(self.seq as f64)),
+            ("dataset", s(self.dataset.clone())),
+            ("domain", StoreRecord::domain_to_json(&self.domain)),
+            ("budget", self.budget.to_json_value()),
+            ("composition", self.mode.to_json_value()),
+            ("backend", s(self.backend.clone())),
+            ("fingerprint", s(self.fingerprint.clone())),
+            ("rows", StoreRecord::rows_to_json(&self.rows)),
+        ])
+    }
+}
+
+impl ReregisterRecord {
+    /// The record's JSON form (as in the journal).
+    pub(crate) fn to_json_value(&self) -> Value {
+        obj(vec![
+            ("type", s("reregister")),
+            ("seq", num(self.seq as f64)),
+            ("dataset", s(self.dataset.clone())),
+            ("version", num(self.version as f64)),
+            ("domain", StoreRecord::domain_to_json(&self.domain)),
+            ("backend", s(self.backend.clone())),
+            ("fingerprint", s(self.fingerprint.clone())),
+            ("rows", StoreRecord::rows_to_json(&self.rows)),
+        ])
+    }
+}
+
+impl ReleaseRecord {
+    /// The record's JSON form (as in the journal).
+    pub(crate) fn to_json_value(&self) -> Value {
+        obj(vec![
+            ("type", s("release")),
+            ("seq", num(self.seq as f64)),
+            ("dataset", s(self.dataset.clone())),
+            ("fingerprint", s(self.fingerprint.clone())),
+            ("value", self.value.clone()),
+        ])
     }
 }
 

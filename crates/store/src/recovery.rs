@@ -1,22 +1,34 @@
 //! The recovery state machine: deterministic, idempotent replay.
 //!
 //! [`StoreState`] is the compacted form of a journal: registrations
-//! (first-wins by name), every committed charge, and a bounded set of
-//! released results for replay-cache rebuild. It is built by applying
-//! records in sequence order; a record whose `seq` is at or below the
-//! state's high-water mark is skipped, which makes replay **idempotent** —
-//! applying the same journal (or a snapshot plus the journal that produced
-//! it) twice yields the same state.
+//! (first-wins by name), the applied re-registrations, one
+//! [`LedgerTotals`] per dataset, and a bounded set of released results for
+//! replay-cache rebuild. It is built by applying records in sequence
+//! order; a record whose `seq` is at or below the state's high-water mark
+//! is skipped, which makes replay **idempotent** — applying the same
+//! journal (or a snapshot plus the journal that produced it) twice yields
+//! the same state.
+//!
+//! A charge is folded into its dataset's totals — the count, Σε, Σδ,
+//! max ε and max δ that both composition theorems read — in journal
+//! order, exactly as the live accountant folded it, so the state (and
+//! every snapshot of it) stays bounded however many charges the journal
+//! has seen. Each applied re-registration keeps its dataset's totals at
+//! that point in the journal: the engine rebuilds the version's inherited
+//! spend from them bit-identically.
 //!
 //! The privacy invariant lives here too: every committed [`ChargeRecord`]
-//! is applied unconditionally. Recovery never re-checks the budget and
+//! is folded in unconditionally. Recovery never re-checks the budget and
 //! never drops a charge — a charge with no matching release is
 //! *charged-but-unreleased* (the crash window between journal commit and
 //! result release) and the spend stands.
+//!
+//! [`ChargeRecord`]: crate::record::ChargeRecord
 
-use crate::record::{ChargeRecord, RegisterRecord, ReleaseRecord, ReregisterRecord, StoreRecord};
+use crate::record::{RegisterRecord, ReleaseRecord, ReregisterRecord, StoreRecord};
 use crate::snapshot::Snapshot;
-use std::collections::{HashMap, HashSet};
+use privcluster_dp::LedgerTotals;
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::Arc;
 
 /// Compacted journal state; also the live mirror the [`Store`] keeps for
@@ -27,11 +39,14 @@ use std::sync::Arc;
 pub struct StoreState {
     seq: u64,
     registers: Vec<Arc<RegisterRecord>>,
-    reregisters: Vec<Arc<ReregisterRecord>>,
+    /// Each applied re-registration with its dataset's totals over the
+    /// charges journaled before it.
+    reregisters: Vec<(Arc<ReregisterRecord>, LedgerTotals)>,
     /// Current version per registered name: 1 at registration, bumped by
     /// each applied reregister. Doubles as the first-wins register set.
     versions: HashMap<String, u64>,
-    charges: Vec<ChargeRecord>,
+    /// Per-dataset totals of every committed charge, in name order.
+    totals: BTreeMap<String, LedgerTotals>,
     releases: Vec<ReleaseRecord>,
     release_keys: HashSet<String>,
     max_releases: usize,
@@ -40,14 +55,14 @@ pub struct StoreState {
 impl StoreState {
     /// An empty state retaining at most `max_releases` released results
     /// (matching the engine's replay-cache capacity keeps snapshots
-    /// bounded; charges are never bounded — they *are* the ledger).
+    /// bounded; charges need no bound — they are folded into totals).
     pub fn new(max_releases: usize) -> Self {
         StoreState {
             seq: 0,
             registers: Vec::new(),
             reregisters: Vec::new(),
             versions: HashMap::new(),
-            charges: Vec::new(),
+            totals: BTreeMap::new(),
             releases: Vec::new(),
             release_keys: HashSet::new(),
             max_releases,
@@ -59,12 +74,23 @@ impl StoreState {
     pub fn recover(snapshot: Option<&Snapshot>, tail: &[StoreRecord], max_releases: usize) -> Self {
         let mut state = StoreState::new(max_releases);
         if let Some(snapshot) = snapshot {
-            for record in &snapshot.records {
-                state.apply(record);
+            state.seq = snapshot.seq;
+            for register in &snapshot.registers {
+                state.versions.insert(register.dataset.clone(), 1);
+                state.registers.push(Arc::clone(register));
             }
-            // The snapshot covers up to its declared seq even if the last
-            // records before it were skipped duplicates.
-            state.seq = state.seq.max(snapshot.seq);
+            // Decoding checked that these extend each chain one version at
+            // a time, in journal order, so the last one per name wins.
+            for (reregister, totals) in &snapshot.reregisters {
+                state
+                    .versions
+                    .insert(reregister.dataset.clone(), reregister.version);
+                state.reregisters.push((Arc::clone(reregister), *totals));
+            }
+            state.totals = snapshot.totals.iter().cloned().collect();
+            for release in &snapshot.releases {
+                state.retain_release(release);
+            }
         }
         for record in tail {
             state.apply(record);
@@ -100,21 +126,31 @@ impl StoreState {
                     // (the cursor still advances — replay stays idempotent).
                     _ => return false,
                 }
-                self.reregisters.push(Arc::new(r.clone()));
+                let inherited = self.totals.get(&r.dataset).copied().unwrap_or_default();
+                self.reregisters.push((Arc::new(r.clone()), inherited));
             }
-            StoreRecord::Charge(r) => {
-                self.charges.push(r.clone());
-            }
-            StoreRecord::Release(r) => {
-                if !self.release_keys.insert(r.fingerprint.clone()) {
-                    return false;
+            StoreRecord::Charge(r) => match self.totals.get_mut(&r.dataset) {
+                Some(totals) => totals.charge(r.params),
+                None => {
+                    let totals = LedgerTotals::new().with_charge(r.params);
+                    self.totals.insert(r.dataset.clone(), totals);
                 }
-                self.releases.push(r.clone());
-                if self.releases.len() > self.max_releases {
-                    let evicted = self.releases.remove(0);
-                    self.release_keys.remove(&evicted.fingerprint);
-                }
-            }
+            },
+            StoreRecord::Release(r) => return self.retain_release(r),
+        }
+        true
+    }
+
+    /// Keeps a release for replay (first-wins by fingerprint), evicting
+    /// the oldest beyond `max_releases`.
+    fn retain_release(&mut self, release: &ReleaseRecord) -> bool {
+        if !self.release_keys.insert(release.fingerprint.clone()) {
+            return false;
+        }
+        self.releases.push(release.clone());
+        if self.releases.len() > self.max_releases {
+            let evicted = self.releases.remove(0);
+            self.release_keys.remove(&evicted.fingerprint);
         }
         true
     }
@@ -129,8 +165,9 @@ impl StoreState {
         &self.registers
     }
 
-    /// The applied re-registrations, in journal order.
-    pub fn reregisters(&self) -> &[Arc<ReregisterRecord>] {
+    /// The applied re-registrations, in journal order, each with its
+    /// dataset's totals over the charges journaled before it.
+    pub fn reregisters(&self) -> &[(Arc<ReregisterRecord>, LedgerTotals)] {
         &self.reregisters
     }
 
@@ -140,9 +177,9 @@ impl StoreState {
         &self.versions
     }
 
-    /// Every committed charge, in journal order.
-    pub fn charges(&self) -> &[ChargeRecord] {
-        &self.charges
+    /// The totals of every committed charge, per dataset, in name order.
+    pub fn totals(&self) -> &BTreeMap<String, LedgerTotals> {
+        &self.totals
     }
 
     /// The retained releases, in journal order (oldest first).
@@ -150,67 +187,50 @@ impl StoreState {
         &self.releases
     }
 
-    /// Fingerprints of charges with no retained release — the
-    /// charged-but-unreleased set whose spend stands after a crash between
-    /// journal commit and result release.
-    pub fn unreleased_fingerprints(&self) -> Vec<&str> {
-        self.charges
-            .iter()
-            .filter(|c| !self.release_keys.contains(&c.fingerprint))
-            .map(|c| c.fingerprint.as_str())
-            .collect()
-    }
-
     /// A snapshot of this state, covering everything applied so far.
     pub fn to_snapshot(&self) -> Snapshot {
-        let mut records: Vec<StoreRecord> = Vec::with_capacity(
-            self.registers.len()
-                + self.reregisters.len()
-                + self.charges.len()
-                + self.releases.len(),
-        );
-        records.extend(
-            self.registers
-                .iter()
-                .map(|r| StoreRecord::Register((**r).clone())),
-        );
-        records.extend(
-            self.reregisters
-                .iter()
-                .map(|r| StoreRecord::Reregister((**r).clone())),
-        );
-        records.extend(self.charges.iter().cloned().map(StoreRecord::Charge));
-        records.extend(self.releases.iter().cloned().map(StoreRecord::Release));
-        // Snapshot replay applies records through the same seq-gated
-        // `apply`, so restore journal order.
-        records.sort_by_key(StoreRecord::seq);
         Snapshot {
             seq: self.seq,
-            records,
+            registers: self.registers.clone(),
+            reregisters: self.reregisters.clone(),
+            totals: self
+                .totals
+                .iter()
+                .map(|(name, totals)| (name.clone(), *totals))
+                .collect(),
+            releases: self.releases.clone(),
         }
     }
 
-    /// Structural equality for tests (`PartialEq` is deliberately not
-    /// derived for the public type: `max_releases` is configuration, not
-    /// state).
+    /// Structural equality for tests, totals compared bit for bit
+    /// (`PartialEq` is deliberately not derived for the public type:
+    /// `max_releases` is configuration, not state).
     pub fn same_state(&self, other: &StoreState) -> bool {
         self.seq == other.seq
-            && self.registers.len() == other.registers.len()
-            && self
-                .registers
-                .iter()
-                .zip(other.registers.iter())
-                .all(|(a, b)| a == b)
+            && self.registers == other.registers
             && self.reregisters.len() == other.reregisters.len()
             && self
                 .reregisters
                 .iter()
-                .zip(other.reregisters.iter())
-                .all(|(a, b)| a == b)
+                .zip(&other.reregisters)
+                .all(|((a, ta), (b, tb))| a == b && same_bits(ta, tb))
             && self.versions == other.versions
-            && self.charges == other.charges
+            && self.totals.len() == other.totals.len()
+            && self
+                .totals
+                .iter()
+                .zip(&other.totals)
+                .all(|((a, ta), (b, tb))| a == b && same_bits(ta, tb))
             && self.releases == other.releases
     }
+}
+
+fn same_bits(a: &LedgerTotals, b: &LedgerTotals) -> bool {
+    a.count() == b.count()
+        && a.epsilon_sum().to_bits() == b.epsilon_sum().to_bits()
+        && a.delta_sum().to_bits() == b.delta_sum().to_bits()
+        && a.epsilon_max().to_bits() == b.epsilon_max().to_bits()
+        && a.delta_max().to_bits() == b.delta_max().to_bits()
 }
 
 #[cfg(test)]
@@ -234,8 +254,8 @@ mod tests {
         }
         assert!(once.same_state(&twice));
         assert_eq!(once.seq(), 4);
-        assert_eq!(once.charges().len(), 2);
-        assert_eq!(once.unreleased_fingerprints(), vec!["q2"]);
+        assert_eq!(once.totals()["a"].count(), 2);
+        assert_eq!(once.totals()["a"].epsilon_sum(), 0.75);
     }
 
     #[test]
@@ -271,12 +291,15 @@ mod tests {
         let state = StoreState::recover(None, &records, 16);
         assert_eq!(state.versions().get("a"), Some(&3));
         assert!(!state.versions().contains_key("ghost"));
-        let applied: Vec<u64> = state.reregisters().iter().map(|r| r.version).collect();
+        let applied: Vec<u64> = state.reregisters().iter().map(|(r, _)| r.version).collect();
         assert_eq!(applied, vec![2, 3]);
         assert_eq!(state.seq(), 8, "skipped records still advance the cursor");
-        // The ledger is version-blind: charges from before and after the
-        // re-registrations all stand.
-        assert_eq!(state.charges().len(), 2);
+        // Each re-registration inherits the totals of the charges before
+        // it; the ledger itself is version-blind: charges from before and
+        // after the re-registrations all stand.
+        let inherited: Vec<u64> = state.reregisters().iter().map(|(_, t)| t.count()).collect();
+        assert_eq!(inherited, vec![1, 1]);
+        assert_eq!(state.totals()["a"].count(), 2);
         // Replaying the same journal on top changes nothing.
         let mut twice = state.clone();
         for r in &records {
@@ -297,6 +320,12 @@ mod tests {
         let resumed = StoreState::recover(Some(&direct.to_snapshot()), &records, 16);
         assert!(direct.same_state(&resumed));
         assert_eq!(resumed.versions().get("a"), Some(&3));
+        let inherited: Vec<u64> = resumed
+            .reregisters()
+            .iter()
+            .map(|(_, t)| t.count())
+            .collect();
+        assert_eq!(inherited, vec![0, 1]);
     }
 
     #[test]
@@ -312,14 +341,13 @@ mod tests {
     }
 
     #[test]
-    fn release_retention_is_bounded_but_charges_never_are() {
+    fn release_retention_is_bounded_but_spend_never_is() {
         let mut records = vec![register(1, "a")];
         for i in 0..10u64 {
             records.push(charge(2 + 2 * i, "a", &format!("q{i}"), 0.01));
             records.push(release(3 + 2 * i, "a", &format!("q{i}")));
         }
         let state = StoreState::recover(None, &records, 4);
-        assert_eq!(state.charges().len(), 10);
         assert_eq!(state.releases().len(), 4);
         // The retained releases are the newest four, in order.
         let kept: Vec<&str> = state
@@ -328,8 +356,13 @@ mod tests {
             .map(|r| r.fingerprint.as_str())
             .collect();
         assert_eq!(kept, vec!["q6", "q7", "q8", "q9"]);
-        // Evicted releases re-surface as unreleased charges — conservative:
-        // their spend stands, only the free replay is gone.
-        assert_eq!(state.unreleased_fingerprints().len(), 6);
+        // Evicting a release loses only its free replay: the spend of all
+        // ten charges stands.
+        assert_eq!(state.totals()["a"].count(), 10);
+        let expected: f64 = [0.01; 10].iter().sum();
+        assert_eq!(
+            state.totals()["a"].epsilon_sum().to_bits(),
+            expected.to_bits()
+        );
     }
 }

@@ -2,149 +2,289 @@
 //! recovery replays a bounded tail instead of the whole history.
 //!
 //! A snapshot file is the 8-byte magic `PCSS0001` followed by **one**
-//! framed, checksummed payload holding the covered sequence number and the
-//! compacted record lists. Files are written to a temp name, fsynced, then
-//! atomically renamed to `snap-<seq>.pcss` (and the directory fsynced), so
-//! a crash mid-snapshot can never damage an older snapshot — the loader
-//! simply falls back to the newest file that validates.
+//! framed, checksummed payload. Files are written to a temp name, fsynced,
+//! then atomically renamed to `snap-<seq>.pcss` (and the directory
+//! fsynced), so a crash mid-snapshot can never damage an older snapshot.
+//! Recovery reads only the newest file and refuses to start if it does not
+//! validate. After each durable snapshot and journal checkpoint the store
+//! deletes all but the newest two files (`RETAINED_SNAPSHOTS`), so the
+//! directory stays bounded.
 //!
-//! Payload format versions: version 1 predates dataset versioning (its
-//! record list holds only register/charge/release records); version 2 adds
-//! reregister records and a declared `versions` table, cross-checked at
-//! load time against the table replay derives from the records themselves.
-//! Both versions decode; new snapshots are always written as version 2.
+//! Payload format versions. New snapshots are always written as
+//! version 3:
+//!
+//! * **version 3** holds the covered sequence number, the registrations,
+//!   each applied re-registration with its dataset's [`LedgerTotals`] at
+//!   that point in the journal, one totals object per dataset in name
+//!   order, and the retained releases. No charge record is kept, so a
+//!   snapshot's size follows the number of datasets and retained releases,
+//!   not the number of queries ever charged;
+//! * **version 2** holds the compacted record list (registers,
+//!   reregisters, every charge, retained releases) and a declared
+//!   `versions` table, cross-checked at load time against the table replay
+//!   derives from the records;
+//! * **version 1** predates dataset versioning: registers, charges and
+//!   releases only.
+//!
+//! Versions 1 and 2 still decode: their records are replayed through
+//! [`StoreState::apply`], which folds the charges into the same totals a
+//! journal replay would build.
 
 use crate::error::StoreError;
 use crate::format::{encode_frame, scan_frames, TailStatus, SNAPSHOT_MAGIC};
-use crate::record::StoreRecord;
+use crate::record::{RegisterRecord, ReleaseRecord, ReregisterRecord, StoreRecord};
+use crate::recovery::StoreState;
 use crate::wire::{num, obj, req, req_u64};
-use serde::Value;
+use privcluster_dp::LedgerTotals;
+use serde::{Deserialize, Serialize, Value};
+use std::collections::HashMap;
 use std::fs::File;
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
-/// A compacted, replayable copy of journal state up to `seq`.
+/// How many `snap-*.pcss` files survive each prune: the newest, which
+/// recovery reads, and the one before it, which an operator can fall back
+/// to by hand if the newest is damaged.
+pub(crate) const RETAINED_SNAPSHOTS: usize = 2;
+
+/// A compacted copy of journal state up to `seq` (the version-3 payload).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Snapshot {
     /// Highest journal sequence number this snapshot covers; recovery
     /// replays only journal records with larger `seq`.
     pub seq: u64,
-    /// The compacted records, in original journal order (registers first is
-    /// *not* assumed — order is preserved as applied).
-    pub records: Vec<StoreRecord>,
+    /// The registrations, in journal order.
+    pub registers: Vec<Arc<RegisterRecord>>,
+    /// The applied re-registrations, in journal order, each with its
+    /// dataset's totals over the charges journaled before it.
+    pub reregisters: Vec<(Arc<ReregisterRecord>, LedgerTotals)>,
+    /// Totals of every committed charge, per dataset, in name order.
+    pub totals: Vec<(String, LedgerTotals)>,
+    /// The retained releases, oldest first.
+    pub releases: Vec<ReleaseRecord>,
 }
 
 impl Snapshot {
-    /// The dataset-version table these records replay to: register → 1
-    /// (first-wins), reregister → bump when gapless. Mirrors the gating in
-    /// [`StoreState::apply`](crate::StoreState::apply), so the declared
-    /// table in a v2 payload can be cross-checked without a full replay.
-    pub fn version_table(&self) -> Vec<(String, u64)> {
-        let mut table: Vec<(String, u64)> = Vec::new();
-        for record in &self.records {
-            match record {
-                StoreRecord::Register(r) if !table.iter().any(|(name, _)| name == &r.dataset) => {
-                    table.push((r.dataset.clone(), 1));
-                }
-                StoreRecord::Reregister(r) => {
-                    if let Some((_, v)) = table.iter_mut().find(|(name, _)| name == &r.dataset) {
-                        if r.version == *v + 1 {
-                            *v = r.version;
-                        }
-                    }
-                }
-                _ => {}
-            }
-        }
-        table.sort();
-        table
-    }
-
     fn to_json_value(&self) -> Value {
         obj(vec![
-            ("version", num(2.0)),
+            ("version", num(3.0)),
             ("seq", num(self.seq as f64)),
             (
-                "versions",
-                Value::Object(
-                    self.version_table()
-                        .into_iter()
-                        .map(|(name, v)| (name, num(v as f64)))
+                "registers",
+                Value::Array(self.registers.iter().map(|r| r.to_json_value()).collect()),
+            ),
+            (
+                "reregisters",
+                Value::Array(
+                    self.reregisters
+                        .iter()
+                        .map(|(r, totals)| {
+                            obj(vec![
+                                ("record", r.to_json_value()),
+                                ("totals", totals.to_json_value()),
+                            ])
+                        })
                         .collect(),
                 ),
             ),
             (
-                "records",
-                Value::Array(self.records.iter().map(|r| r.to_json_value()).collect()),
+                "totals",
+                Value::Object(
+                    self.totals
+                        .iter()
+                        .map(|(name, totals)| (name.clone(), totals.to_json_value()))
+                        .collect(),
+                ),
+            ),
+            (
+                "releases",
+                Value::Array(self.releases.iter().map(|r| r.to_json_value()).collect()),
             ),
         ])
     }
 
     fn from_json(value: &Value) -> Result<Self, StoreError> {
-        let version = req_u64(value, "version")?;
-        if version != 1 && version != 2 {
-            return Err(StoreError::Corrupt(format!(
-                "unsupported snapshot version {version}"
-            )));
-        }
-        let records = req(value, "records")?
-            .as_array()
-            .ok_or_else(|| StoreError::Corrupt("snapshot `records` must be an array".into()))?
-            .iter()
-            .map(StoreRecord::from_json)
-            .collect::<Result<Vec<_>, _>>()?;
-        let snapshot = Snapshot {
-            seq: req_u64(value, "seq")?,
-            records,
-        };
-        if version == 2 {
-            // The declared table must match what the records replay to — a
-            // mismatch means the snapshot is internally inconsistent and
-            // replaying it would reconstruct a version history the writer
-            // did not see.
-            let declared = req(value, "versions")?
-                .as_object()
-                .ok_or_else(|| StoreError::Corrupt("snapshot `versions` must be an object".into()))?
-                .iter()
-                .map(|(name, v)| {
-                    v.as_f64()
-                        .filter(|x| *x >= 1.0 && x.fract() == 0.0)
-                        .map(|x| (name.clone(), x as u64))
-                        .ok_or_else(|| {
-                            StoreError::Corrupt(format!(
-                                "snapshot version for `{name}` must be a positive integer"
-                            ))
+        let seq = req_u64(value, "seq")?;
+        match req_u64(value, "version")? {
+            3 => {
+                let snapshot = Snapshot {
+                    seq,
+                    registers: array(value, "registers")?
+                        .iter()
+                        .map(|v| match StoreRecord::from_json(v)? {
+                            StoreRecord::Register(r) => Ok(Arc::new(r)),
+                            _ => Err(corrupt("`registers` holds a non-register record")),
                         })
-                })
-                .collect::<Result<Vec<_>, _>>()?;
-            let mut declared = declared;
-            declared.sort();
-            let derived = snapshot.version_table();
-            if declared != derived {
-                return Err(StoreError::Corrupt(format!(
-                    "snapshot version table {declared:?} does not match its records \
-                     (replay derives {derived:?})"
+                        .collect::<Result<_, _>>()?,
+                    reregisters: array(value, "reregisters")?
+                        .iter()
+                        .map(|v| match StoreRecord::from_json(req(v, "record")?)? {
+                            StoreRecord::Reregister(r) => {
+                                Ok((Arc::new(r), totals(req(v, "totals")?)?))
+                            }
+                            _ => Err(corrupt("`reregisters` holds a non-reregister record")),
+                        })
+                        .collect::<Result<_, _>>()?,
+                    totals: req(value, "totals")?
+                        .as_object()
+                        .ok_or_else(|| corrupt("`totals` must be an object"))?
+                        .iter()
+                        .map(|(name, v)| Ok((name.clone(), totals(v)?)))
+                        .collect::<Result<_, StoreError>>()?,
+                    releases: array(value, "releases")?
+                        .iter()
+                        .map(|v| match StoreRecord::from_json(v)? {
+                            StoreRecord::Release(r) => Ok(r),
+                            _ => Err(corrupt("`releases` holds a non-release record")),
+                        })
+                        .collect::<Result<_, _>>()?,
+                };
+                snapshot.check()?;
+                Ok(snapshot)
+            }
+            version @ (1 | 2) => {
+                let records = array(value, "records")?
+                    .iter()
+                    .map(StoreRecord::from_json)
+                    .collect::<Result<Vec<_>, _>>()?;
+                if version == 1
+                    && records
+                        .iter()
+                        .any(|r| matches!(r, StoreRecord::Reregister(_)))
+                {
+                    return Err(corrupt("of version 1 holds reregister records"));
+                }
+                // Fold the record list the way journal replay would; the
+                // release bound is re-applied when the state is restored.
+                let mut state = StoreState::new(usize::MAX);
+                for record in &records {
+                    state.apply(record);
+                }
+                if version == 2 {
+                    // The declared table must match what the records replay
+                    // to — a mismatch means the snapshot is internally
+                    // inconsistent and replaying it would reconstruct a
+                    // version history the writer did not see.
+                    let mut declared = req(value, "versions")?
+                        .as_object()
+                        .ok_or_else(|| corrupt("`versions` must be an object"))?
+                        .iter()
+                        .map(|(name, v)| {
+                            v.as_f64()
+                                .filter(|x| *x >= 1.0 && x.fract() == 0.0)
+                                .map(|x| (name.clone(), x as u64))
+                                .ok_or_else(|| {
+                                    corrupt(&format!(
+                                        "version for `{name}` must be a positive integer"
+                                    ))
+                                })
+                        })
+                        .collect::<Result<Vec<_>, _>>()?;
+                    declared.sort();
+                    let mut derived: Vec<(String, u64)> = state
+                        .versions()
+                        .iter()
+                        .map(|(name, v)| (name.clone(), *v))
+                        .collect();
+                    derived.sort();
+                    if declared != derived {
+                        return Err(corrupt(&format!(
+                            "version table {declared:?} does not match its records \
+                             (replay derives {derived:?})"
+                        )));
+                    }
+                }
+                // The snapshot covers up to its declared seq even if the
+                // last records before it were skipped duplicates.
+                let mut snapshot = state.to_snapshot();
+                snapshot.seq = snapshot.seq.max(seq);
+                Ok(snapshot)
+            }
+            other => Err(corrupt(&format!("version {other} is not supported"))),
+        }
+    }
+
+    /// The invariants replay guarantees, checked on a decoded version-3
+    /// payload so a damaged one is refused rather than restored: names
+    /// register once, re-registrations extend their chain one version at
+    /// a time, a dataset's totals never shrink along its chain, the totals
+    /// are in strictly ascending name order, and no record lies past the
+    /// covered sequence number.
+    fn check(&self) -> Result<(), StoreError> {
+        let mut versions: HashMap<&str, (u64, u64)> = HashMap::new();
+        for r in &self.registers {
+            if versions.insert(&r.dataset, (1, 0)).is_some() {
+                return Err(corrupt(&format!("`{}` is registered twice", r.dataset)));
+            }
+        }
+        for (r, totals) in &self.reregisters {
+            match versions.get_mut(r.dataset.as_str()) {
+                Some((version, count)) if r.version == *version + 1 && totals.count() >= *count => {
+                    *version = r.version;
+                    *count = totals.count();
+                }
+                _ => {
+                    return Err(corrupt(&format!(
+                        "re-registration of `{}` v{} does not extend its chain",
+                        r.dataset, r.version
+                    )))
+                }
+            }
+        }
+        if self.totals.windows(2).any(|w| w[0].0 >= w[1].0) {
+            return Err(corrupt("`totals` must be in strictly ascending name order"));
+        }
+        for (name, (_, inherited)) in &versions {
+            let count = self
+                .totals
+                .binary_search_by(|(n, _)| n.as_str().cmp(name))
+                .map_or(0, |i| self.totals[i].1.count());
+            if count < *inherited {
+                return Err(corrupt(&format!(
+                    "totals of `{name}` are smaller than a re-registration inherited"
                 )));
             }
-        } else if snapshot
-            .records
-            .iter()
-            .any(|r| matches!(r, StoreRecord::Reregister(_)))
-        {
-            return Err(StoreError::Corrupt(
-                "version-1 snapshot contains reregister records".into(),
-            ));
         }
-        Ok(snapshot)
+        let newest = self
+            .registers
+            .iter()
+            .map(|r| r.seq)
+            .chain(self.reregisters.iter().map(|(r, _)| r.seq))
+            .chain(self.releases.iter().map(|r| r.seq))
+            .max()
+            .unwrap_or(0);
+        if newest > self.seq {
+            return Err(corrupt(&format!(
+                "holds record seq {newest} past its covered seq {}",
+                self.seq
+            )));
+        }
+        Ok(())
     }
+}
+
+fn corrupt(message: &str) -> StoreError {
+    StoreError::Corrupt(format!("snapshot {message}"))
+}
+
+fn array<'a>(value: &'a Value, key: &str) -> Result<&'a [Value], StoreError> {
+    req(value, key)?
+        .as_array()
+        .ok_or_else(|| corrupt(&format!("`{key}` must be an array")))
+}
+
+fn totals(value: &Value) -> Result<LedgerTotals, StoreError> {
+    LedgerTotals::from_json_value(value).map_err(|e| corrupt(&e))
 }
 
 fn snapshot_file_name(seq: u64) -> String {
     format!("snap-{seq:020}.pcss")
 }
 
-/// Writes a snapshot atomically into `dir`, returning the final path.
-pub fn write_snapshot(dir: &Path, snapshot: &Snapshot) -> Result<PathBuf, StoreError> {
+/// Writes a snapshot atomically into `dir`, returning the final path and
+/// the file's size in bytes.
+pub fn write_snapshot(dir: &Path, snapshot: &Snapshot) -> Result<(PathBuf, u64), StoreError> {
     std::fs::create_dir_all(dir).map_err(|e| StoreError::io(dir, e))?;
     let payload = serde_json::to_string(&snapshot.to_json_value())
         .expect("snapshot serialization is infallible")
@@ -167,36 +307,46 @@ pub fn write_snapshot(dir: &Path, snapshot: &Snapshot) -> Result<PathBuf, StoreE
     // entry may vanish on power loss is not durable.
     let d = File::open(dir).map_err(|e| StoreError::io(dir, e))?;
     d.sync_data().map_err(|e| StoreError::io(dir, e))?;
-    Ok(path)
+    Ok((path, (SNAPSHOT_MAGIC.len() + frame.len()) as u64))
 }
 
-/// Loads the newest snapshot in `dir` (if any). A crash mid-snapshot
-/// leaves only an ignored `.tmp-` file (the rename is atomic), so the
-/// newest visible `snap-*.pcss` is expected to validate; if it does
-/// **not**, this is an error, never a silent fallback — checkpointing
-/// truncated the journal records that snapshot owns, so recovering from an
-/// older snapshot (or none) would silently refund committed budget
-/// charges, the exact violation the store exists to prevent.
-pub fn load_latest(dir: &Path) -> Result<Option<Snapshot>, StoreError> {
+/// The `snap-*.pcss` files in `dir`, oldest first (names embed
+/// zero-padded sequence numbers, so lexicographic order is sequence
+/// order), and the `.tmp-` files a crash mid-snapshot left behind. A
+/// missing directory holds neither.
+fn scan_dir(dir: &Path) -> Result<(Vec<PathBuf>, Vec<PathBuf>), StoreError> {
     let entries = match std::fs::read_dir(dir) {
         Ok(entries) => entries,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok((Vec::new(), Vec::new())),
         Err(e) => return Err(StoreError::io(dir, e)),
     };
-    let mut candidates: Vec<PathBuf> = entries
-        .filter_map(|e| e.ok())
-        .map(|e| e.path())
-        .filter(|p| {
-            p.file_name()
-                .and_then(|n| n.to_str())
-                .map(|n| n.starts_with("snap-") && n.ends_with(".pcss"))
-                .unwrap_or(false)
-        })
-        .collect();
-    // Names embed zero-padded sequence numbers, so lexicographic order is
-    // sequence order; only the newest matters.
-    candidates.sort();
-    match candidates.last() {
+    let mut snapshots = Vec::new();
+    let mut temps = Vec::new();
+    for path in entries.filter_map(|e| e.ok()).map(|e| e.path()) {
+        let Some(name) = path.file_name().and_then(|n| n.to_str()) else {
+            continue;
+        };
+        if name.starts_with("snap-") && name.ends_with(".pcss") {
+            snapshots.push(path);
+        } else if name.starts_with(".tmp-") {
+            temps.push(path);
+        }
+    }
+    snapshots.sort();
+    Ok((snapshots, temps))
+}
+
+/// Loads the newest snapshot in `dir` (if any), with its file size in
+/// bytes. A crash mid-snapshot leaves only an ignored `.tmp-` file (the
+/// rename is atomic), so the newest visible `snap-*.pcss` is expected to
+/// validate; if it does **not**, this is an error, never a silent
+/// fallback — checkpointing truncated the journal records that snapshot
+/// owns, so recovering from an older snapshot (or none) would silently
+/// refund committed budget charges, the exact violation the store exists
+/// to prevent.
+pub fn load_latest(dir: &Path) -> Result<Option<(Snapshot, u64)>, StoreError> {
+    let (snapshots, _) = scan_dir(dir)?;
+    match snapshots.last() {
         None => Ok(None),
         Some(path) => load_snapshot(path).map(Some).map_err(|e| {
             StoreError::Corrupt(format!(
@@ -209,7 +359,27 @@ pub fn load_latest(dir: &Path) -> Result<Option<Snapshot>, StoreError> {
     }
 }
 
-fn load_snapshot(path: &Path) -> Result<Snapshot, StoreError> {
+/// Deletes every `snap-*.pcss` in `dir` except the newest
+/// [`RETAINED_SNAPSHOTS`], and every stray `.tmp-` file. Only the newest
+/// snapshot is ever read, so this runs after a durable snapshot has
+/// checkpointed the journal, under the same lock that writes snapshots.
+/// Every deletion is attempted; the first failure is returned.
+pub(crate) fn prune_snapshots(dir: &Path) -> Result<(), StoreError> {
+    let (snapshots, temps) = scan_dir(dir)?;
+    let stale = snapshots.len().saturating_sub(RETAINED_SNAPSHOTS);
+    let mut first_error = None;
+    for path in snapshots[..stale].iter().chain(&temps) {
+        match std::fs::remove_file(path) {
+            Err(e) if e.kind() != std::io::ErrorKind::NotFound => {
+                first_error.get_or_insert(StoreError::io(path, e));
+            }
+            _ => {}
+        }
+    }
+    first_error.map_or(Ok(()), Err)
+}
+
+fn load_snapshot(path: &Path) -> Result<(Snapshot, u64), StoreError> {
     let mut bytes = Vec::new();
     File::open(path)
         .map_err(|e| StoreError::io(path, e))?
@@ -232,7 +402,7 @@ fn load_snapshot(path: &Path) -> Result<Snapshot, StoreError> {
         .map_err(|e| StoreError::Corrupt(format!("snapshot payload is not UTF-8: {e}")))?;
     let value: Value = serde_json::from_str(text)
         .map_err(|e| StoreError::Corrupt(format!("snapshot payload is not JSON: {e}")))?;
-    Snapshot::from_json(&value)
+    Ok((Snapshot::from_json(&value)?, bytes.len() as u64))
 }
 
 #[cfg(test)]
@@ -240,77 +410,127 @@ mod tests {
     use super::*;
     use crate::record::test_support::{charge, register, release, reregister};
 
-    fn snapshot(seq: u64) -> Snapshot {
-        Snapshot {
-            seq,
-            records: vec![
-                register(1, "demo"),
-                charge(2, "demo", "q1", 0.5),
-                release(3, "demo", "q1"),
-            ],
-        }
+    fn records() -> Vec<StoreRecord> {
+        vec![
+            register(1, "demo"),
+            charge(2, "demo", "q1", 0.5),
+            release(3, "demo", "q1"),
+            reregister(4, "demo", 2),
+            charge(5, "demo", "q2", 0.25),
+        ]
     }
 
-    fn write_raw(dir: &Path, name: &str, payload: &[u8]) {
+    fn snapshot(seq: u64) -> Snapshot {
+        let mut snapshot = StoreState::recover(None, &records(), 16).to_snapshot();
+        snapshot.seq = seq;
+        snapshot
+    }
+
+    fn write_raw(dir: &Path, name: &str, payload: &Value) {
         std::fs::create_dir_all(dir).unwrap();
         let mut bytes = SNAPSHOT_MAGIC.to_vec();
-        bytes.extend(encode_frame(payload).unwrap());
+        let payload = serde_json::to_string(payload).unwrap().into_bytes();
+        bytes.extend(encode_frame(&payload).unwrap());
         std::fs::write(dir.join(name), bytes).unwrap();
+    }
+
+    fn load(dir: &Path) -> Result<Option<Snapshot>, StoreError> {
+        load_latest(dir).map(|loaded| loaded.map(|(snapshot, _)| snapshot))
+    }
+
+    /// A record-list payload exactly as the version-1/2 writers emitted it.
+    fn legacy_payload(version: u64, seq: u64, records: &[StoreRecord], versions: Value) -> Value {
+        let mut fields = vec![("version", num(version as f64)), ("seq", num(seq as f64))];
+        if version == 2 {
+            fields.push(("versions", versions));
+        }
+        fields.push((
+            "records",
+            Value::Array(records.iter().map(|r| r.to_json_value()).collect()),
+        ));
+        obj(fields)
     }
 
     #[test]
     fn version_one_payloads_still_decode() {
         let dir = crate::test_dir::scratch_path("snapshots-v1");
         std::fs::remove_dir_all(&dir).ok();
-        // A pre-versioning snapshot, exactly as the v1 writer emitted it:
-        // no `versions` table, no reregister records.
-        let expected = snapshot(3);
-        let v1 = obj(vec![
-            ("version", num(1.0)),
-            ("seq", num(3.0)),
-            (
-                "records",
-                Value::Array(expected.records.iter().map(|r| r.to_json_value()).collect()),
-            ),
-        ]);
-        let payload = serde_json::to_string(&v1).unwrap().into_bytes();
+        // A pre-versioning snapshot: no `versions` table, no reregisters.
+        let v1_records = &records()[..3];
+        let payload = legacy_payload(1, 3, v1_records, Value::Null);
         write_raw(&dir, "snap-00000000000000000003.pcss", &payload);
-        assert_eq!(load_latest(&dir).unwrap().unwrap(), expected);
+        let expected = StoreState::recover(None, v1_records, 16).to_snapshot();
+        assert_eq!(load(&dir).unwrap().unwrap(), expected);
+        // A version-1 payload cannot carry a re-registration.
+        let payload = legacy_payload(1, 5, &records(), Value::Null);
+        write_raw(&dir, "snap-00000000000000000005.pcss", &payload);
+        assert!(matches!(load(&dir), Err(StoreError::Corrupt(ref m)) if m.contains("version 1")));
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
-    fn version_two_table_is_cross_checked() {
+    fn version_two_payloads_fold_their_charges_and_are_cross_checked() {
         let dir = crate::test_dir::scratch_path("snapshots-v2-check");
         std::fs::remove_dir_all(&dir).ok();
-        let reference = Snapshot {
-            seq: 4,
-            records: vec![
-                register(1, "demo"),
-                reregister(2, "demo", 2),
-                charge(3, "demo", "q1", 0.5),
-            ],
-        };
-        write_snapshot(&dir, &reference).unwrap();
-        let loaded = load_latest(&dir).unwrap().unwrap();
-        assert_eq!(loaded, reference);
-        assert_eq!(loaded.version_table(), vec![("demo".to_string(), 2)]);
+        let table = |v: f64| Value::Object(vec![("demo".to_string(), num(v))]);
+        write_raw(
+            &dir,
+            "snap-00000000000000000006.pcss",
+            &legacy_payload(2, 6, &records(), table(2.0)),
+        );
+        let loaded = load(&dir).unwrap().unwrap();
+        // The charges fold into the same totals a journal replay builds,
+        // and the declared seq (past the last record) is kept.
+        assert_eq!(loaded, snapshot(6));
+        assert_eq!(loaded.totals[0].1.count(), 2);
+        assert_eq!(loaded.reregisters[0].1.count(), 1);
         // Tamper with the declared table only: the records still parse, but
         // the cross-check must reject the inconsistent payload.
-        let mut json = reference.to_json_value();
-        if let Value::Object(fields) = &mut json {
-            for (k, v) in fields.iter_mut() {
-                if k == "versions" {
-                    *v = Value::Object(vec![("demo".to_string(), num(5.0))]);
-                }
-            }
-        }
-        let payload = serde_json::to_string(&json).unwrap().into_bytes();
-        write_raw(&dir, "snap-00000000000000000009.pcss", &payload);
+        write_raw(
+            &dir,
+            "snap-00000000000000000009.pcss",
+            &legacy_payload(2, 9, &records(), table(5.0)),
+        );
         assert!(matches!(
-            load_latest(&dir),
+            load(&dir),
             Err(StoreError::Corrupt(ref m)) if m.contains("version table")
         ));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn version_three_payloads_that_replay_could_not_produce_are_refused() {
+        let dir = crate::test_dir::scratch_path("snapshots-v3-check");
+        type Damage = fn(&mut Snapshot);
+        let cases: [(&str, Damage); 5] = [
+            ("registered twice", |s| {
+                s.registers.push(Arc::clone(&s.registers[0]))
+            }),
+            ("does not extend its chain", |s| {
+                s.reregisters.push(s.reregisters[0].clone())
+            }),
+            ("smaller than a re-registration inherited", |s| {
+                s.totals[0].1 = LedgerTotals::new()
+            }),
+            ("ascending name order", |s| {
+                s.totals.push(s.totals[0].clone())
+            }),
+            ("past its covered seq", |s| s.seq = 3),
+        ];
+        for (expected, damage) in cases {
+            std::fs::remove_dir_all(&dir).ok();
+            let mut damaged = snapshot(5);
+            damage(&mut damaged);
+            write_raw(
+                &dir,
+                "snap-00000000000000000005.pcss",
+                &damaged.to_json_value(),
+            );
+            match load(&dir) {
+                Err(StoreError::Corrupt(m)) => assert!(m.contains(expected), "{expected}: {m}"),
+                other => panic!("{expected}: expected a corrupt snapshot, got {other:?}"),
+            }
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -318,30 +538,58 @@ mod tests {
     fn snapshots_round_trip_and_corrupt_newest_fails_loudly() {
         let dir = crate::test_dir::scratch_path("snapshots-roundtrip");
         std::fs::remove_dir_all(&dir).ok();
-        assert_eq!(load_latest(&dir).unwrap(), None);
-        write_snapshot(&dir, &snapshot(3)).unwrap();
-        write_snapshot(&dir, &snapshot(7)).unwrap();
-        assert_eq!(load_latest(&dir).unwrap().unwrap().seq, 7);
+        assert_eq!(load(&dir).unwrap(), None);
+        write_snapshot(&dir, &snapshot(5)).unwrap();
+        let (path, bytes) = write_snapshot(&dir, &snapshot(7)).unwrap();
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), bytes);
+        assert_eq!(load_latest(&dir).unwrap().unwrap(), (snapshot(7), bytes));
         // A stray tmp file (crash mid-snapshot) is ignored entirely: the
         // rename is atomic, so tmp files are never committed state.
         std::fs::write(dir.join(".tmp-snap-00000000000000000009.pcss"), b"junk").unwrap();
-        assert_eq!(load_latest(&dir).unwrap().unwrap().seq, 7);
+        assert_eq!(load(&dir).unwrap().unwrap().seq, 7);
         // Corrupt the newest: the loader must FAIL, not silently fall back
-        // to seq 3 — the journal was checkpointed against seq 7, so older
+        // to seq 5 — the journal was checkpointed against seq 7, so older
         // state would refund the charges only snapshot 7 holds.
-        let newest = dir.join("snap-00000000000000000007.pcss");
-        let mut bytes = std::fs::read(&newest).unwrap();
-        let last = bytes.len() - 1;
-        bytes[last] ^= 0x01;
-        std::fs::write(&newest, &bytes).unwrap();
+        let mut damaged = std::fs::read(&path).unwrap();
+        let last = damaged.len() - 1;
+        damaged[last] ^= 0x01;
+        std::fs::write(&path, &damaged).unwrap();
         assert!(matches!(
-            load_latest(&dir),
+            load(&dir),
             Err(StoreError::Corrupt(ref m)) if m.contains("refusing to recover")
         ));
         // Removing the damaged file restores the (older, still-valid) one —
         // an explicit operator decision, not an automatic fallback.
-        std::fs::remove_file(&newest).unwrap();
-        assert_eq!(load_latest(&dir).unwrap().unwrap(), snapshot(3));
+        std::fs::remove_file(&path).unwrap();
+        assert_eq!(load(&dir).unwrap().unwrap(), snapshot(5));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn pruning_keeps_the_newest_two_and_clears_temp_files() {
+        let dir = crate::test_dir::scratch_path("snapshots-prune");
+        std::fs::remove_dir_all(&dir).ok();
+        prune_snapshots(&dir).unwrap(); // a missing directory is empty
+        for seq in 5..10 {
+            write_snapshot(&dir, &snapshot(seq)).unwrap();
+        }
+        std::fs::write(dir.join(".tmp-snap-00000000000000000010.pcss"), b"junk").unwrap();
+        std::fs::write(dir.join("operator-notes.txt"), b"keep me").unwrap();
+        prune_snapshots(&dir).unwrap();
+        let mut left: Vec<String> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        left.sort();
+        assert_eq!(
+            left,
+            vec![
+                "operator-notes.txt",
+                "snap-00000000000000000008.pcss",
+                "snap-00000000000000000009.pcss",
+            ]
+        );
+        assert_eq!(load(&dir).unwrap().unwrap().seq, 9);
         std::fs::remove_dir_all(&dir).ok();
     }
 }

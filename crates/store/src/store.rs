@@ -11,17 +11,21 @@
 //! whose record the sync covered. [`Store::append_deferred`] returns a
 //! [`PendingCommit`]; the caller's result may be released only after
 //! `wait()` returns — exactly the write-ahead contract of the per-append
-//! fsync path, at a fraction of the fsync count under concurrency.
+//! fsync path, at a fraction of the fsync count under concurrency. If the
+//! writer thread dies — a failed fsync, or a panic — it leaves a sticky
+//! error behind and wakes every waiter, so each pending and later commit
+//! fails rather than hangs.
 
 use crate::error::StoreError;
 use crate::journal::Journal;
 use crate::record::StoreRecord;
 use crate::recovery::StoreState;
-use crate::snapshot::{load_latest, write_snapshot, Snapshot};
+use crate::snapshot::{load_latest, prune_snapshots, write_snapshot};
 use privcluster_obs::{event, EventStream, Histogram, Severity, Stopwatch};
 use std::fs::File;
 use std::path::PathBuf;
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError};
 use std::time::Duration;
 
 /// Telemetry hooks a host (the engine) can attach to a store: histograms
@@ -38,7 +42,8 @@ pub struct StoreObserver {
     /// Receives the number of records each group-commit fsync covered
     /// (untouched when group commit is disabled).
     pub group_commit_batch: Arc<Histogram>,
-    /// Receives `store.snapshot` / `store.snapshot_failed` events.
+    /// Receives `store.snapshot` / `store.snapshot_failed` /
+    /// `store.snapshot_prune_failed` events.
     pub events: Arc<EventStream>,
 }
 
@@ -67,7 +72,8 @@ pub struct StoreConfig {
     /// snapshot now owns, so recovery reads one framed snapshot plus a
     /// bounded tail — which makes the snapshot directory part of the
     /// durable state: never delete it (or drop this setting) while keeping
-    /// the journal.
+    /// the journal. After each snapshot the directory is pruned to the
+    /// newest two snapshot files.
     pub snapshot_dir: Option<PathBuf>,
     /// Write a snapshot after this many appends (0 disables automatic
     /// snapshots; [`Store::snapshot_now`] still works).
@@ -133,11 +139,18 @@ struct CommitState {
 
 #[derive(Debug)]
 struct GroupCommit {
+    /// Always taken with poison recovery: every update under it is a
+    /// single field store, so the state stays consistent after a panicked
+    /// holder, and a waiter must always be able to read the sticky error.
     commit: Mutex<CommitState>,
     /// Wakes the writer (new work, or shutdown).
     work: Condvar,
     /// Wakes waiters (batch synced, snapshot advanced, or sticky error).
     done: Condvar,
+    /// Makes the writer panic at its next batch, with the commit lock
+    /// held (so the lock is poisoned too).
+    #[cfg(test)]
+    panic_writer: std::sync::atomic::AtomicBool,
 }
 
 /// A deferred append: the record's frame is on disk (it survives
@@ -168,7 +181,7 @@ impl PendingCommit {
         let Some(group) = self.group else {
             return Ok(self.seq);
         };
-        let mut state = group.commit.lock().expect("group-commit lock poisoned");
+        let mut state = group.commit.lock().unwrap_or_else(PoisonError::into_inner);
         while state.synced < self.seq && state.error.is_none() {
             state = group.done.wait(state).unwrap_or_else(|p| p.into_inner());
         }
@@ -190,6 +203,8 @@ pub struct Store {
     observer: Arc<OnceLock<StoreObserver>>,
     group: Option<Arc<GroupCommit>>,
     writer: Option<std::thread::JoinHandle<()>>,
+    /// Size in bytes of the newest snapshot file (0 before the first).
+    snapshot_bytes: AtomicU64,
 }
 
 #[derive(Debug)]
@@ -206,9 +221,12 @@ impl Store {
     /// record. With [`StoreConfig::group_commit`] set, the group-commit
     /// writer thread is spawned here and joined on drop.
     pub fn open(config: StoreConfig) -> Result<(Store, RecoveryReport), StoreError> {
-        let snapshot: Option<Snapshot> = match &config.snapshot_dir {
-            Some(dir) => load_latest(dir)?,
-            None => None,
+        let (snapshot, snapshot_bytes) = match &config.snapshot_dir {
+            Some(dir) => match load_latest(dir)? {
+                Some((snapshot, bytes)) => (Some(snapshot), bytes),
+                None => (None, 0),
+            },
+            None => (None, 0),
         };
         let (journal, scan) = Journal::open(&config.journal_path)?;
         let commit_file = match &config.group_commit {
@@ -239,6 +257,8 @@ impl Store {
                     }),
                     work: Condvar::new(),
                     done: Condvar::new(),
+                    #[cfg(test)]
+                    panic_writer: Default::default(),
                 });
                 let thread_group = Arc::clone(&group);
                 let thread_observer = Arc::clone(&observer);
@@ -265,6 +285,7 @@ impl Store {
                 observer,
                 group,
                 writer,
+                snapshot_bytes: AtomicU64::new(snapshot_bytes),
             },
             report,
         ))
@@ -332,12 +353,7 @@ impl Store {
         if self.config.snapshot_every > 0
             && inner.appends_since_snapshot >= self.config.snapshot_every
         {
-            if let Err(e) = Self::snapshot_locked(
-                &mut inner,
-                &self.config,
-                self.observer.get(),
-                self.group.as_deref(),
-            ) {
+            if let Err(e) = self.snapshot_locked(&mut inner) {
                 // A failed snapshot does not lose state — the journal has
                 // everything — so it degrades to a visible warning rather
                 // than failing the append that triggered it.
@@ -361,7 +377,7 @@ impl Store {
             // frame with a smaller sequence number was written under the
             // store lock before this one, so any fsync that covers `seq`
             // covers them too.
-            let mut state = g.commit.lock().expect("group-commit lock poisoned");
+            let mut state = g.commit.lock().unwrap_or_else(PoisonError::into_inner);
             if seq > state.appended {
                 state.appended = seq;
             }
@@ -390,36 +406,31 @@ impl Store {
     /// snapshot path, or `None` when no snapshot directory is configured.
     pub fn snapshot_now(&self) -> Result<Option<PathBuf>, StoreError> {
         let mut inner = self.inner.lock().expect("store lock poisoned");
-        Self::snapshot_locked(
-            &mut inner,
-            &self.config,
-            self.observer.get(),
-            self.group.as_deref(),
-        )
+        self.snapshot_locked(&mut inner)
     }
 
-    fn snapshot_locked(
-        inner: &mut Inner,
-        config: &StoreConfig,
-        observer: Option<&StoreObserver>,
-        group: Option<&GroupCommit>,
-    ) -> Result<Option<PathBuf>, StoreError> {
-        let Some(dir) = &config.snapshot_dir else {
+    /// Writes a snapshot, checkpoints the journal against it, then prunes
+    /// the snapshot directory down to the newest
+    /// [`RETAINED_SNAPSHOTS`](crate::snapshot::RETAINED_SNAPSHOTS) files.
+    fn snapshot_locked(&self, inner: &mut Inner) -> Result<Option<PathBuf>, StoreError> {
+        let Some(dir) = &self.config.snapshot_dir else {
             return Ok(None);
         };
+        let observer = self.observer.get();
         let clock = observer.map(|_| Stopwatch::start());
-        let path = write_snapshot(dir, &inner.state.to_snapshot())?;
+        let (path, bytes) = write_snapshot(dir, &inner.state.to_snapshot())?;
         // The snapshot is durable (fsync + atomic rename): checkpoint the
         // journal so recovery replays a bounded tail instead of the whole
         // history. A crash in between is safe — replay is sequence-gated.
         inner.journal.reset()?;
         inner.appends_since_snapshot = 0;
-        if let Some(group) = group {
+        self.snapshot_bytes.store(bytes, Ordering::Relaxed);
+        if let Some(group) = &self.group {
             // The durable snapshot covers every record up to the current
             // sequence number — including any still queued for a group
             // fsync, whose journal bytes the reset just truncated. The
             // snapshot owns them now; release their waiters.
-            let mut state = group.commit.lock().expect("group-commit lock poisoned");
+            let mut state = group.commit.lock().unwrap_or_else(PoisonError::into_inner);
             let seq = inner.state.seq();
             if seq > state.synced {
                 state.synced = seq;
@@ -435,6 +446,21 @@ impl Store {
                 elapsed_seconds = clock.elapsed_seconds(),
             );
         }
+        // Older snapshots are never read again once this one is durable. A
+        // file that cannot be deleted costs disk space, not state, so the
+        // failure is a warning, not an error of the append that got here.
+        if let Err(e) = prune_snapshots(dir) {
+            eprintln!("privcluster-store: snapshot pruning failed: {e}");
+            if let Some(observer) = observer {
+                event!(
+                    observer.events,
+                    Severity::Warn,
+                    "store.snapshot_prune_failed",
+                    journal_seq = inner.state.seq(),
+                    reason = e.to_string(),
+                );
+            }
+        }
         Ok(Some(path))
     }
 
@@ -448,7 +474,7 @@ impl Store {
     pub fn commit_queue_depth(&self) -> u64 {
         match &self.group {
             Some(group) => {
-                let state = group.commit.lock().expect("group-commit lock poisoned");
+                let state = group.commit.lock().unwrap_or_else(PoisonError::into_inner);
                 state.appended.saturating_sub(state.synced)
             }
             None => 0,
@@ -457,16 +483,43 @@ impl Store {
 
     /// Completed group-commit batch fsyncs (0 without group commit).
     pub fn group_commit_fsyncs(&self) -> u64 {
-        match &self.group {
-            Some(group) => {
-                group
-                    .commit
-                    .lock()
-                    .expect("group-commit lock poisoned")
-                    .fsyncs
-            }
-            None => 0,
-        }
+        self.group.as_deref().map_or(0, |group| {
+            group
+                .commit
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .fsyncs
+        })
+    }
+
+    /// Whether commits can still become durable: `false` once the
+    /// group-commit writer thread has exited (after a failed fsync, or a
+    /// panic). Always `true` without group commit, where every append
+    /// syncs inline.
+    pub fn writer_alive(&self) -> bool {
+        self.writer
+            .as_ref()
+            .is_none_or(|writer| !writer.is_finished())
+    }
+
+    /// Whether the sticky commit error is set: a group fsync failed or the
+    /// writer died, so every later commit fails (always `false` without
+    /// group commit, where a failed fsync fails its own append).
+    pub fn commit_error(&self) -> bool {
+        self.group.as_deref().is_some_and(|group| {
+            group
+                .commit
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .error
+                .is_some()
+        })
+    }
+
+    /// Size in bytes of the newest snapshot file — the one written last,
+    /// or the one recovered at open (0 when there is none).
+    pub fn snapshot_bytes(&self) -> u64 {
+        self.snapshot_bytes.load(Ordering::Relaxed)
     }
 
     /// The store's configuration.
@@ -478,8 +531,11 @@ impl Store {
 impl Drop for Store {
     fn drop(&mut self) {
         if let Some(group) = &self.group {
-            let mut state = group.commit.lock().expect("group-commit lock poisoned");
-            state.shutdown = true;
+            group
+                .commit
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .shutdown = true;
             group.work.notify_one();
         }
         if let Some(writer) = self.writer.take() {
@@ -501,9 +557,25 @@ fn group_commit_writer(
     config: GroupCommitConfig,
     observer: Arc<OnceLock<StoreObserver>>,
 ) {
+    /// Fails every waiter if the writer unwinds: without it a panic here
+    /// would leave each `PendingCommit::wait` blocked forever on a `done`
+    /// that nobody signals.
+    struct DeathNotice<'a>(&'a GroupCommit);
+    impl Drop for DeathNotice<'_> {
+        fn drop(&mut self) {
+            if std::thread::panicking() {
+                let mut state = self.0.commit.lock().unwrap_or_else(PoisonError::into_inner);
+                state
+                    .error
+                    .get_or_insert_with(|| "group-commit writer panicked".to_string());
+                self.0.done.notify_all();
+            }
+        }
+    }
+    let _notice = DeathNotice(&group);
     loop {
         let (from, target) = {
-            let mut state = group.commit.lock().expect("group-commit lock poisoned");
+            let mut state = group.commit.lock().unwrap_or_else(PoisonError::into_inner);
             while !state.shutdown && state.error.is_none() && state.appended <= state.synced {
                 state = group.work.wait(state).unwrap_or_else(|p| p.into_inner());
             }
@@ -533,6 +605,10 @@ fn group_commit_writer(
                     state = next;
                 }
             }
+            #[cfg(test)]
+            if group.panic_writer.load(Ordering::SeqCst) {
+                panic!("injected group-commit writer panic");
+            }
             (state.synced, state.appended)
         };
         if target <= from {
@@ -549,7 +625,7 @@ fn group_commit_writer(
         let mut idle_yields = 0;
         while target < full && idle_yields < 2 {
             std::thread::yield_now();
-            let state = group.commit.lock().expect("group-commit lock poisoned");
+            let state = group.commit.lock().unwrap_or_else(PoisonError::into_inner);
             if state.shutdown || state.error.is_some() {
                 break;
             }
@@ -568,7 +644,7 @@ fn group_commit_writer(
         let result = file.sync_data();
         let elapsed = clock.elapsed_seconds();
         let drained = {
-            let mut state = group.commit.lock().expect("group-commit lock poisoned");
+            let mut state = group.commit.lock().unwrap_or_else(PoisonError::into_inner);
             match result {
                 Ok(()) => {
                     if target > state.synced {
@@ -629,7 +705,7 @@ mod tests {
         assert!(report.torn_tail.is_none());
         assert_eq!(report.state.seq(), 3);
         assert_eq!(report.state.registers().len(), 1);
-        assert_eq!(report.state.charges().len(), 1);
+        assert_eq!(report.state.totals()["a"].count(), 1);
         assert_eq!(report.state.releases().len(), 1);
         assert_eq!(store.last_seq(), 3);
         std::fs::remove_dir_all(config.journal_path.parent().unwrap()).ok();
@@ -709,7 +785,7 @@ mod tests {
         // Everything the waiters saw acknowledged is recovered.
         let (_, report) = Store::open(config.clone()).unwrap();
         assert_eq!(report.state.seq(), 5);
-        assert_eq!(report.state.charges().len(), 4);
+        assert_eq!(report.state.totals()["a"].count(), 4);
         std::fs::remove_dir_all(config.journal_path.parent().unwrap()).ok();
     }
 
@@ -737,7 +813,7 @@ mod tests {
         }
         let (_, report) = Store::open(config.clone()).unwrap();
         assert_eq!(report.state.seq(), 2);
-        assert_eq!(report.state.charges().len(), 1);
+        assert_eq!(report.state.totals()["a"].count(), 1);
         std::fs::remove_dir_all(config.journal_path.parent().unwrap()).ok();
     }
 
@@ -765,6 +841,90 @@ mod tests {
             2,
             "a release must not buy an fsync"
         );
+        drop(store);
+        std::fs::remove_dir_all(config.journal_path.parent().unwrap()).ok();
+    }
+
+    #[test]
+    fn only_the_newest_two_snapshots_are_kept() {
+        let config = config("retention", 0);
+        let reference = {
+            let (store, _) = Store::open(config.clone()).unwrap();
+            store.append(register(0, "a")).unwrap();
+            let mut newest = None;
+            for i in 0..5 {
+                store
+                    .append(charge(0, "a", &format!("q{i}"), 0.125))
+                    .unwrap();
+                newest = store.snapshot_now().unwrap();
+            }
+            let newest = newest.expect("the snapshot directory is set");
+            assert_eq!(
+                store.snapshot_bytes(),
+                std::fs::metadata(&newest).unwrap().len()
+            );
+            let state = store.inner.lock().unwrap().state.clone();
+            state
+        };
+        let dir = config.snapshot_dir.clone().unwrap();
+        let mut names: Vec<String> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        names.sort();
+        assert_eq!(
+            names,
+            vec![
+                "snap-00000000000000000005.pcss",
+                "snap-00000000000000000006.pcss",
+            ]
+        );
+        // Recovery reads the newest: all five charges stand.
+        let (store, report) = Store::open(config.clone()).unwrap();
+        assert!(report.state.same_state(&reference));
+        assert_eq!(report.state.totals()["a"].count(), 5);
+        assert_eq!(
+            store.snapshot_bytes(),
+            std::fs::metadata(dir.join("snap-00000000000000000006.pcss"))
+                .unwrap()
+                .len()
+        );
+        std::fs::remove_dir_all(config.journal_path.parent().unwrap()).ok();
+    }
+
+    #[test]
+    fn a_dead_writer_fails_its_waiters_instead_of_hanging_them() {
+        let mut config = config("writer-panic", 0);
+        config.snapshot_dir = None;
+        config.group_commit = Some(GroupCommitConfig {
+            max_batch: 64,
+            max_wait_us: 0,
+        });
+        let (store, _) = Store::open(config.clone()).unwrap();
+        assert!(store.writer_alive());
+        assert!(!store.commit_error());
+        let group = store.group.as_ref().expect("group commit is on");
+        group.panic_writer.store(true, Ordering::SeqCst);
+        let pending = store.append_deferred(charge(0, "a", "q1", 0.5)).unwrap();
+        let (sender, receiver) = std::sync::mpsc::channel();
+        std::thread::spawn(move || sender.send(pending.wait()));
+        let outcome = receiver
+            .recv_timeout(Duration::from_secs(5))
+            .expect("a waiter on a dead writer must not hang");
+        assert!(
+            outcome.is_err(),
+            "an unsynced charge must not be acknowledged"
+        );
+        assert!(store.commit_error());
+        // Every later commit fails too, and the health accessors see it.
+        assert!(store.append(charge(0, "a", "q2", 0.5)).is_err());
+        for _ in 0..500 {
+            if !store.writer_alive() {
+                break;
+            }
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        assert!(!store.writer_alive());
         drop(store);
         std::fs::remove_dir_all(config.journal_path.parent().unwrap()).ok();
     }

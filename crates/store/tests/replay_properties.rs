@@ -2,9 +2,11 @@
 //! durability PR): for arbitrary journals,
 //!
 //! (a) replay is idempotent — replaying the same journal twice (and
-//!     resuming from any snapshot of a prefix) yields the same state, with
-//!     registers, re-registrations, charges, and releases interleaved
-//!     arbitrarily, and every dataset's version history stays gapless,
+//!     resuming from a version-3 snapshot file of any prefix) yields the
+//!     same state, ledger totals and each re-registration's totals equal
+//!     bit for bit, with registers, re-registrations, charges, and
+//!     releases interleaved arbitrarily, and every dataset's version
+//!     history stays gapless,
 //! (b) recovering a journal whose tail was truncated or corrupted yields
 //!     exactly the committed-prefix state — earlier charges are never
 //!     refunded, and the composed spend is monotone in the prefix length,
@@ -12,7 +14,8 @@
 //!     keeps every committed record.
 
 use privcluster_dp::composition::CompositionMode;
-use privcluster_dp::PrivacyParams;
+use privcluster_dp::{LedgerTotals, PrivacyParams};
+use privcluster_store::snapshot::{load_latest, write_snapshot};
 use privcluster_store::{
     ChargeRecord, DomainSpec, Journal, RegisterRecord, ReleaseRecord, ReregisterRecord,
     StoreRecord, StoreState,
@@ -116,23 +119,32 @@ fn journal_from_spec(spec: &[u8]) -> Vec<StoreRecord> {
 
 /// Basic-composed ε spend per dataset, the quantity that must never shrink.
 fn spend_by_dataset(state: &StoreState) -> Vec<(String, f64)> {
-    let mut spend: Vec<(String, f64)> = Vec::new();
-    for charge in state.charges() {
-        match spend.iter_mut().find(|(name, _)| *name == charge.dataset) {
-            Some((_, total)) => *total += charge.params.epsilon(),
-            None => spend.push((charge.dataset.clone(), charge.params.epsilon())),
-        }
-    }
-    spend.sort_by(|a, b| a.0.cmp(&b.0));
-    spend
+    state
+        .totals()
+        .iter()
+        .map(|(name, totals)| (name.clone(), totals.epsilon_sum()))
+        .collect()
+}
+
+/// A [`LedgerTotals`] as its count and the bits of its four floats.
+type Bits = (u64, u64, u64, u64, u64);
+
+fn bits(totals: &LedgerTotals) -> Bits {
+    (
+        totals.count(),
+        totals.epsilon_sum().to_bits(),
+        totals.delta_sum().to_bits(),
+        totals.epsilon_max().to_bits(),
+        totals.delta_max().to_bits(),
+    )
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// (a) Idempotence: replaying the journal twice changes nothing, and
-    /// resuming from a snapshot taken at *any* prefix point, then replaying
-    /// the full journal over it, equals the single full replay.
+    /// resuming from a snapshot file written at *any* prefix point, then
+    /// replaying the full journal over it, equals the single full replay.
     #[test]
     fn replay_is_idempotent_and_snapshot_resumable(
         spec in prop::collection::vec(0u8..20, 1..60),
@@ -148,10 +160,22 @@ proptest! {
         prop_assert!(full.same_state(&twice));
 
         let k = ((records.len() as f64) * cut[0]) as usize;
-        let snapshot = StoreState::recover(None, &records[..k], 32).to_snapshot();
+        let dir = scratch_path("snapshots", k as u64 * 1_000 + records.len() as u64);
+        std::fs::remove_dir_all(&dir).ok();
+        write_snapshot(&dir, &StoreState::recover(None, &records[..k], 32).to_snapshot()).unwrap();
+        let (snapshot, _) = load_latest(&dir).unwrap().expect("just written");
+        std::fs::remove_dir_all(&dir).ok();
         let resumed = StoreState::recover(Some(&snapshot), &records, 32);
         prop_assert!(full.same_state(&resumed),
             "snapshot at {k}/{} + full journal must equal full replay", records.len());
+        let totals = |state: &StoreState| -> Vec<(String, Bits)> {
+            state.totals().iter().map(|(name, t)| (name.clone(), bits(t))).collect()
+        };
+        prop_assert_eq!(totals(&resumed), totals(&full));
+        let inherited = |state: &StoreState| -> Vec<(u64, Bits)> {
+            state.reregisters().iter().map(|(r, t)| (r.seq, bits(t))).collect()
+        };
+        prop_assert_eq!(inherited(&resumed), inherited(&full));
 
         // Version histories are gapless no matter how the journal
         // interleaved valid and out-of-sequence re-registrations: each
@@ -160,8 +184,8 @@ proptest! {
             let applied: Vec<u64> = full
                 .reregisters()
                 .iter()
-                .filter(|r| &r.dataset == name)
-                .map(|r| r.version)
+                .filter(|(r, _)| &r.dataset == name)
+                .map(|(r, _)| r.version)
                 .collect();
             prop_assert!(applied == (2..=*version).collect::<Vec<u64>>(),
                 "dataset {name} must replay a gapless chain to {version}, got {applied:?}");

@@ -55,6 +55,14 @@
 #   * re-sending the killed query charges fresh (its result was never
 #     released, so there is nothing to replay), then replays cached;
 #   * the sibling shard's dataset is untouched (golden 5b).
+#
+# Phase 6 (snapshots): phases 1 and 2 again on a fresh journal with
+# `--snapshot-dir` and `--snapshot-every 2`. Phase 1's 7 records write
+# three snapshots (at seq 2, 4 and 6) and checkpoint the journal each
+# time, leaving record 7 as the tail; pruning keeps the newest two. The
+# kill lands the same way, and the post-recovery transcript must equal
+# the same golden byte for byte — snapshots change nothing a client sees
+# — with at most two `snap-*.pcss` files left in the snapshot directory.
 set -euo pipefail
 
 BIN=${1:-./target/release/serve}
@@ -67,44 +75,63 @@ cleanup() {
 }
 trap cleanup EXIT
 
+# Phase 1's requests through `serve <args>`, every response awaited, then
+# an in-flight request and a SIGKILL before its response is read. Output
+# goes to $WORK/<tag>.jsonl and $WORK/<tag>.err.
+exhaust_and_kill() {
+    local tag=$1
+    shift
+    rm -f "$WORK/requests"
+    mkfifo "$WORK/requests"
+    "$BIN" "$@" < "$WORK/requests" > "$WORK/$tag.jsonl" 2>"$WORK/$tag.err" &
+    SERVE_PID=$!
+    # Keep the fifo's write end open across the individual sends.
+    exec 3>"$WORK/requests"
+
+    cat "$DATA/recovery_phase1.jsonl" >&3
+    EXPECTED=$(wc -l < "$DATA/recovery_phase1.jsonl")
+    for _ in $(seq 1 600); do
+        [ "$(wc -l < "$WORK/$tag.jsonl")" -ge "$EXPECTED" ] && break
+        sleep 0.1
+    done
+    if [ "$(wc -l < "$WORK/$tag.jsonl")" -lt "$EXPECTED" ]; then
+        echo "crash-recovery smoke: $tag stalled" >&2
+        cat "$WORK/$tag.err" >&2
+        exit 1
+    fi
+
+    # In-flight request (a replay: journals nothing, so the post-kill
+    # state stays deterministic), then SIGKILL without reading the
+    # response.
+    head -2 "$DATA/recovery_phase1.jsonl" | tail -1 >&3
+    kill -9 "$SERVE_PID"
+    wait "$SERVE_PID" 2>/dev/null || true
+    SERVE_PID=""
+    exec 3>&-
+}
+
+# Phase 2's requests through `serve <args>` on the killed run's state,
+# diffed against the golden.
+recover_and_diff() {
+    local tag=$1
+    shift
+    "$BIN" "$@" < "$DATA/recovery_phase2.jsonl" > "$WORK/$tag.jsonl" 2>"$WORK/$tag.err"
+    if ! diff "$DATA/recovery_golden.jsonl" "$WORK/$tag.jsonl"; then
+        echo "crash-recovery smoke: $tag transcript diverged from golden" >&2
+        cat "$WORK/$tag.err" >&2
+        exit 1
+    fi
+    grep -q "recovered: true" "$WORK/$tag.err" || {
+        echo "crash-recovery smoke: $tag did not report recovery on stderr" >&2
+        exit 1
+    }
+}
+
 # --- Phase 1: serve, exhaust the budget, kill -9 mid-request -------------
-mkfifo "$WORK/requests"
-"$BIN" --journal "$WORK/journal.pcsj" < "$WORK/requests" > "$WORK/phase1.jsonl" 2>"$WORK/phase1.err" &
-SERVE_PID=$!
-# Keep the fifo's write end open across the individual sends.
-exec 3>"$WORK/requests"
-
-cat "$DATA/recovery_phase1.jsonl" >&3
-EXPECTED=$(wc -l < "$DATA/recovery_phase1.jsonl")
-for _ in $(seq 1 600); do
-    [ "$(wc -l < "$WORK/phase1.jsonl")" -ge "$EXPECTED" ] && break
-    sleep 0.1
-done
-if [ "$(wc -l < "$WORK/phase1.jsonl")" -lt "$EXPECTED" ]; then
-    echo "crash-recovery smoke: phase 1 stalled" >&2
-    cat "$WORK/phase1.err" >&2
-    exit 1
-fi
-
-# In-flight request (a replay: journals nothing, so the post-kill state
-# stays deterministic), then SIGKILL without reading the response.
-head -2 "$DATA/recovery_phase1.jsonl" | tail -1 >&3
-kill -9 "$SERVE_PID"
-wait "$SERVE_PID" 2>/dev/null || true
-SERVE_PID=""
-exec 3>&-
+exhaust_and_kill phase1 --journal "$WORK/journal.pcsj"
 
 # --- Phase 2: restart on the same journal, diff against the golden ------
-"$BIN" --journal "$WORK/journal.pcsj" < "$DATA/recovery_phase2.jsonl" > "$WORK/phase2.jsonl" 2>"$WORK/phase2.err"
-if ! diff "$DATA/recovery_golden.jsonl" "$WORK/phase2.jsonl"; then
-    echo "crash-recovery smoke: post-recovery transcript diverged from golden" >&2
-    cat "$WORK/phase2.err" >&2
-    exit 1
-fi
-grep -q "recovered: true" "$WORK/phase2.err" || {
-    echo "crash-recovery smoke: serve did not report recovery on stderr" >&2
-    exit 1
-}
+recover_and_diff phase2 --journal "$WORK/journal.pcsj"
 
 # --- Phase 3: re-register, kill -9 after the journal commit --------------
 mkfifo "$WORK/requests3"
@@ -205,4 +232,14 @@ fi
     echo "crash-recovery smoke: expected both shards to report recovery" >&2
     exit 1
 }
+# --- Phase 6: phases 1 and 2 with snapshots: same bytes, two files left --
+SNAPSHOTS6=(--journal "$WORK/journal6.pcsj" --snapshot-dir "$WORK/snapshots6" --snapshot-every 2)
+exhaust_and_kill phase6a "${SNAPSHOTS6[@]}"
+recover_and_diff phase6b "${SNAPSHOTS6[@]}"
+SNAPSHOT_FILES=$(find "$WORK/snapshots6" -name 'snap-*.pcss' | wc -l)
+if [ "$SNAPSHOT_FILES" -lt 1 ] || [ "$SNAPSHOT_FILES" -gt 2 ]; then
+    echo "crash-recovery smoke: expected one or two snapshots, found $SNAPSHOT_FILES" >&2
+    ls -la "$WORK/snapshots6" >&2
+    exit 1
+fi
 echo "crash-recovery smoke: OK"

@@ -9,10 +9,11 @@
 #     required series — admission_seconds, fsync_seconds, cache_hits_total,
 #     budget_epsilon_remaining, plus the serving-layer series:
 #     backpressure_rejections_total (0: nothing was rejected), the
-#     per-shard shard_inflight and commit_queue_depth gauges, and the
+#     per-shard shard_inflight and commit_queue_depth gauges, the
+#     per-shard durability-health gauges (store_writer_alive 1,
+#     store_commit_error 0, store_snapshot_bytes 0 in memory), and the
 #     group_commit_batch_size histogram — the per-dataset budget gauge
-#     carries the
-#     post-workload headroom (8 - 1 - 4 - 1 = 2 ε remaining: the inherited
+#     carries the post-workload headroom (8 - 1 - 4 - 1 = 2 ε remaining: the inherited
 #     ledger keeps composing across the mid-workload re-registration), the
 #     dataset_version gauge reflects the new version, and the
 #     reregistrations_total counter recorded it;
@@ -25,8 +26,14 @@
 # `{"cmd":"metrics"}` wire op (the `cmd` alias, so both spellings stay
 # live) reports a non-empty fsync histogram AND a non-empty
 # group_commit_batch_size histogram (every batched fsync records its batch
-# size), and the events file carries the structured `serve.banner`
+# size), the health gauges show a live group-commit writer with no sticky
+# error, and the events file carries the structured `serve.banner`
 # recovery event.
+#
+# Phase 3 (snapshots): the same workload with `--snapshot-dir` and
+# `--snapshot-every 2`. Asserts the per-shard store_snapshot_bytes gauge
+# equals the size of the newest snapshot file, and that pruning left at
+# most two snapshot files.
 set -euo pipefail
 
 BIN=${1:-./target/release/serve}
@@ -97,6 +104,12 @@ grep -q 'commit_queue_depth{shard="0"} 0' "$WORK/scrape.txt" \
     || fail "per-shard commit-queue gauge missing from the scrape"
 grep -q '^# TYPE group_commit_batch_size histogram' "$WORK/scrape.txt" \
     || fail "group_commit_batch_size histogram missing from the scrape"
+grep -q '^store_writer_alive{shard="0"} 1$' "$WORK/scrape.txt" \
+    || fail "per-shard store_writer_alive gauge wrong or missing in the scrape"
+grep -q '^store_commit_error{shard="0"} 0$' "$WORK/scrape.txt" \
+    || fail "per-shard store_commit_error gauge wrong or missing in the scrape"
+grep -q '^store_snapshot_bytes{shard="0"} 0$' "$WORK/scrape.txt" \
+    || fail "per-shard store_snapshot_bytes gauge wrong or missing in the scrape"
 
 # Shut down cleanly, then prove passivity against the golden transcript.
 printf '%s\n' '{"op":"metrics"}' '{"op":"shutdown"}' >&3
@@ -127,7 +140,24 @@ BATCH=$(grep -o '"group_commit_batch_size":{[^}]*}' "$WORK/phase2_metrics.json")
 case "$BATCH" in
     *'"count":0'*) fail "group-commit batch histogram empty with group commit on" ;;
 esac
+# Gauge names appear JSON-escaped: store_writer_alive{shard=\"0\"}.
+grep -qF 'store_writer_alive{shard=\"0\"}":1' "$WORK/phase2_metrics.json" \
+    || fail "group-commit writer not reported alive in phase 2"
+grep -qF 'store_commit_error{shard=\"0\"}":0' "$WORK/phase2_metrics.json" \
+    || fail "sticky commit error reported set in phase 2"
 grep -q '"event":"serve.banner"' "$WORK/events.jsonl" \
     || fail "structured serve.banner event missing from the events file"
+
+# --- Phase 3: snapshots — the size gauge and the pruned directory --------
+"$BIN" --journal "$WORK/journal3.pcsj" --snapshot-dir "$WORK/snapshots3" --snapshot-every 2 \
+    < "$WORK/phase2_requests.jsonl" > "$WORK/phase3.jsonl" 2>"$WORK/phase3.err"
+SNAPSHOT_FILES=$(find "$WORK/snapshots3" -name 'snap-*.pcss' | wc -l)
+[ "$SNAPSHOT_FILES" -ge 1 ] && [ "$SNAPSHOT_FILES" -le 2 ] \
+    || fail "expected one or two snapshot files after pruning, found $SNAPSHOT_FILES"
+NEWEST=$(find "$WORK/snapshots3" -name 'snap-*.pcss' | sort | tail -1)
+BYTES=$(wc -c < "$NEWEST")
+grep '"op":"metrics"' "$WORK/phase3.jsonl" \
+    | grep -qF "store_snapshot_bytes{shard=\\\"0\\\"}\":$BYTES," \
+    || fail "store_snapshot_bytes does not report the newest snapshot's $BYTES bytes"
 
 echo "metrics smoke: OK"
