@@ -2,12 +2,10 @@
 //! and what snapshots buy at recovery.
 //!
 //! Group 1 (`engine_admission_durability`) runs the same 8-query batch
-//! against a long-lived engine in three modes — in-memory, journaled with
-//! fsync-on-commit (the deployment default), and journaled without fsync
-//! (page-cache durability: survives `kill -9`, not power loss) — so the
-//! fsync cost per admitted query is visible in the perf trajectory. Fresh
-//! seeds defeat the result cache; the dataset is small so admission (and
-//! its two journal appends per query) dominates.
+//! against a long-lived engine in two modes — in-memory and journaled —
+//! so the fsync cost per admitted query is visible in the perf
+//! trajectory. Fresh seeds defeat the result cache; the dataset is small
+//! so admission (and its two journal appends per query) dominates.
 //!
 //! Group 2 (`engine_recovery_replay`) measures `Engine::open` on a journal
 //! holding 10k records, with and without a covering snapshot: the snapshot
@@ -112,19 +110,8 @@ fn bench_admission(c: &mut Criterion) {
         b.iter(|| run_batch(&journaled, &seeds))
     });
 
-    let dir_nosync = scratch_dir("admission-nosync");
-    let mut nosync_config = StoreConfig::journal_only(dir_nosync.join("journal.pcsj"));
-    nosync_config.sync_on_commit = false;
-    let nosync = Engine::open(EngineConfig::default(), nosync_config).unwrap();
-    register(&nosync);
-    let seeds = AtomicU64::new(0);
-    group.bench_function("journaled_nosync_8_queries", |b| {
-        b.iter(|| run_batch(&nosync, &seeds))
-    });
-
     group.finish();
     std::fs::remove_dir_all(&dir).ok();
-    std::fs::remove_dir_all(&dir_nosync).ok();
 }
 
 /// Builds a journal with one real registration and `records` synthetic

@@ -13,8 +13,8 @@
 //! interpolated from the histogram buckets. Each `--loadgen` flag names a
 //! `loadgen` result document; its latency percentiles become a
 //! `loadgen/<label>` entry and its admitted-query rate a bare
-//! `loadgen/<label>/throughput_rps` number, so fsync-policy comparisons
-//! (group commit vs per-charge) land in the same trajectory point. The
+//! `loadgen/<label>/throughput_rps` number, so commit-batching comparisons
+//! (batches of 64 vs batches of one) land in the same trajectory point. The
 //! output is one sorted JSON object, benchmark name →
 //! `{p50, p90, mean, n}` — successive PRs commit successive
 //! `BENCH_*.json` files, so regressions show up as a diff.

@@ -120,11 +120,11 @@ pub struct DurabilityStatus {
 /// The durability layer's health, exported as the `store_*` gauges.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DurabilityHealth {
-    /// Whether commits can still become durable: the group-commit writer
-    /// thread is running, or none is needed (per-append fsync, or
-    /// in-memory).
+    /// Whether commits can still become durable: the store's group-commit
+    /// writer thread is running, or the engine is in-memory and needs
+    /// none.
     pub writer_alive: bool,
-    /// Whether the store's sticky commit error is set (a group fsync
+    /// Whether the store's sticky commit error is set (a batch fsync
     /// failed or the writer died, so every later charge fails).
     pub commit_error: bool,
     /// Size in bytes of the newest snapshot file (0 when there is none).
@@ -698,8 +698,8 @@ impl Engine {
         }
     }
 
-    /// Charges appended to the journal but not yet covered by a group
-    /// fsync — always 0 without a store, or with per-append fsync.
+    /// Commits appended to the journal but not yet covered by a batch
+    /// fsync (always 0 without a store).
     pub fn commit_queue_depth(&self) -> u64 {
         self.store.as_ref().map_or(0, |s| s.commit_queue_depth())
     }
@@ -905,10 +905,10 @@ impl Engine {
             })
         };
         // The fsync wait happens *after* the accountant lock is dropped:
-        // under group commit other queries on this dataset charge (and
-        // join the same batch) while this one's fsync is in flight. The
-        // write-ahead contract is untouched — nothing runs, and nothing
-        // can be released, until the wait confirms the charge is durable.
+        // other queries on this dataset charge (and join the same batch)
+        // while this one's fsync is in flight. The write-ahead contract is
+        // untouched — nothing runs, and nothing can be released, until the
+        // wait confirms the charge is durable.
         let charged = charged.and_then(|(remaining, ticket)| match ticket {
             Some(ticket) => ticket.wait().map(|_| remaining).map_err(EngineError::from),
             None => Ok(remaining),

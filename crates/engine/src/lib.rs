@@ -113,7 +113,7 @@ pub use fingerprint::{
 };
 pub use planner::{plan, Plan};
 pub use protocol::{
-    error_value, handle, serve_lines, serve_lines_with, serve_tcp, Request, MAX_REQUEST_LINE_BYTES,
+    error_value, handle, serve_lines, serve_lines_with, Request, MAX_REQUEST_LINE_BYTES,
 };
 pub use query::{BaselineMethod, Query, QueryRequest, QueryValue, WireBall};
 pub use registry::{BackendChoice, DatasetEntry, DatasetRegistry};

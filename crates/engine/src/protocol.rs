@@ -79,8 +79,7 @@ use privcluster_geometry::{Dataset, GridDomain};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Serialize, Value};
-use std::io::{BufRead, BufReader, Write};
-use std::net::TcpListener;
+use std::io::{BufRead, Write};
 
 /// A parsed protocol request.
 #[derive(Debug, Clone)]
@@ -678,9 +677,10 @@ fn read_bounded_line<R: BufRead>(reader: &mut R, max: usize) -> std::io::Result<
 /// Serves newline-delimited JSON requests from `reader`, writing one
 /// response line per request to `writer`. Returns at end of input or after
 /// a `shutdown` request; the returned bool reports whether a shutdown was
-/// requested (the TCP loop uses it to stop listening). Request lines are
-/// capped at [`MAX_REQUEST_LINE_BYTES`] — both the stdio and TCP paths go
-/// through here, so neither can be ballooned by a newline-free stream.
+/// requested (a TCP front end uses it to stop listening). Request lines are
+/// capped at [`MAX_REQUEST_LINE_BYTES`] — this and [`serve_lines_with`]
+/// share one framing loop, so no transport can be ballooned by a
+/// newline-free stream.
 pub fn serve_lines<R: BufRead, W: Write>(
     engine: &Engine,
     reader: R,
@@ -759,39 +759,6 @@ fn serve_lines_bounded_with<R: BufRead, W: Write, F: FnMut(&str) -> (Value, bool
         }
         written?;
     }
-}
-
-/// Binds `addr` and serves connections sequentially with the JSON-lines
-/// loop (per-query parallelism comes from the `batch` op, not from
-/// concurrent connections). A `shutdown` request ends its connection *and*
-/// stops the listener. The locally bound address is reported through
-/// `on_bound` (useful with port 0 in tests).
-pub fn serve_tcp(
-    engine: &Engine,
-    addr: &str,
-    on_bound: impl FnOnce(std::net::SocketAddr),
-) -> std::io::Result<()> {
-    let listener = TcpListener::bind(addr)?;
-    on_bound(listener.local_addr()?);
-    for stream in listener.incoming() {
-        // A single misbehaving connection (abrupt disconnect mid-response,
-        // failed clone) must not take the listener down: log and keep
-        // accepting. Only accept() errors are fatal.
-        let stream = stream?;
-        let reader = match stream.try_clone() {
-            Ok(clone) => BufReader::new(clone),
-            Err(e) => {
-                eprintln!("privcluster-engine: dropping connection: {e}");
-                continue;
-            }
-        };
-        match serve_lines(engine, reader, &stream) {
-            Ok(true) => break,
-            Ok(false) => {}
-            Err(e) => eprintln!("privcluster-engine: connection ended with error: {e}"),
-        }
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -1085,36 +1052,6 @@ mod tests {
             vec![None, Some("ok".to_string())]
         );
         assert_eq!(read_all("", 4), Vec::<Option<String>>::new());
-    }
-
-    #[test]
-    fn tcp_round_trip() {
-        use std::io::{BufRead, BufReader, Write};
-        use std::sync::mpsc;
-        let (addr_tx, addr_rx) = mpsc::channel();
-        let server = std::thread::spawn(move || {
-            let engine = Engine::new(EngineConfig {
-                threads: 1,
-                cache_capacity: 8,
-                ..EngineConfig::default()
-            });
-            serve_tcp(&engine, "127.0.0.1:0", move |addr| {
-                addr_tx.send(addr).unwrap();
-            })
-            .unwrap();
-        });
-        let addr = addr_rx.recv().unwrap();
-        let mut stream = std::net::TcpStream::connect(addr).unwrap();
-        writeln!(stream, r#"{{"op":"list"}}"#).unwrap();
-        writeln!(stream, r#"{{"op":"shutdown"}}"#).unwrap();
-        let mut reader = BufReader::new(stream.try_clone().unwrap());
-        let mut line = String::new();
-        reader.read_line(&mut line).unwrap();
-        assert!(line.contains(r#""op":"list""#));
-        line.clear();
-        reader.read_line(&mut line).unwrap();
-        assert!(line.contains(r#""op":"shutdown""#));
-        server.join().unwrap();
     }
 
     #[test]

@@ -28,7 +28,7 @@ pub struct Telemetry {
     /// Journal commit fsync latency (recorded by the attached store).
     pub(crate) fsync_seconds: Arc<Histogram>,
     /// Records covered by each group-commit batch fsync (recorded by the
-    /// attached store; empty when group commit is disabled).
+    /// attached store).
     pub(crate) group_commit_batch_size: Arc<Histogram>,
     /// Every query reaching admission.
     pub(crate) queries_total: Arc<Counter>,

@@ -22,12 +22,13 @@
 //! journal (and the same `--shards`) recovers the spent budget exactly
 //! (never refunded). With `--shards N` (N > 1) shard `i` journals to
 //! `PATH`'s stem suffixed `-shard<i>` and snapshots under
-//! `DIR/shard<i>`. `--group-commit-max-batch N` (with N ≥ 1) batches
-//! commit fsyncs: concurrent charges share one fsync, waiting up to
-//! `--group-commit-max-wait-us` for a batch of N to fill. `--max-inflight`
-//! bounds each shard's concurrent admissions; beyond it requests receive a
-//! structured `retry` error immediately (backpressure instead of unbounded
-//! buffering).
+//! `DIR/shard<i>`. Each shard's group-commit writer thread makes those
+//! commits durable: concurrent charges share one fsync, a batch holds at
+//! most `--group-commit-max-batch` records (default 64, at least 1), and
+//! the writer dwells up to `--group-commit-max-wait-us` (default 0) for a
+//! batch to fill. `--max-inflight` bounds each shard's concurrent
+//! admissions; beyond it requests receive a structured `retry` error
+//! immediately (backpressure instead of unbounded buffering).
 //!
 //! Observability: `--metrics ADDR` serves the merged metrics snapshot as
 //! Prometheus exposition text on a second listener (plain HTTP GET), and
@@ -138,8 +139,7 @@ fn main() -> ExitCode {
     let mut metrics_addr: Option<String> = None;
     let mut events_path: Option<String> = None;
     let mut shards: usize = 1;
-    let mut group_commit_max_batch: usize = 0;
-    let mut group_commit_max_wait_us: u64 = 0;
+    let mut group_commit = GroupCommitConfig::default();
     let mut max_inflight: usize = 0;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -177,13 +177,14 @@ fn main() -> ExitCode {
                     .unwrap_or_else(|| usage())
             }
             "--group-commit-max-batch" => {
-                group_commit_max_batch = args
+                group_commit.max_batch = args
                     .next()
                     .and_then(|v| v.parse().ok())
+                    .filter(|&n| n >= 1)
                     .unwrap_or_else(|| usage())
             }
             "--group-commit-max-wait-us" => {
-                group_commit_max_wait_us = args
+                group_commit.max_wait_us = args
                     .next()
                     .and_then(|v| v.parse().ok())
                     .unwrap_or_else(|| usage())
@@ -206,12 +207,6 @@ fn main() -> ExitCode {
         eprintln!("serve: --snapshot-dir needs --journal");
         usage();
     }
-    // A group-commit batch of 0 means "disabled" (per-charge fsync, the
-    // pre-sharding behavior); the dwell flag only matters when enabled.
-    let group_commit = (group_commit_max_batch > 0).then_some(GroupCommitConfig {
-        max_batch: group_commit_max_batch,
-        max_wait_us: group_commit_max_wait_us,
-    });
 
     let mut engines = Vec::with_capacity(shards);
     for shard in 0..shards {
@@ -223,7 +218,7 @@ fn main() -> ExitCode {
                     .as_ref()
                     .map(|dir| shard_snapshot_dir(dir, shard, shards));
                 store_config.snapshot_every = snapshot_every;
-                store_config.group_commit = group_commit;
+                store_config.group_commit = Some(group_commit);
                 match Engine::open(config, store_config) {
                     Ok(engine) => {
                         let durability = engine.durability();

@@ -21,9 +21,9 @@
 //! itself: a connection's requests are served strictly in order.)
 //!
 //! Durability is unchanged from the engine: every shard is a write-ahead
-//! engine, and with group commit enabled (see
-//! [`GroupCommitConfig`](privcluster_store::GroupCommitConfig)) concurrent
-//! charges on a shard share batch fsyncs without weakening the
+//! engine whose store's group-commit writer (see
+//! [`GroupCommitConfig`](privcluster_store::GroupCommitConfig)) lets
+//! concurrent charges on a shard share batch fsyncs without weakening the
 //! charge-before-release invariant.
 
 #![warn(missing_docs)]

@@ -1,13 +1,11 @@
 //! Serving transports for [`ShardedServer`]: stdio (one scripted
 //! connection) and concurrent TCP (one thread per connection).
 //!
-//! The engine's own `serve_tcp` handles connections sequentially — correct
-//! for golden-transcript smokes, useless for measuring admission
-//! throughput. Here every accepted connection gets a thread, all threads
-//! share the one [`ShardedServer`], and the per-shard admission gate (not
-//! the accept loop) is what bounds concurrent work. A `shutdown` request
-//! on any connection stops the accept loop; already-open connections are
-//! drained before the listener returns.
+//! Every accepted connection gets a thread, all threads share the one
+//! [`ShardedServer`], and the per-shard admission gate (not the accept
+//! loop) is what bounds concurrent work. A `shutdown` request on any
+//! connection stops the accept loop; already-open connections are drained
+//! before the listener returns.
 
 use crate::ShardedServer;
 use privcluster_engine::serve_lines_with;
@@ -86,4 +84,40 @@ pub fn serve_tcp(
         let _ = worker.join();
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use privcluster_engine::{Engine, EngineConfig};
+    use std::io::{BufRead, Write};
+    use std::sync::mpsc;
+
+    #[test]
+    fn tcp_round_trip() {
+        let engine = Engine::new(EngineConfig {
+            threads: 1,
+            cache_capacity: 8,
+            ..EngineConfig::default()
+        });
+        let server = Arc::new(ShardedServer::new(vec![engine], 0));
+        let (addr_tx, addr_rx) = mpsc::channel();
+        let listener = std::thread::spawn(move || {
+            serve_tcp(&server, "127.0.0.1:0", move |addr| {
+                addr_tx.send(addr).unwrap();
+            })
+        });
+        let addr = addr_rx.recv().unwrap();
+        let mut stream = TcpStream::connect(addr).unwrap();
+        writeln!(stream, r#"{{"op":"list"}}"#).unwrap();
+        writeln!(stream, r#"{{"op":"shutdown"}}"#).unwrap();
+        let mut reader = BufReader::new(stream.try_clone().unwrap());
+        let mut line = String::new();
+        reader.read_line(&mut line).unwrap();
+        assert!(line.contains(r#""op":"list""#));
+        line.clear();
+        reader.read_line(&mut line).unwrap();
+        assert!(line.contains(r#""op":"shutdown""#));
+        listener.join().unwrap().unwrap();
+    }
 }

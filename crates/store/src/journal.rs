@@ -3,10 +3,11 @@
 //! Layout: an 8-byte magic (`PCSJ0001`) followed by framed records (see
 //! [`format`](crate::format)). Appends go straight to the file descriptor
 //! (no userspace buffering), so a record survives `kill -9` the moment
-//! `append` returns; `fsync` is called per append when the caller asks for
-//! commit durability (the engine does, for every charge and registration —
-//! that is the *fsync-on-commit* contract protecting against power loss,
-//! not just process death).
+//! `append` returns. Power-loss durability comes from the
+//! [`Store`](crate::Store)'s group-commit writer, which fsyncs appended
+//! records in batches through [`Journal::try_clone_file`]; the engine waits
+//! for that fsync before releasing anything a charge or registration
+//! covers — the *fsync-on-commit* contract.
 //!
 //! On open the whole file is scanned: complete records are returned for
 //! replay, and a torn tail — the half-written record of a crash mid-append
@@ -128,18 +129,14 @@ impl Journal {
         Ok((Journal { file, path }, JournalScan { records, torn_tail }))
     }
 
-    /// Appends one record. With `sync_on_commit` the write is fsynced
-    /// before returning — required on the charge path, where the caller is
-    /// about to release a result whose charge must already be durable.
-    pub fn append(&mut self, record: &StoreRecord, sync_on_commit: bool) -> Result<(), StoreError> {
+    /// Appends one record's frame. It is not fsynced here: the store's
+    /// group-commit writer syncs it, and the caller must wait for that
+    /// before releasing a result whose charge must already be durable.
+    pub fn append(&mut self, record: &StoreRecord) -> Result<(), StoreError> {
         let frame = encode_frame(&record.to_payload())?;
         self.file
             .write_all(&frame)
-            .map_err(|e| StoreError::io(&self.path, e))?;
-        if sync_on_commit {
-            sync(&self.file, &self.path)?;
-        }
-        Ok(())
+            .map_err(|e| StoreError::io(&self.path, e))
     }
 
     /// Checkpoint reset: truncates the journal back to its magic header.
@@ -222,7 +219,7 @@ mod tests {
             assert!(scan.records.is_empty());
             assert!(scan.torn_tail.is_none());
             for r in &records {
-                journal.append(r, true).unwrap();
+                journal.append(r).unwrap();
             }
         }
         let (_, scan) = Journal::open(&path).unwrap();
@@ -236,7 +233,7 @@ mod tests {
         let path = temp_path("torn");
         {
             let (mut journal, _) = Journal::open(&path).unwrap();
-            journal.append(&charge(1, "d", "q1", 0.5), true).unwrap();
+            journal.append(&charge(1, "d", "q1", 0.5)).unwrap();
         }
         // Simulate a crash mid-append: half a record at the tail.
         let half = &encode_frame(&charge(2, "d", "q2", 0.5).to_payload()).unwrap()[..11];
@@ -263,7 +260,7 @@ mod tests {
             let (mut journal, _) = Journal::open(&path).unwrap();
             for i in 1..=3 {
                 journal
-                    .append(&charge(i, "d", &format!("q{i}"), 0.5), true)
+                    .append(&charge(i, "d", &format!("q{i}"), 0.5))
                     .unwrap();
             }
         }

@@ -3,18 +3,17 @@
 //!
 //! # Group commit
 //!
-//! With [`StoreConfig::group_commit`] set, fsync-bearing appends are
-//! **batched**: the frame still reaches the file descriptor under the
-//! store lock (journal order = admission order, and the unbuffered write
-//! already survives `kill -9`), but the fsync is delegated to a dedicated
-//! writer thread that syncs once per batch and then releases every waiter
-//! whose record the sync covered. [`Store::append_deferred`] returns a
+//! Every commit takes one path. The record's frame reaches the file
+//! descriptor under the store lock (journal order = admission order, and
+//! the unbuffered write already survives `kill -9`), and a dedicated
+//! writer thread fsyncs once per batch, then releases every waiter whose
+//! record the sync covered. [`Store::append_deferred`] returns a
 //! [`PendingCommit`]; the caller's result may be released only after
-//! `wait()` returns — exactly the write-ahead contract of the per-append
-//! fsync path, at a fraction of the fsync count under concurrency. If the
-//! writer thread dies — a failed fsync, or a panic — it leaves a sticky
-//! error behind and wakes every waiter, so each pending and later commit
-//! fails rather than hangs.
+//! `wait()` returns — the write-ahead contract, at one fsync per batch of
+//! concurrent commits. Release records never wait for an fsync (see
+//! [`Store::append`]). If the writer thread dies — a failed fsync, or a
+//! panic — it leaves a sticky error behind and wakes every waiter, so each
+//! pending and later commit fails rather than hangs.
 
 use crate::error::StoreError;
 use crate::journal::Journal;
@@ -35,12 +34,9 @@ use std::time::Duration;
 /// and failure reasons — never record contents.
 #[derive(Debug, Clone)]
 pub struct StoreObserver {
-    /// Receives the duration of each commit fsync, in seconds (one
-    /// observation per fsync: per append without group commit, per batch
-    /// with it).
+    /// Receives the duration of each batch fsync, in seconds.
     pub fsync_seconds: Arc<Histogram>,
-    /// Receives the number of records each group-commit fsync covered
-    /// (untouched when group commit is disabled).
+    /// Receives the number of records each batch fsync covered.
     pub group_commit_batch: Arc<Histogram>,
     /// Receives `store.snapshot` / `store.snapshot_failed` /
     /// `store.snapshot_prune_failed` events.
@@ -51,14 +47,23 @@ pub struct StoreObserver {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GroupCommitConfig {
     /// Sync as soon as this many records are waiting (the dwell below is
-    /// cut short). Values `>= 1`; the serve binary maps its flag's `0` to
-    /// "group commit disabled" before building this config.
+    /// cut short). `1` gives every record its own fsync; `0` acts as `1`.
     pub max_batch: usize,
     /// How long the writer dwells (in microseconds) for more records to
     /// join a batch before syncing what it has. `0` syncs immediately —
     /// batching still emerges under load, because records that arrive
     /// while a sync is in flight share the next one.
     pub max_wait_us: u64,
+}
+
+impl Default for GroupCommitConfig {
+    /// Batches of up to 64 records, synced with no dwell.
+    fn default() -> Self {
+        GroupCommitConfig {
+            max_batch: 64,
+            max_wait_us: 0,
+        }
+    }
 }
 
 /// Where and how a [`Store`] persists engine state.
@@ -81,24 +86,20 @@ pub struct StoreConfig {
     /// How many released results the compacted state (and therefore each
     /// snapshot) retains — the engine passes its replay-cache capacity.
     pub max_retained_releases: usize,
-    /// Whether commits fsync (`true` everywhere except throughput benches:
-    /// without fsync a record still survives `kill -9` once `append`
-    /// returns, but not power loss).
-    pub sync_on_commit: bool,
-    /// Batch commit fsyncs on a dedicated writer thread. `None` keeps the
-    /// classic one-fsync-per-append path.
+    /// Tuning for the group-commit writer that makes every commit
+    /// durable; `None` runs it with [`GroupCommitConfig::default`].
     pub group_commit: Option<GroupCommitConfig>,
 }
 
 impl StoreConfig {
-    /// A config journaling to `path` with snapshots disabled and fsync on.
+    /// A config journaling to `path` with snapshots disabled and the
+    /// default group-commit writer.
     pub fn journal_only(path: impl Into<PathBuf>) -> Self {
         StoreConfig {
             journal_path: path.into(),
             snapshot_dir: None,
             snapshot_every: 0,
             max_retained_releases: 256,
-            sync_on_commit: true,
             group_commit: None,
         }
     }
@@ -163,6 +164,8 @@ struct GroupCommit {
 #[derive(Debug)]
 #[must_use = "a deferred append is durable only after `wait` returns"]
 pub struct PendingCommit {
+    /// The commit queue this record waits on; `None` for a release record,
+    /// which never waits for an fsync.
     group: Option<Arc<GroupCommit>>,
     seq: u64,
 }
@@ -174,9 +177,8 @@ impl PendingCommit {
     }
 
     /// Blocks until the fsync (or durable snapshot) covering this record
-    /// has completed, then returns its sequence number. Immediate when the
-    /// append was already synced inline (group commit off, or a record
-    /// class that never pays an fsync).
+    /// has completed, then returns its sequence number. Immediate for a
+    /// release record, which never pays an fsync.
     pub fn wait(self) -> Result<u64, StoreError> {
         let Some(group) = self.group else {
             return Ok(self.seq);
@@ -201,7 +203,8 @@ pub struct Store {
     inner: Mutex<Inner>,
     config: StoreConfig,
     observer: Arc<OnceLock<StoreObserver>>,
-    group: Option<Arc<GroupCommit>>,
+    group: Arc<GroupCommit>,
+    /// The group-commit writer thread; `Drop` takes it to join it.
     writer: Option<std::thread::JoinHandle<()>>,
     /// Size in bytes of the newest snapshot file (0 before the first).
     snapshot_bytes: AtomicU64,
@@ -218,8 +221,8 @@ impl Store {
     /// Opens the journal (and newest valid snapshot, when a snapshot
     /// directory is configured), replays everything into a [`StoreState`],
     /// and returns the store positioned to append after the last committed
-    /// record. With [`StoreConfig::group_commit`] set, the group-commit
-    /// writer thread is spawned here and joined on drop.
+    /// record. The group-commit writer thread is spawned here and joined
+    /// on drop.
     pub fn open(config: StoreConfig) -> Result<(Store, RecoveryReport), StoreError> {
         let (snapshot, snapshot_bytes) = match &config.snapshot_dir {
             Some(dir) => match load_latest(dir)? {
@@ -229,10 +232,7 @@ impl Store {
             None => (None, 0),
         };
         let (journal, scan) = Journal::open(&config.journal_path)?;
-        let commit_file = match &config.group_commit {
-            Some(_) => Some(journal.try_clone_file()?),
-            None => None,
-        };
+        let commit_file = journal.try_clone_file()?;
         let state = StoreState::recover(
             snapshot.as_ref(),
             &scan.records,
@@ -245,35 +245,28 @@ impl Store {
             torn_tail: scan.torn_tail,
         };
         let observer: Arc<OnceLock<StoreObserver>> = Arc::new(OnceLock::new());
-        let (group, writer) = match (config.group_commit, commit_file) {
-            (Some(gc_config), Some(file)) => {
-                let group = Arc::new(GroupCommit {
-                    commit: Mutex::new(CommitState {
-                        appended: state.seq(),
-                        synced: state.seq(),
-                        fsyncs: 0,
-                        error: None,
-                        shutdown: false,
-                    }),
-                    work: Condvar::new(),
-                    done: Condvar::new(),
-                    #[cfg(test)]
-                    panic_writer: Default::default(),
-                });
-                let thread_group = Arc::clone(&group);
-                let thread_observer = Arc::clone(&observer);
-                let handle = std::thread::Builder::new()
-                    .name("privcluster-group-commit".to_string())
-                    .spawn(move || {
-                        group_commit_writer(thread_group, file, gc_config, thread_observer)
-                    })
-                    .map_err(|e| {
-                        StoreError::Io(format!("cannot spawn group-commit writer: {e}"))
-                    })?;
-                (Some(group), Some(handle))
-            }
-            _ => (None, None),
-        };
+        let group = Arc::new(GroupCommit {
+            commit: Mutex::new(CommitState {
+                appended: state.seq(),
+                synced: state.seq(),
+                fsyncs: 0,
+                error: None,
+                shutdown: false,
+            }),
+            work: Condvar::new(),
+            done: Condvar::new(),
+            #[cfg(test)]
+            panic_writer: Default::default(),
+        });
+        let thread_group = Arc::clone(&group);
+        let thread_observer = Arc::clone(&observer);
+        let gc_config = config.group_commit.unwrap_or_default();
+        let writer = std::thread::Builder::new()
+            .name("privcluster-group-commit".to_string())
+            .spawn(move || {
+                group_commit_writer(thread_group, commit_file, gc_config, thread_observer)
+            })
+            .map_err(|e| StoreError::Io(format!("cannot spawn group-commit writer: {e}")))?;
         Ok((
             Store {
                 inner: Mutex::new(Inner {
@@ -284,24 +277,24 @@ impl Store {
                 config,
                 observer,
                 group,
-                writer,
+                writer: Some(writer),
                 snapshot_bytes: AtomicU64::new(snapshot_bytes),
             },
             report,
         ))
     }
 
-    /// Appends one record and blocks until it is commit-durable (the
-    /// config's fsync policy permitting). Returns the assigned sequence
-    /// number. Equivalent to `append_deferred(record)?.wait()` — the
-    /// group-commit batching still applies, this caller simply has nothing
-    /// useful to do between the append and its fsync.
+    /// Appends one record and blocks until it is commit-durable. Returns
+    /// the assigned sequence number. Equivalent to
+    /// `append_deferred(record)?.wait()` — the group-commit batching still
+    /// applies, this caller simply has nothing useful to do between the
+    /// append and its fsync.
     ///
     /// Release records never pay their own fsync: their loss is benign (a
     /// free replay, never budget), the unbuffered write already survives
     /// `kill -9`, and power-loss durability arrives with the next charge's
-    /// fsync — so the hot path stays at one fsync per admitted query, not
-    /// two.
+    /// batch fsync — so the hot path stays at one fsync per admitted
+    /// query, shared with every concurrent one.
     pub fn append(&self, record: StoreRecord) -> Result<u64, StoreError> {
         self.append_deferred(record)?.wait()
     }
@@ -312,42 +305,23 @@ impl Store {
     /// The frame is written to the descriptor under the store lock —
     /// journal order always matches the order in which concurrent callers
     /// got here (for charges: admission order under the accountant lock) —
-    /// but with group commit enabled the fsync happens on the writer
-    /// thread, shared by every record in the batch. The caller **must**
-    /// call [`PendingCommit::wait`] before releasing any result that
-    /// depends on this record being durable; that is the whole write-ahead
-    /// invariant. Automatic snapshots fire from here and, being durable,
-    /// release waiters of every record they cover.
+    /// but the fsync happens on the writer thread, shared by every record
+    /// in the batch. The caller **must** call [`PendingCommit::wait`]
+    /// before releasing any result that depends on this record being
+    /// durable; that is the whole write-ahead invariant. Automatic
+    /// snapshots fire from here and, being durable, release waiters of
+    /// every record they cover.
     pub fn append_deferred(&self, record: StoreRecord) -> Result<PendingCommit, StoreError> {
         let mut inner = self.inner.lock().expect("store lock poisoned");
         let seq = inner.state.seq() + 1;
         let record = record.with_seq(seq);
-        // Without group commit, every record syncs inline — the original
-        // fsync-per-record write-ahead mode. With group commit, release
-        // records skip the commit queue entirely: nothing waits on them
+        Self::append_locked(&mut inner, &record)?;
+        // Release records skip the commit queue: nothing waits on them
         // (replaying a lost release just charges afresh, which is safe in
         // the never-refund direction), and their bytes reach the file
         // under the store lock, so the next covering batch fsync or
         // snapshot makes them durable for free.
-        let needs_fsync = self.config.sync_on_commit
-            && (self.group.is_none() || !matches!(record, StoreRecord::Release(_)));
-        let group = match (&self.group, needs_fsync) {
-            (Some(group), true) => {
-                Self::append_locked(&mut inner, &record, false)?;
-                Some(Arc::clone(group))
-            }
-            _ => {
-                match (needs_fsync, self.observer.get()) {
-                    (true, Some(observer)) => {
-                        let clock = Stopwatch::start();
-                        Self::append_locked(&mut inner, &record, true)?;
-                        observer.fsync_seconds.observe(clock.elapsed_seconds());
-                    }
-                    _ => Self::append_locked(&mut inner, &record, needs_fsync)?,
-                }
-                None
-            }
-        };
+        let group = (!matches!(record, StoreRecord::Release(_))).then(|| Arc::clone(&self.group));
         inner.state.apply(&record);
         inner.appends_since_snapshot += 1;
         if self.config.snapshot_every > 0
@@ -388,12 +362,8 @@ impl Store {
 
     /// The journal write itself, factored out so it never appears as a
     /// lock-acquiring call in the dataflow of `append`-named functions.
-    fn append_locked(
-        inner: &mut Inner,
-        record: &StoreRecord,
-        sync_on_commit: bool,
-    ) -> Result<(), StoreError> {
-        inner.journal.append(record, sync_on_commit)
+    fn append_locked(inner: &mut Inner, record: &StoreRecord) -> Result<(), StoreError> {
+        inner.journal.append(record)
     }
 
     /// Attaches telemetry hooks. The first observer wins; later calls are
@@ -425,17 +395,21 @@ impl Store {
         inner.journal.reset()?;
         inner.appends_since_snapshot = 0;
         self.snapshot_bytes.store(bytes, Ordering::Relaxed);
-        if let Some(group) = &self.group {
+        {
             // The durable snapshot covers every record up to the current
             // sequence number — including any still queued for a group
             // fsync, whose journal bytes the reset just truncated. The
             // snapshot owns them now; release their waiters.
-            let mut state = group.commit.lock().unwrap_or_else(PoisonError::into_inner);
+            let mut state = self
+                .group
+                .commit
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner);
             let seq = inner.state.seq();
             if seq > state.synced {
                 state.synced = seq;
             }
-            group.done.notify_all();
+            self.group.done.notify_all();
         }
         if let (Some(observer), Some(clock)) = (observer, clock) {
             event!(
@@ -469,51 +443,43 @@ impl Store {
         self.inner.lock().expect("store lock poisoned").state.seq()
     }
 
-    /// Records appended but not yet covered by a batch fsync (always 0
-    /// without group commit, where appends sync inline).
+    /// Records appended but not yet covered by a batch fsync.
     pub fn commit_queue_depth(&self) -> u64 {
-        match &self.group {
-            Some(group) => {
-                let state = group.commit.lock().unwrap_or_else(PoisonError::into_inner);
-                state.appended.saturating_sub(state.synced)
-            }
-            None => 0,
-        }
+        let state = self
+            .group
+            .commit
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        state.appended.saturating_sub(state.synced)
     }
 
-    /// Completed group-commit batch fsyncs (0 without group commit).
+    /// Completed batch fsyncs.
     pub fn group_commit_fsyncs(&self) -> u64 {
-        self.group.as_deref().map_or(0, |group| {
-            group
-                .commit
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .fsyncs
-        })
+        self.group
+            .commit
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .fsyncs
     }
 
     /// Whether commits can still become durable: `false` once the
     /// group-commit writer thread has exited (after a failed fsync, or a
-    /// panic). Always `true` without group commit, where every append
-    /// syncs inline.
+    /// panic).
     pub fn writer_alive(&self) -> bool {
         self.writer
             .as_ref()
-            .is_none_or(|writer| !writer.is_finished())
+            .is_some_and(|writer| !writer.is_finished())
     }
 
-    /// Whether the sticky commit error is set: a group fsync failed or the
-    /// writer died, so every later commit fails (always `false` without
-    /// group commit, where a failed fsync fails its own append).
+    /// Whether the sticky commit error is set: a batch fsync failed or the
+    /// writer died, so every later commit fails.
     pub fn commit_error(&self) -> bool {
-        self.group.as_deref().is_some_and(|group| {
-            group
-                .commit
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .error
-                .is_some()
-        })
+        self.group
+            .commit
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .error
+            .is_some()
     }
 
     /// Size in bytes of the newest snapshot file — the one written last,
@@ -530,14 +496,12 @@ impl Store {
 
 impl Drop for Store {
     fn drop(&mut self) {
-        if let Some(group) = &self.group {
-            group
-                .commit
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .shutdown = true;
-            group.work.notify_one();
-        }
+        self.group
+            .commit
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .shutdown = true;
+        self.group.work.notify_one();
         if let Some(writer) = self.writer.take() {
             // The writer drains (one final fsync over anything still
             // queued) before exiting, so a clean drop loses nothing.
@@ -685,7 +649,6 @@ mod tests {
             snapshot_dir: Some(root.join("snapshots")),
             snapshot_every,
             max_retained_releases: 16,
-            sync_on_commit: true,
             group_commit: None,
         }
     }
@@ -819,30 +782,36 @@ mod tests {
 
     #[test]
     fn release_records_skip_the_commit_queue() {
-        // max_batch 1 makes every *queued* record cost one visible fsync,
-        // so the fsync counter detects a release sneaking into the queue.
-        let mut config = config("group-release", 0);
-        config.snapshot_dir = None;
-        config.group_commit = Some(GroupCommitConfig {
+        // Every *queued* record costs one visible fsync under max_batch 1,
+        // and under the default writer (`journal_only`, `group_commit:
+        // None`) when each append waits for its own before the next, so
+        // the fsync counter detects a release sneaking into the queue.
+        let mut batch_of_one = config("group-release", 0);
+        batch_of_one.snapshot_dir = None;
+        batch_of_one.group_commit = Some(GroupCommitConfig {
             max_batch: 1,
             max_wait_us: 0,
         });
-        let (store, _) = Store::open(config.clone()).unwrap();
-        store.append(register(0, "a")).unwrap();
-        store.append(charge(0, "a", "q1", 0.5)).unwrap();
-        assert_eq!(store.group_commit_fsyncs(), 2);
-        // A release never pays (or waits for) an fsync: it bypasses the
-        // queue entirely and its wait resolves immediately.
-        let pending = store.append_deferred(release(0, "a", "q1")).unwrap();
-        assert_eq!(pending.wait().unwrap(), 3);
-        assert_eq!(store.commit_queue_depth(), 0);
-        assert_eq!(
-            store.group_commit_fsyncs(),
-            2,
-            "a release must not buy an fsync"
-        );
-        drop(store);
-        std::fs::remove_dir_all(config.journal_path.parent().unwrap()).ok();
+        let default_writer =
+            StoreConfig::journal_only(config("group-release-default", 0).journal_path);
+        for config in [batch_of_one, default_writer] {
+            let (store, _) = Store::open(config.clone()).unwrap();
+            store.append(register(0, "a")).unwrap();
+            store.append(charge(0, "a", "q1", 0.5)).unwrap();
+            assert_eq!(store.group_commit_fsyncs(), 2);
+            // A release never pays (or waits for) an fsync: it bypasses the
+            // queue entirely and its wait resolves immediately.
+            let pending = store.append_deferred(release(0, "a", "q1")).unwrap();
+            assert_eq!(pending.wait().unwrap(), 3);
+            assert_eq!(store.commit_queue_depth(), 0);
+            assert_eq!(
+                store.group_commit_fsyncs(),
+                2,
+                "a release must not buy an fsync"
+            );
+            drop(store);
+            std::fs::remove_dir_all(config.journal_path.parent().unwrap()).ok();
+        }
     }
 
     #[test]
@@ -896,15 +865,10 @@ mod tests {
     fn a_dead_writer_fails_its_waiters_instead_of_hanging_them() {
         let mut config = config("writer-panic", 0);
         config.snapshot_dir = None;
-        config.group_commit = Some(GroupCommitConfig {
-            max_batch: 64,
-            max_wait_us: 0,
-        });
         let (store, _) = Store::open(config.clone()).unwrap();
         assert!(store.writer_alive());
         assert!(!store.commit_error());
-        let group = store.group.as_ref().expect("group commit is on");
-        group.panic_writer.store(true, Ordering::SeqCst);
+        store.group.panic_writer.store(true, Ordering::SeqCst);
         let pending = store.append_deferred(charge(0, "a", "q1", 0.5)).unwrap();
         let (sender, receiver) = std::sync::mpsc::channel();
         std::thread::spawn(move || sender.send(pending.wait()));

@@ -236,7 +236,7 @@ proptest! {
         {
             let (mut journal, _) = Journal::open(&path).unwrap();
             for record in &records {
-                journal.append(record, false).unwrap();
+                journal.append(record).unwrap();
             }
         }
         let bytes = std::fs::read(&path).unwrap();

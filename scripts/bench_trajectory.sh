@@ -7,13 +7,13 @@
 # export enabled, drives the release `serve` binary through the smoke
 # workload and scrapes its latency histograms via the `{"cmd":"metrics"}`
 # wire op, then runs the TCP `loadgen` twice against a journaled server —
-# once with group commit enabled, once in per-charge fsync mode — and
-# merges everything into one sorted JSON document (bench name ->
-# {p50, p90, mean, n}, seconds, plus bare loadgen/<label>/throughput_rps
-# numbers). The group-commit vs per-charge pair is the headline: one
-# batched fsync amortized over concurrent admissions vs two fsyncs per
-# admitted query. Successive PRs commit successive BENCH_<pr>.json files,
-# so performance history lives in git.
+# once with group-commit batches of up to 64 records, once with batches of
+# one (the per-charge fsync baseline) — and merges everything into one
+# sorted JSON document (bench name -> {p50, p90, mean, n}, seconds, plus
+# bare loadgen/<label>/throughput_rps numbers). The pair is the headline:
+# one batched fsync amortized over concurrent admissions vs one fsync per
+# charge. Successive PRs commit successive BENCH_<pr>.json files, so
+# performance history lives in git.
 #
 # BENCHES overrides the bench-target list (space-separated); the default
 # covers the core algorithm and the end-to-end engine path without taking
@@ -48,11 +48,11 @@ printf '%s\n' '{"cmd":"metrics"}' '{"op":"shutdown"}' >> "$TMP/requests.jsonl"
 grep '"op":"metrics"' "$TMP/responses.jsonl" > "$TMP/metrics.json"
 
 # TCP load comparison: same workload, same box, same single shard — the
-# only difference is the fsync policy. Group commit batches every durable
-# charge behind one sync_data; per-charge mode pays the seed's two inline
-# fsyncs (charge + release) per admitted query. Each policy runs
-# LOADGEN_TRIALS times (the criterion benches leave the box noisy — dirty
-# pages, hot caches) and the median-throughput run is kept.
+# only difference is the group-commit batch size. Batches of 64 put every
+# queued charge behind one sync_data; batches of one pay one fsync per
+# charge (releases never pay one). Each setting runs LOADGEN_TRIALS times
+# (the criterion benches leave the box noisy — dirty pages, hot caches)
+# and the median-throughput run is kept.
 run_loadgen_once() {
   local label=$1 out=$2; shift 2
   local work="$TMP/$label.work"
@@ -91,7 +91,7 @@ run_loadgen() {
 }
 LOADGEN_TRIALS="${LOADGEN_TRIALS:-3}"
 run_loadgen group_commit --group-commit-max-batch 64 --group-commit-max-wait-us 0
-run_loadgen per_charge_fsync
+run_loadgen per_charge_fsync --group-commit-max-batch 1 --group-commit-max-wait-us 0
 
 ./target/release/trajectory_summary "$CRITERION_EXPORT_JSON" "$TMP/metrics.json" \
   --loadgen "$TMP/group_commit.json" \

@@ -47,9 +47,9 @@
 # the second charge record) but before the batch fsync. Pins:
 #   * the pre-kill transcript is exactly the three awaited responses —
 #     an un-fsynced charge is never acknowledged (golden 5a);
-#   * restarting on the same journals (per-charge fsync mode, proving the
-#     journal format is mode-independent) recovers BOTH shards
-#     independently and keeps the un-acknowledged charge spent
+#   * restarting on the same journals (default writer settings, proving a
+#     journal written under one setting recovers under another) recovers
+#     BOTH shards independently and keeps the un-acknowledged charge spent
 #     (granted=2, ε=1 spent) — a journaled charge is never refunded,
 #     fsynced or not;
 #   * re-sending the killed query charges fresh (its result was never
@@ -218,9 +218,10 @@ if ! diff "$DATA/recovery_golden_phase5a.jsonl" "$WORK/phase5a.jsonl"; then
     exit 1
 fi
 
-# Restart on the same shard journals (plain per-charge fsync mode) and pin
-# the recovered ledgers: the journaled-but-unacknowledged charge stays
-# spent, both shards recover independently.
+# Restart on the same shard journals (default writer settings: batches of
+# up to 64, no dwell) and pin the recovered ledgers: the
+# journaled-but-unacknowledged charge stays spent, both shards recover
+# independently.
 "$BIN" --shards 2 --journal "$WORK/journal5.pcsj" \
     < "$DATA/recovery_phase5b.jsonl" > "$WORK/phase5b.jsonl" 2>"$WORK/phase5b.err"
 if ! diff "$DATA/recovery_golden_phase5b.jsonl" "$WORK/phase5b.jsonl"; then

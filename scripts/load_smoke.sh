@@ -34,6 +34,10 @@ fail() {
     exit 1
 }
 
+# --- Usage: a group-commit batch of 0 is rejected with exit 2 -------------
+RC=0; "$BIN" --in-memory --group-commit-max-batch 0 < /dev/null 2> /dev/null || RC=$?
+[ "$RC" -eq 2 ] || fail "serve --group-commit-max-batch 0 exited $RC, not 2"
+
 # --- Serve: 4 shards, group commit, bounded in-flight ---------------------
 "$BIN" --shards 4 --journal "$WORK/journal.pcsj" \
     --group-commit-max-batch 64 --group-commit-max-wait-us 0 \

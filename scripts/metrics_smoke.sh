@@ -22,9 +22,9 @@
 #     nothing.
 #
 # Phase 2 (journaled): replay the same workload in write-ahead mode with
-# `--events` and group commit enabled (batch 8, 1 ms dwell). Asserts the
-# `{"cmd":"metrics"}` wire op (the `cmd` alias, so both spellings stay
-# live) reports a non-empty fsync histogram AND a non-empty
+# `--events` and the group-commit writer at batch 8 with a 1 ms dwell.
+# Asserts the `{"cmd":"metrics"}` wire op (the `cmd` alias, so both
+# spellings stay live) reports a non-empty fsync histogram AND a non-empty
 # group_commit_batch_size histogram (every batched fsync records its batch
 # size), the health gauges show a live group-commit writer with no sticky
 # error, and the events file carries the structured `serve.banner`
