@@ -1,5 +1,5 @@
 //! `privcluster-engine` — a concurrent, budget-ledgered clustering query
-//! engine with a JSON-lines service front-end.
+//! engine and the JSON-lines wire format it is served in.
 //!
 //! Where the rest of the workspace offers one-shot library calls, this crate
 //! is the long-lived deployment chassis: datasets are registered **once**
@@ -33,9 +33,12 @@
 //!   registrations and admitted charges are fsynced *before* any noisy
 //!   result is released, and recovery replays snapshot + journal tail into
 //!   bit-identical state (spent budget survives restarts — never refunded);
-//! * [`protocol`] — newline-delimited JSON over stdin/stdout or TCP, served
-//!   by the `serve` binary (`--journal`/`--snapshot-dir`/`--snapshot-every`
-//!   select the durable mode).
+//! * [`protocol`] — the newline-delimited JSON wire format: request
+//!   parsing, response encoders, and the line-framing loop. It dispatches
+//!   nothing: `privcluster-server`'s `ShardedServer` is the one dispatcher,
+//!   and its `serve` binary runs it over stdin/stdout or TCP
+//!   (`--journal`/`--snapshot-dir`/`--snapshot-every` select the durable
+//!   mode).
 //!
 //! # Quick start
 //!
@@ -112,9 +115,7 @@ pub use fingerprint::{
     versioned_registration_fingerprint,
 };
 pub use planner::{plan, Plan};
-pub use protocol::{
-    error_value, handle, serve_lines, serve_lines_with, Request, MAX_REQUEST_LINE_BYTES,
-};
+pub use protocol::{error_value, serve_lines_with, Request, MAX_REQUEST_LINE_BYTES};
 pub use query::{BaselineMethod, Query, QueryRequest, QueryValue, WireBall};
 pub use registry::{BackendChoice, DatasetEntry, DatasetRegistry};
 pub use telemetry::Telemetry;

@@ -501,14 +501,19 @@ fn status_objects(transcript: &str) -> Vec<String> {
 /// What `engine` answers to the status requests of `v2_requests.jsonl`.
 fn fixture_statuses(engine: &Engine) -> Vec<String> {
     let requests = std::fs::read_to_string(store_fixtures().join("v2_requests.jsonl")).unwrap();
-    let status_requests: String = requests
+    requests
         .lines()
-        .filter(|line| line.contains(r#""op":"status""#))
-        .map(|line| format!("{line}\n"))
-        .collect();
-    let mut out = Vec::new();
-    protocol::serve_lines(engine, status_requests.as_bytes(), &mut out).unwrap();
-    status_objects(&String::from_utf8(out).unwrap())
+        .filter_map(|line| match protocol::Request::parse(line) {
+            Ok(protocol::Request::Status { dataset, version }) => {
+                let status = match version {
+                    Some(version) => engine.status_version(&dataset, version),
+                    None => engine.status(&dataset),
+                };
+                Some(serde_json::to_string(&protocol::status_value(&status.unwrap())).unwrap())
+            }
+            _ => None,
+        })
+        .collect()
 }
 
 /// `crates/store/tests/data` holds a version-2 snapshot and its journal

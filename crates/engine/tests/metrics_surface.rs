@@ -1,41 +1,16 @@
-//! The telemetry plane's externally observable contract:
+//! The telemetry plane's in-engine contract: counter totals and histogram
+//! counts are invariant under the worker pool's thread count —
+//! observability never depends on scheduling.
 //!
-//! * the `{"cmd":"metrics"}` wire op round-trips through the vendored JSON
-//!   parser and reports the workload it watched (non-zero admission
-//!   latency, budget gauges agreeing with `status`);
-//! * counter totals and histogram counts are invariant under the worker
-//!   pool's thread count — observability never depends on scheduling;
-//! * metrics requests are **passive**: interleaving them into the smoke
-//!   script leaves every non-metrics response line bit-identical to the
-//!   committed golden transcript.
+//! The wire half of the contract (the `{"cmd":"metrics"}` round-trip and
+//! the passivity of scrapes against the golden transcript) runs through
+//! the server's dispatcher, in `crates/server/tests/service_smoke.rs`.
 
 use privcluster_dp::composition::CompositionMode;
 use privcluster_dp::PrivacyParams;
-use privcluster_engine::{protocol, Engine, EngineConfig, Query, QueryRequest};
+use privcluster_engine::{Engine, EngineConfig, Query, QueryRequest};
 use privcluster_geometry::{Dataset, GridDomain};
 use privcluster_obs::MetricsSnapshot;
-use serde::Value;
-
-const REQUESTS: &str = include_str!("data/smoke_requests.jsonl");
-const GOLDEN: &str = include_str!("data/smoke_golden.jsonl");
-
-fn get<'v>(v: &'v Value, key: &str) -> &'v Value {
-    match v {
-        Value::Object(entries) => entries
-            .iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v)
-            .unwrap_or_else(|| panic!("missing key `{key}`")),
-        other => panic!("expected object at `{key}`, got {other:?}"),
-    }
-}
-
-fn as_num(v: &Value) -> f64 {
-    match v {
-        Value::Number(n) => *n,
-        other => panic!("expected number, got {other:?}"),
-    }
-}
 
 /// A small deterministic engine with one registered dataset.
 fn engine_with_dataset(threads: usize) -> Engine {
@@ -75,70 +50,6 @@ fn batch(seeds: std::ops::Range<u64>) -> Vec<QueryRequest> {
             query: Query::GoodRadius { t: 100, beta: 0.1 },
         })
         .collect()
-}
-
-#[test]
-fn metrics_wire_op_round_trips_and_reports_the_workload() {
-    let engine = Engine::new(EngineConfig {
-        threads: 2,
-        cache_capacity: 32,
-        ..EngineConfig::default()
-    });
-    // The smoke script with a metrics request (deliberately using the `cmd`
-    // alias) inserted before shutdown.
-    let mut script = String::new();
-    for line in REQUESTS.lines() {
-        if line.contains("\"shutdown\"") {
-            script.push_str("{\"cmd\":\"metrics\"}\n");
-        }
-        script.push_str(line);
-        script.push('\n');
-    }
-    let mut out = Vec::new();
-    protocol::serve_lines(&engine, script.as_bytes(), &mut out).unwrap();
-    let produced = String::from_utf8(out).unwrap();
-    let metrics_line = produced
-        .lines()
-        .find(|l| l.contains("\"op\":\"metrics\""))
-        .expect("metrics response line");
-
-    // Round-trip through the vendored parser: the response is one JSON
-    // object whose `metrics` member is the canonical snapshot document.
-    let doc: Value = serde_json::from_str(metrics_line).expect("metrics response parses");
-    assert_eq!(get(&doc, "ok"), &Value::Bool(true));
-    let metrics = get(&doc, "metrics");
-    let histograms = get(metrics, "histograms");
-    let admission = get(histograms, "admission_seconds");
-    // Five query admissions ran before the scrape: two fresh + one cached
-    // against v1, then one fresh + one version-pinned replay after the
-    // mid-workload re-registration.
-    assert_eq!(as_num(get(admission, "count")), 5.0);
-    assert!(
-        as_num(get(admission, "sum")) > 0.0,
-        "non-zero admission time"
-    );
-    let counters = get(metrics, "counters");
-    assert_eq!(as_num(get(counters, "queries_total")), 5.0);
-    assert_eq!(as_num(get(counters, "cache_hits_total")), 2.0);
-    assert_eq!(as_num(get(counters, "cache_misses_total")), 3.0);
-    assert_eq!(as_num(get(counters, "reregistrations_total")), 1.0);
-
-    // The budget gauges agree with the `status` op's ledger view.
-    let status = engine.status("smoke").unwrap();
-    let gauges = get(metrics, "gauges");
-    let eps = as_num(get(gauges, "budget_epsilon_remaining{dataset=\"smoke\"}"));
-    assert!((eps - status.remaining_epsilon).abs() < 1e-12);
-    let delta = as_num(get(gauges, "budget_delta_remaining{dataset=\"smoke\"}"));
-    assert!((delta - status.remaining_delta).abs() < 1e-15);
-    assert_eq!(
-        as_num(get(gauges, "budget_spend_count{dataset=\"smoke\"}")),
-        status.granted as f64
-    );
-    assert_eq!(
-        as_num(get(gauges, "dataset_version{dataset=\"smoke\"}")),
-        status.version as f64
-    );
-    assert_eq!(status.version, 2);
 }
 
 /// Counter totals and histogram counts per engine are a function of the
@@ -187,34 +98,4 @@ fn counters_are_thread_count_invariant() {
         assert_eq!(admission_count, admissions);
         assert_eq!(execute_count, executions);
     }
-}
-
-/// Interleaving metrics scrapes into the smoke script must not perturb a
-/// single byte of the protocol's other responses.
-#[test]
-fn metrics_requests_are_passive_against_the_golden_transcript() {
-    let engine = Engine::new(EngineConfig {
-        threads: 2,
-        cache_capacity: 32,
-        ..EngineConfig::default()
-    });
-    let mut script = String::new();
-    for line in REQUESTS.lines() {
-        // A scrape before every request, including one before shutdown.
-        script.push_str("{\"op\":\"metrics\"}\n");
-        script.push_str(line);
-        script.push('\n');
-    }
-    let mut out = Vec::new();
-    protocol::serve_lines(&engine, script.as_bytes(), &mut out).unwrap();
-    let produced = String::from_utf8(out).unwrap();
-    let non_metrics: Vec<&str> = produced
-        .lines()
-        .filter(|l| !l.contains("\"op\":\"metrics\""))
-        .collect();
-    let golden: Vec<&str> = GOLDEN.lines().collect();
-    assert_eq!(
-        non_metrics, golden,
-        "metrics scrapes perturbed the golden transcript"
-    );
 }

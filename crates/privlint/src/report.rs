@@ -114,7 +114,9 @@ pub fn to_human(report: &Report) -> String {
 }
 
 /// The committed `privlint-waivers.md`: every inline waiver and its reason,
-/// one table row each, sorted by path so regeneration is deterministic.
+/// one table row each, sorted so regeneration is deterministic. A waiver is
+/// identified by its file and the code it waives, never by line number, so
+/// an edit that only moves a waived line leaves the listing unchanged.
 pub fn waivers_markdown(report: &Report) -> String {
     let mut out = String::from(
         "# privlint waivers\n\n\
@@ -123,24 +125,26 @@ pub fn waivers_markdown(report: &Report) -> String {
          ```sh\n\
          cargo run -p privcluster-privlint --release -- list-waivers --markdown > privlint-waivers.md\n\
          ```\n\n\
-         CI fails if this file is out of date.\n\n\
-         | Rule | Site | Reason |\n\
-         |------|------|--------|\n",
+         CI fails if this file is out of date. Sites are named by file and\n\
+         waived code, not line number; `privlint list-waivers` prints lines.\n\n\
+         | Rule | File | Waived code | Reason |\n\
+         |------|------|-------------|--------|\n",
     );
-    let mut rows: Vec<(String, String, String)> = Vec::new();
+    let mut rows: Vec<[String; 4]> = Vec::new();
     for file in &report.files {
         for w in &file.waivers {
-            rows.push((
+            rows.push([
                 w.rule.clone(),
-                format!("`{}:{}`", file.rel_path, w.line),
+                file.rel_path.clone(),
+                w.target_code.replace('|', "\\|"),
                 w.reason.clone(),
-            ));
+            ]);
         }
     }
     rows.sort();
     let count = rows.len();
-    for (rule, site, reason) in rows {
-        out.push_str(&format!("| `{rule}` | {site} | {reason} |\n"));
+    for [rule, file, code, reason] in rows {
+        out.push_str(&format!("| `{rule}` | `{file}` | `{code}` | {reason} |\n"));
     }
     out.push_str(&format!("\n{count} waiver(s) total.\n"));
     out
@@ -158,4 +162,43 @@ pub fn snippet_for(src: &str, line: u32) -> String {
 /// Sorting helper so report ordering is independent of directory-walk order.
 pub fn sort_files(files: &mut [CheckedFile]) {
     files.sort_by(|a, b| a.rel_path.cmp(&b.rel_path));
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::check::lint_source;
+
+    fn listing(src: &str) -> String {
+        waivers_markdown(&Report {
+            files: vec![lint_source("crates/demo/src/lib.rs", src)],
+        })
+    }
+
+    #[test]
+    fn waiver_listing_is_keyed_on_code_not_line_numbers() {
+        let src = "fn f(seed: u64) {\n    \
+                   // privlint::allow(unsalted-rng): the root stream.\n    \
+                   let rng = StdRng::seed_from_u64(seed);\n}\n";
+        let base = listing(src);
+        assert!(
+            base.contains(
+                "| `crates/demo/src/lib.rs` | `let rng = StdRng::seed_from_u64(seed);` |"
+            ),
+            "{base}"
+        );
+        // Blank lines above the waived site move it without changing it.
+        assert_eq!(listing(&format!("\n{src}")), base);
+        assert_eq!(listing(&src.replacen('\n', "\n\n", 1)), base);
+        // A changed reason, or another waiver, is a change to the listing.
+        assert_ne!(listing(&src.replace("the root", "a root")), base);
+        let added = format!(
+            "{src}// privlint::allow(unsalted-rng): another root.\n\
+             fn g(seed: u64) {{ StdRng::seed_from_u64(seed); }}\n"
+        );
+        assert_ne!(listing(&added), base);
+        // Table cells escape the pipes of a waived closure.
+        let closure = src.replace("seed_from_u64(seed)", "seed_from_u64((|| seed)())");
+        assert!(listing(&closure).contains("seed_from_u64((\\|\\| seed)())"));
+    }
 }

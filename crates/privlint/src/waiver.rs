@@ -28,6 +28,10 @@ pub struct Waiver {
     /// trailing waiver, else the next line carrying significant tokens).
     /// `None` when the waiver is dangling at end of file.
     pub target_line: Option<u32>,
+    /// The trimmed code of the target line (a trailing waiver's own comment
+    /// cut off; empty when dangling): the waived site's identity in the
+    /// committed listing, which must not change when the line moves.
+    pub target_code: String,
     /// The mandatory justification.
     pub reason: String,
     /// Set while matching findings; a waiver that suppressed nothing is
@@ -125,10 +129,19 @@ pub fn collect(
                         line += 1;
                     }
                 }
+                let target_code = match target_line {
+                    Some(line) if line == tok.line => {
+                        let line_start = src[..tok.start].rfind('\n').map_or(0, |i| i + 1);
+                        src[line_start..tok.start].trim().to_string()
+                    }
+                    Some(line) => crate::report::snippet_for(src, line),
+                    None => String::new(),
+                };
                 waivers.push(Waiver {
                     rule,
                     line: tok.line,
                     target_line,
+                    target_code,
                     reason,
                     used: false,
                 });

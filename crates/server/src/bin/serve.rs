@@ -13,8 +13,10 @@
 //! By default the service speaks newline-delimited JSON over stdin/stdout —
 //! ideal for piping canned request scripts (the CI smoke test does exactly
 //! that). With `--tcp ADDR` it listens on a socket and serves connections
-//! concurrently. See the `privcluster_engine::protocol` docs for the
-//! request/response schema.
+//! concurrently. On either transport every request goes through
+//! `ShardedServer::handle`, the one dispatcher, over the shards (one unless
+//! `--shards` says otherwise); the `privcluster_engine::protocol` docs give
+//! the request/response schema.
 //!
 //! Durability: with `--journal PATH` every shard runs in write-ahead mode —
 //! every registration and admitted budget charge is fsynced to the shard's

@@ -7,11 +7,14 @@
 //! registration lock and one journal. This crate routes each dataset to
 //! one of N engine **shards** — each shard owns its registration lock,
 //! accountants, journal file, and snapshot directory — so load on one hot
-//! tenant never serializes another. Requests that address one dataset
-//! (`register`, `reregister`, `query`, `status`) route by a deterministic
-//! hash of the dataset name; `batch` splits per query and reassembles in
-//! request order; `list` and `metrics` merge across shards. With a single
-//! shard the wire transcript is identical to the bare engine's.
+//! tenant never serializes another. [`ShardedServer::handle`] is the one
+//! place a [`Request`] is dispatched to an engine, whatever the shard
+//! count: requests that address one dataset (`register`, `reregister`,
+//! `query`, `status`) route by a deterministic hash of the dataset name;
+//! `batch` splits per query and reassembles in request order; `list` and
+//! `metrics` merge across shards. Every response is encoded by the
+//! engine's `protocol` module, and the transcript does not depend on the
+//! shard count (`tests/sharded.rs` compares one shard with four).
 //!
 //! **Backpressure**: each shard bounds its in-flight admissions. At the
 //! bound, a request gets a structured `retry` protocol error immediately
@@ -30,7 +33,10 @@
 
 pub mod net;
 
-use privcluster_engine::{error_value, handle, Engine, Request};
+use privcluster_engine::protocol::{
+    durability_value, error_json, error_value, ok_value, query_value, status_value,
+};
+use privcluster_engine::{Engine, EngineError, QueryRequest, Request};
 use privcluster_obs::{Counter, Gauge, MetricsRegistry, MetricsSnapshot};
 use serde::Value;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -51,7 +57,9 @@ pub fn shard_of(dataset: &str, shards: usize) -> usize {
     (hash % shards.max(1) as u64) as usize
 }
 
-/// A sharded front end over N engines, sharing the engine's wire protocol.
+/// A sharded front end over N engines, and the one dispatcher of the wire
+/// protocol: every transport and every in-process caller goes through
+/// [`ShardedServer::handle`].
 #[derive(Debug)]
 pub struct ShardedServer {
     shards: Vec<Arc<Engine>>,
@@ -165,12 +173,63 @@ impl ShardedServer {
     }
 
     /// Handles one parsed request, returning the response value and
-    /// whether a shutdown was requested. Single-dataset ops route to their
-    /// shard; `batch` splits per query; `list`/`metrics` merge shards;
-    /// `shutdown` acknowledges and stops the serve loop.
+    /// whether a shutdown was requested: the only code that dispatches a
+    /// [`Request`] to an engine. Single-dataset ops route to their shard;
+    /// `batch` splits per query; `list`/`metrics` merge shards; `shutdown`
+    /// acknowledges and stops the serve loop.
     pub fn handle(&self, request: &Request) -> (Value, bool) {
-        match request {
-            Request::Shutdown => (handle(&self.shards[0], request), true),
+        let response = match request {
+            Request::Register(reg) => self.admit(&reg.dataset, |engine| {
+                let data = reg.source.materialize(&reg.domain)?;
+                let status = engine.register_dataset_with_backend(
+                    &reg.dataset,
+                    data,
+                    reg.domain.clone(),
+                    reg.budget,
+                    reg.mode,
+                    reg.backend,
+                )?;
+                Ok(ok_value(
+                    "register",
+                    vec![("status", status_value(&status))],
+                ))
+            }),
+            Request::Reregister(rereg) => self.admit(&rereg.dataset, |engine| {
+                let data = rereg.source.materialize(&rereg.domain)?;
+                let status = engine.reregister_dataset_with_backend(
+                    &rereg.dataset,
+                    data,
+                    rereg.domain.clone(),
+                    rereg.backend,
+                )?;
+                Ok(ok_value(
+                    "reregister",
+                    vec![("status", status_value(&status))],
+                ))
+            }),
+            Request::Query(query) => self.admit(&query.dataset, |engine| {
+                Ok(query_value(&query.dataset, &engine.query(query)))
+            }),
+            Request::Batch(requests) => self.handle_batch(requests),
+            Request::Status { dataset, version } => {
+                // Status is a read — it must stay answerable under load, so
+                // it bypasses the admission gate.
+                let engine = &self.shards[shard_of(dataset, self.shards.len())];
+                let status = match version {
+                    Some(version) => engine.status_version(dataset, *version),
+                    None => engine.status(dataset),
+                };
+                match status {
+                    Ok(status) => ok_value(
+                        "status",
+                        vec![
+                            ("status", status_value(&status)),
+                            ("durability", durability_value(engine.durability())),
+                        ],
+                    ),
+                    Err(e) => error_json(&e),
+                }
+            }
             Request::List => {
                 let mut names: Vec<String> = self
                     .shards
@@ -180,44 +239,30 @@ impl ShardedServer {
                 // Each shard's list is sorted; the merged list re-sorts so
                 // the response is independent of the shard layout.
                 names.sort();
-                (
-                    Value::Object(vec![
-                        ("ok".to_string(), Value::Bool(true)),
-                        ("op".to_string(), Value::String("list".to_string())),
-                        (
-                            "datasets".to_string(),
-                            Value::Array(names.into_iter().map(Value::String).collect()),
-                        ),
-                    ]),
-                    false,
-                )
+                let names = names.into_iter().map(Value::String).collect();
+                ok_value("list", vec![("datasets", Value::Array(names))])
             }
-            Request::Metrics => (
-                Value::Object(vec![
-                    ("ok".to_string(), Value::Bool(true)),
-                    ("op".to_string(), Value::String("metrics".to_string())),
-                    (
-                        "metrics".to_string(),
-                        self.metrics_snapshot().to_json_value(),
-                    ),
-                ]),
-                false,
+            Request::Metrics => ok_value(
+                "metrics",
+                vec![("metrics", self.metrics_snapshot().to_json_value())],
             ),
-            Request::Batch(requests) => (self.handle_batch(requests), false),
-            Request::Status { dataset, .. } => {
-                // Status is a read — it must stay answerable under load, so
-                // it bypasses the admission gate.
-                let shard = shard_of(dataset, self.shards.len());
-                (handle(&self.shards[shard], request), false)
-            }
-            Request::Register(_) | Request::Reregister(_) | Request::Query(_) => {
-                let dataset = request.dataset().expect("single-dataset request");
-                let shard = shard_of(dataset, self.shards.len());
-                match self.try_admit(shard, 1) {
-                    Some(_guard) => (handle(&self.shards[shard], request), false),
-                    None => (self.retry_error(shard), false),
-                }
-            }
+            Request::Shutdown => return (ok_value("shutdown", Vec::new()), true),
+        };
+        (response, false)
+    }
+
+    /// Runs a single-dataset admission on `dataset`'s shard under one
+    /// admission slot, or answers with the `retry` error when the shard is
+    /// full.
+    fn admit(
+        &self,
+        dataset: &str,
+        run: impl FnOnce(&Engine) -> Result<Value, EngineError>,
+    ) -> Value {
+        let shard = shard_of(dataset, self.shards.len());
+        match self.try_admit(shard, 1) {
+            Some(_guard) => run(&self.shards[shard]).unwrap_or_else(|e| error_json(&e)),
+            None => self.retry_error(shard),
         }
     }
 
@@ -225,17 +270,17 @@ impl ShardedServer {
     pub fn handle_line(&self, line: &str) -> (Value, bool) {
         match Request::parse(line) {
             Ok(request) => self.handle(&request),
-            Err(e) => (error_value(e.kind(), &e.to_string()), false),
+            Err(e) => (error_json(&e), false),
         }
     }
 
     /// A batch splits into per-shard sub-batches (each preserving the
     /// original relative order), reserves every touched shard's slots up
     /// front — all or nothing, so a saturated shard rejects the whole
-    /// batch rather than running half of it — and reassembles the per-query
-    /// responses in request order. With one shard this degenerates to the
-    /// engine's own batch handling, transcript-identically.
-    fn handle_batch(&self, requests: &[privcluster_engine::QueryRequest]) -> Value {
+    /// batch rather than running half of it — and encodes each member's
+    /// result into its request slot. With one shard the sub-batch is the
+    /// whole batch.
+    fn handle_batch(&self, requests: &[QueryRequest]) -> Value {
         let shard_count = self.shards.len();
         let mut by_shard: Vec<Vec<usize>> = vec![Vec::new(); shard_count];
         for (index, request) in requests.iter().enumerate() {
@@ -251,28 +296,19 @@ impl ShardedServer {
                 None => return self.retry_error(shard),
             }
         }
-        let mut responses: Vec<Option<Value>> = vec![None; requests.len()];
+        let mut responses = vec![Value::Null; requests.len()];
         for (shard, members) in by_shard.iter().enumerate() {
             if members.is_empty() {
                 continue;
             }
-            let subset: Vec<privcluster_engine::QueryRequest> =
-                members.iter().map(|&i| requests[i].clone()).collect();
-            let shard_response = handle(&self.shards[shard], &Request::Batch(subset));
-            let items = batch_responses(&shard_response);
-            for (slot, item) in members.iter().zip(items) {
-                responses[*slot] = Some(item.clone());
+            let subset: Vec<QueryRequest> = members.iter().map(|&i| requests[i].clone()).collect();
+            let results = self.shards[shard].run_batch(&subset);
+            for (&slot, result) in members.iter().zip(&results) {
+                responses[slot] = query_value(&requests[slot].dataset, result);
             }
         }
         drop(guards);
-        Value::Object(vec![
-            ("ok".to_string(), Value::Bool(true)),
-            ("op".to_string(), Value::String("batch".to_string())),
-            (
-                "responses".to_string(),
-                Value::Array(responses.into_iter().flatten().collect()),
-            ),
-        ])
+        ok_value("batch", vec![("responses", Value::Array(responses))])
     }
 
     /// One merged metrics snapshot: per-shard gauges are refreshed from the
@@ -297,19 +333,6 @@ impl ShardedServer {
         merged.merge(&self.registry.snapshot());
         merged
     }
-}
-
-/// The per-query response values inside an engine batch response.
-fn batch_responses(value: &Value) -> &[Value] {
-    value
-        .as_object()
-        .and_then(|entries| {
-            entries
-                .iter()
-                .find(|(key, _)| key == "responses")
-                .and_then(|(_, v)| v.as_array())
-        })
-        .unwrap_or(&[])
 }
 
 #[cfg(test)]

@@ -60,13 +60,17 @@ pub fn serve_tcp(
     // setup.
     listener.set_nonblocking(true)?;
     let shutdown = Arc::new(AtomicBool::new(false));
-    let mut workers = Vec::new();
+    let mut workers: Vec<std::thread::JoinHandle<()>> = Vec::new();
     while !shutdown.load(Ordering::Acquire) {
         match listener.accept() {
             Ok((stream, _)) => {
                 let _ = stream.set_nonblocking(false);
                 let server = Arc::clone(server);
                 let shutdown = Arc::clone(&shutdown);
+                // Dropping a finished connection's handle detaches its
+                // thread, which frees the thread's stack; kept until
+                // shutdown, every handle would hold one stack mapping.
+                workers.retain(|w| !w.is_finished());
                 workers.push(std::thread::spawn(move || {
                     serve_connection(&server, stream, &shutdown)
                 }));

@@ -99,9 +99,11 @@ fn multi_shard_transcript_matches_single_shard() {
     // A replayed query (same fingerprint) must be cached on both layouts.
     script.push(query_line("alpha", 100));
     script.push("{\"op\":\"status\",\"dataset\":\"charlie\"}".to_string());
-    // A batch spanning every dataset: split/reassembly must preserve
-    // request order.
-    let members: Vec<String> = datasets
+    // A batch spanning every dataset, with a member on an unregistered one
+    // in the middle: split/reassembly must preserve request order, and
+    // the refused member's error must land in its own slot among granted
+    // members from other shards.
+    let mut members: Vec<String> = datasets
         .iter()
         .enumerate()
         .map(|(i, name)| {
@@ -112,6 +114,12 @@ fn multi_shard_transcript_matches_single_shard() {
             )
         })
         .collect();
+    members.insert(
+        2,
+        "{\"dataset\":\"ghost\",\"seed\":1,\"epsilon\":0.1,\"delta\":1e-9,\
+         \"query\":{\"type\":\"one_cluster\",\"t\":16,\"beta\":0.1}}"
+            .to_string(),
+    );
     script.push(format!(
         "{{\"op\":\"batch\",\"requests\":[{}]}}",
         members.join(",")
@@ -125,6 +133,21 @@ fn multi_shard_transcript_matches_single_shard() {
         let a = serde_json::to_string(&respond(&single, line)).unwrap();
         let b = serde_json::to_string(&respond(&sharded, line)).unwrap();
         assert_eq!(a, b, "transcript diverged on request: {line}");
+        if line.contains("\"op\":\"batch\"") {
+            // The ghost member, and only it, is refused as unknown; every
+            // other member was admitted on its own shard.
+            let batch: Value = serde_json::from_str(&a).unwrap();
+            let unknown: Vec<bool> = get(&batch, "responses")
+                .and_then(Value::as_array)
+                .unwrap()
+                .iter()
+                .map(|slot| {
+                    let slot = serde_json::to_string(slot).unwrap();
+                    slot.contains("\"kind\":\"unknown_dataset\"")
+                })
+                .collect();
+            assert_eq!(unknown, [false, false, true, false, false, false], "{a}");
+        }
     }
 }
 

@@ -171,11 +171,6 @@ pub struct PendingCommit {
 }
 
 impl PendingCommit {
-    /// The assigned sequence number.
-    pub fn seq(&self) -> u64 {
-        self.seq
-    }
-
     /// Blocks until the fsync (or durable snapshot) covering this record
     /// has completed, then returns its sequence number. Immediate for a
     /// release record, which never pays an fsync.
@@ -486,11 +481,6 @@ impl Store {
     /// or the one recovered at open (0 when there is none).
     pub fn snapshot_bytes(&self) -> u64 {
         self.snapshot_bytes.load(Ordering::Relaxed)
-    }
-
-    /// The store's configuration.
-    pub fn config(&self) -> &StoreConfig {
-        &self.config
     }
 }
 

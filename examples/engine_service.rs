@@ -1,7 +1,7 @@
 //! Quickstart for the query engine: register a dataset with a total privacy
 //! budget, issue adaptive queries until the accountant refuses, and show
-//! that cached replays stay free — then drive the same engine through the
-//! JSON-lines protocol the `serve` binary speaks.
+//! that cached replays stay free — then hand an engine to the one-shard
+//! server `serve --in-memory` runs and speak the JSON-lines protocol to it.
 //!
 //! ```text
 //! cargo run --release --example engine_service
@@ -98,8 +98,10 @@ fn main() {
             .is_err()
     );
 
-    // The same engine core behind the JSON-lines protocol (what `serve`
-    // pipes over stdin/stdout or TCP).
+    // The same engine core behind the JSON-lines protocol: `serve` wraps
+    // its engines in a `ShardedServer` (one shard unless `--shards` says
+    // otherwise), whose `handle_line` is what it runs over stdin/stdout or
+    // TCP.
     println!("\n== the same conversation over the JSON-lines protocol ==");
     let script = concat!(
         r#"{"op":"register","dataset":"wire","domain":{"dim":2,"size":1024},"#,
@@ -116,7 +118,11 @@ fn main() {
         cache_capacity: 64,
         ..EngineConfig::default()
     });
+    let server = ShardedServer::new(vec![fresh], 0);
     let mut out = Vec::new();
-    privcluster::engine::serve_lines(&fresh, script.as_bytes(), &mut out).unwrap();
+    privcluster::engine::serve_lines_with(script.as_bytes(), &mut out, |line| {
+        server.handle_line(line)
+    })
+    .unwrap();
     print!("{}", String::from_utf8(out).unwrap());
 }
