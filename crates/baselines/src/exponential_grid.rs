@@ -1,4 +1,4 @@
-//! The exponential-mechanism baseline (Table 1, row 2; [MT07]).
+//! The exponential-mechanism baseline (Table 1, row 2; \[MT07\]).
 //!
 //! Choose, among *all* grid points of `X^d`, a center approximately
 //! maximizing the number of input points within a candidate radius, where the

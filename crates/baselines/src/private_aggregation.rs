@@ -1,4 +1,4 @@
-//! The private-aggregation baseline (Table 1, row 1; [NRS07]-style).
+//! The private-aggregation baseline (Table 1, row 1; \[NRS07\]-style).
 //!
 //! The behaviourally equivalent restriction of Nissim–Raskhodnikova–Smith's
 //! aggregation to `R^d` (DESIGN.md §3, item 4): release a noisy mean of *all*

@@ -12,8 +12,8 @@
 //!
 //! Two groups take the batch's set-up apart: `engine_register_exact` times
 //! an exact-backend registration alone, and `engine_first_l_profile` the
-//! first `L` profile build of a fresh exact index, the work a batch's first
-//! query on a new dataset waits for.
+//! first `L` profile a fresh exact index builds for GoodRadius (its grid
+//! profile), the work a batch's first query on a new dataset waits for.
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use privcluster_datagen::planted_ball_cluster;
@@ -141,21 +141,21 @@ fn bench_engine_register_exact(c: &mut Criterion) {
     group.finish();
 }
 
-/// The first `l_profile(t)` of a fresh exact index (n = 1,000, t = n/2):
-/// the pairs-once sort and sweep the first GoodRadius query on a newly
-/// registered dataset waits for. The index is built in set-up with 1, 2 or
-/// 4 threads; the profile build itself runs on the calling thread.
+/// The first `grid_profile(t, domain)` of a fresh exact index (n = 1,000,
+/// t = n/2): the pair-counting pass and sweep the first GoodRadius query on
+/// a newly registered dataset waits for. The index is built in set-up with
+/// 1, 2 or 4 threads; the profile build itself runs on the calling thread.
 fn bench_first_l_profile(c: &mut Criterion) {
     let mut group = c.benchmark_group("engine_first_l_profile");
     let n = 1000usize;
-    let (data, _) = planted(n, 42);
+    let (data, domain) = planted(n, 42);
     for threads in [1usize, 2, 4] {
         group.bench_function(
             BenchmarkId::new(format!("n{n}"), format!("t{threads}")),
             |b| {
                 b.iter_batched(
                     || GeometryIndex::build(&data, threads),
-                    |index| index.l_profile(n / 2).breakpoints().len(),
+                    |index| index.grid_profile(n / 2, &domain).segment_starts().len(),
                     BatchSize::PerIteration,
                 )
             },

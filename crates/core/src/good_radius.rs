@@ -21,6 +21,14 @@
 //! exponential mechanism over the grid exploiting the piecewise-constant
 //! structure of `Q` (Remark 4.4's efficiency), the alternative is the
 //! footnote-2 noisy binary search on the monotone `L`.
+//!
+//! Every `L` value the algorithm reads sits on the quarter grid
+//! `radius_from_index(j) / 2`, so it reads them from a [`GridProfile`]:
+//! `L` at those radii plus the precomputed grid indices where `Q` can
+//! change. On the exact backend the profile for a cap and grid costs one
+//! `O(n²·d + G)` pair-counting pass for `G` grid radii, with no pair sort,
+//! cached per dataset; each query then costs `O(log)` per segment, with no
+//! scan of the profile's breakpoints.
 
 use crate::config::{GoodRadiusConfig, RadiusSearchStrategy};
 use crate::diagnostics::Diagnostics;
@@ -28,8 +36,7 @@ use crate::error::ClusterError;
 use privcluster_dp::quasiconcave::{solve_quasiconcave, QcSolverConfig, QualityOracle};
 use privcluster_dp::sampling::laplace;
 use privcluster_dp::PrivacyParams;
-use privcluster_geometry::ball_count::LProfile;
-use privcluster_geometry::{BallCounter, Dataset, GeometryBackend, GridDomain};
+use privcluster_geometry::{BallCounter, Dataset, GeometryBackend, GridDomain, GridProfile};
 use rand::Rng;
 use std::sync::Arc;
 
@@ -52,8 +59,9 @@ pub struct GoodRadiusOutcome {
 /// The sensitivity-1 quality `Q(r) = ½·min(t − L(r/2), L(r) − t + 4Γ)` over
 /// the radius grid, exposing its piecewise-constant segments.
 struct RadiusQuality<'a> {
-    domain: &'a GridDomain,
-    profile: &'a LProfile,
+    /// `L` on the quarter grid: `L(r_k)` at quarter index `2k`, `L(r_k/2)`
+    /// at `k`.
+    profile: &'a GridProfile,
     t: f64,
     /// The additive slack used in the second branch of the quality. Equals
     /// the paper's `4Γ` whenever `4Γ ≤ t/2`; otherwise it is clamped to
@@ -64,81 +72,30 @@ struct RadiusQuality<'a> {
     grid_len: u64,
 }
 
-impl RadiusQuality<'_> {
-    fn quality_at_radius(&self, r: f64) -> f64 {
-        let l_r = self.profile.value_at(r);
-        let l_half = self.profile.value_at(r / 2.0);
-        0.5 * (self.t - l_half).min(l_r - self.t + self.slack)
-    }
-}
-
 impl QualityOracle for RadiusQuality<'_> {
     fn len(&self) -> u64 {
         self.grid_len
     }
 
     fn quality(&self, index: u64) -> f64 {
-        self.quality_at_radius(self.domain.radius_from_index(index))
+        let l_r = self.profile.value(index.saturating_mul(2));
+        let l_half = self.profile.value(index);
+        0.5 * (self.t - l_half).min(l_r - self.t + self.slack)
     }
 
+    /// Precomputed with the profile. The list must not change, because the
+    /// piecewise exponential mechanism draws one Gumbel per segment.
     fn segment_starts(&self) -> Option<Vec<u64>> {
-        Some(segment_starts(
-            self.domain,
-            self.profile.breakpoints(),
-            self.grid_len,
-        ))
+        Some(self.profile.segment_starts().to_vec())
     }
-}
-
-/// The grid indices where `Q` can change value, ascending: 0, and every
-/// grid radius below `grid_len` that first reaches a breakpoint `d` (where
-/// `L(r)` changes) or `2·d` (where `L(r/2)` changes).
-///
-/// `radius_index_ceil` is monotone and the breakpoints are sorted, so the
-/// indices of the `d`s, and of the `2·d`s, come in runs: each run is
-/// visited once instead of sorting one index per breakpoint. The list must
-/// not change, because the piecewise exponential mechanism draws one
-/// Gumbel per segment.
-fn segment_starts(domain: &GridDomain, breakpoints: &[f64], grid_len: u64) -> Vec<u64> {
-    let mut starts = distinct_runs(breakpoints, |bp| domain.radius_index_ceil(bp));
-    starts.extend(distinct_runs(breakpoints, |bp| {
-        domain.radius_index_ceil(2.0 * bp)
-    }));
-    starts.push(0);
-    starts.retain(|&idx| idx < grid_len);
-    starts.sort_unstable();
-    starts.dedup();
-    starts
-}
-
-/// The distinct values of a non-decreasing `key` over `sorted`, ascending:
-/// per distinct value, an exponential probe for the end of its run and a
-/// binary search within the last doubling.
-fn distinct_runs(sorted: &[f64], key: impl Fn(f64) -> u64) -> Vec<u64> {
-    let mut values = Vec::new();
-    let mut start = 0;
-    while start < sorted.len() {
-        let value = key(sorted[start]);
-        values.push(value);
-        // `start + step / 2` is in the run; `start + step` is past it (or
-        // past the end).
-        let mut step = 1;
-        while start + step < sorted.len() && key(sorted[start + step]) <= value {
-            step *= 2;
-        }
-        let lo = start + step / 2 + 1;
-        let hi = (start + step).min(sorted.len());
-        start = lo + sorted[lo..hi].partition_point(|&x| key(x) <= value);
-    }
-    values
 }
 
 /// Runs Algorithm 1 on `data` with target cluster size `t`, privacy budget
 /// `privacy` (consumed entirely by this call), failure probability `beta`,
 /// and the given search strategy.
 ///
-/// Builds the `O(n² d)` pairwise-distance structure from scratch; callers
-/// answering repeated queries against the same dataset should build a
+/// Builds the `O(n² d)` grid profile from scratch; callers answering
+/// repeated queries against the same dataset should build a
 /// [`GeometryBackend`] (an exact `GeometryIndex`, or a sub-quadratic
 /// `ProjectedBackend` for large `n`) once and use
 /// [`good_radius_with_index`] instead.
@@ -155,11 +112,11 @@ pub fn good_radius<R: Rng + ?Sized>(
 }
 
 /// [`good_radius`] against a prebuilt, shareable [`GeometryBackend`] of
-/// `data`: the `O(n² d)` distance work is skipped and the `L(·, S)` profile
-/// for this `t` is reused if already cached. Against the exact backend
-/// (`GeometryIndex`) results are bit-identical to [`good_radius`]; against
-/// an approximating backend the profile (hence the released radius) carries
-/// the backend's documented additive slack. The backend must have been
+/// `data`: the grid profile of `L(·, S)` for this `t` and grid is reused if
+/// already cached. Against the exact backend (`GeometryIndex`) results are
+/// bit-identical to [`good_radius`]; against an approximating backend the
+/// profile (hence the released radius) carries the backend's documented
+/// additive slack. The backend must have been
 /// built from exactly this dataset.
 #[allow(clippy::too_many_arguments)]
 pub fn good_radius_with_index<R: Rng + ?Sized>(
@@ -229,13 +186,13 @@ fn good_radius_inner<R: Rng + ?Sized>(
     let grid_len = domain.radius_grid_len();
     diagnostics.metric("radius_grid_len", grid_len as f64);
 
-    // L at all breakpoints. With a shared index: O(n² log n) on the first
-    // use of this cap (and about 8·n² transient bytes), a cache lookup on
-    // every later query. Without one: built from scratch, exactly as before
-    // the index existed.
-    let profile: Arc<LProfile> = match index {
-        Some(index) => index.l_profile(t),
-        None => Arc::new(BallCounter::new(data, t).l_profile()),
+    // L on the radius grid, with the segments of the quality. With a shared
+    // index: built on the first use of this cap and grid (the exact
+    // backend's counting pass, O(n²·d + G)), a cache lookup on every later
+    // query. Without one: built from scratch.
+    let profile: Arc<GridProfile> = match index {
+        Some(index) => index.grid_profile(t, domain),
+        None => Arc::new(BallCounter::new(data, t).grid_profile(domain)),
     };
 
     // The quality promise the configured solver needs.
@@ -253,7 +210,7 @@ fn good_radius_inner<R: Rng + ?Sized>(
     // ---- Step 2: the degenerate radius-0 cluster. L has sensitivity 2, so
     // Lap(4/ε) noise makes this an (ε/2, 0)-DP test.
     let step2_scale = 4.0 / eps;
-    let noisy_l0 = profile.value_at(0.0) + laplace(rng, step2_scale);
+    let noisy_l0 = profile.value(0) + laplace(rng, step2_scale);
     let step2_slack = step2_scale * (2.0 / beta).ln();
     diagnostics.charge("step2_zero_radius_test", PrivacyParams::pure(eps / 2.0)?);
     diagnostics.metric("noisy_l0", noisy_l0);
@@ -300,7 +257,6 @@ fn good_radius_inner<R: Rng + ?Sized>(
 
     // ---- Step 4: private search over the radius grid.
     let oracle = RadiusQuality {
-        domain,
         profile: &profile,
         t: t as f64,
         slack: (4.0 * gamma).min(t as f64 / 2.0),
@@ -329,8 +285,8 @@ fn good_radius_inner<R: Rng + ?Sized>(
                     break;
                 }
                 let mid = lo + (hi - lo) / 2;
-                let noisy =
-                    profile.value_at(domain.radius_from_index(mid)) + laplace(rng, per_step_scale);
+                // L(r_mid) is the profile's value at quarter index 2·mid.
+                let noisy = profile.value(mid.saturating_mul(2)) + laplace(rng, per_step_scale);
                 if noisy >= target {
                     hi = mid;
                 } else {
@@ -399,9 +355,8 @@ mod tests {
         let inst = planted_ball_cluster(&domain, 300, 150, 0.02, &mut rng);
         let t = 120usize;
         let counter = BallCounter::new(&inst.data, t);
-        let profile = counter.l_profile();
+        let profile = counter.grid_profile(&domain);
         let oracle = RadiusQuality {
-            domain: &domain,
             profile: &profile,
             t: t as f64,
             slack: 80.0,
@@ -438,9 +393,8 @@ mod tests {
         let inst = planted_ball_cluster(&domain, 60, 30, 0.05, &mut rng);
         let t = 25usize;
         let counter = BallCounter::new(&inst.data, t);
-        let profile = counter.l_profile();
+        let profile = counter.grid_profile(&domain);
         let oracle = RadiusQuality {
-            domain: &domain,
             profile: &profile,
             t: t as f64,
             slack: 20.0,
@@ -643,70 +597,5 @@ mod tests {
         )
         .unwrap();
         out.diagnostics.ledger().verify_within(privacy).unwrap();
-    }
-
-    /// The segment list before galloping: one candidate index per
-    /// breakpoint and per doubled breakpoint, sorted and deduplicated.
-    fn reference_segment_starts(
-        domain: &GridDomain,
-        breakpoints: &[f64],
-        grid_len: u64,
-    ) -> Vec<u64> {
-        let mut starts: Vec<u64> = vec![0];
-        for &bp in breakpoints {
-            for candidate in [bp, 2.0 * bp] {
-                let idx = domain.radius_index_ceil(candidate);
-                if idx > 0 && idx < grid_len {
-                    starts.push(idx);
-                }
-            }
-        }
-        starts.sort_unstable();
-        starts.dedup();
-        starts
-    }
-
-    /// Sorted breakpoints mixing zeros, exact grid radii (ties at run
-    /// boundaries), off-grid radii, repeats and radii past the grid's end,
-    /// on domains of 1 to 3 dimensions.
-    fn domain_and_breakpoints() -> impl proptest::prelude::Strategy<Value = (GridDomain, Vec<f64>)>
-    {
-        use proptest::prelude::{prop, Strategy};
-        let domain = (1usize..=3, 2u64..300)
-            .prop_map(|(dim, size)| GridDomain::unit_cube(dim, size).expect("valid domain"));
-        let picks = prop::collection::vec((0u32..5, 0.0f64..1.0), 0..120);
-        (domain, picks).prop_map(|(domain, picks)| {
-            let grid_len = domain.radius_grid_len();
-            let diameter = domain.diameter();
-            let mut breakpoints: Vec<f64> = Vec::with_capacity(picks.len());
-            for (kind, u) in picks {
-                let bp = match kind {
-                    0 => 0.0,
-                    1 => domain.radius_from_index((u * grid_len as f64) as u64),
-                    2 => u * diameter / 8.0,
-                    3 => diameter * (1.0 + 2.0 * u),
-                    _ => breakpoints.last().copied().unwrap_or(0.0),
-                };
-                breakpoints.push(bp);
-            }
-            breakpoints.sort_by(f64::total_cmp);
-            (domain, breakpoints)
-        })
-    }
-
-    proptest::proptest! {
-        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(300))]
-
-        /// Galloping over the sorted breakpoints finds exactly the segment
-        /// list the push, sort and dedup construction built.
-        #[test]
-        fn segment_starts_match_the_sorted_candidate_list(input in domain_and_breakpoints()) {
-            let (domain, breakpoints) = input;
-            let grid_len = domain.radius_grid_len();
-            proptest::prop_assert_eq!(
-                segment_starts(&domain, &breakpoints, grid_len),
-                reference_segment_starts(&domain, &breakpoints, grid_len)
-            );
-        }
     }
 }

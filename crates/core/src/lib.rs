@@ -9,17 +9,17 @@
 //!
 //! The pipeline follows the paper exactly:
 //!
-//! 1. [`good_radius`] (Algorithm 1) privately finds a radius `r ≤ 4·r_opt`
-//!    such that some ball of radius `r` contains ≈ `t` points, by running a
-//!    private quasi-concave solve over the low-sensitivity averaged score
-//!    `L(r, S)`;
-//! 2. [`good_center`] (Algorithm 2) locates a center: Johnson–Lindenstrauss
-//!    projection, randomly shifted box partitions scanned with the sparse
-//!    vector technique, a stability-based box choice, a random rotation with
-//!    per-axis stability-based interval choices, and a noisy average of the
-//!    captured points;
-//! 3. [`one_cluster`] wires the two together (Theorem 3.2) and accounts for
-//!    the privacy budget;
+//! 1. [`good_radius`](mod@good_radius) (Algorithm 1) privately finds a
+//!    radius `r ≤ 4·r_opt` such that some ball of radius `r` contains ≈ `t`
+//!    points, by running a private quasi-concave solve over the
+//!    low-sensitivity averaged score `L(r, S)`;
+//! 2. [`good_center`](mod@good_center) (Algorithm 2) locates a center:
+//!    Johnson–Lindenstrauss projection, randomly shifted box partitions
+//!    scanned with the sparse vector technique, a stability-based box
+//!    choice, a random rotation with per-axis stability-based interval
+//!    choices, and a noisy average of the captured points;
+//! 3. [`one_cluster`](mod@one_cluster) wires the two together (Theorem 3.2)
+//!    and accounts for the privacy budget;
 //! 4. [`kcluster`] iterates the solver to cover data with `k` balls
 //!    (Observation 3.5), and [`outliers`] turns a found ball into an outlier
 //!    screening predicate (§1.1).

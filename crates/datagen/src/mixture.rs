@@ -3,7 +3,7 @@
 //! Used by the k-clustering heuristic experiment (Observation 3.5) and by the
 //! Table-1 comparison: when the points are split between several small balls
 //! so that none contains a majority, the private-aggregation baseline
-//! [NRS07] degrades to "an uninformative center chosen almost at random"
+//! \[NRS07\] degrades to "an uninformative center chosen almost at random"
 //! (§1.2), while the 1-cluster algorithm still finds one of the balls.
 
 use crate::cluster::uniform_background;

@@ -449,8 +449,9 @@ impl Engine {
     /// Registration also builds the dataset's shared geometry backend (the
     /// exact index, an `O(n d)` copy of the points whose `8·n²`-byte sorted
     /// rows no query reads, or the `O(n + B²)` projected sampler), so no
-    /// later query ever rebuilds it. The exact backend's first query for
-    /// each cap `t` builds and memoises that cap's `L` profile.
+    /// later query ever rebuilds it. The first GoodRadius-based query for
+    /// each cap `t` and domain builds and memoises that cap's grid profile
+    /// of `L`.
     pub fn register_dataset(
         &self,
         name: impl Into<String>,

@@ -1,21 +1,24 @@
 //! The shared per-dataset geometry index removes the matrix build from
-//! the repeated-query path, and serving never fills the `n × n` sorted
-//! distance rows.
+//! the repeated-query path, serving never fills the `n × n` sorted
+//! distance rows, and each cap's grid profile is built once.
 //!
 //! `privcluster_geometry::distance::debug_build_count()` counts every
-//! `DistanceMatrix` build in the process and `debug_rows_build_count()`
-//! every fill of a matrix's sorted rows (debug builds only). This file
-//! holds exactly **one** test so nothing else in the binary races the
-//! counters: registration and re-registration build one index each, and
-//! GoodRadius / OneCluster / KCluster queries — cached or not, batched or
-//! not — must perform **zero** further builds and **zero** row fills (the
-//! `L` profile recomputes its pair distances from the kept points).
+//! `DistanceMatrix` build in the process, `debug_rows_build_count()` every
+//! fill of a matrix's sorted rows, and
+//! `grid_profile::debug_profile_build_count()` every cached grid-profile
+//! build (debug builds only). This file holds exactly **one** test so
+//! nothing else in the binary races the counters: registration and
+//! re-registration build one index each, and GoodRadius / OneCluster /
+//! KCluster queries — cached or not, batched or not — must perform **zero**
+//! further builds and **zero** row fills (the grid profile recomputes its
+//! pair distances from the kept points), and one grid profile per cap.
 
 use privcluster_datagen::planted_ball_cluster;
 use privcluster_dp::composition::CompositionMode;
 use privcluster_dp::PrivacyParams;
 use privcluster_engine::{Engine, EngineConfig, Query, QueryRequest};
 use privcluster_geometry::distance::{debug_build_count, debug_rows_build_count};
+use privcluster_geometry::grid_profile::debug_profile_build_count;
 use privcluster_geometry::GridDomain;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -70,6 +73,7 @@ fn repeated_queries_never_rebuild_the_distance_matrix() {
     // A mixed stream of repeated queries: distinct seeds (so nothing could
     // be served by a cache even if one were on), all three index-aware
     // query kinds, sequential and batched execution.
+    let profiles_before = debug_profile_build_count();
     for seed in 0..4u64 {
         engine
             .query(&request(seed, Query::GoodRadius { t: 150, beta: 0.1 }))
@@ -115,4 +119,12 @@ fn repeated_queries_never_rebuild_the_distance_matrix() {
         rows_before,
         "registration and serving must fill zero sorted distance rows"
     );
+    if cfg!(debug_assertions) {
+        assert_eq!(
+            debug_profile_build_count(),
+            profiles_before + 2,
+            "one grid profile per cap: t = 150 serves GoodRadius, OneCluster and \
+             the batch, t = 120 the KCluster round"
+        );
+    }
 }

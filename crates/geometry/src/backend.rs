@@ -1,17 +1,16 @@
 //! Pluggable per-dataset geometry backends.
 //!
-//! Every clustering query the pipeline answers reduces to the same two
-//! primitives over an immutable dataset: ball counts `B_r(x_i)` and the
-//! averaged step-function profile `L(·, S)`. The **exact** implementation —
-//! [`GeometryIndex`] over the pairwise
-//! [`DistanceMatrix`](crate::distance::DistanceMatrix) — answers both
-//! perfectly. It registers in `O(n d)`, but its first profile for each cap
-//! sorts all `n(n+1)/2` pairs (`O(n² log n)` time, about `8·n²` transient
-//! bytes), and ball counts read `8·n²` bytes of sorted rows filled on first
-//! use: a hard scaling cliff (80 GB at `n = 100_000`). The paper's own
-//! remedy (§4) is to give up exactness: Johnson–Lindenstrauss-project to
-//! `k = O(log n)` dimensions and reason about *coarse spatial buckets*
-//! instead of individual points.
+//! Every clustering query the pipeline answers reduces to one primitive
+//! over an immutable dataset: the averaged step function `L(·, S)`, read on
+//! GoodRadius's radius grid ([`GridProfile`]). The **exact** implementation
+//! — [`GeometryIndex`] over the dataset's points — answers it perfectly.
+//! It registers in `O(n d)`, but its first grid profile for each cap and
+//! grid counts all `n(n+1)/2` pairs into grid buckets (`O(n²·d + G)` time
+//! for `G` grid radii, up to 16 transient bytes per pair): a hard scaling
+//! cliff (80 GB at `n = 100_000`). The paper's own remedy (§4) is to give
+//! up exactness: Johnson–Lindenstrauss-project to `k = O(log n)`
+//! dimensions and reason about *coarse spatial buckets* instead of
+//! individual points.
 //!
 //! [`GeometryBackend`] abstracts over the two regimes so the solvers in
 //! `privcluster-core` and the engine's planner never branch on which one
@@ -27,15 +26,16 @@
 //!   per-bucket distance samples** between bucket representatives, each
 //!   weighted by its bucket's occupancy. Build cost is `O(n d k + B² log B)`
 //!   time and `O(n + B²)` memory — it never materialises an `n × n`
-//!   structure (pinned by `distance::debug_build_count` in tests).
+//!   structure (pinned by `distance::debug_build_count` in tests). Its grid
+//!   profile samples that weighted `L` profile onto the radius grid.
 //!
-//! Neither the solvers nor the engine call
-//! [`GeometryBackend::count_within`] on the serving path: GoodRadius, the
-//! 1-cluster and k-cluster drivers read only [`GeometryBackend::l_profile`],
+//! The solvers and the engine read only [`GeometryBackend::grid_profile`],
 //! [`GeometryBackend::len`] and [`GeometryBackend::kind`] (plus
 //! [`GeometryBackend::rebuild_for`] between k-cluster rounds), so the exact
 //! backend never fills its sorted rows while serving (pinned by
 //! `distance::debug_rows_build_count` in the engine's `index_reuse` test).
+//! [`GeometryBackend::l_profile`] is the uncached breakpoint profile every
+//! grid profile equals on the grid, kept as the reference.
 //!
 //! # Approximation contract
 //!
@@ -47,12 +47,13 @@
 //! slack-shifted radii, evaluated in projected space:
 //!
 //! ```text
-//! B_{r − slack}(x_i)  ≤  count_within(i, r)  ≤  B_{r + slack}(x_i)
-//! L(r − slack, S)     ≤  l_profile.value_at(r)  ≤  L(r + slack, S)
+//! B_{r − slack}(x_i)  ≤  ProjectedBackend::count_within(i, r)  ≤  B_{r + slack}(x_i)
+//! L(r − slack, S)     ≤  l_profile.value_at(r)                ≤  L(r + slack, S)
 //! ```
 //!
 //! (up to the boundary window of the unified tolerance [`tol`], which both
-//! sides share). When the JL transform is the identity — whenever the
+//! sides share; the grid profile reads the second line's middle term at
+//! the grid radii). When the JL transform is the identity — whenever the
 //! source dimension is already `O(log n)`, the common low-dimensional case —
 //! projected space *is* the input space and the bracket holds verbatim;
 //! this is what `tests/geometry_properties.rs` property-checks. When a real
@@ -65,8 +66,10 @@
 //! ([`ProjectedConfig::seed`]), so the same dataset always produces the
 //! bit-identical backend at any thread count.
 
-use crate::ball_count::{note_profile_build, LProfile, TopSumTree};
+use crate::ball_count::{LProfile, TopSumTree};
 use crate::dataset::Dataset;
+use crate::domain::GridDomain;
+use crate::grid_profile::GridProfile;
 use crate::index::{GeometryIndex, ProfileCache};
 use crate::jl::JlTransform;
 use crate::partition::BoxPartition;
@@ -98,8 +101,8 @@ impl BackendKind {
     }
 }
 
-/// A per-dataset geometry oracle: ball counts and `L(·, S)` profiles over
-/// one immutable dataset, shareable across threads and queries.
+/// A per-dataset geometry oracle: `L(·, S)` profiles over one immutable
+/// dataset, shareable across threads and queries.
 ///
 /// The solvers (`good_radius_with_index` and friends) take
 /// `&dyn GeometryBackend`, so an engine can route small datasets to the
@@ -117,21 +120,26 @@ pub trait GeometryBackend: std::fmt::Debug + Send + Sync {
         self.len() == 0
     }
 
-    /// The `L(·, S)` profile for cap `t`, built on first use and memoised
-    /// (bounded LRU, see [`crate::index::MAX_CACHED_PROFILES`]).
+    /// `L(·, S)` for cap `t` on `domain`'s radius grid — what GoodRadius
+    /// reads — built on first use and memoised per cap and grid (bounded
+    /// LRU, see [`crate::index::MAX_CACHED_PROFILES`]). Equal to
+    /// [`GridProfile::sample`] of [`GeometryBackend::l_profile`].
+    ///
+    /// # Panics
+    /// Panics if `cap == 0`.
+    fn grid_profile(&self, cap: usize, domain: &GridDomain) -> Arc<GridProfile>;
+
+    /// The `L(·, S)` profile for cap `t` at every breakpoint, built afresh
+    /// on each call: the reference the grid profile is checked against.
     ///
     /// # Panics
     /// Panics if `cap == 0`.
     fn l_profile(&self, cap: usize) -> Arc<LProfile>;
 
-    /// `B_r(x_i)` as answered by this backend (exact, or bracketed within
-    /// [`GeometryBackend::radius_slack`]).
-    fn count_within(&self, i: usize, r: f64) -> usize;
-
     /// Additive two-sided radius slack of every answer: 0 for the exact
-    /// backend, `2·displacement` for the projected one. A count or profile
-    /// value this backend reports at radius `r` is bracketed by the exact
-    /// values at `r ± radius_slack()` (see the module docs for the precise
+    /// backend, `2·displacement` for the projected one. A profile value
+    /// this backend reports at radius `r` is bracketed by the exact values
+    /// at `r ± radius_slack()` (see the module docs for the precise
     /// contract and [`tol::within_radius_slack`] for the comparison helper).
     fn radius_slack(&self) -> f64;
 
@@ -152,12 +160,12 @@ impl GeometryBackend for GeometryIndex {
         GeometryIndex::len(self)
     }
 
-    fn l_profile(&self, cap: usize) -> Arc<LProfile> {
-        GeometryIndex::l_profile(self, cap)
+    fn grid_profile(&self, cap: usize, domain: &GridDomain) -> Arc<GridProfile> {
+        GeometryIndex::grid_profile(self, cap, domain)
     }
 
-    fn count_within(&self, i: usize, r: f64) -> usize {
-        self.distances().count_within(i, r)
+    fn l_profile(&self, cap: usize) -> Arc<LProfile> {
+        Arc::new(self.ball_counter(cap).l_profile())
     }
 
     fn radius_slack(&self) -> f64 {
@@ -367,9 +375,26 @@ impl ProjectedBackend {
         self.reps[self.bucket_of[i] as usize]
     }
 
-    /// How many distinct caps have a cached profile (diagnostics/tests).
+    /// How many grid profiles are cached (diagnostics/tests).
     pub fn cached_profiles(&self) -> usize {
         lock_recover(&self.profiles).len()
+    }
+
+    /// `B_r(x_i)` as this backend approximates it: the occupancy of every
+    /// bucket whose representative lies within `r` of point `i`'s. The
+    /// per-point side of the approximation contract (module docs); no
+    /// query reads it.
+    pub fn count_within(&self, i: usize, r: f64) -> usize {
+        if r < 0.0 || self.n == 0 {
+            return 0;
+        }
+        let row = &self.rows[self.bucket_of[i] as usize];
+        let idx = row.dists.partition_point(|&d| tol::within_radius(d, r));
+        if idx == 0 {
+            0
+        } else {
+            row.cum_weights[idx - 1]
+        }
     }
 
     /// The weighted analogue of `BallCounter::l_profile`: the `B²`
@@ -379,7 +404,7 @@ impl ProjectedBackend {
     /// a bucket shares its representative's count, so a bucket enters the
     /// multiset with its occupancy as multiplicity). `O(B² log B²)`.
     fn build_profile(&self, cap: usize) -> LProfile {
-        note_profile_build();
+        assert!(cap >= 1, "cap t must be at least 1");
         let b = self.rows.len();
         let mut events: Vec<(f64, u32, u32)> = Vec::with_capacity(b * b);
         for (a, row) in self.rows.iter().enumerate() {
@@ -430,24 +455,15 @@ impl GeometryBackend for ProjectedBackend {
         self.n
     }
 
-    fn l_profile(&self, cap: usize) -> Arc<LProfile> {
-        assert!(cap >= 1, "cap t must be at least 1");
+    fn grid_profile(&self, cap: usize, domain: &GridDomain) -> Arc<GridProfile> {
         // Same single-flight slot discipline as GeometryIndex.
-        let slot = lock_recover(&self.profiles).slot(cap);
-        Arc::clone(slot.get_or_init(|| Arc::new(self.build_profile(cap))))
+        ProfileCache::get_or_build(&self.profiles, cap, domain, || {
+            GridProfile::sample(&self.build_profile(cap), domain)
+        })
     }
 
-    fn count_within(&self, i: usize, r: f64) -> usize {
-        if r < 0.0 || self.n == 0 {
-            return 0;
-        }
-        let row = &self.rows[self.bucket_of[i] as usize];
-        let idx = row.dists.partition_point(|&d| tol::within_radius(d, r));
-        if idx == 0 {
-            0
-        } else {
-            row.cum_weights[idx - 1]
-        }
+    fn l_profile(&self, cap: usize) -> Arc<LProfile> {
+        Arc::new(self.build_profile(cap))
     }
 
     fn radius_slack(&self) -> f64 {
@@ -644,13 +660,14 @@ mod tests {
         assert_eq!(backend.kind().as_str(), "exact");
         assert_eq!(backend.len(), 60);
         assert_eq!(backend.radius_slack(), 0.0);
-        assert_eq!(
-            backend.count_within(3, 0.2),
-            index.distances().count_within(3, 0.2)
-        );
-        let via_trait = backend.l_profile(10);
-        let direct = index.l_profile(10);
+        let domain = GridDomain::unit_cube(2, 64).unwrap();
+        let via_trait = backend.grid_profile(10, &domain);
+        let direct = index.grid_profile(10, &domain);
         assert!(Arc::ptr_eq(&via_trait, &direct));
+        assert_eq!(
+            *via_trait,
+            GridProfile::sample(&backend.l_profile(10), &domain)
+        );
     }
 
     #[test]
@@ -729,11 +746,13 @@ mod tests {
     fn profile_cache_is_bounded_and_reused() {
         let data = clustered(50);
         let backend = ProjectedBackend::build_default(&data);
-        let a = GeometryBackend::l_profile(&backend, 5);
-        let b = GeometryBackend::l_profile(&backend, 5);
+        let domain = GridDomain::unit_cube(2, 1 << 10).unwrap();
+        let a = backend.grid_profile(5, &domain);
+        let b = backend.grid_profile(5, &domain);
         assert!(Arc::ptr_eq(&a, &b));
+        assert_eq!(*a, GridProfile::sample(&backend.l_profile(5), &domain));
         for cap in 1..=20 {
-            let _ = GeometryBackend::l_profile(&backend, cap);
+            let _ = backend.grid_profile(cap, &domain);
             assert!(backend.cached_profiles() <= crate::index::MAX_CACHED_PROFILES);
         }
     }

@@ -15,42 +15,24 @@
 //! here (it has no privacy content); the sensitivity argument (Lemma 4.5) is
 //! exercised by tests in `privcluster-core`.
 //!
-//! [`BallCounter::l_profile`] evaluates `L` at every breakpoint in one sweep
-//! over the `n(n+1)/2` distance-sorted pairs (`O(n² log n)`, dominated by
-//! that sort, with an `8·n²`-byte transient buffer), updating the sum of
-//! the `t` largest capped counts in `O(1)` per ball-membership event.
+//! Two evaluations of `L` at many radii share one `O(1)`-per-event sweep
+//! that keeps the sum of the `t` largest capped counts:
+//!
+//! * [`BallCounter::grid_profile`] — what GoodRadius reads — evaluates `L`
+//!   on the domain's quarter radius grid. It counts the `n(n+1)/2` pairs
+//!   into grid buckets in `O(n²·d + G)` for `G` grid radii, with no pair
+//!   sort and at most 16 transient bytes per pair (see
+//!   [`grid_profile`]).
+//! * [`BallCounter::l_profile`] — the bit-for-bit reference the grid
+//!   profile is tested against — evaluates `L` at every breakpoint, sweeping
+//!   the distance-sorted pairs (`O(n² log n)`, dominated by that sort, with
+//!   an `8·n²`-byte transient buffer).
 
 use crate::dataset::Dataset;
 use crate::distance::DistanceMatrix;
+use crate::domain::GridDomain;
+use crate::grid_profile::{self, GridProfile};
 use crate::tol;
-
-#[cfg(debug_assertions)]
-static PROFILE_BUILD_COUNT: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-
-/// How many `L(·, S)` profile builds have run in this process — both the
-/// exact `O(n² log n)` sweep of [`BallCounter::l_profile`] and the
-/// projected backend's weighted sweep. Always 0 in release builds (the
-/// counter only exists under `debug_assertions`); tests assert on *deltas*.
-/// This is the profile-level twin of
-/// [`distance::debug_build_count`](crate::distance::debug_build_count): it
-/// lets tests prove that a profile cache really bounds rebuild work under
-/// adversarial cap rotation.
-pub fn debug_profile_build_count() -> u64 {
-    #[cfg(debug_assertions)]
-    {
-        PROFILE_BUILD_COUNT.load(std::sync::atomic::Ordering::Relaxed)
-    }
-    #[cfg(not(debug_assertions))]
-    {
-        0
-    }
-}
-
-/// Records one profile build (no-op in release builds).
-pub(crate) fn note_profile_build() {
-    #[cfg(debug_assertions)]
-    PROFILE_BUILD_COUNT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-}
 
 /// Efficient evaluator for `B_r`, `B̄_r` and `L(r, S)` at many radii.
 #[derive(Debug, Clone)]
@@ -151,6 +133,17 @@ impl BallCounter {
         self.dm.two_approx_radius(self.cap).map(|(_, r)| r)
     }
 
+    /// `L(·, S)` on `domain`'s quarter radius grid: what GoodRadius reads,
+    /// bit-identical to sampling [`BallCounter::l_profile`] onto the grid
+    /// ([`GridProfile::sample`]). Counts the pairs into quarter-grid
+    /// buckets in `O(n²·d + G)` with no pair sort; on the inputs where the
+    /// counting pass cannot place a pair without the sort (see
+    /// [`grid_profile`]) it samples the sorted sweep instead.
+    pub fn grid_profile(&self, domain: &GridDomain) -> GridProfile {
+        grid_profile::count_pairs(self.dm.points(), self.cap, domain)
+            .unwrap_or_else(|| GridProfile::sample(&self.l_profile(), domain))
+    }
+
     /// Precomputes `L(r, S)` at every breakpoint in a single sweep.
     ///
     /// `L` only changes at pairwise distances. The sweep walks the matrix's
@@ -160,10 +153,9 @@ impl BallCounter {
     /// capped counts in `O(1)` per increment. The `O(n² log n)` sort
     /// dominates, and its buffer of `n(n+1)/2` pairs takes about `8·n²`
     /// bytes; afterwards any number of `L` evaluations are `O(log n)`
-    /// lookups. GoodRadius needs `L` at `O(n²)` radii, so this is the
-    /// difference between a quadratic and a quartic algorithm.
+    /// lookups. This is the reference [`BallCounter::grid_profile`] is
+    /// tested against, and what it samples when its counting pass declines.
     pub fn l_profile(&self) -> LProfile {
-        note_profile_build();
         let pairs = self.dm.sorted_pairs();
         let mut top = TopCounts::new(self.n, self.cap);
         let mut breakpoints = Vec::new();
@@ -185,7 +177,7 @@ impl BallCounter {
                 idx += 1;
             }
             breakpoints.push(d);
-            values.push(top.sum as f64 / self.cap as f64);
+            values.push(top.value());
         }
         LProfile {
             breakpoints,
@@ -205,13 +197,15 @@ impl BallCounter {
 /// and the counts above `θ` fill all `t` slots: the new `t`-th largest is
 /// then the smallest of them, which is `θ + 1` because the raised count
 /// sits there. A histogram of the counts says how many of them stay above
-/// the new `θ`.
+/// the new `θ`; since `θ` never falls, only its entries above `θ` are
+/// ever read, and raises below `θ` skip it.
 #[derive(Debug)]
-struct TopCounts {
+pub(crate) struct TopCounts {
     cap: usize,
     counts: Vec<usize>,
-    /// `hist[v]`: how many counts equal `v`. No count exceeds `n` (a point
-    /// has `n` membership events), so `v ≤ min(t, n)`.
+    /// `hist[v]` for `v > theta`: how many counts equal `v` (entries at or
+    /// below `theta` go stale). No count exceeds `n` (a point has `n`
+    /// membership events), so `v ≤ min(t, n)`.
     hist: Vec<usize>,
     /// The `t`-th largest count (zero while fewer than `t` are positive).
     theta: usize,
@@ -222,7 +216,7 @@ struct TopCounts {
 }
 
 impl TopCounts {
-    fn new(n: usize, cap: usize) -> Self {
+    pub(crate) fn new(n: usize, cap: usize) -> Self {
         let mut hist = vec![0; cap.min(n) + 1];
         hist[0] = n;
         TopCounts {
@@ -235,18 +229,31 @@ impl TopCounts {
         }
     }
 
+    /// `L`: the sum of the `t` largest counts over `t`.
+    pub(crate) fn value(&self) -> f64 {
+        self.sum as f64 / self.cap as f64
+    }
+
+    /// Whether the sum has reached its largest possible value — the `t`
+    /// largest counts all at the cap, or every count at `n` when `t > n` —
+    /// so that no later raise can change it.
+    pub(crate) fn saturated(&self) -> bool {
+        let top = self.cap.min(self.counts.len()) as u64;
+        self.sum == top * top
+    }
+
     /// Raises count `i` by one unless it already sits at the cap.
-    fn increment(&mut self, i: usize) {
+    pub(crate) fn increment(&mut self, i: usize) {
         let v = self.counts[i];
-        if v == self.cap {
+        // Most raises start below `θ` or at the cap and change nothing
+        // else; one branch (not two) sends the rest on.
+        let raised = v < self.cap;
+        self.counts[i] = v + usize::from(raised);
+        if !(raised & (v >= self.theta)) {
             return;
         }
-        self.counts[i] = v + 1;
         self.hist[v] -= 1;
         self.hist[v + 1] += 1;
-        if v < self.theta {
-            return;
-        }
         self.sum += 1;
         if v == self.theta {
             self.above += 1;

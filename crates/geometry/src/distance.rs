@@ -10,11 +10,12 @@
 //!
 //! The matrix also exposes the sorted multiset of *all* pairwise distances,
 //! which is exactly the set of breakpoints at which the paper's step function
-//! `L(r, S)` can change value. That set is what lets the exponential
-//! mechanism over the (enormous) radius grid run in `poly(n)` time
-//! (Remark 4.4, and item 2 in DESIGN.md §3). The pair list behind it
-//! recomputes its distances from the kept points, so the `L` profile never
-//! reads the sorted rows.
+//! `L(r, S)` can change value, behind the reference breakpoint profile
+//! `BallCounter::l_profile` (about `8·n²` transient bytes of sorted pairs).
+//! GoodRadius reads `L` only on its radius grid, through the grid profile
+//! (see [`grid_profile`](crate::grid_profile)), which counts the pairs
+//! into grid buckets without sorting them. Both recompute their distances
+//! from the kept points, so neither reads the sorted rows.
 //!
 //! Building a [`DistanceMatrix`] only copies the `n` points (`O(n d)`) and
 //! records a thread count. The sorted rows — one flat row-major `Vec<f64>`
@@ -160,6 +161,11 @@ impl DistanceMatrix {
     /// Number of points.
     pub fn len(&self) -> usize {
         self.n
+    }
+
+    /// The points the distances are computed from.
+    pub(crate) fn points(&self) -> &[Point] {
+        &self.shared.points
     }
 
     /// `true` when built from an empty dataset.

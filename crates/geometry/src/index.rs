@@ -1,43 +1,46 @@
 //! A shared, per-dataset geometry index.
 //!
 //! Every query the paper's pipeline answers starts from the same two
-//! objects: the pairwise [`DistanceMatrix`] and, per cap `t`, the
-//! precomputed step function [`LProfile`] of `L(·, S)`. Both depend only on
-//! the (immutable) dataset, yet historically every solver call rebuilt them
-//! from scratch — `O(n² d)` of work per query. A [`GeometryIndex`] pays
-//! that cost **once per dataset**: building it copies the points into the
-//! matrix (`O(n d)`), profiles are built lazily on first use of each cap and
+//! objects: the pairwise [`DistanceMatrix`] and, per cap `t` and radius
+//! grid, the step function `L(·, S)` sampled on that grid
+//! ([`GridProfile`]). Both depend only on the (immutable) dataset, yet
+//! historically every solver call rebuilt them from scratch — `O(n² d)` of
+//! work per query. A [`GeometryIndex`] pays that cost **once per
+//! dataset**: building it copies the points into the matrix (`O(n d)`),
+//! grid profiles are built lazily on first use of each cap and grid and
 //! memoised, and the whole index is `Sync`, so an engine can stash one
-//! behind an `Arc` at registration time and serve every later query at
-//! `O(n log n)`.
+//! behind an `Arc` at registration time and serve every later query from
+//! its cached profiles.
 //!
 //! Memory: the index holds the `n` points; the matrix's `8·n²`-byte sorted
 //! rows (2 MB at `n = 500`, 800 MB at `n = 10_000`) are filled only if
 //! something reads them, and no profile build or GoodRadius query does.
-//! Each cached profile adds at most `8·n²` bytes in the worst case of
-//! all-distinct pairwise distances, though ties usually make it far
-//! smaller, and building one briefly holds a sorted pair list of about
-//! `8·n²` bytes; at most [`MAX_CACHED_PROFILES`] profiles are retained
-//! (the cap `t` is client-controlled on the engine's query wire, so the
-//! memoisation must be bounded).
+//! Each cached grid profile holds at most one entry per grid radius and
+//! per pair, `O(min(G, n²))` for `G` grid radii, and building one briefly
+//! holds at most 16 bytes per pair (see
+//! [`grid_profile`](crate::grid_profile)); at most
+//! [`MAX_CACHED_PROFILES`] profiles are retained (the cap `t` is
+//! client-controlled on the engine's query wire, so the memoisation must
+//! be bounded).
 
-use crate::ball_count::{BallCounter, LProfile};
+use crate::ball_count::BallCounter;
 use crate::dataset::Dataset;
 use crate::distance::DistanceMatrix;
+use crate::domain::GridDomain;
+use crate::grid_profile::{note_profile_build, GridProfile};
 use crate::sync::lock_recover;
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Mutex, OnceLock};
 
-/// Most distinct caps whose `L` profiles one index memoises. The cap `t` is
-/// client-controlled in an engine deployment (it arrives on the query wire),
-/// so an unbounded map would let an adversarial query stream `t = 1, 2, 3…`
-/// grow `O(n)` profiles of up to `O(n²)` bytes each — a memory-exhaustion
-/// vector. Beyond this bound the **least-recently-used** memoised cap is
-/// evicted (profiles are deterministic, so eviction can only cost rebuild
-/// time, never change a result); honest workloads reuse a handful of caps
-/// and never evict. The policy matches the engine's `ResultCache`: a FIFO
+/// Most grid profiles one index memoises. The cap `t` is client-controlled
+/// in an engine deployment (it arrives on the query wire), so an unbounded
+/// map would let an adversarial query stream `t = 1, 2, 3…` grow `O(n)`
+/// profiles of up to `O(n²)` bytes each — a memory-exhaustion vector. Beyond this bound the **least-recently-used** profile is evicted
+/// (profiles are deterministic, so eviction can only cost rebuild time,
+/// never change a result); honest workloads reuse a handful of caps and
+/// never evict. The policy matches the engine's `ResultCache`: a FIFO
 /// policy here let an adversarial client rotate fresh caps to evict a hot,
-/// constantly-reused cap and force its `O(n² log n)` rebuild every time.
+/// constantly-reused cap and force its rebuild every time.
 pub const MAX_CACHED_PROFILES: usize = 8;
 
 /// Precomputed pairwise-distance geometry of one dataset, shareable across
@@ -45,56 +48,77 @@ pub const MAX_CACHED_PROFILES: usize = 8;
 #[derive(Debug)]
 pub struct GeometryIndex {
     dm: DistanceMatrix,
-    /// Lazily-built `L(·, S)` profiles, keyed by the cap `t` and bounded by
-    /// [`MAX_CACHED_PROFILES`] (LRU eviction).
+    /// Lazily-built grid profiles, bounded by [`MAX_CACHED_PROFILES`] (LRU
+    /// eviction).
     profiles: Mutex<ProfileCache>,
 }
 
-/// A bounded, least-recently-used memo of `L(·, S)` profiles keyed by cap.
-/// Shared by the exact [`GeometryIndex`] and the projected backend
+/// A bounded, least-recently-used memo of grid profiles keyed by cap and
+/// grid. Shared by the exact [`GeometryIndex`] and the projected backend
 /// ([`crate::backend::ProjectedBackend`]), which face the same
-/// client-controlled-cap memory-exhaustion vector.
+/// client-controlled memory-exhaustion vector.
 ///
-/// Each cap owns a [`ProfileSlot`], taken under the cache lock and filled
-/// outside it: first users of *different* caps build in parallel, while
-/// racing users of the *same* cap build it once — the first to reach the
+/// Each key owns a [`ProfileSlot`], taken under the cache lock and filled
+/// outside it: first users of *different* keys build in parallel, while
+/// racing users of the *same* key build it once — the first to reach the
 /// slot builds, the rest wait on it.
 #[derive(Debug, Default)]
 pub(crate) struct ProfileCache {
-    by_cap: HashMap<usize, ProfileSlot>,
-    /// Memoised caps, least-recently-used first.
-    order: VecDeque<usize>,
+    slots: HashMap<ProfileKey, ProfileSlot>,
+    /// Memoised keys, least-recently-used first.
+    order: VecDeque<ProfileKey>,
 }
 
-/// One cap's profile, built at most once while the slot stays cached.
-type ProfileSlot = Arc<OnceLock<Arc<LProfile>>>;
+/// What a grid profile depends on besides the data: the cap, and the grid
+/// as its step's bits and its number of radii.
+type ProfileKey = (usize, u64, u64);
+
+/// One key's profile, built at most once while the slot stays cached.
+type ProfileSlot = Arc<OnceLock<Arc<GridProfile>>>;
 
 impl ProfileCache {
-    /// The slot for `cap`, refreshing its recency; on a miss, a new empty
-    /// slot, evicting the least-recently-used cap at capacity. The map never
+    /// The grid profile for `cap` on `domain`'s grid: cached, or built by
+    /// `build` outside the cache lock, once however many callers race on it.
+    pub(crate) fn get_or_build(
+        cache: &Mutex<Self>,
+        cap: usize,
+        domain: &GridDomain,
+        build: impl FnOnce() -> GridProfile,
+    ) -> Arc<GridProfile> {
+        assert!(cap >= 1, "cap t must be at least 1");
+        let key = (cap, domain.grid_step().to_bits(), domain.radius_grid_len());
+        let slot = lock_recover(cache).slot(key);
+        Arc::clone(slot.get_or_init(|| {
+            note_profile_build();
+            Arc::new(build())
+        }))
+    }
+
+    /// The slot for `key`, refreshing its recency; on a miss, a new empty
+    /// slot, evicting the least-recently-used key at capacity. The map never
     /// exceeds [`MAX_CACHED_PROFILES`] entries, so the linear `touch` scan
     /// is O(1) in practice. Evicting a slot that is still being filled only
     /// drops the cache's handle: its builder keeps its own.
-    pub(crate) fn slot(&mut self, cap: usize) -> ProfileSlot {
-        if !self.by_cap.contains_key(&cap) && self.by_cap.len() >= MAX_CACHED_PROFILES {
+    fn slot(&mut self, key: ProfileKey) -> ProfileSlot {
+        if !self.slots.contains_key(&key) && self.slots.len() >= MAX_CACHED_PROFILES {
             if let Some(lru) = self.order.pop_front() {
-                self.by_cap.remove(&lru);
+                self.slots.remove(&lru);
             }
         }
-        let slot = Arc::clone(self.by_cap.entry(cap).or_default());
-        self.touch(cap);
+        let slot = Arc::clone(self.slots.entry(key).or_default());
+        self.touch(key);
         slot
     }
 
-    fn touch(&mut self, cap: usize) {
-        if let Some(pos) = self.order.iter().position(|&c| c == cap) {
+    fn touch(&mut self, key: ProfileKey) {
+        if let Some(pos) = self.order.iter().position(|&k| k == key) {
             self.order.remove(pos);
         }
-        self.order.push_back(cap);
+        self.order.push_back(key);
     }
 
     pub(crate) fn len(&self) -> usize {
-        self.by_cap.len()
+        self.slots.len()
     }
 }
 
@@ -138,25 +162,25 @@ impl GeometryIndex {
         BallCounter::from_matrix(self.dm.clone(), cap)
     }
 
-    /// The `L(·, S)` profile for cap `t`, built on first use and memoised
-    /// (up to [`MAX_CACHED_PROFILES`] distinct caps, least-recently-used
-    /// evicted first). Identical (bit-for-bit) to
-    /// `BallCounter::new(data, t).l_profile()`.
+    /// The grid profile for cap `t` on `domain`'s grid, built on first use
+    /// and memoised (up to [`MAX_CACHED_PROFILES`] distinct caps and grids,
+    /// least-recently-used evicted first). Identical to
+    /// `BallCounter::new(data, t).grid_profile(domain)`.
     ///
-    /// A build is the `O(n² log n)` pairs-once sweep and briefly holds about
-    /// `8·n²` bytes of sorted pairs. It runs outside the cache lock, so
-    /// first users of different caps build in parallel, and once per cap:
-    /// callers racing on a cap that is being built wait for that build.
+    /// A build is `BallCounter::grid_profile`'s counting pass. It runs
+    /// outside the cache lock, so first users of different caps build in
+    /// parallel, and once per cap and grid: callers racing on one that is
+    /// being built wait for that build.
     ///
     /// # Panics
     /// Panics if `cap == 0`.
-    pub fn l_profile(&self, cap: usize) -> Arc<LProfile> {
-        assert!(cap >= 1, "cap t must be at least 1");
-        let slot = lock_recover(&self.profiles).slot(cap);
-        Arc::clone(slot.get_or_init(|| Arc::new(self.ball_counter(cap).l_profile())))
+    pub fn grid_profile(&self, cap: usize, domain: &GridDomain) -> Arc<GridProfile> {
+        ProfileCache::get_or_build(&self.profiles, cap, domain, || {
+            self.ball_counter(cap).grid_profile(domain)
+        })
     }
 
-    /// How many distinct caps have a cached profile (diagnostics/tests).
+    /// How many grid profiles are cached (diagnostics/tests).
     pub fn cached_profiles(&self) -> usize {
         lock_recover(&self.profiles).len()
     }
@@ -175,17 +199,31 @@ mod tests {
         .unwrap()
     }
 
+    fn domain() -> GridDomain {
+        GridDomain::new(2, 1 << 8, -1.0, 1.0).unwrap()
+    }
+
     #[test]
-    fn profiles_are_memoised_per_cap() {
+    fn profiles_are_memoised_per_cap_and_grid() {
         let index = GeometryIndex::build(&data(), 2);
         assert_eq!(index.len(), 30);
         assert!(!index.is_empty());
         assert_eq!(index.cached_profiles(), 0);
-        let a = index.l_profile(5);
-        let b = index.l_profile(5);
-        assert!(Arc::ptr_eq(&a, &b), "same cap must share one profile");
-        let _ = index.l_profile(7);
+        let a = index.grid_profile(5, &domain());
+        let b = index.grid_profile(5, &domain());
+        assert!(
+            Arc::ptr_eq(&a, &b),
+            "same cap and grid must share one profile"
+        );
+        let _ = index.grid_profile(7, &domain());
         assert_eq!(index.cached_profiles(), 2);
+        // Same grid, shifted axis range: the same profile.
+        let shifted = GridDomain::new(2, 1 << 8, 0.0, 2.0).unwrap();
+        assert!(Arc::ptr_eq(&a, &index.grid_profile(5, &shifted)));
+        // Another grid: another profile.
+        let finer = GridDomain::new(2, 1 << 9, -1.0, 1.0).unwrap();
+        let _ = index.grid_profile(5, &finer);
+        assert_eq!(index.cached_profiles(), 3);
     }
 
     #[test]
@@ -193,12 +231,9 @@ mod tests {
         let data = data();
         let index = GeometryIndex::build(&data, 4);
         for cap in [1usize, 3, 10, 30] {
-            let via_index = index.l_profile(cap);
-            let fresh = BallCounter::new(&data, cap).l_profile();
-            assert_eq!(via_index.breakpoints().len(), fresh.breakpoints().len());
-            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(via_index.breakpoints()), bits(fresh.breakpoints()));
-            assert_eq!(bits(via_index.values()), bits(fresh.values()));
+            let via_index = index.grid_profile(cap, &domain());
+            let fresh = BallCounter::new(&data, cap).grid_profile(&domain());
+            assert_eq!(*via_index, fresh);
         }
     }
 
@@ -206,31 +241,29 @@ mod tests {
     fn profile_memoisation_is_bounded() {
         let index = GeometryIndex::build(&data(), 1);
         for cap in 1..=(2 * MAX_CACHED_PROFILES) {
-            let _ = index.l_profile(cap);
+            let _ = index.grid_profile(cap, &domain());
             assert!(index.cached_profiles() <= MAX_CACHED_PROFILES);
         }
         assert_eq!(index.cached_profiles(), MAX_CACHED_PROFILES);
         // Evicted caps still answer correctly (rebuilt on demand) and
         // bit-identically.
-        let rebuilt = index.l_profile(1);
-        let fresh = BallCounter::new(&data(), 1).l_profile();
-        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(rebuilt.breakpoints()), bits(fresh.breakpoints()));
-        assert_eq!(bits(rebuilt.values()), bits(fresh.values()));
+        let rebuilt = index.grid_profile(1, &domain());
+        let fresh = BallCounter::new(&data(), 1).grid_profile(&domain());
+        assert_eq!(*rebuilt, fresh);
     }
 
     #[test]
     fn profile_eviction_is_lru_not_fifo() {
         let index = GeometryIndex::build(&data(), 1);
         for cap in 1..=MAX_CACHED_PROFILES {
-            let _ = index.l_profile(cap);
+            let _ = index.grid_profile(cap, &domain());
         }
         // Touch cap 1 — the oldest *inserted* cap, i.e. exactly the entry a
         // FIFO policy would evict next — then force one eviction.
-        let hot = index.l_profile(1);
-        let _ = index.l_profile(MAX_CACHED_PROFILES + 1);
+        let hot = index.grid_profile(1, &domain());
+        let _ = index.grid_profile(MAX_CACHED_PROFILES + 1, &domain());
         assert_eq!(index.cached_profiles(), MAX_CACHED_PROFILES);
-        let again = index.l_profile(1);
+        let again = index.grid_profile(1, &domain());
         assert!(
             Arc::ptr_eq(&hot, &again),
             "recently-used cap was evicted: the cache is FIFO, not LRU"

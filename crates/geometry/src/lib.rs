@@ -44,6 +44,7 @@ pub mod dataset;
 pub mod distance;
 pub mod domain;
 pub mod error;
+pub mod grid_profile;
 pub mod index;
 pub mod jl;
 pub mod linalg;
@@ -63,6 +64,7 @@ pub use dataset::Dataset;
 pub use distance::DistanceMatrix;
 pub use domain::GridDomain;
 pub use error::GeometryError;
+pub use grid_profile::GridProfile;
 pub use index::GeometryIndex;
 pub use jl::JlTransform;
 pub use meb::{

@@ -1,10 +1,11 @@
 //! The crate's single floating-point tolerance definition.
 //!
-//! Distance comparisons appear in three hot places — ball-membership counts
+//! Distance comparisons appear in four hot places — ball-membership counts
 //! (`DistanceMatrix::count_within`), breakpoint deduplication
-//! (`DistanceMatrix::sorted_all_distances`), and the event-grouping sweep of
-//! `BallCounter::l_profile` — and they must all agree on when two distances
-//! are "the same". Historically each site carried its own constant
+//! (`DistanceMatrix::sorted_all_distances`), the event-grouping sweep of
+//! `BallCounter::l_profile`, and the grid profile's per-radius bucket
+//! thresholds ([`ball_threshold`]) — and they must all agree on when two
+//! distances are "the same". Historically each site carried its own constant
 //! (`r·(1+1e-12)+1e-15`, a 4-ulp dedup, and a chained group merge), so a
 //! pair of distances could survive dedup as two distinct breakpoints and
 //! *still* be merged into one event group by `l_profile`, making
@@ -56,7 +57,17 @@ pub const ABS_COARSE: f64 = 1e-12;
 /// comparison in the workspace reduces to.
 #[inline]
 pub fn within_radius(d: f64, r: f64) -> bool {
-    d <= r * (1.0 + REL) + ABS
+    d <= ball_threshold(r)
+}
+
+/// The inflated radius `r·(1+REL) + ABS`: a distance lies within the
+/// closed ball of radius `r` exactly when it is at most this value. Exposed
+/// so a scan that tests many distances against the same radii can compute
+/// each threshold once (the grid profile's per-quarter-radius table) and
+/// stay bit-consistent with [`within_radius`].
+#[inline]
+pub fn ball_threshold(r: f64) -> f64 {
+    r * (1.0 + REL) + ABS
 }
 
 /// Whether two pairwise distances are indistinguishable at the unified
@@ -155,6 +166,15 @@ mod tests {
         assert!(balls_intersect(2.0 + 5e-13, 1.0, 1.0)); // inside slack
         assert!(!balls_intersect(2.0 + 1e-11, 1.0, 1.0)); // beyond slack
         assert!(!balls_intersect(1e9 + 1.0, 5e8, 5e8 - 1.0)); // no REL at scale
+    }
+
+    #[test]
+    fn threshold_matches_predicate() {
+        for r in [0.0, 1e-9, 0.25, 1.0, 1e6] {
+            let th = ball_threshold(r);
+            assert!(within_radius(th, r));
+            assert!(!within_radius(f64::from_bits(th.to_bits() + 1), r));
+        }
     }
 
     #[test]

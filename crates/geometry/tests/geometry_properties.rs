@@ -2,8 +2,8 @@
 
 use privcluster_geometry::{
     smallest_ball_two_approx, tol, welzl_meb, AxisAlignedBox, Ball, BallCounter, BoxPartition,
-    Dataset, DistanceMatrix, GeometryBackend, GeometryIndex, JlTransform, OrthonormalBasis, Point,
-    ProjectedBackend, ProjectedConfig,
+    Dataset, DistanceMatrix, GeometryBackend, GeometryIndex, GridDomain, JlTransform,
+    OrthonormalBasis, Point, ProjectedBackend, ProjectedConfig,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -232,7 +232,7 @@ proptest! {
     }
 
     /// A shared GeometryIndex is bit-identical to a per-query rebuild, at
-    /// every thread count, and its memoised profiles stay bit-identical on
+    /// every thread count, and its memoised grid profiles stay identical on
     /// reuse.
     #[test]
     fn geometry_index_reuse_is_bit_identical_across_threads(
@@ -240,8 +240,10 @@ proptest! {
         cap_sel in 1usize..8,
     ) {
         let cap = 1 + cap_sel % data.len();
+        let domain = GridDomain::unit_cube(2, 1 << 10).unwrap();
         let reference = DistanceMatrix::build(&data);
         let fresh = BallCounter::new(&data, cap).l_profile();
+        let fresh_grid = BallCounter::new(&data, cap).grid_profile(&domain);
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         for threads in [1usize, 2, 4] {
             let index = GeometryIndex::build(&data, threads);
@@ -251,11 +253,12 @@ proptest! {
                     bits(reference.sorted_row(i))
                 );
             }
-            // First use builds, second reuses the memoised profile.
+            let profile = index.l_profile(cap);
+            prop_assert_eq!(bits(profile.breakpoints()), bits(fresh.breakpoints()));
+            prop_assert_eq!(bits(profile.values()), bits(fresh.values()));
+            // First use builds, second reuses the memoised grid profile.
             for _ in 0..2 {
-                let profile = index.l_profile(cap);
-                prop_assert_eq!(bits(profile.breakpoints()), bits(fresh.breakpoints()));
-                prop_assert_eq!(bits(profile.values()), bits(fresh.values()));
+                prop_assert_eq!(&*index.grid_profile(cap, &domain), &fresh_grid);
             }
             prop_assert_eq!(index.cached_profiles(), 1);
         }

@@ -5,17 +5,17 @@
 //! controls the access pattern. Under the old FIFO eviction, a workload
 //! that keeps one *hot* cap in constant use while rotating fresh caps past
 //! the bound evicted the hot cap anyway (FIFO ignores recency), forcing
-//! its `O(n² log n)` profile rebuild on every single use. LRU keeps the
+//! its `O(n²·d)` grid-profile rebuild on every single use. LRU keeps the
 //! hot cap resident no matter how many cold caps stream by.
 //!
-//! `ball_count::debug_profile_build_count()` counts every profile build in
-//! the process (the profile-level twin of `distance::debug_build_count`,
-//! debug builds only). This file holds exactly **one** test so nothing
-//! else in the binary races the counter.
+//! `grid_profile::debug_profile_build_count()` counts every cached grid
+//! profile build in the process (the profile-level twin of
+//! `distance::debug_build_count`, debug builds only). This file holds
+//! exactly **one** test so nothing else in the binary races the counter.
 
-use privcluster_geometry::ball_count::debug_profile_build_count;
+use privcluster_geometry::grid_profile::debug_profile_build_count;
 use privcluster_geometry::index::MAX_CACHED_PROFILES;
-use privcluster_geometry::{Dataset, GeometryIndex};
+use privcluster_geometry::{Dataset, GeometryIndex, GridDomain};
 
 #[test]
 fn hot_cap_is_never_rebuilt_under_adversarial_cap_rotation() {
@@ -26,10 +26,11 @@ fn hot_cap_is_never_rebuilt_under_adversarial_cap_rotation() {
     )
     .unwrap();
     let index = GeometryIndex::build(&data, 1);
+    let domain = GridDomain::new(2, 1 << 10, -1.0, 1.0).unwrap();
 
     let hot_cap = 1usize;
     let before = debug_profile_build_count();
-    let _ = index.l_profile(hot_cap);
+    let _ = index.grid_profile(hot_cap, &domain);
     let after_first = debug_profile_build_count();
     if cfg!(debug_assertions) {
         assert_eq!(after_first, before + 1, "first use builds the hot profile");
@@ -43,8 +44,8 @@ fn hot_cap_is_never_rebuilt_under_adversarial_cap_rotation() {
     let rounds = 4 * MAX_CACHED_PROFILES;
     for round in 0..rounds {
         let fresh_cap = hot_cap + 1 + round; // never repeats
-        let _ = index.l_profile(fresh_cap);
-        let _ = index.l_profile(hot_cap);
+        let _ = index.grid_profile(fresh_cap, &domain);
+        let _ = index.grid_profile(hot_cap, &domain);
     }
     let after_rotation = debug_profile_build_count();
     if cfg!(debug_assertions) {
@@ -60,6 +61,6 @@ fn hot_cap_is_never_rebuilt_under_adversarial_cap_rotation() {
     assert!(index.cached_profiles() <= MAX_CACHED_PROFILES);
 
     // The hot profile answers identically after all that churn.
-    let via_cache = index.l_profile(hot_cap);
-    assert!(!via_cache.breakpoints().is_empty());
+    let via_cache = index.grid_profile(hot_cap, &domain);
+    assert_eq!(via_cache.value(0), 1.0);
 }

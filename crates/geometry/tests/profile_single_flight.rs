@@ -1,34 +1,37 @@
-//! Racing first users of one cap must share a single profile build.
+//! Racing first users of one cap and grid must share a single grid-profile
+//! build.
 //!
-//! Each cap's profile sits in a slot that the cache hands out under its
-//! lock and that the first caller fills outside it; callers arriving while
-//! it is being filled wait for that build instead of starting their own.
-//! Without the slot, every thread that missed the cache built the same
-//! profile, so a batch of same-cap queries on a fresh dataset paid the
-//! build once per thread.
+//! Each cap and grid's profile sits in a slot that the cache hands out
+//! under its lock and that the first caller fills outside it; callers
+//! arriving while it is being filled wait for that build instead of
+//! starting their own. Without the slot, every thread that missed the
+//! cache built the same profile, so a batch of same-cap queries on a fresh
+//! dataset paid the build once per thread.
 //!
-//! `ball_count::debug_profile_build_count()` counts every profile build in
-//! the process (debug builds only). This file holds exactly **one** test so
-//! nothing else in the binary races the counter.
+//! `grid_profile::debug_profile_build_count()` counts every cached grid
+//! profile build in the process (debug builds only). This file holds
+//! exactly **one** test so nothing else in the binary races the counter.
 
-use privcluster_geometry::ball_count::debug_profile_build_count;
-use privcluster_geometry::{Dataset, GeometryBackend, GeometryIndex, ProjectedBackend};
+use privcluster_geometry::grid_profile::debug_profile_build_count;
+use privcluster_geometry::{Dataset, GeometryBackend, GeometryIndex, GridDomain, ProjectedBackend};
 use std::sync::{Arc, Barrier};
 
 const THREADS: usize = 4;
 
-/// Starts `THREADS` threads together on `backend.l_profile(cap)` and
+/// Starts `THREADS` threads together on `backend.grid_profile(cap, ..)` and
 /// returns how many profile builds they caused.
 fn racing_builds(backend: Arc<dyn GeometryBackend>, cap: usize) -> u64 {
+    let domain = GridDomain::new(2, 1 << 10, -1.0, 1.0).unwrap();
     let barrier = Arc::new(Barrier::new(THREADS));
     let before = debug_profile_build_count();
     let profiles: Vec<_> = (0..THREADS)
         .map(|_| {
             let backend = Arc::clone(&backend);
             let barrier = Arc::clone(&barrier);
+            let domain = domain.clone();
             std::thread::spawn(move || {
                 barrier.wait();
-                backend.l_profile(cap)
+                backend.grid_profile(cap, &domain)
             })
         })
         .collect::<Vec<_>>()

@@ -3,7 +3,7 @@
 //! An algorithm solves the interior-point problem on a totally ordered domain
 //! `X` if, given a database `D ∈ X^n`, it outputs a value `x` with
 //! `min D ≤ x ≤ max D` (the output need not be a member of `D`). Privately
-//! solving it requires `n ≥ Ω(log*|X|)` (Theorem 5.2, [BNSV15]); Algorithm 3
+//! solving it requires `n ≥ Ω(log*|X|)` (Theorem 5.2, \[BNSV15\]); Algorithm 3
 //! reduces it to the 1-cluster problem, which is how the paper shows the
 //! 1-cluster dependence on `|X|` is unavoidable.
 

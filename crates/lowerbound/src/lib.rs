@@ -5,7 +5,7 @@
 //!   non-private reference solver, and hard-instance generators;
 //! * [`intpoint`] — Algorithm 3 (`IntPoint`): the reduction that turns any
 //!   private 1-cluster solver into a private interior-point solver, which by
-//!   Theorem 5.2 ([BNSV15]) forces the 1-cluster sample complexity to grow
+//!   Theorem 5.2 (\[BNSV15\]) forces the 1-cluster sample complexity to grow
 //!   with `log*|X|` (Corollary 5.4);
 //! * [`scaling`] — the `tower`/`log*` arithmetic of Corollary 5.4, exposed so
 //!   experiment E8 can tabulate how the bound behaves.

@@ -11,7 +11,7 @@
 //!
 //! Fields are bound by the crate-level no-payload-data contract: timings,
 //! counts, seq numbers, fingerprints, and `(ε, δ)` aggregates only. The
-//! [`event!`] macro is the sanctioned emission point, and the
+//! [`event!`](crate::event!) macro is the sanctioned emission point, and the
 //! `event-payload-leak` privlint rule audits its call sites.
 
 use crate::lock_recover;

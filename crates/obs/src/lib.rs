@@ -25,10 +25,10 @@
 //!   consistent point-in-time read rendered to canonical JSON.
 //! * [`span`] — the [`Span`] API: monotonic start/finish timing, parent
 //!   linkage, per-stage labels, and an optional histogram sink.
-//! * [`event`] — [`Severity`]-tagged structured JSON events in a bounded
-//!   ring buffer ([`EventStream`]), with an optional append-only file sink
-//!   (`serve --events PATH`). The [`event!`] macro is the one sanctioned
-//!   way to emit.
+//! * [`event`](mod@event) — [`Severity`]-tagged structured JSON events in a
+//!   bounded ring buffer ([`EventStream`]), with an optional append-only
+//!   file sink (`serve --events PATH`). The [`event!`] macro is the one
+//!   sanctioned way to emit.
 //! * [`prom`] — Prometheus-style text rendering of a snapshot, served by
 //!   `serve --metrics ADDR`.
 //!

@@ -101,15 +101,17 @@ fn multi_shard_transcript_matches_single_shard() {
     script.push("{\"op\":\"status\",\"dataset\":\"charlie\"}".to_string());
     // A batch spanning every dataset, with a member on an unregistered one
     // in the middle: split/reassembly must preserve request order, and
-    // the refused member's error must land in its own slot among granted
-    // members from other shards.
+    // the refused member's error must land in its own slot among released
+    // results from other shards. The members are `good_radius` at t = 16,
+    // which the singles above release, so the two layouts are compared on
+    // released values.
     let mut members: Vec<String> = datasets
         .iter()
         .enumerate()
         .map(|(i, name)| {
             format!(
                 "{{\"dataset\":\"{name}\",\"seed\":{},\"epsilon\":0.1,\"delta\":1e-9,\
-                 \"query\":{{\"type\":\"one_cluster\",\"t\":16,\"beta\":0.1}}}}",
+                 \"query\":{{\"type\":\"good_radius\",\"t\":16,\"beta\":0.1}}}}",
                 300 + i as u64
             )
         })
@@ -117,7 +119,7 @@ fn multi_shard_transcript_matches_single_shard() {
     members.insert(
         2,
         "{\"dataset\":\"ghost\",\"seed\":1,\"epsilon\":0.1,\"delta\":1e-9,\
-         \"query\":{\"type\":\"one_cluster\",\"t\":16,\"beta\":0.1}}"
+         \"query\":{\"type\":\"good_radius\",\"t\":16,\"beta\":0.1}}"
             .to_string(),
     );
     script.push(format!(
@@ -135,11 +137,11 @@ fn multi_shard_transcript_matches_single_shard() {
         assert_eq!(a, b, "transcript diverged on request: {line}");
         if line.contains("\"op\":\"batch\"") {
             // The ghost member, and only it, is refused as unknown; every
-            // other member was admitted on its own shard.
+            // other member was admitted on its own shard and released a
+            // result.
             let batch: Value = serde_json::from_str(&a).unwrap();
-            let unknown: Vec<bool> = get(&batch, "responses")
-                .and_then(Value::as_array)
-                .unwrap()
+            let slots = get(&batch, "responses").and_then(Value::as_array).unwrap();
+            let unknown: Vec<bool> = slots
                 .iter()
                 .map(|slot| {
                     let slot = serde_json::to_string(slot).unwrap();
@@ -147,6 +149,10 @@ fn multi_shard_transcript_matches_single_shard() {
                 })
                 .collect();
             assert_eq!(unknown, [false, false, true, false, false, false], "{a}");
+            for (i, slot) in slots.iter().enumerate().filter(|&(i, _)| i != 2) {
+                assert_eq!(get(slot, "ok"), Some(&Value::Bool(true)), "slot {i}: {a}");
+                assert!(get(slot, "result").is_some(), "slot {i}: {a}");
+            }
         }
     }
 }

@@ -10,7 +10,7 @@
 //! compactly). A record is *committed* exactly when all of its bytes are on
 //! disk; a partially written record at the end of a journal — a "torn tail",
 //! the signature of a crash mid-append — fails its length or checksum test
-//! and is reported (never silently skipped) by [`scan_records`].
+//! and is reported (never silently skipped) by [`scan_frames`].
 //!
 //! [`Value`]: serde::Value
 
