@@ -12,7 +12,16 @@
 //! replaces tail replay with one framed read, which is the entire reason
 //! `--snapshot-every` exists.
 //!
-//! Group 3 (`accountant_try_charge`) times granted
+//! Group 3 (`store_registration_record`) times the store layer alone on
+//! the records a large registration writes: `Store::append` of one
+//! 20,000 × 2 re-registration record (its fsync included), and
+//! `Store::open` of a journal holding ten of them — the set-up and
+//! recovery costs that registration rows put on `projected-large`. Each
+//! journal first registers the dataset, so every re-registration is
+//! applied to the store's state (and its rows cloned there) as in a real
+//! recovery.
+//!
+//! Group 4 (`accountant_try_charge`) times granted
 //! `BudgetAccountant::try_charge` calls on an accountant that already
 //! holds 10², 10³, 10⁴ or 10⁵ charges, under basic and advanced
 //! composition — the admission-path cost that must not grow with the
@@ -27,7 +36,12 @@ use privcluster_engine::{
     query_fingerprint, BudgetAccountant, Engine, EngineConfig, Query, QueryRequest,
 };
 use privcluster_geometry::{Dataset, GridDomain};
-use privcluster_store::{ChargeRecord, ReleaseRecord, Store, StoreConfig, StoreRecord};
+use privcluster_store::{
+    ChargeRecord, DomainSpec, RegisterRecord, ReleaseRecord, ReregisterRecord, Store, StoreConfig,
+    StoreRecord,
+};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use serde::Value;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -187,6 +201,94 @@ fn bench_recovery(c: &mut Criterion) {
     std::fs::remove_dir_all(snapshotted.journal_path.parent().unwrap()).ok();
 }
 
+/// Points per record of `store_registration_record`, as in
+/// `projected-large`.
+const REGISTRATION_POINTS: usize = 20_000;
+
+/// The 2-d domain of `store_registration_record`'s dataset.
+const REGISTRATION_DOMAIN: DomainSpec = DomainSpec {
+    dim: 2,
+    size: 1 << 10,
+    min: 0.0,
+    max: 1.0,
+};
+
+/// Version 1 of dataset "bench", with a single row: the re-registrations
+/// after it carry the rows being timed.
+fn registration() -> StoreRecord {
+    StoreRecord::Register(RegisterRecord {
+        seq: 0,
+        dataset: "bench".into(),
+        domain: REGISTRATION_DOMAIN,
+        budget: PrivacyParams::new(1.0, 1e-6).unwrap(),
+        mode: CompositionMode::Basic,
+        backend: "projected".into(),
+        fingerprint: "r|bench|1x2".into(),
+        rows: vec![vec![0.5, 0.5]],
+    })
+}
+
+/// Re-registration `version` of dataset "bench" with `rows` (uniform
+/// off-grid coordinates, which JSON text spells with up to 17 significant
+/// digits).
+fn reregistration(version: u64, rows: &[Vec<f64>]) -> StoreRecord {
+    StoreRecord::Reregister(ReregisterRecord {
+        seq: 0,
+        dataset: "bench".into(),
+        version,
+        domain: REGISTRATION_DOMAIN,
+        backend: "projected".into(),
+        fingerprint: format!("r|bench|{REGISTRATION_POINTS}x2|v{version}"),
+        rows: rows.to_vec(),
+    })
+}
+
+fn bench_registration_record(c: &mut Criterion) {
+    let mut group = c.benchmark_group("store_registration_record");
+    group.sample_size(20);
+    let mut rng = StdRng::seed_from_u64(20);
+    let rows: Vec<Vec<f64>> = (0..REGISTRATION_POINTS)
+        .map(|_| vec![rng.gen::<f64>(), rng.gen::<f64>()])
+        .collect();
+
+    let dir = scratch_dir("registration-append");
+    let (store, _) = Store::open(StoreConfig::journal_only(dir.join("journal.pcsj"))).unwrap();
+    store.append(registration()).unwrap();
+    let mut version = 1;
+    group.bench_function(format!("append_{REGISTRATION_POINTS}x2"), |b| {
+        b.iter_batched(
+            || {
+                version += 1;
+                reregistration(version, &rows)
+            },
+            |record| store.append(record).unwrap(),
+            BatchSize::PerIteration,
+        )
+    });
+    drop(store);
+
+    let open_dir = scratch_dir("registration-open");
+    let config = StoreConfig::journal_only(open_dir.join("journal.pcsj"));
+    {
+        let (store, _) = Store::open(config.clone()).unwrap();
+        store.append(registration()).unwrap();
+        for version in 2..12 {
+            store.append(reregistration(version, &rows)).unwrap();
+        }
+    }
+    group.bench_function("open_10_records", |b| {
+        b.iter(|| {
+            let (store, report) = Store::open(config.clone()).unwrap();
+            assert_eq!(report.state.reregisters().len(), 10);
+            store
+        })
+    });
+
+    group.finish();
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::remove_dir_all(&open_dir).ok();
+}
+
 /// Charges per timed sample of `accountant_try_charge`.
 const CHARGES_PER_SAMPLE: usize = 100;
 
@@ -227,6 +329,6 @@ fn bench_try_charge(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = config();
-    targets = bench_admission, bench_recovery, bench_try_charge
+    targets = bench_admission, bench_recovery, bench_registration_record, bench_try_charge
 }
 criterion_main!(benches);

@@ -143,24 +143,20 @@ fn bench_engine_register_exact(c: &mut Criterion) {
 
 /// The first `grid_profile(t, domain)` of a fresh exact index (n = 1,000,
 /// t = n/2): the pair-counting pass and sweep the first GoodRadius query on
-/// a newly registered dataset waits for. The index is built in set-up with
-/// 1, 2 or 4 threads; the profile build itself runs on the calling thread.
+/// a newly registered dataset waits for. The index is built in set-up; the
+/// profile build runs on the calling thread and reads no thread count, so
+/// one row covers it.
 fn bench_first_l_profile(c: &mut Criterion) {
     let mut group = c.benchmark_group("engine_first_l_profile");
     let n = 1000usize;
     let (data, domain) = planted(n, 42);
-    for threads in [1usize, 2, 4] {
-        group.bench_function(
-            BenchmarkId::new(format!("n{n}"), format!("t{threads}")),
-            |b| {
-                b.iter_batched(
-                    || GeometryIndex::build(&data, threads),
-                    |index| index.grid_profile(n / 2, &domain).segment_starts().len(),
-                    BatchSize::PerIteration,
-                )
-            },
-        );
-    }
+    group.bench_function(format!("n{n}"), |b| {
+        b.iter_batched(
+            || GeometryIndex::build(&data, 1),
+            |index| index.grid_profile(n / 2, &domain).segment_starts().len(),
+            BatchSize::PerIteration,
+        )
+    });
     group.finish();
 }
 

@@ -498,9 +498,10 @@ fn status_objects(transcript: &str) -> Vec<String> {
         .collect()
 }
 
-/// What `engine` answers to the status requests of `v2_requests.jsonl`.
-fn fixture_statuses(engine: &Engine) -> Vec<String> {
-    let requests = std::fs::read_to_string(store_fixtures().join("v2_requests.jsonl")).unwrap();
+/// What `engine` answers to the status requests of a fixture's request
+/// script (`requests`, a file name under the store fixtures).
+fn fixture_statuses(engine: &Engine, requests: &str) -> Vec<String> {
+    let requests = std::fs::read_to_string(store_fixtures().join(requests)).unwrap();
     requests
         .lines()
         .filter_map(|line| match protocol::Request::parse(line) {
@@ -523,7 +524,7 @@ fn fixture_statuses(engine: &Engine) -> Vec<String> {
 /// `v2_requests.jsonl` — two datasets, one basic and one advanced, each
 /// re-registered between charges — with `v2_statuses.jsonl` the status
 /// answers that writer's server gave before shutting down. Recovering
-/// either copy, and recovering the version-3 snapshot written from the
+/// either copy, and recovering the version-4 snapshot written from the
 /// first, must answer every status field — spend, headroom and each
 /// version's inherited spend — bit for bit as that server did.
 #[test]
@@ -535,7 +536,11 @@ fn version_two_snapshots_recover_bit_identically_to_a_journal_replay() {
 
     let journal_dir = fixture_copy("v2_journal_only", "v2-journal-only");
     let engine = Engine::open(engine_config(), store_config(&journal_dir)).unwrap();
-    assert_eq!(fixture_statuses(&engine), expected, "journal-only replay");
+    assert_eq!(
+        fixture_statuses(&engine, "v2_requests.jsonl"),
+        expected,
+        "journal-only replay"
+    );
     drop(engine);
 
     let snapshot_dir = fixture_copy("v2_snapshot", "v2-snapshot");
@@ -544,16 +549,62 @@ fn version_two_snapshots_recover_bit_identically_to_a_journal_replay() {
     {
         let engine = Engine::open(engine_config(), config.clone()).unwrap();
         assert_eq!(engine.durability().journal_seq, 16);
-        assert_eq!(fixture_statuses(&engine), expected, "v2 snapshot + tail");
+        assert_eq!(
+            fixture_statuses(&engine, "v2_requests.jsonl"),
+            expected,
+            "v2 snapshot + tail"
+        );
         engine.snapshot_now().unwrap().expect("snapshot dir is set");
     }
     let engine = Engine::open(engine_config(), config).unwrap();
     assert_eq!(
-        fixture_statuses(&engine),
+        fixture_statuses(&engine, "v2_requests.jsonl"),
         expected,
-        "v3 snapshot written from it"
+        "v4 snapshot written from it"
     );
 
     std::fs::remove_dir_all(&journal_dir).ok();
     std::fs::remove_dir_all(&snapshot_dir).ok();
+}
+
+/// `crates/store/tests/data/v3_snapshot` was written by the last writer of
+/// JSON rows: `serve --snapshot-dir --snapshot-every 8` over
+/// `v3_requests.jsonl`. It holds a version-3 snapshot at seq 8 (two
+/// registrations of dimension 2 and 3, one re-registration, their charges)
+/// and a journal tail whose re-registration and registration (on the
+/// projected backend) carry their rows as JSON arrays; `v3_statuses.jsonl`
+/// holds the status answers that server gave before shutting down.
+/// Recovering it, and recovering the version-4 snapshot written from it,
+/// must answer every status field bit for bit as that server did.
+#[test]
+fn json_row_journals_and_version_three_snapshots_recover_bit_identically() {
+    let expected = status_objects(
+        &std::fs::read_to_string(store_fixtures().join("v3_statuses.jsonl")).unwrap(),
+    );
+    assert_eq!(expected.len(), 5);
+
+    let dir = fixture_copy("v3_snapshot", "v3-snapshot");
+    let mut config = store_config(&dir);
+    config.snapshot_dir = Some(dir.join("snapshots"));
+    {
+        let engine = Engine::open(engine_config(), config.clone()).unwrap();
+        assert_eq!(engine.durability().journal_seq, 15);
+        assert_eq!(
+            fixture_statuses(&engine, "v3_requests.jsonl"),
+            expected,
+            "v3 snapshot + JSON-row journal tail"
+        );
+        let path = engine.snapshot_now().unwrap().expect("snapshot dir is set");
+        // After the magic and the frame's length and checksum: the
+        // row-block tag, where a version-3 payload has `{`.
+        assert_eq!(std::fs::read(path).unwrap()[16], 0xB1);
+    }
+    let engine = Engine::open(engine_config(), config).unwrap();
+    assert_eq!(
+        fixture_statuses(&engine, "v3_requests.jsonl"),
+        expected,
+        "v4 snapshot written from it"
+    );
+
+    std::fs::remove_dir_all(&dir).ok();
 }

@@ -39,16 +39,21 @@ predicate (e.g. ordering two candidate radii), waive it with a reason.",
     RuleInfo {
         id: "lock-unwrap",
         summary: "`.lock()/.read()/.write()` followed by `.unwrap()`/`.expect()` on a poisoning guard",
-        scope: "library code of crates/engine and crates/geometry, outside the \
-`lock_recover`/`read_recover`/`write_recover` helpers themselves",
+        scope: "library code of crates/engine, crates/geometry, crates/store and \
+crates/server, outside the `lock_recover`/`read_recover`/`write_recover` helpers \
+themselves",
         motivation: "PR 4's poisoned-lock kill: a panic inside one query's plan \
 execution poisoned the engine's `pending`/`cache` mutexes, and every later query \
 died in `.expect(\"lock poisoned\")` — one data-dependent panic turned into a \
 permanently dead service. The engine's shared structures are never left \
 mid-mutation by a payload panic, so recovering the guard is always sound there.",
         fix: "Route through `privcluster_geometry::sync::lock_recover` (or \
-`read_recover`/`write_recover` for `RwLock`), which recovers the data from a \
-poisoned guard instead of propagating the panic.",
+`read_recover`/`write_recover` for `RwLock`, or `.unwrap_or_else(PoisonError::into_inner)` \
+in a crate without the geometry dependency), which recovers the data from a \
+poisoned guard instead of propagating the panic. Where a panicked holder can \
+leave the guarded state inconsistent with durable state (the store's state \
+lock: a frame written but not yet applied), panicking is the safe choice — \
+waive the site with that reason.",
     },
     RuleInfo {
         id: "entropy-source",

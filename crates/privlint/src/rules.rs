@@ -131,7 +131,7 @@ fn lock_unwrap(
     lib: &dyn Fn(u32) -> bool,
     findings: &mut Vec<Finding>,
 ) {
-    if !crate_in(scope, &["engine", "geometry"]) {
+    if !crate_in(scope, &["engine", "geometry", "store", "server"]) {
         return;
     }
     let bodies = fn_bodies(sig);

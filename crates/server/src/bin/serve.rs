@@ -47,7 +47,7 @@ use privcluster_server::ShardedServer;
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 
 fn usage() -> ! {
     eprintln!(
@@ -90,7 +90,9 @@ fn shard_snapshot_dir(base: &str, shard: usize, shards: usize) -> PathBuf {
 
 /// An events sink shared by every shard's event stream: one mutex-guarded
 /// file handle, so concurrently emitted event lines never interleave
-/// mid-line.
+/// mid-line. The lock is taken with poison recovery: a writer that
+/// panicked mid-write loses at most its own event line, and the file
+/// handle itself is never left inconsistent.
 struct SharedSink {
     file: Arc<Mutex<std::fs::File>>,
 }
@@ -99,12 +101,15 @@ impl Write for SharedSink {
     fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
         self.file
             .lock()
-            .expect("events sink lock poisoned")
+            .unwrap_or_else(PoisonError::into_inner)
             .write(buf)
     }
 
     fn flush(&mut self) -> std::io::Result<()> {
-        self.file.lock().expect("events sink lock poisoned").flush()
+        self.file
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .flush()
     }
 }
 

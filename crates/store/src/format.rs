@@ -6,13 +6,14 @@
 //! [payload length: u32 LE] [CRC-32 of payload: u32 LE] [payload bytes]
 //! ```
 //!
-//! The payload is UTF-8 JSON (the vendored serde [`Value`] tree printed
-//! compactly). A record is *committed* exactly when all of its bytes are on
-//! disk; a partially written record at the end of a journal — a "torn tail",
-//! the signature of a crash mid-append — fails its length or checksum test
-//! and is reported (never silently skipped) by [`scan_frames`].
-//!
-//! [`Value`]: serde::Value
+//! The frame does not look inside its payload. A payload is either compact
+//! UTF-8 JSON, or — for registrations and snapshots — a JSON header
+//! followed by raw little-endian `f64` row blocks; see
+//! [`payload`](mod@crate::payload). A record is *committed* exactly when all of
+//! its bytes are on disk; a partially written record at the end of a
+//! journal — a "torn tail", the signature of a crash mid-append — fails its
+//! length or checksum test and is reported (never silently skipped) by
+//! [`scan_frames`].
 
 use crate::error::StoreError;
 

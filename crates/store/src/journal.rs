@@ -84,8 +84,8 @@ impl Journal {
         let (payloads, tail) = scan_frames(body);
         let mut records = Vec::with_capacity(payloads.len());
         for (index, payload) in payloads.iter().enumerate() {
-            // A frame whose checksum passes but whose JSON does not parse
-            // was written that way (the CRC proves the bytes are intact):
+            // A frame whose checksum passes but whose payload does not
+            // decode was written that way (the CRC proves the bytes are intact):
             // that is version drift or a logic bug, never a crash
             // signature, and truncating it would delete acknowledged
             // state. Fail loudly instead.
@@ -102,8 +102,8 @@ impl Journal {
         if let TailStatus::Torn { reason, .. } = tail {
             // A crash mid-append damages only the *final* record — its
             // bytes run to EOF and nothing follows. If a complete,
-            // checksum-valid frame exists anywhere after the damage point,
-            // this is mid-file corruption: the records after it were
+            // checksum-valid frame holding a decodable record exists
+            // anywhere after the damage point, this is mid-file corruption: the records after it were
             // acknowledged, and truncating them would refund their budget
             // charges. Fail loudly; only a genuine tail is truncated.
             let damaged = &body[valid_bytes as usize..];
@@ -133,7 +133,7 @@ impl Journal {
     /// group-commit writer syncs it, and the caller must wait for that
     /// before releasing a result whose charge must already be durable.
     pub fn append(&mut self, record: &StoreRecord) -> Result<(), StoreError> {
-        let frame = encode_frame(&record.to_payload())?;
+        let frame = encode_frame(&record.to_payload()?)?;
         self.file
             .write_all(&frame)
             .map_err(|e| StoreError::io(&self.path, e))
@@ -176,21 +176,30 @@ fn sync(file: &File, path: &Path) -> Result<(), StoreError> {
     file.sync_data().map_err(|e| StoreError::io(path, e))
 }
 
-/// Whether any complete, checksum-valid frame starts anywhere in `bytes`
-/// beyond offset 0 (offset 0 is the damaged frame itself). Used to tell a
-/// genuine torn tail (damage runs to EOF) from mid-file corruption (intact
-/// acknowledged records follow the damage). A 32-bit CRC makes an
-/// accidental match in garbage astronomically unlikely.
+/// Whether a complete, checksum-valid frame holding a decodable record
+/// starts anywhere in `bytes` beyond offset 0 (offset 0 is the damaged
+/// frame itself). Used to tell a genuine torn tail (damage runs to EOF)
+/// from mid-file corruption (intact acknowledged records follow the
+/// damage).
+///
+/// The bytes of a torn registration are mostly raw `f64` coordinates, so
+/// a candidate must be more than a header whose CRC matches. A 0.0
+/// coordinate is eight zero bytes: a length-0, CRC-0 header, and crc32 of
+/// no bytes is 0. No record payload is empty, so length 0 is skipped, and
+/// a candidate counts only if its payload decodes as a record. The frames
+/// after a candidate need not run cleanly to EOF: rot mid-file followed by
+/// a later torn append must still refuse rather than truncate.
 fn has_resynced_frame(bytes: &[u8]) -> bool {
     use crate::format::{crc32, MAX_RECORD_BYTES};
     for start in 1..bytes.len().saturating_sub(8) {
         let rest = &bytes[start..];
         let len = u32::from_le_bytes(rest[..4].try_into().expect("4 bytes")) as usize;
-        if len > MAX_RECORD_BYTES || rest.len() < 8 + len {
+        if len == 0 || len > MAX_RECORD_BYTES || rest.len() < 8 + len {
             continue;
         }
         let expected = u32::from_le_bytes(rest[4..8].try_into().expect("4 bytes"));
-        if crc32(&rest[8..8 + len]) == expected {
+        let payload = &rest[8..8 + len];
+        if crc32(payload) == expected && StoreRecord::from_payload(payload).is_ok() {
             return true;
         }
     }
@@ -236,7 +245,7 @@ mod tests {
             journal.append(&charge(1, "d", "q1", 0.5)).unwrap();
         }
         // Simulate a crash mid-append: half a record at the tail.
-        let half = &encode_frame(&charge(2, "d", "q2", 0.5).to_payload()).unwrap()[..11];
+        let half = &encode_frame(&charge(2, "d", "q2", 0.5).to_payload().unwrap()).unwrap()[..11];
         {
             use std::io::Write;
             let mut f = OpenOptions::new().append(true).open(&path).unwrap();
@@ -250,6 +259,33 @@ mod tests {
         let (_, scan) = Journal::open(&path).unwrap();
         assert_eq!(scan.records.len(), 1);
         assert!(scan.torn_tail.is_none());
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn registration_torn_after_a_zero_coordinate_is_a_torn_tail() {
+        // A 0.0 coordinate is eight zero bytes in a row block: a length-0,
+        // CRC-0 header, and crc32 of no bytes is 0. Tearing the record
+        // anywhere past it must still read as a torn tail.
+        let path = temp_path("torn-zero");
+        let mut record = register(2, "d");
+        if let StoreRecord::Register(r) = &mut record {
+            r.rows = vec![vec![0.0, 0.0], vec![0.5, 0.0], vec![0.0, 0.25]];
+        }
+        {
+            let (mut journal, _) = Journal::open(&path).unwrap();
+            journal.append(&charge(1, "d", "q1", 0.5)).unwrap();
+        }
+        let committed = std::fs::read(&path).unwrap();
+        let frame = encode_frame(&record.to_payload().unwrap()).unwrap();
+        for cut in 1..frame.len() {
+            let mut bytes = committed.clone();
+            bytes.extend_from_slice(&frame[..cut]);
+            std::fs::write(&path, &bytes).unwrap();
+            let (_, scan) = Journal::open(&path).unwrap_or_else(|e| panic!("cut={cut}: {e}"));
+            assert_eq!(scan.records, vec![charge(1, "d", "q1", 0.5)], "cut={cut}");
+            assert!(scan.torn_tail.is_some(), "cut={cut}");
+        }
         std::fs::remove_file(&path).ok();
     }
 

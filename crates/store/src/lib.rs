@@ -34,6 +34,7 @@
 pub mod error;
 pub mod format;
 pub mod journal;
+pub mod payload;
 pub mod record;
 pub mod recovery;
 pub mod snapshot;

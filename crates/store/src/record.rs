@@ -25,11 +25,20 @@
 //! time; replay skips any record whose `seq` is at or below the state's
 //! high-water mark, which is what makes replay idempotent.
 //!
+//! Payload layouts (see [`payload`](mod@crate::payload)). Registrations and
+//! re-registrations are written in the row-block layout: a JSON header
+//! whose `rows` field is `{"n":N,"dim":D}`, then the rows as raw
+//! little-endian `f64`, 8 bytes per coordinate. Charges and releases are
+//! written as JSON. Journals written before the row-block layout hold
+//! every record as JSON, with each row an array of numbers; they still
+//! decode.
+//!
 //! The store is deliberately engine-agnostic: released values are opaque
 //! [`Value`] trees and backend kinds are strings — the engine owns those
 //! vocabularies.
 
 use crate::error::StoreError;
+use crate::payload::{self, rows_spec, Rows};
 use crate::wire::{num, obj, req, req_f64, req_str, req_u64, req_usize, s};
 use privcluster_dp::composition::CompositionMode;
 use privcluster_dp::PrivacyParams;
@@ -162,41 +171,30 @@ impl StoreRecord {
         self
     }
 
-    /// Parses a framed payload's JSON.
+    /// Decodes a framed payload: a registration in the row-block layout,
+    /// or any record as JSON (see [`payload`](mod@crate::payload)).
     pub fn from_payload(payload: &[u8]) -> Result<Self, StoreError> {
-        let text = std::str::from_utf8(payload)
-            .map_err(|e| StoreError::Corrupt(format!("record payload is not UTF-8: {e}")))?;
-        let value: Value = serde_json::from_str(text)
-            .map_err(|e| StoreError::Corrupt(format!("record payload is not JSON: {e}")))?;
-        StoreRecord::from_json(&value)
+        let (value, mut rows) = payload::decode(payload, "record")?;
+        let record = StoreRecord::from_json(&value, &mut rows)?;
+        rows.finish()?;
+        Ok(record)
     }
 
-    /// The JSON payload of this record.
-    pub fn to_payload(&self) -> Vec<u8> {
-        serde_json::to_string(&self.to_json_value())
-            .expect("record serialization is infallible")
-            .into_bytes()
-    }
-
-    fn rows_from_json(value: &Value) -> Result<Vec<Vec<f64>>, StoreError> {
-        req(value, "rows")?
-            .as_array()
-            .ok_or_else(|| StoreError::Corrupt("field `rows` must be an array".into()))?
-            .iter()
-            .map(|row| {
-                row.as_array()
-                    .ok_or_else(|| {
-                        StoreError::Corrupt("each row must be an array of numbers".into())
-                    })?
-                    .iter()
-                    .map(|c| {
-                        c.as_f64().ok_or_else(|| {
-                            StoreError::Corrupt("row coordinates must be numbers".into())
-                        })
-                    })
-                    .collect::<Result<Vec<f64>, _>>()
-            })
-            .collect::<Result<Vec<Vec<f64>>, _>>()
+    /// The framed payload of this record: registrations and
+    /// re-registrations in the row-block layout, charges and releases as
+    /// JSON. Fails only for rows a block cannot hold (ragged or empty
+    /// rows), which no validated dataset has.
+    pub fn to_payload(&self) -> Result<Vec<u8>, StoreError> {
+        let rows = match self {
+            StoreRecord::Register(r) => &r.rows,
+            StoreRecord::Reregister(r) => &r.rows,
+            StoreRecord::Charge(_) | StoreRecord::Release(_) => {
+                return Ok(serde_json::to_string(&self.to_json_value())
+                    .expect("record serialization is infallible")
+                    .into_bytes())
+            }
+        };
+        payload::encode_row_blocks(&self.to_json_value(), &[rows])
     }
 
     fn domain_from_json(value: &Value) -> Result<DomainSpec, StoreError> {
@@ -218,15 +216,9 @@ impl StoreRecord {
         ])
     }
 
-    fn rows_to_json(rows: &[Vec<f64>]) -> Value {
-        Value::Array(
-            rows.iter()
-                .map(|row| Value::Array(row.iter().map(|&c| Value::Number(c)).collect()))
-                .collect(),
-        )
-    }
-
-    pub(crate) fn from_json(value: &Value) -> Result<Self, StoreError> {
+    /// Decodes a record's JSON object, taking a registration's rows from
+    /// `rows`.
+    pub(crate) fn from_json(value: &Value, rows: &mut Rows<'_>) -> Result<Self, StoreError> {
         match req_str(value, "type")?.as_str() {
             "register" => Ok(StoreRecord::Register(RegisterRecord {
                 seq: req_u64(value, "seq")?,
@@ -238,7 +230,7 @@ impl StoreRecord {
                     .map_err(StoreError::Corrupt)?,
                 backend: req_str(value, "backend")?,
                 fingerprint: req_str(value, "fingerprint")?,
-                rows: Self::rows_from_json(value)?,
+                rows: rows.take(value)?,
             })),
             "reregister" => {
                 let version = req_u64(value, "version")?;
@@ -257,7 +249,7 @@ impl StoreRecord {
                     domain: Self::domain_from_json(value)?,
                     backend: req_str(value, "backend")?,
                     fingerprint: req_str(value, "fingerprint")?,
-                    rows: Self::rows_from_json(value)?,
+                    rows: rows.take(value)?,
                 }))
             }
             "charge" => Ok(StoreRecord::Charge(ChargeRecord {
@@ -280,6 +272,9 @@ impl StoreRecord {
         }
     }
 
+    /// The record's JSON object: the whole payload of a charge or a
+    /// release, the header of a registration (whose `rows` field is the
+    /// block spec).
     pub(crate) fn to_json_value(&self) -> Value {
         match self {
             StoreRecord::Register(r) => r.to_json_value(),
@@ -298,7 +293,7 @@ impl StoreRecord {
 }
 
 impl RegisterRecord {
-    /// The record's JSON form (as in the journal).
+    /// The record's row-block header (as in the journal).
     pub(crate) fn to_json_value(&self) -> Value {
         obj(vec![
             ("type", s("register")),
@@ -309,13 +304,13 @@ impl RegisterRecord {
             ("composition", self.mode.to_json_value()),
             ("backend", s(self.backend.clone())),
             ("fingerprint", s(self.fingerprint.clone())),
-            ("rows", StoreRecord::rows_to_json(&self.rows)),
+            ("rows", rows_spec(&self.rows)),
         ])
     }
 }
 
 impl ReregisterRecord {
-    /// The record's JSON form (as in the journal).
+    /// The record's row-block header (as in the journal).
     pub(crate) fn to_json_value(&self) -> Value {
         obj(vec![
             ("type", s("reregister")),
@@ -325,7 +320,7 @@ impl ReregisterRecord {
             ("domain", StoreRecord::domain_to_json(&self.domain)),
             ("backend", s(self.backend.clone())),
             ("fingerprint", s(self.fingerprint.clone())),
-            ("rows", StoreRecord::rows_to_json(&self.rows)),
+            ("rows", rows_spec(&self.rows)),
         ])
     }
 }
@@ -403,6 +398,30 @@ pub(crate) mod test_support {
             ]),
         })
     }
+
+    /// The record's JSON object as writers before the row-block layout
+    /// emitted it: a registration's rows inline, as arrays of numbers.
+    pub fn legacy_json(record: &StoreRecord) -> Value {
+        let mut value = record.to_json_value();
+        let rows = match record {
+            StoreRecord::Register(r) => &r.rows,
+            StoreRecord::Reregister(r) => &r.rows,
+            _ => return value,
+        };
+        let Value::Object(fields) = &mut value else {
+            unreachable!("records are objects")
+        };
+        for (key, field) in fields.iter_mut() {
+            if key == "rows" {
+                *field = Value::Array(
+                    rows.iter()
+                        .map(|row| Value::Array(row.iter().map(|&c| Value::Number(c)).collect()))
+                        .collect(),
+                );
+            }
+        }
+        value
+    }
 }
 
 #[cfg(test)]
@@ -419,10 +438,45 @@ mod tests {
             reregister(4, "demo", 2),
         ];
         for record in records {
-            let payload = record.to_payload();
+            let payload = record.to_payload().unwrap();
             let back = StoreRecord::from_payload(&payload).unwrap();
             assert_eq!(back, record);
             assert_eq!(back.seq(), record.seq());
+        }
+    }
+
+    #[test]
+    fn registrations_are_row_blocks_and_json_registrations_still_decode() {
+        for record in [register(1, "demo"), reregister(4, "demo", 2)] {
+            let payload = record.to_payload().unwrap();
+            assert_eq!(payload[0], 0xB1, "a JSON payload starts with `{{`");
+            let header = u32::from_le_bytes(payload[1..5].try_into().unwrap()) as usize;
+            let (StoreRecord::Register(RegisterRecord { rows, .. })
+            | StoreRecord::Reregister(ReregisterRecord { rows, .. })) = &record
+            else {
+                unreachable!()
+            };
+            assert_eq!(payload.len(), 5 + header + 8 * rows.len() * 2);
+            let legacy = serde_json::to_string(&legacy_json(&record)).unwrap();
+            assert!(legacy.starts_with('{'));
+            assert_eq!(
+                StoreRecord::from_payload(legacy.as_bytes()).unwrap(),
+                record
+            );
+        }
+    }
+
+    #[test]
+    fn rows_a_block_cannot_hold_are_refused_at_encoding() {
+        for rows in [vec![vec![0.5, 0.5], vec![0.5]], vec![vec![], vec![]]] {
+            let StoreRecord::Register(mut r) = register(1, "d") else {
+                unreachable!()
+            };
+            r.rows = rows;
+            assert!(matches!(
+                StoreRecord::Register(r).to_payload(),
+                Err(StoreError::Corrupt(_))
+            ));
         }
     }
 
@@ -446,7 +500,7 @@ mod tests {
         // The wire shape has no budget/composition fields at all: a decoded
         // reregister is structurally unable to reset the ledger.
         let StoreRecord::Reregister(r) =
-            StoreRecord::from_payload(&reregister(4, "d", 2).to_payload()).unwrap()
+            StoreRecord::from_payload(&reregister(4, "d", 2).to_payload().unwrap()).unwrap()
         else {
             panic!("expected a reregister record");
         };

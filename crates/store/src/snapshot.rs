@@ -11,14 +11,20 @@
 //! directory stays bounded.
 //!
 //! Payload format versions. New snapshots are always written as
-//! version 3:
+//! version 4:
 //!
+//! * **version 4** is version 3 in the row-block layout (see
+//!   [`payload`](mod@crate::payload)): the version-3 fields form the JSON
+//!   header, each registration's `rows` field there is `{"n":N,"dim":D}`,
+//!   and the registrations' rows follow as raw little-endian `f64` blocks,
+//!   in header order (the registrations, then the re-registrations);
 //! * **version 3** holds the covered sequence number, the registrations,
 //!   each applied re-registration with its dataset's [`LedgerTotals`] at
 //!   that point in the journal, one totals object per dataset in name
-//!   order, and the retained releases. No charge record is kept, so a
-//!   snapshot's size follows the number of datasets and retained releases,
-//!   not the number of queries ever charged;
+//!   order, and the retained releases, all as JSON with inline rows. No
+//!   charge record is kept, so a snapshot's size follows the number of
+//!   datasets, their rows and the retained releases, not the number of
+//!   queries ever charged;
 //! * **version 2** holds the compacted record list (registers,
 //!   reregisters, every charge, retained releases) and a declared
 //!   `versions` table, cross-checked at load time against the table replay
@@ -26,12 +32,13 @@
 //! * **version 1** predates dataset versioning: registers, charges and
 //!   releases only.
 //!
-//! Versions 1 and 2 still decode: their records are replayed through
-//! [`StoreState::apply`], which folds the charges into the same totals a
-//! journal replay would build.
+//! Versions 1 to 3 still decode. Versions 1 and 2 replay their records
+//! through [`StoreState::apply`], which folds the charges into the same
+//! totals a journal replay would build.
 
 use crate::error::StoreError;
 use crate::format::{encode_frame, scan_frames, TailStatus, SNAPSHOT_MAGIC};
+use crate::payload::{self, Rows};
 use crate::record::{RegisterRecord, ReleaseRecord, ReregisterRecord, StoreRecord};
 use crate::recovery::StoreState;
 use crate::wire::{num, obj, req, req_u64};
@@ -48,7 +55,7 @@ use std::sync::Arc;
 /// to by hand if the newest is damaged.
 pub(crate) const RETAINED_SNAPSHOTS: usize = 2;
 
-/// A compacted copy of journal state up to `seq` (the version-3 payload).
+/// A compacted copy of journal state up to `seq` (the version-4 payload).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Snapshot {
     /// Highest journal sequence number this snapshot covers; recovery
@@ -66,9 +73,28 @@ pub struct Snapshot {
 }
 
 impl Snapshot {
-    fn to_json_value(&self) -> Value {
+    /// The version-4 payload: the JSON header, then every registration's
+    /// row block in header order.
+    fn to_payload(&self) -> Result<Vec<u8>, StoreError> {
+        let blocks: Vec<&[Vec<f64>]> = self
+            .registers
+            .iter()
+            .map(|r| &r.rows[..])
+            .chain(self.reregisters.iter().map(|(r, _)| &r.rows[..]))
+            .collect();
+        payload::encode_row_blocks(&self.header(), &blocks)
+    }
+
+    fn from_payload(bytes: &[u8]) -> Result<Self, StoreError> {
+        let (value, mut rows) = payload::decode(bytes, "snapshot")?;
+        let snapshot = Snapshot::from_json(&value, &mut rows)?;
+        rows.finish()?;
+        Ok(snapshot)
+    }
+
+    fn header(&self) -> Value {
         obj(vec![
-            ("version", num(3.0)),
+            ("version", num(4.0)),
             ("seq", num(self.seq as f64)),
             (
                 "registers",
@@ -104,22 +130,24 @@ impl Snapshot {
         ])
     }
 
-    fn from_json(value: &Value) -> Result<Self, StoreError> {
+    /// Decodes a payload's JSON value, taking the registrations' rows from
+    /// `rows` in header order: inline for versions 1 to 3, blocks for 4.
+    fn from_json(value: &Value, rows: &mut Rows<'_>) -> Result<Self, StoreError> {
         let seq = req_u64(value, "seq")?;
         match req_u64(value, "version")? {
-            3 => {
+            3 | 4 => {
                 let snapshot = Snapshot {
                     seq,
                     registers: array(value, "registers")?
                         .iter()
-                        .map(|v| match StoreRecord::from_json(v)? {
+                        .map(|v| match StoreRecord::from_json(v, rows)? {
                             StoreRecord::Register(r) => Ok(Arc::new(r)),
                             _ => Err(corrupt("`registers` holds a non-register record")),
                         })
                         .collect::<Result<_, _>>()?,
                     reregisters: array(value, "reregisters")?
                         .iter()
-                        .map(|v| match StoreRecord::from_json(req(v, "record")?)? {
+                        .map(|v| match StoreRecord::from_json(req(v, "record")?, rows)? {
                             StoreRecord::Reregister(r) => {
                                 Ok((Arc::new(r), totals(req(v, "totals")?)?))
                             }
@@ -134,7 +162,7 @@ impl Snapshot {
                         .collect::<Result<_, StoreError>>()?,
                     releases: array(value, "releases")?
                         .iter()
-                        .map(|v| match StoreRecord::from_json(v)? {
+                        .map(|v| match StoreRecord::from_json(v, rows)? {
                             StoreRecord::Release(r) => Ok(r),
                             _ => Err(corrupt("`releases` holds a non-release record")),
                         })
@@ -146,7 +174,7 @@ impl Snapshot {
             version @ (1 | 2) => {
                 let records = array(value, "records")?
                     .iter()
-                    .map(StoreRecord::from_json)
+                    .map(|v| StoreRecord::from_json(v, rows))
                     .collect::<Result<Vec<_>, _>>()?;
                 if version == 1
                     && records
@@ -205,12 +233,12 @@ impl Snapshot {
         }
     }
 
-    /// The invariants replay guarantees, checked on a decoded version-3
-    /// payload so a damaged one is refused rather than restored: names
-    /// register once, re-registrations extend their chain one version at
-    /// a time, a dataset's totals never shrink along its chain, the totals
-    /// are in strictly ascending name order, and no record lies past the
-    /// covered sequence number.
+    /// The invariants replay guarantees, checked on a decoded version-3 or
+    /// version-4 payload so a damaged one is refused rather than restored:
+    /// names register once, re-registrations extend their chain one version
+    /// at a time, a dataset's totals never shrink along its chain, the
+    /// totals are in strictly ascending name order, and no record lies past
+    /// the covered sequence number.
     fn check(&self) -> Result<(), StoreError> {
         let mut versions: HashMap<&str, (u64, u64)> = HashMap::new();
         for r in &self.registers {
@@ -286,10 +314,7 @@ fn snapshot_file_name(seq: u64) -> String {
 /// the file's size in bytes.
 pub fn write_snapshot(dir: &Path, snapshot: &Snapshot) -> Result<(PathBuf, u64), StoreError> {
     std::fs::create_dir_all(dir).map_err(|e| StoreError::io(dir, e))?;
-    let payload = serde_json::to_string(&snapshot.to_json_value())
-        .expect("snapshot serialization is infallible")
-        .into_bytes();
-    let frame = encode_frame(&payload)?;
+    let frame = encode_frame(&snapshot.to_payload()?)?;
     let tmp = dir.join(format!(".tmp-{}", snapshot_file_name(snapshot.seq)));
     {
         let mut file = File::create(&tmp).map_err(|e| StoreError::io(&tmp, e))?;
@@ -398,17 +423,13 @@ fn load_snapshot(path: &Path) -> Result<(Snapshot, u64), StoreError> {
             path.display()
         )));
     }
-    let text = std::str::from_utf8(payloads[0])
-        .map_err(|e| StoreError::Corrupt(format!("snapshot payload is not UTF-8: {e}")))?;
-    let value: Value = serde_json::from_str(text)
-        .map_err(|e| StoreError::Corrupt(format!("snapshot payload is not JSON: {e}")))?;
-    Ok((Snapshot::from_json(&value)?, bytes.len() as u64))
+    Ok((Snapshot::from_payload(payloads[0])?, bytes.len() as u64))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::record::test_support::{charge, register, release, reregister};
+    use crate::record::test_support::{charge, legacy_json, register, release, reregister};
 
     fn records() -> Vec<StoreRecord> {
         vec![
@@ -426,12 +447,19 @@ mod tests {
         snapshot
     }
 
-    fn write_raw(dir: &Path, name: &str, payload: &Value) {
+    fn write_raw(dir: &Path, name: &str, payload: &[u8]) {
         std::fs::create_dir_all(dir).unwrap();
         let mut bytes = SNAPSHOT_MAGIC.to_vec();
-        let payload = serde_json::to_string(payload).unwrap().into_bytes();
-        bytes.extend(encode_frame(&payload).unwrap());
+        bytes.extend(encode_frame(payload).unwrap());
         std::fs::write(dir.join(name), bytes).unwrap();
+    }
+
+    fn write_json(dir: &Path, name: &str, payload: &Value) {
+        write_raw(
+            dir,
+            name,
+            serde_json::to_string(payload).unwrap().as_bytes(),
+        );
     }
 
     fn load(dir: &Path) -> Result<Option<Snapshot>, StoreError> {
@@ -446,9 +474,78 @@ mod tests {
         }
         fields.push((
             "records",
-            Value::Array(records.iter().map(|r| r.to_json_value()).collect()),
+            Value::Array(records.iter().map(legacy_json).collect()),
         ));
         obj(fields)
+    }
+
+    /// The same snapshot as the version-3 writer emitted it: all JSON,
+    /// each registration's rows inline.
+    fn version_three_payload(s: &Snapshot) -> Value {
+        let register = |r: &Arc<RegisterRecord>| legacy_json(&StoreRecord::Register((**r).clone()));
+        let reregister = |(r, totals): &(Arc<ReregisterRecord>, LedgerTotals)| {
+            obj(vec![
+                (
+                    "record",
+                    legacy_json(&StoreRecord::Reregister((**r).clone())),
+                ),
+                ("totals", totals.to_json_value()),
+            ])
+        };
+        obj(vec![
+            ("version", num(3.0)),
+            ("seq", num(s.seq as f64)),
+            (
+                "registers",
+                Value::Array(s.registers.iter().map(register).collect()),
+            ),
+            (
+                "reregisters",
+                Value::Array(s.reregisters.iter().map(reregister).collect()),
+            ),
+            (
+                "totals",
+                Value::Object(
+                    s.totals
+                        .iter()
+                        .map(|(name, t)| (name.clone(), t.to_json_value()))
+                        .collect(),
+                ),
+            ),
+            (
+                "releases",
+                Value::Array(s.releases.iter().map(|r| r.to_json_value()).collect()),
+            ),
+        ])
+    }
+
+    #[test]
+    fn version_three_payloads_still_decode() {
+        let dir = crate::test_dir::scratch_path("snapshots-v3");
+        std::fs::remove_dir_all(&dir).ok();
+        write_json(
+            &dir,
+            "snap-00000000000000000005.pcss",
+            &version_three_payload(&snapshot(5)),
+        );
+        assert_eq!(load(&dir).unwrap().unwrap(), snapshot(5));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn row_blocks_that_disagree_with_their_header_are_corrupt() {
+        let dir = crate::test_dir::scratch_path("snapshots-v4-blocks");
+        let payload = snapshot(5).to_payload().unwrap();
+        assert_eq!(payload[0], 0xB1);
+        let cut_row = payload[..payload.len() - 16].to_vec();
+        let cut_byte = payload[..payload.len() - 1].to_vec();
+        let extra = [&payload[..], &[0u8; 8]].concat();
+        for damaged in [cut_row, cut_byte, extra] {
+            std::fs::remove_dir_all(&dir).ok();
+            write_raw(&dir, "snap-00000000000000000005.pcss", &damaged);
+            assert!(matches!(load(&dir), Err(StoreError::Corrupt(_))));
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -458,12 +555,12 @@ mod tests {
         // A pre-versioning snapshot: no `versions` table, no reregisters.
         let v1_records = &records()[..3];
         let payload = legacy_payload(1, 3, v1_records, Value::Null);
-        write_raw(&dir, "snap-00000000000000000003.pcss", &payload);
+        write_json(&dir, "snap-00000000000000000003.pcss", &payload);
         let expected = StoreState::recover(None, v1_records, 16).to_snapshot();
         assert_eq!(load(&dir).unwrap().unwrap(), expected);
         // A version-1 payload cannot carry a re-registration.
         let payload = legacy_payload(1, 5, &records(), Value::Null);
-        write_raw(&dir, "snap-00000000000000000005.pcss", &payload);
+        write_json(&dir, "snap-00000000000000000005.pcss", &payload);
         assert!(matches!(load(&dir), Err(StoreError::Corrupt(ref m)) if m.contains("version 1")));
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -473,7 +570,7 @@ mod tests {
         let dir = crate::test_dir::scratch_path("snapshots-v2-check");
         std::fs::remove_dir_all(&dir).ok();
         let table = |v: f64| Value::Object(vec![("demo".to_string(), num(v))]);
-        write_raw(
+        write_json(
             &dir,
             "snap-00000000000000000006.pcss",
             &legacy_payload(2, 6, &records(), table(2.0)),
@@ -486,7 +583,7 @@ mod tests {
         assert_eq!(loaded.reregisters[0].1.count(), 1);
         // Tamper with the declared table only: the records still parse, but
         // the cross-check must reject the inconsistent payload.
-        write_raw(
+        write_json(
             &dir,
             "snap-00000000000000000009.pcss",
             &legacy_payload(2, 9, &records(), table(5.0)),
@@ -499,7 +596,7 @@ mod tests {
     }
 
     #[test]
-    fn version_three_payloads_that_replay_could_not_produce_are_refused() {
+    fn payloads_that_replay_could_not_produce_are_refused() {
         let dir = crate::test_dir::scratch_path("snapshots-v3-check");
         type Damage = fn(&mut Snapshot);
         let cases: [(&str, Damage); 5] = [
@@ -524,7 +621,7 @@ mod tests {
             write_raw(
                 &dir,
                 "snap-00000000000000000005.pcss",
-                &damaged.to_json_value(),
+                &damaged.to_payload().unwrap(),
             );
             match load(&dir) {
                 Err(StoreError::Corrupt(m)) => assert!(m.contains(expected), "{expected}: {m}"),

@@ -2,7 +2,7 @@
 //! durability PR): for arbitrary journals,
 //!
 //! (a) replay is idempotent — replaying the same journal twice (and
-//!     resuming from a version-3 snapshot file of any prefix) yields the
+//!     resuming from a version-4 snapshot file of any prefix) yields the
 //!     same state, ledger totals and each re-registration's totals equal
 //!     bit for bit, with registers, re-registrations, charges, and
 //!     releases interleaved arbitrarily, and every dataset's version
@@ -59,7 +59,10 @@ fn journal_from_spec(spec: &[u8]) -> Vec<StoreRecord> {
                 mode: CompositionMode::Basic,
                 backend: "exact".to_string(),
                 fingerprint: format!("reg|{name}"),
-                rows: vec![vec![0.25, 0.5], vec![0.75, 0.5]],
+                // A 0.0 coordinate is eight zero bytes in the row block,
+                // which must not read as an empty frame when a truncation
+                // tears the record after it.
+                rows: vec![vec![0.0, 0.5], vec![0.75, 0.5]],
             }));
             datasets.push(name);
             versions.push(1);
@@ -85,7 +88,7 @@ fn journal_from_spec(spec: &[u8]) -> Vec<StoreRecord> {
                 },
                 backend: "exact".to_string(),
                 fingerprint: format!("reg|{name}|v{version}"),
-                rows: vec![vec![0.5, 0.25], vec![0.25, 0.75]],
+                rows: vec![vec![0.5, 0.25], vec![0.0, 0.75]],
             }));
             if step == 1 {
                 versions[i] += 1;
@@ -245,7 +248,7 @@ proptest! {
         let mut at = 8usize; // after the magic
         boundaries.push(at);
         for record in &records {
-            at += 8 + record.to_payload().len();
+            at += 8 + record.to_payload().unwrap().len();
             boundaries.push(at);
         }
         // Damage strictly after the magic so the file stays a journal.
