@@ -14,15 +14,18 @@
 //! an exact-backend registration alone, and `engine_first_l_profile` the
 //! first `L` profile a fresh exact index builds for GoodRadius (its grid
 //! profile), the work a batch's first query on a new dataset waits for.
+//! `engine_warm_good_radius` times what every later query pays: one
+//! GoodRadius run against a profile already cached.
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
+use privcluster_core::{good_radius_with_index, GoodRadiusConfig};
 use privcluster_datagen::planted_ball_cluster;
 use privcluster_dp::composition::CompositionMode;
 use privcluster_dp::PrivacyParams;
 use privcluster_engine::{BackendChoice, Engine, EngineConfig, Query, QueryRequest};
 use privcluster_geometry::{Dataset, GeometryIndex, GridDomain};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use std::time::Duration;
 
 const BATCH: usize = 8;
@@ -160,6 +163,57 @@ fn bench_first_l_profile(c: &mut Criterion) {
     group.finish();
 }
 
+/// `n` off-grid points in the unit square, a third of them uniform in a
+/// disc of radius 0.08 and the rest uniform, on a 1,025-value grid: the
+/// shape of the service benchmark's `exact-cold` datasets, where every
+/// pairwise distance is distinct.
+fn off_grid(n: usize, seed: u64) -> (Dataset, GridDomain) {
+    let domain = GridDomain::unit_cube(2, 1025).unwrap();
+    let mut rng = StdRng::seed_from_u64(seed);
+    let center = [0.2 + 0.6 * rng.gen::<f64>(), 0.2 + 0.6 * rng.gen::<f64>()];
+    let rows = (0..n)
+        .map(|i| {
+            if i >= n / 3 {
+                return vec![rng.gen::<f64>(), rng.gen::<f64>()];
+            }
+            loop {
+                let dx = (2.0 * rng.gen::<f64>() - 1.0) * 0.08;
+                let dy = (2.0 * rng.gen::<f64>() - 1.0) * 0.08;
+                if dx * dx + dy * dy <= 0.08 * 0.08 {
+                    return vec![center[0] + dx, center[1] + dy];
+                }
+            }
+        })
+        .collect();
+    (Dataset::from_rows(rows).unwrap(), domain)
+}
+
+/// One warm GoodRadius query on the exact backend (n = 1,000 off-grid
+/// points, t = 200, ε = 4, a fresh seed each time) with the grid profile
+/// built in set-up: the quality's segments and the piecewise exponential
+/// mechanism over them, which is what a query pays once its dataset's
+/// profile is cached.
+fn bench_warm_good_radius(c: &mut Criterion) {
+    let mut group = c.benchmark_group("engine_warm_good_radius");
+    let (n, t) = (1000usize, 200usize);
+    let (data, domain) = off_grid(n, 42);
+    let index = GeometryIndex::build(&data, 1);
+    let _ = index.grid_profile(t, &domain);
+    let privacy = PrivacyParams::new(4.0, 1e-8).unwrap();
+    let config = GoodRadiusConfig::default();
+    let mut seed = 0u64;
+    group.bench_function(format!("exact_n{n}_t{t}"), |b| {
+        b.iter(|| {
+            seed += 1;
+            let mut rng = StdRng::seed_from_u64(seed);
+            good_radius_with_index(&data, &domain, t, privacy, 0.1, &config, &index, &mut rng)
+                .unwrap()
+                .radius
+        })
+    });
+    group.finish();
+}
+
 /// Repeated queries against one registered dataset: `rebuild_per_batch`
 /// registers a fresh dataset every iteration (paying the `O(n² d)` index
 /// and profile build each time — the old per-query cost model),
@@ -254,6 +308,6 @@ criterion_group! {
     name = benches;
     config = config();
     targets = bench_engine_throughput, bench_engine_register_exact, bench_first_l_profile,
-        bench_engine_repeated_queries, bench_engine_backend_scaling
+        bench_warm_good_radius, bench_engine_repeated_queries, bench_engine_backend_scaling
 }
 criterion_main!(benches);

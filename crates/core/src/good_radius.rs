@@ -24,11 +24,14 @@
 //!
 //! Every `L` value the algorithm reads sits on the quarter grid
 //! `radius_from_index(j) / 2`, so it reads them from a [`GridProfile`]:
-//! `L` at those radii plus the precomputed grid indices where `Q` can
-//! change. On the exact backend the profile for a cap and grid costs one
-//! `O(n²·d + G)` pair-counting pass for `G` grid radii, with no pair sort,
-//! cached per dataset; each query then costs `O(log)` per segment, with no
-//! scan of the profile's breakpoints.
+//! `L` at those radii, kept as the quarter indices where it changes (its
+//! steps), plus the grid indices where `Q` can change. `Q(r)` reads only
+//! `L(r/2)` and `L(r)`, so those are derived from the steps alone, and the
+//! steps end where `L` saturates at `t`. On the exact backend the profile
+//! for a cap and grid costs one `O(n²·d + G)` pass for `G` grid radii that
+//! counts only the pairs within that saturation radius, with no pair sort,
+//! cached per dataset; each query then costs `O(log)` per segment, one
+//! segment per step of `L` at most two, however fine the grid.
 
 use crate::config::{GoodRadiusConfig, RadiusSearchStrategy};
 use crate::diagnostics::Diagnostics;
@@ -83,8 +86,11 @@ impl QualityOracle for RadiusQuality<'_> {
         0.5 * (self.t - l_half).min(l_r - self.t + self.slack)
     }
 
-    /// Precomputed with the profile. The list must not change, because the
-    /// piecewise exponential mechanism draws one Gumbel per segment.
+    /// `0` and the grid indices where `L(r/2)` or `L(r)` changes, derived
+    /// from the profile's steps, so `Q` is constant on each segment. The
+    /// piecewise exponential mechanism draws one Gumbel per segment: any
+    /// other valid list samples the same distribution, but gives each seed
+    /// a different draw.
     fn segment_starts(&self) -> Option<Vec<u64>> {
         Some(self.profile.segment_starts().to_vec())
     }
@@ -313,7 +319,12 @@ fn good_radius_inner<R: Rng + ?Sized>(
 mod tests {
     use super::*;
     use privcluster_datagen::planted_ball_cluster;
-    use privcluster_geometry::{smallest_ball_two_approx, GeometryIndex};
+    use privcluster_dp::exponential::{
+        exponential_mechanism, piecewise_exponential_mechanism, PiecewiseQuality, Segment,
+    };
+    use privcluster_geometry::{
+        smallest_ball_two_approx, GeometryIndex, ProjectedBackend, ProjectedConfig,
+    };
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -386,38 +397,203 @@ mod tests {
         }
     }
 
+    /// Datasets of the four shapes the grid-profile proptest covers — tie
+    /// heavy, on the domain's grid, straddling quarter-radius thresholds,
+    /// and off the grid with a dense clump — each with its domain.
+    fn shaped_datasets(seed: u64) -> Vec<(Dataset, GridDomain)> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut cases = Vec::new();
+        // Tie heavy: a 1/4 grid, off-grid rows and exact copies, 1–3 dims.
+        let dim = 1 + (seed % 3) as usize;
+        let mut rows: Vec<Vec<f64>> = Vec::new();
+        for _ in 0..40 {
+            let row = match rng.gen_range(0..3) {
+                1 => (0..dim).map(|_| rng.gen::<f64>()).collect(),
+                2 if !rows.is_empty() => rows[rng.gen_range(0..rows.len())].clone(),
+                _ => (0..dim)
+                    .map(|_| f64::from(rng.gen_range(0u32..5)) / 4.0)
+                    .collect(),
+            };
+            rows.push(row);
+        }
+        let tie_heavy = Dataset::from_rows(rows).unwrap();
+        cases.push((tie_heavy, GridDomain::unit_cube(dim, 5).unwrap()));
+        // On the domain's grid, in its first 12 values per axis.
+        let domain = GridDomain::unit_cube(2, 64).unwrap();
+        let rows = (0..50)
+            .map(|_| {
+                (0..2)
+                    .map(|_| rng.gen_range(0u32..12) as f64 * domain.grid_step())
+                    .collect()
+            })
+            .collect();
+        cases.push((Dataset::from_rows(rows).unwrap(), domain));
+        // The origin and points a few tolerance widths off quarter radii.
+        let domain = GridDomain::unit_cube(1, 33).unwrap();
+        let mut rows = vec![vec![0.0]];
+        for _ in 0..24 {
+            let k = rng.gen_range(1u64..=12);
+            let m = rng.gen_range(-40i64..=40);
+            let quarter = domain.radius_from_index(k) / 2.0;
+            rows.push(vec![quarter * (1.0 + m as f64 * 1e-13)]);
+        }
+        cases.push((Dataset::from_rows(rows).unwrap(), domain));
+        // Off the grid, a third of the points in a small square.
+        let rows = (0..90)
+            .map(|i| {
+                let spread = if i < 30 { 0.05 } else { 1.0 };
+                vec![
+                    0.4 + spread * (rng.gen::<f64>() - 0.4),
+                    0.6 + spread * (rng.gen::<f64>() - 0.6),
+                ]
+            })
+            .collect();
+        let domain = GridDomain::unit_cube(2, 1 << 10).unwrap();
+        cases.push((Dataset::from_rows(rows).unwrap(), domain));
+        cases
+    }
+
+    /// GoodRadius's quality on both backends' grid profiles of every
+    /// shaped dataset, at a small, a middling and the largest cap.
+    fn shaped_qualities(mut check: impl FnMut(&RadiusQuality<'_>)) {
+        for seed in 0..6 {
+            for (data, domain) in shaped_datasets(seed) {
+                let n = data.len();
+                let exact = GeometryIndex::build(&data, 1);
+                let projected = ProjectedBackend::build(
+                    &data,
+                    ProjectedConfig {
+                        max_buckets: Some(8),
+                        ..ProjectedConfig::default()
+                    },
+                );
+                let backends: [&dyn GeometryBackend; 2] = [&exact, &projected];
+                for backend in backends {
+                    for t in [2, n / 3, n] {
+                        let profile = backend.grid_profile(t, &domain);
+                        check(&RadiusQuality {
+                            profile: &profile,
+                            t: t as f64,
+                            slack: t as f64 / 2.0,
+                            grid_len: domain.radius_grid_len(),
+                        });
+                    }
+                }
+            }
+        }
+    }
+
+    /// The segment check: at every grid index, `Q` equals `Q` at the start
+    /// of its segment, bit for bit.
     #[test]
     fn segments_describe_constant_pieces_of_the_quality() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let domain = GridDomain::unit_cube(2, 1 << 8).unwrap();
-        let inst = planted_ball_cluster(&domain, 60, 30, 0.05, &mut rng);
-        let t = 25usize;
-        let counter = BallCounter::new(&inst.data, t);
-        let profile = counter.grid_profile(&domain);
-        let oracle = RadiusQuality {
-            profile: &profile,
-            t: t as f64,
-            slack: 20.0,
-            grid_len: domain.radius_grid_len(),
-        };
-        let starts = oracle.segment_starts().unwrap();
-        assert_eq!(starts[0], 0);
-        assert!(starts.windows(2).all(|w| w[0] < w[1]));
-        // Within each segment the quality must be constant.
-        for (i, &s) in starts.iter().enumerate() {
-            let end = if i + 1 < starts.len() {
-                starts[i + 1]
-            } else {
-                oracle.len()
-            };
-            let q0 = oracle.quality(s);
-            // probe a few indices inside
-            for probe in [s, s + (end - s) / 2, end - 1] {
-                assert!(
-                    (oracle.quality(probe) - q0).abs() < 1e-9,
-                    "segment [{s},{end}) not constant at {probe}"
+        shaped_qualities(|oracle| {
+            let starts = oracle.segment_starts().unwrap();
+            assert_eq!(starts[0], 0);
+            assert!(starts.windows(2).all(|w| w[0] < w[1]));
+            assert!(*starts.last().unwrap() < oracle.len());
+            let mut segment = 0;
+            for k in 0..oracle.len() {
+                if starts.get(segment + 1) == Some(&k) {
+                    segment += 1;
+                }
+                let start = starts[segment];
+                assert_eq!(
+                    oracle.quality(k).to_bits(),
+                    oracle.quality(start).to_bits(),
+                    "Q({k}) differs from Q at its segment start {start}"
                 );
             }
+        });
+    }
+
+    /// The piecewise mechanism GoodRadius runs, on its own `Q`, against the
+    /// plain mechanism on `Q` materialised at every grid index: each index's
+    /// output probability agrees up to float rounding. The piecewise side
+    /// weights segment `s` by `len_s·exp(ε·Q_s/2)` and then draws uniformly
+    /// inside it, exactly as `piecewise_exponential_mechanism` samples.
+    #[test]
+    fn piecewise_mechanism_on_the_quality_matches_the_materialized_one() {
+        let eps = 1.0;
+        let scale = eps / 2.0;
+        let softmax = |logits: &[f64]| {
+            let top = logits.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+            let weights: Vec<f64> = logits.iter().map(|w| (w - top).exp()).collect();
+            let total: f64 = weights.iter().sum();
+            weights.into_iter().map(|w| w / total).collect::<Vec<f64>>()
+        };
+        shaped_qualities(|oracle| {
+            let starts = oracle.segment_starts().unwrap();
+            let len = oracle.len();
+            let segments: Vec<Segment> = starts
+                .iter()
+                .enumerate()
+                .map(|(i, &start)| Segment {
+                    start,
+                    len: starts.get(i + 1).copied().unwrap_or(len) - start,
+                    quality: oracle.quality(start),
+                })
+                .collect();
+            let piecewise = PiecewiseQuality::new(segments).unwrap();
+            let logits: Vec<f64> = piecewise
+                .segments()
+                .iter()
+                .map(|s| (s.len as f64).ln() + scale * s.quality)
+                .collect();
+            let per_segment = softmax(&logits);
+            let materialized: Vec<f64> = (0..len).map(|k| scale * oracle.quality(k)).collect();
+            let per_index = softmax(&materialized);
+            for (s, &p) in piecewise.segments().iter().zip(&per_segment) {
+                let p = p / s.len as f64;
+                for k in s.start..s.start + s.len {
+                    let q = per_index[k as usize];
+                    assert!(
+                        (p - q).abs() <= 1e-12 * p.max(q),
+                        "index {k}: piecewise {p} vs materialised {q}"
+                    );
+                }
+            }
+        });
+        // The sampled comparison of `piecewise_matches_materialized_mechanism`,
+        // on one small grid: both samplers, 60,000 draws each.
+        let (data, domain) = shaped_datasets(0).swap_remove(0);
+        let profile = BallCounter::new(&data, 10).grid_profile(&domain);
+        let oracle = RadiusQuality {
+            profile: &profile,
+            t: 10.0,
+            slack: 5.0,
+            grid_len: domain.radius_grid_len(),
+        };
+        let len = oracle.len() as usize;
+        let starts = oracle.segment_starts().unwrap();
+        assert!(
+            starts.len() < len,
+            "the grid has fewer segments than indices"
+        );
+        let segments = starts
+            .iter()
+            .enumerate()
+            .map(|(i, &start)| Segment {
+                start,
+                len: starts.get(i + 1).copied().unwrap_or(len as u64) - start,
+                quality: oracle.quality(start),
+            })
+            .collect();
+        let piecewise = PiecewiseQuality::new(segments).unwrap();
+        let materialized: Vec<f64> = (0..len as u64).map(|k| oracle.quality(k)).collect();
+        let mut rng = StdRng::seed_from_u64(5);
+        let trials = 60_000;
+        let mut counts_piece = vec![0usize; len];
+        let mut counts_plain = vec![0usize; len];
+        for _ in 0..trials {
+            counts_piece[piecewise_exponential_mechanism(&piecewise, eps, 1.0, &mut rng).unwrap()
+                as usize] += 1;
+            counts_plain[exponential_mechanism(&materialized, eps, 1.0, &mut rng).unwrap()] += 1;
+        }
+        for k in 0..len {
+            let p = counts_piece[k] as f64 / trials as f64;
+            let q = counts_plain[k] as f64 / trials as f64;
+            assert!((p - q).abs() < 0.012, "index {k}: {p} vs {q}");
         }
     }
 

@@ -5,12 +5,13 @@
 //! GoodRadius's radius grid ([`GridProfile`]). The **exact** implementation
 //! — [`GeometryIndex`] over the dataset's points — answers it perfectly.
 //! It registers in `O(n d)`, but its first grid profile for each cap and
-//! grid counts all `n(n+1)/2` pairs into grid buckets (`O(n²·d + G)` time
-//! for `G` grid radii, up to 16 transient bytes per pair): a hard scaling
-//! cliff (80 GB at `n = 100_000`). The paper's own remedy (§4) is to give
-//! up exactness: Johnson–Lindenstrauss-project to `k = O(log n)`
-//! dimensions and reason about *coarse spatial buckets* instead of
-//! individual points.
+//! grid computes all `n(n+1)/2` pair distances (`O(n²·d + G)` time for `G`
+//! grid radii) and holds 12 transient bytes per pair within the radius
+//! where `L` saturates: a hard scaling cliff (past 65,536 points it samples
+//! the sorted sweep instead, 80 GB at `n = 100_000`). The paper's own
+//! remedy (§4) is to give up exactness: Johnson–Lindenstrauss-project to
+//! `k = O(log n)` dimensions and reason about *coarse spatial buckets*
+//! instead of individual points.
 //!
 //! [`GeometryBackend`] abstracts over the two regimes so the solvers in
 //! `privcluster-core` and the engine's planner never branch on which one

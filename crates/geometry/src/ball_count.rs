@@ -19,10 +19,10 @@
 //! that keeps the sum of the `t` largest capped counts:
 //!
 //! * [`BallCounter::grid_profile`] — what GoodRadius reads — evaluates `L`
-//!   on the domain's quarter radius grid. It counts the `n(n+1)/2` pairs
-//!   into grid buckets in `O(n²·d + G)` for `G` grid radii, with no pair
-//!   sort and at most 16 transient bytes per pair (see
-//!   [`grid_profile`]).
+//!   on the domain's quarter radius grid. It counts into grid buckets only
+//!   the pairs within the radius where `L` saturates, in `O(n²·d + G)` for
+//!   `G` grid radii, with no pair sort and 12 transient bytes per kept
+//!   pair (see [`grid_profile`]).
 //! * [`BallCounter::l_profile`] — the bit-for-bit reference the grid
 //!   profile is tested against — evaluates `L` at every breakpoint, sweeping
 //!   the distance-sorted pairs (`O(n² log n)`, dominated by that sort, with
@@ -135,13 +135,16 @@ impl BallCounter {
 
     /// `L(·, S)` on `domain`'s quarter radius grid: what GoodRadius reads,
     /// bit-identical to sampling [`BallCounter::l_profile`] onto the grid
-    /// ([`GridProfile::sample`]). Counts the pairs into quarter-grid
-    /// buckets in `O(n²·d + G)` with no pair sort; on the inputs where the
-    /// counting pass cannot place a pair without the sort (see
-    /// [`grid_profile`]) it samples the sorted sweep instead.
+    /// ([`GridProfile::sample`]). Counts the pairs that can change `L`
+    /// before it saturates into quarter-grid buckets in `O(n²·d + G)` with
+    /// no pair sort; on the inputs where the counting pass cannot place a
+    /// pair without the sort (see [`grid_profile`]) it samples the sorted
+    /// sweep instead.
     pub fn grid_profile(&self, domain: &GridDomain) -> GridProfile {
-        grid_profile::count_pairs(self.dm.points(), self.cap, domain)
-            .unwrap_or_else(|| GridProfile::sample(&self.l_profile(), domain))
+        match grid_profile::count_pairs(self.dm.points(), self.cap, domain) {
+            Some((profile, _)) => profile,
+            None => GridProfile::sample(&self.l_profile(), domain),
+        }
     }
 
     /// Precomputes `L(r, S)` at every breakpoint in a single sweep.

@@ -1,23 +1,24 @@
 //! `L(·, S)` on GoodRadius's radius grid.
 //!
 //! GoodRadius (Algorithm 1) reads the averaged score `L(r, S)` of
-//! [`ball_count`](crate::ball_count) at three kinds of radii only: the grid
-//! radii `r_k = k·ℓ/2` ([`GridDomain::radius_from_index`]), their halves
-//! `r_k/2`, and — to split its quality into constant pieces (Remark 4.4) —
-//! the grid indices where either can change. The first two lie on the
-//! *quarter grid* `ρ_j = radius_from_index(j) / 2`: `L(r_k)` is `L(ρ_{2k})`
-//! and `L(r_k/2)` is `L(ρ_k)`. A [`GridProfile`] holds `L` at every `ρ_j`
-//! with `j ≤ 2·(G − 1)`, `G` = [`GridDomain::radius_grid_len`], stored as
-//! the quarter indices where `L` changes, together with the list of grid
-//! indices where the quality can change.
+//! [`ball_count`](crate::ball_count) at two kinds of radii only: the grid
+//! radii `r_k = k·ℓ/2` ([`GridDomain::radius_from_index`]) and their halves
+//! `r_k/2`. Both lie on the *quarter grid* `ρ_j = radius_from_index(j) / 2`:
+//! `L(r_k)` is `L(ρ_{2k})` and `L(r_k/2)` is `L(ρ_k)`. A [`GridProfile`]
+//! holds `L` at every `ρ_j` with `j ≤ 2·(G − 1)`, `G` =
+//! [`GridDomain::radius_grid_len`], stored as its *steps*: the quarter
+//! indices where `L` changes.
 //!
 //! It answers exactly what the breakpoint profile [`LProfile`] answers on
 //! the grid, bit for bit: [`GridProfile::value`] at `j` is
-//! `LProfile::value_at(ρ_j)`, and [`GridProfile::segment_starts`] is `0`
-//! plus, for every breakpoint `b`, `radius_index_ceil(b)` (where `L(r)`
-//! changes) and `radius_index_ceil(2·b)` (where `L(r/2)` changes), sorted
-//! and deduplicated. (`ρ_{2k}` is `r_k` bit for bit whenever the grid's
-//! radii are normal floats, as doubling and halving those is exact.)
+//! `LProfile::value_at(ρ_j)`. (`ρ_{2k}` is `r_k` bit for bit whenever the
+//! grid's radii are normal floats, as doubling and halving those is exact.)
+//! GoodRadius's quality at grid index `k` reads `L(ρ_k)` and `L(ρ_{2k})`
+//! only, so it can change only at `k = j` or `k = ⌈j/2⌉` for a step `j`.
+//! [`GridProfile::segment_starts`] is `0` plus those indices, derived from
+//! the steps alone, whichever function built them: it is as long as the
+//! steps, which end where `L` reaches its largest value, not as long as the
+//! grid.
 //!
 //! Two functions build it:
 //!
@@ -27,17 +28,38 @@
 //!   `O(min(G, B))` for `B` breakpoints: nothing grows with `G`, which a
 //!   client sets through `domain.size`.
 //! * [`BallCounter::grid_profile`](crate::ball_count::BallCounter::grid_profile)
-//!   counts the `n(n+1)/2` pairs straight into quarter-grid buckets: one
-//!   `O(n²·d)` pass finds each pair's distance and the first `ρ_j` whose
-//!   ball holds it (a threshold table and a truncating estimate), a
-//!   counting sort groups the pairs by bucket, and the same `TopCounts`
-//!   sweep as [`BallCounter::l_profile`](crate::ball_count::BallCounter::l_profile)
+//!   counts pairs straight into quarter-grid buckets, keeping only the
+//!   pairs that can change `L` at a quarter index it reads (see [the
+//!   cut](#the-cut)). One `O(n²·d)` pass finds each pair's squared
+//!   distance; a kept pair's bucket — the first `ρ_j` whose ball holds it —
+//!   comes from a threshold table and a truncating estimate. A counting sort
+//!   groups the kept pairs by bucket, and the same `TopCounts` sweep as
+//!   [`BallCounter::l_profile`](crate::ball_count::BallCounter::l_profile)
 //!   reads `L` off after each bucket: `O(n²·d + G)` time and no pair sort.
-//!   Its transient buffers stay within 11 bytes per pair: a 4-byte bucket
-//!   key and a 4-byte pair entry each, bucket tables of at most 2 bytes per
-//!   pair and band pairs of at most half a byte per pair, each past a small
-//!   constant floor. Grids with more buckets than that allows, and datasets
-//!   past 65,536 points, sample the sorted sweep instead.
+//!   Its transient buffers hold 12 bytes per kept pair (an 8-byte bucket key
+//!   and pair entry, and a 4-byte slot of the bucket order), plus bucket
+//!   tables of at most 2 bytes and band pairs of at most half a byte per
+//!   pair of the dataset, each past a small constant floor. Grids with more
+//!   buckets than that allows, and datasets past 65,536 points, sample the
+//!   sorted sweep instead.
+//!
+//! # The cut
+//!
+//! Let `m = min(t, n)` for cap `t`, and `ρ_m(x)` the distance from a point
+//! `x` to its `m`-th nearest point, itself included. The `m` points within
+//! `ρ_m(x)` of `x` lie pairwise within `2·ρ_m(x)`, so each has `m` points in
+//! its ball of that radius, and `L(r)` takes its largest value for every
+//! `r ≥ r* = 2·min_x ρ_m(x)` (§3.1). A pair farther apart than `r*`
+//! therefore changes `L` at no radius before it saturates, and the sweep
+//! stops there. The counting pass takes `x` over every 16th row (one
+//! length-`n` selection each; the profile does not depend on which rows are
+//! tried, so choosing them from the data costs no privacy), widens `r*` by
+//! `1 + 1e-9` for rounding, and keeps only the pairs at or below the floor
+//! of the band after `r*`'s bucket (below). A pair past it is skipped on its
+//! squared distance, before the square root and the bucket lookup. The
+//! sweep ends at the cut's bucket at the latest, and the pass declines if
+//! `L` has not saturated by then, so the steps are those of the full count
+//! either way.
 //!
 //! # The tolerance band
 //!
@@ -45,23 +67,21 @@
 //! each group's smallest member ([`tol::same_distance`]). A breakpoint is a
 //! group's anchor, and `L(r)` counts every member of every group whose
 //! anchor lies within `r`. So a pair just past `ρ_j`'s threshold still
-//! counts at `ρ_j` when its group's anchor is within it, and a
-//! `radius_index_ceil` boundary crossed inside a group counts only on the
-//! anchor's side. Both effects stay within a few tolerance widths of a
-//! quarter radius, in the *band* `(lo_j, U_j]` around `ρ_j`: `U_j` is one
-//! tolerance width past `ρ_j`'s threshold, `lo_j` three widths below `ρ_j`
-//! (and `lo_0 = 0`).
+//! counts at `ρ_j` when its group's anchor is within it. This stays within a
+//! few tolerance widths of a quarter radius, in the *band* `(lo_j, U_j]`
+//! around `ρ_j`: `U_j` is one tolerance width past `ρ_j`'s threshold, `lo_j`
+//! three widths below `ρ_j` (and `lo_0 = 0`).
 //! The counting pass sets band pairs aside, sorts only them, and replays
 //! the anchored grouping there. Any other pair's group lies between two
-//! bands, in its own bucket, where neither the value nor the segment
-//! indices can change.
+//! bands, in its own bucket, where the value cannot change. The cut lies on
+//! a band's floor, so every band below it is kept whole and the one above
+//! it is skipped whole.
 //!
 //! The argument needs each band's first pair to open a group, and the
-//! bands to be disjoint with constant segment indices between them. The
-//! counting pass checks these and declines when one fails, when a
-//! coordinate is not finite, or when the band outgrows its memory bound;
-//! the caller then samples the sorted sweep, so the answer is the same
-//! either way.
+//! bands to be disjoint. The counting pass checks these and declines when
+//! one fails, when a coordinate is not finite, or when the band outgrows
+//! its memory bound; the caller then samples the sorted sweep, so the
+//! answer is the same either way.
 
 use crate::ball_count::{LProfile, TopCounts};
 use crate::domain::GridDomain;
@@ -102,12 +122,28 @@ pub struct GridProfile {
     /// `(j, L(ρ_j))` at each quarter index `j` where `L` changes, ascending
     /// in `j`; `L` is 0 before the first.
     steps: Vec<(u64, f64)>,
-    /// `0` and the grid indices where `L(r)` or `L(r/2)` can change,
-    /// ascending.
+    /// `0` and, for each step `j`, `j` (where `L(r/2)` changes) when it is a
+    /// grid index and `⌈j/2⌉` (where `L(r)` changes), ascending.
     segment_starts: Vec<u64>,
 }
 
 impl GridProfile {
+    /// The profile with `steps` on `domain`'s quarter grid.
+    fn new(steps: Vec<(u64, f64)>, domain: &GridDomain) -> Self {
+        let grid_len = domain.radius_grid_len();
+        let at = |&(j, _): &(u64, f64)| j;
+        let mut segment_starts: Vec<u64> = std::iter::once(0)
+            .chain(steps.iter().map(at).filter(|&j| j < grid_len))
+            .chain(steps.iter().map(at).map(|j| j.div_ceil(2)))
+            .collect();
+        segment_starts.sort_unstable();
+        segment_starts.dedup();
+        GridProfile {
+            steps,
+            segment_starts,
+        }
+    }
+
     /// `L(ρ_j, S)` at quarter index `j`: `L(r_k)` is `value(2·k)` and
     /// `L(r_k/2)` is `value(k)`. Indices past `2·(G − 1)` read the last one.
     pub fn value(&self, quarter: u64) -> f64 {
@@ -130,23 +166,19 @@ impl GridProfile {
     pub fn sample(profile: &LProfile, domain: &GridDomain) -> Self {
         let last = last_quarter(domain);
         let mut steps = Vec::new();
-        let mut starts = SegmentStarts::default();
-        let mut from = Some(0);
+        let mut from = 0;
         for (&b, &value) in profile.breakpoints().iter().zip(profile.values()) {
             // Breakpoints ascend, so each one's first quarter index is at or
             // past the previous one's; past the grid, all later ones are.
-            if let Some(lo) = from {
-                from = first_quarter_within(domain, b, lo, last);
-                if let Some(j) = from {
+            match first_quarter_within(domain, b, from, last) {
+                Some(j) => {
                     record(&mut steps, j, value);
+                    from = j;
                 }
+                None => break,
             }
-            starts.note(domain, b);
         }
-        GridProfile {
-            steps,
-            segment_starts: starts.finish(),
-        }
+        GridProfile::new(steps, domain)
     }
 }
 
@@ -158,16 +190,6 @@ fn quarter_radius(domain: &GridDomain, j: u64) -> f64 {
 /// The last quarter index GoodRadius reads, `2·(G − 1)`: `L(r_{G−1})`.
 fn last_quarter(domain: &GridDomain) -> u64 {
     domain.radius_grid_len().saturating_sub(1).saturating_mul(2)
-}
-
-/// The two grid indices a breakpoint `b` starts segments at:
-/// `radius_index_ceil(b)`, where `L(r)` changes, and
-/// `radius_index_ceil(2·b)`, where `L(r/2)` changes.
-fn segment_indices(domain: &GridDomain, b: f64) -> (u64, u64) {
-    (
-        domain.radius_index_ceil(b),
-        domain.radius_index_ceil(2.0 * b),
-    )
 }
 
 /// Sets `L = value` from quarter index `j` on, keeping only the indices
@@ -214,36 +236,6 @@ fn first_quarter_within(domain: &GridDomain, d: f64, lo: u64, last: u64) -> Opti
     Some(above)
 }
 
-/// Segment starts gathered from breakpoints: each family is deduplicated
-/// as it grows (breakpoints mostly arrive in ascending order) and the two
-/// are merged at the end.
-#[derive(Default)]
-struct SegmentStarts {
-    radius: Vec<u64>,
-    half: Vec<u64>,
-}
-
-impl SegmentStarts {
-    fn note(&mut self, domain: &GridDomain, b: f64) {
-        let (radius, half) = segment_indices(domain, b);
-        if self.radius.last() != Some(&radius) {
-            self.radius.push(radius);
-        }
-        if self.half.last() != Some(&half) {
-            self.half.push(half);
-        }
-    }
-
-    fn finish(self) -> Vec<u64> {
-        let mut starts = self.radius;
-        starts.extend(self.half);
-        starts.push(0);
-        starts.sort_unstable();
-        starts.dedup();
-        starts
-    }
-}
-
 /// Grids of up to this many buckets count pairs whatever the pair count;
 /// larger ones need sixteen pairs per bucket. Bounds the bucket tables (32
 /// bytes a bucket) by 2 bytes per pair past a 2 MB floor.
@@ -256,15 +248,20 @@ const MAX_POINTS: usize = 1 << 16;
 /// per pair past a 64 KB floor).
 const SMALL_BAND: usize = 1 << 12;
 
+/// The rows the cut's `ρ_m(x)` is taken at: every `PROBE_STRIDE`-th.
+const PROBE_STRIDE: usize = 16;
+
 /// `L(·, S)` on `domain`'s quarter grid by counting `points`' pairs into
-/// quarter-grid buckets, with cap `cap` (≥ 1). `None` when the band
-/// argument of the module docs fails or the grid or band is too large for
-/// the memory bound; the caller then samples the sorted sweep.
+/// quarter-grid buckets, with cap `cap` (≥ 1), and how many pairs it kept
+/// within the cut (each point's pair with itself included). `None` when
+/// the band argument of the module docs fails, the grid or band is too
+/// large for the memory bound, or `L` has not saturated by the cut; the
+/// caller then samples the sorted sweep.
 pub(crate) fn count_pairs(
     points: &[Point],
     cap: usize,
     domain: &GridDomain,
-) -> Option<GridProfile> {
+) -> Option<(GridProfile, usize)> {
     let n = points.len();
     let pairs = n * (n + 1) / 2;
     let dim = points.first().map_or(1, Point::dim);
@@ -281,19 +278,30 @@ pub(crate) fn count_pairs(
     let columns: Vec<Vec<f64>> = (0..dim)
         .map(|k| points.iter().map(|p| p.coords()[k]).collect())
         .collect();
-    let mut row = vec![0.0f64; n];
 
-    // Key pass: each pair's bucket — the first quarter index whose ball
-    // holds it, `last + 1` past the grid. A pair in no band is counted
-    // there; a band pair is set aside, its key rewritten below.
-    let mut keys: Vec<u32> = Vec::with_capacity(pairs);
+    // The cut: the floor of the band after `r*`'s bucket. Every pair that
+    // changes `L` before it saturates lies at or below it, and so does
+    // every band below it, whole. `cut_key` is the cut's bucket, `last + 1`
+    // (no cut) when `r*` is at or past the grid's last quarter radius.
+    let r_star = saturation_radius(&columns, n, cap);
+    let cut_key = (table.bucket(r_star) + 1).min(last + 1);
+    let cut = table.lower(cut_key);
+    let cut_sq = cut * cut;
+
+    // Key pass: each kept pair's bucket — the first quarter index whose
+    // ball holds it, `last + 1` past the grid. A pair in no band is kept
+    // with it; a band pair is set aside and kept after the replay below.
+    // Each pair packs as `i << 16 | j`: `n` is at most `MAX_POINTS`.
+    let mut kept: Vec<(u32, u32)> = Vec::new();
     let mut counts = vec![0usize; last + 2];
-    let mut band: Vec<(f64, u32, u32)> = Vec::new();
+    let mut band: Vec<(f64, u32)> = Vec::new();
     let band_cap = pairs / 32 + SMALL_BAND;
+    let mut row = vec![0.0f64; n];
     for i in 0..n {
         // The pair `(i, i)`: distance 0, inside bucket 0.
+        let pair = (i as u32) << 16;
         counts[0] += 1;
-        keys.push(0);
+        kept.push((0, pair | i as u32));
         let row = &mut row[i + 1..];
         for (k, column) in columns.iter().enumerate() {
             let a = column[i];
@@ -302,8 +310,16 @@ pub(crate) fn count_pairs(
                 *sum = if k == 0 { d * d } else { *sum + d * d };
             }
         }
-        for (j, &sum) in (i + 1..).zip(row.iter()) {
+        for (j, &sum) in (i as u32 + 1..).zip(row.iter()) {
+            // A conservative test on the square (the tolerance dwarfs the
+            // square root's rounding), then the exact one on the distance.
+            if !tol::within_radius_sq(sum, cut_sq) {
+                continue;
+            }
             let d = sum.sqrt();
+            if d > cut {
+                continue;
+            }
             // The estimate finds nearly every pair's bucket, and only
             // misses within the tolerance of a quarter radius.
             let mut key = table.guess(d);
@@ -312,23 +328,13 @@ pub(crate) fn count_pairs(
             }
             if table.interior[key].contains(d) {
                 counts[key] += 1;
+                kept.push((key as u32, pair | j));
             } else {
                 if band.len() == band_cap {
                     return None;
                 }
-                band.push((d, i as u32, j as u32));
+                band.push((d, pair | j));
             }
-            keys.push(key as u32);
-        }
-    }
-
-    // Between bands a bucket's segment indices are constant (checked by
-    // `Thresholds::new`), so a bucket with any pair there contributes them
-    // once.
-    let mut starts = SegmentStarts::default();
-    for (key, &count) in counts.iter().enumerate() {
-        if count > 0 {
-            starts.note(domain, table.interior_point(key));
         }
     }
 
@@ -337,8 +343,7 @@ pub(crate) fn count_pairs(
     band.sort_unstable_by(|a, b| a.0.total_cmp(&b.0));
     let mut current = None;
     let mut anchor = 0.0;
-    for &(d, i, j) in &band {
-        let (i, j) = (i as usize, j as usize);
+    for &(d, pair) in &band {
         let key = table.bucket(d);
         let k = table.band_of(d, key);
         let opens_group = if current == Some(k) {
@@ -359,7 +364,6 @@ pub(crate) fn count_pairs(
         };
         if opens_group {
             anchor = d;
-            starts.note(domain, d);
         }
         // A pair past `ρ_k`'s threshold counts there when its anchor is
         // within it.
@@ -369,38 +373,36 @@ pub(crate) fn count_pairs(
         } else {
             key
         };
-        keys[i * n - i * i.saturating_sub(1) / 2 + (j - i)] = counted_at as u32;
         counts[counted_at] += 1;
+        kept.push((counted_at as u32, pair));
     }
     drop(band);
 
-    // Counting sort of the in-grid pairs by bucket: `counts` becomes each
-    // bucket's start, then, after the scatter, its end.
+    // Counting sort of the swept pairs by bucket: `counts` becomes each
+    // bucket's start, then, after the scatter, its end. The cut's bucket
+    // may miss the pairs past the cut, so the sweep reads it only to see
+    // `L` saturate, which more pairs could not undo.
+    let swept = cut_key.min(last);
     let mut total = 0;
-    for count in &mut counts[..=last] {
+    for count in &mut counts[..=swept] {
         let here = *count;
         *count = total;
         total += here;
     }
-    // Each pair as `i << 16 | j`: `n` is at most `MAX_POINTS`.
     let mut order = vec![0u32; total];
-    let mut row_keys = keys.as_slice();
-    for i in 0..n as u32 {
-        let (row, rest) = row_keys.split_at(n - i as usize);
-        row_keys = rest;
-        for (j, &key) in (i..n as u32).zip(row) {
-            let key = key as usize;
-            if key <= last {
-                order[counts[key]] = i << 16 | j;
-                counts[key] += 1;
-            }
+    for &(key, pair) in &kept {
+        let key = key as usize;
+        if key <= swept {
+            order[counts[key]] = pair;
+            counts[key] += 1;
         }
     }
-    drop(keys);
+    let kept_pairs = kept.len();
+    drop(kept);
     let mut top = TopCounts::new(n, cap);
     let mut steps = Vec::new();
     let mut at = 0;
-    for (j, &end) in counts[..=last].iter().enumerate() {
+    for (j, &end) in counts[..=swept].iter().enumerate() {
         if end == at {
             continue;
         }
@@ -418,10 +420,32 @@ pub(crate) fn count_pairs(
             break;
         }
     }
-    Some(GridProfile {
-        steps,
-        segment_starts: starts.finish(),
-    })
+    if cut_key <= last && !top.saturated() {
+        // Rounding beyond the cut's margin: pairs past it may still count.
+        return None;
+    }
+    Some((GridProfile::new(steps, domain), kept_pairs))
+}
+
+/// The cut's `r*`: twice the least distance from a probed row (every
+/// [`PROBE_STRIDE`]-th) to its `min(cap, n)`-th nearest point, itself
+/// included, widened by `1 + 1e-9` for rounding; `+∞` without points.
+fn saturation_radius(columns: &[Vec<f64>], n: usize, cap: usize) -> f64 {
+    let nearest = cap.min(n);
+    let mut sums = vec![0.0f64; n];
+    let mut least = f64::INFINITY;
+    for i in (0..n).step_by(PROBE_STRIDE) {
+        for (k, column) in columns.iter().enumerate() {
+            let a = column[i];
+            for (sum, &b) in sums.iter_mut().zip(column) {
+                let d = a - b;
+                *sum = if k == 0 { d * d } else { *sum + d * d };
+            }
+        }
+        let (_, &mut sum, _) = sums.select_nth_unstable_by(nearest - 1, f64::total_cmp);
+        least = least.min(sum);
+    }
+    2.0 * least.sqrt() * (1.0 + 1e-9)
 }
 
 /// The counting pass's thresholds `T_j = ball_threshold(ρ_j)`, `j ≤ 2·(G−1)`,
@@ -451,9 +475,7 @@ impl Interior {
 
 impl Thresholds {
     /// The table for `domain`, or `None` when its buckets outgrow the
-    /// memory bound for `pairs` pairs or the band argument fails on it:
-    /// bands must be disjoint, and the segment indices constant between
-    /// them.
+    /// memory bound for `pairs` pairs or its bands overlap.
     fn new(domain: &GridDomain, pairs: usize) -> Option<Self> {
         let last = last_quarter(domain);
         let buckets = last.checked_add(2)?;
@@ -466,7 +488,7 @@ impl Thresholds {
         // A band reaches one tolerance width past `T_j` and starts three
         // below `ρ_j` (band 0 starts at the zero distance).
         let floor = |t: f64| t - 4.0 * (tol::ball_threshold(t) - t);
-        let interior = (0..th.len() + 1)
+        let interior: Vec<Interior> = (0..th.len() + 1)
             .map(|key| Interior {
                 below: match key {
                     0 => f64::NEG_INFINITY,
@@ -479,28 +501,16 @@ impl Thresholds {
                 },
             })
             .collect();
-        let table = Thresholds {
+        // Disjoint bands (and no NaN threshold).
+        let disjoint = |i: &Interior| i.below.partial_cmp(&i.top) == Some(std::cmp::Ordering::Less);
+        if !interior[1..th.len()].iter().all(disjoint) {
+            return None;
+        }
+        Some(Thresholds {
             th,
             interior,
             per_unit: 4.0 / domain.grid_step(),
-        };
-        let top = domain.radius_grid_len().saturating_sub(1);
-        for key in 1..table.interior.len() {
-            let Interior { below, top: floor } = table.interior[key];
-            let expected = if key < table.th.len() {
-                // Disjoint bands (and no NaN threshold).
-                if below.partial_cmp(&floor) != Some(std::cmp::Ordering::Less) {
-                    return None;
-                }
-                segment_indices(domain, floor)
-            } else {
-                (top, top)
-            };
-            if segment_indices(domain, table.interior_point(key)) != expected {
-                return None;
-            }
-        }
-        Some(table)
+        })
     }
 
     /// The bucket estimate `⌊d·4/ℓ⌋ + 1`, nearly always right for a distance
@@ -517,7 +527,7 @@ impl Thresholds {
         self.th.partition_point(|&t| t < d)
     }
 
-    /// The floor `lo_k` of band `k`.
+    /// The floor `lo_k` of band `k`; `+∞` past the grid.
     fn lower(&self, k: usize) -> f64 {
         self.interior[k].top
     }
@@ -531,17 +541,6 @@ impl Thresholds {
             key
         }
     }
-
-    /// A distance in bucket `key` between two bands' segment boundaries:
-    /// the zero distance for bucket 0, the first float past the previous
-    /// threshold otherwise.
-    fn interior_point(&self, key: usize) -> f64 {
-        if key == 0 {
-            0.0
-        } else {
-            self.th[key - 1].next_up()
-        }
-    }
 }
 
 #[cfg(test)]
@@ -553,29 +552,11 @@ mod tests {
     use crate::dataset::Dataset;
     use crate::index::GeometryIndex;
     use proptest::prelude::{prop, Strategy};
-
-    /// The segment list GoodRadius built from a breakpoint profile: one
-    /// candidate index per breakpoint and per doubled breakpoint, sorted
-    /// and deduplicated.
-    fn reference_segment_starts(domain: &GridDomain, breakpoints: &[f64]) -> Vec<u64> {
-        let grid_len = domain.radius_grid_len();
-        let mut starts: Vec<u64> = vec![0];
-        for &bp in breakpoints {
-            for candidate in [bp, 2.0 * bp] {
-                let idx = domain.radius_index_ceil(candidate);
-                if idx > 0 && idx < grid_len {
-                    starts.push(idx);
-                }
-            }
-        }
-        starts.sort_unstable();
-        starts.dedup();
-        starts
-    }
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     /// Checks `grid` against what GoodRadius read from the breakpoint
-    /// profile: `L(r_k)` and `L(r_k/2)` at every grid index `k`, and the
-    /// segment list.
+    /// profile: `L(r_k)` and `L(r_k/2)` at every grid index `k`.
     fn assert_matches_reference(grid: &GridProfile, reference: &LProfile, domain: &GridDomain) {
         for k in 0..domain.radius_grid_len() {
             let r = domain.radius_from_index(k);
@@ -590,11 +571,26 @@ mod tests {
                 "L(r_{k}/2) on {domain:?}"
             );
         }
-        assert_eq!(
-            grid.segment_starts(),
-            reference_segment_starts(domain, reference.breakpoints()),
-            "segment starts on {domain:?}"
-        );
+    }
+
+    /// The segment check: GoodRadius's quality at grid index `k` is a
+    /// function of `L(r_k/2)` and `L(r_k)` alone, and every `k` reads both,
+    /// bit for bit, as the start of its segment does.
+    fn assert_segments_hold(grid: &GridProfile, domain: &GridDomain) {
+        let grid_len = domain.radius_grid_len();
+        let starts = grid.segment_starts();
+        assert_eq!(starts.first(), Some(&0), "segments start at 0");
+        assert!(starts.windows(2).all(|w| w[0] < w[1]), "{starts:?}");
+        assert!(starts.iter().all(|&s| s < grid_len), "{starts:?}");
+        let reads = |k: u64| (grid.value(k).to_bits(), grid.value(2 * k).to_bits());
+        let mut segment = 0;
+        for k in 0..grid_len {
+            if starts.get(segment + 1) == Some(&k) {
+                segment += 1;
+            }
+            let start = starts[segment];
+            assert_eq!(reads(k), reads(start), "index {k} vs segment start {start}");
+        }
     }
 
     /// One of four unit-cube domains: aligned with `tie_heavy_dataset`'s
@@ -613,22 +609,26 @@ mod tests {
 
     /// `tie_heavy_dataset`; up to 64 points on the domain's own grid
     /// (clustered in its first 12 values per axis, so distances repeat and
-    /// hit grid radii); or the origin plus up to 24 points on a line, each
-    /// a few tolerance widths off a quarter radius (so pairs straddle the
-    /// thresholds and band floors) — crossed with the four domains of
-    /// `domain_for`.
+    /// hit grid radii); the origin plus up to 24 points on a line, each a
+    /// few tolerance widths off a quarter radius (so pairs straddle the
+    /// thresholds and band floors); or up to 64 off-grid points, half of
+    /// them in a small clump (so a middling cap saturates `L` early and the
+    /// cut drops pairs) — crossed with the four domains of `domain_for`.
     fn dataset_and_domain() -> impl Strategy<Value = (Dataset, GridDomain)> {
         let on_grid = (1usize..=3).prop_flat_map(|dim| {
             prop::collection::vec(prop::collection::vec(0u64..12, dim), 1..64)
         });
         let straddling = prop::collection::vec((1u64..=12, -40i64..=40), 1..24);
+        let off_grid = (1usize..=3).prop_flat_map(|dim| {
+            prop::collection::vec(prop::collection::vec(0.0f64..1.0, dim), 1..64)
+        });
         (
             (tie_heavy_dataset(), straddling),
-            on_grid,
-            (0u8..3, 0u8..4, 2u64..300),
+            (on_grid, off_grid),
+            (0u8..4, 0u8..4, 2u64..300),
         )
             .prop_map(
-                |((tie_heavy, straddling), on_grid, (data_kind, domain_kind, size))| {
+                |((tie_heavy, straddling), (on_grid, off_grid), (data_kind, domain_kind, size))| {
                     if data_kind == 0 {
                         let domain =
                             domain_for(domain_kind, tie_heavy.dim(), size, tie_heavy.len());
@@ -641,6 +641,20 @@ mod tests {
                             rows.push(vec![quarter_radius(&domain, k) * (1.0 + m as f64 * 1e-13)]);
                         }
                         return (Dataset::from_rows(rows).expect("one dimension"), domain);
+                    }
+                    if data_kind == 3 {
+                        let domain =
+                            domain_for(domain_kind, off_grid[0].len(), size, off_grid.len());
+                        let half = off_grid.len() / 2;
+                        let rows = off_grid
+                            .iter()
+                            .enumerate()
+                            .map(|(i, row)| {
+                                let scale = if i < half { 0.05 } else { 1.0 };
+                                row.iter().map(|&c| 0.3 + scale * (c - 0.3)).collect()
+                            })
+                            .collect();
+                        return (Dataset::from_rows(rows).expect("uniform dimension"), domain);
                     }
                     let domain = domain_for(domain_kind, on_grid[0].len(), size, on_grid.len());
                     let rows = on_grid
@@ -662,8 +676,8 @@ mod tests {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(200))]
 
         /// Both backends' grid profiles read exactly what GoodRadius read
-        /// from their breakpoint profiles, and the exact counting pass,
-        /// when it runs, builds the same profile.
+        /// from their breakpoint profiles and hold the segment check, and
+        /// the exact counting pass, when it runs, builds the same profile.
         #[test]
         fn grid_profile_matches_the_breakpoint_profile_bit_for_bit(
             case in dataset_and_domain(),
@@ -683,7 +697,8 @@ mod tests {
             let reference = exact.l_profile(cap);
             let grid = exact.grid_profile(cap, &domain);
             assert_matches_reference(&grid, &reference, &domain);
-            if let Some(counted) = count_pairs(data.points(), cap, &domain) {
+            assert_segments_hold(&grid, &domain);
+            if let Some((counted, _)) = count_pairs(data.points(), cap, &domain) {
                 proptest::prop_assert_eq!(&counted, &*grid);
             }
             let projected = ProjectedBackend::build(&data, ProjectedConfig {
@@ -692,7 +707,27 @@ mod tests {
             });
             let grid = projected.grid_profile(cap, &domain);
             assert_matches_reference(&grid, &projected.l_profile(cap), &domain);
+            assert_segments_hold(&grid, &domain);
         }
+    }
+
+    #[test]
+    fn segment_starts_follow_the_steps() {
+        // G = 5 grid indices, quarter indices 0..=8. Steps at 3, 6 and 7:
+        // L(r/2) changes at grid index 3, L(r) at 2, 3 and 4.
+        let domain = GridDomain::unit_cube(1, 3).unwrap();
+        assert_eq!(domain.radius_grid_len(), 5);
+        let steps = vec![(3, 1.0), (6, 2.0), (7, 3.0)];
+        assert_eq!(
+            GridProfile::new(steps, &domain).segment_starts(),
+            &[0, 2, 3, 4]
+        );
+        // A step past the last grid index only moves L(r).
+        let steps = vec![(0, 1.0), (5, 2.0), (8, 3.0)];
+        assert_eq!(
+            GridProfile::new(steps, &domain).segment_starts(),
+            &[0, 3, 4]
+        );
     }
 
     #[test]
@@ -733,7 +768,8 @@ mod tests {
     #[test]
     fn empty_data_reads_zero_with_one_segment() {
         let domain = GridDomain::unit_cube(1, 9).unwrap();
-        let counted = count_pairs(&[], 3, &domain).expect("small grid counts");
+        let (counted, kept) = count_pairs(&[], 3, &domain).expect("small grid counts");
+        assert_eq!(kept, 0);
         assert_eq!(counted.value(0), 0.0);
         assert_eq!(counted.segment_starts(), &[0]);
         let sampled = GridProfile::sample(&LProfile::from_parts(Vec::new(), Vec::new()), &domain);
@@ -754,5 +790,34 @@ mod tests {
             bc.grid_profile(&fine),
             GridProfile::sample(&bc.l_profile(), &fine)
         );
+    }
+
+    /// The cut applies where it should: on 1,000 off-grid points with a
+    /// third of them in a disc of radius 0.08 and cap 200, the counting
+    /// pass runs (no fallback to the sorted sweep) and keeps under a
+    /// quarter of the pairs, and its profile is the reference's.
+    #[test]
+    fn the_cut_keeps_a_planted_clusters_pairs_only() {
+        let mut rng = StdRng::seed_from_u64(21);
+        let domain = GridDomain::unit_cube(2, 1025).unwrap();
+        let n = 1000;
+        let rows: Vec<Vec<f64>> = (0..n)
+            .map(|i| {
+                if i < n / 3 {
+                    let (angle, radius) =
+                        (rng.gen::<f64>() * std::f64::consts::TAU, rng.gen::<f64>());
+                    let radius = 0.08 * radius.sqrt();
+                    vec![0.4 + radius * angle.cos(), 0.6 + radius * angle.sin()]
+                } else {
+                    vec![rng.gen::<f64>(), rng.gen::<f64>()]
+                }
+            })
+            .collect();
+        let data = Dataset::from_rows(rows).unwrap();
+        let pairs = n * (n + 1) / 2;
+        let (counted, kept) = count_pairs(data.points(), 200, &domain).expect("the pass runs");
+        assert!(kept < pairs / 4, "kept {kept} of {pairs} pairs");
+        let reference = GridProfile::sample(&BallCounter::new(&data, 200).l_profile(), &domain);
+        assert_eq!(counted, reference);
     }
 }

@@ -17,8 +17,8 @@
 //! something reads them, and no profile build or GoodRadius query does.
 //! Each cached grid profile holds at most one entry per grid radius and
 //! per pair, `O(min(G, n²))` for `G` grid radii, and building one briefly
-//! holds at most 16 bytes per pair (see
-//! [`grid_profile`](crate::grid_profile)); at most
+//! holds 12 bytes per pair it keeps, the pairs within the radius where `L`
+//! saturates (see [`grid_profile`](crate::grid_profile)); at most
 //! [`MAX_CACHED_PROFILES`] profiles are retained (the cap `t` is
 //! client-controlled on the engine's query wire, so the memoisation must
 //! be bounded).

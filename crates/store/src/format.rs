@@ -29,18 +29,36 @@ pub const SNAPSHOT_MAGIC: &[u8; 8] = b"PCSS0001";
 pub const MAX_RECORD_BYTES: usize = 64 * 1024 * 1024;
 
 /// CRC-32 (IEEE 802.3 polynomial, reflected), the checksum guarding every
-/// framed payload.
+/// framed payload. Slicing-by-8: each step folds eight bytes through eight
+/// tables, then the bytes left over go one at a time.
 pub fn crc32(bytes: &[u8]) -> u32 {
-    const TABLE: [u32; 256] = crc32_table();
+    const TABLES: [[u32; 256]; 8] = crc32_tables();
+    let byte =
+        |table: usize, word: u32, shift: u32| TABLES[table][((word >> shift) & 0xFF) as usize];
     let mut crc = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        crc = (crc >> 8) ^ TABLE[((crc ^ b as u32) & 0xFF) as usize];
+    let mut chunks = bytes.chunks_exact(8);
+    for chunk in &mut chunks {
+        let lo = crc ^ u32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
+        let hi = u32::from_le_bytes([chunk[4], chunk[5], chunk[6], chunk[7]]);
+        crc = byte(7, lo, 0)
+            ^ byte(6, lo, 8)
+            ^ byte(5, lo, 16)
+            ^ byte(4, lo, 24)
+            ^ byte(3, hi, 0)
+            ^ byte(2, hi, 8)
+            ^ byte(1, hi, 16)
+            ^ byte(0, hi, 24);
+    }
+    for &b in chunks.remainder() {
+        crc = (crc >> 8) ^ byte(0, crc ^ u32::from(b), 0);
     }
     !crc
 }
 
-const fn crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// The slicing tables: `tables[0][i]` is the CRC of byte `i`, and
+/// `tables[k][i]` is `tables[k − 1][i]` run on through one more zero byte.
+const fn crc32_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
@@ -53,10 +71,20 @@ const fn crc32_table() -> [u32; 256] {
             };
             bit += 1;
         }
-        table[i] = crc;
+        tables[0][i] = crc;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 }
 
 /// Frames a payload: `[len][crc][payload]`.
@@ -155,12 +183,50 @@ pub fn scan_frames(bytes: &[u8]) -> (Vec<&[u8]>, TailStatus) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The bytewise CRC-32 loop, one table lookup per byte: the reference
+    /// the sliced loop is checked against.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        const TABLE: [u32; 256] = crc32_tables()[0];
+        let mut crc = 0xFFFF_FFFFu32;
+        for &b in bytes {
+            crc = (crc >> 8) ^ TABLE[((crc ^ b as u32) & 0xFF) as usize];
+        }
+        !crc
+    }
 
     #[test]
     fn crc32_matches_known_vectors() {
         // The standard check value of CRC-32/ISO-HDLC.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+        assert_eq!(crc32_bytewise(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+        // Every short length at every alignment: whole steps, remainders
+        // and both together.
+        let bytes: Vec<u8> = (0u8..80).map(|b| b.wrapping_mul(37) ^ 0x5A).collect();
+        for start in 0..8 {
+            for len in 0..=64 {
+                let slice = &bytes[start..start + len];
+                assert_eq!(crc32(slice), crc32_bytewise(slice), "{start}+{len}");
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Slicing-by-8 is the bytewise loop at every length up to 4,096
+        /// and every start offset modulo 8.
+        #[test]
+        fn sliced_crc32_matches_the_bytewise_loop(
+            bytes in prop::collection::vec(0u8..=255, 4096 + 7),
+            start in 0usize..8,
+            len in 0usize..=4096,
+        ) {
+            let slice = &bytes[start..start + len];
+            prop_assert_eq!(crc32(slice), crc32_bytewise(slice));
+        }
     }
 
     #[test]

@@ -83,6 +83,9 @@ exhaust_and_kill() {
     shift
     rm -f "$WORK/requests"
     mkfifo "$WORK/requests"
+    # `serve` opens its output only once the fifo has a writer, so create
+    # the file the loop below polls before starting it.
+    : > "$WORK/$tag.jsonl"
     "$BIN" "$@" < "$WORK/requests" > "$WORK/$tag.jsonl" 2>"$WORK/$tag.err" &
     SERVE_PID=$!
     # Keep the fifo's write end open across the individual sends.
@@ -170,6 +173,7 @@ grep -q "recovered: true" "$WORK/phase4.err" || {
 
 # --- Phase 5: group commit — kill -9 between charge append and batch fsync
 mkfifo "$WORK/requests5"
+: > "$WORK/phase5a.jsonl"
 "$BIN" --shards 2 --journal "$WORK/journal5.pcsj" \
     --group-commit-max-batch 64 --group-commit-max-wait-us 2000000 \
     < "$WORK/requests5" > "$WORK/phase5a.jsonl" 2>"$WORK/phase5a.err" &
