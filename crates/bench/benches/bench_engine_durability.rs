@@ -16,10 +16,13 @@
 //! the records a large registration writes: `Store::append` of one
 //! 20,000 × 2 re-registration record (its fsync included), and
 //! `Store::open` of a journal holding ten of them — the set-up and
-//! recovery costs that registration rows put on `projected-large`. Each
-//! journal first registers the dataset, so every re-registration is
-//! applied to the store's state (and its rows cloned there) as in a real
-//! recovery.
+//! recovery costs that registration rows put on `projected-large`. It
+//! runs both on uniform off-grid rows, which the journal stores as raw
+//! `f64`, and (rows suffixed `_on_grid`) on rows snapped to a 1,025-value
+//! grid as `projected-large`'s are, which it stores as 2-byte grid
+//! indices. Each journal first registers the dataset, so every
+//! re-registration is applied to the store's state (and its rows cloned
+//! there) as in a real recovery.
 //!
 //! Group 4 (`accountant_try_charge`) times granted
 //! `BudgetAccountant::try_charge` calls on an accountant that already
@@ -205,21 +208,30 @@ fn bench_recovery(c: &mut Criterion) {
 /// `projected-large`.
 const REGISTRATION_POINTS: usize = 20_000;
 
-/// The 2-d domain of `store_registration_record`'s dataset.
-const REGISTRATION_DOMAIN: DomainSpec = DomainSpec {
+/// The 2-d domain of `store_registration_record`'s off-grid rows.
+const OFF_GRID_DOMAIN: DomainSpec = DomainSpec {
     dim: 2,
     size: 1 << 10,
     min: 0.0,
     max: 1.0,
 };
 
+/// The 2-d domain of its on-grid rows: 1,025 values per axis, as in
+/// `projected-large`.
+const ON_GRID_DOMAIN: DomainSpec = DomainSpec {
+    dim: 2,
+    size: 1025,
+    min: 0.0,
+    max: 1.0,
+};
+
 /// Version 1 of dataset "bench", with a single row: the re-registrations
 /// after it carry the rows being timed.
-fn registration() -> StoreRecord {
+fn registration(domain: &DomainSpec) -> StoreRecord {
     StoreRecord::Register(RegisterRecord {
         seq: 0,
         dataset: "bench".into(),
-        domain: REGISTRATION_DOMAIN,
+        domain: domain.clone(),
         budget: PrivacyParams::new(1.0, 1e-6).unwrap(),
         mode: CompositionMode::Basic,
         backend: "projected".into(),
@@ -228,15 +240,13 @@ fn registration() -> StoreRecord {
     })
 }
 
-/// Re-registration `version` of dataset "bench" with `rows` (uniform
-/// off-grid coordinates, which JSON text spells with up to 17 significant
-/// digits).
-fn reregistration(version: u64, rows: &[Vec<f64>]) -> StoreRecord {
+/// Re-registration `version` of dataset "bench" with `rows` on `domain`.
+fn reregistration(version: u64, domain: &DomainSpec, rows: &[Vec<f64>]) -> StoreRecord {
     StoreRecord::Reregister(ReregisterRecord {
         seq: 0,
         dataset: "bench".into(),
         version,
-        domain: REGISTRATION_DOMAIN,
+        domain: domain.clone(),
         backend: "projected".into(),
         fingerprint: format!("r|bench|{REGISTRATION_POINTS}x2|v{version}"),
         rows: rows.to_vec(),
@@ -247,46 +257,61 @@ fn bench_registration_record(c: &mut Criterion) {
     let mut group = c.benchmark_group("store_registration_record");
     group.sample_size(20);
     let mut rng = StdRng::seed_from_u64(20);
-    let rows: Vec<Vec<f64>> = (0..REGISTRATION_POINTS)
+    let uniform: Vec<Vec<f64>> = (0..REGISTRATION_POINTS)
         .map(|_| vec![rng.gen::<f64>(), rng.gen::<f64>()])
         .collect();
-
-    let dir = scratch_dir("registration-append");
-    let (store, _) = Store::open(StoreConfig::journal_only(dir.join("journal.pcsj"))).unwrap();
-    store.append(registration()).unwrap();
-    let mut version = 1;
-    group.bench_function(format!("append_{REGISTRATION_POINTS}x2"), |b| {
-        b.iter_batched(
-            || {
-                version += 1;
-                reregistration(version, &rows)
-            },
-            |record| store.append(record).unwrap(),
-            BatchSize::PerIteration,
-        )
-    });
-    drop(store);
-
-    let open_dir = scratch_dir("registration-open");
-    let config = StoreConfig::journal_only(open_dir.join("journal.pcsj"));
-    {
-        let (store, _) = Store::open(config.clone()).unwrap();
-        store.append(registration()).unwrap();
-        for version in 2..12 {
-            store.append(reregistration(version, &rows)).unwrap();
-        }
-    }
-    group.bench_function("open_10_records", |b| {
-        b.iter(|| {
-            let (store, report) = Store::open(config.clone()).unwrap();
-            assert_eq!(report.state.reregisters().len(), 10);
-            store
+    // Snapped as `GridDomain::snap` does: `min + round((c − min)/step)·step`.
+    let step = (ON_GRID_DOMAIN.max - ON_GRID_DOMAIN.min) / (ON_GRID_DOMAIN.size - 1) as f64;
+    let snapped: Vec<Vec<f64>> = uniform
+        .iter()
+        .map(|row| {
+            row.iter()
+                .map(|&c| ON_GRID_DOMAIN.min + ((c - ON_GRID_DOMAIN.min) / step).round() * step)
+                .collect()
         })
-    });
+        .collect();
+    let sets = [
+        ("", OFF_GRID_DOMAIN, uniform),
+        ("_on_grid", ON_GRID_DOMAIN, snapped),
+    ];
 
+    for (suffix, domain, rows) in &sets {
+        let dir = scratch_dir(&format!("registration-append{suffix}"));
+        let (store, _) = Store::open(StoreConfig::journal_only(dir.join("journal.pcsj"))).unwrap();
+        store.append(registration(domain)).unwrap();
+        let mut version = 1;
+        group.bench_function(format!("append_{REGISTRATION_POINTS}x2{suffix}"), |b| {
+            b.iter_batched(
+                || {
+                    version += 1;
+                    reregistration(version, domain, rows)
+                },
+                |record| store.append(record).unwrap(),
+                BatchSize::PerIteration,
+            )
+        });
+        drop(store);
+        std::fs::remove_dir_all(&dir).ok();
+
+        let open_dir = scratch_dir(&format!("registration-open{suffix}"));
+        let config = StoreConfig::journal_only(open_dir.join("journal.pcsj"));
+        {
+            let (store, _) = Store::open(config.clone()).unwrap();
+            store.append(registration(domain)).unwrap();
+            for version in 2..12 {
+                store.append(reregistration(version, domain, rows)).unwrap();
+            }
+        }
+        group.bench_function(format!("open_10_records{suffix}"), |b| {
+            b.iter(|| {
+                let (store, report) = Store::open(config.clone()).unwrap();
+                assert_eq!(report.state.reregisters().len(), 10);
+                store
+            })
+        });
+        std::fs::remove_dir_all(&open_dir).ok();
+    }
     group.finish();
-    std::fs::remove_dir_all(&dir).ok();
-    std::fs::remove_dir_all(&open_dir).ok();
 }
 
 /// Charges per timed sample of `accountant_try_charge`.

@@ -524,7 +524,7 @@ fn fixture_statuses(engine: &Engine, requests: &str) -> Vec<String> {
 /// `v2_requests.jsonl` — two datasets, one basic and one advanced, each
 /// re-registered between charges — with `v2_statuses.jsonl` the status
 /// answers that writer's server gave before shutting down. Recovering
-/// either copy, and recovering the version-4 snapshot written from the
+/// either copy, and recovering the version-5 snapshot written from the
 /// first, must answer every status field — spend, headroom and each
 /// version's inherited spend — bit for bit as that server did.
 #[test]
@@ -560,7 +560,7 @@ fn version_two_snapshots_recover_bit_identically_to_a_journal_replay() {
     assert_eq!(
         fixture_statuses(&engine, "v2_requests.jsonl"),
         expected,
-        "v4 snapshot written from it"
+        "v5 snapshot written from it"
     );
 
     std::fs::remove_dir_all(&journal_dir).ok();
@@ -574,7 +574,7 @@ fn version_two_snapshots_recover_bit_identically_to_a_journal_replay() {
 /// and a journal tail whose re-registration and registration (on the
 /// projected backend) carry their rows as JSON arrays; `v3_statuses.jsonl`
 /// holds the status answers that server gave before shutting down.
-/// Recovering it, and recovering the version-4 snapshot written from it,
+/// Recovering it, and recovering the version-5 snapshot written from it,
 /// must answer every status field bit for bit as that server did.
 #[test]
 fn json_row_journals_and_version_three_snapshots_recover_bit_identically() {
@@ -603,7 +603,57 @@ fn json_row_journals_and_version_three_snapshots_recover_bit_identically() {
     assert_eq!(
         fixture_statuses(&engine, "v3_requests.jsonl"),
         expected,
-        "v4 snapshot written from it"
+        "v5 snapshot written from it"
+    );
+
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `crates/store/tests/data/v4_snapshot` was written by the last writer of
+/// `f64`-only row blocks: `serve --snapshot-dir --snapshot-every 8` over
+/// `v4_requests.jsonl`. Its version-4 snapshot at seq 8 holds an on-grid
+/// registration (`alpha`, synthetic and so snapped to its grid), an
+/// off-grid one (`bravo`, inline points) and `alpha`'s on-grid
+/// re-registration; its journal tail adds an on-grid registration on a
+/// 200-value grid over [−2, 3] (`charlie`, projected backend) and
+/// `bravo`'s off-grid re-registration, every row as raw `f64`.
+/// `v4_statuses.jsonl` holds the status answers that server gave before
+/// shutting down. Recovering it, and recovering the version-5 snapshot
+/// written from it, in which the three on-grid blocks become grid
+/// indices, must answer every status field bit for bit as that server
+/// did.
+#[test]
+fn f64_block_journals_and_version_four_snapshots_recover_bit_identically() {
+    let expected = status_objects(
+        &std::fs::read_to_string(store_fixtures().join("v4_statuses.jsonl")).unwrap(),
+    );
+    assert_eq!(expected.len(), 5);
+
+    let dir = fixture_copy("v4_snapshot", "v4-snapshot");
+    let mut config = store_config(&dir);
+    config.snapshot_dir = Some(dir.join("snapshots"));
+    {
+        let engine = Engine::open(engine_config(), config.clone()).unwrap();
+        assert_eq!(engine.durability().journal_seq, 15);
+        assert_eq!(
+            fixture_statuses(&engine, "v4_requests.jsonl"),
+            expected,
+            "v4 snapshot + f64-block journal tail"
+        );
+        let path = engine.snapshot_now().unwrap().expect("snapshot dir is set");
+        // After the magic, the frame's length and checksum, the row-block
+        // tag and the header length: the header.
+        let bytes = std::fs::read(path).unwrap();
+        let len = u32::from_le_bytes(bytes[17..21].try_into().unwrap()) as usize;
+        let header = std::str::from_utf8(&bytes[21..21 + len]).unwrap();
+        assert!(header.starts_with(r#"{"version":5,"#), "{header}");
+        assert_eq!(header.matches(r#""width":"#).count(), 3, "{header}");
+    }
+    let engine = Engine::open(engine_config(), config).unwrap();
+    assert_eq!(
+        fixture_statuses(&engine, "v4_requests.jsonl"),
+        expected,
+        "v5 snapshot written from it"
     );
 
     std::fs::remove_dir_all(&dir).ok();

@@ -27,18 +27,22 @@
 //!
 //! Payload layouts (see [`payload`](mod@crate::payload)). Registrations and
 //! re-registrations are written in the row-block layout: a JSON header
-//! whose `rows` field is `{"n":N,"dim":D}`, then the rows as raw
-//! little-endian `f64`, 8 bytes per coordinate. Charges and releases are
-//! written as JSON. Journals written before the row-block layout hold
-//! every record as JSON, with each row an array of numbers; they still
-//! decode.
+//! whose `rows` field is the block's spec, then the rows. Rows that all
+//! lie on the record's own domain grid are written as grid indices
+//! (`{"n":N,"dim":D,"width":W}`, W = 1, 2 or 4 bytes per coordinate:
+//! 2 for a grid of 257 to 65,536 values); any other rows as raw
+//! little-endian `f64` (`{"n":N,"dim":D}`, 8 bytes per coordinate).
+//! Charges and releases are written as JSON. Journals written before the
+//! grid layout hold f64 blocks only, and journals written before the
+//! row-block layout hold every record as JSON, with each row an array of
+//! numbers; both still decode.
 //!
 //! The store is deliberately engine-agnostic: released values are opaque
 //! [`Value`] trees and backend kinds are strings — the engine owns those
 //! vocabularies.
 
 use crate::error::StoreError;
-use crate::payload::{self, rows_spec, Rows};
+use crate::payload::{self, RowBlock, Rows};
 use crate::wire::{num, obj, req, req_f64, req_str, req_u64, req_usize, s};
 use privcluster_dp::composition::CompositionMode;
 use privcluster_dp::PrivacyParams;
@@ -185,16 +189,19 @@ impl StoreRecord {
     /// JSON. Fails only for rows a block cannot hold (ragged or empty
     /// rows), which no validated dataset has.
     pub fn to_payload(&self) -> Result<Vec<u8>, StoreError> {
-        let rows = match self {
-            StoreRecord::Register(r) => &r.rows,
-            StoreRecord::Reregister(r) => &r.rows,
-            StoreRecord::Charge(_) | StoreRecord::Release(_) => {
-                return Ok(serde_json::to_string(&self.to_json_value())
-                    .expect("record serialization is infallible")
-                    .into_bytes())
+        let (header, block) = match self {
+            StoreRecord::Register(r) => {
+                let block = RowBlock::new(&r.rows, &r.domain)?;
+                (r.to_json_value(block.spec()), block)
             }
+            StoreRecord::Reregister(r) => {
+                let block = RowBlock::new(&r.rows, &r.domain)?;
+                (r.to_json_value(block.spec()), block)
+            }
+            StoreRecord::Charge(r) => return Ok(json_bytes(&r.to_json_value())),
+            StoreRecord::Release(r) => return Ok(json_bytes(&r.to_json_value())),
         };
-        payload::encode_row_blocks(&self.to_json_value(), &[rows])
+        payload::encode_row_blocks(&header, &[block])
     }
 
     fn domain_from_json(value: &Value) -> Result<DomainSpec, StoreError> {
@@ -220,18 +227,21 @@ impl StoreRecord {
     /// `rows`.
     pub(crate) fn from_json(value: &Value, rows: &mut Rows<'_>) -> Result<Self, StoreError> {
         match req_str(value, "type")?.as_str() {
-            "register" => Ok(StoreRecord::Register(RegisterRecord {
-                seq: req_u64(value, "seq")?,
-                dataset: req_str(value, "dataset")?,
-                domain: Self::domain_from_json(value)?,
-                budget: PrivacyParams::from_json_value(req(value, "budget")?)
-                    .map_err(StoreError::Corrupt)?,
-                mode: CompositionMode::from_json_value(req(value, "composition")?)
-                    .map_err(StoreError::Corrupt)?,
-                backend: req_str(value, "backend")?,
-                fingerprint: req_str(value, "fingerprint")?,
-                rows: rows.take(value)?,
-            })),
+            "register" => {
+                let domain = Self::domain_from_json(value)?;
+                Ok(StoreRecord::Register(RegisterRecord {
+                    seq: req_u64(value, "seq")?,
+                    dataset: req_str(value, "dataset")?,
+                    budget: PrivacyParams::from_json_value(req(value, "budget")?)
+                        .map_err(StoreError::Corrupt)?,
+                    mode: CompositionMode::from_json_value(req(value, "composition")?)
+                        .map_err(StoreError::Corrupt)?,
+                    backend: req_str(value, "backend")?,
+                    fingerprint: req_str(value, "fingerprint")?,
+                    rows: rows.take(value, &domain)?,
+                    domain,
+                }))
+            }
             "reregister" => {
                 let version = req_u64(value, "version")?;
                 if version < 2 {
@@ -242,14 +252,15 @@ impl StoreRecord {
                         "reregister version must be >= 2, got {version}"
                     )));
                 }
+                let domain = Self::domain_from_json(value)?;
                 Ok(StoreRecord::Reregister(ReregisterRecord {
                     seq: req_u64(value, "seq")?,
                     dataset: req_str(value, "dataset")?,
                     version,
-                    domain: Self::domain_from_json(value)?,
                     backend: req_str(value, "backend")?,
                     fingerprint: req_str(value, "fingerprint")?,
-                    rows: rows.take(value)?,
+                    rows: rows.take(value, &domain)?,
+                    domain,
                 }))
             }
             "charge" => Ok(StoreRecord::Charge(ChargeRecord {
@@ -271,30 +282,18 @@ impl StoreRecord {
             ))),
         }
     }
+}
 
-    /// The record's JSON object: the whole payload of a charge or a
-    /// release, the header of a registration (whose `rows` field is the
-    /// block spec).
-    pub(crate) fn to_json_value(&self) -> Value {
-        match self {
-            StoreRecord::Register(r) => r.to_json_value(),
-            StoreRecord::Reregister(r) => r.to_json_value(),
-            StoreRecord::Charge(r) => obj(vec![
-                ("type", s("charge")),
-                ("seq", num(r.seq as f64)),
-                ("dataset", s(r.dataset.clone())),
-                ("fingerprint", s(r.fingerprint.clone())),
-                ("label", s(r.label.clone())),
-                ("params", r.params.to_json_value()),
-            ]),
-            StoreRecord::Release(r) => r.to_json_value(),
-        }
-    }
+fn json_bytes(value: &Value) -> Vec<u8> {
+    serde_json::to_string(value)
+        .expect("record serialization is infallible")
+        .into_bytes()
 }
 
 impl RegisterRecord {
-    /// The record's row-block header (as in the journal).
-    pub(crate) fn to_json_value(&self) -> Value {
+    /// The record's JSON object with `rows` as its `rows` field: a block
+    /// spec in a row-block header, inline rows in the JSON layout.
+    pub(crate) fn to_json_value(&self, rows: Value) -> Value {
         obj(vec![
             ("type", s("register")),
             ("seq", num(self.seq as f64)),
@@ -304,14 +303,15 @@ impl RegisterRecord {
             ("composition", self.mode.to_json_value()),
             ("backend", s(self.backend.clone())),
             ("fingerprint", s(self.fingerprint.clone())),
-            ("rows", rows_spec(&self.rows)),
+            ("rows", rows),
         ])
     }
 }
 
 impl ReregisterRecord {
-    /// The record's row-block header (as in the journal).
-    pub(crate) fn to_json_value(&self) -> Value {
+    /// The record's JSON object with `rows` as its `rows` field (see
+    /// [`RegisterRecord::to_json_value`]).
+    pub(crate) fn to_json_value(&self, rows: Value) -> Value {
         obj(vec![
             ("type", s("reregister")),
             ("seq", num(self.seq as f64)),
@@ -320,7 +320,21 @@ impl ReregisterRecord {
             ("domain", StoreRecord::domain_to_json(&self.domain)),
             ("backend", s(self.backend.clone())),
             ("fingerprint", s(self.fingerprint.clone())),
-            ("rows", rows_spec(&self.rows)),
+            ("rows", rows),
+        ])
+    }
+}
+
+impl ChargeRecord {
+    /// The record's JSON form (as in the journal).
+    fn to_json_value(&self) -> Value {
+        obj(vec![
+            ("type", s("charge")),
+            ("seq", num(self.seq as f64)),
+            ("dataset", s(self.dataset.clone())),
+            ("fingerprint", s(self.fingerprint.clone())),
+            ("label", s(self.label.clone())),
+            ("params", self.params.to_json_value()),
         ])
     }
 }
@@ -402,25 +416,19 @@ pub(crate) mod test_support {
     /// The record's JSON object as writers before the row-block layout
     /// emitted it: a registration's rows inline, as arrays of numbers.
     pub fn legacy_json(record: &StoreRecord) -> Value {
-        let mut value = record.to_json_value();
-        let rows = match record {
-            StoreRecord::Register(r) => &r.rows,
-            StoreRecord::Reregister(r) => &r.rows,
-            _ => return value,
+        let inline = |rows: &[Vec<f64>]| {
+            Value::Array(
+                rows.iter()
+                    .map(|row| Value::Array(row.iter().map(|&c| Value::Number(c)).collect()))
+                    .collect(),
+            )
         };
-        let Value::Object(fields) = &mut value else {
-            unreachable!("records are objects")
-        };
-        for (key, field) in fields.iter_mut() {
-            if key == "rows" {
-                *field = Value::Array(
-                    rows.iter()
-                        .map(|row| Value::Array(row.iter().map(|&c| Value::Number(c)).collect()))
-                        .collect(),
-                );
-            }
+        match record {
+            StoreRecord::Register(r) => r.to_json_value(inline(&r.rows)),
+            StoreRecord::Reregister(r) => r.to_json_value(inline(&r.rows)),
+            StoreRecord::Charge(r) => r.to_json_value(),
+            StoreRecord::Release(r) => r.to_json_value(),
         }
-        value
     }
 }
 

@@ -11,13 +11,17 @@
 //! directory stays bounded.
 //!
 //! Payload format versions. New snapshots are always written as
-//! version 4:
+//! version 5:
 //!
-//! * **version 4** is version 3 in the row-block layout (see
-//!   [`payload`](mod@crate::payload)): the version-3 fields form the JSON
-//!   header, each registration's `rows` field there is `{"n":N,"dim":D}`,
-//!   and the registrations' rows follow as raw little-endian `f64` blocks,
-//!   in header order (the registrations, then the re-registrations);
+//! * **version 5** is version 4 plus grid blocks: each registration's
+//!   rows follow as grid indices (1, 2 or 4 bytes a coordinate) when they
+//!   all lie on that registration's domain grid, and as raw `f64`
+//!   otherwise (see [`payload`](mod@crate::payload));
+//! * **version 4** is version 3 in the row-block layout: the version-3
+//!   fields form the JSON header, each registration's `rows` field there
+//!   is its block's spec, and the registrations' rows follow as raw
+//!   little-endian `f64` blocks, in header order (the registrations, then
+//!   the re-registrations);
 //! * **version 3** holds the covered sequence number, the registrations,
 //!   each applied re-registration with its dataset's [`LedgerTotals`] at
 //!   that point in the journal, one totals object per dataset in name
@@ -32,13 +36,13 @@
 //! * **version 1** predates dataset versioning: registers, charges and
 //!   releases only.
 //!
-//! Versions 1 to 3 still decode. Versions 1 and 2 replay their records
+//! Versions 1 to 4 still decode. Versions 1 and 2 replay their records
 //! through [`StoreState::apply`], which folds the charges into the same
 //! totals a journal replay would build.
 
 use crate::error::StoreError;
 use crate::format::{encode_frame, scan_frames, TailStatus, SNAPSHOT_MAGIC};
-use crate::payload::{self, Rows};
+use crate::payload::{self, RowBlock, Rows};
 use crate::record::{RegisterRecord, ReleaseRecord, ReregisterRecord, StoreRecord};
 use crate::recovery::StoreState;
 use crate::wire::{num, obj, req, req_u64};
@@ -55,7 +59,7 @@ use std::sync::Arc;
 /// to by hand if the newest is damaged.
 pub(crate) const RETAINED_SNAPSHOTS: usize = 2;
 
-/// A compacted copy of journal state up to `seq` (the version-4 payload).
+/// A compacted copy of journal state up to `seq` (the version-5 payload).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Snapshot {
     /// Highest journal sequence number this snapshot covers; recovery
@@ -73,47 +77,42 @@ pub struct Snapshot {
 }
 
 impl Snapshot {
-    /// The version-4 payload: the JSON header, then every registration's
+    /// The version-5 payload: the JSON header, then every registration's
     /// row block in header order.
     fn to_payload(&self) -> Result<Vec<u8>, StoreError> {
-        let blocks: Vec<&[Vec<f64>]> = self
+        let blocks = self
             .registers
             .iter()
-            .map(|r| &r.rows[..])
-            .chain(self.reregisters.iter().map(|(r, _)| &r.rows[..]))
+            .map(|r| RowBlock::new(&r.rows, &r.domain))
+            .chain(
+                self.reregisters
+                    .iter()
+                    .map(|(r, _)| RowBlock::new(&r.rows, &r.domain)),
+            )
+            .collect::<Result<Vec<_>, _>>()?;
+        let (register_blocks, reregister_blocks) = blocks.split_at(self.registers.len());
+        let registers = self
+            .registers
+            .iter()
+            .zip(register_blocks)
+            .map(|(r, block)| r.to_json_value(block.spec()))
             .collect();
-        payload::encode_row_blocks(&self.header(), &blocks)
-    }
-
-    fn from_payload(bytes: &[u8]) -> Result<Self, StoreError> {
-        let (value, mut rows) = payload::decode(bytes, "snapshot")?;
-        let snapshot = Snapshot::from_json(&value, &mut rows)?;
-        rows.finish()?;
-        Ok(snapshot)
-    }
-
-    fn header(&self) -> Value {
-        obj(vec![
-            ("version", num(4.0)),
+        let reregisters = self
+            .reregisters
+            .iter()
+            .zip(reregister_blocks)
+            .map(|((r, totals), block)| {
+                obj(vec![
+                    ("record", r.to_json_value(block.spec())),
+                    ("totals", totals.to_json_value()),
+                ])
+            })
+            .collect();
+        let header = obj(vec![
+            ("version", num(5.0)),
             ("seq", num(self.seq as f64)),
-            (
-                "registers",
-                Value::Array(self.registers.iter().map(|r| r.to_json_value()).collect()),
-            ),
-            (
-                "reregisters",
-                Value::Array(
-                    self.reregisters
-                        .iter()
-                        .map(|(r, totals)| {
-                            obj(vec![
-                                ("record", r.to_json_value()),
-                                ("totals", totals.to_json_value()),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
+            ("registers", Value::Array(registers)),
+            ("reregisters", Value::Array(reregisters)),
             (
                 "totals",
                 Value::Object(
@@ -127,15 +126,23 @@ impl Snapshot {
                 "releases",
                 Value::Array(self.releases.iter().map(|r| r.to_json_value()).collect()),
             ),
-        ])
+        ]);
+        payload::encode_row_blocks(&header, &blocks)
+    }
+
+    fn from_payload(bytes: &[u8]) -> Result<Self, StoreError> {
+        let (value, mut rows) = payload::decode(bytes, "snapshot")?;
+        let snapshot = Snapshot::from_json(&value, &mut rows)?;
+        rows.finish()?;
+        Ok(snapshot)
     }
 
     /// Decodes a payload's JSON value, taking the registrations' rows from
-    /// `rows` in header order: inline for versions 1 to 3, blocks for 4.
+    /// `rows` in header order: inline for versions 1 to 3, blocks from 4.
     fn from_json(value: &Value, rows: &mut Rows<'_>) -> Result<Self, StoreError> {
         let seq = req_u64(value, "seq")?;
         match req_u64(value, "version")? {
-            3 | 4 => {
+            3..=5 => {
                 let snapshot = Snapshot {
                     seq,
                     registers: array(value, "registers")?
@@ -233,8 +240,8 @@ impl Snapshot {
         }
     }
 
-    /// The invariants replay guarantees, checked on a decoded version-3 or
-    /// version-4 payload so a damaged one is refused rather than restored:
+    /// The invariants replay guarantees, checked on a decoded version-3 to
+    /// version-5 payload so a damaged one is refused rather than restored:
     /// names register once, re-registrations extend their chain one version
     /// at a time, a dataset's totals never shrink along its chain, the
     /// totals are in strictly ascending name order, and no record lies past

@@ -2,7 +2,7 @@
 //! durability PR): for arbitrary journals,
 //!
 //! (a) replay is idempotent — replaying the same journal twice (and
-//!     resuming from a version-4 snapshot file of any prefix) yields the
+//!     resuming from a snapshot file of any prefix) yields the
 //!     same state, ledger totals and each re-registration's totals equal
 //!     bit for bit, with registers, re-registrations, charges, and
 //!     releases interleaved arbitrarily, and every dataset's version
@@ -80,9 +80,13 @@ fn journal_from_spec(spec: &[u8]) -> Vec<StoreRecord> {
                 seq,
                 dataset: name.clone(),
                 version,
+                // These rows lie on a 1,025-value grid, so their block holds
+                // 2-byte grid indices (0.0 is two zero bytes) where the
+                // registrations' off-grid rows hold raw f64: the journals
+                // mix both layouts.
                 domain: DomainSpec {
                     dim: 2,
-                    size: 1024,
+                    size: 1025,
                     min: 0.0,
                     max: 1.0,
                 },

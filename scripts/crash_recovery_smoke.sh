@@ -107,8 +107,7 @@ exhaust_and_kill() {
     # state stays deterministic), then SIGKILL without reading the
     # response.
     head -2 "$DATA/recovery_phase1.jsonl" | tail -1 >&3
-    kill -9 "$SERVE_PID"
-    wait "$SERVE_PID" 2>/dev/null || true
+    { kill -9 "$SERVE_PID"; wait "$SERVE_PID"; } 2>/dev/null || true
     SERVE_PID=""
     exec 3>&-
 }
@@ -154,8 +153,7 @@ grep -qa '"type":"reregister"' "$WORK/journal.pcsj" || {
     cat "$WORK/phase3.err" >&2
     exit 1
 }
-kill -9 "$SERVE_PID"
-wait "$SERVE_PID" 2>/dev/null || true
+{ kill -9 "$SERVE_PID"; wait "$SERVE_PID"; } 2>/dev/null || true
 SERVE_PID=""
 exec 3>&-
 
@@ -209,8 +207,7 @@ if [ "$CHARGES" -lt 2 ]; then
     cat "$WORK/phase5a.err" >&2
     exit 1
 fi
-kill -9 "$SERVE_PID"
-wait "$SERVE_PID" 2>/dev/null || true
+{ kill -9 "$SERVE_PID"; wait "$SERVE_PID"; } 2>/dev/null || true
 SERVE_PID=""
 exec 3>&-
 
