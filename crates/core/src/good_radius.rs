@@ -323,7 +323,7 @@ mod tests {
         exponential_mechanism, piecewise_exponential_mechanism, PiecewiseQuality, Segment,
     };
     use privcluster_geometry::{
-        smallest_ball_two_approx, GeometryIndex, ProjectedBackend, ProjectedConfig,
+        smallest_ball_two_approx, tol, GeometryIndex, Point, ProjectedBackend, ProjectedConfig,
     };
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -599,7 +599,18 @@ mod tests {
 
     #[test]
     fn sensitivity_of_l_is_at_most_two() {
-        // Lemma 4.5 on the paper's own worst-case example plus random swaps.
+        // Lemma 4.5 where GoodRadius reads `L`: the exact backend's grid
+        // profiles of neighbours differ by at most 2 at every quarter index.
+        let served = |s: &Dataset, s_neighbour: &Dataset, t: usize, domain: &GridDomain| {
+            let profile = |s| GeometryBackend::grid_profile(&GeometryIndex::build(s, 1), t, domain);
+            let (a, b) = (profile(s), profile(s_neighbour));
+            for q in 0..=2 * (domain.radius_grid_len() - 1) {
+                let delta = (a.value(q) - b.value(q)).abs();
+                assert!(delta <= 2.0 + 1e-9, "|ΔL(ρ_{q})| = {delta} at t = {t}");
+            }
+        };
+        // The paper's own worst-case example, also through the breakpoint
+        // profile.
         let (s, s_neighbour) = privcluster_datagen::sensitivity_example(20, 2);
         let t = 20usize;
         let a = BallCounter::new(&s, t).l_profile();
@@ -609,6 +620,25 @@ mod tests {
                 (a.value_at(r) - b.value_at(r)).abs() <= 2.0 + 1e-9,
                 "sensitivity violated at r={r}"
             );
+        }
+        served(
+            &s,
+            &s_neighbour,
+            t,
+            &GridDomain::new(2, 9, 0.0, 2.0).unwrap(),
+        );
+        // At the tolerance's edge: t/2 points at 0 and t/2 just past
+        // `T₄ = ball_threshold(ρ_4)`, and a neighbour that moves one of the
+        // latter just inside it. Grouping distances at the tolerance would
+        // count all of them at `ρ_4` in the neighbour and move `L` by t/2.
+        let domain = GridDomain::unit_cube(1, 5).unwrap();
+        let edge = tol::ball_threshold(domain.radius_from_index(4) / 2.0);
+        for t in [8usize, 20, 64] {
+            let mut rows = vec![vec![0.0]; t / 2];
+            rows.extend(std::iter::repeat_n(vec![edge + 1e-13], t / 2));
+            let s = Dataset::from_rows(rows).unwrap();
+            let s_neighbour = s.replace_row(t - 1, Point::new(vec![edge - 1e-14]));
+            served(&s, &s_neighbour.unwrap(), t, &domain);
         }
     }
 

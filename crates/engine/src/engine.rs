@@ -28,6 +28,7 @@ use crate::registry::{BackendChoice, DatasetEntry, DatasetRegistry};
 use crate::telemetry::Telemetry;
 use privcluster_dp::composition::CompositionMode;
 use privcluster_dp::{LedgerTotals, PrivacyParams};
+use privcluster_geometry::grid_profile::MAX_EXACT_POINTS;
 use privcluster_geometry::sync::lock_recover;
 use privcluster_geometry::{BackendKind, Dataset, GridDomain};
 use privcluster_obs::{event, EventStream, MetricsSnapshot, Severity, Stopwatch};
@@ -51,7 +52,8 @@ pub struct EngineConfig {
     /// the sub-quadratic projected backend. The default, 4096 points, caps
     /// the exact matrix at `8·4096² = 134 MB`; at 100k points the matrix
     /// would be 80 GB, which is the scaling cliff the projected backend
-    /// removes.
+    /// removes. An exact backend takes at most 65,536 points whatever this
+    /// says: a registration that resolves to one above that is refused.
     pub exact_backend_max_points: usize,
 }
 
@@ -438,6 +440,26 @@ impl Engine {
         }
     }
 
+    /// The backend a registration of `n` points gets: the choice, with
+    /// [`BackendChoice::Auto`] exact at or below
+    /// [`EngineConfig::exact_backend_max_points`]. An exact backend above
+    /// [`MAX_EXACT_POINTS`] points is refused, before anything is
+    /// journaled: its profile builds pack pairs into 32 bits.
+    fn kind_for(&self, choice: BackendChoice, n: usize) -> Result<BackendKind, EngineError> {
+        let kind = match choice {
+            BackendChoice::Exact => BackendKind::Exact,
+            BackendChoice::Projected => BackendKind::Projected,
+            BackendChoice::Auto if n <= self.config.exact_backend_max_points => BackendKind::Exact,
+            BackendChoice::Auto => BackendKind::Projected,
+        };
+        if kind == BackendKind::Exact && n > MAX_EXACT_POINTS {
+            return Err(EngineError::InvalidQuery(format!(
+                "the exact backend takes at most {MAX_EXACT_POINTS} points, not {n}"
+            )));
+        }
+        Ok(kind)
+    }
+
     /// Registers an immutable dataset under `name` with a total privacy
     /// budget and a composition theorem, selecting the geometry backend
     /// automatically: exact at or below
@@ -476,17 +498,7 @@ impl Engine {
         mode: CompositionMode,
         choice: BackendChoice,
     ) -> Result<DatasetStatus, EngineError> {
-        let kind = match choice {
-            BackendChoice::Exact => BackendKind::Exact,
-            BackendChoice::Projected => BackendKind::Projected,
-            BackendChoice::Auto => {
-                if dataset.len() <= self.config.exact_backend_max_points {
-                    BackendKind::Exact
-                } else {
-                    BackendKind::Projected
-                }
-            }
-        };
+        let kind = self.kind_for(choice, dataset.len())?;
         let name = name.into();
         // The serial lock makes check → journal → insert one step, so the
         // journal's registration order always matches which racer the
@@ -577,17 +589,7 @@ impl Engine {
         domain: GridDomain,
         choice: BackendChoice,
     ) -> Result<DatasetStatus, EngineError> {
-        let kind = match choice {
-            BackendChoice::Exact => BackendKind::Exact,
-            BackendChoice::Projected => BackendKind::Projected,
-            BackendChoice::Auto => {
-                if dataset.len() <= self.config.exact_backend_max_points {
-                    BackendKind::Exact
-                } else {
-                    BackendKind::Projected
-                }
-            }
-        };
+        let kind = self.kind_for(choice, dataset.len())?;
         let name = name.into();
         // Same serial lock as registration: lookup → journal → push is one
         // step, so the journal's version order always matches the chain's.

@@ -33,7 +33,7 @@ pub enum BackendChoice {
     /// (`EngineConfig::exact_backend_max_points`), projected above it.
     #[default]
     Auto,
-    /// Force the exact `O(n²)` distance matrix regardless of size.
+    /// Force the exact `O(n²)` distance matrix, up to its 65,536 points.
     Exact,
     /// Force the sub-quadratic projected backend regardless of size.
     Projected,
@@ -99,7 +99,8 @@ pub struct DatasetEntry {
 
 impl DatasetEntry {
     /// Builds a version-1 entry with a fresh accountant, validating that
-    /// the data lives in the domain's ambient dimension. `backend_kind`
+    /// the data lives in the domain's ambient dimension and that every
+    /// coordinate is finite. `backend_kind`
     /// must already be resolved (the engine maps [`BackendChoice::Auto`] to
     /// a concrete kind using its size threshold before constructing the
     /// entry).
@@ -112,7 +113,7 @@ impl DatasetEntry {
         backend_kind: BackendKind,
     ) -> Result<Self, EngineError> {
         let name = name.into();
-        Self::check_dims(&name, &dataset, &domain)?;
+        Self::check_data(&name, &dataset, &domain)?;
         let accountant = BudgetAccountant::new(&name, budget, mode)?;
         Ok(DatasetEntry {
             name,
@@ -127,12 +128,19 @@ impl DatasetEntry {
         })
     }
 
-    fn check_dims(name: &str, dataset: &Dataset, domain: &GridDomain) -> Result<(), EngineError> {
+    /// Refuses data outside the domain's dimension, and any coordinate that
+    /// is not finite (JSON's `1e400` parses to `+∞`): no backend places it.
+    fn check_data(name: &str, dataset: &Dataset, domain: &GridDomain) -> Result<(), EngineError> {
         if dataset.dim() != domain.dim() {
             return Err(EngineError::InvalidQuery(format!(
                 "dataset `{name}` has dimension {} but its domain has dimension {}",
                 dataset.dim(),
                 domain.dim()
+            )));
+        }
+        if let Some(row) = dataset.iter().position(|p| !p.is_finite()) {
+            return Err(EngineError::InvalidQuery(format!(
+                "dataset `{name}` has a coordinate that is not finite in row {row}"
             )));
         }
         Ok(())
@@ -151,7 +159,7 @@ impl DatasetEntry {
         backend_kind: BackendKind,
         inherited_spend: Option<PrivacyParams>,
     ) -> Result<Self, EngineError> {
-        Self::check_dims(&self.name, &dataset, &domain)?;
+        Self::check_data(&self.name, &dataset, &domain)?;
         Ok(DatasetEntry {
             name: self.name.clone(),
             version: self.version + 1,

@@ -4,7 +4,9 @@
 use privcluster_datagen::planted_ball_cluster;
 use privcluster_dp::composition::CompositionMode;
 use privcluster_dp::PrivacyParams;
-use privcluster_engine::{BackendChoice, Engine, EngineConfig, Query, QueryRequest};
+use privcluster_engine::{
+    BackendChoice, Engine, EngineConfig, Query, QueryRequest, Request, StoreConfig,
+};
 use privcluster_geometry::{BackendKind, Dataset, GridDomain};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -64,6 +66,33 @@ fn auto_selection_follows_the_size_threshold() {
         )
         .unwrap();
     assert_eq!(status.backend, BackendKind::Exact);
+}
+
+/// An exact backend packs a profile's pairs into 32 bits, so it takes at
+/// most 65,536 points: a synthetic 65,537-point registration asking for it
+/// is refused before anything reaches the journal.
+#[test]
+fn an_exact_backend_past_its_point_bound_is_refused_before_the_journal() {
+    let dir = std::env::temp_dir().join(format!("privcluster-exact-bound-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).unwrap();
+    let journal = dir.join("journal.pcsj");
+    let store = StoreConfig::journal_only(journal.clone());
+    let engine = Engine::open(EngineConfig::default(), store).unwrap();
+    let bytes = std::fs::metadata(&journal).unwrap().len();
+    let line = r#"{"op":"register","dataset":"big","domain":{"dim":2,"size":1024},"budget":{"epsilon":1.0,"delta":1e-6},"backend":"exact","synthetic":{"kind":"planted_ball","n":65537,"cluster_size":1000,"cluster_radius":0.05,"seed":7}}"#;
+    let Ok(Request::Register(r)) = Request::parse(line) else {
+        panic!("a register request");
+    };
+    let data = r.source.materialize(&r.domain).unwrap();
+    assert_eq!(data.len(), 65_537);
+    let refused = engine
+        .register_dataset_with_backend(r.dataset, data, r.domain, r.budget, r.mode, r.backend);
+    assert_eq!(refused.unwrap_err().kind(), "invalid_query");
+    assert_eq!(engine.durability().journal_seq, 0);
+    assert_eq!(std::fs::metadata(&journal).unwrap().len(), bytes);
+    drop(engine);
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]

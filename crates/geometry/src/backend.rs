@@ -7,11 +7,11 @@
 //! It registers in `O(n d)`, but its first grid profile for each cap and
 //! grid computes all `n(n+1)/2` pair distances (`O(n²·d + G)` time for `G`
 //! grid radii) and holds 12 transient bytes per pair within the radius
-//! where `L` saturates: a hard scaling cliff (past 65,536 points it samples
-//! the sorted sweep instead, 80 GB at `n = 100_000`). The paper's own
-//! remedy (§4) is to give up exactness: Johnson–Lindenstrauss-project to
-//! `k = O(log n)` dimensions and reason about *coarse spatial buckets*
-//! instead of individual points.
+//! where `L` saturates: a hard scaling cliff, and it takes at most
+//! [`MAX_EXACT_POINTS`](crate::grid_profile::MAX_EXACT_POINTS) points,
+//! 65,536. The paper's own remedy (§4) is to give up exactness:
+//! Johnson–Lindenstrauss-project to `k = O(log n)` dimensions and reason
+//! about *coarse spatial buckets* instead of individual points.
 //!
 //! [`GeometryBackend`] abstracts over the two regimes so the solvers in
 //! `privcluster-core` and the engine's planner never branch on which one
@@ -35,8 +35,12 @@
 //! [`GeometryBackend::rebuild_for`] between k-cluster rounds), so the exact
 //! backend never fills its sorted rows while serving (pinned by
 //! `distance::debug_rows_build_count` in the engine's `index_reuse` test).
-//! [`GeometryBackend::l_profile`] is the uncached breakpoint profile every
-//! grid profile equals on the grid, kept as the reference.
+//! [`GeometryBackend::l_profile`] is the uncached breakpoint profile. The
+//! projected backend's grid profile samples it. The exact backend's is the
+//! ball count
+//! [`BallCounter::l_value`](crate::ball_count::BallCounter::l_value) at
+//! each quarter radius, which near a quarter radius can differ from the
+//! breakpoint profile's tolerance groups (see [`crate::grid_profile`]).
 //!
 //! # Approximation contract
 //!
@@ -123,7 +127,10 @@ pub trait GeometryBackend: std::fmt::Debug + Send + Sync {
 
     /// `L(·, S)` for cap `t` on `domain`'s radius grid — what GoodRadius
     /// reads — built on first use and memoised per cap and grid (bounded
-    /// LRU, see [`crate::index::MAX_CACHED_PROFILES`]). Equal to
+    /// LRU, see [`crate::index::MAX_CACHED_PROFILES`]). On the exact
+    /// backend it is
+    /// [`BallCounter::l_value`](crate::ball_count::BallCounter::l_value) at
+    /// each quarter radius, bit for bit; on the projected backend,
     /// [`GridProfile::sample`] of [`GeometryBackend::l_profile`].
     ///
     /// # Panics
@@ -131,7 +138,7 @@ pub trait GeometryBackend: std::fmt::Debug + Send + Sync {
     fn grid_profile(&self, cap: usize, domain: &GridDomain) -> Arc<GridProfile>;
 
     /// The `L(·, S)` profile for cap `t` at every breakpoint, built afresh
-    /// on each call: the reference the grid profile is checked against.
+    /// on each call. No query reads it.
     ///
     /// # Panics
     /// Panics if `cap == 0`.
@@ -665,10 +672,11 @@ mod tests {
         let via_trait = backend.grid_profile(10, &domain);
         let direct = index.grid_profile(10, &domain);
         assert!(Arc::ptr_eq(&via_trait, &direct));
-        assert_eq!(
-            *via_trait,
-            GridProfile::sample(&backend.l_profile(10), &domain)
-        );
+        let bc = index.ball_counter(10);
+        for q in 0..=2 * (domain.radius_grid_len() - 1) {
+            let r = domain.radius_from_index(q) / 2.0;
+            assert_eq!(via_trait.value(q).to_bits(), bc.l_value(r).to_bits());
+        }
     }
 
     #[test]

@@ -18,15 +18,13 @@
 //! Two evaluations of `L` at many radii share one `O(1)`-per-event sweep
 //! that keeps the sum of the `t` largest capped counts:
 //!
-//! * [`BallCounter::grid_profile`] — what GoodRadius reads — evaluates `L`
-//!   on the domain's quarter radius grid. It counts into grid buckets only
-//!   the pairs within the radius where `L` saturates, in `O(n²·d + G)` for
-//!   `G` grid radii, with no pair sort and 12 transient bytes per kept
-//!   pair (see [`grid_profile`]).
-//! * [`BallCounter::l_profile`] — the bit-for-bit reference the grid
-//!   profile is tested against — evaluates `L` at every breakpoint, sweeping
+//! * [`BallCounter::grid_profile`] — what GoodRadius reads — is
+//!   [`BallCounter::l_value`] on the quarter radius grid, keying into it
+//!   only the pairs within the radius where `L` saturates (see
+//!   [`grid_profile`]).
+//! * [`BallCounter::l_profile`] evaluates `L` at every breakpoint, sweeping
 //!   the distance-sorted pairs (`O(n² log n)`, dominated by that sort, with
-//!   an `8·n²`-byte transient buffer).
+//!   an `8·n²`-byte transient buffer). No query reads it.
 
 use crate::dataset::Dataset;
 use crate::distance::DistanceMatrix;
@@ -133,18 +131,12 @@ impl BallCounter {
         self.dm.two_approx_radius(self.cap).map(|(_, r)| r)
     }
 
-    /// `L(·, S)` on `domain`'s quarter radius grid: what GoodRadius reads,
-    /// bit-identical to sampling [`BallCounter::l_profile`] onto the grid
-    /// ([`GridProfile::sample`]). Counts the pairs that can change `L`
-    /// before it saturates into quarter-grid buckets in `O(n²·d + G)` with
-    /// no pair sort; on the inputs where the counting pass cannot place a
-    /// pair without the sort (see [`grid_profile`]) it samples the sorted
-    /// sweep instead.
+    /// `L(·, S)` on `domain`'s quarter radius grid, what GoodRadius reads:
+    /// [`BallCounter::l_value`]`(ρ_j)` bit for bit at quarter index `j`, in
+    /// one `O(n²·d)` pass (see [`grid_profile`]). Panics past
+    /// [`grid_profile::MAX_EXACT_POINTS`] points.
     pub fn grid_profile(&self, domain: &GridDomain) -> GridProfile {
-        match grid_profile::count_pairs(self.dm.points(), self.cap, domain) {
-            Some((profile, _)) => profile,
-            None => GridProfile::sample(&self.l_profile(), domain),
-        }
+        grid_profile::count_pairs(self.dm.points(), self.cap, domain).0
     }
 
     /// Precomputes `L(r, S)` at every breakpoint in a single sweep.
@@ -156,8 +148,9 @@ impl BallCounter {
     /// capped counts in `O(1)` per increment. The `O(n² log n)` sort
     /// dominates, and its buffer of `n(n+1)/2` pairs takes about `8·n²`
     /// bytes; afterwards any number of `L` evaluations are `O(log n)`
-    /// lookups. This is the reference [`BallCounter::grid_profile`] is
-    /// tested against, and what it samples when its counting pass declines.
+    /// lookups. A group of distances at the unified tolerance counts from
+    /// its smallest member on, so within the tolerance of a radius this
+    /// can differ from [`BallCounter::l_value`].
     pub fn l_profile(&self) -> LProfile {
         let pairs = self.dm.sorted_pairs();
         let mut top = TopCounts::new(self.n, self.cap);

@@ -13,9 +13,9 @@
 //! `L(r, S)` can change value, behind the reference breakpoint profile
 //! `BallCounter::l_profile` (about `8·n²` transient bytes of sorted pairs).
 //! GoodRadius reads `L` only on its radius grid, through the grid profile
-//! (see [`grid_profile`](crate::grid_profile)), which counts the pairs
-//! into grid buckets without sorting them. Both recompute their distances
-//! from the kept points, so neither reads the sorted rows.
+//! (see [`grid_profile`](crate::grid_profile)), which keys each pair to
+//! the first grid radius whose ball holds it. Both recompute their
+//! distances from the kept points, so neither reads the sorted rows.
 //!
 //! Building a [`DistanceMatrix`] only copies the `n` points (`O(n d)`) and
 //! records a thread count. The sorted rows — one flat row-major `Vec<f64>`

@@ -7,11 +7,7 @@
 //! `L(r_k)` is `L(ρ_{2k})` and `L(r_k/2)` is `L(ρ_k)`. A [`GridProfile`]
 //! holds `L` at every `ρ_j` with `j ≤ 2·(G − 1)`, `G` =
 //! [`GridDomain::radius_grid_len`], stored as its *steps*: the quarter
-//! indices where `L` changes.
-//!
-//! It answers exactly what the breakpoint profile [`LProfile`] answers on
-//! the grid, bit for bit: [`GridProfile::value`] at `j` is
-//! `LProfile::value_at(ρ_j)`. (`ρ_{2k}` is `r_k` bit for bit whenever the
+//! indices where `L` changes. (`ρ_{2k}` is `r_k` bit for bit whenever the
 //! grid's radii are normal floats, as doubling and halving those is exact.)
 //! GoodRadius's quality at grid index `k` reads `L(ρ_k)` and `L(ρ_{2k})`
 //! only, so it can change only at `k = j` or `k = ⌈j/2⌉` for a step `j`.
@@ -22,26 +18,28 @@
 //!
 //! Two functions build it:
 //!
-//! * [`GridProfile::sample`] reads any [`LProfile`] — the exact reference
-//!   sweep, or the projected backend's weighted one — in one pass over its
-//!   breakpoints, galloping to each one's first quarter index. It allocates
-//!   `O(min(G, B))` for `B` breakpoints: nothing grows with `G`, which a
-//!   client sets through `domain.size`.
-//! * [`BallCounter::grid_profile`](crate::ball_count::BallCounter::grid_profile)
-//!   counts pairs straight into quarter-grid buckets, keeping only the
-//!   pairs that can change `L` at a quarter index it reads (see [the
-//!   cut](#the-cut)). One `O(n²·d)` pass finds each pair's squared
-//!   distance; a kept pair's bucket — the first `ρ_j` whose ball holds it —
-//!   comes from a threshold table and a truncating estimate. A counting sort
-//!   groups the kept pairs by bucket, and the same `TopCounts` sweep as
+//! * [`BallCounter::grid_profile`](crate::ball_count::BallCounter::grid_profile),
+//!   the exact backend's, is the ball count itself: a pair `(x, y)` counts
+//!   at `ρ_j` exactly when [`tol::within_radius`]`(d(x, y), ρ_j)`, so
+//!   [`GridProfile::value`] at `j` is
+//!   [`BallCounter::l_value`](crate::ball_count::BallCounter::l_value)`(ρ_j)`
+//!   bit for bit, and Lemma 4.5's sensitivity bound holds of what is served.
+//!   One `O(n²·d)` pass finds each pair's distance and keys each pair it
+//!   keeps (see [the cut](#the-cut)) to the first quarter index whose ball
+//!   holds it: the estimate `⌊4d/ℓ⌋`, corrected against
+//!   [`tol::ball_threshold`]`(ρ_j)` computed on the fly. The kept pairs are
+//!   grouped by key, and the same `TopCounts` sweep as
 //!   [`BallCounter::l_profile`](crate::ball_count::BallCounter::l_profile)
-//!   reads `L` off after each bucket: `O(n²·d + G)` time and no pair sort.
-//!   Its transient buffers hold 12 bytes per kept pair (an 8-byte bucket key
-//!   and pair entry, and a 4-byte slot of the bucket order), plus bucket
-//!   tables of at most 2 bytes and band pairs of at most half a byte per
-//!   pair of the dataset, each past a small constant floor. Grids with more
-//!   buckets than that allows, and datasets past 65,536 points, sample the
-//!   sorted sweep instead.
+//!   reads `L` off after each key. With at most `max(P/16, 2^16)` keys for
+//!   `P` pairs, a counting sort groups them in 12 transient bytes per kept
+//!   pair (a 4-byte key, a 4-byte pair and a 4-byte slot of the key order).
+//!   On grids far finer than the data, such as `size` 2⁴⁰, the kept pairs
+//!   are sorted by key instead (16 bytes each). Nothing allocates per grid
+//!   radius. It takes at most [`MAX_EXACT_POINTS`] points, 65,536.
+//! * [`GridProfile::sample`] reads a breakpoint profile ([`LProfile`]), the
+//!   projected backend's weighted one, in one pass over its breakpoints,
+//!   galloping to each one's first quarter index. It allocates `O(min(G,
+//!   B))` for `B` breakpoints.
 //!
 //! # The cut
 //!
@@ -50,38 +48,17 @@
 //! `ρ_m(x)` of `x` lie pairwise within `2·ρ_m(x)`, so each has `m` points in
 //! its ball of that radius, and `L(r)` takes its largest value for every
 //! `r ≥ r* = 2·min_x ρ_m(x)` (§3.1). A pair farther apart than `r*`
-//! therefore changes `L` at no radius before it saturates, and the sweep
-//! stops there. The counting pass takes `x` over every 16th row (one
-//! length-`n` selection each; the profile does not depend on which rows are
-//! tried, so choosing them from the data costs no privacy), widens `r*` by
-//! `1 + 1e-9` for rounding, and keeps only the pairs at or below the floor
-//! of the band after `r*`'s bucket (below). A pair past it is skipped on its
-//! squared distance, before the square root and the bucket lookup. The
-//! sweep ends at the cut's bucket at the latest, and the pass declines if
-//! `L` has not saturated by then, so the steps are those of the full count
-//! either way.
-//!
-//! # The tolerance band
-//!
-//! The sorted sweep groups distances at the unified tolerance, anchored at
-//! each group's smallest member ([`tol::same_distance`]). A breakpoint is a
-//! group's anchor, and `L(r)` counts every member of every group whose
-//! anchor lies within `r`. So a pair just past `ρ_j`'s threshold still
-//! counts at `ρ_j` when its group's anchor is within it. This stays within a
-//! few tolerance widths of a quarter radius, in the *band* `(lo_j, U_j]`
-//! around `ρ_j`: `U_j` is one tolerance width past `ρ_j`'s threshold, `lo_j`
-//! three widths below `ρ_j` (and `lo_0 = 0`).
-//! The counting pass sets band pairs aside, sorts only them, and replays
-//! the anchored grouping there. Any other pair's group lies between two
-//! bands, in its own bucket, where the value cannot change. The cut lies on
-//! a band's floor, so every band below it is kept whole and the one above
-//! it is skipped whole.
-//!
-//! The argument needs each band's first pair to open a group, and the
-//! bands to be disjoint. The counting pass checks these and declines when
-//! one fails, when a coordinate is not finite, or when the band outgrows
-//! its memory bound; the caller then samples the sorted sweep, so the
-//! answer is the same either way.
+//! therefore changes `L` at no radius before it saturates. The counting
+//! pass takes `x` over every 16th row (one length-`n` selection each; the
+//! profile does not depend on which rows are tried, so choosing them from
+//! the data costs no privacy) and widens `r*` by `1 + 1e-9` for rounding.
+//! Let `top` be the first quarter index whose ball holds `r*`, or the last
+//! index `2·(G − 1)` when none does. The pass keeps the pairs within
+//! `T(top) = ball_threshold(ρ_top)`, so every key up to `top` is complete;
+//! a pair past it is skipped on its squared distance, before the square
+//! root and the key. If `L` has not saturated by a `top` below the last
+//! index (rounding), the pass runs again with `top` set to the last index.
+//! Pairs past `T` of the last index count at no index GoodRadius reads.
 
 use crate::ball_count::{LProfile, TopCounts};
 use crate::domain::GridDomain;
@@ -204,26 +181,40 @@ fn record(steps: &mut Vec<(u64, f64)>, j: u64, value: f64) {
 }
 
 /// The first quarter index in `lo..=last` whose ball holds distance `d`,
-/// or `None` past `last`. No index below `lo` may hold it. Gallops up from
-/// `lo`, then bisects the last doubling.
+/// or `None` past `last`. No index below `lo` may hold it.
 fn first_quarter_within(domain: &GridDomain, d: f64, lo: u64, last: u64) -> Option<u64> {
     let holds = |j: u64| tol::within_radius(d, quarter_radius(domain, j));
-    if holds(lo) {
-        return Some(lo);
-    }
-    // `below` never holds `d`; `above` does.
-    let mut below = lo;
-    let mut step = 1u64;
-    let mut above = loop {
-        let probe = below.saturating_add(step).min(last);
-        if holds(probe) {
-            break probe;
+    holds(last).then(|| first_holding(holds, lo, last, lo))
+}
+
+/// The first index in `lo..=hi` where `holds` is true, for a `holds` that
+/// is false and then true on that range and true at `hi`. Gallops from
+/// `start` toward the answer, then bisects the last doubling.
+fn first_holding(holds: impl Fn(u64) -> bool, lo: u64, hi: u64, start: u64) -> u64 {
+    // The answer lies in `(below, above]`.
+    let (mut below, mut above) = if holds(start) {
+        let (mut above, mut step) = (start, 1u64);
+        loop {
+            if above == lo {
+                return lo;
+            }
+            let probe = above.saturating_sub(step).max(lo);
+            if !holds(probe) {
+                break (probe, above);
+            }
+            above = probe;
+            step = step.saturating_mul(2);
         }
-        if probe == last {
-            return None;
+    } else {
+        let (mut below, mut step) = (start, 1u64);
+        loop {
+            let probe = below.saturating_add(step).min(hi);
+            if holds(probe) {
+                break (below, probe);
+            }
+            below = probe;
+            step = step.saturating_mul(2);
         }
-        below = probe;
-        step = step.saturating_mul(2);
     };
     while above - below > 1 {
         let mid = below + (above - below) / 2;
@@ -233,84 +224,141 @@ fn first_quarter_within(domain: &GridDomain, d: f64, lo: u64, last: u64) -> Opti
             below = mid;
         }
     }
-    Some(above)
+    above
 }
 
-/// Grids of up to this many buckets count pairs whatever the pair count;
-/// larger ones need sixteen pairs per bucket. Bounds the bucket tables (32
-/// bytes a bucket) by 2 bytes per pair past a 2 MB floor.
+/// The most points the exact grid profile takes: a pair packs into 32 bits
+/// as `i << 16 | j`.
+pub const MAX_EXACT_POINTS: usize = 1 << 16;
+
+/// Grids of up to this many keys group pairs by a counting sort whatever
+/// the pair count; larger ones need sixteen pairs per key (the key table
+/// then holds half a byte per pair), and finer grids still sort their
+/// pairs.
 const SMALL_TABLE: u64 = 1 << 16;
-
-/// The most points the counting pass takes: a pair packs into 32 bits.
-const MAX_POINTS: usize = 1 << 16;
-
-/// Band pairs allowed past one per 32 pairs (16 bytes each, so half a byte
-/// per pair past a 64 KB floor).
-const SMALL_BAND: usize = 1 << 12;
 
 /// The rows the cut's `ρ_m(x)` is taken at: every `PROBE_STRIDE`-th.
 const PROBE_STRIDE: usize = 16;
 
-/// `L(·, S)` on `domain`'s quarter grid by counting `points`' pairs into
-/// quarter-grid buckets, with cap `cap` (≥ 1), and how many pairs it kept
-/// within the cut (each point's pair with itself included). `None` when
-/// the band argument of the module docs fails, the grid or band is too
-/// large for the memory bound, or `L` has not saturated by the cut; the
-/// caller then samples the sorted sweep.
+/// `L(·, S)` on `domain`'s quarter grid with cap `cap` (≥ 1): at quarter
+/// index `j`, `BallCounter::l_value(ρ_j)` bit for bit. Also returns how
+/// many pairs the last pass kept within its cut (each point's pair with
+/// itself included).
+///
+/// # Panics
+/// Panics past [`MAX_EXACT_POINTS`] points.
 pub(crate) fn count_pairs(
     points: &[Point],
     cap: usize,
     domain: &GridDomain,
-) -> Option<(GridProfile, usize)> {
+) -> (GridProfile, usize) {
     let n = points.len();
-    let pairs = n * (n + 1) / 2;
-    let dim = points.first().map_or(1, Point::dim);
-    // Finite coordinates keep every distance a number (an overflow is +∞,
-    // past the grid) and every self-distance 0.
-    if n > MAX_POINTS || dim == 0 || !points.iter().all(Point::is_finite) {
-        return None;
-    }
-    let table = Thresholds::new(domain, pairs)?;
-    let last = table.th.len() - 1;
+    assert!(
+        n <= MAX_EXACT_POINTS,
+        "the exact grid profile takes at most {MAX_EXACT_POINTS} points, not {n}"
+    );
     // Coordinate `k` of every point, contiguous, so that each row's
     // distances are computed one coordinate at a time over all the later
     // points (the same sum, in the same order, as `Point::distance`).
+    let dim = points.first().map_or(0, Point::dim);
     let columns: Vec<Vec<f64>> = (0..dim)
         .map(|k| points.iter().map(|p| p.coords()[k]).collect())
         .collect();
-
-    // The cut: the floor of the band after `r*`'s bucket. Every pair that
-    // changes `L` before it saturates lies at or below it, and so does
-    // every band below it, whole. `cut_key` is the cut's bucket, `last + 1`
-    // (no cut) when `r*` is at or past the grid's last quarter radius.
+    let last = last_quarter(domain);
     let r_star = saturation_radius(&columns, n, cap);
-    let cut_key = (table.bucket(r_star) + 1).min(last + 1);
-    let cut = table.lower(cut_key);
-    let cut_sq = cut * cut;
+    let top = first_quarter_within(domain, r_star, 0, last).unwrap_or(last);
+    let (mut steps, mut kept, saturated) = count_up_to(&columns, n, cap, domain, top);
+    if !saturated && top < last {
+        // Rounding beyond the cut's margin: count every pair GoodRadius reads.
+        (steps, kept, _) = count_up_to(&columns, n, cap, domain, last);
+    }
+    (GridProfile::new(steps, domain), kept)
+}
 
-    // Key pass: each kept pair's bucket — the first quarter index whose
-    // ball holds it, `last + 1` past the grid. A pair in no band is kept
-    // with it; a band pair is set aside and kept after the replay below.
-    // Each pair packs as `i << 16 | j`: `n` is at most `MAX_POINTS`.
-    let mut kept: Vec<(u32, u32)> = Vec::new();
-    let mut counts = vec![0usize; last + 2];
-    let mut band: Vec<(f64, u32)> = Vec::new();
-    let band_cap = pairs / 32 + SMALL_BAND;
+/// The steps of `L` at quarter indices `0..=top` from the pairs within
+/// `T(top) = ball_threshold(ρ_top)`, how many pairs that kept, and whether
+/// `L` saturated by `top`.
+fn count_up_to(
+    columns: &[Vec<f64>],
+    n: usize,
+    cap: usize,
+    domain: &GridDomain,
+    top: u64,
+) -> (Vec<(u64, f64)>, usize, bool) {
+    let cut = tol::ball_threshold(quarter_radius(domain, top));
+    let per_unit = 4.0 / domain.grid_step();
+    let key = |d: f64| quarter_key(domain, per_unit, d, top);
+    let pairs = n * (n + 1) / 2;
+    let mut sweep = Sweep {
+        top: TopCounts::new(n, cap),
+        steps: Vec::new(),
+    };
+    let kept;
+    if top < (pairs as u64 / 16).max(SMALL_TABLE) {
+        // Counting sort by key: `counts` becomes each key's start, then,
+        // after the scatter, its end.
+        let mut counts = vec![0usize; top as usize + 1];
+        let mut keyed: Vec<(u32, u32)> = Vec::new();
+        for_each_kept_pair(columns, n, cut, |d, pair| {
+            let key = key(d);
+            counts[key as usize] += 1;
+            keyed.push((key as u32, pair));
+        });
+        kept = keyed.len();
+        let mut total = 0;
+        for count in &mut counts {
+            let here = *count;
+            *count = total;
+            total += here;
+        }
+        let mut order = vec![0u32; total];
+        for &(key, pair) in &keyed {
+            let slot = &mut counts[key as usize];
+            order[*slot] = pair;
+            *slot += 1;
+        }
+        drop(keyed);
+        let mut at = 0;
+        for (j, &end) in counts.iter().enumerate() {
+            if end > at && sweep.add(j as u64, order[at..end].iter().copied()) {
+                break;
+            }
+            at = end;
+        }
+    } else {
+        // A grid far finer than the data: sort the keyed pairs instead.
+        let mut keyed: Vec<(u64, u32)> = Vec::new();
+        for_each_kept_pair(columns, n, cut, |d, pair| keyed.push((key(d), pair)));
+        kept = keyed.len();
+        keyed.sort_unstable_by_key(|&(key, _)| key);
+        for group in keyed.chunk_by(|a, b| a.0 == b.0) {
+            if sweep.add(group[0].0, group.iter().map(|&(_, pair)| pair)) {
+                break;
+            }
+        }
+    }
+    let saturated = sweep.top.saturated();
+    (sweep.steps, kept, saturated)
+}
+
+/// Calls `keep(d, i << 16 | j)` for each pair `i ≤ j` of the `n` points
+/// whose distance `d` is at most `cut`, each point's pair with itself
+/// included. A NaN distance (from a coordinate that is not finite) lies in
+/// no ball and is never kept.
+fn for_each_kept_pair(columns: &[Vec<f64>], n: usize, cut: f64, mut keep: impl FnMut(f64, u32)) {
+    let cut_sq = cut * cut;
     let mut row = vec![0.0f64; n];
     for i in 0..n {
-        // The pair `(i, i)`: distance 0, inside bucket 0.
-        let pair = (i as u32) << 16;
-        counts[0] += 1;
-        kept.push((0, pair | i as u32));
-        let row = &mut row[i + 1..];
+        let row = &mut row[i..];
         for (k, column) in columns.iter().enumerate() {
             let a = column[i];
-            for (sum, &b) in row.iter_mut().zip(&column[i + 1..]) {
+            for (sum, &b) in row.iter_mut().zip(&column[i..]) {
                 let d = a - b;
                 *sum = if k == 0 { d * d } else { *sum + d * d };
             }
         }
-        for (j, &sum) in (i as u32 + 1..).zip(row.iter()) {
+        let pair = (i as u32) << 16;
+        for (j, &sum) in (i as u32..).zip(row.iter()) {
             // A conservative test on the square (the tolerance dwarfs the
             // square root's rounding), then the exact one on the distance.
             if !tol::within_radius_sq(sum, cut_sq) {
@@ -320,111 +368,46 @@ pub(crate) fn count_pairs(
             if d > cut {
                 continue;
             }
-            // The estimate finds nearly every pair's bucket, and only
-            // misses within the tolerance of a quarter radius.
-            let mut key = table.guess(d);
-            if !table.interior[key].contains(d) {
-                key = table.bucket(d);
-            }
-            if table.interior[key].contains(d) {
-                counts[key] += 1;
-                kept.push((key as u32, pair | j));
-            } else {
-                if band.len() == band_cap {
-                    return None;
-                }
-                band.push((d, pair | j));
-            }
+            keep(d, pair | j);
         }
     }
+}
 
-    // Replay the anchored grouping over each band. Bands are disjoint and
-    // ordered, so one sort by distance groups them too.
-    band.sort_unstable_by(|a, b| a.0.total_cmp(&b.0));
-    let mut current = None;
-    let mut anchor = 0.0;
-    for &(d, pair) in &band {
-        let key = table.bucket(d);
-        let k = table.band_of(d, key);
-        let opens_group = if current == Some(k) {
-            !tol::same_distance(anchor, d)
-        } else {
-            current = Some(k);
-            if k == 0 {
-                // The zero distances anchor the first group.
-                anchor = 0.0;
-                !tol::same_distance(anchor, d)
-            } else if tol::within_radius(d, table.lower(k)) {
-                // The pair before the band, at or below its floor, may
-                // anchor this pair's group: undecidable without the sort.
-                return None;
-            } else {
-                true
-            }
-        };
-        if opens_group {
-            anchor = d;
-        }
-        // A pair past `ρ_k`'s threshold counts there when its anchor is
-        // within it.
-        let counted_at = if key > k && tol::within_radius(anchor, quarter_radius(domain, k as u64))
-        {
-            k
-        } else {
-            key
-        };
-        counts[counted_at] += 1;
-        kept.push((counted_at as u32, pair));
-    }
-    drop(band);
+/// The first quarter index whose ball holds `d`, for a `d` within
+/// `T(top)`. Starts from the estimate `⌊4d/ℓ⌋` (`per_unit` is `4/ℓ`), which
+/// is that index or the one before it except within rounding of a quarter
+/// radius or on grids finer than the tolerance.
+fn quarter_key(domain: &GridDomain, per_unit: f64, d: f64, top: u64) -> u64 {
+    let estimate = ((d * per_unit) as u64).min(top);
+    first_holding(
+        |j| tol::within_radius(d, quarter_radius(domain, j)),
+        0,
+        top,
+        estimate,
+    )
+}
 
-    // Counting sort of the swept pairs by bucket: `counts` becomes each
-    // bucket's start, then, after the scatter, its end. The cut's bucket
-    // may miss the pairs past the cut, so the sweep reads it only to see
-    // `L` saturate, which more pairs could not undo.
-    let swept = cut_key.min(last);
-    let mut total = 0;
-    for count in &mut counts[..=swept] {
-        let here = *count;
-        *count = total;
-        total += here;
-    }
-    let mut order = vec![0u32; total];
-    for &(key, pair) in &kept {
-        let key = key as usize;
-        if key <= swept {
-            order[counts[key]] = pair;
-            counts[key] += 1;
-        }
-    }
-    let kept_pairs = kept.len();
-    drop(kept);
-    let mut top = TopCounts::new(n, cap);
-    let mut steps = Vec::new();
-    let mut at = 0;
-    for (j, &end) in counts[..=swept].iter().enumerate() {
-        if end == at {
-            continue;
-        }
-        for &pair in &order[at..end] {
+/// `L` read off key by key, in ascending quarter index, with the same
+/// `TopCounts` sweep as `BallCounter::l_profile`.
+struct Sweep {
+    top: TopCounts,
+    steps: Vec<(u64, f64)>,
+}
+
+impl Sweep {
+    /// Counts the pairs keyed to quarter index `j` and records `L` there;
+    /// `true` once `L` has saturated, when no later key can change it.
+    fn add(&mut self, j: u64, pairs: impl Iterator<Item = u32>) -> bool {
+        for pair in pairs {
             let (a, b) = (pair >> 16, pair & 0xffff);
-            top.increment(a as usize);
+            self.top.increment(a as usize);
             if b != a {
-                top.increment(b as usize);
+                self.top.increment(b as usize);
             }
         }
-        at = end;
-        record(&mut steps, j as u64, top.value());
-        if top.saturated() {
-            // `L` is final: no later bucket changes it.
-            break;
-        }
+        record(&mut self.steps, j, self.top.value());
+        self.top.saturated()
     }
-    if cut_key <= last && !top.saturated() {
-        // Rounding beyond the cut's margin: pairs past it may still count.
-        return None;
-    }
-    Some((GridProfile::new(steps, domain), kept_pairs))
 }
 
 /// The cut's `r*`: twice the least distance from a probed row (every
@@ -446,101 +429,6 @@ fn saturation_radius(columns: &[Vec<f64>], n: usize, cap: usize) -> f64 {
         least = least.min(sum);
     }
     2.0 * least.sqrt() * (1.0 + 1e-9)
-}
-
-/// The counting pass's thresholds `T_j = ball_threshold(ρ_j)`, `j ≤ 2·(G−1)`,
-/// built only for grids where the band argument holds.
-struct Thresholds {
-    th: Vec<f64>,
-    /// Per bucket (`last + 2` of them), its distances in no band.
-    interior: Vec<Interior>,
-    /// Quarter radii per unit distance, for the bucket estimate.
-    per_unit: f64,
-}
-
-/// The distances `(below, top]` of one bucket that lie in no band: above
-/// the previous quarter radius's band, `U_{key−1}`, up to the floor of its
-/// own, `lo_key`.
-#[derive(Clone, Copy)]
-struct Interior {
-    below: f64,
-    top: f64,
-}
-
-impl Interior {
-    fn contains(self, d: f64) -> bool {
-        self.below < d && d <= self.top
-    }
-}
-
-impl Thresholds {
-    /// The table for `domain`, or `None` when its buckets outgrow the
-    /// memory bound for `pairs` pairs or its bands overlap.
-    fn new(domain: &GridDomain, pairs: usize) -> Option<Self> {
-        let last = last_quarter(domain);
-        let buckets = last.checked_add(2)?;
-        if buckets > (pairs as u64 / 16).max(SMALL_TABLE) || buckets > u64::from(u32::MAX) {
-            return None;
-        }
-        let th: Vec<f64> = (0..=last)
-            .map(|j| tol::ball_threshold(quarter_radius(domain, j)))
-            .collect();
-        // A band reaches one tolerance width past `T_j` and starts three
-        // below `ρ_j` (band 0 starts at the zero distance).
-        let floor = |t: f64| t - 4.0 * (tol::ball_threshold(t) - t);
-        let interior: Vec<Interior> = (0..th.len() + 1)
-            .map(|key| Interior {
-                below: match key {
-                    0 => f64::NEG_INFINITY,
-                    _ => tol::ball_threshold(th[key - 1]),
-                },
-                top: match th.get(key) {
-                    _ if key == 0 => 0.0,
-                    Some(&t) => floor(t),
-                    None => f64::INFINITY,
-                },
-            })
-            .collect();
-        // Disjoint bands (and no NaN threshold).
-        let disjoint = |i: &Interior| i.below.partial_cmp(&i.top) == Some(std::cmp::Ordering::Less);
-        if !interior[1..th.len()].iter().all(disjoint) {
-            return None;
-        }
-        Some(Thresholds {
-            th,
-            interior,
-            per_unit: 4.0 / domain.grid_step(),
-        })
-    }
-
-    /// The bucket estimate `⌊d·4/ℓ⌋ + 1`, nearly always right for a distance
-    /// in no band; [`Thresholds::bucket`] is exact.
-    fn guess(&self, d: f64) -> usize {
-        ((d * self.per_unit) as usize)
-            .saturating_add(1)
-            .min(self.th.len())
-    }
-
-    /// The first quarter index whose ball holds `d` (not NaN), `th.len()`
-    /// past the grid.
-    fn bucket(&self, d: f64) -> usize {
-        self.th.partition_point(|&t| t < d)
-    }
-
-    /// The floor `lo_k` of band `k`; `+∞` past the grid.
-    fn lower(&self, k: usize) -> f64 {
-        self.interior[k].top
-    }
-
-    /// The band holding band pair `d` of bucket `key`: the band below its
-    /// bucket's quarter radius when `d` is within its reach.
-    fn band_of(&self, d: f64, key: usize) -> usize {
-        if key > 0 && d <= self.interior[key].below {
-            key - 1
-        } else {
-            key
-        }
-    }
 }
 
 #[cfg(test)]
@@ -571,6 +459,36 @@ mod tests {
                 "L(r_{k}/2) on {domain:?}"
             );
         }
+    }
+
+    /// Checks `grid` against the ball count `bc.l_value(ρ_q)`, bit for bit,
+    /// at each quarter index `q` of `quarters`.
+    fn assert_ball_count_at(
+        grid: &GridProfile,
+        bc: &BallCounter,
+        domain: &GridDomain,
+        quarters: impl IntoIterator<Item = u64>,
+    ) {
+        for q in quarters {
+            assert_eq!(
+                grid.value(q).to_bits(),
+                bc.l_value(quarter_radius(domain, q)).to_bits(),
+                "L(ρ_{q}) at cap {} on {domain:?}",
+                bc.cap()
+            );
+        }
+    }
+
+    /// The quarter indices that pin a profile to a monotone reference
+    /// everywhere on the grid: 0, the last index, and every step with the
+    /// index before it. Between two of them the profile is constant, and a
+    /// monotone reference equal to it at both ends is too.
+    fn pinning_quarters(grid: &GridProfile, domain: &GridDomain) -> Vec<u64> {
+        let mut quarters = vec![0, last_quarter(domain)];
+        for &(j, _) in &grid.steps {
+            quarters.extend([j.saturating_sub(1), j]);
+        }
+        quarters
     }
 
     /// The segment check: GoodRadius's quality at grid index `k` is a
@@ -611,7 +529,7 @@ mod tests {
     /// (clustered in its first 12 values per axis, so distances repeat and
     /// hit grid radii); the origin plus up to 24 points on a line, each a
     /// few tolerance widths off a quarter radius (so pairs straddle the
-    /// thresholds and band floors); or up to 64 off-grid points, half of
+    /// thresholds); or up to 64 off-grid points, half of
     /// them in a small clump (so a middling cap saturates `L` early and the
     /// cut drops pairs) — crossed with the four domains of `domain_for`.
     fn dataset_and_domain() -> impl Strategy<Value = (Dataset, GridDomain)> {
@@ -675,11 +593,12 @@ mod tests {
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(200))]
 
-        /// Both backends' grid profiles read exactly what GoodRadius read
-        /// from their breakpoint profiles and hold the segment check, and
-        /// the exact counting pass, when it runs, builds the same profile.
+        /// The exact backend's grid profile is the ball count
+        /// `BallCounter::l_value(ρ_q)` at every quarter index, and the
+        /// projected backend's reads exactly what GoodRadius read from its
+        /// breakpoint profile; both hold the segment check.
         #[test]
-        fn grid_profile_matches_the_breakpoint_profile_bit_for_bit(
+        fn grid_profile_is_the_ball_count_bit_for_bit(
             case in dataset_and_domain(),
             cap_kind in 0usize..4,
             extra in 1usize..50,
@@ -694,13 +613,9 @@ mod tests {
                 _ => 1 + extra % n,
             };
             let exact = GeometryIndex::build(&data, 1);
-            let reference = exact.l_profile(cap);
             let grid = exact.grid_profile(cap, &domain);
-            assert_matches_reference(&grid, &reference, &domain);
+            assert_ball_count_at(&grid, &exact.ball_counter(cap), &domain, 0..=last_quarter(&domain));
             assert_segments_hold(&grid, &domain);
-            if let Some((counted, _)) = count_pairs(data.points(), cap, &domain) {
-                proptest::prop_assert_eq!(&counted, &*grid);
-            }
             let projected = ProjectedBackend::build(&data, ProjectedConfig {
                 max_buckets: Some(max_buckets),
                 ..ProjectedConfig::default()
@@ -708,6 +623,99 @@ mod tests {
             let grid = projected.grid_profile(cap, &domain);
             assert_matches_reference(&grid, &projected.l_profile(cap), &domain);
             assert_segments_hold(&grid, &domain);
+        }
+    }
+
+    /// Grids far finer than the data (`size` 2²⁰ and 2⁴⁰, up to 64 off-grid
+    /// points, caps from `n/2` to past `n`) key pairs past the counting
+    /// sort's table and sort them; the profile is still the ball count.
+    #[test]
+    fn fine_grids_sort_their_pairs_into_the_ball_count() {
+        let mut rng = StdRng::seed_from_u64(24);
+        for size in [1u64 << 20, 1 << 40] {
+            for case in 0..24 {
+                let dim = 1 + case % 3;
+                let n = rng.gen_range(8..=64);
+                let rows: Vec<Vec<f64>> = (0..n)
+                    .map(|_| (0..dim).map(|_| rng.gen::<f64>()).collect())
+                    .collect();
+                let data = Dataset::from_rows(rows).unwrap();
+                let domain = GridDomain::unit_cube(dim, size).unwrap();
+                let cap = rng.gen_range(n / 2..=n + 4);
+                let columns: Vec<Vec<f64>> = (0..dim)
+                    .map(|k| data.iter().map(|p| p.coords()[k]).collect())
+                    .collect();
+                let r_star = saturation_radius(&columns, n, cap);
+                let top = first_quarter_within(&domain, r_star, 0, last_quarter(&domain));
+                assert!(
+                    top.is_none_or(|top| top >= SMALL_TABLE),
+                    "{top:?}: the dense path"
+                );
+                let bc = BallCounter::new(&data, cap);
+                let (grid, _) = count_pairs(data.points(), cap, &domain);
+                assert_ball_count_at(&grid, &bc, &domain, pinning_quarters(&grid, &domain));
+            }
+        }
+    }
+
+    /// A pair at exactly a quarter radius's threshold `T_j` counts from `j`
+    /// on, and one an ulp past it from `j + 1`, on the counting sort's grid
+    /// and on a grid fine enough to sort.
+    #[test]
+    fn pairs_at_a_threshold_count_from_its_index() {
+        for (size, quarters) in [
+            (5u64, vec![1u64, 2, 3, 4, 7]),
+            (1 << 40, vec![3, 1 << 20, 1 << 41]),
+        ] {
+            let domain = GridDomain::unit_cube(1, size).unwrap();
+            for j in quarters {
+                let t = tol::ball_threshold(quarter_radius(&domain, j));
+                let rows = [0.0, t.next_down(), t, t.next_up(), 2.0 * t]
+                    .iter()
+                    .map(|&x| vec![x])
+                    .collect();
+                let data = Dataset::from_rows(rows).unwrap();
+                for cap in 1..=6 {
+                    let bc = BallCounter::new(&data, cap);
+                    let (grid, _) = count_pairs(data.points(), cap, &domain);
+                    let around =
+                        (j.saturating_sub(2)..=j + 2).chain(pinning_quarters(&grid, &domain));
+                    assert_ball_count_at(&grid, &bc, &domain, around);
+                }
+            }
+        }
+    }
+
+    /// Infinite and NaN coordinates: every distance they touch is `+∞` or
+    /// NaN, which lies in no ball, so the pass returns the pairwise count.
+    #[test]
+    fn coordinates_that_are_not_finite_lie_in_no_ball() {
+        let (inf, nan) = (f64::INFINITY, f64::NAN);
+        let rows = [
+            [0.0, 0.0],
+            [inf, 0.0],
+            [0.25, 0.0],
+            [-inf, 0.5],
+            [inf, 0.0],
+            [0.5, nan],
+        ];
+        let points: Vec<Point> = rows.iter().map(|row| Point::new(row.to_vec())).collect();
+        let domain = GridDomain::unit_cube(2, 5).unwrap();
+        for cap in 1..=8 {
+            let (grid, _) = count_pairs(&points, cap, &domain);
+            for q in 0..=last_quarter(&domain) {
+                let r = quarter_radius(&domain, q);
+                let ball = |x: &Point| {
+                    let within = points
+                        .iter()
+                        .filter(|y| tol::within_radius(x.distance(y), r));
+                    within.count().min(cap)
+                };
+                let mut counts: Vec<usize> = points.iter().map(ball).collect();
+                counts.sort_unstable_by(|a, b| b.cmp(a));
+                let top: usize = counts.iter().take(cap).sum();
+                assert_eq!(grid.value(q), top as f64 / cap as f64, "cap {cap}, q {q}");
+            }
         }
     }
 
@@ -762,13 +770,17 @@ mod tests {
                 scan(d),
                 "d = {d}"
             );
+            // A pair's key gallops from its estimate to the same index.
+            if let Some(j) = scan(d) {
+                assert_eq!(quarter_key(&domain, 4.0 / domain.grid_step(), d, last), j);
+            }
         }
     }
 
     #[test]
     fn empty_data_reads_zero_with_one_segment() {
         let domain = GridDomain::unit_cube(1, 9).unwrap();
-        let (counted, kept) = count_pairs(&[], 3, &domain).expect("small grid counts");
+        let (counted, kept) = count_pairs(&[], 3, &domain);
         assert_eq!(kept, 0);
         assert_eq!(counted.value(0), 0.0);
         assert_eq!(counted.segment_starts(), &[0]);
@@ -776,26 +788,10 @@ mod tests {
         assert_eq!(counted, sampled);
     }
 
-    #[test]
-    fn counting_declines_what_it_cannot_place() {
-        let data = Dataset::from_rows(vec![vec![0.0], vec![0.25], vec![f64::NAN]]).unwrap();
-        let domain = GridDomain::unit_cube(1, 5).unwrap();
-        assert!(count_pairs(data.points(), 2, &domain).is_none(), "NaN");
-        // A grid finer than the tolerance near zero: bands overlap.
-        let fine = GridDomain::new(1, 1 << 12, 0.0, 1e-12).unwrap();
-        let data = Dataset::from_rows(vec![vec![0.0], vec![5e-13]]).unwrap();
-        assert!(count_pairs(data.points(), 1, &fine).is_none(), "overlap");
-        let bc = BallCounter::new(&data, 1);
-        assert_eq!(
-            bc.grid_profile(&fine),
-            GridProfile::sample(&bc.l_profile(), &fine)
-        );
-    }
-
     /// The cut applies where it should: on 1,000 off-grid points with a
     /// third of them in a disc of radius 0.08 and cap 200, the counting
-    /// pass runs (no fallback to the sorted sweep) and keeps under a
-    /// quarter of the pairs, and its profile is the reference's.
+    /// pass keeps under a quarter of the pairs, and its profile is the ball
+    /// count.
     #[test]
     fn the_cut_keeps_a_planted_clusters_pairs_only() {
         let mut rng = StdRng::seed_from_u64(21);
@@ -815,9 +811,9 @@ mod tests {
             .collect();
         let data = Dataset::from_rows(rows).unwrap();
         let pairs = n * (n + 1) / 2;
-        let (counted, kept) = count_pairs(data.points(), 200, &domain).expect("the pass runs");
+        let (counted, kept) = count_pairs(data.points(), 200, &domain);
         assert!(kept < pairs / 4, "kept {kept} of {pairs} pairs");
-        let reference = GridProfile::sample(&BallCounter::new(&data, 200).l_profile(), &domain);
-        assert_eq!(counted, reference);
+        let bc = BallCounter::new(&data, 200);
+        assert_ball_count_at(&counted, &bc, &domain, pinning_quarters(&counted, &domain));
     }
 }

@@ -18,7 +18,10 @@
 //! Each cached grid profile holds at most one entry per grid radius and
 //! per pair, `O(min(G, n²))` for `G` grid radii, and building one briefly
 //! holds 12 bytes per pair it keeps, the pairs within the radius where `L`
-//! saturates (see [`grid_profile`](crate::grid_profile)); at most
+//! saturates (16 on grids far finer than the data; see
+//! [`grid_profile`](crate::grid_profile)). The index takes at most
+//! [`MAX_EXACT_POINTS`](crate::grid_profile::MAX_EXACT_POINTS) points
+//! (65,536), the most a profile build packs into its 32-bit pairs. At most
 //! [`MAX_CACHED_PROFILES`] profiles are retained (the cap `t` is
 //! client-controlled on the engine's query wire, so the memoisation must
 //! be bounded).
@@ -167,13 +170,15 @@ impl GeometryIndex {
     /// least-recently-used evicted first). Identical to
     /// `BallCounter::new(data, t).grid_profile(domain)`.
     ///
-    /// A build is `BallCounter::grid_profile`'s counting pass. It runs
+    /// A build is `BallCounter::grid_profile`'s counting pass, the ball
+    /// count `BallCounter::l_value` at each quarter radius. It runs
     /// outside the cache lock, so first users of different caps build in
     /// parallel, and once per cap and grid: callers racing on one that is
     /// being built wait for that build.
     ///
     /// # Panics
-    /// Panics if `cap == 0`.
+    /// Panics if `cap == 0`, or past
+    /// [`MAX_EXACT_POINTS`](crate::grid_profile::MAX_EXACT_POINTS) points.
     pub fn grid_profile(&self, cap: usize, domain: &GridDomain) -> Arc<GridProfile> {
         ProfileCache::get_or_build(&self.profiles, cap, domain, || {
             self.ball_counter(cap).grid_profile(domain)

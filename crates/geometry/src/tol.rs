@@ -3,9 +3,10 @@
 //! Distance comparisons appear in four hot places — ball-membership counts
 //! (`DistanceMatrix::count_within`), breakpoint deduplication
 //! (`DistanceMatrix::sorted_all_distances`), the event-grouping sweep of
-//! `BallCounter::l_profile`, and the grid profile's per-radius bucket
-//! thresholds ([`ball_threshold`]) — and they must all agree on when two
-//! distances are "the same". Historically each site carried its own constant
+//! `BallCounter::l_profile`, and the grid profile's keys, which place each
+//! pair at the first quarter radius whose ball holds it ([`within_radius`])
+//! — and they must all agree on when two distances are "the same".
+//! Historically each site carried its own constant
 //! (`r·(1+1e-12)+1e-15`, a 4-ulp dedup, and a chained group merge), so a
 //! pair of distances could survive dedup as two distinct breakpoints and
 //! *still* be merged into one event group by `l_profile`, making
@@ -15,12 +16,14 @@
 //!
 //! One residual ambiguity is inherent to any tolerance: for a probe radius
 //! `r` *itself* within the tolerance of a merged breakpoint group (closer
-//! than `REL·r + ABS`, ≈ 4.5e3 ulps), the profile answers with the whole
-//! group's post-breakpoint value while a direct per-row count may exclude
-//! the group's upper members. Both answers are defensible — the probe and
-//! the breakpoint are "the same distance" by this module's own definition —
-//! and the window is data-independent, so nothing downstream (sensitivity,
-//! privacy) depends on which one is returned.
+//! than `REL·r + ABS`, ≈ 4.5e3 ulps), the breakpoint profile answers with
+//! the whole group's post-breakpoint value while a direct per-row count may
+//! exclude the group's upper members. The probe and the breakpoint are "the
+//! same distance" by this module's own definition, but only the per-row
+//! count is a ball count: a group straddling a quarter radius can move the
+//! breakpoint profile's `L` there by `t/2` between neighbouring datasets,
+//! where Lemma 4.5 allows 2. What GoodRadius reads, the grid profile, is
+//! the per-row count.
 //!
 //! The tolerance is asymmetric by design: [`within_radius`] answers "does a
 //! point at distance `d` lie in the closed ball of radius `r`", inflating
@@ -62,9 +65,8 @@ pub fn within_radius(d: f64, r: f64) -> bool {
 
 /// The inflated radius `r·(1+REL) + ABS`: a distance lies within the
 /// closed ball of radius `r` exactly when it is at most this value. Exposed
-/// so a scan that tests many distances against the same radii can compute
-/// each threshold once (the grid profile's per-quarter-radius table) and
-/// stay bit-consistent with [`within_radius`].
+/// so a scan can name the largest distance a ball holds (the grid
+/// profile's cut) and stay bit-consistent with [`within_radius`].
 #[inline]
 pub fn ball_threshold(r: f64) -> f64 {
     r * (1.0 + REL) + ABS

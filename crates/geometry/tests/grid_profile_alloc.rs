@@ -78,9 +78,9 @@ fn a_client_sized_domain_builds_without_per_radius_allocations() {
             .collect(),
     )
     .unwrap();
-    // 64 points: 2,080 pairs. The bound covers the sorted reference sweep
-    // (16 bytes a pair) and a profile of one entry per pair several times
-    // over; one byte per grid radius would be 3 TB.
+    // 64 points: 2,080 pairs. The bound covers the pairs sorted by key (16
+    // bytes a pair) and a profile of one entry per pair several times over;
+    // one byte per grid radius would be 3 TB.
     const BOUND: usize = 1 << 20;
 
     let exact = GeometryIndex::build(&data, 1);
@@ -89,7 +89,21 @@ fn a_client_sized_domain_builds_without_per_radius_allocations() {
         largest < BOUND && total < BOUND,
         "exact: largest {largest} B, total {total} B"
     );
-    assert_eq!(*grid, GridProfile::sample(&exact.l_profile(16), &domain));
+    // The ball count `l_value(ρ_q)`, bit for bit, at 0, the last index and
+    // `2k − 2 ..= 2k` for each segment start `k`: every step `j` of `L` starts
+    // segment `⌈j/2⌉`, so these hold each step and the index before it.
+    let bc = exact.ball_counter(16);
+    let around = grid
+        .segment_starts()
+        .iter()
+        .flat_map(|&k| (2 * k).saturating_sub(2)..=2 * k);
+    for q in [0, 2 * (domain.radius_grid_len() - 1)]
+        .into_iter()
+        .chain(around)
+    {
+        let r = domain.radius_from_index(q) / 2.0;
+        assert_eq!(grid.value(q).to_bits(), bc.l_value(r).to_bits(), "L(ρ_{q})");
+    }
 
     let projected = ProjectedBackend::build_default(&data);
     let (grid, largest, total) = allocations(|| projected.grid_profile(16, &domain));

@@ -625,8 +625,7 @@ enum Node {
     Branch(Vec<Vec<Node>>),
 }
 
-/// Per-function dataflow generalizing the token-level `journal-order` rule:
-/// on every control path, a release append must not precede the charge
+/// Per-function dataflow: on every control path, a release append must not precede the charge
 /// append that covers it, `push_version` must not precede the reregister
 /// append, and no refund-shaped call may follow a charge append (spend is
 /// never refunded — PR-5's write-ahead contract).
@@ -1341,8 +1340,7 @@ fn back(&self) { let g = lock_recover(&self.dep); lock_recover(&self.own).touch(
         let bad = "fn f(&self) { if replay { s.append(StoreRecord::Release(r))?; } s.append(StoreRecord::Charge(c))?; }";
         let found = run_charge("crates/engine/src/a.rs", bad);
         assert_eq!(found.len(), 1, "{found:?}");
-        // Exclusive arms: no path carries both → clean for this rule (the
-        // token-level journal-order rule stays lexical by design).
+        // Exclusive arms: no path carries both → clean.
         let exclusive = "fn f(&self) { if replay { s.append(StoreRecord::Release(r))?; } else { s.append(StoreRecord::Charge(c))?; } }";
         assert!(run_charge("crates/engine/src/a.rs", exclusive).is_empty());
     }

@@ -111,28 +111,6 @@ rejects the inexact range before casting.",
 reject values outside [0, 2^53). Never cast a wire-layer f64 directly.",
     },
     RuleInfo {
-        id: "journal-order",
-        summary: "a write-ahead inversion: release journaled before its charge, or the registry \
-version flipped before the reregister append, in the same function",
-        scope: "library code of crates/engine",
-        motivation: "PR 5's soundness ordering: a query's budget charge must be \
-appended and fsynced *before* its result is released (journaled or cached). \
-Reversing the order opens a crash window in which a released value exists with \
-no durable charge — on recovery the spend would be silently refunded, which is \
-a privacy violation, not an availability gap. The versioned-registration PR \
-extends the same discipline to re-registration: the reregister record must be \
-journaled before `push_version` flips the registry, or a crash leaves the \
-process serving version v+1 while the journal still says v — recovery would \
-resurrect the old data under spend accrued against the new.",
-        fix: "Keep charge-record appends (`StoreRecord::Charge`/`ChargeRecord`) \
-lexically and causally before any release-record append \
-(`StoreRecord::Release`/`ReleaseRecord`) within the same function, and \
-reregister-record appends (`StoreRecord::Reregister`/`ReregisterRecord`) \
-before the `push_version` call they cover. If a function legitimately handles \
-both in a read-only replay path, waive with a reason explaining why no \
-journal write happens.",
-    },
-    RuleInfo {
         id: "event-payload-leak",
         summary: "a payload-named identifier (`data`/`coords`/`point`/`radius`/`value`) at an `event!`/`annotate` telemetry site",
         scope: "library code of every crate, inside `event!(…)` and `.annotate(…)` call windows",
@@ -183,10 +161,9 @@ before the reregister append, or refunds spend after a journaled charge",
         motivation: "The hard-refusal ledger's write-ahead contract (PR 5, \
 extended by the versioned-registration PR): once a charge record is appended \
 and fsynced, the spend must stand on every exit path — released, cached, or \
-errored. The token-level `journal-order` rule checks lexical order only; this \
-analysis enumerates the function's control paths, so a release reachable \
-before the charge through an early branch, or a refund-shaped call reachable \
-after the charge, is caught even when the lexical order looks right. A \
+errored. The analysis enumerates the function's control paths, so a release \
+reachable before the charge through an early branch, or a refund-shaped call \
+reachable after the charge, is caught even when the lexical order looks right. A \
 refunded charge is a privacy violation (budget restored for a value that may \
 have been observed), not an availability gap.",
         fix: "Journal the charge before any path can release or cache the \
@@ -279,8 +256,8 @@ mod tests {
     #[test]
     fn catalog_is_complete_and_unique() {
         assert!(
-            RULES.len() >= 12,
-            "twelve enforced rule classes as of privlint v2"
+            RULES.len() >= 11,
+            "eleven enforced rule classes since `journal-order` folded into `charge-release-paths`"
         );
         let mut ids: Vec<_> = RULES.iter().map(|r| r.id).collect();
         ids.sort_unstable();
@@ -291,7 +268,7 @@ mod tests {
         }
         assert!(find("lock-unwrap").is_some());
         assert!(find("no-such").is_none());
-        assert!(explain(find("journal-order").unwrap()).contains("fsync"));
+        assert!(explain(find("charge-release-paths").unwrap()).contains("fsync"));
     }
 
     #[test]

@@ -44,7 +44,6 @@ pub fn run_rules(scope: &FileScope, sig: &SigTokens<'_>) -> Vec<Finding> {
     unsalted_rng(scope, sig, &lib, &mut findings);
     float_ord_unwrap(scope, sig, &lib, &mut findings);
     wire_int_cast(scope, sig, &lib, &mut findings);
-    journal_order(scope, sig, &lib, &mut findings);
     event_payload_leak(scope, sig, &lib, &mut findings);
     crate::analyses::charge_release_paths(scope, sig, &lib, &mut findings);
     crate::analyses::wire_field_coverage(scope, sig, &lib, &mut findings);
@@ -312,77 +311,6 @@ layer; parse through `wire::req_u64`",
     }
 }
 
-/// `journal-order` — within one engine function body, a write-ahead
-/// ordering inversion: a release-record append marker lexically precedes
-/// the charge-record marker, or the registry version flip (`push_version`)
-/// precedes the re-register append marker.
-fn journal_order(
-    scope: &FileScope,
-    sig: &SigTokens<'_>,
-    lib: &dyn Fn(u32) -> bool,
-    findings: &mut Vec<Finding>,
-) {
-    if scope.crate_name.as_deref() != Some("engine") {
-        return;
-    }
-    let is_marker = |sig: &SigTokens<'_>, i: usize, variant: &str, record: &str, func: &str| {
-        sig.is_ident(i, record)
-            || sig.is_ident(i, func)
-            || (sig.is_ident(i, "StoreRecord")
-                && sig.is_punct(i + 1, "::")
-                && sig.is_ident(i + 2, variant))
-    };
-    for body in fn_bodies(sig) {
-        let range = body.body_start..=body.body_end;
-        let first = |variant: &str, record: &str, func: &str| {
-            range
-                .clone()
-                .find(|&i| lib(sig.tok(i).line) && is_marker(sig, i, variant, record, func))
-        };
-        let release = first("Release", "ReleaseRecord", "append_release");
-        let charge = first("Charge", "ChargeRecord", "append_charge");
-        if let (Some(r), Some(c)) = (release, charge) {
-            if r < c {
-                push(
-                    findings,
-                    "journal-order",
-                    sig,
-                    r,
-                    format!(
-                        "in `{}`, a release-journaling call precedes the charge append — the charge \
-must be journaled and fsynced before any result is released (PR-5 soundness ordering)",
-                        body.name
-                    ),
-                );
-            }
-        }
-        // Re-registration: journal the reregister record *before* flipping
-        // the registry to the new version. The inverse window would leave a
-        // registry serving v+1 whose journal still says v — a crash there
-        // recovers the old data with the new spend unaccounted for.
-        let reregister = first("Reregister", "ReregisterRecord", "append_reregister");
-        let flip = range
-            .clone()
-            .find(|&i| lib(sig.tok(i).line) && sig.is_ident(i, "push_version"));
-        if let (Some(p), Some(r)) = (flip, reregister) {
-            if p < r {
-                push(
-                    findings,
-                    "journal-order",
-                    sig,
-                    p,
-                    format!(
-                        "in `{}`, the registry version flip (`push_version`) precedes the \
-reregister append — the reregister record must be journaled and fsynced before the registry \
-mutates (write-ahead ordering)",
-                        body.name
-                    ),
-                );
-            }
-        }
-    }
-}
-
 /// `event-payload-leak` — a payload-named identifier inside a telemetry
 /// `event!(…)` or `.annotate(…)` call site. The telemetry privacy contract
 /// (crates/obs, "The no-payload-data contract") allows timings, counts, seq
@@ -494,55 +422,5 @@ mod tests {
         // rule's business.
         let outside = "fn f(radius: f64) -> f64 { radius * 2.0 }";
         assert_eq!(check("crates/engine/src/a.rs", outside).len(), 0);
-    }
-
-    #[test]
-    fn journal_order_flags_release_before_charge_only() {
-        let bad = "fn commit(s: &Store) { s.append(StoreRecord::Release(r)); s.append(StoreRecord::Charge(c)); }";
-        let good = "fn commit(s: &Store) { s.append(StoreRecord::Charge(c)); s.append(StoreRecord::Release(r)); }";
-        // A straight-line inversion trips both the token-level rule and the
-        // path-sensitive `charge-release-paths` generalization.
-        let f = check("crates/engine/src/a.rs", bad);
-        assert_eq!(f.iter().filter(|f| f.rule == "journal-order").count(), 1);
-        assert_eq!(
-            f.iter()
-                .filter(|f| f.rule == "charge-release-paths")
-                .count(),
-            1
-        );
-        assert_eq!(check("crates/engine/src/a.rs", good).len(), 0);
-        // split across two functions: no ordering constraint
-        let split = "fn a(s: &Store) { s.append(StoreRecord::Release(r)); }\nfn b(s: &Store) { s.append(StoreRecord::Charge(c)); }";
-        assert_eq!(check("crates/engine/src/a.rs", split).len(), 0);
-    }
-
-    #[test]
-    fn journal_order_flags_push_version_before_reregister_append() {
-        let bad = "fn rr(s: &Store, g: &Registry) { g.push_version(e); s.append(StoreRecord::Reregister(r)); }";
-        let good = "fn rr(s: &Store, g: &Registry) { s.append(StoreRecord::Reregister(r)); g.push_version(e); }";
-        let f = check("crates/engine/src/a.rs", bad);
-        assert_eq!(f.iter().filter(|f| f.rule == "journal-order").count(), 1);
-        assert_eq!(
-            f.iter()
-                .filter(|f| f.rule == "charge-release-paths")
-                .count(),
-            1
-        );
-        assert_eq!(check("crates/engine/src/a.rs", good).len(), 0);
-        // A replay path that flips the version without journaling anything
-        // (the record is already durable) is not this rule's business.
-        let replay_only = "fn replay(g: &Registry) { g.push_version(e); }";
-        assert_eq!(check("crates/engine/src/a.rs", replay_only).len(), 0);
-        // The charge/release and reregister/push_version checks are
-        // independent: one function can trip both.
-        let both = "fn f(s: &Store, g: &Registry) { s.append(StoreRecord::Release(r)); g.push_version(e); s.append(StoreRecord::Charge(c)); s.append(StoreRecord::Reregister(rr)); }";
-        let f = check("crates/engine/src/a.rs", both);
-        assert_eq!(f.iter().filter(|f| f.rule == "journal-order").count(), 2);
-        assert_eq!(
-            f.iter()
-                .filter(|f| f.rule == "charge-release-paths")
-                .count(),
-            2
-        );
     }
 }

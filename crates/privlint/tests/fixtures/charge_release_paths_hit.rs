@@ -15,9 +15,28 @@ pub fn charge_then_refund(store: &Store, acct: &Accountant) -> Result<(), Error>
 
 pub fn branch_release_before_charge(store: &Store) -> Result<(), Error> {
     if cache_warm {
-        store.append(StoreRecord::Release(rel))?; //~ HIT journal-order
-        //~^ HIT charge-release-paths
+        store.append(StoreRecord::Release(rel))?; //~ HIT charge-release-paths
     }
     store.append(StoreRecord::Charge(charge))?;
     Ok(())
+}
+
+pub fn release_before_charge(s: &Store, r: Release, c: Charge) {
+    s.append(StoreRecord::Release(r)); //~ HIT charge-release-paths
+    s.append(StoreRecord::Charge(c));
+}
+
+// The registry version flip before the reregister append: a crash between
+// them leaves the process serving version v+1 while the journal says v.
+pub fn reregister(s: &Store, reg: &Registry, entry: Entry, rec: Reregister) {
+    reg.push_version(entry); //~ HIT charge-release-paths
+    s.append(StoreRecord::Reregister(rec));
+}
+
+// The two orderings are checked independently: one function trips both.
+pub fn both(s: &Store, reg: &Registry, entry: Entry, r: Release, c: Charge, rec: Reregister) {
+    s.append(StoreRecord::Release(r)); //~ HIT charge-release-paths
+    reg.push_version(entry); //~ HIT charge-release-paths
+    s.append(StoreRecord::Charge(c));
+    s.append(StoreRecord::Reregister(rec));
 }

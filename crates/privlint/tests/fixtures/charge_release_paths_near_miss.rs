@@ -24,3 +24,24 @@ pub fn error_leaves_spend_standing(store: &Store) -> Result<Value, Error> {
     store.append(StoreRecord::Release(release_for(&value)))?;
     Ok(value)
 }
+
+// Split across two functions: no ordering constraint.
+pub fn release_only(s: &Store, r: Release) {
+    s.append(StoreRecord::Release(r));
+}
+
+pub fn charge_only(s: &Store, c: Charge) {
+    s.append(StoreRecord::Charge(c));
+}
+
+pub fn reregister(s: &Store, reg: &Registry, entry: Entry, rec: Reregister) {
+    s.append(StoreRecord::Reregister(rec));
+    reg.push_version(entry);
+}
+
+pub fn replay(reg: &Registry, rereg: &ReregisterRecord, entry: Entry) {
+    // Recovery replays the already-journaled record: nothing is appended,
+    // so the flip has no append to precede.
+    let _ = rereg;
+    reg.push_version(entry);
+}

@@ -11,3 +11,19 @@ pub fn recover_orphaned_charge(store: &Store, acct: &Accountant) -> Result<(), E
     acct.refund_spend(reconstructed.key()); //~ WAIVED charge-release-paths
     Ok(())
 }
+
+pub fn rollback(s: &Store, r: Release, c: Charge) {
+    // privlint::allow(charge-release-paths): crash-recovery rollback
+    // replays the orphaned release, which is already durable, before
+    // re-journaling its charge
+    s.append(StoreRecord::Release(r)); //~ WAIVED charge-release-paths
+    s.append(StoreRecord::Charge(c));
+}
+
+pub fn undo(s: &Store, reg: &Registry, entry: Entry, rec: Reregister) {
+    // privlint::allow(charge-release-paths): rollback of a refused version
+    // flip re-installs the predecessor entry before annulling the
+    // journaled reregister record; no new version becomes visible here
+    reg.push_version(entry); //~ WAIVED charge-release-paths
+    s.append(StoreRecord::Reregister(rec));
+}

@@ -1,9 +1,9 @@
 //! The wire protocol through the one dispatcher, `ShardedServer::handle`,
 //! on a one-shard in-memory server: registration, queries and the result
 //! cache, backend overrides, re-registration under an inherited ledger,
-//! the serve loop, and batches.
+//! refused coordinates that are not finite, the serve loop, and batches.
 
-use privcluster_engine::{serve_lines_with, Engine, EngineConfig, Request};
+use privcluster_engine::{serve_lines_with, Engine, EngineConfig, Request, StoreConfig};
 use privcluster_server::ShardedServer;
 use serde::Value;
 use std::io::{BufRead, Write};
@@ -115,6 +115,60 @@ fn backend_override_on_the_wire_is_honoured_and_reported() {
         r#""composition":"basic","backend":"mystery""#,
     );
     assert!(Request::parse(&bad).is_err());
+}
+
+/// `1e400` parses to `+∞`. A registration or re-registration holding it is
+/// refused with a structured error on both backends, before it reaches the
+/// journal, and the server keeps serving; a restart on that journal opens.
+#[test]
+fn coordinates_that_are_not_finite_are_refused_before_the_journal() {
+    let dir = std::env::temp_dir().join(format!("privcluster-non-finite-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).unwrap();
+    let store = StoreConfig::journal_only(dir.join("journal.pcsj"));
+    let journaled = || {
+        let engine = Engine::open(EngineConfig::default(), store.clone()).unwrap();
+        ShardedServer::new(vec![engine], 0)
+    };
+    // A two-point `op` of `dataset` on `backend`, its second point at `x`.
+    let line = |op: &str, dataset: &str, backend: &str, x: &str| {
+        let budget = if op == "register" {
+            r#""budget":{"epsilon":4.0,"delta":0.0001},"#
+        } else {
+            ""
+        };
+        format!(
+            r#"{{"op":"{op}","dataset":"{dataset}","domain":{{"dim":2,"size":16}},{budget}"backend":"{backend}","points":[[0.5,0.5],[{x},0.25]]}}"#
+        )
+    };
+    let kind = |response: &Value| Some(get(get(response, "error")?, "kind")?.as_str()?.to_string());
+    let status = r#"{"op":"status","dataset":"fine"}"#;
+    let seq = |server: &ShardedServer| {
+        let response = server.handle_line(status).0;
+        get(get(&response, "durability").unwrap(), "journal_seq").and_then(Value::as_f64)
+    };
+    let query = r#"{"op":"query","dataset":"fine","seed":1,"epsilon":1.0,"delta":1e-6,"query":{"type":"good_radius","t":2,"beta":0.1}}"#;
+    for server in [server(), journaled()] {
+        let (response, _) = server.handle_line(&line("register", "fine", "exact", "0.75"));
+        assert_eq!(kind(&response), None, "{response:?}");
+        for backend in ["exact", "projected"] {
+            let before = seq(&server);
+            for (op, dataset) in [("register", backend), ("reregister", "fine")] {
+                let (response, _) = server.handle_line(&line(op, dataset, backend, "1e400"));
+                assert_eq!(
+                    kind(&response).as_deref(),
+                    Some("invalid_query"),
+                    "{response:?}"
+                );
+            }
+            assert_eq!(seq(&server), before, "nothing journaled on {backend}");
+            assert_eq!(kind(&server.handle_line(query).0), None);
+        }
+    }
+    let response = journaled().handle_line(status).0;
+    let version = get(get(&response, "status").unwrap(), "version");
+    assert_eq!(version.and_then(Value::as_f64), Some(1.0), "{response:?}");
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]

@@ -70,8 +70,12 @@ impl StoreState {
     }
 
     /// Rebuilds a state from a snapshot, then replaying `tail` (the journal
-    /// records — those at or below the snapshot's sequence are skipped).
-    pub fn recover(snapshot: Option<&Snapshot>, tail: &[StoreRecord], max_releases: usize) -> Self {
+    /// records, moved in; those at or below the snapshot's seq are skipped).
+    pub fn recover(
+        snapshot: Option<&Snapshot>,
+        tail: Vec<StoreRecord>,
+        max_releases: usize,
+    ) -> Self {
         let mut state = StoreState::new(max_releases);
         if let Some(snapshot) = snapshot {
             state.seq = snapshot.seq;
@@ -89,7 +93,7 @@ impl StoreState {
             }
             state.totals = snapshot.totals.iter().cloned().collect();
             for release in &snapshot.releases {
-                state.retain_release(release);
+                state.retain_release(release.clone());
             }
         }
         for record in tail {
@@ -106,7 +110,7 @@ impl StoreState {
     /// history replays bit-identically); duplicate release fingerprints are
     /// kept first-wins (identical requests are deterministic, so duplicates
     /// carry the same value).
-    pub fn apply(&mut self, record: &StoreRecord) -> bool {
+    pub fn apply(&mut self, record: StoreRecord) -> bool {
         if record.seq() <= self.seq {
             return false;
         }
@@ -117,7 +121,7 @@ impl StoreState {
                     return false;
                 }
                 self.versions.insert(r.dataset.clone(), 1);
-                self.registers.push(Arc::new(r.clone()));
+                self.registers.push(Arc::new(r));
             }
             StoreRecord::Reregister(r) => {
                 match self.versions.get_mut(&r.dataset) {
@@ -127,13 +131,13 @@ impl StoreState {
                     _ => return false,
                 }
                 let inherited = self.totals.get(&r.dataset).copied().unwrap_or_default();
-                self.reregisters.push((Arc::new(r.clone()), inherited));
+                self.reregisters.push((Arc::new(r), inherited));
             }
             StoreRecord::Charge(r) => match self.totals.get_mut(&r.dataset) {
                 Some(totals) => totals.charge(r.params),
                 None => {
                     let totals = LedgerTotals::new().with_charge(r.params);
-                    self.totals.insert(r.dataset.clone(), totals);
+                    self.totals.insert(r.dataset, totals);
                 }
             },
             StoreRecord::Release(r) => return self.retain_release(r),
@@ -143,11 +147,11 @@ impl StoreState {
 
     /// Keeps a release for replay (first-wins by fingerprint), evicting
     /// the oldest beyond `max_releases`.
-    fn retain_release(&mut self, release: &ReleaseRecord) -> bool {
+    fn retain_release(&mut self, release: ReleaseRecord) -> bool {
         if !self.release_keys.insert(release.fingerprint.clone()) {
             return false;
         }
-        self.releases.push(release.clone());
+        self.releases.push(release);
         if self.releases.len() > self.max_releases {
             let evicted = self.releases.remove(0);
             self.release_keys.remove(&evicted.fingerprint);
@@ -246,10 +250,10 @@ mod tests {
             release(3, "a", "q1"),
             charge(4, "a", "q2", 0.5),
         ];
-        let once = StoreState::recover(None, &records, 16);
+        let once = StoreState::recover(None, records.clone(), 16);
         // Replaying the same journal on top changes nothing.
         let mut twice = once.clone();
-        for r in &records {
+        for r in records {
             assert!(!twice.apply(r), "already-covered seq must be skipped");
         }
         assert!(once.same_state(&twice));
@@ -267,12 +271,12 @@ mod tests {
             register(4, "b"),
             charge(5, "b", "q2", 0.5),
         ];
-        let direct = StoreState::recover(None, &full, 16);
-        let mid = StoreState::recover(None, &full[..3], 16);
+        let direct = StoreState::recover(None, full.clone(), 16);
+        let mid = StoreState::recover(None, full[..3].to_vec(), 16);
         let snapshot = mid.to_snapshot();
         // The tail overlaps the snapshot on purpose: seq-gating must skip
         // the overlap.
-        let resumed = StoreState::recover(Some(&snapshot), &full, 16);
+        let resumed = StoreState::recover(Some(&snapshot), full, 16);
         assert!(direct.same_state(&resumed));
     }
 
@@ -288,7 +292,7 @@ mod tests {
             reregister(7, "ghost", 2), // unknown name: no effect
             charge(8, "a", "q2", 0.5),
         ];
-        let state = StoreState::recover(None, &records, 16);
+        let state = StoreState::recover(None, records.clone(), 16);
         assert_eq!(state.versions().get("a"), Some(&3));
         assert!(!state.versions().contains_key("ghost"));
         let applied: Vec<u64> = state.reregisters().iter().map(|(r, _)| r.version).collect();
@@ -302,7 +306,7 @@ mod tests {
         assert_eq!(state.totals()["a"].count(), 2);
         // Replaying the same journal on top changes nothing.
         let mut twice = state.clone();
-        for r in &records {
+        for r in records {
             assert!(!twice.apply(r));
         }
         assert!(state.same_state(&twice));
@@ -316,8 +320,8 @@ mod tests {
             charge(3, "a", "q1", 0.25),
             reregister(4, "a", 3),
         ];
-        let direct = StoreState::recover(None, &records, 16);
-        let resumed = StoreState::recover(Some(&direct.to_snapshot()), &records, 16);
+        let direct = StoreState::recover(None, records.clone(), 16);
+        let resumed = StoreState::recover(Some(&direct.to_snapshot()), records, 16);
         assert!(direct.same_state(&resumed));
         assert_eq!(resumed.versions().get("a"), Some(&3));
         let inherited: Vec<u64> = resumed
@@ -334,7 +338,7 @@ mod tests {
         if let StoreRecord::Register(r) = &mut dup {
             r.backend = "projected".to_string();
         }
-        let state = StoreState::recover(None, &[register(1, "a"), dup], 16);
+        let state = StoreState::recover(None, vec![register(1, "a"), dup], 16);
         assert_eq!(state.registers().len(), 1);
         assert_eq!(state.registers()[0].backend, "exact");
         assert_eq!(state.seq(), 4, "skipped records still advance the cursor");
@@ -347,7 +351,7 @@ mod tests {
             records.push(charge(2 + 2 * i, "a", &format!("q{i}"), 0.01));
             records.push(release(3 + 2 * i, "a", &format!("q{i}")));
         }
-        let state = StoreState::recover(None, &records, 4);
+        let state = StoreState::recover(None, records, 4);
         assert_eq!(state.releases().len(), 4);
         // The retained releases are the newest four, in order.
         let kept: Vec<&str> = state

@@ -193,7 +193,7 @@ impl Snapshot {
                 // Fold the record list the way journal replay would; the
                 // release bound is re-applied when the state is restored.
                 let mut state = StoreState::new(usize::MAX);
-                for record in &records {
+                for record in records {
                     state.apply(record);
                 }
                 if version == 2 {
@@ -449,7 +449,7 @@ mod tests {
     }
 
     fn snapshot(seq: u64) -> Snapshot {
-        let mut snapshot = StoreState::recover(None, &records(), 16).to_snapshot();
+        let mut snapshot = StoreState::recover(None, records(), 16).to_snapshot();
         snapshot.seq = seq;
         snapshot
     }
@@ -563,7 +563,7 @@ mod tests {
         let v1_records = &records()[..3];
         let payload = legacy_payload(1, 3, v1_records, Value::Null);
         write_json(&dir, "snap-00000000000000000003.pcss", &payload);
-        let expected = StoreState::recover(None, v1_records, 16).to_snapshot();
+        let expected = StoreState::recover(None, v1_records.to_vec(), 16).to_snapshot();
         assert_eq!(load(&dir).unwrap().unwrap(), expected);
         // A version-1 payload cannot carry a re-registration.
         let payload = legacy_payload(1, 5, &records(), Value::Null);

@@ -230,7 +230,7 @@ impl Store {
         let commit_file = journal.try_clone_file()?;
         let state = StoreState::recover(
             snapshot.as_ref(),
-            &scan.records,
+            scan.records,
             config.max_retained_releases,
         );
         let recovered = state.seq() > 0;
@@ -322,7 +322,7 @@ impl Store {
         // under the store lock, so the next covering batch fsync or
         // snapshot makes them durable for free.
         let group = (!matches!(record, StoreRecord::Release(_))).then(|| Arc::clone(&self.group));
-        inner.state.apply(&record);
+        inner.state.apply(record);
         inner.appends_since_snapshot += 1;
         if self.config.snapshot_every > 0
             && inner.appends_since_snapshot >= self.config.snapshot_every

@@ -158,21 +158,21 @@ proptest! {
         cut in prop::collection::vec(0.0f64..1.0, 1),
     ) {
         let records = journal_from_spec(&spec);
-        let full = StoreState::recover(None, &records, 32);
+        let full = StoreState::recover(None, records.clone(), 32);
 
         let mut twice = full.clone();
         for record in &records {
-            prop_assert!(!twice.apply(record), "covered seq must be a no-op");
+            prop_assert!(!twice.apply(record.clone()), "covered seq must be a no-op");
         }
         prop_assert!(full.same_state(&twice));
 
         let k = ((records.len() as f64) * cut[0]) as usize;
         let dir = scratch_path("snapshots", k as u64 * 1_000 + records.len() as u64);
         std::fs::remove_dir_all(&dir).ok();
-        write_snapshot(&dir, &StoreState::recover(None, &records[..k], 32).to_snapshot()).unwrap();
+        write_snapshot(&dir, &StoreState::recover(None, records[..k].to_vec(), 32).to_snapshot()).unwrap();
         let (snapshot, _) = load_latest(&dir).unwrap().expect("just written");
         std::fs::remove_dir_all(&dir).ok();
-        let resumed = StoreState::recover(Some(&snapshot), &records, 32);
+        let resumed = StoreState::recover(Some(&snapshot), records.clone(), 32);
         prop_assert!(full.same_state(&resumed),
             "snapshot at {k}/{} + full journal must equal full replay", records.len());
         let totals = |state: &StoreState| -> Vec<(String, Bits)> {
@@ -209,8 +209,8 @@ proptest! {
     ) {
         let records = journal_from_spec(&spec);
         let k = ((records.len() as f64) * cut[0]) as usize;
-        let prefix = StoreState::recover(None, &records[..k], 1024);
-        let full = StoreState::recover(None, &records, 1024);
+        let prefix = StoreState::recover(None, records[..k].to_vec(), 1024);
+        let full = StoreState::recover(None, records.clone(), 1024);
         let prefix_spend = spend_by_dataset(&prefix);
         let full_spend = spend_by_dataset(&full);
         for (dataset, spent) in &prefix_spend {

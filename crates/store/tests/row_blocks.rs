@@ -295,7 +295,7 @@ proptest! {
             }),
             reregister(5, "a", 2, third),
         ];
-        let snapshot = StoreState::recover(None, &records, 16).to_snapshot();
+        let snapshot = StoreState::recover(None, records.clone(), 16).to_snapshot();
         let dir = scratch_dir(records.iter().map(|r| record_rows(r).len()).sum());
         std::fs::remove_dir_all(&dir).ok();
         write_snapshot(&dir, &snapshot).unwrap();

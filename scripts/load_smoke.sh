@@ -39,6 +39,9 @@ RC=0; "$BIN" --in-memory --group-commit-max-batch 0 < /dev/null 2> /dev/null || 
 [ "$RC" -eq 2 ] || fail "serve --group-commit-max-batch 0 exited $RC, not 2"
 
 # --- Serve: 4 shards, group commit, bounded in-flight ---------------------
+# The poll below reads serve.err; create it first, so that a poll which runs
+# before the backgrounded redirect has opened it reads an empty file.
+: > "$WORK/serve.err"
 "$BIN" --shards 4 --journal "$WORK/journal.pcsj" \
     --group-commit-max-batch 64 --group-commit-max-wait-us 0 \
     --max-inflight 32 --tcp 127.0.0.1:0 \
