@@ -15,14 +15,15 @@
 //! first `L` profile a fresh exact index builds for GoodRadius (its grid
 //! profile), the work a batch's first query on a new dataset waits for.
 //! `engine_warm_good_radius` times what every later query pays: one
-//! GoodRadius run against a profile already cached.
+//! GoodRadius run against a profile already cached. `engine_parse_register`
+//! times the wire parse of a registration line before any of that.
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use privcluster_core::{good_radius_with_index, GoodRadiusConfig};
 use privcluster_datagen::planted_ball_cluster;
 use privcluster_dp::composition::CompositionMode;
 use privcluster_dp::PrivacyParams;
-use privcluster_engine::{BackendChoice, Engine, EngineConfig, Query, QueryRequest};
+use privcluster_engine::{BackendChoice, Engine, EngineConfig, Query, QueryRequest, Request};
 use privcluster_geometry::{Dataset, GeometryIndex, GridDomain};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -304,10 +305,53 @@ fn bench_engine_backend_scaling(c: &mut Criterion) {
     group.finish();
 }
 
+/// A `register` line shaped like the service benchmark's: `n` 2-D points
+/// sorted by x then y, each coordinate written with `{:?}`, either on the
+/// 1,025-value grid of [0, 1] (`projected-large`) or anywhere in it
+/// (`exact-cold`).
+fn register_line(n: usize, on_grid: bool) -> String {
+    let mut rng = StdRng::seed_from_u64(25);
+    let mut points: Vec<[f64; 2]> = (0..n)
+        .map(|_| {
+            let p = [rng.gen::<f64>(), rng.gen::<f64>()];
+            if on_grid {
+                p.map(|c| (c * 1024.0).round() / 1024.0)
+            } else {
+                p
+            }
+        })
+        .collect();
+    points.sort_by(|a, b| a[0].total_cmp(&b[0]).then(a[1].total_cmp(&b[1])));
+    let rows: Vec<String> = points
+        .iter()
+        .map(|p| format!("[{:?},{:?}]", p[0], p[1]))
+        .collect();
+    format!(
+        "{{\"op\":\"register\",\"dataset\":\"pl0\",\"domain\":{{\"dim\":2,\"size\":1025}},\
+         \"budget\":{{\"epsilon\":1048576.0,\"delta\":0.5}},\"points\":[{}]}}",
+        rows.join(",")
+    )
+}
+
+/// `Request::parse` of one `register` line: 20,000 on-grid points (a
+/// 0.5 MB line) and 1,000 off-grid points.
+fn bench_parse_register(c: &mut Criterion) {
+    let mut group = c.benchmark_group("engine_parse_register");
+    for (label, n, on_grid) in [
+        ("n20000_on_grid", 20_000, true),
+        ("n1000_off_grid", 1_000, false),
+    ] {
+        let line = register_line(n, on_grid);
+        group.bench_function(label, |b| b.iter(|| Request::parse(&line).unwrap()));
+    }
+    group.finish();
+}
+
 criterion_group! {
     name = benches;
     config = config();
     targets = bench_engine_throughput, bench_engine_register_exact, bench_first_l_profile,
-        bench_warm_good_radius, bench_engine_repeated_queries, bench_engine_backend_scaling
+        bench_warm_good_radius, bench_engine_repeated_queries, bench_engine_backend_scaling,
+        bench_parse_register
 }
 criterion_main!(benches);

@@ -86,6 +86,7 @@ use privcluster_geometry::{Dataset, GridDomain};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Serialize, Value};
+use serde_json::Parser;
 use std::io::{BufRead, Write};
 
 /// A parsed protocol request.
@@ -190,19 +191,45 @@ pub enum SyntheticSpec {
 
 impl Request {
     /// Parses one JSON-lines request.
+    ///
+    /// The first top-level `points` field is read straight into rows when
+    /// it is an array of arrays of numbers: each coordinate goes through the
+    /// vendored parser's number scan and `str::parse::<f64>`, with no
+    /// [`Value`] node per coordinate, and the rows move into the request.
+    /// Every other field is read as a [`Value`]. A line that reader does not
+    /// take (not an object, a `points` of any other shape, a syntax error
+    /// anywhere) is parsed again whole as a [`Value`], so it gets the answer
+    /// the `Value` path gives it, error message included. A `points` nested
+    /// below the top level, or repeated after the first, is an ordinary
+    /// value: the first top-level one wins, as in a lookup on the `Value`.
     pub fn parse(line: &str) -> Result<Self, EngineError> {
+        match read_object_taking_points(line) {
+            Some((value, rows)) => Request::from_value(&value, rows),
+            None => Request::parse_value(line),
+        }
+    }
+
+    /// The `Value` path: the whole line as one [`Value`] tree.
+    fn parse_value(line: &str) -> Result<Self, EngineError> {
         let value: Value = serde_json::from_str(line)
             .map_err(|e| EngineError::Protocol(format!("malformed JSON: {e}")))?;
+        Request::from_value(&value, None)
+    }
+
+    /// The request a parsed line describes. `rows`, when present, are the
+    /// line's top-level `points`, already read; the `Value` holds a `null`
+    /// in their place.
+    fn from_value(value: &Value, rows: Option<Vec<Vec<f64>>>) -> Result<Self, EngineError> {
         // `op` selects the operation; the telemetry-flavoured `cmd` alias
         // (`{"cmd":"metrics"}`) is accepted too, matching the scrape-tool
         // convention without disturbing the existing surface.
-        let op = req_str(&value, "op").or_else(|e| req_str(&value, "cmd").map_err(|_| e))?;
+        let op = req_str(value, "op").or_else(|e| req_str(value, "cmd").map_err(|_| e))?;
         match op.as_str() {
-            "register" => Ok(Request::Register(parse_register(&value)?)),
-            "reregister" => Ok(Request::Reregister(parse_reregister(&value)?)),
-            "query" => Ok(Request::Query(QueryRequest::parse(&value)?)),
+            "register" => Ok(Request::Register(parse_register(value, rows)?)),
+            "reregister" => Ok(Request::Reregister(parse_reregister(value, rows)?)),
+            "query" => Ok(Request::Query(QueryRequest::parse(value)?)),
             "batch" => {
-                let requests = req(&value, "requests")?
+                let requests = req(value, "requests")?
                     .as_array()
                     .ok_or_else(|| {
                         EngineError::Protocol("field `requests` must be an array".into())
@@ -213,8 +240,8 @@ impl Request {
                 Ok(Request::Batch(requests))
             }
             "status" => Ok(Request::Status {
-                dataset: req_str(&value, "dataset")?,
-                version: opt_u64(&value, "version")?,
+                dataset: req_str(value, "dataset")?,
+                version: opt_u64(value, "version")?,
             }),
             "list" => Ok(Request::List),
             "metrics" => Ok(Request::Metrics),
@@ -243,29 +270,100 @@ fn parse_backend(value: &Value) -> Result<BackendChoice, EngineError> {
     }
 }
 
-fn parse_source(value: &Value) -> Result<DataSource, EngineError> {
-    match (get(value, "points"), get(value, "synthetic")) {
-        (Some(points), None) => {
-            let rows = points
-                .as_array()
-                .ok_or_else(|| EngineError::Protocol("field `points` must be an array".into()))?
-                .iter()
-                .map(|row| {
-                    row.as_array()
-                        .ok_or_else(|| {
-                            EngineError::Protocol("each point must be an array of numbers".into())
-                        })?
-                        .iter()
-                        .map(|c| {
-                            c.as_f64().ok_or_else(|| {
-                                EngineError::Protocol("point coordinates must be numbers".into())
-                            })
-                        })
-                        .collect::<Result<Vec<f64>, _>>()
-                })
-                .collect::<Result<Vec<Vec<f64>>, _>>()?;
-            Ok(DataSource::Points(rows))
+/// Reads `line` as a top-level object, taking its first `points` field as
+/// rows when it is an array of arrays of numbers; a `null` stands in its
+/// place in the returned object. `None` for any line that is not such an
+/// object, left to the `Value` path.
+fn read_object_taking_points(line: &str) -> Option<(Value, Option<Vec<Vec<f64>>>)> {
+    let mut p = Parser::new(line);
+    let mut entries = Vec::new();
+    let mut rows = None;
+    p.skip_ws();
+    read_list(&mut p, b'{', b'}', |p| {
+        let key = p.string().ok()?;
+        p.skip_ws();
+        p.expect(b':').ok()?;
+        p.skip_ws();
+        let value = if rows.is_none() && key == "points" {
+            rows = Some(read_rows(p)?);
+            Value::Null
+        } else {
+            p.value().ok()?
+        };
+        entries.push((key, value));
+        Some(())
+    })?;
+    p.end().ok()?;
+    Some((Value::Object(entries), rows))
+}
+
+/// Reads an array of arrays of numbers.
+fn read_rows(p: &mut Parser) -> Option<Vec<Vec<f64>>> {
+    let mut rows: Vec<Vec<f64>> = Vec::new();
+    read_list(p, b'[', b']', |p| {
+        let mut row = Vec::with_capacity(rows.first().map_or(0, Vec::len));
+        read_list(p, b'[', b']', |p| {
+            row.push(p.number().ok()?);
+            Some(())
+        })?;
+        rows.push(row);
+        Some(())
+    })?;
+    Some(rows)
+}
+
+/// Reads `open`, then items separated by commas, then `close`, with the
+/// whitespace rules of the vendored parser's arrays and objects.
+fn read_list(
+    p: &mut Parser,
+    open: u8,
+    close: u8,
+    mut item: impl FnMut(&mut Parser) -> Option<()>,
+) -> Option<()> {
+    p.expect(open).ok()?;
+    p.skip_ws();
+    if p.peek() != Some(close) {
+        loop {
+            p.skip_ws();
+            item(p)?;
+            p.skip_ws();
+            if p.peek() != Some(b',') {
+                break;
+            }
+            p.expect(b',').ok()?;
         }
+    }
+    p.expect(close).ok()
+}
+
+/// A `points` value read through the `Value` path.
+fn rows_of(points: &Value) -> Result<Vec<Vec<f64>>, EngineError> {
+    points
+        .as_array()
+        .ok_or_else(|| EngineError::Protocol("field `points` must be an array".into()))?
+        .iter()
+        .map(|row| {
+            row.as_array()
+                .ok_or_else(|| {
+                    EngineError::Protocol("each point must be an array of numbers".into())
+                })?
+                .iter()
+                .map(|c| {
+                    c.as_f64().ok_or_else(|| {
+                        EngineError::Protocol("point coordinates must be numbers".into())
+                    })
+                })
+                .collect()
+        })
+        .collect()
+}
+
+fn parse_source(value: &Value, rows: Option<Vec<Vec<f64>>>) -> Result<DataSource, EngineError> {
+    match (get(value, "points"), get(value, "synthetic")) {
+        (Some(points), None) => Ok(DataSource::Points(match rows {
+            Some(rows) => rows,
+            None => rows_of(points)?,
+        })),
         (None, Some(spec)) => Ok(DataSource::Synthetic(parse_synthetic(spec)?)),
         _ => Err(EngineError::Protocol(
             "register needs exactly one of `points` or `synthetic`".into(),
@@ -273,7 +371,10 @@ fn parse_source(value: &Value) -> Result<DataSource, EngineError> {
     }
 }
 
-fn parse_register(value: &Value) -> Result<RegisterRequest, EngineError> {
+fn parse_register(
+    value: &Value,
+    rows: Option<Vec<Vec<f64>>>,
+) -> Result<RegisterRequest, EngineError> {
     let domain = parse_domain(value)?;
     let budget_spec = req(value, "budget")?;
     let budget = PrivacyParams::new(
@@ -304,11 +405,14 @@ fn parse_register(value: &Value) -> Result<RegisterRequest, EngineError> {
         budget,
         mode,
         backend: parse_backend(value)?,
-        source: parse_source(value)?,
+        source: parse_source(value, rows)?,
     })
 }
 
-fn parse_reregister(value: &Value) -> Result<ReregisterRequest, EngineError> {
+fn parse_reregister(
+    value: &Value,
+    rows: Option<Vec<Vec<f64>>>,
+) -> Result<ReregisterRequest, EngineError> {
     // A re-registration inherits its chain's budget and composition mode.
     // Refuse — rather than ignore — an attempt to redeclare either: a
     // client that sends a budget here believes it is resetting the ledger,
@@ -325,7 +429,7 @@ fn parse_reregister(value: &Value) -> Result<ReregisterRequest, EngineError> {
         dataset: req_str(value, "dataset")?,
         domain: parse_domain(value)?,
         backend: parse_backend(value)?,
-        source: parse_source(value)?,
+        source: parse_source(value, rows)?,
     })
 }
 
@@ -351,19 +455,22 @@ fn parse_synthetic(spec: &Value) -> Result<SyntheticSpec, EngineError> {
 }
 
 impl DataSource {
-    /// Builds the registration's dataset: the inline rows, or the seeded
-    /// synthetic workload generated on `domain`.
-    pub fn materialize(&self, domain: &GridDomain) -> Result<Dataset, EngineError> {
-        match self {
+    /// Builds the registration's dataset: the inline rows (moved, not
+    /// copied), or the seeded synthetic workload generated on `domain`.
+    pub fn materialize(self, domain: &GridDomain) -> Result<Dataset, EngineError> {
+        let spec = match self {
             DataSource::Points(rows) => {
-                Dataset::from_rows(rows.clone()).map_err(|e| EngineError::Protocol(e.to_string()))
+                return Dataset::from_rows(rows).map_err(|e| EngineError::Protocol(e.to_string()))
             }
-            DataSource::Synthetic(SyntheticSpec::PlantedBall {
+            DataSource::Synthetic(spec) => spec,
+        };
+        match &spec {
+            SyntheticSpec::PlantedBall {
                 n,
                 cluster_size,
                 cluster_radius,
                 seed,
-            }) => {
+            } => {
                 if *cluster_size > *n {
                     return Err(EngineError::Protocol(
                         "cluster_size must be at most n".into(),
@@ -387,13 +494,13 @@ impl DataSource {
                 )
                 .data)
             }
-            DataSource::Synthetic(SyntheticSpec::GaussianMixture {
+            SyntheticSpec::GaussianMixture {
                 k,
                 per_cluster,
                 sigma,
                 background,
                 seed,
-            }) => {
+            } => {
                 if *k == 0 {
                     return Err(EngineError::Protocol("k must be at least 1".into()));
                 }
@@ -512,21 +619,33 @@ pub fn error_value(kind: &str, message: &str) -> Value {
 /// error response and the connection keeps serving.
 pub const MAX_REQUEST_LINE_BYTES: usize = 32 * 1024 * 1024;
 
+/// Capacity a connection's line buffer keeps between requests. A buffer
+/// grown past it by a larger line shrinks back before the next read, so an
+/// idle connection does not hold on to its largest request.
+const RETAINED_LINE_BYTES: usize = 1 << 20;
+
 /// One bounded read from the request stream.
 enum LineRead {
-    /// A complete line within the cap (without its newline).
-    Line(String),
+    /// A complete line within the cap (without its newline) is in the
+    /// buffer.
+    Line,
     /// The line exceeded the cap; its bytes were drained and discarded.
     Oversize,
     /// End of input.
     Eof,
 }
 
-/// Reads one newline-terminated line of at most `max` bytes. Bytes beyond
-/// the cap are consumed (so the stream stays line-synchronised) but never
-/// buffered — memory use is bounded by `max` no matter what the peer sends.
-fn read_bounded_line<R: BufRead>(reader: &mut R, max: usize) -> std::io::Result<LineRead> {
-    let mut buf: Vec<u8> = Vec::new();
+/// Reads one newline-terminated line of at most `max` bytes into `buf`
+/// (cleared first). Bytes beyond the cap are consumed (so the stream stays
+/// line-synchronised) but never buffered — memory use is bounded by `max`
+/// no matter what the peer sends.
+fn read_bounded_line<R: BufRead>(
+    reader: &mut R,
+    max: usize,
+    buf: &mut Vec<u8>,
+) -> std::io::Result<LineRead> {
+    buf.clear();
+    buf.shrink_to(RETAINED_LINE_BYTES);
     let mut oversize = false;
     loop {
         let chunk = reader.fill_buf()?;
@@ -538,7 +657,7 @@ fn read_bounded_line<R: BufRead>(reader: &mut R, max: usize) -> std::io::Result<
             } else if buf.is_empty() {
                 LineRead::Eof
             } else {
-                LineRead::Line(String::from_utf8_lossy(&buf).into_owned())
+                LineRead::Line
             });
         }
         match chunk.iter().position(|&b| b == b'\n') {
@@ -557,7 +676,7 @@ fn read_bounded_line<R: BufRead>(reader: &mut R, max: usize) -> std::io::Result<
                     if buf.last() == Some(&b'\r') {
                         buf.pop();
                     }
-                    LineRead::Line(String::from_utf8_lossy(&buf).into_owned())
+                    LineRead::Line
                 });
             }
             None => {
@@ -577,12 +696,26 @@ fn read_bounded_line<R: BufRead>(reader: &mut R, max: usize) -> std::io::Result<
     }
 }
 
+/// Encodes `response` and its newline into one buffer and hands it to the
+/// writer in one `write_all`: a socket that takes the whole buffer sends
+/// the answer in one `write`, so a client reads it in one piece.
+fn write_answer<W: Write>(writer: &mut W, response: &Value) -> std::io::Result<()> {
+    let mut encoded =
+        serde_json::to_string(response).expect("response serialization is infallible");
+    encoded.push('\n');
+    writer.write_all(encoded.as_bytes())?;
+    writer.flush()
+}
+
 /// Serves newline-delimited JSON from `reader` through `handler`, writing
 /// one response line per request to `writer` — the framing loop of every
 /// transport (stdin/stdout and each TCP connection). The handler maps one
-/// non-empty request line to `(response, stop)`. Request lines are capped
-/// at [`MAX_REQUEST_LINE_BYTES`]: an oversized one is answered with a
-/// `protocol` error without reaching the handler, so no transport can be
+/// non-empty request line to `(response, stop)`. Each line is read into
+/// one buffer the loop reuses and handed over as UTF-8 in place; only a
+/// line with invalid UTF-8 is copied, its bad bytes replaced by U+FFFD.
+/// Each answer goes out with its newline in one `write`. Request lines are
+/// capped at [`MAX_REQUEST_LINE_BYTES`]: an oversized one is answered with
+/// a `protocol` error without reaching the handler, so no transport can be
 /// ballooned by a newline-free stream. Returns at end of input, or after a
 /// response whose `stop` is set; the bool reports which (a TCP front end
 /// uses it to stop listening).
@@ -600,28 +733,25 @@ fn serve_lines_bounded_with<R: BufRead, W: Write, F: FnMut(&str) -> (Value, bool
     max_line_bytes: usize,
     mut handler: F,
 ) -> std::io::Result<bool> {
+    let mut buf = Vec::new();
     loop {
-        let line = match read_bounded_line(&mut reader, max_line_bytes)? {
+        match read_bounded_line(&mut reader, max_line_bytes, &mut buf)? {
             LineRead::Eof => return Ok(false),
             LineRead::Oversize => {
                 let error = EngineError::Protocol(format!(
                     "request line exceeds the {max_line_bytes}-byte limit and was discarded"
                 ));
-                let encoded = serde_json::to_string(&error_json(&error))
-                    .expect("response serialization is infallible");
-                writeln!(writer, "{encoded}")?;
-                writer.flush()?;
+                write_answer(&mut writer, &error_json(&error))?;
                 continue;
             }
-            LineRead::Line(line) => line,
-        };
+            LineRead::Line => {}
+        }
+        let line = String::from_utf8_lossy(&buf);
         if line.trim().is_empty() {
             continue;
         }
         let (response, stop) = handler(&line);
-        let encoded =
-            serde_json::to_string(&response).expect("response serialization is infallible");
-        let written = writeln!(writer, "{encoded}").and_then(|()| writer.flush());
+        let written = write_answer(&mut writer, &response);
         // A shutdown takes effect even when its answer cannot be delivered:
         // a client may hang up right after sending it.
         if stop {
@@ -634,6 +764,231 @@ fn serve_lines_bounded_with<R: BufRead, W: Write, F: FnMut(&str) -> (Value, bool
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use rand::seq::SliceRandom;
+    use rand::Rng;
+
+    /// Coordinate spellings the number scan must read as `str::parse` does.
+    const SPELLED: [&str; 22] = [
+        "0",
+        "-0",
+        "-0.0",
+        "0.0",
+        "1.",
+        "01",
+        "00.5",
+        "0.5",
+        "-0.25",
+        "1e-3",
+        "1E2",
+        "2.5e+1",
+        "-3.75E-2",
+        "4.9e-324",
+        "2.2250738585072009e-308",
+        "1e-310",
+        "0.12345678901234567",
+        "0.30000000000000004",
+        "9007199254740993",
+        "1.7976931348623157e308",
+        "1e400",
+        "-1e400",
+    ];
+
+    /// Values a later, duplicate `points` may carry: any valid JSON.
+    const LATER_POINTS: [&str; 6] = ["\"x\"", "null", "[[9,9]]", "{\"a\":[1]}", "[]", "7"];
+
+    fn ws(rng: &mut StdRng) -> &'static str {
+        ["", "", " ", "  ", "\t", "\n", "\r\n "][rng.gen_range(0..7)]
+    }
+
+    fn coordinate(rng: &mut StdRng) -> String {
+        match rng.gen_range(0..3) {
+            0 => SPELLED[rng.gen_range(0..SPELLED.len())].to_string(),
+            1 => format!("{:?}", rng.gen::<f64>() * 3.0 - 1.0),
+            _ => format!("{:.16e}", rng.gen::<f64>()),
+        }
+    }
+
+    /// `items` joined by commas inside `open`/`close`, whitespace anywhere
+    /// the grammar allows it.
+    fn list(rng: &mut StdRng, open: char, close: char, items: Vec<String>) -> String {
+        let mut out = format!("{open}{}", ws(rng));
+        for (i, item) in items.iter().enumerate() {
+            if i > 0 {
+                out.push_str(&format!("{},{}", ws(rng), ws(rng)));
+            }
+            out.push_str(item);
+        }
+        out.push_str(&format!("{}{close}", ws(rng)));
+        out
+    }
+
+    fn points_value(rng: &mut StdRng) -> String {
+        let dim = rng.gen_range(1..4);
+        let rows = (0..rng.gen_range(0..6))
+            .map(|_| {
+                // Now and then a ragged row, which the dataset refuses later.
+                let len = if rng.gen_bool(0.1) {
+                    rng.gen_range(0..4)
+                } else {
+                    dim
+                };
+                let coords = (0..len).map(|_| coordinate(rng)).collect();
+                list(rng, '[', ']', coords)
+            })
+            .collect();
+        list(rng, '[', ']', rows)
+    }
+
+    /// A `register` or `reregister` line with its fields in random order,
+    /// whitespace between tokens, sometimes duplicate keys (the first wins)
+    /// and a `points` nested where it is not taken. With `synthetic` the
+    /// top level has no `points` at all.
+    fn registration_line(rng: &mut StdRng, synthetic: bool) -> String {
+        let first = rng.gen_bool(0.5);
+        let mut fields = vec![
+            format!(
+                "\"op\":{}\"{}\"",
+                ws(rng),
+                if first { "register" } else { "reregister" }
+            ),
+            "\"dataset\":\"d\"".to_string(),
+            if rng.gen_bool(0.3) {
+                "\"domain\":{\"dim\":2,\"points\":[[1,2]],\"size\":16}".to_string()
+            } else {
+                "\"domain\":{\"dim\":2,\"size\":16}".to_string()
+            },
+        ];
+        if first {
+            fields.push("\"budget\":{\"epsilon\":1.0,\"delta\":1e-6}".to_string());
+            if rng.gen_bool(0.3) {
+                fields.push("\"composition\":\"basic\"".to_string());
+            }
+        }
+        if rng.gen_bool(0.3) {
+            fields.push("\"backend\":\"exact\"".to_string());
+        }
+        if rng.gen_bool(0.2) {
+            fields.push("\"extra\":{\"points\":[[3]]}".to_string());
+        }
+        fields.shuffle(rng);
+        if rng.gen_bool(0.2) {
+            let at = rng.gen_range(1..fields.len() + 1);
+            fields.insert(at, "\"dataset\":\"later\"".to_string());
+        }
+        if synthetic {
+            let at = rng.gen_range(0..fields.len() + 1);
+            fields.insert(
+                at,
+                "\"synthetic\":{\"kind\":\"planted_ball\",\"n\":10,\"cluster_size\":5,\
+                 \"cluster_radius\":0.1,\"seed\":1}"
+                    .to_string(),
+            );
+        } else {
+            let at = [0, fields.len() / 2, fields.len()][rng.gen_range(0..3)];
+            let key = if rng.gen_bool(0.1) {
+                "po\\u0069nts"
+            } else {
+                "points"
+            };
+            let points = format!("\"{key}\"{}:{}{}", ws(rng), ws(rng), points_value(rng));
+            fields.insert(at, points);
+            if rng.gen_bool(0.3) {
+                let later = LATER_POINTS[rng.gen_range(0..LATER_POINTS.len())];
+                let at = rng.gen_range(at + 1..fields.len() + 1);
+                fields.insert(at, format!("\"points\":{later}"));
+            }
+        }
+        format!("{}{}{}", ws(rng), list(rng, '{', '}', fields), ws(rng))
+    }
+
+    /// The two paths' answers, compared through `Debug`, which tells
+    /// `-0.0` from `0.0` and prints every other f64 exactly.
+    fn both_paths(line: &str) -> (String, String) {
+        (
+            format!("{:?}", Request::parse(line)),
+            format!("{:?}", Request::parse_value(line)),
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn the_points_reader_gives_the_value_paths_request(seed in 0u64..u64::MAX) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let synthetic = rng.gen_bool(0.15);
+            let line = registration_line(&mut rng, synthetic);
+            let taken = read_object_taking_points(&line).map(|(_, rows)| rows.is_some());
+            prop_assert!(taken == Some(!synthetic), "line {line:?}");
+            let (reader, value_path) = both_paths(&line);
+            prop_assert!(reader == value_path, "{reader} != {value_path} for {line:?}");
+        }
+
+        #[test]
+        fn lines_the_value_path_refuses_are_refused_alike(seed in 0u64..u64::MAX) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let line = registration_line(&mut rng, false);
+            // Spoil the line: a coordinate that is not a JSON number, a
+            // `points` of another shape, or a cut anywhere.
+            const BAD_NUMBERS: [&str; 12] =
+                ["+1", ".5", "1e", "--1", "1.2.3", "-", "1-2", "0x10", "NaN", "null", "\"1\"", "[1]"];
+            const BAD_POINTS: [&str; 10] = [
+                "{}", "\"p\"", "[1,2]", "[[1],2]", "[[1,]]", "[,[1]]", "[[1] [2]]", "[[1]", "null", "3",
+            ];
+            let spoiled = match rng.gen_range(0..3) {
+                0 => format!(
+                    "{{\"op\":\"register\",\"dataset\":\"d\",\"domain\":{{\"dim\":2,\"size\":16}},\
+                     \"budget\":{{\"epsilon\":1.0,\"delta\":1e-6}},\"points\":[[0.5,{}]]}}",
+                    BAD_NUMBERS[rng.gen_range(0..BAD_NUMBERS.len())]
+                ),
+                1 => format!(
+                    "{{\"op\":\"reregister\",\"points\":{},\"dataset\":\"d\",\
+                     \"domain\":{{\"dim\":2,\"size\":16}}}}",
+                    BAD_POINTS[rng.gen_range(0..BAD_POINTS.len())]
+                ),
+                _ => {
+                    // Anywhere before the closing brace.
+                    let mut cut = rng.gen_range(0..line.rfind('}').unwrap() + 1);
+                    while !line.is_char_boundary(cut) {
+                        cut -= 1;
+                    }
+                    line[..cut].to_string()
+                }
+            };
+            let (reader, value_path) = both_paths(&spoiled);
+            prop_assert!(reader == value_path, "{reader} != {value_path} for {spoiled:?}");
+            match Request::parse(&spoiled) {
+                Err(e) => prop_assert!(e.kind() == "protocol", "{e:?} for {spoiled:?}"),
+                Ok(_) => prop_assert!(false, "accepted {spoiled:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn the_reader_takes_only_the_first_top_level_points() {
+        let line = r#"{"points":[[1,2],[-0.0,3]],"op":"x","points":"later","n":{"points":[[5]]}}"#;
+        let (value, rows) = read_object_taking_points(line).unwrap();
+        let rows = rows.unwrap();
+        assert_eq!(rows, vec![vec![1.0, 2.0], vec![0.0, 3.0]]);
+        assert!(rows[1][0].is_sign_negative());
+        assert_eq!(
+            serde_json::to_string(&value).unwrap(),
+            r#"{"points":null,"op":"x","points":"later","n":{"points":[[5]]}}"#
+        );
+        // Anything but a top-level object of that shape is left whole to
+        // the `Value` path.
+        for line in [
+            r#"[[1]]"#,
+            r#"{"points":[[1,null]]}"#,
+            r#"{"points":[[+1]]}"#,
+            r#"{"a":1}x"#,
+        ] {
+            assert!(read_object_taking_points(line).is_none(), "{line}");
+        }
+        let (_, rows) = read_object_taking_points(r#"{"op":"list"}"#).unwrap();
+        assert!(rows.is_none());
+    }
 
     #[test]
     fn malformed_lines_become_protocol_errors() {
@@ -702,12 +1057,13 @@ mod tests {
     fn bounded_line_reader_handles_boundaries() {
         let read_all = |input: &str, cap: usize| {
             let mut reader = std::io::BufReader::with_capacity(7, input.as_bytes());
+            let mut buf = Vec::new();
             let mut out = Vec::new();
             loop {
-                match read_bounded_line(&mut reader, cap).unwrap() {
+                match read_bounded_line(&mut reader, cap, &mut buf).unwrap() {
                     LineRead::Eof => break,
                     LineRead::Oversize => out.push(None),
-                    LineRead::Line(l) => out.push(Some(l)),
+                    LineRead::Line => out.push(Some(String::from_utf8(buf.clone()).unwrap())),
                 }
             }
             out

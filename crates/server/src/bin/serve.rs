@@ -21,13 +21,16 @@
 //! Durability: with `--journal PATH` every shard runs in write-ahead mode —
 //! every registration and admitted budget charge is fsynced to the shard's
 //! journal *before* its result is released, and restarting on the same
-//! journal (and the same `--shards`) recovers the spent budget exactly
-//! (never refunded). With `--shards N` (N > 1) shard `i` journals to
-//! `PATH`'s stem suffixed `-shard<i>` and snapshots under
-//! `DIR/shard<i>`. Each shard's group-commit writer thread makes those
-//! commits durable: concurrent charges share one fsync, a batch holds at
-//! most `--group-commit-max-batch` records (default 64, at least 1), and
-//! the writer dwells up to `--group-commit-max-wait-us` (default 0) for a
+//! journal recovers the spent budget exactly (never refunded). With
+//! `--shards N` (N > 1) shard `i` journals to `PATH`'s stem suffixed
+//! `-shard<i>` and snapshots under `DIR/shard<i>`. A restart with another
+//! `--shards` than the journal was written with is refused (exit 1)
+//! before anything is written: it would leave datasets' journals unread,
+//! and a client re-registering one would get a fresh ledger. Each shard's
+//! group-commit writer thread makes those commits durable: concurrent
+//! charges share one fsync, a batch holds at most
+//! `--group-commit-max-batch` records (default 64, at least 1), and the
+//! writer dwells up to `--group-commit-max-wait-us` (default 0) for a
 //! batch to fill. `--max-inflight` bounds each shard's concurrent
 //! admissions; beyond it requests receive a structured `retry` error
 //! immediately (backpressure instead of unbounded buffering).
@@ -43,7 +46,7 @@
 use privcluster_engine::{Engine, EngineConfig, GroupCommitConfig, StoreConfig};
 use privcluster_obs::{event, prom, Severity};
 use privcluster_server::net;
-use privcluster_server::ShardedServer;
+use privcluster_server::{shard_of, ShardedServer};
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -67,15 +70,100 @@ fn shard_journal_path(base: &str, shard: usize, shards: usize) -> PathBuf {
     if shards == 1 {
         return path.to_path_buf();
     }
+    let (prefix, suffix) = shard_name_parts(path);
+    path.with_file_name(format!("{prefix}{shard}{suffix}"))
+}
+
+/// What comes before and after `<i>` in shard `i`'s journal file name:
+/// `{stem}-shard` and `.{ext}` (empty without an extension).
+fn shard_name_parts(path: &Path) -> (String, String) {
     let stem = path
         .file_stem()
         .and_then(|s| s.to_str())
         .unwrap_or("journal");
-    let name = match path.extension().and_then(|s| s.to_str()) {
-        Some(ext) => format!("{stem}-shard{shard}.{ext}"),
-        None => format!("{stem}-shard{shard}"),
+    let suffix = match path.extension().and_then(|s| s.to_str()) {
+        Some(ext) => format!(".{ext}"),
+        None => String::new(),
     };
-    path.with_file_name(name)
+    (format!("{stem}-shard"), suffix)
+}
+
+/// The journal files next to a `--journal` path, found with one
+/// `read_dir` (nothing is written).
+struct JournalLayout {
+    /// The path itself exists: written with `--shards 1`.
+    single: bool,
+    /// The shard files `{stem}-shard<k>.{ext}`, sorted by `k`.
+    shard_files: Vec<(usize, PathBuf)>,
+}
+
+impl JournalLayout {
+    fn scan(base: &str) -> std::io::Result<JournalLayout> {
+        let path = Path::new(base);
+        let dir = match path.parent() {
+            Some(dir) if !dir.as_os_str().is_empty() => dir,
+            _ => Path::new("."),
+        };
+        let mut layout = JournalLayout {
+            single: false,
+            shard_files: Vec::new(),
+        };
+        let entries = match std::fs::read_dir(dir) {
+            Ok(entries) => entries,
+            // `Engine::open` reports a missing directory.
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(layout),
+            Err(e) => return Err(e),
+        };
+        let (prefix, suffix) = shard_name_parts(path);
+        for entry in entries {
+            let name = entry?.file_name();
+            if Some(name.as_os_str()) == path.file_name() {
+                layout.single = true;
+                continue;
+            }
+            let index = name
+                .to_str()
+                .and_then(|name| name.strip_prefix(prefix.as_str()))
+                .and_then(|rest| rest.strip_suffix(suffix.as_str()))
+                .filter(|digits| digits.bytes().all(|b| b.is_ascii_digit()))
+                .and_then(|digits| digits.parse::<usize>().ok());
+            if let Some(k) = index {
+                layout.shard_files.push((k, dir.join(name)));
+            }
+        }
+        layout.shard_files.sort();
+        Ok(layout)
+    }
+
+    /// The count the shard files were written with: the highest `k` plus
+    /// one (every shard's file is created when it opens).
+    fn shard_count(&self) -> usize {
+        self.shard_files.last().map_or(0, |(k, _)| k + 1)
+    }
+
+    /// The files `--shards shards` would leave unread, each group with the
+    /// count it was written with: the path itself when `shards` > 1, and
+    /// shard `k`'s file when `shards` is 1 or `k` ≥ `shards`.
+    fn unread_by(&self, base: &str, shards: usize) -> Vec<String> {
+        let mut unread = Vec::new();
+        if self.single && shards > 1 {
+            unread.push(format!("{base} (written with --shards 1)"));
+        }
+        let files: Vec<String> = self
+            .shard_files
+            .iter()
+            .filter(|(k, _)| shards == 1 || *k >= shards)
+            .map(|(_, file)| file.display().to_string())
+            .collect();
+        if !files.is_empty() {
+            unread.push(format!(
+                "{} (written with --shards {})",
+                files.join(", "),
+                self.shard_count()
+            ));
+        }
+        unread
+    }
 }
 
 /// Shard `shard`'s snapshot directory: the configured directory itself for
@@ -215,6 +303,32 @@ fn main() -> ExitCode {
         usage();
     }
 
+    // A restart with another `--shards` would leave datasets' journals
+    // unread, and a client that re-registers one would get a fresh ledger:
+    // a silent budget refund. Refuse before any file is opened.
+    let shard_journals_found = match &journal {
+        Some(path) => {
+            let layout = match JournalLayout::scan(path) {
+                Ok(layout) => layout,
+                Err(e) => {
+                    eprintln!("serve: cannot list the journal directory of {path}: {e}");
+                    return ExitCode::FAILURE;
+                }
+            };
+            let unread = layout.unread_by(path, shards);
+            if !unread.is_empty() {
+                eprintln!(
+                    "serve: refusing to start with --shards {shards}: it would leave {} \
+                     unread; restart with the count they were written with",
+                    unread.join(" and ")
+                );
+                return ExitCode::FAILURE;
+            }
+            layout.shard_count()
+        }
+        None => 0,
+    };
+
     let mut engines = Vec::with_capacity(shards);
     for shard in 0..shards {
         let engine = match &journal {
@@ -228,6 +342,21 @@ fn main() -> ExitCode {
                 store_config.group_commit = Some(group_commit);
                 match Engine::open(config, store_config) {
                     Ok(engine) => {
+                        // A smaller count wrote files under some of this
+                        // count's names; their datasets route elsewhere.
+                        let names = engine.dataset_names();
+                        if let Some(name) = names.iter().find(|n| shard_of(n, shards) != shard) {
+                            eprintln!(
+                                "serve: refusing to start with --shards {shards}: journal {} \
+                                 holds dataset `{name}`, which --shards {shards} routes to \
+                                 shard {}; the directory's shard journals were written with \
+                                 --shards {}",
+                                shard_path.display(),
+                                shard_of(name, shards),
+                                shard_journals_found
+                            );
+                            return ExitCode::FAILURE;
+                        }
                         let durability = engine.durability();
                         // Stderr only: stdout stays pure protocol. (The
                         // crash-recovery smoke greps this exact line; the

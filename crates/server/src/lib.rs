@@ -45,8 +45,8 @@ use std::sync::Arc;
 /// Routes a dataset name to a shard index: FNV-1a over the name, reduced
 /// modulo the shard count. Deterministic across restarts — a dataset's
 /// journal records always land in the same shard's journal, so per-shard
-/// recovery sees every record it owns (provided the server restarts with
-/// the same `--shards`; see the README's "Serving at scale" section).
+/// recovery sees every record it owns (`serve` refuses a restart with
+/// another `--shards`; see the README's "Serving at scale" section).
 pub fn shard_of(dataset: &str, shards: usize) -> usize {
     debug_assert!(shards > 0, "shard count must be positive");
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
@@ -176,15 +176,16 @@ impl ShardedServer {
     /// whether a shutdown was requested: the only code that dispatches a
     /// [`Request`] to an engine. Single-dataset ops route to their shard;
     /// `batch` splits per query; `list`/`metrics` merge shards; `shutdown`
-    /// acknowledges and stops the serve loop.
-    pub fn handle(&self, request: &Request) -> (Value, bool) {
+    /// acknowledges and stops the serve loop. The request is taken by
+    /// value, so a registration's inline rows move into its dataset.
+    pub fn handle(&self, request: Request) -> (Value, bool) {
         let response = match request {
             Request::Register(reg) => self.admit(&reg.dataset, |engine| {
                 let data = reg.source.materialize(&reg.domain)?;
                 let status = engine.register_dataset_with_backend(
                     &reg.dataset,
                     data,
-                    reg.domain.clone(),
+                    reg.domain,
                     reg.budget,
                     reg.mode,
                     reg.backend,
@@ -199,7 +200,7 @@ impl ShardedServer {
                 let status = engine.reregister_dataset_with_backend(
                     &rereg.dataset,
                     data,
-                    rereg.domain.clone(),
+                    rereg.domain,
                     rereg.backend,
                 )?;
                 Ok(ok_value(
@@ -208,16 +209,16 @@ impl ShardedServer {
                 ))
             }),
             Request::Query(query) => self.admit(&query.dataset, |engine| {
-                Ok(query_value(&query.dataset, &engine.query(query)))
+                Ok(query_value(&query.dataset, &engine.query(&query)))
             }),
-            Request::Batch(requests) => self.handle_batch(requests),
+            Request::Batch(requests) => self.handle_batch(&requests),
             Request::Status { dataset, version } => {
                 // Status is a read — it must stay answerable under load, so
                 // it bypasses the admission gate.
-                let engine = &self.shards[shard_of(dataset, self.shards.len())];
+                let engine = &self.shards[shard_of(&dataset, self.shards.len())];
                 let status = match version {
-                    Some(version) => engine.status_version(dataset, *version),
-                    None => engine.status(dataset),
+                    Some(version) => engine.status_version(&dataset, version),
+                    None => engine.status(&dataset),
                 };
                 match status {
                     Ok(status) => ok_value(
@@ -269,7 +270,7 @@ impl ShardedServer {
     /// Parses and handles one request line (the serve-loop handler).
     pub fn handle_line(&self, line: &str) -> (Value, bool) {
         match Request::parse(line) {
-            Ok(request) => self.handle(&request),
+            Ok(request) => self.handle(request),
             Err(e) => (error_json(&e), false),
         }
     }

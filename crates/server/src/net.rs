@@ -3,14 +3,16 @@
 //!
 //! Every accepted connection gets a thread, all threads share the one
 //! [`ShardedServer`], and the per-shard admission gate (not the accept
-//! loop) is what bounds concurrent work. A `shutdown` request on any
-//! connection stops the accept loop; already-open connections are drained
+//! loop) is what bounds concurrent work. The accept loop blocks in
+//! `accept`, so a new connection is served the moment it arrives. A
+//! `shutdown` request on any connection raises a flag and wakes the loop
+//! by connecting once to the listener; already-open connections are drained
 //! before the listener returns.
 
 use crate::ShardedServer;
 use privcluster_engine::serve_lines_with;
 use std::io::BufReader;
-use std::net::{TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -26,7 +28,24 @@ pub fn serve_stdio(server: &ShardedServer) -> std::io::Result<()> {
     .map(|_| ())
 }
 
-fn serve_connection(server: &ShardedServer, stream: TcpStream, shutdown: &AtomicBool) {
+/// A `shutdown` seen on some connection, and how to tell the accept loop.
+struct Stop {
+    requested: AtomicBool,
+    /// The listener's own address, with an unspecified IP replaced by
+    /// loopback: connecting there returns a blocked `accept`.
+    wake: SocketAddr,
+}
+
+impl Stop {
+    fn request(&self) {
+        self.requested.store(true, Ordering::Release);
+        if let Err(e) = TcpStream::connect(self.wake) {
+            eprintln!("privcluster-server: cannot wake the accept loop: {e}");
+        }
+    }
+}
+
+fn serve_connection(server: &ShardedServer, stream: TcpStream, stop: &Stop) {
     // Latency measurements at this request size are dominated by Nagle
     // delays unless disabled; correctness does not depend on it.
     let _ = stream.set_nodelay(true);
@@ -38,7 +57,7 @@ fn serve_connection(server: &ShardedServer, stream: TcpStream, shutdown: &Atomic
         }
     };
     match serve_lines_with(reader, &stream, |line| server.handle_line(line)) {
-        Ok(true) => shutdown.store(true, Ordering::Release),
+        Ok(true) => stop.request(),
         Ok(false) => {}
         Err(e) => eprintln!("privcluster-server: connection ended with error: {e}"),
     }
@@ -51,34 +70,43 @@ fn serve_connection(server: &ShardedServer, stream: TcpStream, shutdown: &Atomic
 pub fn serve_tcp(
     server: &Arc<ShardedServer>,
     addr: &str,
-    on_bound: impl FnOnce(std::net::SocketAddr),
+    on_bound: impl FnOnce(SocketAddr),
 ) -> std::io::Result<()> {
     let listener = TcpListener::bind(addr)?;
-    on_bound(listener.local_addr()?);
-    // Non-blocking accept so the loop can notice a shutdown requested on a
-    // worker thread; 2 ms of poll latency is invisible next to connection
-    // setup.
-    listener.set_nonblocking(true)?;
-    let shutdown = Arc::new(AtomicBool::new(false));
+    let bound = listener.local_addr()?;
+    on_bound(bound);
+    let mut wake = bound;
+    if wake.ip().is_unspecified() {
+        wake.set_ip(match wake {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    let stop = Arc::new(Stop {
+        requested: AtomicBool::new(false),
+        wake,
+    });
     let mut workers: Vec<std::thread::JoinHandle<()>> = Vec::new();
-    while !shutdown.load(Ordering::Acquire) {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let _ = stream.set_nonblocking(false);
+    for stream in listener.incoming() {
+        // The connection that woke the loop after a shutdown (or one that
+        // raced it) is closed unserved.
+        if stop.requested.load(Ordering::Acquire) {
+            break;
+        }
+        match stream {
+            Ok(stream) => {
                 let server = Arc::clone(server);
-                let shutdown = Arc::clone(&shutdown);
+                let stop = Arc::clone(&stop);
                 // Dropping a finished connection's handle detaches its
                 // thread, which frees the thread's stack; kept until
                 // shutdown, every handle would hold one stack mapping.
                 workers.retain(|w| !w.is_finished());
                 workers.push(std::thread::spawn(move || {
-                    serve_connection(&server, stream, &shutdown)
+                    serve_connection(&server, stream, &stop)
                 }));
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(2));
-            }
             Err(e) => {
+                // Out of descriptors, say: back off instead of spinning.
                 eprintln!("privcluster-server: accept failed: {e}");
                 std::thread::sleep(Duration::from_millis(2));
             }

@@ -17,9 +17,10 @@ fn server() -> ShardedServer {
     ShardedServer::new(vec![engine], 0)
 }
 
-/// `server`'s response to one parsed request.
+/// `server`'s response to one parsed request (a copy of it: `handle`
+/// takes its request by value, and the tests send some twice).
 fn handle(server: &ShardedServer, request: &Request) -> Value {
-    server.handle(request).0
+    server.handle(request.clone()).0
 }
 
 /// `server`'s serve loop over `reader`, answering into `writer`.
