@@ -13,10 +13,12 @@
 //! Two groups take the batch's set-up apart: `engine_register_exact` times
 //! an exact-backend registration alone, and `engine_first_l_profile` the
 //! first `L` profile a fresh exact index builds for GoodRadius (its grid
-//! profile), the work a batch's first query on a new dataset waits for.
-//! `engine_warm_good_radius` times what every later query pays: one
-//! GoodRadius run against a profile already cached. `engine_parse_register`
-//! times the wire parse of a registration line before any of that.
+//! profile), the work a batch's first query on a new dataset waits for; its
+//! `projected_n20000` row does the same on a fresh projected backend, whose
+//! build `engine_projected_build` times. `engine_warm_good_radius` times
+//! what every later query pays: one GoodRadius run against a profile
+//! already cached. `engine_parse_register` times the wire parse of a
+//! registration line before any of that.
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use privcluster_core::{good_radius_with_index, GoodRadiusConfig};
@@ -24,7 +26,7 @@ use privcluster_datagen::planted_ball_cluster;
 use privcluster_dp::composition::CompositionMode;
 use privcluster_dp::PrivacyParams;
 use privcluster_engine::{BackendChoice, Engine, EngineConfig, Query, QueryRequest, Request};
-use privcluster_geometry::{Dataset, GeometryIndex, GridDomain};
+use privcluster_geometry::{Dataset, GeometryBackend, GeometryIndex, GridDomain, ProjectedBackend};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::time::Duration;
@@ -149,7 +151,9 @@ fn bench_engine_register_exact(c: &mut Criterion) {
 /// t = n/2): the pair-counting pass and sweep the first GoodRadius query on
 /// a newly registered dataset waits for. The index is built in set-up; the
 /// profile build runs on the calling thread and reads no thread count, so
-/// one row covers it.
+/// one row covers it. `projected_n20000` is the same first build on a
+/// fresh projected backend of `projected_large(20_000)` with t = n/4, the
+/// service benchmark's `projected-large` cap.
 fn bench_first_l_profile(c: &mut Criterion) {
     let mut group = c.benchmark_group("engine_first_l_profile");
     let n = 1000usize;
@@ -161,7 +165,60 @@ fn bench_first_l_profile(c: &mut Criterion) {
             BatchSize::PerIteration,
         )
     });
+    let n = 20_000usize;
+    let (data, domain) = projected_large(n, 42);
+    group.bench_function(format!("projected_n{n}"), |b| {
+        b.iter_batched(
+            || ProjectedBackend::build_default(&data),
+            |backend| backend.grid_profile(n / 4, &domain).segment_starts().len(),
+            BatchSize::PerIteration,
+        )
+    });
     group.finish();
+}
+
+/// `ProjectedBackend::build_default` of `projected_large(20_000)`: the
+/// projection, the search for the finest cell width within the bucket
+/// budget, and the bucketing a projected registration pays.
+fn bench_projected_build(c: &mut Criterion) {
+    let mut group = c.benchmark_group("engine_projected_build");
+    let n = 20_000usize;
+    let (data, _) = projected_large(n, 42);
+    group.bench_function(format!("n{n}"), |b| {
+        b.iter(|| ProjectedBackend::build_default(&data).len())
+    });
+    group.finish();
+}
+
+/// `n` points shaped like the service benchmark's `projected-large`
+/// datasets: two discs of radius 0.04 holding 45% of the points each, the
+/// rest uniform in the unit square, all snapped to its 1,025-value grid and
+/// sorted by x then y.
+fn projected_large(n: usize, seed: u64) -> (Dataset, GridDomain) {
+    let domain = GridDomain::unit_cube(2, 1025).unwrap();
+    let mut rng = StdRng::seed_from_u64(seed);
+    let centers: Vec<[f64; 2]> = (0..2)
+        .map(|_| [0.2 + 0.6 * rng.gen::<f64>(), 0.2 + 0.6 * rng.gen::<f64>()])
+        .collect();
+    let per_disc = n * 45 / 100;
+    let mut points: Vec<[f64; 2]> = (0..n)
+        .map(|i| {
+            let p = match centers.get(i / per_disc) {
+                Some(center) => loop {
+                    let dx = (2.0 * rng.gen::<f64>() - 1.0) * 0.04;
+                    let dy = (2.0 * rng.gen::<f64>() - 1.0) * 0.04;
+                    if dx * dx + dy * dy <= 0.04 * 0.04 {
+                        break [center[0] + dx, center[1] + dy];
+                    }
+                },
+                None => [rng.gen::<f64>(), rng.gen::<f64>()],
+            };
+            p.map(|c| (c.clamp(0.0, 1.0) * 1024.0).round() / 1024.0)
+        })
+        .collect();
+    points.sort_by(|a, b| a[0].total_cmp(&b[0]).then(a[1].total_cmp(&b[1])));
+    let rows = points.iter().map(|p| p.to_vec()).collect();
+    (Dataset::from_rows(rows).unwrap(), domain)
 }
 
 /// `n` off-grid points in the unit square, a third of them uniform in a
@@ -351,7 +408,7 @@ criterion_group! {
     name = benches;
     config = config();
     targets = bench_engine_throughput, bench_engine_register_exact, bench_first_l_profile,
-        bench_warm_good_radius, bench_engine_repeated_queries, bench_engine_backend_scaling,
-        bench_parse_register
+        bench_projected_build, bench_warm_good_radius, bench_engine_repeated_queries,
+        bench_engine_backend_scaling, bench_parse_register
 }
 criterion_main!(benches);

@@ -8,10 +8,10 @@
 //! grid computes all `n(n+1)/2` pair distances (`O(n²·d + G)` time for `G`
 //! grid radii) and holds 12 transient bytes per pair within the radius
 //! where `L` saturates: a hard scaling cliff, and it takes at most
-//! [`MAX_EXACT_POINTS`](crate::grid_profile::MAX_EXACT_POINTS) points,
-//! 65,536. The paper's own remedy (§4) is to give up exactness:
-//! Johnson–Lindenstrauss-project to `k = O(log n)` dimensions and reason
-//! about *coarse spatial buckets* instead of individual points.
+//! [`MAX_EXACT_POINTS`] points, 65,536. The paper's own remedy (§4) is to
+//! give up exactness: Johnson–Lindenstrauss-project to `k = O(log n)`
+//! dimensions and reason about *coarse spatial buckets* instead of
+//! individual points.
 //!
 //! [`GeometryBackend`] abstracts over the two regimes so the solvers in
 //! `privcluster-core` and the engine's planner never branch on which one
@@ -23,24 +23,28 @@
 //!   JL-projected ([`JlTransform`], Lemma 4.10), bucketed by a shifted-grid
 //!   [`BoxPartition`] (the step-3a machinery of GoodCenter) whose cell
 //!   width is the smallest that keeps the occupied-bucket count below a
-//!   budget `B = O(√n)`, and every query is answered from the **sorted
-//!   per-bucket distance samples** between bucket representatives, each
-//!   weighted by its bucket's occupancy. Build cost is `O(n d k + B² log B)`
-//!   time and `O(n + B²)` memory — it never materialises an `n × n`
+//!   budget `B = O(√n)`, and every query is answered from the buckets'
+//!   **weighted sites**: each representative's projected coordinates,
+//!   weighted by its bucket's occupancy. Build cost is `O(n·d·k)` time for
+//!   the projection (none when it is the identity) and `O(n·k)` per
+//!   candidate cell width, and it keeps `O(n + B)`: a bucket id per point
+//!   and `B` sites, no `B²` samples. It never materialises an `n × n`
 //!   structure (pinned by `distance::debug_build_count` in tests). Its grid
-//!   profile samples that weighted `L` profile onto the radius grid.
+//!   profile is the weighted ball count over the sites at each quarter
+//!   radius, one `O(B²·k)` pass ([`crate::grid_profile`]).
 //!
 //! The solvers and the engine read only [`GeometryBackend::grid_profile`],
 //! [`GeometryBackend::len`] and [`GeometryBackend::kind`] (plus
 //! [`GeometryBackend::rebuild_for`] between k-cluster rounds), so the exact
 //! backend never fills its sorted rows while serving (pinned by
 //! `distance::debug_rows_build_count` in the engine's `index_reuse` test).
-//! [`GeometryBackend::l_profile`] is the uncached breakpoint profile. The
-//! projected backend's grid profile samples it. The exact backend's is the
-//! ball count
+//! Both backends' grid profiles are the one weighted counting pass of
+//! [`crate::grid_profile`]: the exact backend's over its points, one each,
+//! which is the ball count
 //! [`BallCounter::l_value`](crate::ball_count::BallCounter::l_value) at
-//! each quarter radius, which near a quarter radius can differ from the
-//! breakpoint profile's tolerance groups (see [`crate::grid_profile`]).
+//! each quarter radius. [`GeometryBackend::l_profile`] is the uncached
+//! breakpoint profile, a reference no query reads; near a breakpoint its
+//! tolerance groups can differ from the ball count.
 //!
 //! # Approximation contract
 //!
@@ -53,12 +57,12 @@
 //!
 //! ```text
 //! B_{r − slack}(x_i)  ≤  ProjectedBackend::count_within(i, r)  ≤  B_{r + slack}(x_i)
-//! L(r − slack, S)     ≤  l_profile.value_at(r)                ≤  L(r + slack, S)
+//! L(r − slack, S)     ≤  grid_profile.value(j)                ≤  L(r + slack, S)   (r = ρ_j)
 //! ```
 //!
 //! (up to the boundary window of the unified tolerance [`tol`], which both
-//! sides share; the grid profile reads the second line's middle term at
-//! the grid radii). When the JL transform is the identity — whenever the
+//! sides share; the breakpoint `l_profile` keeps the second line too). When
+//! the JL transform is the identity — whenever the
 //! source dimension is already `O(log n)`, the common low-dimensional case —
 //! projected space *is* the input space and the bracket holds verbatim;
 //! this is what `tests/geometry_properties.rs` property-checks. When a real
@@ -71,10 +75,10 @@
 //! ([`ProjectedConfig::seed`]), so the same dataset always produces the
 //! bit-identical backend at any thread count.
 
-use crate::ball_count::{LProfile, TopSumTree};
+use crate::ball_count::{LProfile, WeightedCounts};
 use crate::dataset::Dataset;
 use crate::domain::GridDomain;
-use crate::grid_profile::GridProfile;
+use crate::grid_profile::{self, GridProfile, MAX_EXACT_POINTS};
 use crate::index::{GeometryIndex, ProfileCache};
 use crate::jl::JlTransform;
 use crate::partition::BoxPartition;
@@ -83,6 +87,7 @@ use crate::sync::lock_recover;
 use crate::tol;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
@@ -130,8 +135,8 @@ pub trait GeometryBackend: std::fmt::Debug + Send + Sync {
     /// LRU, see [`crate::index::MAX_CACHED_PROFILES`]). On the exact
     /// backend it is
     /// [`BallCounter::l_value`](crate::ball_count::BallCounter::l_value) at
-    /// each quarter radius, bit for bit; on the projected backend,
-    /// [`GridProfile::sample`] of [`GeometryBackend::l_profile`].
+    /// each quarter radius, bit for bit; on the projected backend, the
+    /// weighted ball count over its bucket sites there.
     ///
     /// # Panics
     /// Panics if `cap == 0`.
@@ -191,8 +196,9 @@ impl GeometryBackend for GeometryIndex {
 pub struct ProjectedConfig {
     /// Upper bound on occupied buckets `B`. The grid is refined to the
     /// smallest cell width whose occupied-cell count stays within this
-    /// budget, so per-backend memory is `O(B²)` and profile builds cost
-    /// `O(B² log B)`. `None` → `4·⌈√n⌉` clamped to `[32, 4096]`.
+    /// budget, so profile builds cost `O(B²·k)`. `None` → `4·⌈√n⌉` clamped
+    /// to `[32, 4096]`; any budget is clamped to at most
+    /// [`MAX_EXACT_POINTS`], the most sites a profile takes.
     pub max_buckets: Option<usize>,
     /// Projected dimension `k`. `None` → [`JlTransform::backend_target_dim`]
     /// (`O(log n)`, capped at the source dimension — at or above which the
@@ -215,21 +221,9 @@ impl Default for ProjectedConfig {
     }
 }
 
-/// Sorted distance sample of one bucket: distances from the bucket's
-/// representative to every bucket's representative, merged at the unified
-/// tolerance, with cumulative bucket weights.
-#[derive(Debug)]
-struct SampleRow {
-    /// Ascending, tolerance-deduplicated representative distances.
-    dists: Vec<f64>,
-    /// `cum_weights[j]` = total occupancy of buckets whose representative
-    /// lies within `dists[j]` (same grouping as `dists`).
-    cum_weights: Vec<usize>,
-}
-
 /// The sub-quadratic backend: JL projection, shifted-grid bucketing, and
-/// weighted sorted per-bucket distance samples. See the module docs for the
-/// cost model and approximation contract.
+/// one weighted site per bucket. See the module docs for the cost model and
+/// approximation contract.
 #[derive(Debug)]
 pub struct ProjectedBackend {
     n: usize,
@@ -246,7 +240,9 @@ pub struct ProjectedBackend {
     /// Bucket id → representative input-point index (the bucket's
     /// lowest-index member, so representatives are always input points).
     reps: Vec<usize>,
-    rows: Vec<SampleRow>,
+    /// Bucket id → its representative's projected coordinates: the site
+    /// every member of the bucket is counted at.
+    sites: Vec<Point>,
     profiles: Mutex<ProfileCache>,
 }
 
@@ -267,38 +263,38 @@ impl ProjectedBackend {
             .target_dim
             .unwrap_or_else(|| JlTransform::backend_target_dim(n, d))
             .clamp(1, d);
-        let transform = if k >= d {
-            JlTransform::identity(d)
+        // The identity embedding moves no coordinate (it could only flip
+        // the sign of a zero), so it borrows the dataset's points.
+        let projected: Cow<[Point]> = if k >= d {
+            Cow::Borrowed(data.points())
         } else {
-            JlTransform::sample(d, k, &mut rng).expect("both JL dimensions are positive")
+            let transform =
+                JlTransform::sample(d, k, &mut rng).expect("both JL dimensions are positive");
+            data.iter()
+                .map(|p| transform.project(p).expect("dataset dimension matches"))
+                .collect()
         };
-        let projected: Vec<Point> = data
-            .iter()
-            .map(|p| transform.project(p).expect("dataset dimension matches"))
-            .collect();
-        let kdim = transform.output_dim();
 
         let max_buckets = config
             .max_buckets
             .unwrap_or_else(|| default_max_buckets(n))
-            .max(1);
-        let (partition, cell_width) = choose_partition(&projected, kdim, max_buckets, &mut rng);
+            .clamp(1, MAX_EXACT_POINTS);
+        let (partition, cell_width) = choose_partition(&projected, k, max_buckets, &mut rng);
 
         // Bucket in input order: bucket ids, representatives (= the first
         // member seen, hence an input point) and occupancies are all
         // independent of any thread schedule.
-        let mut cell_to_bucket: HashMap<Vec<i64>, u32> = HashMap::new();
+        let cells = partition.cells_of(&projected);
+        let mut cell_to_bucket: HashMap<&[i64], u32> = HashMap::new();
         let mut bucket_of: Vec<u32> = Vec::with_capacity(n);
         let mut reps: Vec<usize> = Vec::new();
         let mut weights: Vec<usize> = Vec::new();
-        for (i, p) in projected.iter().enumerate() {
-            let id = *cell_to_bucket
-                .entry(partition.cell_of(p))
-                .or_insert_with(|| {
-                    reps.push(i);
-                    weights.push(0);
-                    (reps.len() - 1) as u32
-                });
+        for (i, cell) in cells.chunks_exact(k).enumerate() {
+            let id = *cell_to_bucket.entry(cell).or_insert_with(|| {
+                reps.push(i);
+                weights.push(0);
+                (reps.len() - 1) as u32
+            });
             weights[id as usize] += 1;
             bucket_of.push(id);
         }
@@ -306,59 +302,30 @@ impl ProjectedBackend {
         // Realised displacement: how far any point sits from its bucket's
         // representative (projected space). This, not the a-priori
         // `cell_width·√k`, is what the slack contract advertises.
-        let mut displacement = 0.0f64;
-        for (i, p) in projected.iter().enumerate() {
-            let rep = &projected[reps[bucket_of[i] as usize]];
-            displacement = displacement.max(p.distance(rep));
-        }
-
-        // Sorted per-bucket distance samples between representatives,
-        // weighted by occupancy and merged at the unified tolerance — the
-        // same grouping `l_profile`'s sweep and breakpoint dedup use, so
-        // counts and profile values can never disagree about a tie.
-        let b = reps.len();
-        let mut rows: Vec<SampleRow> = Vec::with_capacity(b);
-        for a in 0..b {
-            let rep_a = &projected[reps[a]];
-            let mut pairs: Vec<(f64, usize)> = (0..b)
-                .map(|other| (rep_a.distance(&projected[reps[other]]), weights[other]))
-                .collect();
-            pairs.sort_by(|x, y| x.0.total_cmp(&y.0));
-            let mut dists: Vec<f64> = Vec::with_capacity(b);
-            let mut cum_weights: Vec<usize> = Vec::with_capacity(b);
-            let mut total = 0usize;
-            for (dist, w) in pairs {
-                total += w;
-                match dists.last() {
-                    Some(&last) if tol::same_distance(last, dist) => {
-                        *cum_weights.last_mut().expect("last exists") = total;
-                    }
-                    _ => {
-                        dists.push(dist);
-                        cum_weights.push(total);
-                    }
-                }
-            }
-            rows.push(SampleRow { dists, cum_weights });
-        }
+        let sites: Vec<Point> = reps.iter().map(|&i| projected[i].clone()).collect();
+        let displacement = projected
+            .iter()
+            .zip(&bucket_of)
+            .map(|(p, &id)| p.distance(&sites[id as usize]))
+            .fold(0.0f64, f64::max);
 
         ProjectedBackend {
             n,
             config,
-            projected_dim: kdim,
+            projected_dim: k,
             cell_width,
             displacement,
             bucket_of,
             weights,
             reps,
-            rows,
+            sites,
             profiles: Mutex::new(ProfileCache::default()),
         }
     }
 
     /// Number of occupied buckets `B`.
     pub fn bucket_count(&self) -> usize {
-        self.rows.len()
+        self.sites.len()
     }
 
     /// The adopted grid cell width.
@@ -389,44 +356,56 @@ impl ProjectedBackend {
     }
 
     /// `B_r(x_i)` as this backend approximates it: the occupancy of every
-    /// bucket whose representative lies within `r` of point `i`'s. The
+    /// bucket whose site lies within `r` of point `i`'s, `O(B·k)`. The
     /// per-point side of the approximation contract (module docs); no
     /// query reads it.
     pub fn count_within(&self, i: usize, r: f64) -> usize {
         if r < 0.0 || self.n == 0 {
             return 0;
         }
-        let row = &self.rows[self.bucket_of[i] as usize];
-        let idx = row.dists.partition_point(|&d| tol::within_radius(d, r));
-        if idx == 0 {
-            0
-        } else {
-            row.cum_weights[idx - 1]
-        }
+        let site = &self.sites[self.bucket_of[i] as usize];
+        self.sites
+            .iter()
+            .zip(&self.weights)
+            .filter(|(other, _)| tol::within_radius(site.distance(other), r))
+            .map(|(_, &weight)| weight)
+            .sum()
     }
 
-    /// The weighted analogue of `BallCounter::l_profile`: the `B²`
-    /// representative-pair events, each carrying its target bucket's
-    /// occupancy, swept in distance order while a [`TopSumTree`] maintains
+    /// The reference breakpoint profile, the weighted analogue of
+    /// `BallCounter::l_profile`: each site's distances to every site,
+    /// sorted and merged at the unified tolerance (a group counts from its
+    /// smallest member on), give `B²` events carrying their group's
+    /// occupancy, swept in distance order while [`WeightedCounts`] keeps
     /// the sum of the `t` largest capped per-point counts (every member of
-    /// a bucket shares its representative's count, so a bucket enters the
-    /// multiset with its occupancy as multiplicity). `O(B² log B²)`.
+    /// a bucket shares its site's count, so a bucket enters the multiset
+    /// with its occupancy as multiplicity). `O(B² log B²)` time and `B²`
+    /// events of memory; no query reads it.
     fn build_profile(&self, cap: usize) -> LProfile {
         assert!(cap >= 1, "cap t must be at least 1");
-        let b = self.rows.len();
+        let b = self.sites.len();
         let mut events: Vec<(f64, u32, u32)> = Vec::with_capacity(b * b);
-        for (a, row) in self.rows.iter().enumerate() {
-            let mut prev = 0usize;
-            for (j, &d) in row.dists.iter().enumerate() {
-                let w = row.cum_weights[j] - prev;
-                prev = row.cum_weights[j];
-                events.push((d, a as u32, w as u32));
+        let mut row: Vec<(f64, usize)> = Vec::with_capacity(b);
+        for (a, site) in self.sites.iter().enumerate() {
+            row.clear();
+            row.extend(
+                self.sites
+                    .iter()
+                    .zip(&self.weights)
+                    .map(|(other, &weight)| (site.distance(other), weight)),
+            );
+            row.sort_by(|x, y| x.0.total_cmp(&y.0));
+            let start = events.len();
+            for &(d, weight) in &row {
+                match events[start..].last_mut() {
+                    Some(group) if tol::same_distance(group.0, d) => group.2 += weight as u32,
+                    _ => events.push((d, a as u32, weight as u32)),
+                }
             }
         }
         events.sort_by(|x, y| x.0.total_cmp(&y.0));
 
-        let mut counts = vec![0usize; b];
-        let mut tree = TopSumTree::new(cap);
+        let mut counts = WeightedCounts::new(&self.weights, cap);
         let mut breakpoints = Vec::new();
         let mut values = Vec::new();
         let mut idx = 0usize;
@@ -434,21 +413,11 @@ impl ProjectedBackend {
             let d = events[idx].0;
             while idx < events.len() && tol::same_distance(events[idx].0, d) {
                 let (_, a, w) = events[idx];
-                let a = a as usize;
-                let old = counts[a];
-                if old < cap {
-                    let new = (old + w as usize).min(cap);
-                    let multiplicity = self.weights[a] as i64;
-                    if old > 0 {
-                        tree.update(old, -multiplicity);
-                    }
-                    tree.update(new, multiplicity);
-                    counts[a] = new;
-                }
+                counts.raise(a as usize, w as usize);
                 idx += 1;
             }
             breakpoints.push(d);
-            values.push(tree.top_sum(cap) as f64 / cap as f64);
+            values.push(counts.top_sum() as f64 / cap as f64);
         }
         LProfile::from_parts(breakpoints, values)
     }
@@ -466,7 +435,7 @@ impl GeometryBackend for ProjectedBackend {
     fn grid_profile(&self, cap: usize, domain: &GridDomain) -> Arc<GridProfile> {
         // Same single-flight slot discipline as GeometryIndex.
         ProfileCache::get_or_build(&self.profiles, cap, domain, || {
-            GridProfile::sample(&self.build_profile(cap), domain)
+            grid_profile::count_pairs(&self.sites, Some(&self.weights), cap, domain).0
         })
     }
 
@@ -494,7 +463,9 @@ fn default_max_buckets(n: usize) -> usize {
 /// within `max_buckets`: start at twice the projected extent (a handful of
 /// cells), coarsen if even that overflows, then repeatedly halve the width
 /// while the budget holds. Each candidate draws fresh per-axis shifts from
-/// the deterministic stream, so the choice is reproducible.
+/// the deterministic stream, so the choice is reproducible. A refining
+/// candidate's count stops once past the budget; the others are counted in
+/// full, since the refining loop compares them with `n`.
 fn choose_partition(
     projected: &[Point],
     kdim: usize,
@@ -519,16 +490,17 @@ fn choose_partition(
     let mut width = extent * 2.0;
     let mut partition =
         BoxPartition::random_cubes(kdim, width, rng).expect("positive finite width");
-    let mut occupied = occupied_cells(&partition, projected);
+    let n = projected.len();
+    let mut occupied = partition.occupied_cell_count(projected, n);
     for _ in 0..64 {
         if occupied <= max_buckets {
             break;
         }
         width *= 2.0;
         partition = BoxPartition::random_cubes(kdim, width, rng).expect("positive finite width");
-        occupied = occupied_cells(&partition, projected);
+        occupied = partition.occupied_cell_count(projected, n);
     }
-    while occupied < projected.len() {
+    while occupied < n {
         let next = width / 2.0;
         // Never refine below a data-relative floor: once cells are ~1e-12
         // of the spread, further splitting only risks the i64 cell-index
@@ -537,7 +509,7 @@ fn choose_partition(
             break;
         }
         let candidate = BoxPartition::random_cubes(kdim, next, rng).expect("positive finite width");
-        let occ = occupied_cells(&candidate, projected);
+        let occ = candidate.occupied_cell_count(projected, max_buckets);
         if occ > max_buckets {
             break;
         }
@@ -548,16 +520,68 @@ fn choose_partition(
     (partition, width)
 }
 
-fn occupied_cells(partition: &BoxPartition, points: &[Point]) -> usize {
-    partition.occupied_cell_count(points)
-}
-
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::ball_count::BallCounter;
     use crate::distance::DistanceMatrix;
+    use crate::grid_profile::tests::pinning_quarters;
+    use proptest::prelude::{prop, Strategy};
     use rand::Rng;
+    use std::collections::HashSet;
+
+    /// `L(r)` over weighted sites by brute force: each site's count is the
+    /// weight within `r` of it, capped at `cap`, and `L` is the sum of the
+    /// `cap` largest counts, each site's taken as many times as its
+    /// weight, over `cap`.
+    pub(crate) fn weighted_ball_count(
+        sites: &[Point],
+        weights: &[usize],
+        cap: usize,
+        r: f64,
+    ) -> f64 {
+        let mut counts: Vec<(usize, usize)> = sites
+            .iter()
+            .zip(weights)
+            .map(|(x, &copies)| {
+                let within: usize = sites
+                    .iter()
+                    .zip(weights)
+                    .filter(|(y, _)| tol::within_radius(x.distance(y), r))
+                    .map(|(_, &w)| w)
+                    .sum();
+                (within.min(cap), copies)
+            })
+            .collect();
+        counts.sort_unstable_by_key(|&(count, _)| std::cmp::Reverse(count));
+        let (mut left, mut top) = (cap, 0);
+        for (count, copies) in counts {
+            let taken = copies.min(left);
+            top += taken * count;
+            left -= taken;
+        }
+        top as f64 / cap as f64
+    }
+
+    /// Checks `grid` against the weighted ball count over `backend`'s
+    /// sites, bit for bit, at each quarter index `q` of `quarters`.
+    pub(crate) fn assert_weighted_ball_count_at(
+        grid: &GridProfile,
+        backend: &ProjectedBackend,
+        cap: usize,
+        domain: &GridDomain,
+        quarters: impl IntoIterator<Item = u64>,
+    ) {
+        for q in quarters {
+            let r = domain.radius_from_index(q) / 2.0;
+            let brute = weighted_ball_count(&backend.sites, &backend.weights, cap, r);
+            assert_eq!(
+                grid.value(q).to_bits(),
+                brute.to_bits(),
+                "L(ρ_{q}) at cap {cap} on {domain:?}"
+            );
+        }
+    }
 
     fn clustered(n: usize) -> Dataset {
         // Two tight groups plus scattered background, deterministic.
@@ -759,7 +783,10 @@ mod tests {
         let a = backend.grid_profile(5, &domain);
         let b = backend.grid_profile(5, &domain);
         assert!(Arc::ptr_eq(&a, &b));
-        assert_eq!(*a, GridProfile::sample(&backend.l_profile(5), &domain));
+        let quarters = pinning_quarters(&a, &domain)
+            .into_iter()
+            .chain([1, 2, 3, 100]);
+        assert_weighted_ball_count_at(&a, &backend, 5, &domain, quarters);
         for cap in 1..=20 {
             let _ = backend.grid_profile(cap, &domain);
             assert!(backend.cached_profiles() <= crate::index::MAX_CACHED_PROFILES);
@@ -806,6 +833,147 @@ mod tests {
             // The shifted grid may split hairs; the run is still valid, we
             // just could not exercise the exact-equality arm.
             assert!(backend.bucket_count() <= data.len());
+        }
+    }
+    /// What the build chose before it keyed cells into one flat buffer: the
+    /// JL transform applied even when it is the identity, each point keyed
+    /// by its own `cell_of` vector, every candidate width's occupied cells
+    /// counted in full, and buckets found in a `HashMap<Vec<i64>, u32>`.
+    /// Returns the cell width, bucket ids, representatives, weights and
+    /// displacement.
+    fn per_point_buckets(
+        data: &Dataset,
+        config: ProjectedConfig,
+    ) -> (f64, Vec<u32>, Vec<usize>, Vec<usize>, f64) {
+        let n = data.len();
+        let d = data.dim().max(1);
+        let mut rng = StdRng::seed_from_u64(config.seed);
+        let k = config
+            .target_dim
+            .unwrap_or_else(|| JlTransform::backend_target_dim(n, d))
+            .clamp(1, d);
+        let transform = if k >= d {
+            JlTransform::identity(d)
+        } else {
+            JlTransform::sample(d, k, &mut rng).unwrap()
+        };
+        let projected: Vec<Point> = data.iter().map(|p| transform.project(p).unwrap()).collect();
+        let max_buckets = config
+            .max_buckets
+            .unwrap_or_else(|| default_max_buckets(n))
+            .max(1);
+        let occupied = |partition: &BoxPartition| {
+            let cells: HashSet<Vec<i64>> = projected.iter().map(|p| partition.cell_of(p)).collect();
+            cells.len()
+        };
+        let extent = projected
+            .iter()
+            .map(|p| {
+                p.coords()
+                    .iter()
+                    .zip(projected[0].coords())
+                    .map(|(a, b)| (a - b).abs())
+                    .fold(0.0f64, f64::max)
+            })
+            .fold(0.0f64, f64::max);
+        let (partition, width) = if n <= 1 || extent <= 0.0 {
+            (BoxPartition::aligned_cubes(k, 1.0).unwrap(), 1.0)
+        } else {
+            let mut width = extent * 2.0;
+            let mut partition = BoxPartition::random_cubes(k, width, &mut rng).unwrap();
+            let mut count = occupied(&partition);
+            for _ in 0..64 {
+                if count <= max_buckets {
+                    break;
+                }
+                width *= 2.0;
+                partition = BoxPartition::random_cubes(k, width, &mut rng).unwrap();
+                count = occupied(&partition);
+            }
+            while count < n {
+                let next = width / 2.0;
+                if !(next.is_finite() && next > extent * 1e-12) {
+                    break;
+                }
+                let candidate = BoxPartition::random_cubes(k, next, &mut rng).unwrap();
+                let candidate_count = occupied(&candidate);
+                if candidate_count > max_buckets {
+                    break;
+                }
+                (width, partition, count) = (next, candidate, candidate_count);
+            }
+            (partition, width)
+        };
+        let mut cell_to_bucket: HashMap<Vec<i64>, u32> = HashMap::new();
+        let (mut bucket_of, mut reps, mut weights) = (Vec::new(), Vec::new(), Vec::new());
+        for (i, p) in projected.iter().enumerate() {
+            let id = *cell_to_bucket
+                .entry(partition.cell_of(p))
+                .or_insert_with(|| {
+                    reps.push(i);
+                    weights.push(0);
+                    (reps.len() - 1) as u32
+                });
+            weights[id as usize] += 1;
+            bucket_of.push(id);
+        }
+        let displacement = (0..n)
+            .map(|i| projected[i].distance(&projected[reps[bucket_of[i] as usize]]))
+            .fold(0.0f64, f64::max);
+        (width, bucket_of, reps, weights, displacement)
+    }
+
+    /// Up to 60 rows in 1, 2, 3 or 24 dimensions (24 makes the JL
+    /// projection fire below n = 18), on a 1/8 grid, anywhere in the unit
+    /// cube, or copies of earlier rows; with a bucket budget of 1 to 3
+    /// (the coarsening loop runs whenever the first width splits the
+    /// data), at least `n`, or anything up to 64.
+    fn data_and_budget() -> impl Strategy<Value = (Dataset, usize)> {
+        let dims = (0usize..4).prop_map(|i| [1, 2, 3, 24][i]);
+        (dims, 1usize..60).prop_flat_map(|(dim, n)| {
+            let row = (0u8..3, prop::collection::vec(0.0f64..1.0, dim), 0usize..64);
+            let budget = (0u8..3, 1usize..64);
+            (prop::collection::vec(row, n), budget).prop_map(move |(specs, (kind, b))| {
+                let mut rows: Vec<Vec<f64>> = Vec::with_capacity(n);
+                for (kind, coords, copy) in specs {
+                    let row = match kind {
+                        0 => coords.iter().map(|c| (c * 8.0).floor() / 8.0).collect(),
+                        1 if !rows.is_empty() => rows[copy % rows.len()].clone(),
+                        _ => coords,
+                    };
+                    rows.push(row);
+                }
+                let budget = match kind {
+                    0 => 1 + b % 3,
+                    1 => n + b % 8,
+                    _ => b,
+                };
+                (Dataset::from_rows(rows).unwrap(), budget)
+            })
+        })
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// The flat cell keys, the capped counts and the borrowed identity
+        /// projection choose what per-point keying chose: the same cell
+        /// width, bucket ids, representatives, weights and displacement,
+        /// bit for bit.
+        #[test]
+        fn flat_keys_choose_the_per_point_buckets(case in data_and_budget()) {
+            let (data, budget) = case;
+            let config = ProjectedConfig {
+                max_buckets: Some(budget),
+                ..ProjectedConfig::default()
+            };
+            let backend = ProjectedBackend::build(&data, config);
+            let (width, bucket_of, reps, weights, displacement) = per_point_buckets(&data, config);
+            proptest::prop_assert_eq!(backend.cell_width.to_bits(), width.to_bits());
+            proptest::prop_assert_eq!(&backend.bucket_of, &bucket_of);
+            proptest::prop_assert_eq!(&backend.reps, &reps);
+            proptest::prop_assert_eq!(&backend.weights, &weights);
+            proptest::prop_assert_eq!(backend.displacement.to_bits(), displacement.to_bits());
         }
     }
 }

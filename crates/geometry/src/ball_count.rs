@@ -136,7 +136,7 @@ impl BallCounter {
     /// one `O(n²·d)` pass (see [`grid_profile`]). Panics past
     /// [`grid_profile::MAX_EXACT_POINTS`] points.
     pub fn grid_profile(&self, domain: &GridDomain) -> GridProfile {
-        grid_profile::count_pairs(self.dm.points(), self.cap, domain).0
+        grid_profile::count_pairs(self.dm.points(), None, self.cap, domain).0
     }
 
     /// Precomputes `L(r, S)` at every breakpoint in a single sweep.
@@ -230,12 +230,14 @@ impl TopCounts {
         self.sum as f64 / self.cap as f64
     }
 
-    /// Whether the sum has reached its largest possible value — the `t`
-    /// largest counts all at the cap, or every count at `n` when `t > n` —
-    /// so that no later raise can change it.
-    pub(crate) fn saturated(&self) -> bool {
-        let top = self.cap.min(self.counts.len()) as u64;
-        self.sum == top * top
+    /// The sum of the `t` largest counts.
+    pub(crate) fn sum(&self) -> u64 {
+        self.sum
+    }
+
+    /// How many counts there are, `n`.
+    pub(crate) fn len(&self) -> usize {
+        self.counts.len()
     }
 
     /// Raises count `i` by one unless it already sits at the cap.
@@ -311,13 +313,73 @@ impl LProfile {
     }
 }
 
+/// The capped counts of weighted sites and the sum of the `t` largest,
+/// each site's count taken as many times as its weight: the weighted
+/// sweeps' [`TopCounts`] (the grid profile over weighted sites, and the
+/// projected backend's reference breakpoint profile). A raise adds any
+/// number of points to a count at once, which `TopCounts`' one-step
+/// updates cannot express; it costs `O(log t)`, and the sum is a
+/// `TopSumTree` query, `O(log² t)`.
+#[derive(Debug)]
+pub(crate) struct WeightedCounts<'a> {
+    weights: &'a [usize],
+    cap: usize,
+    counts: Vec<usize>,
+    tree: TopSumTree,
+    points: usize,
+}
+
+impl<'a> WeightedCounts<'a> {
+    /// Every count zero, for sites of weights `weights` and cap `cap`.
+    pub(crate) fn new(weights: &'a [usize], cap: usize) -> Self {
+        let points = weights.iter().sum::<usize>();
+        WeightedCounts {
+            weights,
+            cap,
+            counts: vec![0; weights.len()],
+            // No count exceeds the total weight.
+            tree: TopSumTree::new(cap.min(points)),
+            points,
+        }
+    }
+
+    /// Site `i`'s weight.
+    pub(crate) fn weight(&self, i: usize) -> usize {
+        self.weights[i]
+    }
+
+    /// How many points the sites stand for: the total weight.
+    pub(crate) fn points(&self) -> usize {
+        self.points
+    }
+
+    /// Adds `by` points to site `i`'s count, up to the cap.
+    pub(crate) fn raise(&mut self, i: usize, by: usize) {
+        let old = self.counts[i];
+        if old >= self.cap {
+            return;
+        }
+        let new = (old + by).min(self.cap);
+        let copies = self.weights[i] as i64;
+        if old > 0 {
+            self.tree.update(old, -copies);
+        }
+        self.tree.update(new, copies);
+        self.counts[i] = new;
+    }
+
+    /// The sum of the `t` largest counts.
+    pub(crate) fn top_sum(&self) -> u64 {
+        self.tree.top_sum(self.cap)
+    }
+}
+
 /// A Fenwick-tree-backed multiset over integer values `1..=cap` supporting
-/// "sum of the largest `t` elements" queries, for the projected backend's
-/// weighted profile sweep: it moves whole buckets at once via
-/// [`TopSumTree::update`]'s multiplicity argument, which [`TopCounts`]'
-/// one-step updates cannot express.
+/// "sum of the largest `t` elements" queries: [`WeightedCounts`]' store,
+/// which moves a whole site at once via [`TopSumTree::update`]'s
+/// multiplicity argument.
 #[derive(Debug, Clone)]
-pub(crate) struct TopSumTree {
+struct TopSumTree {
     cap: usize,
     count_tree: Vec<usize>,
     sum_tree: Vec<u64>,
@@ -326,7 +388,7 @@ pub(crate) struct TopSumTree {
 }
 
 impl TopSumTree {
-    pub(crate) fn new(cap: usize) -> Self {
+    fn new(cap: usize) -> Self {
         TopSumTree {
             cap,
             count_tree: vec![0; cap + 1],
@@ -336,7 +398,7 @@ impl TopSumTree {
         }
     }
 
-    pub(crate) fn update(&mut self, value: usize, count_delta: i64) {
+    fn update(&mut self, value: usize, count_delta: i64) {
         debug_assert!(value >= 1 && value <= self.cap);
         let mut i = value;
         while i <= self.cap {
@@ -362,7 +424,7 @@ impl TopSumTree {
 
     /// Sum of the `t` largest elements currently stored (elements missing to
     /// reach `t` count as zero).
-    pub(crate) fn top_sum(&self, t: usize) -> u64 {
+    fn top_sum(&self, t: usize) -> u64 {
         if self.total_count <= t {
             return self.total_sum;
         }

@@ -16,42 +16,53 @@
 //! steps, which end where `L` reaches its largest value, not as long as the
 //! grid.
 //!
-//! Two functions build it:
+//! One pass builds it, over *weighted sites*: site `i` stands for `w_i`
+//! points at its coordinates. At `ρ_j` a site's count is the weight within
+//! `ρ_j` of it ([`tol::within_radius`]), capped at `t`, and `L(ρ_j)` is the
+//! sum of the `t` largest counts, each site's taken `w_i` times, over `t`.
 //!
-//! * [`BallCounter::grid_profile`](crate::ball_count::BallCounter::grid_profile),
-//!   the exact backend's, is the ball count itself: a pair `(x, y)` counts
-//!   at `ρ_j` exactly when [`tol::within_radius`]`(d(x, y), ρ_j)`, so
-//!   [`GridProfile::value`] at `j` is
-//!   [`BallCounter::l_value`](crate::ball_count::BallCounter::l_value)`(ρ_j)`
-//!   bit for bit, and Lemma 4.5's sensitivity bound holds of what is served.
-//!   One `O(n²·d)` pass finds each pair's distance and keys each pair it
-//!   keeps (see [the cut](#the-cut)) to the first quarter index whose ball
-//!   holds it: the estimate `⌊4d/ℓ⌋`, corrected against
-//!   [`tol::ball_threshold`]`(ρ_j)` computed on the fly. The kept pairs are
-//!   grouped by key, and the same `TopCounts` sweep as
-//!   [`BallCounter::l_profile`](crate::ball_count::BallCounter::l_profile)
-//!   reads `L` off after each key. With at most `max(P/16, 2^16)` keys for
-//!   `P` pairs, a counting sort groups them in 12 transient bytes per kept
-//!   pair (a 4-byte key, a 4-byte pair and a 4-byte slot of the key order).
-//!   On grids far finer than the data, such as `size` 2⁴⁰, the kept pairs
-//!   are sorted by key instead (16 bytes each). Nothing allocates per grid
-//!   radius. It takes at most [`MAX_EXACT_POINTS`] points, 65,536.
-//! * [`GridProfile::sample`] reads a breakpoint profile ([`LProfile`]), the
-//!   projected backend's weighted one, in one pass over its breakpoints,
-//!   galloping to each one's first quarter index. It allocates `O(min(G,
-//!   B))` for `B` breakpoints.
+//! * The exact backend's sites are its points, one each:
+//!   [`BallCounter::grid_profile`](crate::ball_count::BallCounter::grid_profile)
+//!   is then [`BallCounter::l_value`](crate::ball_count::BallCounter::l_value)`(ρ_j)`
+//!   bit for bit at each quarter index `j`, and Lemma 4.5's sensitivity
+//!   bound holds of what is served.
+//! * The projected backend's sites are its bucket representatives'
+//!   projected coordinates, weighted by their buckets' occupancies
+//!   ([`ProjectedBackend`](crate::backend::ProjectedBackend)).
+//!
+//! One `O(B²·d)` pass over `B` sites finds each pair's distance and keys
+//! each pair it keeps (see [the cut](#the-cut)) to the first quarter index
+//! whose ball holds it: the estimate `⌊4d/ℓ⌋`, corrected against
+//! [`tol::ball_threshold`]`(ρ_j)` computed on the fly. The kept pairs are
+//! grouped by key, and `L` is read off after each key: with unit weights by
+//! the same `O(1)`-per-pair `TopCounts` sweep as
+//! [`BallCounter::l_profile`](crate::ball_count::BallCounter::l_profile),
+//! with weights by a Fenwick tree over the counts (`WeightedCounts`),
+//! queried once per key. The Fenwick tree alone would serve both, but on
+//! unit weights its `O(log t)` raises and the cut's sorts took 3.4 times
+//! as long (median over 12 runs, 1,000 off-grid points, `t` = 500, on a
+//! 2-vCPU VM), so the exact backend keeps `TopCounts`. With at most `max(P/16, 2^16)` keys for `P` pairs, a
+//! counting sort groups them in 12 transient bytes per kept pair (a 4-byte
+//! key, a 4-byte pair and a 4-byte slot of the key order). On grids far
+//! finer than the data, such as `size` 2⁴⁰, the kept pairs are sorted by
+//! key instead (16 bytes each). Nothing allocates per grid radius. It takes
+//! at most [`MAX_EXACT_POINTS`] sites, 65,536.
 //!
 //! # The cut
 //!
-//! Let `m = min(t, n)` for cap `t`, and `ρ_m(x)` the distance from a point
-//! `x` to its `m`-th nearest point, itself included. The `m` points within
-//! `ρ_m(x)` of `x` lie pairwise within `2·ρ_m(x)`, so each has `m` points in
-//! its ball of that radius, and `L(r)` takes its largest value for every
-//! `r ≥ r* = 2·min_x ρ_m(x)` (§3.1). A pair farther apart than `r*`
-//! therefore changes `L` at no radius before it saturates. The counting
-//! pass takes `x` over every 16th row (one length-`n` selection each; the
-//! profile does not depend on which rows are tried, so choosing them from
-//! the data costs no privacy) and widens `r*` by `1 + 1e-9` for rounding.
+//! Let `m = min(t, n)` for cap `t` and `n` points (the sites' total
+//! weight), and `ρ_m(x)` the distance from a site `x` to its `m`-th nearest
+//! point, itself included: where the weight taken in distance order first
+//! reaches `m`. The `m` points within `ρ_m(x)` of `x` lie pairwise within
+//! `2·ρ_m(x)`, so each has `m` points in its ball of that radius, and `L(r)`
+//! takes its largest value for every `r ≥ r* = 2·min_x ρ_m(x)` (§3.1). A
+//! pair farther apart than `r*` therefore changes `L` at no radius before it
+//! saturates. The counting pass takes `x` over every 16th site, and with
+//! weights also the heaviest, so a site that alone stands for `m` points
+//! cuts at radius 0 (one length-`B` selection each with unit weights, one
+//! sort with weights; the profile does not depend on which sites are tried,
+//! so choosing them from the data costs no privacy), and widens `r*` by
+//! `1 + 1e-9` for rounding.
 //! Let `top` be the first quarter index whose ball holds `r*`, or the last
 //! index `2·(G − 1)` when none does. The pass keeps the pairs within
 //! `T(top) = ball_threshold(ρ_top)`, so every key up to `top` is complete;
@@ -60,7 +71,7 @@
 //! index (rounding), the pass runs again with `top` set to the last index.
 //! Pairs past `T` of the last index count at no index GoodRadius reads.
 
-use crate::ball_count::{LProfile, TopCounts};
+use crate::ball_count::{TopCounts, WeightedCounts};
 use crate::domain::GridDomain;
 use crate::point::Point;
 use crate::tol;
@@ -137,26 +148,6 @@ impl GridProfile {
     pub fn segment_starts(&self) -> &[u64] {
         &self.segment_starts
     }
-
-    /// Samples a breakpoint profile onto `domain`'s quarter grid, in one
-    /// pass over its breakpoints.
-    pub fn sample(profile: &LProfile, domain: &GridDomain) -> Self {
-        let last = last_quarter(domain);
-        let mut steps = Vec::new();
-        let mut from = 0;
-        for (&b, &value) in profile.breakpoints().iter().zip(profile.values()) {
-            // Breakpoints ascend, so each one's first quarter index is at or
-            // past the previous one's; past the grid, all later ones are.
-            match first_quarter_within(domain, b, from, last) {
-                Some(j) => {
-                    record(&mut steps, j, value);
-                    from = j;
-                }
-                None => break,
-            }
-        }
-        GridProfile::new(steps, domain)
-    }
 }
 
 /// The quarter-grid radius `ρ_j = radius_from_index(j) / 2`.
@@ -227,8 +218,8 @@ fn first_holding(holds: impl Fn(u64) -> bool, lo: u64, hi: u64, start: u64) -> u
     above
 }
 
-/// The most points the exact grid profile takes: a pair packs into 32 bits
-/// as `i << 16 | j`.
+/// The most sites a grid profile takes: a pair packs into 32 bits as
+/// `i << 16 | j`.
 pub const MAX_EXACT_POINTS: usize = 1 << 16;
 
 /// Grids of up to this many keys group pairs by a counting sort whatever
@@ -237,60 +228,74 @@ pub const MAX_EXACT_POINTS: usize = 1 << 16;
 /// pairs.
 const SMALL_TABLE: u64 = 1 << 16;
 
-/// The rows the cut's `ρ_m(x)` is taken at: every `PROBE_STRIDE`-th.
+/// The sites the cut's `ρ_m(x)` is taken at: every `PROBE_STRIDE`-th.
 const PROBE_STRIDE: usize = 16;
 
-/// `L(·, S)` on `domain`'s quarter grid with cap `cap` (≥ 1): at quarter
-/// index `j`, `BallCounter::l_value(ρ_j)` bit for bit. Also returns how
-/// many pairs the last pass kept within its cut (each point's pair with
-/// itself included).
+/// `L(·, S)` on `domain`'s quarter grid with cap `cap` (≥ 1), over `sites`
+/// where site `i` stands for `weights[i]` points (one each when `weights`
+/// is `None`): see the module docs. With unit weights it is
+/// `BallCounter::l_value(ρ_j)` at quarter index `j`, bit for bit. Also
+/// returns how many site pairs the last pass kept within its cut (each
+/// site's pair with itself included).
 ///
 /// # Panics
-/// Panics past [`MAX_EXACT_POINTS`] points.
+/// Panics past [`MAX_EXACT_POINTS`] sites.
 pub(crate) fn count_pairs(
-    points: &[Point],
+    sites: &[Point],
+    weights: Option<&[usize]>,
     cap: usize,
     domain: &GridDomain,
 ) -> (GridProfile, usize) {
-    let n = points.len();
+    let n = sites.len();
     assert!(
         n <= MAX_EXACT_POINTS,
-        "the exact grid profile takes at most {MAX_EXACT_POINTS} points, not {n}"
+        "a grid profile takes at most {MAX_EXACT_POINTS} sites, not {n}"
     );
-    // Coordinate `k` of every point, contiguous, so that each row's
+    // Coordinate `k` of every site, contiguous, so that each row's
     // distances are computed one coordinate at a time over all the later
-    // points (the same sum, in the same order, as `Point::distance`).
-    let dim = points.first().map_or(0, Point::dim);
+    // sites (the same sum, in the same order, as `Point::distance`).
+    let dim = sites.first().map_or(0, Point::dim);
     let columns: Vec<Vec<f64>> = (0..dim)
-        .map(|k| points.iter().map(|p| p.coords()[k]).collect())
+        .map(|k| sites.iter().map(|p| p.coords()[k]).collect())
         .collect();
     let last = last_quarter(domain);
-    let r_star = saturation_radius(&columns, n, cap);
+    let r_star = saturation_radius(&columns, n, weights, cap);
     let top = first_quarter_within(domain, r_star, 0, last).unwrap_or(last);
-    let (mut steps, mut kept, saturated) = count_up_to(&columns, n, cap, domain, top);
+    let count = |top| match weights {
+        None => count_up_to(&columns, n, cap, domain, top, TopCounts::new(n, cap)),
+        Some(weights) => {
+            let tally = WeightedCounts::new(weights, cap);
+            count_up_to(&columns, n, cap, domain, top, tally)
+        }
+    };
+    let (mut steps, mut kept, saturated) = count(top);
     if !saturated && top < last {
         // Rounding beyond the cut's margin: count every pair GoodRadius reads.
-        (steps, kept, _) = count_up_to(&columns, n, cap, domain, last);
+        (steps, kept, _) = count(last);
     }
     (GridProfile::new(steps, domain), kept)
 }
 
-/// The steps of `L` at quarter indices `0..=top` from the pairs within
-/// `T(top) = ball_threshold(ρ_top)`, how many pairs that kept, and whether
-/// `L` saturated by `top`.
+/// The steps of `L` at quarter indices `0..=top` from the site pairs within
+/// `T(top) = ball_threshold(ρ_top)`, counted into `tally`, how many pairs
+/// that kept, and whether `L` saturated by `top`.
 fn count_up_to(
     columns: &[Vec<f64>],
     n: usize,
     cap: usize,
     domain: &GridDomain,
     top: u64,
+    tally: impl Tally,
 ) -> (Vec<(u64, f64)>, usize, bool) {
     let cut = tol::ball_threshold(quarter_radius(domain, top));
     let per_unit = 4.0 / domain.grid_step();
     let key = |d: f64| quarter_key(domain, per_unit, d, top);
     let pairs = n * (n + 1) / 2;
+    let most = cap.min(tally.points()) as u64;
     let mut sweep = Sweep {
-        top: TopCounts::new(n, cap),
+        tally,
+        cap,
+        full: most * most,
         steps: Vec::new(),
     };
     let kept;
@@ -337,12 +342,12 @@ fn count_up_to(
             }
         }
     }
-    let saturated = sweep.top.saturated();
+    let saturated = sweep.tally.top_sum() == sweep.full;
     (sweep.steps, kept, saturated)
 }
 
-/// Calls `keep(d, i << 16 | j)` for each pair `i ≤ j` of the `n` points
-/// whose distance `d` is at most `cut`, each point's pair with itself
+/// Calls `keep(d, i << 16 | j)` for each pair `i ≤ j` of the `n` sites
+/// whose distance `d` is at most `cut`, each site's pair with itself
 /// included. A NaN distance (from a coordinate that is not finite) lies in
 /// no ball and is never kept.
 fn for_each_kept_pair(columns: &[Vec<f64>], n: usize, cut: f64, mut keep: impl FnMut(f64, u32)) {
@@ -387,37 +392,86 @@ fn quarter_key(domain: &GridDomain, per_unit: f64, d: f64, top: u64) -> u64 {
     )
 }
 
-/// `L` read off key by key, in ascending quarter index, with the same
-/// `TopCounts` sweep as `BallCounter::l_profile`.
-struct Sweep {
-    top: TopCounts,
+/// The sites' counts, raised pair by pair, and the sum of the `t` largest.
+trait Tally {
+    /// Puts each site of the pair `(a, b)` in the other's ball; a site's
+    /// pair with itself puts it in its own once.
+    fn pair(&mut self, a: usize, b: usize);
+    /// The sum of the `t` largest counts.
+    fn top_sum(&self) -> u64;
+    /// How many points the sites stand for.
+    fn points(&self) -> usize;
+}
+
+impl Tally for TopCounts {
+    fn pair(&mut self, a: usize, b: usize) {
+        self.increment(a);
+        if b != a {
+            self.increment(b);
+        }
+    }
+
+    fn top_sum(&self) -> u64 {
+        self.sum()
+    }
+
+    fn points(&self) -> usize {
+        self.len()
+    }
+}
+
+impl Tally for WeightedCounts<'_> {
+    fn pair(&mut self, a: usize, b: usize) {
+        self.raise(a, self.weight(b));
+        if b != a {
+            self.raise(b, self.weight(a));
+        }
+    }
+
+    fn top_sum(&self) -> u64 {
+        WeightedCounts::top_sum(self)
+    }
+
+    fn points(&self) -> usize {
+        WeightedCounts::points(self)
+    }
+}
+
+/// `L` read off key by key, in ascending quarter index.
+struct Sweep<T> {
+    tally: T,
+    cap: usize,
+    /// The largest top-`t` sum, `min(t, n)²`: `L` has saturated there.
+    full: u64,
     steps: Vec<(u64, f64)>,
 }
 
-impl Sweep {
+impl<T: Tally> Sweep<T> {
     /// Counts the pairs keyed to quarter index `j` and records `L` there;
     /// `true` once `L` has saturated, when no later key can change it.
     fn add(&mut self, j: u64, pairs: impl Iterator<Item = u32>) -> bool {
         for pair in pairs {
             let (a, b) = (pair >> 16, pair & 0xffff);
-            self.top.increment(a as usize);
-            if b != a {
-                self.top.increment(b as usize);
-            }
+            self.tally.pair(a as usize, b as usize);
         }
-        record(&mut self.steps, j, self.top.value());
-        self.top.saturated()
+        let sum = self.tally.top_sum();
+        record(&mut self.steps, j, sum as f64 / self.cap as f64);
+        sum == self.full
     }
 }
 
-/// The cut's `r*`: twice the least distance from a probed row (every
-/// [`PROBE_STRIDE`]-th) to its `min(cap, n)`-th nearest point, itself
-/// included, widened by `1 + 1e-9` for rounding; `+∞` without points.
-fn saturation_radius(columns: &[Vec<f64>], n: usize, cap: usize) -> f64 {
-    let nearest = cap.min(n);
+/// The cut's `r*`: twice the least distance from a probed site (every
+/// [`PROBE_STRIDE`]-th, and the heaviest when weighted) to its
+/// `min(cap, n)`-th nearest point, itself included, widened by `1 + 1e-9`
+/// for rounding; `+∞` without sites.
+fn saturation_radius(columns: &[Vec<f64>], n: usize, weights: Option<&[usize]>, cap: usize) -> f64 {
+    let points = weights.map_or(n, |w| w.iter().sum());
+    let nearest = cap.min(points);
+    let heaviest = weights.and_then(|w| (0..n).max_by_key(|&i| w[i]));
     let mut sums = vec![0.0f64; n];
+    let mut by_distance: Vec<(f64, usize)> = Vec::new();
     let mut least = f64::INFINITY;
-    for i in (0..n).step_by(PROBE_STRIDE) {
+    for i in (0..n).step_by(PROBE_STRIDE).chain(heaviest) {
         for (k, column) in columns.iter().enumerate() {
             let a = column[i];
             for (sum, &b) in sums.iter_mut().zip(column) {
@@ -425,15 +479,32 @@ fn saturation_radius(columns: &[Vec<f64>], n: usize, cap: usize) -> f64 {
                 *sum = if k == 0 { d * d } else { *sum + d * d };
             }
         }
-        let (_, &mut sum, _) = sums.select_nth_unstable_by(nearest - 1, f64::total_cmp);
+        let sum = match weights {
+            None => *sums.select_nth_unstable_by(nearest - 1, f64::total_cmp).1,
+            Some(weights) => {
+                // The weight taken in distance order first reaches `nearest`.
+                by_distance.clear();
+                by_distance.extend(sums.iter().copied().zip(weights.iter().copied()));
+                by_distance.sort_unstable_by(|a, b| a.0.total_cmp(&b.0));
+                let mut within = 0;
+                by_distance
+                    .iter()
+                    .find(|&&(_, w)| {
+                        within += w;
+                        within >= nearest
+                    })
+                    .map_or(f64::INFINITY, |&(sum, _)| sum)
+            }
+        };
         least = least.min(sum);
     }
     2.0 * least.sqrt() * (1.0 + 1e-9)
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::backend::tests::{assert_weighted_ball_count_at, weighted_ball_count};
     use crate::backend::{GeometryBackend, ProjectedBackend, ProjectedConfig};
     use crate::ball_count::tests::tie_heavy_dataset;
     use crate::ball_count::BallCounter;
@@ -442,24 +513,6 @@ mod tests {
     use proptest::prelude::{prop, Strategy};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
-
-    /// Checks `grid` against what GoodRadius read from the breakpoint
-    /// profile: `L(r_k)` and `L(r_k/2)` at every grid index `k`.
-    fn assert_matches_reference(grid: &GridProfile, reference: &LProfile, domain: &GridDomain) {
-        for k in 0..domain.radius_grid_len() {
-            let r = domain.radius_from_index(k);
-            assert_eq!(
-                grid.value(2 * k).to_bits(),
-                reference.value_at(r).to_bits(),
-                "L(r_{k}) on {domain:?}"
-            );
-            assert_eq!(
-                grid.value(k).to_bits(),
-                reference.value_at(r / 2.0).to_bits(),
-                "L(r_{k}/2) on {domain:?}"
-            );
-        }
-    }
 
     /// Checks `grid` against the ball count `bc.l_value(ρ_q)`, bit for bit,
     /// at each quarter index `q` of `quarters`.
@@ -483,7 +536,7 @@ mod tests {
     /// everywhere on the grid: 0, the last index, and every step with the
     /// index before it. Between two of them the profile is constant, and a
     /// monotone reference equal to it at both ends is too.
-    fn pinning_quarters(grid: &GridProfile, domain: &GridDomain) -> Vec<u64> {
+    pub(crate) fn pinning_quarters(grid: &GridProfile, domain: &GridDomain) -> Vec<u64> {
         let mut quarters = vec![0, last_quarter(domain)];
         for &(j, _) in &grid.steps {
             quarters.extend([j.saturating_sub(1), j]);
@@ -594,9 +647,10 @@ mod tests {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(200))]
 
         /// The exact backend's grid profile is the ball count
-        /// `BallCounter::l_value(ρ_q)` at every quarter index, and the
-        /// projected backend's reads exactly what GoodRadius read from its
-        /// breakpoint profile; both hold the segment check.
+        /// `BallCounter::l_value(ρ_q)` at every quarter index, and so is
+        /// the weighted pass given unit weights; the projected backend's is
+        /// the weighted ball count over its bucket sites (checked where it
+        /// steps and at a few fixed indices); both hold the segment check.
         #[test]
         fn grid_profile_is_the_ball_count_bit_for_bit(
             case in dataset_and_domain(),
@@ -616,12 +670,17 @@ mod tests {
             let grid = exact.grid_profile(cap, &domain);
             assert_ball_count_at(&grid, &exact.ball_counter(cap), &domain, 0..=last_quarter(&domain));
             assert_segments_hold(&grid, &domain);
+            let unit = count_pairs(data.points(), Some(&vec![1; n]), cap, &domain).0;
+            proptest::prop_assert_eq!(&unit, &*grid);
             let projected = ProjectedBackend::build(&data, ProjectedConfig {
                 max_buckets: Some(max_buckets),
                 ..ProjectedConfig::default()
             });
             let grid = projected.grid_profile(cap, &domain);
-            assert_matches_reference(&grid, &projected.l_profile(cap), &domain);
+            let last = last_quarter(&domain);
+            let fixed = [1, 2, 3, 4, last / 2, last.saturating_sub(1)];
+            let quarters = pinning_quarters(&grid, &domain).into_iter().chain(fixed);
+            assert_weighted_ball_count_at(&grid, &projected, cap, &domain, quarters);
             assert_segments_hold(&grid, &domain);
         }
     }
@@ -645,14 +704,14 @@ mod tests {
                 let columns: Vec<Vec<f64>> = (0..dim)
                     .map(|k| data.iter().map(|p| p.coords()[k]).collect())
                     .collect();
-                let r_star = saturation_radius(&columns, n, cap);
+                let r_star = saturation_radius(&columns, n, None, cap);
                 let top = first_quarter_within(&domain, r_star, 0, last_quarter(&domain));
                 assert!(
                     top.is_none_or(|top| top >= SMALL_TABLE),
                     "{top:?}: the dense path"
                 );
                 let bc = BallCounter::new(&data, cap);
-                let (grid, _) = count_pairs(data.points(), cap, &domain);
+                let (grid, _) = count_pairs(data.points(), None, cap, &domain);
                 assert_ball_count_at(&grid, &bc, &domain, pinning_quarters(&grid, &domain));
             }
         }
@@ -677,7 +736,7 @@ mod tests {
                 let data = Dataset::from_rows(rows).unwrap();
                 for cap in 1..=6 {
                     let bc = BallCounter::new(&data, cap);
-                    let (grid, _) = count_pairs(data.points(), cap, &domain);
+                    let (grid, _) = count_pairs(data.points(), None, cap, &domain);
                     let around =
                         (j.saturating_sub(2)..=j + 2).chain(pinning_quarters(&grid, &domain));
                     assert_ball_count_at(&grid, &bc, &domain, around);
@@ -702,7 +761,7 @@ mod tests {
         let points: Vec<Point> = rows.iter().map(|row| Point::new(row.to_vec())).collect();
         let domain = GridDomain::unit_cube(2, 5).unwrap();
         for cap in 1..=8 {
-            let (grid, _) = count_pairs(&points, cap, &domain);
+            let (grid, _) = count_pairs(&points, None, cap, &domain);
             for q in 0..=last_quarter(&domain) {
                 let r = quarter_radius(&domain, q);
                 let ball = |x: &Point| {
@@ -780,12 +839,41 @@ mod tests {
     #[test]
     fn empty_data_reads_zero_with_one_segment() {
         let domain = GridDomain::unit_cube(1, 9).unwrap();
-        let (counted, kept) = count_pairs(&[], 3, &domain);
-        assert_eq!(kept, 0);
-        assert_eq!(counted.value(0), 0.0);
-        assert_eq!(counted.segment_starts(), &[0]);
-        let sampled = GridProfile::sample(&LProfile::from_parts(Vec::new(), Vec::new()), &domain);
-        assert_eq!(counted, sampled);
+        for weights in [None, Some(&[][..])] {
+            let (counted, kept) = count_pairs(&[], weights, 3, &domain);
+            assert_eq!(kept, 0);
+            assert_eq!(counted.value(0), 0.0);
+            assert_eq!(counted.segment_starts(), &[0]);
+            assert_eq!(counted, GridProfile::new(Vec::new(), &domain));
+        }
+    }
+
+    /// A site that alone stands for `t` points saturates `L` at radius 0:
+    /// the cut probes the heaviest site, keeps only the pairs at distance
+    /// 0 (each site with itself here), and the profile is `t` from index
+    /// 0 on. One point fewer and the pass counts farther pairs.
+    #[test]
+    fn a_site_holding_t_points_cuts_at_radius_zero() {
+        let domain = GridDomain::unit_cube(2, 1025).unwrap();
+        let sites: Vec<Point> = (0..40)
+            .map(|i| Point::new(vec![(i % 7) as f64 / 7.0, (i / 7) as f64 / 7.0]))
+            .collect();
+        let cap = 200;
+        let mut weights = vec![3; sites.len()];
+        weights[23] = cap;
+        let (grid, kept) = count_pairs(&sites, Some(&weights), cap, &domain);
+        assert_eq!(kept, sites.len());
+        assert_eq!(grid.value(0), cap as f64);
+        assert_eq!(grid.segment_starts(), &[0]);
+        weights[23] = cap - 1;
+        let (grid, kept) = count_pairs(&sites, Some(&weights), cap, &domain);
+        assert!(kept > sites.len(), "kept {kept}");
+        let quarters = pinning_quarters(&grid, &domain);
+        for q in quarters {
+            let r = quarter_radius(&domain, q);
+            let brute = weighted_ball_count(&sites, &weights, cap, r);
+            assert_eq!(grid.value(q).to_bits(), brute.to_bits(), "L(ρ_{q})");
+        }
     }
 
     /// The cut applies where it should: on 1,000 off-grid points with a
@@ -811,7 +899,7 @@ mod tests {
             .collect();
         let data = Dataset::from_rows(rows).unwrap();
         let pairs = n * (n + 1) / 2;
-        let (counted, kept) = count_pairs(data.points(), 200, &domain);
+        let (counted, kept) = count_pairs(data.points(), None, 200, &domain);
         assert!(kept < pairs / 4, "kept {kept} of {pairs} pairs");
         let bc = BallCounter::new(&data, 200);
         assert_ball_count_at(&counted, &bc, &domain, pinning_quarters(&counted, &domain));

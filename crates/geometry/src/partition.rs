@@ -13,7 +13,7 @@ use crate::dataset::Dataset;
 use crate::error::GeometryError;
 use crate::point::Point;
 use rand::Rng;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 /// A partition of the real line into half-open intervals
 /// `[shift + j·width, shift + (j+1)·width)`, `j ∈ Z`.
@@ -134,12 +134,7 @@ impl BoxPartition {
 
     /// The integer index vector of the cell containing `p`.
     pub fn cell_of(&self, p: &Point) -> Vec<i64> {
-        debug_assert_eq!(p.dim(), self.dim());
-        self.axes
-            .iter()
-            .zip(p.coords().iter())
-            .map(|(axis, &c)| axis.cell_index(c))
-            .collect()
+        self.cells_of(std::slice::from_ref(p))
     }
 
     /// The axis-aligned box of a cell index vector.
@@ -171,16 +166,38 @@ impl BoxPartition {
         hist
     }
 
-    /// Number of distinct occupied cells among `points` — `O(n k)`, no
-    /// dataset required. The projected geometry backend probes candidate
-    /// cell widths with this while it searches for the finest grid whose
-    /// bucket count fits its budget.
-    pub fn occupied_cell_count(&self, points: &[Point]) -> usize {
-        let mut cells: std::collections::HashSet<Vec<i64>> = std::collections::HashSet::new();
+    /// The cell index vectors of `points`, one after another in one buffer:
+    /// point `i`'s [`BoxPartition::cell_of`] is `cells[i·k..(i + 1)·k]`.
+    pub fn cells_of(&self, points: &[Point]) -> Vec<i64> {
+        let mut cells = Vec::with_capacity(points.len() * self.dim());
         for p in points {
-            cells.insert(self.cell_of(p));
+            debug_assert_eq!(p.dim(), self.dim());
+            cells.extend(
+                self.axes
+                    .iter()
+                    .zip(p.coords())
+                    .map(|(axis, &c)| axis.cell_index(c)),
+            );
         }
-        cells.len()
+        cells
+    }
+
+    /// Number of distinct occupied cells among `points`, counted up to
+    /// `limit`: once more than `limit` are seen it stops and returns
+    /// `limit + 1`. `O(n k)` with one allocation for every point's cell
+    /// indices ([`BoxPartition::cells_of`]), no dataset required. The
+    /// projected geometry backend probes candidate cell widths with this
+    /// while it searches for the finest grid whose bucket count fits its
+    /// budget.
+    pub fn occupied_cell_count(&self, points: &[Point], limit: usize) -> usize {
+        let cells = self.cells_of(points);
+        let mut seen: HashSet<&[i64]> = HashSet::new();
+        for cell in cells.chunks_exact(self.dim()) {
+            if seen.insert(cell) && seen.len() > limit {
+                break;
+            }
+        }
+        seen.len()
     }
 
     /// The occupancy of the fullest cell — GoodCenter's query

@@ -54,11 +54,6 @@ impl Point {
         &self.coords
     }
 
-    /// Mutable coordinates.
-    pub fn coords_mut(&mut self) -> &mut [f64] {
-        &mut self.coords
-    }
-
     /// Consumes the point and returns the underlying coordinate vector.
     pub fn into_coords(self) -> Vec<f64> {
         self.coords
@@ -177,12 +172,6 @@ impl Point {
     /// Clamps every coordinate into `[lo, hi]`.
     pub fn clamp_coords(&self, lo: f64, hi: f64) -> Point {
         Point::new(self.coords.iter().map(|c| c.clamp(lo, hi)).collect())
-    }
-
-    /// Projects the point onto a unit direction, returning the scalar
-    /// coordinate `<self, direction>`.
-    pub fn project_onto(&self, direction: &Point) -> f64 {
-        self.dot(direction)
     }
 }
 

@@ -264,10 +264,12 @@ proptest! {
         }
     }
 
-    /// The projected backend's counts and profile values are bracketed by
-    /// the exact backend's answers at radii shifted by the documented slack
-    /// (`radius_slack = 2·displacement`), on random datasets and random
-    /// bucket budgets — the approximation contract of the backend module.
+    /// The projected backend's counts and profile values — its breakpoint
+    /// `l_profile` and the grid profile GoodRadius reads, at every quarter
+    /// index — are bracketed by the exact backend's answers at radii
+    /// shifted by the documented slack (`radius_slack = 2·displacement`),
+    /// on random datasets and random bucket budgets — the approximation
+    /// contract of the backend module.
     #[test]
     fn projected_backend_brackets_exact_within_documented_slack(
         data in dataset(36, 2),
@@ -313,11 +315,20 @@ proptest! {
         prop_assert!(v + 1e-9 >= lo);
         // Monotone step function, like the exact profile.
         prop_assert!(pp.values().windows(2).all(|w| w[0] <= w[1] + 1e-12));
+        let domain = GridDomain::unit_cube(2, 64).unwrap();
+        let grid = projected.grid_profile(cap, &domain);
+        for q in 0..=2 * (domain.radius_grid_len() - 1) {
+            let r = domain.radius_from_index(q) / 2.0;
+            let v = grid.value(q);
+            prop_assert!(v <= pe.value_at(r + margin) + 1e-9, "L(ρ_{}) = {}", q, v);
+            let lo = if r >= margin { pe.value_at(r - margin) } else { 0.0 };
+            prop_assert!(v + 1e-9 >= lo, "L(ρ_{}) = {} below {}", q, v, lo);
+        }
     }
 
     /// Projected-backend builds are deterministic: repeated builds — and
     /// builds racing on 1/2/4 concurrent threads — produce bit-identical
-    /// profiles, counts, and selection metadata.
+    /// breakpoint and grid profiles, counts, and selection metadata.
     #[test]
     fn projected_backend_build_is_deterministic_across_threads(
         data in dataset(24, 2),
@@ -332,6 +343,8 @@ proptest! {
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         let reference = ProjectedBackend::build(&data, config);
         let ref_profile = reference.l_profile(cap);
+        let domain = GridDomain::unit_cube(2, 1 << 10).unwrap();
+        let ref_grid = reference.grid_profile(cap, &domain);
         for threads in [1usize, 2, 4] {
             let built: Vec<ProjectedBackend> = std::thread::scope(|scope| {
                 let handles: Vec<_> = (0..threads)
@@ -359,6 +372,11 @@ proptest! {
                 let profile = backend.l_profile(cap);
                 prop_assert_eq!(bits(profile.breakpoints()), bits(ref_profile.breakpoints()));
                 prop_assert_eq!(bits(profile.values()), bits(ref_profile.values()));
+                let grid = backend.grid_profile(cap, &domain);
+                for q in 0..=2 * (domain.radius_grid_len() - 1) {
+                    prop_assert_eq!(grid.value(q).to_bits(), ref_grid.value(q).to_bits());
+                }
+                prop_assert_eq!(grid.segment_starts(), ref_grid.segment_starts());
             }
         }
     }

@@ -89,18 +89,9 @@ fn a_client_sized_domain_builds_without_per_radius_allocations() {
         largest < BOUND && total < BOUND,
         "exact: largest {largest} B, total {total} B"
     );
-    // The ball count `l_value(ρ_q)`, bit for bit, at 0, the last index and
-    // `2k − 2 ..= 2k` for each segment start `k`: every step `j` of `L` starts
-    // segment `⌈j/2⌉`, so these hold each step and the index before it.
+    // The ball count `l_value(ρ_q)`, bit for bit, where the profile steps.
     let bc = exact.ball_counter(16);
-    let around = grid
-        .segment_starts()
-        .iter()
-        .flat_map(|&k| (2 * k).saturating_sub(2)..=2 * k);
-    for q in [0, 2 * (domain.radius_grid_len() - 1)]
-        .into_iter()
-        .chain(around)
-    {
+    for q in pinning_quarters(&grid, &domain) {
         let r = domain.radius_from_index(q) / 2.0;
         assert_eq!(grid.value(q).to_bits(), bc.l_value(r).to_bits(), "L(ρ_{q})");
     }
@@ -111,8 +102,35 @@ fn a_client_sized_domain_builds_without_per_radius_allocations() {
         largest < BOUND && total < BOUND,
         "projected: largest {largest} B, total {total} B"
     );
-    assert_eq!(
-        *grid,
-        GridProfile::sample(&projected.l_profile(16), &domain)
-    );
+    // The weighted ball count over the buckets' sites, bit for bit, where
+    // the profile steps: every point's count is its site's,
+    // `count_within(i, ρ_q)`, and `L` the top 16 of them capped at 16.
+    for q in pinning_quarters(&grid, &domain) {
+        let r = domain.radius_from_index(q) / 2.0;
+        let mut counts: Vec<usize> = (0..data.len())
+            .map(|i| projected.count_within(i, r).min(16))
+            .collect();
+        counts.sort_unstable_by(|a, b| b.cmp(a));
+        let top: usize = counts.iter().take(16).sum();
+        assert_eq!(
+            grid.value(q).to_bits(),
+            (top as f64 / 16.0).to_bits(),
+            "L(ρ_{q})"
+        );
+    }
+}
+
+/// 0, the last quarter index and `2k − 2 ..= 2k` for each segment start
+/// `k`: every step `j` of `L` starts segment `⌈j/2⌉`, so these hold each
+/// step and the index before it, and pin the profile to any monotone
+/// reference.
+fn pinning_quarters(grid: &GridProfile, domain: &GridDomain) -> Vec<u64> {
+    let around = grid
+        .segment_starts()
+        .iter()
+        .flat_map(|&k| (2 * k).saturating_sub(2)..=2 * k);
+    [0, 2 * (domain.radius_grid_len() - 1)]
+        .into_iter()
+        .chain(around)
+        .collect()
 }

@@ -26,7 +26,10 @@
 //! `-shard<i>` and snapshots under `DIR/shard<i>`. A restart with another
 //! `--shards` than the journal was written with is refused (exit 1)
 //! before anything is written: it would leave datasets' journals unread,
-//! and a client re-registering one would get a fresh ledger. Each shard's
+//! and a client re-registering one would get a fresh ledger. A file the
+//! count would leave unread is ignored when it holds no record and its
+//! snapshot directory no snapshot: a count that received no dataset for it
+//! created it. Each shard's
 //! group-commit writer thread makes those commits durable: concurrent
 //! charges share one fsync, a batch holds at most
 //! `--group-commit-max-batch` records (default 64, at least 1), and the
@@ -47,6 +50,7 @@ use privcluster_engine::{Engine, EngineConfig, GroupCommitConfig, StoreConfig};
 use privcluster_obs::{event, prom, Severity};
 use privcluster_server::net;
 use privcluster_server::{shard_of, ShardedServer};
+use privcluster_store::StoreError;
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -141,20 +145,39 @@ impl JournalLayout {
         self.shard_files.last().map_or(0, |(k, _)| k + 1)
     }
 
-    /// The files `--shards shards` would leave unread, each group with the
-    /// count it was written with: the path itself when `shards` > 1, and
-    /// shard `k`'s file when `shards` is 1 or `k` ≥ `shards`.
-    fn unread_by(&self, base: &str, shards: usize) -> Vec<String> {
+    /// The files `--shards shards` would leave unread that hold state, each
+    /// group with the count it was written with: the path itself when
+    /// `shards` > 1, and shard `k`'s file when `shards` is 1 or `k` ≥
+    /// `shards`. A file whose store holds no state
+    /// ([`StoreConfig::holds_state`]: no record past the journal's magic,
+    /// no snapshot under `snapshot_dir`) is left out: a count that received
+    /// no dataset for it created it, and leaving it unread refunds nothing.
+    /// Only those files are read, so a fresh directory, or the count that
+    /// wrote it, reads nothing.
+    fn unread_by(
+        &self,
+        base: &str,
+        shards: usize,
+        snapshot_dir: Option<&str>,
+    ) -> Result<Vec<String>, StoreError> {
+        // Shard `shard`'s store as `--shards count` opens it.
+        let holds_state = |shard: usize, count: usize| {
+            let mut store = StoreConfig::journal_only(shard_journal_path(base, shard, count));
+            store.snapshot_dir = snapshot_dir.map(|dir| shard_snapshot_dir(dir, shard, count));
+            store.holds_state()
+        };
         let mut unread = Vec::new();
-        if self.single && shards > 1 {
+        if self.single && shards > 1 && holds_state(0, 1)? {
             unread.push(format!("{base} (written with --shards 1)"));
         }
-        let files: Vec<String> = self
-            .shard_files
-            .iter()
-            .filter(|(k, _)| shards == 1 || *k >= shards)
-            .map(|(_, file)| file.display().to_string())
-            .collect();
+        // Only a count above 1 names its journals by shard.
+        let count = self.shard_count().max(2);
+        let mut files = Vec::new();
+        for (k, file) in &self.shard_files {
+            if (shards == 1 || *k >= shards) && holds_state(*k, count)? {
+                files.push(file.display().to_string());
+            }
+        }
         if !files.is_empty() {
             unread.push(format!(
                 "{} (written with --shards {})",
@@ -162,7 +185,7 @@ impl JournalLayout {
                 self.shard_count()
             ));
         }
-        unread
+        Ok(unread)
     }
 }
 
@@ -315,7 +338,13 @@ fn main() -> ExitCode {
                     return ExitCode::FAILURE;
                 }
             };
-            let unread = layout.unread_by(path, shards);
+            let unread = match layout.unread_by(path, shards, snapshot_dir.as_deref()) {
+                Ok(unread) => unread,
+                Err(e) => {
+                    eprintln!("serve: cannot read the journals next to {path}: {e}");
+                    return ExitCode::FAILURE;
+                }
+            };
             if !unread.is_empty() {
                 eprintln!(
                     "serve: refusing to start with --shards {shards}: it would leave {} \

@@ -211,7 +211,7 @@ impl ShardedServer {
             Request::Query(query) => self.admit(&query.dataset, |engine| {
                 Ok(query_value(&query.dataset, &engine.query(&query)))
             }),
-            Request::Batch(requests) => self.handle_batch(&requests),
+            Request::Batch(requests) => self.handle_batch(requests),
             Request::Status { dataset, version } => {
                 // Status is a read — it must stay answerable under load, so
                 // it bypasses the admission gate.
@@ -275,20 +275,25 @@ impl ShardedServer {
         }
     }
 
-    /// A batch splits into per-shard sub-batches (each preserving the
-    /// original relative order), reserves every touched shard's slots up
-    /// front — all or nothing, so a saturated shard rejects the whole
-    /// batch rather than running half of it — and encodes each member's
-    /// result into its request slot. With one shard the sub-batch is the
-    /// whole batch.
-    fn handle_batch(&self, requests: &[QueryRequest]) -> Value {
+    /// A batch moves its members into per-shard sub-batches (each
+    /// preserving the original relative order), reserves every touched
+    /// shard's slots up front — all or nothing, so a saturated shard
+    /// rejects the whole batch rather than running half of it — and
+    /// encodes each member's result into its request slot. With one shard
+    /// the sub-batch is the whole batch.
+    fn handle_batch(&self, requests: Vec<QueryRequest>) -> Value {
         let shard_count = self.shards.len();
-        let mut by_shard: Vec<Vec<usize>> = vec![Vec::new(); shard_count];
-        for (index, request) in requests.iter().enumerate() {
-            by_shard[shard_of(&request.dataset, shard_count)].push(index);
+        let total = requests.len();
+        // Each shard's members, moved out of the batch, with their slots.
+        let mut by_shard: Vec<(Vec<usize>, Vec<QueryRequest>)> =
+            (0..shard_count).map(|_| (Vec::new(), Vec::new())).collect();
+        for (slot, request) in requests.into_iter().enumerate() {
+            let (slots, members) = &mut by_shard[shard_of(&request.dataset, shard_count)];
+            slots.push(slot);
+            members.push(request);
         }
         let mut guards = Vec::new();
-        for (shard, members) in by_shard.iter().enumerate() {
+        for (shard, (_, members)) in by_shard.iter().enumerate() {
             if members.is_empty() {
                 continue;
             }
@@ -297,15 +302,14 @@ impl ShardedServer {
                 None => return self.retry_error(shard),
             }
         }
-        let mut responses = vec![Value::Null; requests.len()];
-        for (shard, members) in by_shard.iter().enumerate() {
+        let mut responses = vec![Value::Null; total];
+        for (shard, (slots, members)) in by_shard.iter().enumerate() {
             if members.is_empty() {
                 continue;
             }
-            let subset: Vec<QueryRequest> = members.iter().map(|&i| requests[i].clone()).collect();
-            let results = self.shards[shard].run_batch(&subset);
-            for (&slot, result) in members.iter().zip(&results) {
-                responses[slot] = query_value(&requests[slot].dataset, result);
+            let results = self.shards[shard].run_batch(members);
+            for ((&slot, request), result) in slots.iter().zip(members).zip(&results) {
+                responses[slot] = query_value(&request.dataset, result);
             }
         }
         drop(guards);

@@ -155,6 +155,23 @@ impl Journal {
         sync(&self.file, &self.path)
     }
 
+    /// Whether the file at `path` holds nothing past the journal magic:
+    /// missing, empty, or the magic alone (a fresh or checkpointed
+    /// journal). Reads at most nine bytes and writes nothing; any other
+    /// bytes, a journal's or not, count as held.
+    pub(crate) fn is_empty_at(path: &Path) -> Result<bool, StoreError> {
+        let file = match File::open(path) {
+            Ok(file) => file,
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(true),
+            Err(e) => return Err(StoreError::io(path, e)),
+        };
+        let mut head = Vec::with_capacity(JOURNAL_MAGIC.len() + 1);
+        file.take(JOURNAL_MAGIC.len() as u64 + 1)
+            .read_to_end(&mut head)
+            .map_err(|e| StoreError::io(path, e))?;
+        Ok(head.is_empty() || head == JOURNAL_MAGIC)
+    }
+
     /// The journal's path.
     pub fn path(&self) -> &Path {
         &self.path

@@ -368,6 +368,12 @@ fn scan_dir(dir: &Path) -> Result<(Vec<PathBuf>, Vec<PathBuf>), StoreError> {
     Ok((snapshots, temps))
 }
 
+/// Whether `dir` holds a `snap-*.pcss` file; a missing directory holds
+/// none.
+pub(crate) fn has_snapshot(dir: &Path) -> Result<bool, StoreError> {
+    Ok(!scan_dir(dir)?.0.is_empty())
+}
+
 /// Loads the newest snapshot in `dir` (if any), with its file size in
 /// bytes. A crash mid-snapshot leaves only an ignored `.tmp-` file (the
 /// rename is atomic), so the newest visible `snap-*.pcss` is expected to

@@ -19,7 +19,7 @@ use crate::error::StoreError;
 use crate::journal::Journal;
 use crate::record::StoreRecord;
 use crate::recovery::StoreState;
-use crate::snapshot::{load_latest, prune_snapshots, write_snapshot};
+use crate::snapshot::{has_snapshot, load_latest, prune_snapshots, write_snapshot};
 use privcluster_obs::{event, EventStream, Histogram, Severity, Stopwatch};
 use std::fs::File;
 use std::path::PathBuf;
@@ -101,6 +101,22 @@ impl StoreConfig {
             snapshot_every: 0,
             max_retained_releases: 256,
             group_commit: None,
+        }
+    }
+
+    /// Whether a store opened with this config would recover any state,
+    /// found without writing: a byte past the journal's magic, or a
+    /// snapshot in the snapshot directory (a checkpoint leaves the journal
+    /// at its magic and the state in the snapshot). A missing journal or
+    /// directory holds none. Like [`Store::open`], it reads only the
+    /// configured snapshot directory.
+    pub fn holds_state(&self) -> Result<bool, StoreError> {
+        if !Journal::is_empty_at(&self.journal_path)? {
+            return Ok(true);
+        }
+        match &self.snapshot_dir {
+            Some(dir) => has_snapshot(dir),
+            None => Ok(false),
         }
     }
 }
@@ -705,6 +721,40 @@ mod tests {
         assert!(report.recovered);
         assert!(report.state.same_state(&reference));
         assert_eq!(store.append(charge(0, "a", "q3", 0.25)).unwrap(), 5);
+        std::fs::remove_dir_all(config.journal_path.parent().unwrap()).ok();
+    }
+
+    /// `holds_state` reads a missing journal and one a store opened and
+    /// left at its magic as empty; a record, a torn tail or a snapshot
+    /// behind a checkpointed journal as state. It writes nothing.
+    #[test]
+    fn holds_state_sees_records_tails_and_snapshots() {
+        let config = config("holds-state", 2);
+        assert!(!config.holds_state().unwrap());
+        assert!(!config.journal_path.exists());
+        drop(Store::open(config.clone()).unwrap());
+        assert!(!config.holds_state().unwrap());
+        {
+            let (store, _) = Store::open(config.clone()).unwrap();
+            store.append(register(0, "a")).unwrap();
+            assert!(config.holds_state().unwrap());
+            store.append(charge(0, "a", "q1", 0.25)).unwrap(); // snapshot at 2
+        }
+        let len = || std::fs::metadata(&config.journal_path).unwrap().len();
+        let magic = crate::format::JOURNAL_MAGIC.len() as u64;
+        assert_eq!(len(), magic);
+        assert!(config.holds_state().unwrap());
+        let mut journal_only = config.clone();
+        journal_only.snapshot_dir = None;
+        assert!(!journal_only.holds_state().unwrap());
+        // One byte past the magic: a torn record is still state to refuse.
+        let mut file = std::fs::OpenOptions::new()
+            .append(true)
+            .open(&config.journal_path)
+            .unwrap();
+        std::io::Write::write_all(&mut file, &[0]).unwrap();
+        assert!(journal_only.holds_state().unwrap());
+        assert_eq!(len(), magic + 1);
         std::fs::remove_dir_all(config.journal_path.parent().unwrap()).ok();
     }
 
