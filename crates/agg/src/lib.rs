@@ -9,7 +9,6 @@
 //! center is an `(m, O(r·√log n), α/8)`-stable point of `f` on `S`
 //! (Theorem 6.3), i.e. a private stand-in for `f(S)`.
 //!
-//! * [`stability`] — stable points and their empirical estimation;
 //! * [`sa`] — Algorithm 4 (`SA`);
 //! * [`analyses`] — ready-made aggregatable analyses `f` (mean, median,
 //!   coordinate-wise trimmed mean, OLS slope);
@@ -22,11 +21,9 @@
 pub mod analyses;
 pub mod applications;
 pub mod sa;
-pub mod stability;
 
 pub use analyses::{
     BlockAnalysis, MeanAnalysis, MedianAnalysis, OlsSlopeAnalysis, TrimmedMeanAnalysis,
 };
 pub use applications::{gupt_style_average, private_mean_via_sa};
 pub use sa::{sample_and_aggregate, SaConfig, SaOutcome};
-pub use stability::{empirical_stability, StablePointEstimate};

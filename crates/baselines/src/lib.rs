@@ -12,8 +12,7 @@
 //! * [`threshold_release`] — query release for threshold functions in
 //!   dimension 1 (a hierarchical/binary-tree CDF release), followed by a scan
 //!   for the smallest interval holding ≈ `t` points;
-//! * [`nonprivate`] — non-private references (the 2-approximation and the
-//!   exact small-instance solver re-exported from the geometry crate).
+//! * [`nonprivate`] — the non-private 2-approximation reference.
 //!
 //! Documented deviations from the exact constructions cited in the paper are
 //! listed in DESIGN.md §3 (items 3 and 4).
@@ -27,7 +26,7 @@ pub mod solver;
 pub mod threshold_release;
 
 pub use exponential_grid::ExponentialGridSolver;
-pub use nonprivate::{NonPrivateExact, NonPrivateTwoApprox};
+pub use nonprivate::NonPrivateTwoApprox;
 pub use private_aggregation::PrivateAggregationSolver;
 pub use solver::{OneClusterSolver, PrivClusterSolver, SolverOutput};
 pub use threshold_release::ThresholdReleaseSolver;

@@ -1,12 +1,10 @@
-//! Non-private reference solvers, wrapped in the common interface so the
-//! experiment harness can report them alongside the private methods.
+//! The non-private reference solver, wrapped in the common interface so the
+//! experiment harness can report it alongside the private methods.
 
 use crate::solver::{OneClusterSolver, SolverOutput};
 use privcluster_core::ClusterError;
 use privcluster_dp::PrivacyParams;
-use privcluster_geometry::{
-    exhaustive_smallest_ball, smallest_ball_two_approx, Dataset, GridDomain,
-};
+use privcluster_geometry::{smallest_ball_two_approx, Dataset, GridDomain};
 
 /// The folklore non-private 2-approximation (§3, fact 3).
 #[derive(Debug, Clone, Copy, Default)]
@@ -42,63 +40,12 @@ impl OneClusterSolver for NonPrivateTwoApprox {
     }
 }
 
-/// The exact (exponential-in-`d`) non-private solver, for ground truth on
-/// small instances.
-#[derive(Debug, Clone, Copy)]
-pub struct NonPrivateExact {
-    /// Refuse instances with more points than this (the solver enumerates
-    /// `O(n^{d+1})` support sets).
-    pub max_points: usize,
-}
-
-impl Default for NonPrivateExact {
-    fn default() -> Self {
-        NonPrivateExact { max_points: 400 }
-    }
-}
-
-impl OneClusterSolver for NonPrivateExact {
-    fn name(&self) -> &'static str {
-        "non-private exact (small instances)"
-    }
-
-    fn is_private(&self) -> bool {
-        false
-    }
-
-    fn solve(
-        &self,
-        data: &Dataset,
-        _domain: &GridDomain,
-        t: usize,
-        _privacy: PrivacyParams,
-        _beta: f64,
-        _seed: u64,
-    ) -> Result<SolverOutput, ClusterError> {
-        if data.len() > self.max_points {
-            return Err(ClusterError::InvalidParameter(format!(
-                "exact solver limited to {} points, got {}",
-                self.max_points,
-                data.len()
-            )));
-        }
-        // privlint::allow(entropy-source): wall-clock runtime reported in the
-        // Table-1 diagnostics column only; never feeds randomness, results,
-        // or the wire.
-        let start = std::time::Instant::now();
-        let ball = exhaustive_smallest_ball(data, t)?;
-        Ok(SolverOutput {
-            ball,
-            runtime: start.elapsed(),
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::solver::evaluate;
     use privcluster_datagen::planted_ball_cluster;
+    use privcluster_geometry::exhaustive_smallest_ball;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -111,25 +58,11 @@ mod tests {
         let two = NonPrivateTwoApprox
             .solve(&inst.data, &domain, 40, privacy, 0.1, 0)
             .unwrap();
-        let exact = NonPrivateExact::default()
-            .solve(&inst.data, &domain, 40, privacy, 0.1, 0)
-            .unwrap();
+        let exact = exhaustive_smallest_ball(&inst.data, 40).unwrap();
         assert!(!NonPrivateTwoApprox.is_private());
-        assert!(!NonPrivateExact::default().is_private());
-        assert!(two.ball.radius() <= 2.0 * exact.ball.radius() + 1e-9);
-        assert!(exact.ball.radius() <= two.ball.radius() + 1e-9);
-        let e = evaluate(&inst.data, 40, exact.ball.radius(), &two.ball);
+        assert!(two.ball.radius() <= 2.0 * exact.radius() + 1e-9);
+        assert!(exact.radius() <= two.ball.radius() + 1e-9);
+        let e = evaluate(&inst.data, 40, exact.radius(), &two.ball);
         assert!(e.captured >= 40);
-    }
-
-    #[test]
-    fn exact_solver_refuses_large_instances() {
-        let mut rng = StdRng::seed_from_u64(2);
-        let domain = GridDomain::unit_cube(2, 1 << 10).unwrap();
-        let inst = planted_ball_cluster(&domain, 1_000, 100, 0.03, &mut rng);
-        let privacy = PrivacyParams::new(1.0, 1e-6).unwrap();
-        assert!(NonPrivateExact::default()
-            .solve(&inst.data, &domain, 100, privacy, 0.1, 0)
-            .is_err());
     }
 }

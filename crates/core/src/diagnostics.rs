@@ -54,11 +54,6 @@ impl Diagnostics {
         &self.metrics
     }
 
-    /// A recorded metric by name.
-    pub fn metric_value(&self, key: &str) -> Option<f64> {
-        self.metrics.get(key).copied()
-    }
-
     /// The privacy ledger of the execution.
     pub fn ledger(&self) -> &PrivacyLedger {
         &self.ledger
@@ -92,8 +87,8 @@ mod tests {
         d.metric("noisy_l0", 43.0); // last write wins
         d.charge("laplace", PrivacyParams::new(0.5, 0.0).unwrap());
         assert_eq!(d.events(), &["started".to_string()]);
-        assert_eq!(d.metric_value("noisy_l0"), Some(43.0));
-        assert_eq!(d.metric_value("missing"), None);
+        assert_eq!(d.metrics().get("noisy_l0").copied(), Some(43.0));
+        assert_eq!(d.metrics().get("missing").copied(), None);
         assert_eq!(d.ledger().len(), 1);
     }
 
@@ -109,8 +104,11 @@ mod tests {
         outer.absorb("good_center", inner);
 
         assert_eq!(outer.events()[0], "good_center: chose box");
-        assert_eq!(outer.metric_value("good_center.rounds"), Some(3.0));
-        assert_eq!(outer.metric_value("radius"), Some(0.1));
+        assert_eq!(
+            outer.metrics().get("good_center.rounds").copied(),
+            Some(3.0)
+        );
+        assert_eq!(outer.metrics().get("radius").copied(), Some(0.1));
         assert_eq!(outer.ledger().entries()[0].label, "good_center.svt");
     }
 }

@@ -321,7 +321,14 @@ mod tests {
         assert!(out.ball.radius() < domain.diameter());
         assert!(out.svt_rounds >= 1);
         assert_eq!(out.jl_dim, 2);
-        assert!(out.diagnostics.metric_value("box_member_count").unwrap() >= 0.8 * t as f64);
+        assert!(
+            out.diagnostics
+                .metrics()
+                .get("box_member_count")
+                .copied()
+                .unwrap()
+                >= 0.8 * t as f64
+        );
     }
 
     #[test]

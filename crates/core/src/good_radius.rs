@@ -679,7 +679,7 @@ mod tests {
             "radius {} vs 2-approx {two_approx}",
             out.radius
         );
-        assert!(out.diagnostics.metric_value("radius").is_some());
+        assert!(out.diagnostics.metrics().get("radius").copied().is_some());
     }
 
     #[test]

@@ -202,7 +202,12 @@ mod tests {
         assert!(out.radius_estimate > 0.0);
         assert!(out.loss_bound > 0.0);
         assert!(out.guarantees.gamma_used > 0.0);
-        assert!(out.diagnostics.metric_value("final_radius").is_some());
+        assert!(out
+            .diagnostics
+            .metrics()
+            .get("final_radius")
+            .copied()
+            .is_some());
     }
 
     #[test]

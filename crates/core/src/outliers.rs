@@ -120,7 +120,9 @@ mod tests {
 
         // Screen with the (ground-truth) inlier ball doubled, standing in for
         // a 1-cluster output.
-        let screen = OutlierScreen::new(inst.inlier_ball.scaled(2.0));
+        let ball = &inst.inlier_ball;
+        let doubled = Ball::new(ball.center().clone(), 2.0 * ball.radius()).unwrap();
+        let screen = OutlierScreen::new(doubled);
         let screened = screened_noisy_mean(&inst.data, &screen, privacy, &mut rng).unwrap();
 
         // Reference: the true mean of the inliers.

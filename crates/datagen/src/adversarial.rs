@@ -9,6 +9,7 @@ use privcluster_geometry::{Dataset, Point};
 /// largest counts instead.
 ///
 /// Returns the dataset and its neighbour (differing only in that first row).
+// privlint::allow(unused-pub): the paper's §3.1 instance the GoodRadius sensitivity tests compare neighbours on
 pub fn sensitivity_example(t: usize, dim: usize) -> (Dataset, Dataset) {
     assert!(t >= 2, "the example needs t >= 2");
     assert!(dim >= 1, "dimension must be at least 1");
@@ -62,7 +63,7 @@ mod tests {
         let t = 10;
         let (s, s_neighbour) = sensitivity_example(t, 3);
         assert_eq!(s.len(), 1 + t);
-        assert!(s.neighbors_with(&s_neighbour));
+        assert_eq!(&s.points()[1..], &s_neighbour.points()[1..]);
         // In S, the radius-1 ball around e1 contains all 11 points.
         let bc = BallCounter::new(&s, t);
         assert_eq!(bc.count(0, 1.0), 1 + t);

@@ -25,11 +25,6 @@ pub struct PlantedCluster {
 }
 
 impl PlantedCluster {
-    /// The fraction of dataset points that belong to the planted cluster.
-    pub fn cluster_fraction(&self) -> f64 {
-        self.cluster_size as f64 / self.data.len() as f64
-    }
-
     /// How many of the planted points a candidate ball captured.
     pub fn captured(&self, ball: &Ball) -> usize {
         self.cluster_indices
@@ -124,52 +119,6 @@ pub fn planted_ball_cluster<R: Rng + ?Sized>(
     }
 }
 
-/// Plants `cluster_size` points from an isotropic Gaussian with standard
-/// deviation `sigma` (clamped into the domain), plus uniform background.
-/// The reported `planted_ball` has radius `3σ·√d`, which captures essentially
-/// all cluster points.
-pub fn planted_gaussian_cluster<R: Rng + ?Sized>(
-    domain: &GridDomain,
-    n: usize,
-    cluster_size: usize,
-    sigma: f64,
-    rng: &mut R,
-) -> PlantedCluster {
-    assert!(cluster_size <= n, "cluster_size must be at most n");
-    assert!(sigma > 0.0 && sigma.is_finite(), "sigma must be positive");
-    let dim = domain.dim();
-    let margin = (4.0 * sigma).min(domain.axis_length() / 4.0);
-    let center = Point::new(
-        (0..dim)
-            .map(|_| rng.gen_range((domain.min() + margin)..(domain.max() - margin)))
-            .collect(),
-    );
-    let mut points = Vec::with_capacity(n);
-    for _ in 0..cluster_size {
-        let p = Point::new(
-            center
-                .coords()
-                .iter()
-                .map(|c| c + sigma * privcluster_geometry::linalg::standard_normal(rng))
-                .collect(),
-        );
-        points.push(domain.snap(&p.clamp_coords(domain.min(), domain.max())));
-    }
-    points.extend(uniform_background(domain, n - cluster_size, rng));
-    let data = Dataset::new(points).expect("generated points share the domain dimension");
-    let planted_ball = Ball::new(
-        center,
-        3.0 * sigma * (dim as f64).sqrt() + domain.grid_step(),
-    )
-    .expect("radius positive");
-    PlantedCluster {
-        data,
-        planted_ball,
-        cluster_size,
-        cluster_indices: (0..cluster_size).collect(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -194,21 +143,10 @@ mod tests {
         let inst = planted_ball_cluster(&domain, 1000, 200, 0.05, &mut rng);
         assert_eq!(inst.data.len(), 1000);
         assert_eq!(inst.cluster_size, 200);
-        assert!((inst.cluster_fraction() - 0.2).abs() < 1e-12);
         // Every planted point lies in the reported ball.
         assert_eq!(inst.captured(&inst.planted_ball), 200);
         // The ball of the same radius contains at least the cluster.
         assert!(inst.data.count_in_ball(&inst.planted_ball) >= 200);
-    }
-
-    #[test]
-    fn planted_gaussian_cluster_is_mostly_captured() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let domain = GridDomain::unit_cube(2, 4096).unwrap();
-        let inst = planted_gaussian_cluster(&domain, 500, 300, 0.01, &mut rng);
-        assert_eq!(inst.data.len(), 500);
-        // 3σ√d ball captures the overwhelming majority of Gaussian samples.
-        assert!(inst.captured(&inst.planted_ball) >= 295);
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //! and its hard instances (§3.1's sensitivity example) are what the
 //! experiment harness needs as inputs. This crate generates them:
 //!
-//! * [`cluster`] — a single planted cluster (ball or Gaussian) inside a
-//!   uniform background, the canonical 1-cluster instance;
+//! * [`cluster`] — a single planted ball cluster inside a uniform
+//!   background, the canonical 1-cluster instance;
 //! * [`mixture`] — mixtures of several clusters, for the k-clustering
 //!   heuristic of Observation 3.5 and for the "no majority cluster" failure
 //!   mode of the private-aggregation baseline;
@@ -15,8 +15,7 @@
 //! * [`adversarial`] — the sensitivity example of §3.1 and other worst-case
 //!   instances;
 //! * [`geo`] — two-dimensional "map search" hotspot data;
-//! * [`workload`] — named, seeded workload descriptions used by the
-//!   experiment binaries so every table in EXPERIMENTS.md is regenerable.
+//! * [`workload`] — the names of the workload families.
 
 #![warn(missing_docs)]
 
@@ -28,10 +27,8 @@ pub mod outliers;
 pub mod workload;
 
 pub use adversarial::{no_majority_pair, sensitivity_example};
-pub use cluster::{
-    planted_ball_cluster, planted_gaussian_cluster, uniform_background, PlantedCluster,
-};
+pub use cluster::{planted_ball_cluster, uniform_background, PlantedCluster};
 pub use geo::geo_hotspots;
 pub use mixture::gaussian_mixture;
 pub use outliers::inliers_with_outliers;
-pub use workload::{Workload, WorkloadSpec};
+pub use workload::Workload;

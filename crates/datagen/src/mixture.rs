@@ -22,11 +22,6 @@ pub struct MixtureInstance {
 }
 
 impl MixtureInstance {
-    /// Total number of points belonging to some component.
-    pub fn clustered_points(&self) -> usize {
-        self.component_sizes.iter().sum()
-    }
-
     /// The fraction of points covered by at least one of `balls`.
     pub fn coverage(&self, balls: &[Ball]) -> f64 {
         let covered = self
@@ -110,7 +105,7 @@ mod tests {
         let m = gaussian_mixture(&domain, 4, 100, 0.005, 50, &mut rng);
         assert_eq!(m.data.len(), 450);
         assert_eq!(m.components.len(), 4);
-        assert_eq!(m.clustered_points(), 400);
+        assert_eq!(m.component_sizes.iter().sum::<usize>(), 400);
         // No component holds a majority of all points.
         for &s in &m.component_sizes {
             assert!((s as f64) < 0.51 * m.data.len() as f64);

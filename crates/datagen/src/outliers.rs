@@ -21,29 +21,6 @@ pub struct OutlierInstance {
     pub outlier_indices: Vec<usize>,
 }
 
-impl OutlierInstance {
-    /// Fraction of inliers.
-    pub fn inlier_fraction(&self) -> f64 {
-        self.inlier_count as f64 / self.data.len() as f64
-    }
-
-    /// How many ground-truth outliers a candidate screening ball (wrongly)
-    /// contains.
-    pub fn outliers_inside(&self, ball: &Ball) -> usize {
-        self.outlier_indices
-            .iter()
-            .filter(|&&i| ball.contains(self.data.point(i)))
-            .count()
-    }
-
-    /// How many ground-truth inliers a candidate screening ball contains.
-    pub fn inliers_inside(&self, ball: &Ball) -> usize {
-        (0..self.inlier_count)
-            .filter(|&i| ball.contains(self.data.point(i)))
-            .count()
-    }
-}
-
 /// Generates `inlier_count` points uniformly in a ball of radius
 /// `inlier_radius` around a random centre, plus `outlier_count` points spread
 /// uniformly over the whole domain (so they are far from the inlier cloud
@@ -83,6 +60,13 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
+    /// How many of the points at `indices` `ball` contains.
+    fn inside(inst: &OutlierInstance, ball: &Ball, indices: impl Iterator<Item = usize>) -> usize {
+        indices
+            .filter(|&i| ball.contains(inst.data.point(i)))
+            .count()
+    }
+
     #[test]
     fn instance_shape_and_ground_truth() {
         let mut rng = StdRng::seed_from_u64(1);
@@ -90,13 +74,13 @@ mod tests {
         let inst = inliers_with_outliers(&domain, 900, 100, 0.03, &mut rng);
         assert_eq!(inst.data.len(), 1000);
         assert_eq!(inst.inlier_count, 900);
-        assert!((inst.inlier_fraction() - 0.9).abs() < 1e-12);
         assert_eq!(inst.outlier_indices.len(), 100);
+        let outliers = inst.outlier_indices.iter().copied();
         // Inlier ball contains every inlier...
-        assert_eq!(inst.inliers_inside(&inst.inlier_ball), 900);
+        assert_eq!(inside(&inst, &inst.inlier_ball, 0..900), 900);
         // ...and very few of the uniformly scattered "outliers" (a ball of
         // radius ~0.03 covers < 1% of the unit square).
-        assert!(inst.outliers_inside(&inst.inlier_ball) <= 3);
+        assert!(inside(&inst, &inst.inlier_ball, outliers) <= 3);
     }
 
     #[test]
@@ -104,8 +88,9 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(2);
         let domain = GridDomain::unit_cube(3, 4096).unwrap();
         let inst = inliers_with_outliers(&domain, 500, 20, 0.02, &mut rng);
-        let screen = inst.inlier_ball.scaled(2.0);
-        assert_eq!(inst.inliers_inside(&screen), 500);
-        assert!(inst.outliers_inside(&screen) <= 2);
+        let ball = &inst.inlier_ball;
+        let screen = Ball::new(ball.center().clone(), 2.0 * ball.radius()).unwrap();
+        assert_eq!(inside(&inst, &screen, 0..500), 500);
+        assert!(inside(&inst, &screen, inst.outlier_indices.iter().copied()) <= 2);
     }
 }

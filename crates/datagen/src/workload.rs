@@ -1,16 +1,4 @@
-//! Named, seeded workload descriptions.
-//!
-//! The experiment binaries in `privcluster-bench` describe their inputs as
-//! [`WorkloadSpec`]s so that every number in EXPERIMENTS.md can be
-//! regenerated from a `(workload, seed)` pair.
-
-use crate::adversarial::no_majority_pair;
-use crate::cluster::planted_ball_cluster;
-use crate::mixture::gaussian_mixture;
-use crate::outliers::inliers_with_outliers;
-use privcluster_geometry::{Dataset, GridDomain};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+//! The workload families the generators in this crate produce.
 
 /// The family of a workload.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -25,147 +13,4 @@ pub enum Workload {
     FigureOne,
     /// Pure uniform noise (no cluster structure at all).
     Uniform,
-}
-
-/// A fully specified, reproducible workload.
-#[derive(Debug, Clone)]
-pub struct WorkloadSpec {
-    /// The workload family.
-    pub workload: Workload,
-    /// Dimension `d`.
-    pub dim: usize,
-    /// Per-axis domain size `|X|`.
-    pub domain_size: u64,
-    /// Total number of points `n`.
-    pub n: usize,
-    /// Target cluster size `t` (interpretation depends on the family).
-    pub t: usize,
-    /// Scale of the planted structure (cluster radius / Gaussian σ).
-    pub scale: f64,
-    /// RNG seed.
-    pub seed: u64,
-}
-
-impl WorkloadSpec {
-    /// A reasonable default planted-cluster specification.
-    pub fn planted(dim: usize, n: usize, t: usize) -> Self {
-        WorkloadSpec {
-            workload: Workload::PlantedCluster,
-            dim,
-            domain_size: 1 << 16,
-            n,
-            t,
-            scale: 0.02,
-            seed: 0xC0FFEE,
-        }
-    }
-
-    /// The grid domain of this specification.
-    pub fn domain(&self) -> GridDomain {
-        GridDomain::unit_cube(self.dim, self.domain_size)
-            .expect("workload specs always use valid domains")
-    }
-
-    /// Generates the dataset (deterministically from the seed).
-    pub fn generate(&self) -> Dataset {
-        let mut rng = StdRng::seed_from_u64(self.seed);
-        let domain = self.domain();
-        match self.workload {
-            Workload::PlantedCluster => {
-                planted_ball_cluster(&domain, self.n, self.t, self.scale, &mut rng).data
-            }
-            Workload::Mixture => {
-                let k = (self.n / self.t).clamp(2, 16);
-                let background = self.n.saturating_sub(k * self.t);
-                gaussian_mixture(&domain, k, self.t, self.scale, background, &mut rng).data
-            }
-            Workload::Outliers => {
-                let outliers = self.n.saturating_sub(self.t).max(1);
-                inliers_with_outliers(&domain, self.t, outliers, self.scale, &mut rng).data
-            }
-            Workload::FigureOne => no_majority_pair(self.n / 2, self.dim.max(2), 0.1, 0.9),
-            Workload::Uniform => Dataset::new(crate::cluster::uniform_background(
-                &domain, self.n, &mut rng,
-            ))
-            .expect("uniform points share dimension"),
-        }
-    }
-
-    /// A short, file-name-friendly identifier.
-    pub fn label(&self) -> String {
-        let family = match self.workload {
-            Workload::PlantedCluster => "planted",
-            Workload::Mixture => "mixture",
-            Workload::Outliers => "outliers",
-            Workload::FigureOne => "figure1",
-            Workload::Uniform => "uniform",
-        };
-        format!(
-            "{family}_d{}_n{}_t{}_X{}",
-            self.dim, self.n, self.t, self.domain_size
-        )
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn generation_is_deterministic_in_the_seed() {
-        let spec = WorkloadSpec::planted(3, 500, 100);
-        let a = spec.generate();
-        let b = spec.generate();
-        assert_eq!(a, b);
-        let mut other = spec.clone();
-        other.seed += 1;
-        assert_ne!(other.generate(), a);
-    }
-
-    #[test]
-    fn all_families_generate_datasets_of_the_requested_size() {
-        for workload in [
-            Workload::PlantedCluster,
-            Workload::Mixture,
-            Workload::Outliers,
-            Workload::Uniform,
-        ] {
-            let spec = WorkloadSpec {
-                workload,
-                dim: 2,
-                domain_size: 1 << 12,
-                n: 300,
-                t: 60,
-                scale: 0.01,
-                seed: 7,
-            };
-            let data = spec.generate();
-            assert_eq!(data.dim(), 2, "{workload:?}");
-            assert!(
-                data.len() >= 280 && data.len() <= 320,
-                "{workload:?} produced {} points",
-                data.len()
-            );
-        }
-        // FigureOne ignores t and produces exactly n points (n/2 per cluster).
-        let fig = WorkloadSpec {
-            workload: Workload::FigureOne,
-            dim: 2,
-            domain_size: 1 << 12,
-            n: 200,
-            t: 0,
-            scale: 0.0,
-            seed: 7,
-        };
-        assert_eq!(fig.generate().len(), 200);
-    }
-
-    #[test]
-    fn labels_are_distinct_and_informative() {
-        let a = WorkloadSpec::planted(2, 100, 10).label();
-        let b = WorkloadSpec::planted(3, 100, 10).label();
-        assert_ne!(a, b);
-        assert!(a.contains("planted"));
-        assert!(a.contains("d2"));
-    }
 }

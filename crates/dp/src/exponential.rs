@@ -65,12 +65,6 @@ pub fn exponential_mechanism<R: Rng + ?Sized>(
     Ok(best)
 }
 
-/// The classical utility bound: with probability `1 − β` the output quality
-/// is within `(2·sensitivity/ε)·(ln|F| + ln(1/β))` of the maximum.
-pub fn exp_mech_error_bound(domain_size: u64, epsilon: f64, sensitivity: f64, beta: f64) -> f64 {
-    2.0 * sensitivity / epsilon * ((domain_size.max(1) as f64).ln() + (1.0 / beta).ln())
-}
-
 /// One maximal run of consecutive domain elements sharing the same quality.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Segment {
@@ -127,50 +121,6 @@ impl PiecewiseQuality {
         })
     }
 
-    /// Builds the representation from breakpoint indices: `boundaries[i]` is
-    /// the first domain index of segment `i + 1` (segment 0 starts at 0), and
-    /// `qualities` has one entry per segment.
-    pub fn from_breakpoints(
-        domain_len: u64,
-        boundaries: &[u64],
-        qualities: &[f64],
-    ) -> Result<Self, DpError> {
-        if qualities.len() != boundaries.len() + 1 {
-            return Err(DpError::InvalidParameter(format!(
-                "need exactly one quality per segment: {} boundaries require {} qualities, got {}",
-                boundaries.len(),
-                boundaries.len() + 1,
-                qualities.len()
-            )));
-        }
-        let mut segments = Vec::with_capacity(qualities.len());
-        let mut start = 0u64;
-        for (i, &q) in qualities.iter().enumerate() {
-            let end = if i < boundaries.len() {
-                boundaries[i]
-            } else {
-                domain_len
-            };
-            if end <= start || end > domain_len {
-                return Err(DpError::InvalidParameter(format!(
-                    "breakpoints must be strictly increasing within (0, domain_len): segment {i} spans [{start}, {end})"
-                )));
-            }
-            segments.push(Segment {
-                start,
-                len: end - start,
-                quality: q,
-            });
-            start = end;
-        }
-        if start != domain_len {
-            return Err(DpError::InvalidParameter(
-                "segments do not cover the whole domain".into(),
-            ));
-        }
-        Self::new(segments)
-    }
-
     /// Number of domain elements.
     pub fn domain_len(&self) -> u64 {
         self.domain_len
@@ -182,6 +132,7 @@ impl PiecewiseQuality {
     }
 
     /// The quality of a domain index.
+    // privlint::allow(unused-pub): the materialized reference the mechanism-equivalence tests compare the piecewise sampler against
     pub fn quality_at(&self, index: u64) -> Option<f64> {
         if index >= self.domain_len {
             return None;
@@ -192,14 +143,6 @@ impl PiecewiseQuality {
             .partition_point(|s| s.start <= index)
             .saturating_sub(1);
         Some(self.segments[pos].quality)
-    }
-
-    /// Maximum quality over the domain.
-    pub fn max_quality(&self) -> f64 {
-        self.segments
-            .iter()
-            .map(|s| s.quality)
-            .fold(f64::NEG_INFINITY, f64::max)
     }
 }
 
@@ -295,13 +238,6 @@ mod tests {
     }
 
     #[test]
-    fn error_bound_formula() {
-        let b = exp_mech_error_bound(1024, 1.0, 1.0, 0.05);
-        assert!((b - 2.0 * ((1024.0_f64).ln() + 20.0_f64.ln())).abs() < 1e-9);
-        assert!(exp_mech_error_bound(0, 1.0, 1.0, 0.5) >= 0.0);
-    }
-
-    #[test]
     fn piecewise_construction_validation() {
         assert!(PiecewiseQuality::new(vec![]).is_err());
         assert!(PiecewiseQuality::new(vec![Segment {
@@ -348,20 +284,22 @@ mod tests {
         assert_eq!(pw.quality_at(5), Some(3.0));
         assert_eq!(pw.quality_at(14), Some(3.0));
         assert_eq!(pw.quality_at(15), None);
-        assert_eq!(pw.max_quality(), 3.0);
     }
 
-    #[test]
-    fn from_breakpoints_round_trip() {
-        let pw = PiecewiseQuality::from_breakpoints(10, &[3, 7], &[1.0, 2.0, 3.0]).unwrap();
-        assert_eq!(pw.segments().len(), 3);
-        assert_eq!(pw.quality_at(2), Some(1.0));
-        assert_eq!(pw.quality_at(3), Some(2.0));
-        assert_eq!(pw.quality_at(7), Some(3.0));
-        assert!(PiecewiseQuality::from_breakpoints(10, &[3], &[1.0]).is_err());
-        assert!(PiecewiseQuality::from_breakpoints(10, &[0], &[1.0, 2.0]).is_err());
-        assert!(PiecewiseQuality::from_breakpoints(10, &[11], &[1.0, 2.0]).is_err());
-        assert!(PiecewiseQuality::from_breakpoints(10, &[7, 3], &[1.0, 2.0, 3.0]).is_err());
+    /// The quality whose segment `i + 1` starts at `bounds[i]`.
+    fn from_breakpoints(domain_len: u64, bounds: &[u64], qualities: &[f64]) -> PiecewiseQuality {
+        let starts = std::iter::once(0).chain(bounds.iter().copied());
+        let ends = bounds.iter().copied().chain(std::iter::once(domain_len));
+        let segments = starts
+            .zip(ends)
+            .zip(qualities)
+            .map(|((start, end), &quality)| Segment {
+                start,
+                len: end - start,
+                quality,
+            })
+            .collect();
+        PiecewiseQuality::new(segments).unwrap()
     }
 
     #[test]
@@ -370,7 +308,7 @@ mod tests {
         // of the piecewise sampler against the plain mechanism over the
         // materialized domain.
         let mut rng = StdRng::seed_from_u64(5);
-        let pw = PiecewiseQuality::from_breakpoints(12, &[4, 6], &[0.0, 4.0, 1.0]).unwrap();
+        let pw = from_breakpoints(12, &[4, 6], &[0.0, 4.0, 1.0]);
         let materialized: Vec<f64> = (0..12).map(|i| pw.quality_at(i).unwrap()).collect();
         let eps = 1.0;
         let trials = 60_000;
@@ -392,12 +330,11 @@ mod tests {
     fn piecewise_handles_huge_domains_without_overflow() {
         let mut rng = StdRng::seed_from_u64(6);
         // A domain of ~4·10^9 elements with the heavy segment in the middle.
-        let pw = PiecewiseQuality::from_breakpoints(
+        let pw = from_breakpoints(
             4_000_000_000,
             &[1_999_999_000, 2_000_001_000],
             &[0.0, 500.0, 0.0],
-        )
-        .unwrap();
+        );
         for _ in 0..50 {
             let idx = piecewise_exponential_mechanism(&pw, 1.0, 1.0, &mut rng).unwrap();
             assert!((1_999_999_000..2_000_001_000).contains(&idx), "idx = {idx}");
@@ -407,7 +344,7 @@ mod tests {
     #[test]
     fn piecewise_parameter_validation() {
         let mut rng = StdRng::seed_from_u64(7);
-        let pw = PiecewiseQuality::from_breakpoints(4, &[2], &[0.0, 1.0]).unwrap();
+        let pw = from_breakpoints(4, &[2], &[0.0, 1.0]);
         assert!(piecewise_exponential_mechanism(&pw, 0.0, 1.0, &mut rng).is_err());
         assert!(piecewise_exponential_mechanism(&pw, 1.0, -1.0, &mut rng).is_err());
     }

@@ -57,12 +57,6 @@ impl LaplaceMechanism {
         value + laplace(rng, self.scale())
     }
 
-    /// Releases a vector; the L1-sensitivity bound must cover the whole
-    /// vector-valued function.
-    pub fn release_vec<R: Rng + ?Sized>(&self, values: &[f64], rng: &mut R) -> Vec<f64> {
-        values.iter().map(|v| self.release(*v, rng)).collect()
-    }
-
     /// Releases an integer count as a noisy real.
     pub fn release_count<R: Rng + ?Sized>(&self, count: usize, rng: &mut R) -> f64 {
         self.release(count as f64, rng)
@@ -120,11 +114,9 @@ mod tests {
     }
 
     #[test]
-    fn release_vec_and_count() {
+    fn release_count_is_near_the_count() {
         let mut rng = StdRng::seed_from_u64(3);
         let m = LaplaceMechanism::for_count(10.0).unwrap();
-        let out = m.release_vec(&[1.0, 2.0, 3.0], &mut rng);
-        assert_eq!(out.len(), 3);
         let c = m.release_count(7, &mut rng);
         assert!((c - 7.0).abs() < 5.0);
     }

@@ -7,8 +7,8 @@
 //! * privacy parameters, budgets and composition (Definition 1.1,
 //!   Theorems 2.1 and 4.7) — [`params`], [`composition`];
 //! * the Laplace mechanism (Theorem 2.3) — [`laplace`];
-//! * the Gaussian mechanism (Theorem 2.4) and the `NoisyAVG` noisy-average
-//!   procedure of Appendix A (Algorithm 5) — [`gaussian`], [`noisy_avg`];
+//! * the `NoisyAVG` noisy-average procedure of Appendix A (Algorithm 5),
+//!   with Gaussian noise calibrated as in Theorem 2.4 — [`noisy_avg`];
 //! * the McSherry–Talwar exponential mechanism, including an implementation
 //!   over *piecewise-constant* qualities on enormous ordered domains, which
 //!   is what makes GoodRadius's radius search run in `poly(n)` time
@@ -19,8 +19,8 @@
 //!   [`stability_histogram`];
 //! * quasi-concave promise problems (Definition 4.2) and a private solver for
 //!   them behind the interface of Theorem 4.3 — [`quasiconcave`];
-//! * Laplace/Gaussian samplers and numeric helpers (`log*`, `tower`,
-//!   log-sum-exp) — [`sampling`], [`util`].
+//! * Laplace/Gaussian samplers and numeric helpers (`log*`, `tower`) —
+//!   [`sampling`], [`util`].
 //!
 //! # A note on rigour
 //!
@@ -38,7 +38,6 @@
 pub mod composition;
 pub mod error;
 pub mod exponential;
-pub mod gaussian;
 pub mod laplace;
 pub mod noisy_avg;
 pub mod params;
@@ -53,10 +52,8 @@ pub use composition::{
 };
 pub use error::DpError;
 pub use exponential::{
-    exp_mech_error_bound, exponential_mechanism, piecewise_exponential_mechanism, PiecewiseQuality,
-    Segment,
+    exponential_mechanism, piecewise_exponential_mechanism, PiecewiseQuality, Segment,
 };
-pub use gaussian::GaussianMechanism;
 pub use laplace::LaplaceMechanism;
 pub use noisy_avg::{noisy_average, NoisyAvgConfig};
 pub use params::PrivacyParams;

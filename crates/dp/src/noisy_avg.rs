@@ -53,17 +53,6 @@ impl NoisyAvgConfig {
             diameter,
         })
     }
-
-    /// The size a selected set must have for the noise magnitude per
-    /// coordinate to stay below `target` with the paper's calibration
-    /// (Observation A.1 uses `σ ≤ 16Δg/(εm)·√(2 ln(8/δ))`).
-    pub fn required_count_for_noise(&self, target_sigma: f64) -> f64 {
-        if target_sigma <= 0.0 {
-            return f64::INFINITY;
-        }
-        16.0 * self.diameter / (self.epsilon * target_sigma)
-            * (2.0 * (8.0 / self.delta).ln()).sqrt()
-    }
 }
 
 /// The outcome of a `NoisyAVG` release, including diagnostics used by the
@@ -169,9 +158,6 @@ mod tests {
         assert!(NoisyAvgConfig::new(1.0, 1.0, 1.0).is_err());
         assert!(NoisyAvgConfig::new(1.0, 0.1, -1.0).is_err());
         assert!(NoisyAvgConfig::new(1.0, 0.1, 1.0).is_ok());
-        let cfg = NoisyAvgConfig::new(1.0, 0.1, 2.0).unwrap();
-        assert!(cfg.required_count_for_noise(0.0).is_infinite());
-        assert!(cfg.required_count_for_noise(0.1) > 0.0);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Privacy parameters `(ε, δ)` and budget splitting.
+//! Privacy parameters `(ε, δ)` and budget scaling.
 //!
 //! Definition 1.1 of the paper: a randomized algorithm `M` is
 //! `(ε, δ)`-differentially private if for every pair of neighbouring datasets
@@ -62,14 +62,6 @@ impl PrivacyParams {
         Self::new(epsilon, 0.0)
     }
 
-    /// The common benchmark setting `ε = 1`, `δ = 1/n²` for a dataset of
-    /// size `n` (the paper suggests δ negligible in n; `1/n²` is the
-    /// conventional concrete stand-in used throughout our experiments).
-    pub fn conventional(n: usize) -> Result<Self, DpError> {
-        let n = n.max(2) as f64;
-        Self::new(1.0, 1.0 / (n * n))
-    }
-
     /// ε.
     pub fn epsilon(&self) -> f64 {
         self.epsilon
@@ -78,11 +70,6 @@ impl PrivacyParams {
     /// δ.
     pub fn delta(&self) -> f64 {
         self.delta
-    }
-
-    /// Whether this is pure (δ = 0) differential privacy.
-    pub fn is_pure(&self) -> bool {
-        self.delta == 0.0
     }
 
     /// Returns parameters scaled by `fraction` (both ε and δ), used to divide
@@ -95,45 +82,6 @@ impl PrivacyParams {
             )));
         }
         PrivacyParams::new(self.epsilon * fraction, self.delta * fraction)
-    }
-
-    /// Splits the budget evenly into `k` parts (basic composition of the
-    /// parts recovers the whole, Theorem 2.1).
-    pub fn split_evenly(&self, k: usize) -> Result<Vec<Self>, DpError> {
-        if k == 0 {
-            return Err(DpError::InvalidParameter(
-                "cannot split a budget into zero parts".into(),
-            ));
-        }
-        let part = self.scale(1.0 / k as f64)?;
-        Ok(vec![part; k])
-    }
-
-    /// Splits the budget into parts proportional to `weights`.
-    pub fn split_weighted(&self, weights: &[f64]) -> Result<Vec<Self>, DpError> {
-        if weights.is_empty() {
-            return Err(DpError::InvalidParameter(
-                "cannot split a budget with no weights".into(),
-            ));
-        }
-        if weights.iter().any(|w| !(w.is_finite() && *w > 0.0)) {
-            return Err(DpError::InvalidParameter(
-                "all budget weights must be positive and finite".into(),
-            ));
-        }
-        let total: f64 = weights.iter().sum();
-        weights.iter().map(|w| self.scale(w / total)).collect()
-    }
-
-    /// The per-query ε such that `k` adaptive uses compose (basic
-    /// composition) to at most this budget's ε, with δ likewise divided.
-    pub fn per_query(&self, k: usize) -> Result<Self, DpError> {
-        if k == 0 {
-            return Err(DpError::InvalidParameter(
-                "number of queries must be positive".into(),
-            ));
-        }
-        self.scale(1.0 / k as f64)
     }
 }
 
@@ -152,39 +100,18 @@ mod tests {
         let p = PrivacyParams::new(0.5, 1e-6).unwrap();
         assert_eq!(p.epsilon(), 0.5);
         assert_eq!(p.delta(), 1e-6);
-        assert!(!p.is_pure());
-        assert!(PrivacyParams::pure(1.0).unwrap().is_pure());
+        assert_eq!(PrivacyParams::pure(1.0).unwrap().delta(), 0.0);
     }
 
     #[test]
-    fn conventional_params() {
-        let p = PrivacyParams::conventional(1000).unwrap();
-        assert_eq!(p.epsilon(), 1.0);
-        assert!((p.delta() - 1e-6).abs() < 1e-15);
-        // tiny n is clamped rather than producing δ ≥ 1
-        assert!(PrivacyParams::conventional(0).is_ok());
-    }
-
-    #[test]
-    fn splitting_preserves_totals() {
+    fn scaling_divides_both_parameters() {
         let p = PrivacyParams::new(1.0, 1e-6).unwrap();
-        let parts = p.split_evenly(4).unwrap();
-        assert_eq!(parts.len(), 4);
-        let eps_sum: f64 = parts.iter().map(|q| q.epsilon()).sum();
-        let delta_sum: f64 = parts.iter().map(|q| q.delta()).sum();
-        assert!((eps_sum - 1.0).abs() < 1e-12);
-        assert!((delta_sum - 1e-6).abs() < 1e-18);
-
-        let weighted = p.split_weighted(&[1.0, 3.0]).unwrap();
-        assert!((weighted[0].epsilon() - 0.25).abs() < 1e-12);
-        assert!((weighted[1].epsilon() - 0.75).abs() < 1e-12);
-
-        assert!(p.split_evenly(0).is_err());
-        assert!(p.split_weighted(&[]).is_err());
-        assert!(p.split_weighted(&[1.0, -1.0]).is_err());
+        let quarter = p.scale(0.25).unwrap();
+        assert!((quarter.epsilon() - 0.25).abs() < 1e-12);
+        assert!((quarter.delta() - 0.25e-6).abs() < 1e-18);
+        assert_eq!(p.scale(1.0).unwrap(), p);
         assert!(p.scale(0.0).is_err());
         assert!(p.scale(1.5).is_err());
-        assert!(p.per_query(0).is_err());
-        assert!((p.per_query(10).unwrap().epsilon() - 0.1).abs() < 1e-12);
+        assert!(p.scale(f64::NAN).is_err());
     }
 }

@@ -50,16 +50,6 @@ pub fn gumbel<R: Rng + ?Sized>(rng: &mut R) -> f64 {
     -(-u.ln()).ln()
 }
 
-/// A vector of i.i.d. `Lap(scale)` samples.
-pub fn laplace_vec<R: Rng + ?Sized>(rng: &mut R, scale: f64, len: usize) -> Vec<f64> {
-    (0..len).map(|_| laplace(rng, scale)).collect()
-}
-
-/// A vector of i.i.d. `N(0, sigma²)` samples.
-pub fn gaussian_vec<R: Rng + ?Sized>(rng: &mut R, sigma: f64, len: usize) -> Vec<f64> {
-    (0..len).map(|_| gaussian(rng, sigma)).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -77,7 +67,9 @@ mod tests {
     fn laplace_moments() {
         let mut rng = StdRng::seed_from_u64(1);
         let scale = 2.0;
-        let xs = laplace_vec(&mut rng, scale, 200_000);
+        let xs = (0..200_000)
+            .map(|_| laplace(&mut rng, scale))
+            .collect::<Vec<_>>();
         let (mean, var) = mean_and_var(&xs);
         assert!(mean.abs() < 0.05, "mean = {mean}");
         // Var(Lap(b)) = 2 b².
@@ -103,7 +95,9 @@ mod tests {
     fn gaussian_moments() {
         let mut rng = StdRng::seed_from_u64(3);
         let sigma = 3.0;
-        let xs = gaussian_vec(&mut rng, sigma, 200_000);
+        let xs = (0..200_000)
+            .map(|_| gaussian(&mut rng, sigma))
+            .collect::<Vec<_>>();
         let (mean, var) = mean_and_var(&xs);
         assert!(mean.abs() < 0.05, "mean = {mean}");
         assert!((var - sigma * sigma).abs() < 0.3, "var = {var}");

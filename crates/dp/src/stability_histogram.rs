@@ -49,12 +49,6 @@ impl StabilityHistogramConfig {
         1.0 + 2.0 / self.epsilon * (2.0 / self.delta).ln()
     }
 
-    /// Theorem 2.5's requirement on the heaviest bin for a `1 − β` success
-    /// guarantee: `T ≥ (2/ε)·ln(4n/(βδ))`.
-    pub fn required_max_count(&self, n: usize, beta: f64) -> f64 {
-        2.0 / self.epsilon * (4.0 * n.max(1) as f64 / (beta * self.delta)).ln()
-    }
-
     /// Theorem 2.5's loss bound: the returned bin misses at most
     /// `(4/ε)·ln(2n/β)` of the heaviest bin's elements.
     pub fn loss_bound(&self, n: usize, beta: f64) -> f64 {
@@ -91,30 +85,6 @@ where
     best.ok_or(DpError::NoOutput)
 }
 
-/// Releases the whole histogram: every non-empty bin whose noisy count clears
-/// the stability threshold, with its noisy count. (This is the classical
-/// stability-based histogram; `choose_heavy_bin` is its arg-max variant.)
-/// Bins are visited, and released, in ascending key order.
-pub fn release_stable_histogram<K, R>(
-    counts: &HashMap<K, usize>,
-    config: &StabilityHistogramConfig,
-    rng: &mut R,
-) -> Vec<(K, f64)>
-where
-    K: Clone + Ord,
-    R: Rng + ?Sized,
-{
-    let threshold = config.release_threshold();
-    let mut out = Vec::new();
-    for (key, count) in nonempty_bins_in_key_order(counts) {
-        let noisy = count as f64 + laplace(rng, 2.0 / config.epsilon);
-        if noisy > threshold {
-            out.push((key.clone(), noisy));
-        }
-    }
-    out
-}
-
 /// The non-empty bins in ascending key order. A `HashMap` iterates in an
 /// order drawn from its per-process hash seed; drawing one Laplace sample
 /// per bin in that order would let the seed decide which bin gets which
@@ -146,10 +116,9 @@ mod tests {
         assert!(StabilityHistogramConfig::new(1.0, 1.0).is_err());
         let c = StabilityHistogramConfig::new(1.0, 1e-6).unwrap();
         assert!(c.release_threshold() > 1.0);
-        assert!(c.required_max_count(1000, 0.1) > c.loss_bound(1000, 0.1));
-        // required count grows as δ shrinks
+        // the threshold grows as δ shrinks
         let tighter = StabilityHistogramConfig::new(1.0, 1e-12).unwrap();
-        assert!(tighter.required_max_count(1000, 0.1) > c.required_max_count(1000, 0.1));
+        assert!(tighter.release_threshold() > c.release_threshold());
     }
 
     #[test]
@@ -204,12 +173,13 @@ mod tests {
 
     #[test]
     fn theorem_2_5_utility_guarantee_empirically() {
-        // Heaviest bin has T = required_max_count elements; the returned bin
-        // should contain at least T - loss_bound elements w.p. >= 1 - β.
+        // Heaviest bin has T = (2/ε)·ln(4n/(βδ)) elements, Theorem 2.5's
+        // requirement; the returned bin should contain at least
+        // T - loss_bound elements w.p. >= 1 - β.
         let cfg = StabilityHistogramConfig::new(1.0, 1e-6).unwrap();
         let beta = 0.1;
         let n = 2000usize;
-        let t = cfg.required_max_count(n, beta).ceil() as usize;
+        let t = (2.0 / 1.0 * (4.0 * n as f64 / (beta * 1e-6)).ln()).ceil() as usize;
         let loss = cfg.loss_bound(n, beta);
         let hist = counts(&[
             ("winner", t),
@@ -233,18 +203,6 @@ mod tests {
         }
         let rate = failures as f64 / trials as f64;
         assert!(rate <= beta, "failure rate {rate} exceeds β = {beta}");
-    }
-
-    #[test]
-    fn release_histogram_only_outputs_heavy_bins() {
-        let mut rng = StdRng::seed_from_u64(5);
-        let cfg = StabilityHistogramConfig::new(1.0, 1e-6).unwrap();
-        let hist = counts(&[("heavy", 400), ("heavy2", 300), ("tiny", 1)]);
-        let released = release_stable_histogram(&hist, &cfg, &mut rng);
-        let keys: Vec<_> = released.iter().map(|(k, _)| k.clone()).collect();
-        assert!(keys.contains(&"heavy".to_string()));
-        assert!(keys.contains(&"heavy2".to_string()));
-        assert!(!keys.contains(&"tiny".to_string()));
     }
 
     #[test]
@@ -275,25 +233,6 @@ mod tests {
                 (Err(_), Err(_)) => {}
                 other => panic!("seed {seed}: outcomes differ: {other:?}"),
             }
-            let bits = |released: Vec<(Vec<i64>, f64)>| -> Vec<(Vec<i64>, u64)> {
-                released
-                    .into_iter()
-                    .map(|(k, v)| (k, v.to_bits()))
-                    .collect()
-            };
-            assert_eq!(
-                bits(release_stable_histogram(
-                    &first,
-                    &cfg,
-                    &mut StdRng::seed_from_u64(seed)
-                )),
-                bits(release_stable_histogram(
-                    &second,
-                    &cfg,
-                    &mut StdRng::seed_from_u64(seed)
-                )),
-                "seed {seed}"
-            );
         }
     }
 }

@@ -1,4 +1,4 @@
-//! Numeric helpers: iterated logarithm, towers, log-sum-exp and the paper's
+//! Numeric helpers: iterated logarithm, towers and the paper's
 //! promise constant `Γ`.
 
 /// The iterated (base-2) logarithm `log* x`: the number of times `log2` must
@@ -27,18 +27,6 @@ pub fn tower(j: u32) -> f64 {
         v = (2.0_f64).powf(v);
     }
     v
-}
-
-/// Numerically stable `ln(Σ exp(x_i))`.
-pub fn log_sum_exp(xs: &[f64]) -> f64 {
-    if xs.is_empty() {
-        return f64::NEG_INFINITY;
-    }
-    let m = xs.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-    if m == f64::NEG_INFINITY {
-        return f64::NEG_INFINITY;
-    }
-    m + xs.iter().map(|x| (x - m).exp()).sum::<f64>().ln()
 }
 
 /// The paper's quality-promise constant for Algorithm 1 (GoodRadius):
@@ -121,19 +109,6 @@ mod tests {
         for j in 1..5 {
             assert_eq!(log_star(tower(j)), j);
         }
-    }
-
-    #[test]
-    fn log_sum_exp_stability() {
-        assert_eq!(log_sum_exp(&[]), f64::NEG_INFINITY);
-        assert!((log_sum_exp(&[0.0, 0.0]) - std::f64::consts::LN_2).abs() < 1e-12);
-        // Huge inputs must not overflow.
-        let v = log_sum_exp(&[1000.0, 1000.0]);
-        assert!((v - (1000.0 + std::f64::consts::LN_2)).abs() < 1e-9);
-        assert_eq!(
-            log_sum_exp(&[f64::NEG_INFINITY, f64::NEG_INFINITY]),
-            f64::NEG_INFINITY
-        );
     }
 
     #[test]

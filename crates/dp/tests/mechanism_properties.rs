@@ -149,7 +149,13 @@ proptest! {
 /// mechanism sample from the same support for a fixed seed sweep.
 #[test]
 fn piecewise_and_plain_mechanisms_share_support() {
-    let pw = PiecewiseQuality::from_breakpoints(9, &[3, 6], &[0.0, 10.0, 0.0]).unwrap();
+    let segment = |start, quality| Segment {
+        start,
+        len: 3,
+        quality,
+    };
+    let pw =
+        PiecewiseQuality::new(vec![segment(0, 0.0), segment(3, 10.0), segment(6, 0.0)]).unwrap();
     let materialized: Vec<f64> = (0..9).map(|i| pw.quality_at(i).unwrap()).collect();
     let mut rng = StdRng::seed_from_u64(1);
     for _ in 0..200 {

@@ -358,13 +358,17 @@ fn rows_of(points: &Value) -> Result<Vec<Vec<f64>>, EngineError> {
         .collect()
 }
 
-fn parse_source(value: &Value, rows: Option<Vec<Vec<f64>>>) -> Result<DataSource, EngineError> {
+fn parse_source(
+    value: &Value,
+    rows: Option<Vec<Vec<f64>>>,
+    domain: &GridDomain,
+) -> Result<DataSource, EngineError> {
     match (get(value, "points"), get(value, "synthetic")) {
         (Some(points), None) => Ok(DataSource::Points(match rows {
             Some(rows) => rows,
             None => rows_of(points)?,
         })),
-        (None, Some(spec)) => Ok(DataSource::Synthetic(parse_synthetic(spec)?)),
+        (None, Some(spec)) => Ok(DataSource::Synthetic(parse_synthetic(spec, domain.dim())?)),
         _ => Err(EngineError::Protocol(
             "register needs exactly one of `points` or `synthetic`".into(),
         )),
@@ -399,13 +403,16 @@ fn parse_register(
         }
     };
 
+    let dataset = req_str(value, "dataset")?;
+    let backend = parse_backend(value)?;
+    let source = parse_source(value, rows, &domain)?;
     Ok(RegisterRequest {
-        dataset: req_str(value, "dataset")?,
+        dataset,
         domain,
         budget,
         mode,
-        backend: parse_backend(value)?,
-        source: parse_source(value, rows)?,
+        backend,
+        source,
     })
 }
 
@@ -425,31 +432,64 @@ fn parse_reregister(
             )));
         }
     }
+    let dataset = req_str(value, "dataset")?;
+    let domain = parse_domain(value)?;
+    let backend = parse_backend(value)?;
+    let source = parse_source(value, rows, &domain)?;
     Ok(ReregisterRequest {
-        dataset: req_str(value, "dataset")?,
-        domain: parse_domain(value)?,
-        backend: parse_backend(value)?,
-        source: parse_source(value, rows)?,
+        dataset,
+        domain,
+        backend,
+        source,
     })
 }
 
-fn parse_synthetic(spec: &Value) -> Result<SyntheticSpec, EngineError> {
-    match req_str(spec, "kind")?.as_str() {
-        "planted_ball" => Ok(SyntheticSpec::PlantedBall {
+/// The most coordinates a synthetic registration may generate: as many as
+/// the largest inline `points` line could carry, since every inline
+/// coordinate takes at least a digit and a separator.
+const MAX_SYNTHETIC_COORDINATES: usize = MAX_REQUEST_LINE_BYTES / 2;
+
+/// Parses a synthetic spec for a `dim`-dimensional domain, refusing one
+/// that would generate more than [`MAX_SYNTHETIC_COORDINATES`] coordinates
+/// (a planted ball's centre and a mixture's `k` centres included) before
+/// anything is built.
+fn parse_synthetic(spec: &Value, dim: usize) -> Result<SyntheticSpec, EngineError> {
+    let parsed = match req_str(spec, "kind")?.as_str() {
+        "planted_ball" => SyntheticSpec::PlantedBall {
             n: req_usize(spec, "n")?,
             cluster_size: req_usize(spec, "cluster_size")?,
             cluster_radius: req_f64(spec, "cluster_radius")?,
             seed: req_u64(spec, "seed")?,
-        }),
-        "gaussian_mixture" => Ok(SyntheticSpec::GaussianMixture {
+        },
+        "gaussian_mixture" => SyntheticSpec::GaussianMixture {
             k: req_usize(spec, "k")?,
             per_cluster: req_usize(spec, "per_cluster")?,
             sigma: req_f64(spec, "sigma")?,
             background: req_usize(spec, "background")?,
             seed: req_u64(spec, "seed")?,
-        }),
-        other => Err(EngineError::Protocol(format!(
-            "unknown synthetic kind `{other}`"
+        },
+        other => {
+            return Err(EngineError::Protocol(format!(
+                "unknown synthetic kind `{other}`"
+            )))
+        }
+    };
+    let points = match parsed {
+        SyntheticSpec::PlantedBall { n, .. } => n.checked_add(1),
+        SyntheticSpec::GaussianMixture {
+            k,
+            per_cluster,
+            background,
+            ..
+        } => k
+            .checked_mul(per_cluster)
+            .and_then(|p| p.checked_add(background)?.checked_add(k)),
+    };
+    match points.and_then(|p| p.checked_mul(dim)) {
+        Some(coordinates) if coordinates <= MAX_SYNTHETIC_COORDINATES => Ok(parsed),
+        _ => Err(EngineError::Protocol(format!(
+            "synthetic data would have more than {MAX_SYNTHETIC_COORDINATES} coordinates, \
+             the most a request line carries inline"
         ))),
     }
 }
@@ -999,6 +1039,57 @@ mod tests {
         assert!(Request::parse(bad_synth).is_err());
         let both_sources = r#"{"op":"register","dataset":"d","domain":{"dim":1,"size":16},"budget":{"epsilon":1.0,"delta":1e-6},"points":[[0.5]],"synthetic":{"kind":"planted_ball","n":10,"cluster_size":5,"cluster_radius":0.1,"seed":1}}"#;
         assert!(Request::parse(both_sources).is_err());
+    }
+
+    #[test]
+    fn synthetic_specs_beyond_an_inline_lines_coordinates_are_refused() {
+        let register = |dim: usize, synthetic: &str| {
+            format!(
+                r#"{{"op":"register","dataset":"d","domain":{{"dim":{dim},"size":16}},"budget":{{"epsilon":1.0,"delta":1e-6}},"synthetic":{synthetic}}}"#
+            )
+        };
+        let ball = |n: usize| {
+            format!(
+                r#"{{"kind":"planted_ball","n":{n},"cluster_size":1,"cluster_radius":0.1,"seed":1}}"#
+            )
+        };
+        let mixture = |k: usize, per_cluster: usize, background: usize| {
+            format!(
+                r#"{{"kind":"gaussian_mixture","k":{k},"per_cluster":{per_cluster},"sigma":0.1,"background":{background},"seed":1}}"#
+            )
+        };
+        let refused = [
+            register(2, &ball(1 << 52)),
+            register(1 << 40, &ball(100)),
+            // The centre alone is `dim` coordinates.
+            register(1 << 40, &ball(0)),
+            register(2, &mixture(1 << 40, 1 << 40, 0)),
+            register(2, &mixture(3, 1 << 52, 1 << 52)),
+            register(2, &mixture(1 << 52, 0, 0)),
+            // The centre and `n` points.
+            register(1, &ball(MAX_SYNTHETIC_COORDINATES)),
+            register(2, &ball(MAX_SYNTHETIC_COORDINATES / 2)),
+            // One centre and `per_cluster` points.
+            register(1, &mixture(1, MAX_SYNTHETIC_COORDINATES, 0)),
+        ];
+        for line in &refused {
+            let err = Request::parse(line).expect_err(line);
+            assert_eq!(err.kind(), "protocol", "{line}");
+            assert!(err.to_string().contains("coordinates"), "{err}");
+            let rereg = line.replace(r#""op":"register""#, r#""op":"reregister""#);
+            let rereg = rereg.replace(r#""budget":{"epsilon":1.0,"delta":1e-6},"#, "");
+            assert_eq!(Request::parse(&rereg).expect_err(&rereg).kind(), "protocol");
+        }
+        // At the limit, and the workloads the smoke and large-n transcripts
+        // register, are accepted.
+        for line in [
+            register(1, &ball(MAX_SYNTHETIC_COORDINATES - 1)),
+            register(2, &ball(MAX_SYNTHETIC_COORDINATES / 2 - 1)),
+            register(1, &mixture(1, MAX_SYNTHETIC_COORDINATES - 1, 0)),
+            register(2, &ball(50_000)),
+        ] {
+            assert!(Request::parse(&line).is_ok(), "{line}");
+        }
     }
 
     #[test]

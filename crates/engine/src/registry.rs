@@ -211,11 +211,6 @@ impl DatasetEntry {
         self.backend_kind
     }
 
-    /// Whether the geometry backend has been built yet (diagnostics/tests).
-    pub fn has_backend(&self) -> bool {
-        self.backend.get().is_some()
-    }
-
     /// The dataset's registered name.
     pub fn name(&self) -> &str {
         &self.name
@@ -403,9 +398,9 @@ mod tests {
     fn entry_builds_the_backend_its_kind_names() {
         let registry = DatasetRegistry::new();
         let exact = registry.register(entry("exact")).unwrap();
-        assert!(!exact.has_backend());
+        assert!(exact.backend.get().is_none());
         assert_eq!(exact.backend(2).kind(), BackendKind::Exact);
-        assert!(exact.has_backend());
+        assert!(exact.backend.get().is_some());
 
         let projected = DatasetEntry::new(
             "projected",

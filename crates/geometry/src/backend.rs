@@ -68,7 +68,7 @@
 //! this is what `tests/geometry_properties.rs` property-checks. When a real
 //! projection fires, pairwise distances additionally distort by a factor
 //! `1 ± η` with the failure probability of Lemma 4.10
-//! ([`JlTransform::failure_probability`]).
+//! (`2 n² exp(−η² k / 8)` for target dimension `k`).
 //!
 //! Builds are **deterministic**: the backend's internal randomness (JL
 //! matrix, grid shifts) comes from a fixed-seed RNG stream
@@ -83,7 +83,6 @@ use crate::index::{GeometryIndex, ProfileCache};
 use crate::jl::JlTransform;
 use crate::partition::BoxPartition;
 use crate::point::Point;
-use crate::sync::lock_recover;
 use crate::tol;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -153,7 +152,7 @@ pub trait GeometryBackend: std::fmt::Debug + Send + Sync {
     /// backend, `2·displacement` for the projected one. A profile value
     /// this backend reports at radius `r` is bracketed by the exact values
     /// at `r ± radius_slack()` (see the module docs for the precise
-    /// contract and [`tol::within_radius_slack`] for the comparison helper).
+    /// contract).
     fn radius_slack(&self) -> f64;
 
     /// Builds a backend of the **same kind and configuration** for a
@@ -324,6 +323,7 @@ impl ProjectedBackend {
     }
 
     /// Number of occupied buckets `B`.
+    // privlint::allow(unused-pub): the bucket count the geometry property tests compare against a reference build
     pub fn bucket_count(&self) -> usize {
         self.sites.len()
     }
@@ -346,13 +346,9 @@ impl ProjectedBackend {
     }
 
     /// The representative input-point index of point `i`'s bucket.
+    // privlint::allow(unused-pub): the bucket representatives the geometry property tests compare against a reference build
     pub fn representative_of(&self, i: usize) -> usize {
         self.reps[self.bucket_of[i] as usize]
-    }
-
-    /// How many grid profiles are cached (diagnostics/tests).
-    pub fn cached_profiles(&self) -> usize {
-        lock_recover(&self.profiles).len()
     }
 
     /// `B_r(x_i)` as this backend approximates it: the occupancy of every
@@ -526,9 +522,17 @@ pub(crate) mod tests {
     use crate::ball_count::BallCounter;
     use crate::distance::DistanceMatrix;
     use crate::grid_profile::tests::pinning_quarters;
+    use crate::sync::lock_recover;
     use proptest::prelude::{prop, Strategy};
     use rand::Rng;
     use std::collections::HashSet;
+
+    impl ProjectedBackend {
+        /// How many grid profiles are cached.
+        fn cached_profiles(&self) -> usize {
+            lock_recover(&self.profiles).len()
+        }
+    }
 
     /// `L(r)` over weighted sites by brute force: each site's count is the
     /// weight within `r` of it, capped at `cap`, and `L` is the sum of the

@@ -77,6 +77,7 @@ impl BallCounter {
     }
 
     /// Access to the underlying distance matrix.
+    // privlint::allow(unused-pub): the exact matrix the geometry tests compare the served profiles and indices against
     pub fn distances(&self) -> &DistanceMatrix {
         &self.dm
     }
@@ -94,6 +95,7 @@ impl BallCounter {
     /// The largest (capped) count over balls of radius `r` centred at input
     /// points: `max_i B̄_r(x_i)`. This is the naive, high-sensitivity `L` the
     /// paper starts from before averaging.
+    // privlint::allow(unused-pub): the naive high-sensitivity `L` that the GoodRadius and sensitivity-example tests compare against
     pub fn max_capped_count(&self, r: f64) -> usize {
         (0..self.n)
             .map(|i| self.capped_count(i, r))
@@ -106,6 +108,7 @@ impl BallCounter {
     /// When `n < t` the average is taken padding with zeros (equivalently,
     /// only `n` balls exist and the remaining `t − n` "virtual" counts are 0),
     /// which keeps `L` well defined and still 2-sensitive.
+    // privlint::allow(unused-pub): the ball count `L` that every backend's grid-profile tests compare against, bit for bit
     pub fn l_value(&self, r: f64) -> f64 {
         if r < 0.0 {
             return 0.0;
@@ -288,6 +291,7 @@ impl LProfile {
     /// within the unified tolerance of a merged breakpoint group, where the
     /// profile returns the group's post-breakpoint value (see the residual-
     /// ambiguity note in [`crate::tol`]).
+    // privlint::allow(unused-pub): reads the breakpoint reference profile that the GoodRadius sensitivity tests and the geometry property tests compare against
     pub fn value_at(&self, r: f64) -> f64 {
         if r < 0.0 || self.breakpoints.is_empty() {
             return 0.0;

@@ -54,20 +54,6 @@ impl AxisAlignedBox {
         }
     }
 
-    /// A cube of side `side` centred at `center`.
-    pub fn cube_around(center: &Point, side: f64) -> Result<Self, GeometryError> {
-        if side < 0.0 || !side.is_finite() {
-            return Err(GeometryError::InvalidParameter(format!(
-                "cube side must be finite and non-negative, got {side}"
-            )));
-        }
-        let half = side / 2.0;
-        Ok(AxisAlignedBox {
-            lower: center.coords().iter().map(|c| c - half).collect(),
-            upper: center.coords().iter().map(|c| c + half).collect(),
-        })
-    }
-
     /// Ambient dimension.
     pub fn dim(&self) -> usize {
         self.lower.len()
@@ -81,11 +67,6 @@ impl AxisAlignedBox {
     /// Upper corner.
     pub fn upper(&self) -> &[f64] {
         &self.upper
-    }
-
-    /// Side length along axis `i`.
-    pub fn side(&self, i: usize) -> f64 {
-        self.upper[i] - self.lower[i]
     }
 
     /// The center of the box.
@@ -133,35 +114,6 @@ impl AxisAlignedBox {
             upper: self.upper.iter().map(|u| u + margin).collect(),
         }
     }
-
-    /// Intersection of two boxes, or `None` when they are disjoint.
-    pub fn intersection(&self, other: &AxisAlignedBox) -> Option<AxisAlignedBox> {
-        debug_assert_eq!(self.dim(), other.dim());
-        let mut lower = Vec::with_capacity(self.dim());
-        let mut upper = Vec::with_capacity(self.dim());
-        for i in 0..self.dim() {
-            let l = self.lower[i].max(other.lower[i]);
-            let u = self.upper[i].min(other.upper[i]);
-            if l > u {
-                return None;
-            }
-            lower.push(l);
-            upper.push(u);
-        }
-        Some(AxisAlignedBox { lower, upper })
-    }
-
-    /// Clamps a point into the box coordinate-wise (the paper's truncation of
-    /// `S'` into the box, §3.2 "Towards a Solution").
-    pub fn clamp_point(&self, p: &Point) -> Point {
-        Point::new(
-            p.coords()
-                .iter()
-                .enumerate()
-                .map(|(i, c)| c.clamp(self.lower[i], self.upper[i]))
-                .collect(),
-        )
-    }
 }
 
 #[cfg(test)]
@@ -175,20 +127,14 @@ mod tests {
         assert!(AxisAlignedBox::new(vec![1.0], vec![0.0]).is_err());
         assert!(AxisAlignedBox::new(vec![f64::NAN], vec![1.0]).is_err());
         assert!(AxisAlignedBox::new(vec![0.0, 0.0], vec![1.0, 2.0]).is_ok());
-        assert!(AxisAlignedBox::cube_around(&Point::origin(2), -1.0).is_err());
     }
 
     #[test]
-    fn unit_cube_and_cube_around() {
+    fn unit_cube() {
         let c = AxisAlignedBox::unit_cube(3);
         assert_eq!(c.dim(), 3);
         assert!(c.contains(&Point::splat(3, 0.5)));
         assert!(!c.contains(&Point::splat(3, 1.5)));
-
-        let k = AxisAlignedBox::cube_around(&Point::new(vec![1.0, 1.0]), 2.0).unwrap();
-        assert_eq!(k.lower(), &[0.0, 0.0]);
-        assert_eq!(k.upper(), &[2.0, 2.0]);
-        assert_eq!(k.side(0), 2.0);
     }
 
     #[test]
@@ -203,35 +149,10 @@ mod tests {
     }
 
     #[test]
-    fn expansion_intersection_clamping() {
+    fn expansion() {
         let a = AxisAlignedBox::new(vec![0.0, 0.0], vec![2.0, 2.0]).unwrap();
-        let b = AxisAlignedBox::new(vec![1.0, 1.0], vec![3.0, 3.0]).unwrap();
-        let inter = a.intersection(&b).unwrap();
-        assert_eq!(inter.lower(), &[1.0, 1.0]);
-        assert_eq!(inter.upper(), &[2.0, 2.0]);
-
-        let far = AxisAlignedBox::new(vec![5.0, 5.0], vec![6.0, 6.0]).unwrap();
-        assert!(a.intersection(&far).is_none());
-
         let grown = a.expanded(1.0);
         assert_eq!(grown.lower(), &[-1.0, -1.0]);
         assert_eq!(grown.upper(), &[3.0, 3.0]);
-
-        let clamped = a.clamp_point(&Point::new(vec![-5.0, 1.0]));
-        assert_eq!(clamped.coords(), &[0.0, 1.0]);
-    }
-
-    #[test]
-    fn figure1_scenario_intersection_can_be_empty_of_points() {
-        // Figure 1: two per-axis "heavy" intervals can intersect in a region
-        // containing no input point. The box machinery must allow expressing
-        // that situation (non-empty geometric intersection, zero points).
-        let pts = crate::dataset::Dataset::from_rows(vec![vec![0.1, 0.9], vec![0.9, 0.1]]).unwrap();
-        let heavy_x = AxisAlignedBox::new(vec![0.0, 0.0], vec![0.2, 1.0]).unwrap();
-        let heavy_y = AxisAlignedBox::new(vec![0.0, 0.0], vec![1.0, 0.2]).unwrap();
-        let inter = heavy_x.intersection(&heavy_y).unwrap();
-        assert_eq!(pts.count_in_box(&heavy_x), 1);
-        assert_eq!(pts.count_in_box(&heavy_y), 1);
-        assert_eq!(pts.count_in_box(&inter), 0);
     }
 }

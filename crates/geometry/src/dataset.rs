@@ -2,13 +2,12 @@
 //!
 //! The paper's databases `S ∈ (X^d)^n` are ordered multisets of points. A
 //! [`Dataset`] stores the points and enforces that all of them share the
-//! same dimension. Neighbouring-dataset semantics (differing in one row,
-//! Definition 1.1) are provided through [`Dataset::replace_row`] /
-//! [`Dataset::neighbors_with`] so that sensitivity tests and the statistical
-//! privacy smoke tests can construct neighbouring pairs conveniently.
+//! same dimension. Neighbouring datasets (differing in one row,
+//! Definition 1.1) are built with [`Dataset::replace_row`], so that
+//! sensitivity tests and the statistical privacy smoke tests can construct
+//! neighbouring pairs conveniently.
 
 use crate::ball::Ball;
-use crate::box_region::AxisAlignedBox;
 use crate::error::GeometryError;
 use crate::point::Point;
 
@@ -113,21 +112,6 @@ impl Dataset {
         })
     }
 
-    /// Returns `true` if `other` is a neighbouring dataset: same size and the
-    /// two differ in at most one row.
-    pub fn neighbors_with(&self, other: &Dataset) -> bool {
-        if self.len() != other.len() || self.dim != other.dim {
-            return false;
-        }
-        let differing = self
-            .points
-            .iter()
-            .zip(other.points.iter())
-            .filter(|(a, b)| a != b)
-            .count();
-        differing <= 1
-    }
-
     /// Subset of the dataset given by indices (order preserved, duplicates allowed).
     pub fn select(&self, indices: &[usize]) -> Dataset {
         Dataset {
@@ -161,11 +145,6 @@ impl Dataset {
         self.points.iter().filter(|p| ball.contains(p)).count()
     }
 
-    /// Number of points inside an axis-aligned box.
-    pub fn count_in_box(&self, bx: &AxisAlignedBox) -> usize {
-        self.points.iter().filter(|p| bx.contains(p)).count()
-    }
-
     /// Coordinate-wise (exact, non-private) mean of the points.
     pub fn mean(&self) -> Result<Point, GeometryError> {
         if self.is_empty() {
@@ -176,22 +155,6 @@ impl Dataset {
             acc.axpy(1.0, p);
         }
         Ok(acc.scale(1.0 / self.len() as f64))
-    }
-
-    /// The tightest axis-aligned bounding box of the points.
-    pub fn bounding_box(&self) -> Result<AxisAlignedBox, GeometryError> {
-        if self.is_empty() {
-            return Err(GeometryError::EmptyDataset);
-        }
-        let mut lo = vec![f64::INFINITY; self.dim];
-        let mut hi = vec![f64::NEG_INFINITY; self.dim];
-        for p in &self.points {
-            for j in 0..self.dim {
-                lo[j] = lo[j].min(p[j]);
-                hi[j] = hi[j].max(p[j]);
-            }
-        }
-        AxisAlignedBox::new(lo, hi)
     }
 
     /// Diameter (largest pairwise distance); `O(n^2 d)`.
@@ -280,10 +243,9 @@ mod tests {
     fn neighbouring_semantics() {
         let ds = sample();
         let swapped = ds.replace_row(0, Point::new(vec![9.0, 9.0])).unwrap();
-        assert!(ds.neighbors_with(&swapped));
-        assert!(ds.neighbors_with(&ds));
-        let double = swapped.replace_row(1, Point::new(vec![9.0, 9.0])).unwrap();
-        assert!(!ds.neighbors_with(&double));
+        assert_eq!(swapped.len(), ds.len());
+        assert_eq!(swapped.point(0).coords(), &[9.0, 9.0]);
+        assert_eq!(&swapped.points()[1..], &ds.points()[1..]);
         assert!(ds.replace_row(10, Point::origin(2)).is_err());
         assert!(ds.replace_row(0, Point::origin(3)).is_err());
     }
@@ -293,10 +255,6 @@ mod tests {
         let ds = sample();
         let ball = Ball::new(Point::new(vec![0.0, 0.0]), 1.5).unwrap();
         assert_eq!(ds.count_in_ball(&ball), 3);
-        let bb = ds.bounding_box().unwrap();
-        assert_eq!(bb.lower(), &[0.0, 0.0]);
-        assert_eq!(bb.upper(), &[5.0, 5.0]);
-        assert_eq!(ds.count_in_box(&bb), 4);
         let mean = ds.mean().unwrap();
         assert!((mean[0] - 1.5).abs() < 1e-12);
         assert!((mean[1] - 1.5).abs() < 1e-12);

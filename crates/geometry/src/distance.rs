@@ -21,7 +21,7 @@
 //! records a thread count. The sorted rows — one flat row-major `Vec<f64>`
 //! of `n²` entries (`8·n²` bytes) — are filled the first time a method
 //! reads them ([`DistanceMatrix::sorted_row`], the `count_within` family,
-//! [`DistanceMatrix::kth_distance`], [`DistanceMatrix::two_approx_radius`]),
+//! [`DistanceMatrix::two_approx_radius`]),
 //! exactly once even when several threads read first at the same time.
 //! Points and rows sit together behind one [`Arc`], so a [`DistanceMatrix`]
 //! clones in `O(1)` and can be shared across threads and cached per
@@ -45,6 +45,7 @@ static ROWS_BUILD_COUNT: std::sync::atomic::AtomicU64 = std::sync::atomic::Atomi
 /// assert on *deltas*, so they stay valid either way. This exists so
 /// integration tests can prove that the engine's shared per-dataset index
 /// really removes the rebuild from the repeated-query path.
+// privlint::allow(unused-pub): the build counter the index-reuse tests (a CI step) read from other crates
 pub fn debug_build_count() -> u64 {
     #[cfg(debug_assertions)]
     {
@@ -61,6 +62,7 @@ pub fn debug_build_count() -> u64 {
 /// [`debug_build_count`]; tests assert on deltas. This lets integration
 /// tests prove that serving never pays the `O(n² log n)` row fill or its
 /// `8·n²` bytes.
+// privlint::allow(unused-pub): the row-fill counter the index-reuse tests (a CI step) read from other crates
 pub fn debug_rows_build_count() -> u64 {
     #[cfg(debug_assertions)]
     {
@@ -197,16 +199,6 @@ impl DistanceMatrix {
         self.count_within(i, r).min(cap)
     }
 
-    /// The smallest radius `r` such that `B_r(x_i) ≥ k` (the distance from
-    /// point `i` to its `k`-th nearest point, counting itself as the 1st).
-    /// Returns `None` when `k > n`.
-    pub fn kth_distance(&self, i: usize, k: usize) -> Option<f64> {
-        if k == 0 || k > self.n {
-            return None;
-        }
-        Some(self.sorted_row(i)[k - 1])
-    }
-
     /// All pairwise distances (each unordered pair once, plus the `n` zeros
     /// from the diagonal), sorted ascending and deduplicated at the unified
     /// tolerance [`tol::same_distance`] — the same predicate the
@@ -286,16 +278,6 @@ mod tests {
         let dm = DistanceMatrix::build(&line_dataset());
         assert_eq!(dm.count_within_capped(1, 1.0, 2), 2);
         assert_eq!(dm.count_within_capped(1, 1.0, 10), 3);
-    }
-
-    #[test]
-    fn kth_distance_matches_sorted_order() {
-        let dm = DistanceMatrix::build(&line_dataset());
-        assert_eq!(dm.kth_distance(0, 1), Some(0.0));
-        assert_eq!(dm.kth_distance(0, 2), Some(1.0));
-        assert_eq!(dm.kth_distance(0, 4), Some(10.0));
-        assert_eq!(dm.kth_distance(0, 5), None);
-        assert_eq!(dm.kth_distance(0, 0), None);
     }
 
     #[test]

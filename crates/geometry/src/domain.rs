@@ -138,21 +138,6 @@ impl GridDomain {
     pub fn radius_from_index(&self, i: u64) -> f64 {
         i as f64 * self.grid_step() / 2.0
     }
-
-    /// The index of the smallest radius-grid value that is `≥ r`.
-    pub fn radius_index_ceil(&self, r: f64) -> u64 {
-        if r <= 0.0 {
-            return 0;
-        }
-        let idx = (r / (self.grid_step() / 2.0)).ceil() as u64;
-        idx.min(self.radius_grid_len() - 1)
-    }
-
-    /// Quantity `2 |X| √d` that appears inside the `log*` terms of the paper's
-    /// bounds (e.g. the quality promise `Γ` of Algorithm 1).
-    pub fn log_star_argument(&self) -> f64 {
-        2.0 * self.size as f64 * (self.dim as f64).sqrt()
-    }
 }
 
 #[cfg(test)]
@@ -176,7 +161,6 @@ mod tests {
         assert!((d.grid_step() - 0.1).abs() < 1e-12);
         assert!((d.axis_length() - 1.0).abs() < 1e-12);
         assert!((d.diameter() - 2.0).abs() < 1e-12);
-        assert!((d.log_star_argument() - 44.0).abs() < 1e-9);
     }
 
     #[test]
@@ -199,14 +183,6 @@ mod tests {
         assert_eq!(d.radius_grid_len(), 21);
         assert!((d.radius_from_index(0) - 0.0).abs() < 1e-12);
         assert!((d.radius_from_index(20) - 1.0).abs() < 1e-12);
-        assert_eq!(d.radius_index_ceil(0.0), 0);
-        assert_eq!(d.radius_index_ceil(0.07), 2);
-        assert_eq!(d.radius_index_ceil(100.0), 20);
-        // index/ceil round trip dominates the requested radius
-        for r in [0.0, 0.01, 0.333, 0.99] {
-            let i = d.radius_index_ceil(r);
-            assert!(d.radius_from_index(i) >= r - 1e-12);
-        }
     }
 
     #[test]

@@ -86,6 +86,7 @@ static PROFILE_BUILD_COUNT: std::sync::atomic::AtomicU64 = std::sync::atomic::At
 /// [`distance::debug_build_count`](crate::distance::debug_build_count): it
 /// lets tests prove that the cache bounds rebuild work under adversarial
 /// cap rotation and that racing first callers share one build.
+// privlint::allow(unused-pub): the profile-build counter the index-reuse tests (a CI step) read from other crates
 pub fn debug_profile_build_count() -> u64 {
     #[cfg(debug_assertions)]
     {

@@ -143,6 +143,7 @@ impl GeometryIndex {
     }
 
     /// The underlying distance matrix.
+    // privlint::allow(unused-pub): the exact matrix the geometry property tests compare the index's rows against
     pub fn distances(&self) -> &DistanceMatrix {
         &self.dm
     }
@@ -186,6 +187,7 @@ impl GeometryIndex {
     }
 
     /// How many grid profiles are cached (diagnostics/tests).
+    // privlint::allow(unused-pub): the cache size the profile-cache bound tests in this crate's and the core crate's tests read
     pub fn cached_profiles(&self) -> usize {
         lock_recover(&self.profiles).len()
     }

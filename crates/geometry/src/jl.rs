@@ -56,16 +56,9 @@ impl JlTransform {
         }
     }
 
-    /// The paper's choice of target dimension, `k = ⌈46 ln(2n/β)⌉`, capped at
-    /// the source dimension (projecting up is pointless).
-    pub fn paper_target_dim(n: usize, beta: f64, source_dim: usize) -> usize {
-        let k = (46.0 * (2.0 * n as f64 / beta).ln()).ceil() as usize;
-        k.clamp(1, source_dim.max(1))
-    }
-
     /// The sub-quadratic backend's target dimension, `k = ⌈8 ln(n + 2)⌉`
-    /// capped at the source dimension. Deliberately smaller than
-    /// [`JlTransform::paper_target_dim`]'s constant-46 choice — and
+    /// capped at the source dimension. Deliberately smaller than the
+    /// paper's choice `⌈46 ln(2n/β)⌉` — and
     /// deliberately **below** what Lemma 4.10 needs for a vanishing
     /// failure bound (at η = 1/2 the lemma gives `2n² e^{−k/32}`, which
     /// only drops below `n^{−1/2}` for `k ≳ 80 ln n`). At this `k` the
@@ -73,8 +66,8 @@ impl JlTransform {
     /// contract is its explicit additive slack in projected space (see the
     /// backend module's approximation-contract docs), not a JL guarantee.
     /// Callers who need Lemma 4.10's bound should set
-    /// `ProjectedConfig::target_dim` explicitly (e.g. from
-    /// [`JlTransform::paper_target_dim`]) and pay the larger build.
+    /// `ProjectedConfig::target_dim` explicitly (e.g. to the paper's
+    /// `⌈46 ln(2n/β)⌉`) and pay the larger build.
     pub fn backend_target_dim(n: usize, source_dim: usize) -> usize {
         let k = (8.0 * ((n + 2) as f64).ln()).ceil() as usize;
         k.clamp(1, source_dim.max(1))
@@ -103,12 +96,6 @@ impl JlTransform {
         }
         Dataset::new(projected)
     }
-
-    /// The failure-probability bound of Lemma 4.10 for distortion `η` over
-    /// `n` points: `2 n² exp(−η² k / 8)`.
-    pub fn failure_probability(&self, n: usize, eta: f64) -> f64 {
-        2.0 * (n as f64) * (n as f64) * (-eta * eta * self.output_dim as f64 / 8.0).exp()
-    }
 }
 
 #[cfg(test)]
@@ -133,13 +120,6 @@ mod tests {
         let t = JlTransform::identity(3);
         let p = Point::new(vec![1.0, -2.0, 0.5]);
         assert_eq!(t.project(&p).unwrap(), p);
-    }
-
-    #[test]
-    fn paper_target_dim_is_capped_by_source() {
-        assert_eq!(JlTransform::paper_target_dim(1000, 0.1, 8), 8);
-        let k = JlTransform::paper_target_dim(1000, 0.1, 4096);
-        assert!((400..=500).contains(&k), "k = {k}");
     }
 
     #[test]
@@ -174,14 +154,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn failure_probability_decreases_with_k() {
-        let mut rng = StdRng::seed_from_u64(5);
-        let small = JlTransform::sample(100, 8, &mut rng).unwrap();
-        let large = JlTransform::sample(100, 128, &mut rng).unwrap();
-        assert!(large.failure_probability(50, 0.5) < small.failure_probability(50, 0.5));
     }
 
     #[test]

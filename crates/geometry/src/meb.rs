@@ -182,6 +182,7 @@ fn two_approx_center(pts: &[Point], t: usize) -> (usize, f64) {
 /// the optimum. This is exponential in the dimension and is meant only for
 /// producing ground-truth `r_opt` on small instances (the problem is NP-hard
 /// in general).
+// privlint::allow(unused-pub): the exact optimum the baselines' and this crate's tests compare the approximations against
 pub fn exhaustive_smallest_ball(data: &Dataset, t: usize) -> Result<Ball, GeometryError> {
     if data.is_empty() {
         return Err(GeometryError::EmptyDataset);
@@ -244,6 +245,7 @@ pub fn exhaustive_smallest_ball(data: &Dataset, t: usize) -> Result<Ball, Geomet
 
 /// Exact smallest interval (as a 1-D ball: center + radius) containing at
 /// least `t` points of a one-dimensional dataset. `O(n log n)`.
+// privlint::allow(unused-pub): the exact 1-D optimum the threshold-release baseline's tests compare against
 pub fn smallest_interval_1d(data: &Dataset, t: usize) -> Result<Ball, GeometryError> {
     if data.dim() != 1 {
         return Err(GeometryError::DimensionMismatch {

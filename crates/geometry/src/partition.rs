@@ -70,17 +70,6 @@ impl ShiftedIntervalPartition {
         let lo = self.shift + j as f64 * self.width;
         (lo, lo + self.width)
     }
-
-    /// Whether two values fall in the same cell.
-    pub fn same_cell(&self, x: f64, y: f64) -> bool {
-        self.cell_index(x) == self.cell_index(y)
-    }
-
-    /// Probability (over a uniformly random shift) that an interval of length
-    /// `span` is split by a cell boundary: `min(span/width, 1)`.
-    pub fn split_probability(&self, span: f64) -> f64 {
-        (span / self.width).clamp(0.0, 1.0)
-    }
 }
 
 /// A product partition of `R^k` into axis-aligned boxes, one shifted interval
@@ -205,13 +194,6 @@ impl BoxPartition {
     pub fn max_cell_count(&self, data: &Dataset) -> usize {
         self.histogram(data).values().copied().max().unwrap_or(0)
     }
-
-    /// The fullest cell together with its occupancy.
-    pub fn heaviest_cell(&self, data: &Dataset) -> Option<(Vec<i64>, usize)> {
-        self.histogram(data)
-            .into_iter()
-            .max_by(|a, b| a.1.cmp(&b.1).then_with(|| b.0.cmp(&a.0)))
-    }
 }
 
 #[cfg(test)]
@@ -241,10 +223,6 @@ mod tests {
         let (lo, hi) = p.cell_bounds(0);
         assert!((lo - 0.25).abs() < 1e-12);
         assert!((hi - 1.25).abs() < 1e-12);
-        assert!(p.same_cell(0.3, 1.0));
-        assert!(!p.same_cell(0.3, 1.3));
-        assert!((p.split_probability(0.5) - 0.5).abs() < 1e-12);
-        assert_eq!(p.split_probability(5.0), 1.0);
     }
 
     #[test]
@@ -256,7 +234,7 @@ mod tests {
         let mut splits = 0;
         for _ in 0..trials {
             let p = ShiftedIntervalPartition::random(4.0, &mut rng).unwrap();
-            if !p.same_cell(10.0, 11.0) {
+            if p.cell_index(10.0) != p.cell_index(11.0) {
                 splits += 1;
             }
         }
@@ -281,7 +259,7 @@ mod tests {
     }
 
     #[test]
-    fn histogram_and_heaviest_cell() {
+    fn histogram_and_max_cell_count() {
         let bp = BoxPartition::aligned_cubes(2, 1.0).unwrap();
         let data = Dataset::from_rows(vec![
             vec![0.1, 0.1],
@@ -295,9 +273,6 @@ mod tests {
         assert_eq!(hist[&vec![0, 0]], 3);
         assert_eq!(hist[&vec![5, 5]], 1);
         assert_eq!(bp.max_cell_count(&data), 3);
-        let (cell, count) = bp.heaviest_cell(&data).unwrap();
-        assert_eq!(cell, vec![0, 0]);
-        assert_eq!(count, 3);
     }
 
     #[test]

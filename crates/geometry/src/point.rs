@@ -8,7 +8,6 @@
 //! O(d) loop, and keeping the representation a plain `Vec<f64>` keeps the
 //! public API dependency-free.
 
-use crate::error::GeometryError;
 use std::ops::{Index, IndexMut};
 
 /// A point (equivalently, a vector) in `R^d`.
@@ -54,11 +53,6 @@ impl Point {
         &self.coords
     }
 
-    /// Consumes the point and returns the underlying coordinate vector.
-    pub fn into_coords(self) -> Vec<f64> {
-        self.coords
-    }
-
     /// Returns `true` when every coordinate is finite.
     pub fn is_finite(&self) -> bool {
         self.coords.iter().all(|c| c.is_finite())
@@ -74,21 +68,10 @@ impl Point {
         self.coords.iter().map(|c| c * c).sum::<f64>()
     }
 
-    /// L1 norm.
-    pub fn norm_l1(&self) -> f64 {
-        self.coords.iter().map(|c| c.abs()).sum::<f64>()
-    }
-
-    /// L-infinity norm.
-    pub fn norm_linf(&self) -> f64 {
-        self.coords.iter().fold(0.0_f64, |m, c| m.max(c.abs()))
-    }
-
     /// Euclidean distance to another point.
     ///
     /// # Panics
-    /// Panics in debug builds if the dimensions differ; use
-    /// [`Point::try_distance`] for a checked variant.
+    /// Panics in debug builds if the dimensions differ.
     pub fn distance(&self, other: &Point) -> f64 {
         debug_assert_eq!(self.dim(), other.dim(), "distance between mismatched dims");
         self.distance_squared(other).sqrt()
@@ -104,17 +87,6 @@ impl Point {
                 d * d
             })
             .sum()
-    }
-
-    /// Checked Euclidean distance.
-    pub fn try_distance(&self, other: &Point) -> Result<f64, GeometryError> {
-        if self.dim() != other.dim() {
-            return Err(GeometryError::DimensionMismatch {
-                expected: self.dim(),
-                actual: other.dim(),
-            });
-        }
-        Ok(self.distance(other))
     }
 
     /// Inner product `<self, other>`.
@@ -162,11 +134,6 @@ impl Point {
         for (a, b) in self.coords.iter_mut().zip(other.coords.iter()) {
             *a += s * b;
         }
-    }
-
-    /// The midpoint of `self` and `other`.
-    pub fn midpoint(&self, other: &Point) -> Point {
-        self.add(other).scale(0.5)
     }
 
     /// Clamps every coordinate into `[lo, hi]`.
@@ -222,25 +189,10 @@ mod tests {
         let a = Point::new(vec![3.0, 4.0]);
         assert!((a.norm() - 5.0).abs() < 1e-12);
         assert!((a.norm_squared() - 25.0).abs() < 1e-12);
-        assert!((a.norm_l1() - 7.0).abs() < 1e-12);
-        assert!((a.norm_linf() - 4.0).abs() < 1e-12);
 
         let b = Point::new(vec![0.0, 0.0]);
         assert!((a.distance(&b) - 5.0).abs() < 1e-12);
         assert!((a.distance_squared(&b) - 25.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn try_distance_rejects_mismatched_dims() {
-        let a = Point::origin(2);
-        let b = Point::origin(3);
-        assert!(matches!(
-            a.try_distance(&b),
-            Err(GeometryError::DimensionMismatch {
-                expected: 2,
-                actual: 3
-            })
-        ));
     }
 
     #[test]
@@ -251,7 +203,6 @@ mod tests {
         assert_eq!(a.sub(&b).coords(), &[-2.0, 3.0]);
         assert_eq!(a.scale(2.0).coords(), &[2.0, 4.0]);
         assert!((a.dot(&b) - 1.0).abs() < 1e-12);
-        assert_eq!(a.midpoint(&b).coords(), &[2.0, 0.5]);
 
         let mut c = a.clone();
         c.axpy(2.0, &b);
@@ -276,6 +227,5 @@ mod tests {
         assert_eq!(s, &[5.0, 2.0]);
         let b = Point::from(&[1.0, 1.0][..]);
         assert_eq!(b.dim(), 2);
-        assert_eq!(a.into_coords(), vec![5.0, 2.0]);
     }
 }

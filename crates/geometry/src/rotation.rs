@@ -71,11 +71,6 @@ impl OrthonormalBasis {
             .sum()
     }
 
-    /// All coordinates of `p` in this basis.
-    pub fn coordinates(&self, p: &Point) -> Vec<f64> {
-        (0..self.dim()).map(|i| self.project(p, i)).collect()
-    }
-
     /// Reconstructs a point from its coordinates in this basis
     /// (`Σ_i c_i z_i`).
     pub fn from_coordinates(&self, coords: &[f64]) -> Result<Point, GeometryError> {
@@ -99,6 +94,11 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
+    /// All coordinates of `p` in `basis`.
+    fn coordinates(basis: &OrthonormalBasis, p: &Point) -> Vec<f64> {
+        (0..basis.dim()).map(|i| basis.project(p, i)).collect()
+    }
+
     #[test]
     fn invalid_dimension_rejected() {
         let mut rng = StdRng::seed_from_u64(1);
@@ -120,7 +120,7 @@ mod tests {
         }
         // Rotations preserve Euclidean norms.
         let p = Point::new((0..d).map(|i| (i as f64) - 3.5).collect());
-        let coords = basis.coordinates(&p);
+        let coords = coordinates(&basis, &p);
         let rotated_norm = coords.iter().map(|c| c * c).sum::<f64>().sqrt();
         assert!((rotated_norm - p.norm()).abs() < 1e-9);
     }
@@ -130,7 +130,7 @@ mod tests {
         let basis = OrthonormalBasis::identity(3);
         let p = Point::new(vec![1.0, 2.0, 3.0]);
         assert_eq!(basis.project(&p, 1), 2.0);
-        assert_eq!(basis.coordinates(&p), vec![1.0, 2.0, 3.0]);
+        assert_eq!(coordinates(&basis, &p), vec![1.0, 2.0, 3.0]);
     }
 
     #[test]
@@ -138,7 +138,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         let basis = OrthonormalBasis::random(5, &mut rng).unwrap();
         let p = Point::new(vec![0.3, -2.0, 1.0, 4.0, -0.5]);
-        let coords = basis.coordinates(&p);
+        let coords = coordinates(&basis, &p);
         let back = basis.from_coordinates(&coords).unwrap();
         assert!(back.distance(&p) < 1e-9);
         assert!(basis.from_coordinates(&[1.0, 2.0]).is_err());

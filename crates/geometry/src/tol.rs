@@ -51,8 +51,8 @@ pub const ABS: f64 = 1e-15;
 /// [`Ball::contains`]: crate::ball::Ball::contains
 pub const ABS_SQ: f64 = 1e-24;
 
-/// Coarse absolute slack for ball–ball predicates (`contains_ball`,
-/// `intersects`), whose operands are sums of two radii and a distance.
+/// Coarse absolute slack for the ball–ball predicate (`contains_ball`),
+/// whose operands are sums of two radii and a distance.
 pub const ABS_COARSE: f64 = 1e-12;
 
 /// Whether a point at distance `d` lies within the closed ball of radius
@@ -91,18 +91,6 @@ pub fn within_radius_sq(d2: f64, r2: f64) -> bool {
     d2 <= ball_threshold_sq(r2)
 }
 
-/// Whether a point at distance `d` lies within the closed ball of radius
-/// `r` once `r` is widened by an approximation backend's additive `slack`
-/// (see `GeometryBackend::radius_slack` in the backend module). With
-/// `slack = 0` this is exactly [`within_radius`]; a positive slack is how
-/// the projected backend's documented error bound is phrased in terms of
-/// the unified tolerance, so tests and callers compare approximate answers
-/// against exact ones without inventing a second epsilon scheme.
-#[inline]
-pub fn within_radius_slack(d: f64, r: f64, slack: f64) -> bool {
-    within_radius(d, r + slack)
-}
-
 /// The inflated squared-radius threshold `r2·(1+REL) + ABS_SQ`, exposed so
 /// coverage scans can precompute it once per ball and early-exit on partial
 /// squared distances while staying bit-consistent with [`within_radius_sq`].
@@ -120,16 +108,6 @@ pub fn ball_threshold_sq(r2: f64) -> f64 {
 #[inline]
 pub fn ball_contains_ball(d: f64, outer_r: f64, inner_r: f64) -> bool {
     d + inner_r <= outer_r * (1.0 + REL) + ABS_COARSE
-}
-
-/// Whether two balls of radii `r1` and `r2` with centers `d` apart
-/// intersect (closed balls, so touching counts). Deliberately has **no**
-/// relative term: the historical predicate `Ball::intersects` inlined used
-/// only the coarse absolute slack, and widening it retroactively would flip
-/// recorded golden transcripts near tangency.
-#[inline]
-pub fn balls_intersect(d: f64, r1: f64, r2: f64) -> bool {
-    d <= r1 + r2 + ABS_COARSE
 }
 
 #[cfg(test)]
@@ -157,17 +135,11 @@ mod tests {
     }
 
     #[test]
-    fn ball_predicates_keep_their_historical_forms() {
+    fn ball_predicate_keeps_its_historical_form() {
         // contains: inflates the outer radius relatively + coarse slack.
         assert!(ball_contains_ball(0.5, 1.0, 0.5));
         assert!(ball_contains_ball(0.5 + 1e-13, 1.0, 0.5)); // inside slack
         assert!(!ball_contains_ball(0.5 + 1e-11, 1.0, 0.5)); // beyond slack
-
-        // intersects: purely additive slack, no relative term.
-        assert!(balls_intersect(2.0, 1.0, 1.0)); // tangent counts
-        assert!(balls_intersect(2.0 + 5e-13, 1.0, 1.0)); // inside slack
-        assert!(!balls_intersect(2.0 + 1e-11, 1.0, 1.0)); // beyond slack
-        assert!(!balls_intersect(1e9 + 1.0, 5e8, 5e8 - 1.0)); // no REL at scale
     }
 
     #[test]

@@ -69,7 +69,12 @@ proptest! {
         for p in data.iter() {
             prop_assert!(ball.contains(p));
         }
-        let bb_ball = data.bounding_box().unwrap().bounding_ball();
+        let extreme = |j: usize, pick: fn(f64, f64) -> f64| {
+            data.iter().map(|p| p[j]).reduce(pick).unwrap()
+        };
+        let lo = (0..data.dim()).map(|j| extreme(j, f64::min)).collect();
+        let hi = (0..data.dim()).map(|j| extreme(j, f64::max)).collect();
+        let bb_ball = AxisAlignedBox::new(lo, hi).unwrap().bounding_ball();
         prop_assert!(ball.radius() <= bb_ball.radius() + 1e-9);
     }
 
@@ -94,8 +99,9 @@ proptest! {
         let basis = OrthonormalBasis::random(dim, &mut rng).unwrap();
         let a = Point::new(coords_a[..dim].to_vec());
         let b = Point::new(coords_b[..dim].to_vec());
-        let ra = Point::new(basis.coordinates(&a));
-        let rb = Point::new(basis.coordinates(&b));
+        let coordinates = |p: &Point| (0..dim).map(|i| basis.project(p, i)).collect();
+        let ra = Point::new(coordinates(&a));
+        let rb = Point::new(coordinates(&b));
         prop_assert!((ra.norm() - a.norm()).abs() < 1e-9);
         prop_assert!((ra.dot(&rb) - a.dot(&b)).abs() < 1e-9);
     }
@@ -138,34 +144,6 @@ proptest! {
         prop_assert!(psx.sub(&px.scale(scale)).norm() < 1e-9);
     }
 
-    /// Box intersection is commutative and contained in both boxes.
-    #[test]
-    fn box_intersection_properties(
-        lo_a in prop::collection::vec(0.0f64..0.5, 2..=2),
-        ext_a in prop::collection::vec(0.05f64..0.6, 2..=2),
-        lo_b in prop::collection::vec(0.0f64..0.5, 2..=2),
-        ext_b in prop::collection::vec(0.05f64..0.6, 2..=2),
-    ) {
-        let a = AxisAlignedBox::new(
-            lo_a.clone(),
-            lo_a.iter().zip(&ext_a).map(|(l, e)| l + e).collect(),
-        )
-        .unwrap();
-        let b = AxisAlignedBox::new(
-            lo_b.clone(),
-            lo_b.iter().zip(&ext_b).map(|(l, e)| l + e).collect(),
-        )
-        .unwrap();
-        let ab = a.intersection(&b);
-        let ba = b.intersection(&a);
-        prop_assert_eq!(ab.is_some(), ba.is_some());
-        if let (Some(x), Some(y)) = (ab, ba) {
-            prop_assert_eq!(&x, &y);
-            prop_assert!(a.contains(&x.center()));
-            prop_assert!(b.contains(&x.center()));
-        }
-    }
-
     /// Scaling a ball preserves containment of previously contained points.
     #[test]
     fn ball_scaling_is_monotone(
@@ -177,7 +155,8 @@ proptest! {
         let ball = Ball::new(Point::new(center), radius).unwrap();
         let p = Point::new(probe);
         if ball.contains(&p) {
-            prop_assert!(ball.scaled(factor).contains(&p));
+            let scaled = Ball::new(ball.center().clone(), radius * factor).unwrap();
+            prop_assert!(scaled.contains(&p));
         }
     }
 
@@ -294,7 +273,7 @@ proptest! {
             // widened by the slack.
             let hi = data
                 .iter()
-                .filter(|p| tol::within_radius_slack(data.point(i).distance(p), probe, margin))
+                .filter(|p| tol::within_radius(data.point(i).distance(p), probe + margin))
                 .count();
             prop_assert_eq!(hi, exact.distances().count_within(i, probe + margin));
             let lo = if probe >= margin {

@@ -38,6 +38,7 @@ impl InteriorPointInstance {
     /// `hi`. Any interior point must fall between the camps, so blatantly
     /// non-private strategies (like outputting a fixed quantile of a few
     /// records) are easy to audit against.
+    // privlint::allow(unused-pub): the facade surface `tests/prelude_surface.rs` pins
     pub fn two_camps(n: usize, lo: f64, hi: f64) -> Self {
         assert!(n >= 2 && lo < hi);
         let mut rows = Vec::with_capacity(n);

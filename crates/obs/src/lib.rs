@@ -1,5 +1,5 @@
-//! `privcluster-obs` — privacy-aware telemetry for the workspace: spans,
-//! lock-free metrics, and a bounded structured event stream.
+//! `privcluster-obs` — privacy-aware telemetry for the workspace: lock-free
+//! metrics and a bounded structured event stream.
 //!
 //! A production DP service must observe itself *without* leaking what DP
 //! protects. The whole crate is therefore built around one contract:
@@ -8,11 +8,11 @@
 //!
 //! Telemetry records **timings, counts, sequence numbers, fingerprints, and
 //! `(ε, δ)` aggregates — never data coordinates, query radii, or released
-//! values.** A metric label, span annotation, or event field that carries a
-//! point, a radius, or a noisy release would turn the observability plane
-//! into a side channel that bypasses the budget accountant entirely. The
+//! values.** A metric label or event field that carries a point, a radius,
+//! or a noisy release would turn the observability plane into a side
+//! channel that bypasses the budget accountant entirely. The
 //! `event-payload-leak` privlint rule enforces this contract statically at
-//! every `event!`/`Span::annotate` call site.
+//! every `event!` call site.
 //!
 //! The pieces:
 //!
@@ -23,8 +23,6 @@
 //!   series, handed out as `Arc`s so instrumented code resolves its series
 //!   once and then touches only atomics. [`MetricsRegistry::snapshot`] is a
 //!   consistent point-in-time read rendered to canonical JSON.
-//! * [`span`] — the [`Span`] API: monotonic start/finish timing, parent
-//!   linkage, per-stage labels, and an optional histogram sink.
 //! * [`event`](mod@event) — [`Severity`]-tagged structured JSON events in a
 //!   bounded ring buffer ([`EventStream`]), with an optional append-only
 //!   file sink (`serve --events PATH`). The [`event!`] macro is the one
@@ -42,13 +40,11 @@ pub mod event;
 pub mod metrics;
 pub mod prom;
 pub mod registry;
-pub mod span;
 pub mod time;
 
 pub use event::{Event, EventStream, Severity};
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot};
 pub use registry::{MetricsRegistry, MetricsSnapshot, SeriesId};
-pub use span::{Span, SpanId};
 pub use time::Stopwatch;
 
 /// Locks a mutex, recovering the data from a poisoned guard. Telemetry

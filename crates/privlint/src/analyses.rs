@@ -1,15 +1,18 @@
 //! The syntax-aware analyses: `lock-order` (a workspace-wide
 //! lock-acquisition graph with cycle and declared-order checking),
 //! `charge-release-paths` (per-function dataflow over journal append
-//! events), and `wire-field-coverage` (every wire field read must reach a
-//! validation call). All three run on the function tree from
-//! [`crate::syntax`]; none of them parses full Rust.
+//! events), `wire-field-coverage` (every wire field read must reach a
+//! validation call), and `unused-pub` (every `pub fn` of a mechanism or
+//! service crate must be named by production code somewhere in the
+//! workspace). The first three run on the function tree from
+//! [`crate::syntax`], the last on the significant-token stream; none of
+//! them parses full Rust.
 
 use crate::lexer::TokKind;
 use crate::rules::Finding;
 use crate::scope::{FileScope, SigTokens};
 use crate::syntax::{self, Call, FnNode};
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, HashSet, VecDeque};
 
 // ---------------------------------------------------------------------------
 // lock-order
@@ -1195,6 +1198,123 @@ fn is_match_scrutinee(sig: &SigTokens<'_>, node: &FnNode, i: usize) -> bool {
         }
     }
     false
+}
+
+// ---------------------------------------------------------------------------
+// unused-pub
+// ---------------------------------------------------------------------------
+
+/// The mechanism and service crates, whose every `pub fn` needs a
+/// production caller. The bench harness, the report writer and this lint
+/// are tools, not API.
+const API_CRATES: &[&str] = &[
+    "dp",
+    "core",
+    "geometry",
+    "baselines",
+    "agg",
+    "engine",
+    "server",
+    "store",
+    "obs",
+    "datagen",
+    "lowerbound",
+];
+
+/// A `pub fn` defined in an API crate's library code.
+#[derive(Debug, Clone)]
+pub struct PubFn {
+    /// The function's name.
+    pub name: String,
+    /// 1-based line of its `pub`, where findings and waivers attach.
+    pub line: u32,
+    /// 1-based column.
+    pub col: u32,
+}
+
+/// One file's part of `unused-pub`: returns the `pub fn`s it defines (in
+/// an API crate's library code, outside `src/bin/`) and adds to `names`
+/// every identifier its production code names. Test files and `lib`-false
+/// (`#[cfg(test)]`) lines name nothing; neither do a function definition's
+/// own name nor a `pub use` re-export. Identifiers are sliced from `src`,
+/// so the set outlives the file's token stream.
+pub fn pub_fns_and_names<'a>(
+    scope: &FileScope,
+    src: &'a str,
+    sig: &SigTokens<'_>,
+    lib: &dyn Fn(u32) -> bool,
+    names: &mut HashSet<&'a str>,
+) -> Vec<PubFn> {
+    let mut defs = Vec::new();
+    if scope.is_test_file {
+        return defs;
+    }
+    let defines = scope.is_library_code()
+        && scope
+            .crate_name
+            .as_deref()
+            .is_some_and(|c| API_CRATES.contains(&c))
+        && !scope.rel_path.contains("/src/bin/");
+    let mut i = 0;
+    while i < sig.len() {
+        let t = sig.tok(i);
+        if t.kind != TokKind::Ident || !lib(t.line) {
+            i += 1;
+            continue;
+        }
+        if sig.is_ident(i, "pub") {
+            // `pub(crate)` and the like restrict the item to its crate.
+            let restricted = sig.is_punct(i + 1, "(");
+            let mut j = i + 1;
+            if restricted {
+                j = sig.matching_close(j, "(", ")").map_or(j, |c| c + 1);
+            }
+            if sig.is_ident(j, "use") {
+                i = (j..sig.len())
+                    .find(|&k| sig.is_punct(k, ";"))
+                    .map_or(sig.len(), |k| k + 1);
+                continue;
+            }
+            while ["const", "async", "unsafe"]
+                .iter()
+                .any(|q| sig.is_ident(j, q))
+            {
+                j += 1;
+            }
+            if defines && !restricted && sig.is_ident(j, "fn") && sig.ident_matches(j + 1, |_| true)
+            {
+                defs.push(PubFn {
+                    name: sig.text(j + 1).to_string(),
+                    line: t.line,
+                    col: t.col,
+                });
+            }
+        }
+        if !(i > 0 && sig.is_ident(i - 1, "fn")) {
+            names.insert(&src[t.start..t.end]);
+        }
+        i += 1;
+    }
+    defs
+}
+
+/// `unused-pub` — each of `defs` whose name is not in `names`, the
+/// identifiers the whole workspace's production code names.
+pub fn unused_pub(defs: &[PubFn], names: &HashSet<&str>) -> Vec<Finding> {
+    defs.iter()
+        .filter(|d| !names.contains(d.name.as_str()))
+        .map(|d| Finding {
+            rule: "unused-pub",
+            line: d.line,
+            col: d.col,
+            message: format!(
+                "`pub fn {}` is named by no production code (only tests, comments or \
+re-exports, if anything) — delete it, make it private or `#[cfg(test)]`, or waive it with \
+the reason it stays public",
+                d.name
+            ),
+        })
+        .collect()
 }
 
 #[cfg(test)]

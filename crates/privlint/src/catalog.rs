@@ -32,9 +32,9 @@ still be merged by the profile sweep — `LProfile::value_at` disagreed with the
 direct `l_value` near ties. Every distance comparison now routes through \
 `geometry::tol`; a fresh raw comparison against a radius re-opens that split-brain.",
         fix: "Compare through `tol::within_radius`, `tol::within_radius_sq`, \
-`tol::same_distance`, or one of the ball helpers (`tol::ball_contains_ball`, \
-`tol::balls_intersect`). If the comparison is genuinely not a membership \
-predicate (e.g. ordering two candidate radii), waive it with a reason.",
+`tol::same_distance`, or the ball helper `tol::ball_contains_ball`. If the \
+comparison is genuinely not a membership predicate (e.g. ordering two \
+candidate radii), waive it with a reason.",
     },
     RuleInfo {
         id: "lock-unwrap",
@@ -189,6 +189,26 @@ pattern-matched, or let-bound into a typed `req_*`/`opt_*` helper.",
 `parse*` function, or destructure it with a `match`/`.as_*()` narrowing \
 before use. If a field is intentionally passed through opaquely (e.g. echoed \
 back verbatim), waive the read with that reason.",
+    },
+    RuleInfo {
+        id: "unused-pub",
+        summary: "a `pub fn` in a mechanism or service crate that no production code names",
+        scope: "library code of crates/dp, core, geometry, baselines, agg, engine, server, \
+store, obs, datagen and lowerbound (outside `src/bin/`), against every identifier named by \
+the workspace's non-test code and by nested workspaces' sources; trait items are exempt",
+        motivation: "The service exists to run the paper's mechanisms, and a public \
+surface that only tests call is code to read, document and keep correct for no served \
+query. A name scan before this rule found 61 of 544 `pub fn`s in these crates named \
+only by tests, comments or re-exports — split and composition helpers, vector samplers, \
+diagnostic getters — about 590 lines with their docs, kept alive by nothing but their \
+own unit tests. Names are matched by identifier, so a dead method whose name collides \
+with a live one is missed; the rule is a floor, not a proof.",
+        fix: "Delete the function (and any unit test that checks only it), make it \
+private or `#[cfg(test)]`, or move it into the tests that use it. Callers count from \
+`src/bin/`, examples, benches, the experiment binaries and nested workspaces such as the \
+benchmark harness; `#[cfg(test)]` code, `tests/`, comments, doctests and `pub use` \
+re-exports do not. Waive only a reference that other crates' tests compare against, or \
+surface the facade's tests pin, with that reason.",
     },
     RuleInfo {
         id: "malformed-waiver",

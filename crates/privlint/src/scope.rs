@@ -126,10 +126,11 @@ impl<'a> SigTokens<'a> {
     }
 }
 
-/// Line ranges (inclusive) of `#[cfg(test)] mod … { … }` bodies.
+/// Line ranges (inclusive) of `#[cfg(test)] [pub[(…)]] mod … { … }`
+/// bodies and of `#[cfg(test)]` functions (`[pub[(…)]] fn … { … }`).
 ///
 /// The scan looks for the attribute token run `# [ cfg ( test ) ]`,
-/// tolerates further attributes between it and the `mod`, and records the
+/// tolerates further attributes between it and the item, and records the
 /// brace-matched body. Unbalanced input simply yields no region — the lint
 /// degrades to checking more, never less… conservative in the direction of
 /// reporting.
@@ -149,7 +150,7 @@ pub fn cfg_test_line_ranges(sig: &SigTokens<'_>) -> Vec<(u32, u32)> {
             i += 1;
             continue;
         }
-        // Skip any further attributes, then expect `mod name {`.
+        // Skip any further attributes, then expect the item.
         let mut j = i + 7;
         while sig.is_punct(j, "#") && sig.is_punct(j + 1, "[") {
             match sig.matching_close(j + 1, "[", "]") {
@@ -157,16 +158,42 @@ pub fn cfg_test_line_ranges(sig: &SigTokens<'_>) -> Vec<(u32, u32)> {
                 None => break,
             }
         }
-        if sig.is_ident(j, "mod") && j + 2 < n && sig.is_punct(j + 2, "{") {
-            if let Some(close) = sig.matching_close(j + 2, "{", "}") {
-                ranges.push((sig.tok(i).line, sig.tok(close).line));
-                i = close + 1;
-                continue;
-            }
+        if let Some(close) = item_body(sig, j).and_then(|open| sig.matching_close(open, "{", "}")) {
+            ranges.push((sig.tok(i).line, sig.tok(close).line));
+            i = close + 1;
+            continue;
         }
         i += 1;
     }
     ranges
+}
+
+/// The body's `{` of a `mod` or `fn` item starting at `j` (after its
+/// attributes, at its visibility if any), or `None` when `j` starts no
+/// such item with a body.
+fn item_body(sig: &SigTokens<'_>, mut j: usize) -> Option<usize> {
+    if sig.is_ident(j, "pub") {
+        j += 1;
+        if sig.is_punct(j, "(") {
+            j = sig.matching_close(j, "(", ")")? + 1;
+        }
+    }
+    if sig.is_ident(j, "mod") {
+        return sig.is_punct(j + 2, "{").then_some(j + 2);
+    }
+    if !sig.is_ident(j, "fn") {
+        return None;
+    }
+    while j < sig.len() && !sig.is_punct(j, ";") {
+        if sig.is_punct(j, "{") {
+            return Some(j);
+        }
+        if sig.is_punct(j, "(") {
+            j = sig.matching_close(j, "(", ")")?;
+        }
+        j += 1;
+    }
+    None
 }
 
 /// Whether `line` falls inside any of the (inclusive) ranges.
@@ -275,6 +302,14 @@ mod tests {
         let names: Vec<_> = bodies.iter().map(|b| b.name.as_str()).collect();
         assert!(names.contains(&"lib_code"));
         assert!(names.contains(&"t"));
+    }
+
+    #[test]
+    fn cfg_test_functions_are_test_regions() {
+        let src = "fn lib_code() {}\n#[cfg(test)]\n#[inline]\npub(crate) fn helper(x: (u8, u8)) -> u8 {\n    x.0\n}\nfn after() {}\n#[cfg(test)]\nfn declared();\n#[cfg(test)]\npub(crate) mod tests {\n}\n";
+        let toks = lex(src);
+        let sig = SigTokens::new(src, &toks);
+        assert_eq!(cfg_test_line_ranges(&sig), vec![(2, 6), (10, 12)]);
     }
 
     #[test]

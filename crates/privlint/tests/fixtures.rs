@@ -228,7 +228,7 @@ fn check_workspace_walks_and_skips() {
     fs::write(dir.join("Cargo.toml"), "[workspace]\n").unwrap();
     fs::write(
         src_dir.join("cache.rs"),
-        "pub fn f(m: &Mutex<u32>) -> u32 { *m.lock().unwrap() }\n",
+        "fn f(m: &Mutex<u32>) -> u32 { *m.lock().unwrap() }\n",
     )
     .unwrap();
     fs::write(

@@ -4,7 +4,7 @@
 // back on failure is a privacy violation, because the released value may
 // already have been observed.
 
-pub fn charge_then_refund(store: &Store, acct: &Accountant) -> Result<(), Error> {
+fn charge_then_refund(store: &Store, acct: &Accountant) -> Result<(), Error> {
     store.append(StoreRecord::Charge(charge))?;
     let released = release(&charge);
     if released.is_err() {
@@ -13,7 +13,7 @@ pub fn charge_then_refund(store: &Store, acct: &Accountant) -> Result<(), Error>
     Ok(())
 }
 
-pub fn branch_release_before_charge(store: &Store) -> Result<(), Error> {
+fn branch_release_before_charge(store: &Store) -> Result<(), Error> {
     if cache_warm {
         store.append(StoreRecord::Release(rel))?; //~ HIT charge-release-paths
     }
@@ -21,20 +21,20 @@ pub fn branch_release_before_charge(store: &Store) -> Result<(), Error> {
     Ok(())
 }
 
-pub fn release_before_charge(s: &Store, r: Release, c: Charge) {
+fn release_before_charge(s: &Store, r: Release, c: Charge) {
     s.append(StoreRecord::Release(r)); //~ HIT charge-release-paths
     s.append(StoreRecord::Charge(c));
 }
 
 // The registry version flip before the reregister append: a crash between
 // them leaves the process serving version v+1 while the journal says v.
-pub fn reregister(s: &Store, reg: &Registry, entry: Entry, rec: Reregister) {
+fn reregister(s: &Store, reg: &Registry, entry: Entry, rec: Reregister) {
     reg.push_version(entry); //~ HIT charge-release-paths
     s.append(StoreRecord::Reregister(rec));
 }
 
 // The two orderings are checked independently: one function trips both.
-pub fn both(s: &Store, reg: &Registry, entry: Entry, r: Release, c: Charge, rec: Reregister) {
+fn both(s: &Store, reg: &Registry, entry: Entry, r: Release, c: Charge, rec: Reregister) {
     s.append(StoreRecord::Release(r)); //~ HIT charge-release-paths
     reg.push_version(entry); //~ HIT charge-release-paths
     s.append(StoreRecord::Charge(c));

@@ -3,7 +3,7 @@
 // the inverted pair, so the path-sensitive rule stays quiet where a purely
 // lexical check would cry wolf.
 
-pub fn exclusive_arms(store: &Store) -> Result<(), Error> {
+fn exclusive_arms(store: &Store) -> Result<(), Error> {
     match mode {
         Mode::Replay => {
             // The charge path never refunds…
@@ -18,7 +18,7 @@ pub fn exclusive_arms(store: &Store) -> Result<(), Error> {
     Ok(())
 }
 
-pub fn error_leaves_spend_standing(store: &Store) -> Result<Value, Error> {
+fn error_leaves_spend_standing(store: &Store) -> Result<Value, Error> {
     store.append(StoreRecord::Charge(charge))?;
     let value = run_mechanism()?;
     store.append(StoreRecord::Release(release_for(&value)))?;
@@ -26,20 +26,20 @@ pub fn error_leaves_spend_standing(store: &Store) -> Result<Value, Error> {
 }
 
 // Split across two functions: no ordering constraint.
-pub fn release_only(s: &Store, r: Release) {
+fn release_only(s: &Store, r: Release) {
     s.append(StoreRecord::Release(r));
 }
 
-pub fn charge_only(s: &Store, c: Charge) {
+fn charge_only(s: &Store, c: Charge) {
     s.append(StoreRecord::Charge(c));
 }
 
-pub fn reregister(s: &Store, reg: &Registry, entry: Entry, rec: Reregister) {
+fn reregister(s: &Store, reg: &Registry, entry: Entry, rec: Reregister) {
     s.append(StoreRecord::Reregister(rec));
     reg.push_version(entry);
 }
 
-pub fn replay(reg: &Registry, rereg: &ReregisterRecord, entry: Entry) {
+fn replay(reg: &Registry, rereg: &ReregisterRecord, entry: Entry) {
     // Recovery replays the already-journaled record: nothing is appended,
     // so the flip has no append to precede.
     let _ = rereg;

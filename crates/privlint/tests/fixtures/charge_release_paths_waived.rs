@@ -3,7 +3,7 @@
 // never became durable — the inverse of the live-path rule, legitimate
 // only because recovery proves no value escaped.
 
-pub fn recover_orphaned_charge(store: &Store, acct: &Accountant) -> Result<(), Error> {
+fn recover_orphaned_charge(store: &Store, acct: &Accountant) -> Result<(), Error> {
     store.append(StoreRecord::Charge(reconstructed))?;
     // privlint::allow(charge-release-paths): recovery path — the journal
     // proves no release ever became durable, so no value escaped and the
@@ -12,7 +12,7 @@ pub fn recover_orphaned_charge(store: &Store, acct: &Accountant) -> Result<(), E
     Ok(())
 }
 
-pub fn rollback(s: &Store, r: Release, c: Charge) {
+fn rollback(s: &Store, r: Release, c: Charge) {
     // privlint::allow(charge-release-paths): crash-recovery rollback
     // replays the orphaned release, which is already durable, before
     // re-journaling its charge
@@ -20,7 +20,7 @@ pub fn rollback(s: &Store, r: Release, c: Charge) {
     s.append(StoreRecord::Charge(c));
 }
 
-pub fn undo(s: &Store, reg: &Registry, entry: Entry, rec: Reregister) {
+fn undo(s: &Store, reg: &Registry, entry: Entry, rec: Reregister) {
     // privlint::allow(charge-release-paths): rollback of a refused version
     // flip re-installs the predecessor entry before annulling the
     // journaled reregister record; no new version becomes visible here

@@ -1,5 +1,5 @@
 //@ lint-as: crates/dp/src/noise.rs
-pub fn jitter() -> f64 {
+fn jitter() -> f64 {
     let mut rng = thread_rng(); //~ HIT entropy-source
     let started = std::time::Instant::now(); //~ HIT entropy-source
     let stamp = SystemTime::now(); //~ HIT entropy-source

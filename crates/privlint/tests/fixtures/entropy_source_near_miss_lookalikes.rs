@@ -1,5 +1,5 @@
 //@ lint-as: crates/dp/src/noise.rs
-pub fn deterministic(clock: &SimClock, rng: &mut StdRng) -> f64 {
+fn deterministic(clock: &SimClock, rng: &mut StdRng) -> f64 {
     let _tick = clock.now();
     rng.gen::<f64>()
 }

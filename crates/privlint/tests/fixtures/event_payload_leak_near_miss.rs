@@ -2,7 +2,7 @@
 // `dataset`, `datasets` and `points` contain banned words only as substrings,
 // never as whole `_`-separated segments — the aggregate field names the
 // telemetry contract allows stay clean.
-pub fn emit(events: &EventStream, dataset: &str, points: usize, secs: f64) {
+fn emit(events: &EventStream, dataset: &str, points: usize, secs: f64) {
     event!(
         events,
         Severity::Info,
@@ -14,6 +14,6 @@ pub fn emit(events: &EventStream, dataset: &str, points: usize, secs: f64) {
 }
 // Payload-named identifiers outside a telemetry call window are some other
 // rule's business, not this one's.
-pub fn plain(radius: f64) -> f64 {
+fn plain(radius: f64) -> f64 {
     radius + 1.0
 }

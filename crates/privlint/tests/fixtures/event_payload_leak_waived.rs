@@ -1,5 +1,5 @@
 //@ lint-as: crates/engine/src/telemetry.rs
-pub fn emit(events: &EventStream, radius_bucket_count: u64) {
+fn emit(events: &EventStream, radius_bucket_count: u64) {
     // privlint::allow(event-payload-leak): counts how many radius buckets the
     // latency histogram has — a cardinality of the telemetry schema itself,
     // not a radius drawn from any dataset

@@ -5,12 +5,12 @@
 // witness edge, with both paths named in the message.
 
 impl Admission {
-    pub fn admit(&self) {
+    fn admit(&self) {
         let admissions = lock_recover(&self.admissions);
         lock_recover(&self.ledger).charge(admissions.key()); //~ HIT lock-order
     }
 
-    pub fn settle(&self) {
+    fn settle(&self) {
         let ledger = lock_recover(&self.ledger);
         lock_recover(&self.admissions).remove(ledger.key());
     }

@@ -5,24 +5,24 @@
 // lexical call order.
 
 impl Admission {
-    pub fn admit(&self) {
+    fn admit(&self) {
         let admissions = lock_recover(&self.admissions);
         lock_recover(&self.ledger).charge(admissions.key());
     }
 
-    pub fn settle(&self) {
+    fn settle(&self) {
         let admissions = lock_recover(&self.admissions);
         lock_recover(&self.ledger).release(admissions.key());
     }
 
-    pub fn sweep(&self) {
+    fn sweep(&self) {
         let ledger = lock_recover(&self.ledger);
         let stale = ledger.stale_keys();
         drop(ledger);
         lock_recover(&self.admissions).retain(stale);
     }
 
-    pub fn read_twice(&self) {
+    fn read_twice(&self) {
         let a = read_recover(&self.index);
         let b = read_recover(&self.index);
         a.merge(b);

@@ -4,14 +4,14 @@
 // drained), so the lexical cycle is intentional.
 
 impl Admission {
-    pub fn admit(&self) {
+    fn admit(&self) {
         let admissions = lock_recover(&self.admissions);
         // privlint::allow(lock-order): settle runs only at shutdown, after
         // the admit executor has drained — the orders never interleave
         lock_recover(&self.ledger).charge(admissions.key()); //~ WAIVED lock-order
     }
 
-    pub fn settle(&self) {
+    fn settle(&self) {
         let ledger = lock_recover(&self.ledger);
         lock_recover(&self.admissions).remove(ledger.key());
     }

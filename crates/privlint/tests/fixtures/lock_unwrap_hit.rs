@@ -1,12 +1,12 @@
 //@ lint-as: crates/engine/src/cache.rs
-pub fn touch(m: &Mutex<u32>) -> u32 {
+fn touch(m: &Mutex<u32>) -> u32 {
     *m.lock().unwrap() //~ HIT lock-unwrap
 }
 
-pub fn peek(l: &RwLock<u32>) -> u32 {
+fn peek(l: &RwLock<u32>) -> u32 {
     *l.read().expect("poisoned") //~ HIT lock-unwrap
 }
 
-pub fn bump(l: &RwLock<u32>) {
+fn bump(l: &RwLock<u32>) {
     *l.write().unwrap() += 1; //~ HIT lock-unwrap
 }

@@ -3,7 +3,7 @@ fn lock_recover(m: &Mutex<u32>) -> MutexGuard<'_, u32> {
     m.lock().unwrap()
 }
 
-pub fn relax(m: &Mutex<u32>) -> u32 {
+fn relax(m: &Mutex<u32>) -> u32 {
     *m.lock().unwrap_or_else(|p| p.into_inner())
 }
 

@@ -1,8 +1,8 @@
 //@ lint-as: crates/engine/src/cache.rs
 // privlint::allow(lock-unwrap)
 //~^ HIT malformed-waiver
-pub fn missing_reason() {}
+fn missing_reason() {}
 
 // privlint::allow(no-such-rule): reasons abound
 //~^ HIT malformed-waiver
-pub fn unknown_rule() {}
+fn unknown_rule() {}

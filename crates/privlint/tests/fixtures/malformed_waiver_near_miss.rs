@@ -1,4 +1,4 @@
 //@ lint-as: crates/engine/src/cache.rs
 // privlint::allow(lock-unwrap): defensive waiver kept while the cache is
 // refactored; unused waivers are notes, not findings
-pub fn currently_clean() {}
+fn currently_clean() {}

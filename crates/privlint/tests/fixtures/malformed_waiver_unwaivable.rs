@@ -2,4 +2,4 @@
 // privlint::allow(malformed-waiver): trying to silence the meta-rule
 // privlint::allow(lock-unwrap)
 //~^ HIT malformed-waiver
-pub fn f() {}
+fn f() {}

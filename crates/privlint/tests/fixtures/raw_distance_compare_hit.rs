@@ -1,8 +1,8 @@
 //@ lint-as: crates/geometry/src/cover.rs
-pub fn covers(d: f64, radius: f64) -> bool {
+fn covers(d: f64, radius: f64) -> bool {
     d < radius //~ HIT raw-distance-compare
 }
 
-pub fn covers_closed(d: f64, cluster_radius: f64) -> bool {
+fn covers_closed(d: f64, cluster_radius: f64) -> bool {
     d <= cluster_radius //~ HIT raw-distance-compare
 }

@@ -1,14 +1,14 @@
 //@ lint-as: crates/geometry/src/cover.rs
-pub fn generics_are_not_comparisons(d: f64) -> Result<GoodRadiusOutcome, Error> {
+fn generics_are_not_comparisons(d: f64) -> Result<GoodRadiusOutcome, Error> {
     let _ = Vec::<RadiusSample>::new();
     Ok(GoodRadiusOutcome::from(d))
 }
 
-pub fn non_radius_compare(a: f64, b: f64) -> bool {
+fn non_radius_compare(a: f64, b: f64) -> bool {
     a < b
 }
 
-pub fn routed_through_tol(d: f64, radius: f64) -> bool {
+fn routed_through_tol(d: f64, radius: f64) -> bool {
     tol::within_radius(d, radius)
 }
 

@@ -1,5 +1,5 @@
 //@ lint-as: crates/geometry/src/cover.rs
-pub fn strictly_smaller(a: &Ball, b: &Ball) -> bool {
+fn strictly_smaller(a: &Ball, b: &Ball) -> bool {
     // privlint::allow(raw-distance-compare): strict ordering of two candidate
     // radii ("is this ball smaller"), not a membership predicate
     a.radius() < b.radius() //~ WAIVED raw-distance-compare

@@ -1,4 +1,4 @@
 //@ lint-as: crates/datagen/src/synth.rs
-pub fn draw(seed: u64) -> StdRng {
+fn draw(seed: u64) -> StdRng {
     StdRng::seed_from_u64(seed)
 }

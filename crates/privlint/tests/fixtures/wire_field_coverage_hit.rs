@@ -3,7 +3,7 @@
 // the planner: nothing between the trust boundary and the accountant ever
 // range-checks it.
 
-pub fn decode(value: &Value) -> Result<Plan, Error> {
+fn decode(value: &Value) -> Result<Plan, Error> {
     let epsilon = req(value, "epsilon")?; //~ HIT wire-field-coverage
     Ok(Plan::with_budget(epsilon))
 }

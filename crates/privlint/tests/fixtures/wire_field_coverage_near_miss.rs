@@ -3,7 +3,7 @@
 // validation shape — wrapped in a parse, narrowed with `.as_*`, pattern
 // matched, or let-bound into a typed helper.
 
-pub fn decode(value: &Value) -> Result<Plan, Error> {
+fn decode(value: &Value) -> Result<Plan, Error> {
     let query = Query::parse(req(value, "query")?)?;
     let balls = req(value, "balls")?.as_array();
     let center = parse_f64_array(req(value, "center")?, "center")?;

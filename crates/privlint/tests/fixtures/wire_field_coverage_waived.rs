@@ -3,7 +3,7 @@
 // the response envelope and never interpreted, so there is nothing to
 // validate.
 
-pub fn decode(value: &Value) -> Result<Plan, Error> {
+fn decode(value: &Value) -> Result<Plan, Error> {
     // privlint::allow(wire-field-coverage): request id is echoed back
     // verbatim in the response envelope, never interpreted
     let request_id = req(value, "request_id")?; //~ WAIVED wire-field-coverage

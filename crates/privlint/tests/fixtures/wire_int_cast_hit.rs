@@ -1,8 +1,8 @@
 //@ lint-as: crates/engine/src/protocol.rs
-pub fn encode(x: f64) -> u64 {
+fn encode(x: f64) -> u64 {
     x as u64 //~ HIT wire-int-cast
 }
 
-pub fn encode_signed(x: f64) -> i64 {
+fn encode_signed(x: f64) -> i64 {
     x as i64 //~ HIT wire-int-cast
 }

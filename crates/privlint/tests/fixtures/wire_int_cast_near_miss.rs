@@ -1,8 +1,8 @@
 //@ lint-as: crates/engine/src/protocol.rs
-pub fn narrow(x: u64) -> u32 {
+fn narrow(x: u64) -> u32 {
     x as u32
 }
 
-pub fn checked(v: &Value) -> Result<u64, EngineError> {
+fn checked(v: &Value) -> Result<u64, EngineError> {
     wire::req_u64(v, "t")
 }

@@ -1,4 +1,4 @@
 //@ lint-as: crates/engine/src/engine.rs
-pub fn internal_index(x: f64) -> u64 {
+fn internal_index(x: f64) -> u64 {
     x as u64
 }

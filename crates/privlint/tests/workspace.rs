@@ -69,6 +69,7 @@ fn lock_graph_derives_real_engine_edges() {
             ("crates/engine/src/engine.rs", &src),
             ("crates/engine/src/registry.rs", &registry),
         ],
+        &[],
         &reversed,
     );
     let messages: Vec<&str> = checked[0]
@@ -153,7 +154,7 @@ fn lock_graph_derives_store_group_commit_edge() {
     let reversed = LockOrderConfig {
         order: vec!["commit".to_string(), "inner".to_string()],
     };
-    let checked = lint_sources(&[("crates/store/src/store.rs", &src)], &reversed);
+    let checked = lint_sources(&[("crates/store/src/store.rs", &src)], &[], &reversed);
     let messages: Vec<&str> = checked[0]
         .findings
         .iter()

@@ -224,6 +224,11 @@ impl Write for SharedSink {
     }
 }
 
+/// How long one scrape may take to send its request head or read its
+/// answer. Scrapes are served one at a time, so a client that connects and
+/// goes silent holds up the next scrape by at most this long.
+const SCRAPE_TIMEOUT: std::time::Duration = std::time::Duration::from_secs(1);
+
 /// Serves `GET /metrics`-style scrapes: reads the request head, answers
 /// with the merged snapshot rendered as Prometheus text, closes. One
 /// connection at a time is plenty for a scraper, and a hand-rolled
@@ -231,6 +236,8 @@ impl Write for SharedSink {
 fn serve_metrics(server: Arc<ShardedServer>, listener: std::net::TcpListener) {
     for stream in listener.incoming() {
         let Ok(mut stream) = stream else { continue };
+        let _ = stream.set_read_timeout(Some(SCRAPE_TIMEOUT));
+        let _ = stream.set_write_timeout(Some(SCRAPE_TIMEOUT));
         // Drain the request head (anything up to a blank line) so well-
         // behaved HTTP clients do not see a reset; ignore its contents —
         // every path scrapes the same snapshot.

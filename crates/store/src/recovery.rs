@@ -209,6 +209,7 @@ impl StoreState {
     /// Structural equality for tests, totals compared bit for bit
     /// (`PartialEq` is deliberately not derived for the public type:
     /// `max_releases` is configuration, not state).
+    // privlint::allow(unused-pub): the state equality the replay and recovery tests compare recovered stores with
     pub fn same_state(&self, other: &StoreState) -> bool {
         self.seq == other.seq
             && self.registers == other.registers

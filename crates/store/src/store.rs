@@ -474,15 +474,6 @@ impl Store {
         state.appended.saturating_sub(state.synced)
     }
 
-    /// Completed batch fsyncs.
-    pub fn group_commit_fsyncs(&self) -> u64 {
-        self.group
-            .commit
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .fsyncs
-    }
-
     /// Whether commits can still become durable: `false` once the
     /// group-commit writer thread has exited (after a failed fsync, or a
     /// panic).
@@ -666,6 +657,17 @@ mod tests {
             snapshot_every,
             max_retained_releases: 16,
             group_commit: None,
+        }
+    }
+
+    impl Store {
+        /// Completed batch fsyncs.
+        fn group_commit_fsyncs(&self) -> u64 {
+            self.group
+                .commit
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .fsyncs
         }
     }
 

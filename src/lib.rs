@@ -88,7 +88,7 @@ pub mod prelude {
         BackendKind, Ball, Dataset, GeometryBackend, GeometryIndex, GridDomain, Point,
         ProjectedBackend, ProjectedConfig,
     };
-    pub use privcluster_obs::{EventStream, MetricsRegistry, MetricsSnapshot, Severity, Span};
+    pub use privcluster_obs::{EventStream, MetricsRegistry, MetricsSnapshot, Severity};
     pub use privcluster_server::{shard_of, ShardedServer};
     pub use privcluster_store::{GroupCommitConfig, Store, StoreConfig};
 }
