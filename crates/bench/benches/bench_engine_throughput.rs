@@ -7,8 +7,8 @@
 //! budget exhaustion cannot leak across iterations. The repeated-query
 //! group then contrasts that per-iteration setup cost with a long-lived
 //! engine whose index was built once at registration: fresh seeds defeat
-//! the result cache, so the difference is purely the
-//! `DistanceMatrix`/`LProfile` rebuild the index removes.
+//! the result cache, so the difference is purely the index and
+//! grid-profile rebuild the registered index removes.
 //!
 //! Two groups take the batch's set-up apart: `engine_register_exact` times
 //! an exact-backend registration alone, and `engine_first_l_profile` the
@@ -150,17 +150,16 @@ fn bench_engine_register_exact(c: &mut Criterion) {
 /// The first `grid_profile(t, domain)` of a fresh exact index (n = 1,000,
 /// t = n/2): the pair-counting pass and sweep the first GoodRadius query on
 /// a newly registered dataset waits for. The index is built in set-up; the
-/// profile build runs on the calling thread and reads no thread count, so
-/// one row covers it. `projected_n20000` is the same first build on a
-/// fresh projected backend of `projected_large(20_000)` with t = n/4, the
-/// service benchmark's `projected-large` cap.
+/// profile build runs on the calling thread. `projected_n20000` is the same
+/// first build on a fresh projected backend of `projected_large(20_000)`
+/// with t = n/4, the service benchmark's `projected-large` cap.
 fn bench_first_l_profile(c: &mut Criterion) {
     let mut group = c.benchmark_group("engine_first_l_profile");
     let n = 1000usize;
     let (data, domain) = planted(n, 42);
     group.bench_function(format!("n{n}"), |b| {
         b.iter_batched(
-            || GeometryIndex::build(&data, 1),
+            || GeometryIndex::build(&data),
             |index| index.grid_profile(n / 2, &domain).segment_starts().len(),
             BatchSize::PerIteration,
         )
@@ -255,7 +254,7 @@ fn bench_warm_good_radius(c: &mut Criterion) {
     let mut group = c.benchmark_group("engine_warm_good_radius");
     let (n, t) = (1000usize, 200usize);
     let (data, domain) = off_grid(n, 42);
-    let index = GeometryIndex::build(&data, 1);
+    let index = GeometryIndex::build(&data);
     let _ = index.grid_profile(t, &domain);
     let privacy = PrivacyParams::new(4.0, 1e-8).unwrap();
     let config = GoodRadiusConfig::default();

@@ -39,9 +39,10 @@ use crate::error::ClusterError;
 use privcluster_dp::quasiconcave::{solve_quasiconcave, QcSolverConfig, QualityOracle};
 use privcluster_dp::sampling::laplace;
 use privcluster_dp::PrivacyParams;
-use privcluster_geometry::{BallCounter, Dataset, GeometryBackend, GridDomain, GridProfile};
+use privcluster_geometry::{
+    BackendKind, Dataset, GeometryBackend, GeometryIndex, GridDomain, GridProfile,
+};
 use rand::Rng;
-use std::sync::Arc;
 
 /// The result of a GoodRadius run.
 #[derive(Debug, Clone)]
@@ -100,8 +101,9 @@ impl QualityOracle for RadiusQuality<'_> {
 /// `privacy` (consumed entirely by this call), failure probability `beta`,
 /// and the given search strategy.
 ///
-/// Builds the `O(n² d)` grid profile from scratch; callers answering
-/// repeated queries against the same dataset should build a
+/// [`good_radius_with_index`] on an exact [`GeometryIndex`] built for this
+/// call, so the `O(n² d)` grid profile is built from scratch; callers
+/// answering repeated queries against the same dataset should build a
 /// [`GeometryBackend`] (an exact `GeometryIndex`, or a sub-quadratic
 /// `ProjectedBackend` for large `n`) once and use
 /// [`good_radius_with_index`] instead.
@@ -114,7 +116,8 @@ pub fn good_radius<R: Rng + ?Sized>(
     config: &GoodRadiusConfig,
     rng: &mut R,
 ) -> Result<GoodRadiusOutcome, ClusterError> {
-    good_radius_inner(data, domain, t, privacy, beta, config, None, rng)
+    let index = GeometryIndex::build(data);
+    good_radius_with_index(data, domain, t, privacy, beta, config, &index, rng)
 }
 
 /// [`good_radius`] against a prebuilt, shareable [`GeometryBackend`] of
@@ -124,6 +127,8 @@ pub fn good_radius<R: Rng + ?Sized>(
 /// profile (hence the released radius) carries the backend's documented
 /// additive slack. The backend must have been
 /// built from exactly this dataset.
+///
+/// Validates parameters *before* building any `O(n²)` geometry.
 #[allow(clippy::too_many_arguments)]
 pub fn good_radius_with_index<R: Rng + ?Sized>(
     data: &Dataset,
@@ -135,31 +140,12 @@ pub fn good_radius_with_index<R: Rng + ?Sized>(
     index: &dyn GeometryBackend,
     rng: &mut R,
 ) -> Result<GoodRadiusOutcome, ClusterError> {
-    good_radius_inner(data, domain, t, privacy, beta, config, Some(index), rng)
-}
-
-/// Validates parameters *before* touching (or building) any `O(n²)`
-/// geometry, then runs the algorithm against the shared backend when one
-/// was supplied and a freshly built (exact) profile otherwise.
-#[allow(clippy::too_many_arguments)]
-fn good_radius_inner<R: Rng + ?Sized>(
-    data: &Dataset,
-    domain: &GridDomain,
-    t: usize,
-    privacy: PrivacyParams,
-    beta: f64,
-    config: &GoodRadiusConfig,
-    index: Option<&dyn GeometryBackend>,
-    rng: &mut R,
-) -> Result<GoodRadiusOutcome, ClusterError> {
-    if let Some(index) = index {
-        if index.len() != data.len() {
-            return Err(ClusterError::InvalidParameter(format!(
-                "geometry backend covers {} points but the dataset has {}",
-                index.len(),
-                data.len()
-            )));
-        }
+    if index.len() != data.len() {
+        return Err(ClusterError::InvalidParameter(format!(
+            "geometry backend covers {} points but the dataset has {}",
+            index.len(),
+            data.len()
+        )));
     }
     if data.dim() != domain.dim() {
         return Err(ClusterError::InvalidParameter(format!(
@@ -192,14 +178,10 @@ fn good_radius_inner<R: Rng + ?Sized>(
     let grid_len = domain.radius_grid_len();
     diagnostics.metric("radius_grid_len", grid_len as f64);
 
-    // L on the radius grid, with the segments of the quality. With a shared
-    // index: built on the first use of this cap and grid (the exact
-    // backend's counting pass, O(n²·d + G)), a cache lookup on every later
-    // query. Without one: built from scratch.
-    let profile: Arc<GridProfile> = match index {
-        Some(index) => index.grid_profile(t, domain),
-        None => Arc::new(BallCounter::new(data, t).grid_profile(domain)),
-    };
+    // L on the radius grid, with the segments of the quality: built on the
+    // first use of this cap and grid (the exact backend's counting pass,
+    // O(n²·d + G)), a cache lookup on every later query.
+    let profile = index.grid_profile(t, domain);
 
     // The quality promise the configured solver needs.
     let solver_cfg = QcSolverConfig::new(eps / 2.0, delta, config.alpha, beta / 2.0)?;
@@ -241,9 +223,7 @@ fn good_radius_inner<R: Rng + ?Sized>(
     // data-dependent quantity: branching on it would leak an un-noised bit
     // and void the DP guarantee). The Laplace test above still ran and was
     // charged either way.
-    let exact_kind = index
-        .map(|b| b.kind() == privcluster_geometry::BackendKind::Exact)
-        .unwrap_or(true);
+    let exact_kind = index.kind() == BackendKind::Exact;
     if noisy_l0 > zero_threshold {
         if exact_kind {
             diagnostics.event("degenerate radius-0 cluster detected in step 2");
@@ -323,7 +303,7 @@ mod tests {
         exponential_mechanism, piecewise_exponential_mechanism, PiecewiseQuality, Segment,
     };
     use privcluster_geometry::{
-        smallest_ball_two_approx, tol, GeometryIndex, Point, ProjectedBackend, ProjectedConfig,
+        smallest_ball_two_approx, tol, BallCounter, Point, ProjectedBackend, ProjectedConfig,
     };
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -459,7 +439,7 @@ mod tests {
         for seed in 0..6 {
             for (data, domain) in shaped_datasets(seed) {
                 let n = data.len();
-                let exact = GeometryIndex::build(&data, 1);
+                let exact = GeometryIndex::build(&data);
                 let projected = ProjectedBackend::build(
                     &data,
                     ProjectedConfig {
@@ -597,12 +577,90 @@ mod tests {
         }
     }
 
+    /// Asserts `|Q(k, S) − Q(k, S')| ≤ 1` at every grid index `k`, on the
+    /// exact backend's grid profiles of `s` and `neighbour` for cap `t`, at
+    /// a small and at the largest slack the mechanism uses.
+    fn assert_quality_moves_at_most_one(
+        s: &Dataset,
+        neighbour: &Dataset,
+        t: usize,
+        domain: &GridDomain,
+    ) {
+        let a = GeometryIndex::build(s).grid_profile(t, domain);
+        let b = GeometryIndex::build(neighbour).grid_profile(t, domain);
+        for slack in [1.0, t as f64 / 2.0] {
+            let quality = |profile| RadiusQuality {
+                profile,
+                t: t as f64,
+                slack,
+                grid_len: domain.radius_grid_len(),
+            };
+            let (qa, qb) = (quality(&a), quality(&b));
+            for k in 0..domain.radius_grid_len() {
+                let delta = (qa.quality(k) - qb.quality(k)).abs();
+                assert!(
+                    delta <= 1.0 + 1e-9,
+                    "|ΔQ({k})| = {delta} at t = {t}, slack {slack}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn sensitivity_of_the_quality_is_at_most_one() {
+        // Q(k) = ½·min(t − L(r_k/2), L(r_k) − t + slack): each branch moves
+        // with L, by at most 2 between neighbours (Lemma 4.5), so Q moves by
+        // at most 1, whatever data-independent slack the mechanism uses.
+        let (s, s_neighbour) = privcluster_datagen::sensitivity_example(20, 2);
+        assert_quality_moves_at_most_one(
+            &s,
+            &s_neighbour,
+            20,
+            &GridDomain::new(2, 9, 0.0, 2.0).unwrap(),
+        );
+        // A clump of n/3 points with the rest of the data away from it, so
+        // at t = n/3 moving one clump point moves L by almost 2.
+        let mut rng = StdRng::seed_from_u64(12);
+        let rows = (0..60)
+            .map(|i| {
+                let (corner, side) = if i < 20 { (0.2, 0.01) } else { (0.6, 0.4) };
+                vec![
+                    corner + side * rng.gen::<f64>(),
+                    corner + side * rng.gen::<f64>(),
+                ]
+            })
+            .collect();
+        let clump = Dataset::from_rows(rows).unwrap();
+        let mut cases = vec![(clump, GridDomain::unit_cube(2, 1 << 10).unwrap())];
+        cases.extend(shaped_datasets(0));
+        cases.extend(shaped_datasets(1));
+        for (s, domain) in cases {
+            let n = s.len();
+            let far = Point::new(vec![domain.max(); s.dim()]);
+            for t in [2, n / 3, n] {
+                // A cap at which L is flat from radius 0 shows nothing.
+                if GeometryIndex::build(&s).grid_profile(t, &domain).value(0) >= t as f64 {
+                    continue;
+                }
+                // Row 0, the middle row and the last row, each replaced by a
+                // copy of another row and by the domain's far corner.
+                for row in [0, n / 2, n - 1] {
+                    let copy = s.point((row + 1) % n).clone();
+                    for replacement in [copy, far.clone()] {
+                        let neighbour = s.replace_row(row, replacement).unwrap();
+                        assert_quality_moves_at_most_one(&s, &neighbour, t, &domain);
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn sensitivity_of_l_is_at_most_two() {
         // Lemma 4.5 where GoodRadius reads `L`: the exact backend's grid
         // profiles of neighbours differ by at most 2 at every quarter index.
         let served = |s: &Dataset, s_neighbour: &Dataset, t: usize, domain: &GridDomain| {
-            let profile = |s| GeometryBackend::grid_profile(&GeometryIndex::build(s, 1), t, domain);
+            let profile = |s| GeometryBackend::grid_profile(&GeometryIndex::build(s), t, domain);
             let (a, b) = (profile(s), profile(s_neighbour));
             for q in 0..=2 * (domain.radius_grid_len() - 1) {
                 let delta = (a.value(q) - b.value(q)).abs();
@@ -683,7 +741,7 @@ mod tests {
     }
 
     #[test]
-    fn with_index_is_bit_identical_to_rebuild_at_any_thread_count() {
+    fn with_index_is_bit_identical_to_rebuild() {
         let mut rng = StdRng::seed_from_u64(8);
         let domain = GridDomain::unit_cube(2, 1 << 12).unwrap();
         let t = 200;
@@ -694,25 +752,23 @@ mod tests {
             let mut rng = StdRng::seed_from_u64(99);
             good_radius(&inst.data, &domain, t, privacy, 0.1, &cfg, &mut rng).unwrap()
         };
-        for threads in [1usize, 2, 4] {
-            let index = GeometryIndex::build(&inst.data, threads);
-            // Ask twice: the second call must reuse the cached profile and
-            // still match bit-for-bit.
-            for _ in 0..2 {
-                let mut rng = StdRng::seed_from_u64(99);
-                let out = good_radius_with_index(
-                    &inst.data, &domain, t, privacy, 0.1, &cfg, &index, &mut rng,
-                )
-                .unwrap();
-                assert_eq!(
-                    out.radius.to_bits(),
-                    baseline.radius.to_bits(),
-                    "index at {threads} threads diverged from per-query rebuild"
-                );
-                assert_eq!(out.degenerate_zero, baseline.degenerate_zero);
-            }
-            assert_eq!(index.cached_profiles(), 1);
+        let index = GeometryIndex::build(&inst.data);
+        // Ask twice: the second call must reuse the cached profile and
+        // still match bit-for-bit.
+        for _ in 0..2 {
+            let mut rng = StdRng::seed_from_u64(99);
+            let out = good_radius_with_index(
+                &inst.data, &domain, t, privacy, 0.1, &cfg, &index, &mut rng,
+            )
+            .unwrap();
+            assert_eq!(
+                out.radius.to_bits(),
+                baseline.radius.to_bits(),
+                "the shared index diverged from a per-query rebuild"
+            );
+            assert_eq!(out.degenerate_zero, baseline.degenerate_zero);
         }
+        assert_eq!(index.cached_profiles(), 1);
     }
 
     #[test]
@@ -721,7 +777,7 @@ mod tests {
         let domain = GridDomain::unit_cube(2, 1 << 10).unwrap();
         let data = Dataset::from_rows(vec![vec![0.1, 0.1]; 20]).unwrap();
         let other = Dataset::from_rows(vec![vec![0.2, 0.2]; 7]).unwrap();
-        let index = GeometryIndex::build(&other, 1);
+        let index = GeometryIndex::build(&other);
         assert!(good_radius_with_index(
             &data,
             &domain,

@@ -12,8 +12,8 @@
 use crate::config::OneClusterParams;
 use crate::diagnostics::Diagnostics;
 use crate::error::ClusterError;
-use crate::one_cluster::{one_cluster, one_cluster_with_index};
-use privcluster_geometry::{tol, Ball, Dataset, GeometryBackend};
+use crate::one_cluster::one_cluster_with_index;
+use privcluster_geometry::{tol, Ball, Dataset, GeometryBackend, GeometryIndex};
 use rand::Rng;
 
 /// The result of the iterated heuristic.
@@ -74,14 +74,16 @@ impl KClusterOutcome {
 
 /// Runs the Observation-3.5 heuristic: `k` iterations of the 1-cluster solver
 /// with per-iteration target size `params.t` (callers typically set
-/// `t ≈ n/k`) and per-iteration budget `params.privacy / k`.
+/// `t ≈ n/k`) and per-iteration budget `params.privacy / k`. Runs
+/// [`k_cluster_with_index`] on an exact [`GeometryIndex`] built for this
+/// call.
 pub fn k_cluster<R: Rng + ?Sized>(
     data: &Dataset,
     k: usize,
     params: &OneClusterParams,
     rng: &mut R,
 ) -> Result<KClusterOutcome, ClusterError> {
-    k_cluster_inner(data, k, params, None, rng)
+    k_cluster_with_index(data, k, params, &GeometryIndex::build(data), rng)
 }
 
 /// [`k_cluster`] against a prebuilt, shareable [`GeometryBackend`] of
@@ -92,23 +94,12 @@ pub fn k_cluster<R: Rng + ?Sized>(
 /// invalid. Those rounds build a fresh backend **of the same kind** via
 /// [`GeometryBackend::rebuild_for`], so a sub-quadratic projected backend
 /// stays sub-quadratic in every round instead of only the first (an exact
-/// backend rebuilds the exact structure, exactly as [`k_cluster`] always
-/// did — results there are bit-identical for the same RNG stream).
+/// backend rebuilds the exact index).
 pub fn k_cluster_with_index<R: Rng + ?Sized>(
     data: &Dataset,
     k: usize,
     params: &OneClusterParams,
     index: &dyn GeometryBackend,
-    rng: &mut R,
-) -> Result<KClusterOutcome, ClusterError> {
-    k_cluster_inner(data, k, params, Some(index), rng)
-}
-
-fn k_cluster_inner<R: Rng + ?Sized>(
-    data: &Dataset,
-    k: usize,
-    params: &OneClusterParams,
-    index: Option<&dyn GeometryBackend>,
     rng: &mut R,
 ) -> Result<KClusterOutcome, ClusterError> {
     if k == 0 {
@@ -140,15 +131,11 @@ fn k_cluster_inner<R: Rng + ?Sized>(
         // the round-0 input; later rounds see a filtered remainder and get
         // a fresh same-kind backend so large-n runs never fall back to the
         // quadratic path mid-query.
-        let round_result = match index {
-            Some(backend) if round == 0 => {
-                one_cluster_with_index(&remaining, &per_round, backend, rng)
-            }
-            Some(backend) => {
-                let rebuilt = backend.rebuild_for(&remaining);
-                one_cluster_with_index(&remaining, &per_round, rebuilt.as_ref(), rng)
-            }
-            None => one_cluster(&remaining, &per_round, rng),
+        let round_result = if round == 0 {
+            one_cluster_with_index(&remaining, &per_round, index, rng)
+        } else {
+            let rebuilt = index.rebuild_for(&remaining);
+            one_cluster_with_index(&remaining, &per_round, rebuilt.as_ref(), rng)
         };
         match round_result {
             Ok(out) => {

@@ -5,9 +5,9 @@ use crate::config::OneClusterParams;
 use crate::diagnostics::Diagnostics;
 use crate::error::ClusterError;
 use crate::good_center::good_center;
-use crate::good_radius::{good_radius, good_radius_with_index};
+use crate::good_radius::good_radius_with_index;
 use crate::guarantees::TheoreticalGuarantees;
-use privcluster_geometry::{Ball, Dataset, GeometryBackend};
+use privcluster_geometry::{Ball, Dataset, GeometryBackend, GeometryIndex};
 use rand::Rng;
 
 /// The result of a full 1-cluster solve.
@@ -31,13 +31,15 @@ pub struct OneClusterOutcome {
 ///
 /// The privacy budget is split evenly between GoodRadius and GoodCenter, the
 /// failure probability likewise; by basic composition (Theorem 2.1) the whole
-/// call is `(ε, δ)`-differentially private.
+/// call is `(ε, δ)`-differentially private. Runs
+/// [`one_cluster_with_index`] on an exact [`GeometryIndex`] built for this
+/// call.
 pub fn one_cluster<R: Rng + ?Sized>(
     data: &Dataset,
     params: &OneClusterParams,
     rng: &mut R,
 ) -> Result<OneClusterOutcome, ClusterError> {
-    one_cluster_inner(data, params, None, rng)
+    one_cluster_with_index(data, params, &GeometryIndex::build(data), rng)
 }
 
 /// [`one_cluster`] against a prebuilt, shareable [`GeometryBackend`] of
@@ -50,15 +52,6 @@ pub fn one_cluster_with_index<R: Rng + ?Sized>(
     data: &Dataset,
     params: &OneClusterParams,
     index: &dyn GeometryBackend,
-    rng: &mut R,
-) -> Result<OneClusterOutcome, ClusterError> {
-    one_cluster_inner(data, params, Some(index), rng)
-}
-
-fn one_cluster_inner<R: Rng + ?Sized>(
-    data: &Dataset,
-    params: &OneClusterParams,
-    index: Option<&dyn GeometryBackend>,
     rng: &mut R,
 ) -> Result<OneClusterOutcome, ClusterError> {
     params.validate_against(data.len())?;
@@ -88,27 +81,16 @@ fn one_cluster_inner<R: Rng + ?Sized>(
     let half_beta = params.beta / 2.0;
 
     // Stage 1: radius.
-    let radius_out = match index {
-        Some(index) => good_radius_with_index(
-            data,
-            &params.domain,
-            params.t,
-            half,
-            half_beta,
-            &params.radius_config,
-            index,
-            rng,
-        )?,
-        None => good_radius(
-            data,
-            &params.domain,
-            params.t,
-            half,
-            half_beta,
-            &params.radius_config,
-            rng,
-        )?,
-    };
+    let radius_out = good_radius_with_index(
+        data,
+        &params.domain,
+        params.t,
+        half,
+        half_beta,
+        &params.radius_config,
+        index,
+        rng,
+    )?;
     let radius_estimate = radius_out.radius;
     let radius_loss = radius_out.loss_bound;
     diagnostics.absorb("good_radius", radius_out.diagnostics);
@@ -221,24 +203,22 @@ mod tests {
             let mut rng = StdRng::seed_from_u64(77);
             one_cluster(&inst.data, &params, &mut rng).unwrap()
         };
-        for threads in [1usize, 2, 4] {
-            let index = privcluster_geometry::GeometryIndex::build(&inst.data, threads);
-            let mut rng = StdRng::seed_from_u64(77);
-            let out = one_cluster_with_index(&inst.data, &params, &index, &mut rng).unwrap();
-            assert_eq!(
-                out.ball.radius().to_bits(),
-                baseline.ball.radius().to_bits(),
-                "index at {threads} threads diverged from per-query rebuild"
-            );
-            let bits = |p: &privcluster_geometry::Point| {
-                p.coords().iter().map(|c| c.to_bits()).collect::<Vec<_>>()
-            };
-            assert_eq!(bits(out.ball.center()), bits(baseline.ball.center()));
-            assert_eq!(
-                out.radius_estimate.to_bits(),
-                baseline.radius_estimate.to_bits()
-            );
-        }
+        let index = GeometryIndex::build(&inst.data);
+        let mut rng = StdRng::seed_from_u64(77);
+        let out = one_cluster_with_index(&inst.data, &params, &index, &mut rng).unwrap();
+        assert_eq!(
+            out.ball.radius().to_bits(),
+            baseline.ball.radius().to_bits(),
+            "the shared index diverged from a per-query rebuild"
+        );
+        let bits = |p: &privcluster_geometry::Point| {
+            p.coords().iter().map(|c| c.to_bits()).collect::<Vec<_>>()
+        };
+        assert_eq!(bits(out.ball.center()), bits(baseline.ball.center()));
+        assert_eq!(
+            out.radius_estimate.to_bits(),
+            baseline.radius_estimate.to_bits()
+        );
     }
 
     #[test]

@@ -14,8 +14,7 @@
 //!   screening application;
 //! * [`adversarial`] — the sensitivity example of §3.1 and other worst-case
 //!   instances;
-//! * [`geo`] — two-dimensional "map search" hotspot data;
-//! * [`workload`] — the names of the workload families.
+//! * [`geo`] — two-dimensional "map search" hotspot data.
 
 #![warn(missing_docs)]
 
@@ -24,11 +23,9 @@ pub mod cluster;
 pub mod geo;
 pub mod mixture;
 pub mod outliers;
-pub mod workload;
 
 pub use adversarial::{no_majority_pair, sensitivity_example};
 pub use cluster::{planted_ball_cluster, uniform_background, PlantedCluster};
 pub use geo::geo_hotspots;
 pub use mixture::gaussian_mixture;
 pub use outliers::inliers_with_outliers;
-pub use workload::Workload;

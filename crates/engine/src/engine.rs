@@ -50,10 +50,11 @@ pub struct EngineConfig {
     /// Largest dataset (in points) that [`BackendChoice::Auto`] still
     /// serves with the exact `O(n²)` geometry backend; anything bigger gets
     /// the sub-quadratic projected backend. The default, 4096 points, caps
-    /// the exact matrix at `8·4096² = 134 MB`; at 100k points the matrix
-    /// would be 80 GB, which is the scaling cliff the projected backend
-    /// removes. An exact backend takes at most 65,536 points whatever this
-    /// says: a registration that resolves to one above that is refused.
+    /// an exact grid-profile build at about 100 MB (12 bytes per kept pair,
+    /// at most `n(n+1)/2` pairs); at 65,536 points a build could hold
+    /// 26 GB, which is the scaling cliff the projected backend removes. An
+    /// exact backend takes at most 65,536 points whatever this says: a
+    /// registration that resolves to one above that is refused.
     pub exact_backend_max_points: usize,
 }
 
@@ -358,7 +359,7 @@ impl Engine {
         for name in engine.registry.names() {
             let entry = engine.registry.get(&name)?;
             let build = Stopwatch::start();
-            entry.backend(engine.config.threads.max(1));
+            entry.backend(1);
             engine
                 .telemetry
                 .backend_build_seconds
@@ -469,9 +470,8 @@ impl Engine {
     /// declaring a budget.
     ///
     /// Registration also builds the dataset's shared geometry backend (the
-    /// exact index, an `O(n d)` copy of the points whose `8·n²`-byte sorted
-    /// rows no query reads, or the `O(n + B²)` projected sampler), so no
-    /// later query ever rebuilds it. The first GoodRadius-based query for
+    /// exact index, an `O(n d)` copy of the points, or the `O(n + B)`
+    /// projected sites), so no later query ever rebuilds it. The first GoodRadius-based query for
     /// each cap `t` and domain builds and memoises that cap's grid profile
     /// of `L`.
     pub fn register_dataset(
@@ -487,8 +487,9 @@ impl Engine {
 
     /// [`Engine::register_dataset`] with an explicit backend choice — the
     /// wire protocol's optional `"backend"` field lands here, letting a
-    /// client force the exact matrix on a large dataset (accepting its
-    /// memory bill) or the projected sampler on a small one.
+    /// client force the exact backend on a large dataset (accepting its
+    /// profile builds' memory bill) or the projected sampler on a small
+    /// one.
     pub fn register_dataset_with_backend(
         &self,
         name: impl Into<String>,
@@ -547,7 +548,7 @@ impl Engine {
         }
         let entry = self.registry.register(entry)?;
         let build = Stopwatch::start();
-        entry.backend(self.config.threads.max(1));
+        entry.backend(1);
         let build_seconds = build.elapsed_seconds();
         self.telemetry.backend_build_seconds.observe(build_seconds);
         self.telemetry.registrations_total.inc();
@@ -645,7 +646,7 @@ impl Engine {
             self.registry.push_version(entry)?
         };
         let build = Stopwatch::start();
-        entry.backend(self.config.threads.max(1));
+        entry.backend(1);
         let build_seconds = build.elapsed_seconds();
         self.telemetry.backend_build_seconds.observe(build_seconds);
         self.telemetry.reregistrations_total.inc();

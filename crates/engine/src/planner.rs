@@ -29,6 +29,7 @@ use privcluster_core::{
     OneClusterParams,
 };
 use privcluster_dp::{LaplaceMechanism, PrivacyParams};
+use privcluster_geometry::grid_profile::MAX_EXACT_POINTS;
 use privcluster_geometry::Ball;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -181,6 +182,16 @@ pub fn plan(
             if !(*alpha > 0.0 && *alpha <= 1.0) {
                 return Err(invalid(format!("alpha must lie in (0,1], got {alpha}")));
             }
+            // The aggregation is an exact 1-cluster solve over the
+            // k = n/(9m) block outputs, and the exact index takes at most
+            // MAX_EXACT_POINTS points. n and m are public.
+            let blocks = n / (9 * *block_size);
+            if blocks > MAX_EXACT_POINTS {
+                return Err(invalid(format!(
+                    "block size m = {block_size} gives k = n/(9m) = {blocks} block outputs; \
+                     the aggregation takes at most {MAX_EXACT_POINTS}"
+                )));
+            }
             Prepared::SampleAggregateMean {
                 config: SaConfig {
                     block_size: *block_size,
@@ -265,7 +276,7 @@ impl Plan {
     /// [`GeometryBackend`] (built at registration, or lazily here on a
     /// sequential fallback), so repeated queries never redo the one-time
     /// geometry work — and the planner never branches on whether that
-    /// backend is the exact matrix or the sub-quadratic projected sampler.
+    /// backend is the exact index or the sub-quadratic projected sampler.
     ///
     /// [`GeometryBackend`]: privcluster_geometry::GeometryBackend
     pub fn execute(&self, entry: &DatasetEntry, seed: u64) -> Result<QueryValue, EngineError> {

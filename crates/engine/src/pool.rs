@@ -1,14 +1,10 @@
 //! The engine's worker pool.
 //!
 //! The implementation lives in [`privcluster_geometry::pool`] — the bottom
-//! of the workspace dependency stack — so the engine's batch executor and
-//! the geometry crate's parallel [`DistanceMatrix::build_parallel`] row
-//! fill share one scoped-thread pool. Jobs drain FIFO and results come back
+//! of the workspace dependency stack. Jobs drain FIFO and results come back
 //! in submission order; because every engine query carries its own seed and
 //! runs on its own RNG stream, scheduling cannot influence results —
 //! parallel execution is bit-identical to sequential (asserted by the
 //! `concurrency_determinism` integration test).
-//!
-//! [`DistanceMatrix::build_parallel`]: privcluster_geometry::DistanceMatrix::build_parallel
 
 pub use privcluster_geometry::pool::{jobs_submitted, queue_depth, run_on_pool};

@@ -33,7 +33,8 @@ pub enum BackendChoice {
     /// (`EngineConfig::exact_backend_max_points`), projected above it.
     #[default]
     Auto,
-    /// Force the exact `O(n²)` distance matrix, up to its 65,536 points.
+    /// Force the exact backend (`O(n²)` profile builds), up to its 65,536
+    /// points.
     Exact,
     /// Force the sub-quadratic projected backend regardless of size.
     Projected,
@@ -194,14 +195,14 @@ impl DatasetEntry {
         self.cache_stats.misses.load(Ordering::Relaxed)
     }
 
-    /// The entry's shared [`GeometryBackend`], building it on first call —
-    /// with up to `threads` workers when the kind is exact — and returning
-    /// the cached copy (an `O(1)` `Arc` clone) ever after. Builds are
-    /// bit-identical at any thread count, so it does not matter which
-    /// caller wins the race.
-    pub fn backend(&self, threads: usize) -> Arc<dyn GeometryBackend> {
+    /// The entry's shared [`GeometryBackend`], building it on first call
+    /// and returning the cached copy (an `O(1)` `Arc` clone) ever after.
+    /// Builds are deterministic, so it does not matter which caller wins
+    /// the race. `threads` is unused: no build runs in parallel. The
+    /// signature stays because perfbench's traced passes name it.
+    pub fn backend(&self, _threads: usize) -> Arc<dyn GeometryBackend> {
         Arc::clone(self.backend.get_or_init(|| match self.backend_kind {
-            BackendKind::Exact => Arc::new(GeometryIndex::build(&self.dataset, threads)),
+            BackendKind::Exact => Arc::new(GeometryIndex::build(&self.dataset)),
             BackendKind::Projected => Arc::new(ProjectedBackend::build_default(&self.dataset)),
         }))
     }
@@ -399,7 +400,7 @@ mod tests {
         let registry = DatasetRegistry::new();
         let exact = registry.register(entry("exact")).unwrap();
         assert!(exact.backend.get().is_none());
-        assert_eq!(exact.backend(2).kind(), BackendKind::Exact);
+        assert_eq!(exact.backend(1).kind(), BackendKind::Exact);
         assert!(exact.backend.get().is_some());
 
         let projected = DatasetEntry::new(
@@ -414,7 +415,7 @@ mod tests {
         assert_eq!(projected.backend_kind(), BackendKind::Projected);
         assert_eq!(projected.backend(1).kind(), BackendKind::Projected);
         // Later calls return the same shared backend.
-        assert!(Arc::ptr_eq(&projected.backend(1), &projected.backend(4)));
+        assert!(Arc::ptr_eq(&projected.backend(1), &projected.backend(1)));
     }
 
     #[test]

@@ -16,7 +16,7 @@ use privcluster_datagen::planted_ball_cluster;
 use privcluster_dp::composition::CompositionMode;
 use privcluster_dp::{basic_composition, PrivacyParams};
 use privcluster_engine::{Engine, EngineConfig, EngineError, Query, QueryRequest};
-use privcluster_geometry::GridDomain;
+use privcluster_geometry::{Dataset, GridDomain};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -181,4 +181,44 @@ fn refusals_leave_no_trace_in_the_spend() {
         query: Query::GoodRadius { t: 250, beta: 0.1 },
     };
     assert!(engine.query(&exact).is_ok());
+}
+
+#[test]
+fn sample_aggregate_past_the_exact_limit_is_refused_before_any_charge() {
+    // 600,000 points and block size 1 give k = n/9 = 66,666 block outputs,
+    // more than the exact 1-cluster solve that aggregates them takes. The
+    // points coincide, so the projected build is one bucket.
+    let engine = Engine::new(EngineConfig::default());
+    let domain = GridDomain::unit_cube(1, 1 << 10).unwrap();
+    let rows = vec![vec![0.5]; 600_000];
+    engine
+        .register_dataset(
+            "wide",
+            Dataset::from_rows(rows).unwrap(),
+            domain,
+            PrivacyParams::new(1.0, 1e-6).unwrap(),
+            CompositionMode::Basic,
+        )
+        .unwrap();
+    let query = QueryRequest {
+        dataset: "wide".into(),
+        version: None,
+        seed: 0,
+        privacy: PrivacyParams::new(1.0, 1e-6).unwrap(),
+        query: Query::SampleAggregateMean {
+            block_size: 1,
+            alpha: 0.5,
+            beta: 0.1,
+        },
+    };
+    match engine.query(&query) {
+        Err(EngineError::InvalidQuery(message)) => {
+            assert!(message.contains("66666"), "{message}")
+        }
+        other => panic!("expected an invalid_query refusal, got {other:?}"),
+    }
+    let status = engine.status("wide").unwrap();
+    assert_eq!(status.granted, 0);
+    assert!(status.spent.is_none());
+    assert!((status.remaining_epsilon - 1.0).abs() < 1e-12);
 }

@@ -1,23 +1,20 @@
 //! The shared per-dataset geometry index removes the matrix build from
-//! the repeated-query path, serving never fills the `n × n` sorted
-//! distance rows, and each cap's grid profile is built once.
+//! the repeated-query path, and each cap's grid profile is built once.
 //!
 //! `privcluster_geometry::distance::debug_build_count()` counts every
-//! `DistanceMatrix` build in the process, `debug_rows_build_count()` every
-//! fill of a matrix's sorted rows, and
+//! `DistanceMatrix` build in the process, and
 //! `grid_profile::debug_profile_build_count()` every cached grid-profile
 //! build (debug builds only). This file holds exactly **one** test so
 //! nothing else in the binary races the counters: registration and
 //! re-registration build one index each, and GoodRadius / OneCluster /
 //! KCluster queries — cached or not, batched or not — must perform **zero**
-//! further builds and **zero** row fills (the grid profile recomputes its
-//! pair distances from the kept points), and one grid profile per cap.
+//! further builds, and one grid profile per cap.
 
 use privcluster_datagen::planted_ball_cluster;
 use privcluster_dp::composition::CompositionMode;
 use privcluster_dp::PrivacyParams;
 use privcluster_engine::{Engine, EngineConfig, Query, QueryRequest};
-use privcluster_geometry::distance::{debug_build_count, debug_rows_build_count};
+use privcluster_geometry::distance::debug_build_count;
 use privcluster_geometry::grid_profile::debug_profile_build_count;
 use privcluster_geometry::GridDomain;
 use rand::rngs::StdRng;
@@ -46,7 +43,6 @@ fn repeated_queries_never_rebuild_the_distance_matrix() {
     let inst = planted_ball_cluster(&domain, 300, 150, 0.02, &mut rng);
     let next = planted_ball_cluster(&domain, 300, 150, 0.02, &mut rng);
 
-    let rows_before = debug_rows_build_count();
     let before_registration = debug_build_count();
     engine
         .register_dataset(
@@ -57,7 +53,7 @@ fn repeated_queries_never_rebuild_the_distance_matrix() {
             CompositionMode::Basic,
         )
         .unwrap();
-    // Version 2 under the same name: a fresh index, still no row fill.
+    // Version 2 under the same name: a fresh index.
     engine
         .reregister_dataset("reuse", next.data, domain)
         .unwrap();
@@ -113,11 +109,6 @@ fn repeated_queries_never_rebuild_the_distance_matrix() {
         debug_build_count(),
         after_registration,
         "the repeated-query path must perform zero DistanceMatrix builds"
-    );
-    assert_eq!(
-        debug_rows_build_count(),
-        rows_before,
-        "registration and serving must fill zero sorted distance rows"
     );
     if cfg!(debug_assertions) {
         assert_eq!(

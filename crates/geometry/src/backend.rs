@@ -3,7 +3,8 @@
 //! Every clustering query the pipeline answers reduces to one primitive
 //! over an immutable dataset: the averaged step function `L(·, S)`, read on
 //! GoodRadius's radius grid ([`GridProfile`]). The **exact** implementation
-//! — [`GeometryIndex`] over the dataset's points — answers it perfectly.
+//! — [`GeometryIndex`](crate::index::GeometryIndex) over the dataset's
+//! points — answers it perfectly.
 //! It registers in `O(n d)`, but its first grid profile for each cap and
 //! grid computes all `n(n+1)/2` pair distances (`O(n²·d + G)` time for `G`
 //! grid radii) and holds 12 transient bytes per pair within the radius
@@ -17,8 +18,8 @@
 //! `privcluster-core` and the engine's planner never branch on which one
 //! serves a dataset:
 //!
-//! * [`GeometryIndex`] is the `Exact` backend: zero approximation slack,
-//!   quadratic cost.
+//! * [`GeometryIndex`](crate::index::GeometryIndex) is the `Exact`
+//!   backend: zero approximation slack, quadratic cost.
 //! * [`ProjectedBackend`] is the sub-quadratic backend: points are
 //!   JL-projected ([`JlTransform`], Lemma 4.10), bucketed by a shifted-grid
 //!   [`BoxPartition`] (the step-3a machinery of GoodCenter) whose cell
@@ -28,16 +29,14 @@
 //!   weighted by its bucket's occupancy. Build cost is `O(n·d·k)` time for
 //!   the projection (none when it is the identity) and `O(n·k)` per
 //!   candidate cell width, and it keeps `O(n + B)`: a bucket id per point
-//!   and `B` sites, no `B²` samples. It never materialises an `n × n`
-//!   structure (pinned by `distance::debug_build_count` in tests). Its grid
+//!   and `B` sites, no `B²` samples. It never builds a `DistanceMatrix`
+//!   (pinned by `distance::debug_build_count` in tests). Its grid
 //!   profile is the weighted ball count over the sites at each quarter
 //!   radius, one `O(B²·k)` pass ([`crate::grid_profile`]).
 //!
 //! The solvers and the engine read only [`GeometryBackend::grid_profile`],
 //! [`GeometryBackend::len`] and [`GeometryBackend::kind`] (plus
-//! [`GeometryBackend::rebuild_for`] between k-cluster rounds), so the exact
-//! backend never fills its sorted rows while serving (pinned by
-//! `distance::debug_rows_build_count` in the engine's `index_reuse` test).
+//! [`GeometryBackend::rebuild_for`] between k-cluster rounds).
 //! Both backends' grid profiles are the one weighted counting pass of
 //! [`crate::grid_profile`]: the exact backend's over its points, one each,
 //! which is the ball count
@@ -51,17 +50,18 @@
 //! Let `D` be the backend's realised displacement bound (the largest
 //! distance from a point to its bucket representative in projected space;
 //! see [`ProjectedBackend::displacement`]) and `slack = 2·D`
-//! ([`GeometryBackend::radius_slack`]). Then for every point `i` and radius
-//! `r`, the projected answers are bracketed by exact answers at
-//! slack-shifted radii, evaluated in projected space:
+//! ([`GeometryBackend::radius_slack`]). A point's count is its bucket's
+//! site's: the occupancy of every bucket whose site lies within `r` of it,
+//! which lies between the exact counts `B_{r ± slack}(x_i)`. So the
+//! projected profile is bracketed by exact answers at slack-shifted radii,
+//! evaluated in projected space:
 //!
 //! ```text
-//! B_{r − slack}(x_i)  ≤  ProjectedBackend::count_within(i, r)  ≤  B_{r + slack}(x_i)
-//! L(r − slack, S)     ≤  grid_profile.value(j)                ≤  L(r + slack, S)   (r = ρ_j)
+//! L(r − slack, S)  ≤  grid_profile.value(j)  ≤  L(r + slack, S)   (r = ρ_j)
 //! ```
 //!
 //! (up to the boundary window of the unified tolerance [`tol`], which both
-//! sides share; the breakpoint `l_profile` keeps the second line too). When
+//! sides share; the breakpoint `l_profile` keeps the bracket too). When
 //! the JL transform is the identity — whenever the
 //! source dimension is already `O(log n)`, the common low-dimensional case —
 //! projected space *is* the input space and the bracket holds verbatim;
@@ -79,7 +79,7 @@ use crate::ball_count::{LProfile, WeightedCounts};
 use crate::dataset::Dataset;
 use crate::domain::GridDomain;
 use crate::grid_profile::{self, GridProfile, MAX_EXACT_POINTS};
-use crate::index::{GeometryIndex, ProfileCache};
+use crate::index::ProfileCache;
 use crate::jl::JlTransform;
 use crate::partition::BoxPartition;
 use crate::point::Point;
@@ -93,7 +93,7 @@ use std::sync::{Arc, Mutex};
 /// Which implementation serves a dataset's geometry queries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BackendKind {
-    /// Full `O(n²)` pairwise-distance matrix; exact answers.
+    /// The dataset's points, with `O(n²)` profile builds; exact answers.
     Exact,
     /// JL projection + shifted-grid bucketing; sub-quadratic, answers
     /// carry an additive radius slack.
@@ -115,7 +115,7 @@ impl BackendKind {
 ///
 /// The solvers (`good_radius_with_index` and friends) take
 /// `&dyn GeometryBackend`, so an engine can route small datasets to the
-/// exact matrix and large ones to the projected sampler without the
+/// exact index and large ones to the projected sampler without the
 /// planner ever branching on the concrete type.
 pub trait GeometryBackend: std::fmt::Debug + Send + Sync {
     /// Which implementation this is.
@@ -161,32 +161,6 @@ pub trait GeometryBackend: std::fmt::Debug + Send + Sync {
     /// for which `self` is invalid). Keeps large-`n` runs sub-quadratic in
     /// every round instead of only the first.
     fn rebuild_for(&self, data: &Dataset) -> Arc<dyn GeometryBackend>;
-}
-
-impl GeometryBackend for GeometryIndex {
-    fn kind(&self) -> BackendKind {
-        BackendKind::Exact
-    }
-
-    fn len(&self) -> usize {
-        GeometryIndex::len(self)
-    }
-
-    fn grid_profile(&self, cap: usize, domain: &GridDomain) -> Arc<GridProfile> {
-        GeometryIndex::grid_profile(self, cap, domain)
-    }
-
-    fn l_profile(&self, cap: usize) -> Arc<LProfile> {
-        Arc::new(self.ball_counter(cap).l_profile())
-    }
-
-    fn radius_slack(&self) -> f64 {
-        0.0
-    }
-
-    fn rebuild_for(&self, data: &Dataset) -> Arc<dyn GeometryBackend> {
-        Arc::new(GeometryIndex::build(data, 1))
-    }
 }
 
 /// Tuning knobs of the projected backend. The defaults are data-size
@@ -351,23 +325,6 @@ impl ProjectedBackend {
         self.reps[self.bucket_of[i] as usize]
     }
 
-    /// `B_r(x_i)` as this backend approximates it: the occupancy of every
-    /// bucket whose site lies within `r` of point `i`'s, `O(B·k)`. The
-    /// per-point side of the approximation contract (module docs); no
-    /// query reads it.
-    pub fn count_within(&self, i: usize, r: f64) -> usize {
-        if r < 0.0 || self.n == 0 {
-            return 0;
-        }
-        let site = &self.sites[self.bucket_of[i] as usize];
-        self.sites
-            .iter()
-            .zip(&self.weights)
-            .filter(|(other, _)| tol::within_radius(site.distance(other), r))
-            .map(|(_, &weight)| weight)
-            .sum()
-    }
-
     /// The reference breakpoint profile, the weighted analogue of
     /// `BallCounter::l_profile`: each site's distances to every site,
     /// sorted and merged at the unified tolerance (a group counts from its
@@ -520,8 +477,8 @@ fn choose_partition(
 pub(crate) mod tests {
     use super::*;
     use crate::ball_count::BallCounter;
-    use crate::distance::DistanceMatrix;
     use crate::grid_profile::tests::pinning_quarters;
+    use crate::index::GeometryIndex;
     use crate::sync::lock_recover;
     use proptest::prelude::{prop, Strategy};
     use rand::Rng;
@@ -532,6 +489,19 @@ pub(crate) mod tests {
         fn cached_profiles(&self) -> usize {
             lock_recover(&self.profiles).len()
         }
+    }
+
+    /// Point `i`'s count at radius `r` as the backend approximates `B_r`:
+    /// the occupancy of every bucket whose site lies within `r` of `i`'s.
+    fn site_count(backend: &ProjectedBackend, i: usize, r: f64) -> usize {
+        let site = &backend.sites[backend.bucket_of[i] as usize];
+        backend
+            .sites
+            .iter()
+            .zip(&backend.weights)
+            .filter(|(other, _)| tol::within_radius(site.distance(other), r))
+            .map(|(_, &weight)| weight)
+            .sum()
     }
 
     /// `L(r)` over weighted sites by brute force: each site's count is the
@@ -625,7 +595,7 @@ pub(crate) mod tests {
     #[test]
     fn counts_are_bracketed_by_exact_counts_at_slack_shifted_radii() {
         let data = clustered(150);
-        let exact = GeometryIndex::build(&data, 1);
+        let exact = BallCounter::new(&data, 1);
         let projected = ProjectedBackend::build(
             &data,
             ProjectedConfig {
@@ -638,10 +608,10 @@ pub(crate) mod tests {
         let margin = slack * (1.0 + 1e-9) + 1e-12;
         for i in (0..data.len()).step_by(7) {
             for r in [0.0, 0.01, 0.05, 0.1, 0.3, 0.7, 1.5] {
-                let approx = projected.count_within(i, r);
-                let hi = exact.distances().count_within(i, r + margin);
+                let approx = site_count(&projected, i, r);
+                let hi = exact.count(i, r + margin);
                 let lo = if r >= margin {
-                    exact.distances().count_within(i, r - margin)
+                    exact.count(i, r - margin)
                 } else {
                     0
                 };
@@ -656,7 +626,7 @@ pub(crate) mod tests {
     #[test]
     fn profile_is_bracketed_monotone_and_consistent() {
         let data = clustered(120);
-        let exact = GeometryIndex::build(&data, 1);
+        let exact = GeometryIndex::build(&data);
         let projected = ProjectedBackend::build(
             &data,
             ProjectedConfig {
@@ -690,7 +660,7 @@ pub(crate) mod tests {
     #[test]
     fn exact_backend_through_the_trait_matches_the_index() {
         let data = clustered(60);
-        let index = GeometryIndex::build(&data, 2);
+        let index = GeometryIndex::build(&data);
         let backend: &dyn GeometryBackend = &index;
         assert_eq!(backend.kind(), BackendKind::Exact);
         assert_eq!(backend.kind().as_str(), "exact");
@@ -700,7 +670,7 @@ pub(crate) mod tests {
         let via_trait = backend.grid_profile(10, &domain);
         let direct = index.grid_profile(10, &domain);
         assert!(Arc::ptr_eq(&via_trait, &direct));
-        let bc = index.ball_counter(10);
+        let bc = BallCounter::new(&data, 10);
         for q in 0..=2 * (domain.radius_grid_len() - 1) {
             let r = domain.radius_from_index(q) / 2.0;
             assert_eq!(via_trait.value(q).to_bits(), bc.l_value(r).to_bits());
@@ -716,7 +686,7 @@ pub(crate) mod tests {
         let rebuilt = GeometryBackend::rebuild_for(&projected, &sub);
         assert_eq!(rebuilt.kind(), BackendKind::Projected);
         assert_eq!(rebuilt.len(), 30);
-        let exact = GeometryIndex::build(&data, 1);
+        let exact = GeometryIndex::build(&data);
         let rebuilt = GeometryBackend::rebuild_for(&exact, &sub);
         assert_eq!(rebuilt.kind(), BackendKind::Exact);
         assert_eq!(rebuilt.len(), 30);
@@ -762,13 +732,13 @@ pub(crate) mod tests {
         let backend = ProjectedBackend::build_default(&single);
         assert_eq!(backend.len(), 1);
         assert_eq!(backend.bucket_count(), 1);
-        assert_eq!(backend.count_within(0, 0.0), 1);
+        assert_eq!(site_count(&backend, 0, 0.0), 1);
         assert_eq!(GeometryBackend::radius_slack(&backend), 0.0);
 
         let identical = Dataset::from_rows(vec![vec![0.25, 0.75]; 12]).unwrap();
         let backend = ProjectedBackend::build_default(&identical);
         assert_eq!(backend.bucket_count(), 1);
-        assert_eq!(backend.count_within(5, 0.0), 12);
+        assert_eq!(site_count(&backend, 5, 0.0), 12);
         let profile = GeometryBackend::l_profile(&backend, 4);
         assert!((profile.value_at(0.0) - 4.0).abs() < 1e-12);
 
@@ -801,7 +771,7 @@ pub(crate) mod tests {
     fn dense_identity_case_matches_exact_when_buckets_suffice() {
         // When every point lands in its own bucket (budget >= n, identity
         // projection), representatives ARE the points: counts must equal
-        // the exact matrix everywhere, and profiles must agree bit-for-bit
+        // the exact ones everywhere, and profiles must agree bit-for-bit
         // with a fresh BallCounter sweep up to event-grouping equality.
         let data = clustered(40);
         let backend = ProjectedBackend::build(
@@ -812,19 +782,19 @@ pub(crate) mod tests {
             },
         );
         if backend.bucket_count() == data.len() {
-            let exact = DistanceMatrix::build(&data);
+            let cap = 7;
+            let exact = BallCounter::new(&data, cap);
             for i in 0..data.len() {
                 for r in [0.0, 0.05, 0.2, 0.6, 1.4] {
                     assert_eq!(
-                        backend.count_within(i, r),
-                        exact.count_within(i, r),
+                        site_count(&backend, i, r),
+                        exact.count(i, r),
                         "i={i}, r={r}"
                     );
                 }
             }
-            let cap = 7;
             let pp = GeometryBackend::l_profile(&backend, cap);
-            let pe = BallCounter::from_matrix(exact, cap).l_profile();
+            let pe = exact.l_profile();
             for r in [0.0, 0.03, 0.11, 0.5, 2.0] {
                 assert!(
                     (pp.value_at(r) - pe.value_at(r)).abs() < 1e-9,

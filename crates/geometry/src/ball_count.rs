@@ -15,8 +15,11 @@
 //! here (it has no privacy content); the sensitivity argument (Lemma 4.5) is
 //! exercised by tests in `privcluster-core`.
 //!
-//! Two evaluations of `L` at many radii share one `O(1)`-per-event sweep
-//! that keeps the sum of the `t` largest capped counts:
+//! [`BallCounter`] is the reference the served profiles are tested
+//! against; no query runs it. Its counts read per-point sorted distance
+//! rows, `8·n²` bytes filled on the first count. Two evaluations of `L` at
+//! many radii read no rows and share one `O(1)`-per-event sweep that
+//! keeps the sum of the `t` largest capped counts:
 //!
 //! * [`BallCounter::grid_profile`] — what GoodRadius reads — is
 //!   [`BallCounter::l_value`] on the quarter radius grid, keying into it
@@ -31,13 +34,18 @@ use crate::distance::DistanceMatrix;
 use crate::domain::GridDomain;
 use crate::grid_profile::{self, GridProfile};
 use crate::tol;
+use std::sync::OnceLock;
 
-/// Efficient evaluator for `B_r`, `B̄_r` and `L(r, S)` at many radii.
-#[derive(Debug, Clone)]
+/// The reference evaluator of `B_r`, `B̄_r` and `L(r, S)` at any radius,
+/// which the served profiles are tested against.
+#[derive(Debug)]
 pub struct BallCounter {
     dm: DistanceMatrix,
     cap: usize,
-    n: usize,
+    /// Row-major `n × n` distances, filled on the first count; row `i`
+    /// holds the distances from point `i` to all `n` points (itself
+    /// included, at 0), sorted ascending.
+    rows: OnceLock<Vec<f64>>,
 }
 
 impl BallCounter {
@@ -50,15 +58,8 @@ impl BallCounter {
         BallCounter {
             dm: DistanceMatrix::build(data),
             cap,
-            n: data.len(),
+            rows: OnceLock::new(),
         }
-    }
-
-    /// Wraps an already-built [`DistanceMatrix`].
-    pub fn from_matrix(dm: DistanceMatrix, cap: usize) -> Self {
-        assert!(cap >= 1, "cap t must be at least 1");
-        let n = dm.len();
-        BallCounter { dm, cap, n }
     }
 
     /// The cap `t`.
@@ -68,28 +69,46 @@ impl BallCounter {
 
     /// Number of points `n`.
     pub fn len(&self) -> usize {
-        self.n
+        self.dm.len()
     }
 
     /// `true` when the underlying dataset is empty.
     pub fn is_empty(&self) -> bool {
-        self.n == 0
+        self.dm.is_empty()
     }
 
-    /// Access to the underlying distance matrix.
-    // privlint::allow(unused-pub): the exact matrix the geometry tests compare the served profiles and indices against
-    pub fn distances(&self) -> &DistanceMatrix {
-        &self.dm
+    /// The sorted distances from point `i` to every point. The first call
+    /// fills every row: `O(n² log n)` time and `8·n²` bytes.
+    fn sorted_row(&self, i: usize) -> &[f64] {
+        let n = self.len();
+        let rows = self.rows.get_or_init(|| {
+            let pts = self.dm.points();
+            let mut rows = vec![0.0f64; n * n];
+            for (p, row) in pts.iter().zip(rows.chunks_mut(n.max(1))) {
+                for (slot, q) in row.iter_mut().zip(pts) {
+                    *slot = p.distance(q);
+                }
+                row.sort_by(f64::total_cmp);
+            }
+            rows
+        });
+        &rows[i * n..(i + 1) * n]
     }
 
-    /// `B_r(x_i)`: number of points within distance `r` of input point `i`.
+    /// `B_r(x_i)`: how many points (including `x_i` itself) lie within
+    /// distance `r` of input point `i`. Uses a closed ball, i.e. counts
+    /// distances `≤ r` at the unified tolerance [`tol::within_radius`].
     pub fn count(&self, i: usize, r: f64) -> usize {
-        self.dm.count_within(i, r)
+        if r < 0.0 {
+            return 0;
+        }
+        self.sorted_row(i)
+            .partition_point(|&d| tol::within_radius(d, r))
     }
 
     /// `B̄_r(x_i)`: the count capped at `t`.
     pub fn capped_count(&self, i: usize, r: f64) -> usize {
-        self.dm.count_within_capped(i, r, self.cap)
+        self.count(i, r).min(self.cap)
     }
 
     /// The largest (capped) count over balls of radius `r` centred at input
@@ -97,7 +116,7 @@ impl BallCounter {
     /// paper starts from before averaging.
     // privlint::allow(unused-pub): the naive high-sensitivity `L` that the GoodRadius and sensitivity-example tests compare against
     pub fn max_capped_count(&self, r: f64) -> usize {
-        (0..self.n)
+        (0..self.len())
             .map(|i| self.capped_count(i, r))
             .max()
             .unwrap_or(0)
@@ -113,7 +132,7 @@ impl BallCounter {
         if r < 0.0 {
             return 0.0;
         }
-        let mut counts: Vec<usize> = (0..self.n).map(|i| self.capped_count(i, r)).collect();
+        let mut counts: Vec<usize> = (0..self.len()).map(|i| self.capped_count(i, r)).collect();
         counts.sort_unstable_by(|a, b| b.cmp(a));
         let top: usize = counts.iter().take(self.cap).sum();
         top as f64 / self.cap as f64
@@ -127,13 +146,6 @@ impl BallCounter {
         self.dm.sorted_all_distances()
     }
 
-    /// The smallest radius `r` (over the breakpoints) such that some ball of
-    /// radius `r` centred at an input point contains at least `t` points —
-    /// i.e. the radius found by the non-private 2-approximation.
-    pub fn two_approx_radius(&self) -> Option<f64> {
-        self.dm.two_approx_radius(self.cap).map(|(_, r)| r)
-    }
-
     /// `L(·, S)` on `domain`'s quarter radius grid, what GoodRadius reads:
     /// [`BallCounter::l_value`]`(ρ_j)` bit for bit at quarter index `j`, in
     /// one `O(n²·d)` pass (see [`grid_profile`]). Panics past
@@ -144,7 +156,7 @@ impl BallCounter {
 
     /// Precomputes `L(r, S)` at every breakpoint in a single sweep.
     ///
-    /// `L` only changes at pairwise distances. The sweep walks the matrix's
+    /// `L` only changes at pairwise distances. The sweep walks the
     /// distance-sorted pair list — each unordered pair once, since pair
     /// `{i, j}` puts `j` in the ball around `i` and `i` in the ball around
     /// `j` at the same radius — while keeping the sum of the `t` largest
@@ -153,35 +165,45 @@ impl BallCounter {
     /// bytes; afterwards any number of `L` evaluations are `O(log n)`
     /// lookups. A group of distances at the unified tolerance counts from
     /// its smallest member on, so within the tolerance of a radius this
-    /// can differ from [`BallCounter::l_value`].
+    /// can differ from [`BallCounter::l_value`]. It reads no rows.
     pub fn l_profile(&self) -> LProfile {
-        let pairs = self.dm.sorted_pairs();
-        let mut top = TopCounts::new(self.n, self.cap);
-        let mut breakpoints = Vec::new();
-        let mut values = Vec::new();
-        let mut idx = 0usize;
-        while idx < pairs.len() {
-            let d = pairs[idx].0;
-            // Process every pair at (numerically) this distance — "same"
-            // exactly as `sorted_all_distances`'s dedup defines it, so the
-            // profile's groups and the breakpoint list can never disagree.
-            // The group's end state depends only on which counts it raised,
-            // so the order of equal distances within it cannot matter.
-            while idx < pairs.len() && tol::same_distance(pairs[idx].0, d) {
-                let (_, i, j) = pairs[idx];
-                top.increment(i as usize);
-                if j != i {
-                    top.increment(j as usize);
-                }
-                idx += 1;
+        breakpoint_profile(&self.dm, self.cap)
+    }
+}
+
+/// [`BallCounter::l_profile`] over `dm`'s points for cap `cap`, which the
+/// exact backend's `GeometryBackend::l_profile` runs too.
+///
+/// # Panics
+/// Panics if `cap == 0`.
+pub(crate) fn breakpoint_profile(dm: &DistanceMatrix, cap: usize) -> LProfile {
+    assert!(cap >= 1, "cap t must be at least 1");
+    let pairs = dm.sorted_pairs();
+    let mut top = TopCounts::new(dm.len(), cap);
+    let mut breakpoints = Vec::new();
+    let mut values = Vec::new();
+    let mut idx = 0usize;
+    while idx < pairs.len() {
+        let d = pairs[idx].0;
+        // Process every pair at (numerically) this distance — "same"
+        // exactly as `sorted_all_distances`'s dedup defines it, so the
+        // profile's groups and the breakpoint list can never disagree.
+        // The group's end state depends only on which counts it raised,
+        // so the order of equal distances within it cannot matter.
+        while idx < pairs.len() && tol::same_distance(pairs[idx].0, d) {
+            let (_, i, j) = pairs[idx];
+            top.increment(i as usize);
+            if j != i {
+                top.increment(j as usize);
             }
-            breakpoints.push(d);
-            values.push(top.value());
+            idx += 1;
         }
-        LProfile {
-            breakpoints,
-            values,
-        }
+        breakpoints.push(d);
+        values.push(top.value());
+    }
+    LProfile {
+        breakpoints,
+        values,
     }
 }
 
@@ -481,6 +503,8 @@ pub(crate) mod tests {
         assert_eq!(bc.len(), 8);
         assert!(!bc.is_empty());
         assert_eq!(bc.count(0, 0.2), 5);
+        assert_eq!(bc.count(0, 0.0), 1); // itself
+        assert_eq!(bc.count(0, -1.0), 0);
         assert_eq!(bc.capped_count(0, 0.2), 4);
         assert_eq!(bc.count(5, 0.2), 3);
         assert_eq!(bc.capped_count(5, 0.2), 3);
@@ -543,14 +567,6 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn two_approx_radius_matches_expectation() {
-        let bc = BallCounter::new(&clustered(), 3);
-        // Three points within a tight ball exist near the origin: radius ~0.1
-        let r = bc.two_approx_radius().unwrap();
-        assert!(r <= 0.15, "r = {r}");
-    }
-
-    #[test]
     fn l_profile_matches_direct_evaluation() {
         let data = clustered();
         for cap in [1usize, 3, 4, 8, 12] {
@@ -597,10 +613,10 @@ pub(crate) mod tests {
     /// all `n²` of them comparison-sorted, with a Fenwick `top_sum` after
     /// each group.
     fn reference_l_profile(bc: &BallCounter) -> LProfile {
-        let (n, cap) = (bc.n, bc.cap);
+        let (n, cap) = (bc.len(), bc.cap);
         let mut events: Vec<(f64, usize)> = Vec::with_capacity(n * n);
         for i in 0..n {
-            for &d in bc.dm.sorted_row(i) {
+            for &d in bc.sorted_row(i) {
                 events.push((d, i));
             }
         }
@@ -633,9 +649,9 @@ pub(crate) mod tests {
 
     /// The breakpoint list the pair list replaced: all `n²` row entries,
     /// sorted and deduplicated.
-    fn reference_breakpoints(dm: &DistanceMatrix) -> Vec<f64> {
-        let mut all: Vec<f64> = (0..dm.len())
-            .flat_map(|i| dm.sorted_row(i).to_vec())
+    fn reference_breakpoints(bc: &BallCounter) -> Vec<f64> {
+        let mut all: Vec<f64> = (0..bc.len())
+            .flat_map(|i| bc.sorted_row(i).to_vec())
             .collect();
         all.sort_by(f64::total_cmp);
         all.dedup_by(|a, b| tol::same_distance(*a, *b));
@@ -696,7 +712,7 @@ pub(crate) mod tests {
             proptest::prop_assert_eq!(bits(profile.values()), bits(reference.values()));
             proptest::prop_assert_eq!(
                 bits(&bc.breakpoints()),
-                bits(&reference_breakpoints(bc.distances()))
+                bits(&reference_breakpoints(&bc))
             );
         }
     }

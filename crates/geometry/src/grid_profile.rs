@@ -667,9 +667,9 @@ pub(crate) mod tests {
                 2 => n + extra,
                 _ => 1 + extra % n,
             };
-            let exact = GeometryIndex::build(&data, 1);
+            let exact = GeometryIndex::build(&data);
             let grid = exact.grid_profile(cap, &domain);
-            assert_ball_count_at(&grid, &exact.ball_counter(cap), &domain, 0..=last_quarter(&domain));
+            assert_ball_count_at(&grid, &BallCounter::new(&data, cap), &domain, 0..=last_quarter(&domain));
             assert_segments_hold(&grid, &domain);
             let unit = count_pairs(data.points(), Some(&vec![1; n]), cap, &domain).0;
             proptest::prop_assert_eq!(&unit, &*grid);

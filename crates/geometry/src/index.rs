@@ -1,36 +1,34 @@
-//! A shared, per-dataset geometry index.
+//! A shared, per-dataset geometry index: the exact backend.
 //!
-//! Every query the paper's pipeline answers starts from the same two
-//! objects: the pairwise [`DistanceMatrix`] and, per cap `t` and radius
-//! grid, the step function `L(·, S)` sampled on that grid
-//! ([`GridProfile`]). Both depend only on the (immutable) dataset, yet
-//! historically every solver call rebuilt them from scratch — `O(n² d)` of
-//! work per query. A [`GeometryIndex`] pays that cost **once per
-//! dataset**: building it copies the points into the matrix (`O(n d)`),
-//! grid profiles are built lazily on first use of each cap and grid and
+//! Every query the paper's pipeline answers starts from the same object:
+//! per cap `t` and radius grid, the step function `L(·, S)` sampled on
+//! that grid ([`GridProfile`]). It depends only on the (immutable)
+//! dataset, yet historically every solver call rebuilt it from scratch —
+//! `O(n² d)` of work per query. A [`GeometryIndex`] pays that cost **once
+//! per cap and grid**: building it copies the points (`O(n d)`), grid
+//! profiles are built lazily on first use of each cap and grid and
 //! memoised, and the whole index is `Sync`, so an engine can stash one
 //! behind an `Arc` at registration time and serve every later query from
 //! its cached profiles.
 //!
-//! Memory: the index holds the `n` points; the matrix's `8·n²`-byte sorted
-//! rows (2 MB at `n = 500`, 800 MB at `n = 10_000`) are filled only if
-//! something reads them, and no profile build or GoodRadius query does.
-//! Each cached grid profile holds at most one entry per grid radius and
-//! per pair, `O(min(G, n²))` for `G` grid radii, and building one briefly
+//! Memory: the index holds the `n` points and its cached profiles. Each
+//! cached grid profile holds at most one entry per grid radius and per
+//! pair, `O(min(G, n²))` for `G` grid radii, and building one briefly
 //! holds 12 bytes per pair it keeps, the pairs within the radius where `L`
-//! saturates (16 on grids far finer than the data; see
-//! [`grid_profile`](crate::grid_profile)). The index takes at most
+//! saturates (16 on grids far finer than the data; see [`grid_profile`]).
+//! The index takes at most
 //! [`MAX_EXACT_POINTS`](crate::grid_profile::MAX_EXACT_POINTS) points
 //! (65,536), the most a profile build packs into its 32-bit pairs. At most
 //! [`MAX_CACHED_PROFILES`] profiles are retained (the cap `t` is
 //! client-controlled on the engine's query wire, so the memoisation must
 //! be bounded).
 
-use crate::ball_count::BallCounter;
+use crate::backend::{BackendKind, GeometryBackend};
+use crate::ball_count::{breakpoint_profile, LProfile};
 use crate::dataset::Dataset;
 use crate::distance::DistanceMatrix;
 use crate::domain::GridDomain;
-use crate::grid_profile::{note_profile_build, GridProfile};
+use crate::grid_profile::{self, note_profile_build, GridProfile};
 use crate::sync::lock_recover;
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -46,8 +44,8 @@ use std::sync::{Arc, Mutex, OnceLock};
 /// constantly-reused cap and force its rebuild every time.
 pub const MAX_CACHED_PROFILES: usize = 8;
 
-/// Precomputed pairwise-distance geometry of one dataset, shareable across
-/// threads and queries.
+/// The exact backend: one dataset's points and their memoised grid
+/// profiles, shareable across threads and queries.
 #[derive(Debug)]
 pub struct GeometryIndex {
     dm: DistanceMatrix,
@@ -126,26 +124,18 @@ impl ProfileCache {
 }
 
 impl GeometryIndex {
-    /// Builds the index for `data` in `O(n d)`. Should anything read the
-    /// matrix's sorted rows, up to `threads` workers fill them
-    /// (bit-identical at any thread count).
-    pub fn build(data: &Dataset, threads: usize) -> Self {
-        Self::from_matrix(DistanceMatrix::build_parallel(data, threads))
+    /// Builds the index for `data` in `O(n d)`: a copy of its points.
+    pub fn build(data: &Dataset) -> Self {
+        Self::from_matrix(DistanceMatrix::build(data))
     }
 
-    /// Wraps an already-built matrix (an `O(1)` move: matrices share their
-    /// storage via `Arc`).
+    /// Wraps already-copied points (an `O(1)` move: matrices share their
+    /// points via `Arc`).
     pub fn from_matrix(dm: DistanceMatrix) -> Self {
         GeometryIndex {
             dm,
             profiles: Mutex::new(ProfileCache::default()),
         }
-    }
-
-    /// The underlying distance matrix.
-    // privlint::allow(unused-pub): the exact matrix the geometry property tests compare the index's rows against
-    pub fn distances(&self) -> &DistanceMatrix {
-        &self.dm
     }
 
     /// Number of indexed points.
@@ -158,31 +148,23 @@ impl GeometryIndex {
         self.dm.is_empty()
     }
 
-    /// A [`BallCounter`] over the shared matrix for cap `t` (`O(1)`).
-    ///
-    /// # Panics
-    /// Panics if `cap == 0`.
-    pub fn ball_counter(&self, cap: usize) -> BallCounter {
-        BallCounter::from_matrix(self.dm.clone(), cap)
-    }
-
     /// The grid profile for cap `t` on `domain`'s grid, built on first use
     /// and memoised (up to [`MAX_CACHED_PROFILES`] distinct caps and grids,
     /// least-recently-used evicted first). Identical to
     /// `BallCounter::new(data, t).grid_profile(domain)`.
     ///
-    /// A build is `BallCounter::grid_profile`'s counting pass, the ball
-    /// count `BallCounter::l_value` at each quarter radius. It runs
-    /// outside the cache lock, so first users of different caps build in
-    /// parallel, and once per cap and grid: callers racing on one that is
-    /// being built wait for that build.
+    /// A build is [`grid_profile`](mod@crate::grid_profile)'s counting
+    /// pass over the points, the ball count `BallCounter::l_value` at each
+    /// quarter radius. It runs outside the cache lock, so first users of
+    /// different caps build in parallel, and once per cap and grid:
+    /// callers racing on one that is being built wait for that build.
     ///
     /// # Panics
     /// Panics if `cap == 0`, or past
     /// [`MAX_EXACT_POINTS`](crate::grid_profile::MAX_EXACT_POINTS) points.
     pub fn grid_profile(&self, cap: usize, domain: &GridDomain) -> Arc<GridProfile> {
         ProfileCache::get_or_build(&self.profiles, cap, domain, || {
-            self.ball_counter(cap).grid_profile(domain)
+            grid_profile::count_pairs(self.dm.points(), None, cap, domain).0
         })
     }
 
@@ -193,9 +175,36 @@ impl GeometryIndex {
     }
 }
 
+impl GeometryBackend for GeometryIndex {
+    fn kind(&self) -> BackendKind {
+        BackendKind::Exact
+    }
+
+    fn len(&self) -> usize {
+        GeometryIndex::len(self)
+    }
+
+    fn grid_profile(&self, cap: usize, domain: &GridDomain) -> Arc<GridProfile> {
+        GeometryIndex::grid_profile(self, cap, domain)
+    }
+
+    fn l_profile(&self, cap: usize) -> Arc<LProfile> {
+        Arc::new(breakpoint_profile(&self.dm, cap))
+    }
+
+    fn radius_slack(&self) -> f64 {
+        0.0
+    }
+
+    fn rebuild_for(&self, data: &Dataset) -> Arc<dyn GeometryBackend> {
+        Arc::new(GeometryIndex::build(data))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ball_count::BallCounter;
 
     fn data() -> Dataset {
         Dataset::from_rows(
@@ -212,7 +221,7 @@ mod tests {
 
     #[test]
     fn profiles_are_memoised_per_cap_and_grid() {
-        let index = GeometryIndex::build(&data(), 2);
+        let index = GeometryIndex::build(&data());
         assert_eq!(index.len(), 30);
         assert!(!index.is_empty());
         assert_eq!(index.cached_profiles(), 0);
@@ -236,7 +245,7 @@ mod tests {
     #[test]
     fn indexed_profile_matches_fresh_build() {
         let data = data();
-        let index = GeometryIndex::build(&data, 4);
+        let index = GeometryIndex::build(&data);
         for cap in [1usize, 3, 10, 30] {
             let via_index = index.grid_profile(cap, &domain());
             let fresh = BallCounter::new(&data, cap).grid_profile(&domain());
@@ -246,7 +255,7 @@ mod tests {
 
     #[test]
     fn profile_memoisation_is_bounded() {
-        let index = GeometryIndex::build(&data(), 1);
+        let index = GeometryIndex::build(&data());
         for cap in 1..=(2 * MAX_CACHED_PROFILES) {
             let _ = index.grid_profile(cap, &domain());
             assert!(index.cached_profiles() <= MAX_CACHED_PROFILES);
@@ -261,7 +270,7 @@ mod tests {
 
     #[test]
     fn profile_eviction_is_lru_not_fifo() {
-        let index = GeometryIndex::build(&data(), 1);
+        let index = GeometryIndex::build(&data());
         for cap in 1..=MAX_CACHED_PROFILES {
             let _ = index.grid_profile(cap, &domain());
         }
@@ -275,15 +284,5 @@ mod tests {
             Arc::ptr_eq(&hot, &again),
             "recently-used cap was evicted: the cache is FIFO, not LRU"
         );
-    }
-
-    #[test]
-    fn ball_counter_shares_the_matrix() {
-        let index = GeometryIndex::build(&data(), 1);
-        let bc = index.ball_counter(4);
-        assert!(std::ptr::eq(
-            index.distances().sorted_row(0).as_ptr(),
-            bc.distances().sorted_row(0).as_ptr()
-        ));
     }
 }

@@ -16,17 +16,16 @@
 //!   points, the folklore 2-approximation for "smallest ball containing `t`
 //!   points" (fact 3 in §3 of the paper), and an exhaustive small-case solver
 //!   ([`meb`]);
-//! * pairwise-distance structures that make evaluating the paper's `L(r, S)`
-//!   function cheap for many radii ([`distance`]), the shareable
-//!   per-dataset [`index::GeometryIndex`] that pays for them once, and the
-//!   pluggable [`backend::GeometryBackend`] abstraction whose
+//! * the paper's `L(r, S)` on GoodRadius's radius grid, one counting pass
+//!   over a dataset's points ([`grid_profile`], [`distance`]), the
+//!   shareable per-dataset [`index::GeometryIndex`] that memoises it, and
+//!   the pluggable [`backend::GeometryBackend`] abstraction whose
 //!   [`backend::ProjectedBackend`] answers the same queries
 //!   sub-quadratically from JL-projected, grid-bucketed samples;
 //! * the single tolerance definition every distance comparison goes through
-//!   ([`tol`]), the scoped-thread worker pool used for parallel matrix
-//!   fills and by the engine's batch executor ([`pool`]), and the
-//!   poison-recovering lock helpers every crate's shared state goes through
-//!   ([`sync`]);
+//!   ([`tol`]), the scoped-thread worker pool the engine's batch executor
+//!   drives ([`pool`]), and the poison-recovering lock helpers every
+//!   crate's shared state goes through ([`sync`]);
 //! * the small dense-linear-algebra helpers (Gram–Schmidt, matrix-vector
 //!   products) needed by the above ([`linalg`]).
 //!

@@ -134,12 +134,11 @@ pub fn welzl_meb<R: Rng + ?Sized>(data: &Dataset, rng: &mut R) -> Result<Ball, G
 /// The folklore 2-approximation for the smallest ball containing at least `t`
 /// points: restrict centres to input points (§3, fact 3). Returns the best
 /// such ball: the input point whose `t`-th nearest point (itself first) is
-/// closest, the lowest index winning ties, with that distance as radius —
-/// bit-identical to [`DistanceMatrix::two_approx_radius`]. Each point's
-/// `t`-th smallest distance is selected in one reused buffer of `n`
-/// distances: `O(n² d)` expected time and `O(n)` extra memory.
-///
-/// [`DistanceMatrix::two_approx_radius`]: crate::distance::DistanceMatrix::two_approx_radius
+/// closest, the lowest index winning ties, with that distance as radius:
+/// position `t − 1` of the point's distances sorted by `total_cmp`, bit for
+/// bit. Each point's `t`-th smallest distance is selected in one reused
+/// buffer of `n` distances: `O(n² d)` expected time and `O(n)` extra
+/// memory.
 pub fn smallest_ball_two_approx(data: &Dataset, t: usize) -> Result<Ball, GeometryError> {
     if data.is_empty() {
         return Err(GeometryError::EmptyDataset);
@@ -280,7 +279,6 @@ pub fn smallest_interval_1d(data: &Dataset, t: usize) -> Result<Ball, GeometryEr
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::distance::DistanceMatrix;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -390,8 +388,17 @@ mod tests {
         ) {
             let t = 1 + pick % data.len();
             let (center, radius) = two_approx_center(data.points(), t);
-            let (ref_center, ref_radius) =
-                DistanceMatrix::build(&data).two_approx_radius(t).unwrap();
+            // Each point's sorted row, read at position t − 1; the first
+            // strictly smaller radius wins.
+            let mut best: Option<(usize, f64)> = None;
+            for (i, p) in data.iter().enumerate() {
+                let mut row: Vec<f64> = data.iter().map(|q| p.distance(q)).collect();
+                row.sort_by(f64::total_cmp);
+                if best.is_none_or(|(_, r)| row[t - 1] < r) {
+                    best = Some((i, row[t - 1]));
+                }
+            }
+            let (ref_center, ref_radius) = best.unwrap();
             proptest::prop_assert_eq!(center, ref_center);
             proptest::prop_assert_eq!(radius.to_bits(), ref_radius.to_bits());
             let ball = smallest_ball_two_approx(&data, t).unwrap();

@@ -3,18 +3,14 @@
 //! No external dependencies: jobs are drawn from a shared [`Mutex`]-guarded
 //! FIFO queue by scoped worker threads and their results are written back
 //! into submission-order slots. The pool lives in the geometry crate — the
-//! bottom of the workspace dependency stack — next to the other shared
-//! concurrency substrate ([`DistanceMatrix::build_parallel`] writes disjoint
-//! buffer chunks from scoped threads directly); the engine's batch executor
-//! re-exports and drives this pool.
+//! bottom of the workspace dependency stack — so every crate above can
+//! reach it; the engine's batch executor re-exports and drives it.
 //!
 //! Jobs are drained in **submission order** (FIFO). Draining order cannot
 //! change any *result* (each job writes only its own slot), but it does
 //! change the makespan: with the previous LIFO drain, long jobs submitted
 //! first were started last, so a batch could finish almost a full long-job
 //! late. FIFO starts jobs in the order the caller chose.
-//!
-//! [`DistanceMatrix::build_parallel`]: crate::distance::DistanceMatrix::build_parallel
 
 use crate::sync::{into_inner_recover, lock_recover};
 use std::collections::VecDeque;

@@ -1,7 +1,7 @@
 //! The crate's single floating-point tolerance definition.
 //!
 //! Distance comparisons appear in four hot places — ball-membership counts
-//! (`DistanceMatrix::count_within`), breakpoint deduplication
+//! (`BallCounter::count`), breakpoint deduplication
 //! (`DistanceMatrix::sorted_all_distances`), the event-grouping sweep of
 //! `BallCounter::l_profile`, and the grid profile's keys, which place each
 //! pair at the first quarter radius whose ball holds it ([`within_radius`])
@@ -17,13 +17,13 @@
 //! One residual ambiguity is inherent to any tolerance: for a probe radius
 //! `r` *itself* within the tolerance of a merged breakpoint group (closer
 //! than `REL·r + ABS`, ≈ 4.5e3 ulps), the breakpoint profile answers with
-//! the whole group's post-breakpoint value while a direct per-row count may
-//! exclude the group's upper members. The probe and the breakpoint are "the
-//! same distance" by this module's own definition, but only the per-row
-//! count is a ball count: a group straddling a quarter radius can move the
-//! breakpoint profile's `L` there by `t/2` between neighbouring datasets,
-//! where Lemma 4.5 allows 2. What GoodRadius reads, the grid profile, is
-//! the per-row count.
+//! the whole group's post-breakpoint value while a direct per-point count
+//! may exclude the group's upper members. The probe and the breakpoint are
+//! "the same distance" by this module's own definition, but only the
+//! per-point count is a ball count: a group straddling a quarter radius can
+//! move the breakpoint profile's `L` there by `t/2` between neighbouring
+//! datasets, where Lemma 4.5 allows 2. What GoodRadius reads, the grid
+//! profile, is the per-point count.
 //!
 //! The tolerance is asymmetric by design: [`within_radius`] answers "does a
 //! point at distance `d` lie in the closed ball of radius `r`", inflating

@@ -2,8 +2,8 @@
 
 use privcluster_geometry::{
     smallest_ball_two_approx, tol, welzl_meb, AxisAlignedBox, Ball, BallCounter, BoxPartition,
-    Dataset, DistanceMatrix, GeometryBackend, GeometryIndex, GridDomain, JlTransform,
-    OrthonormalBasis, Point, ProjectedBackend, ProjectedConfig,
+    Dataset, GeometryBackend, GeometryIndex, GridDomain, JlTransform, OrthonormalBasis, Point,
+    ProjectedBackend, ProjectedConfig,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -18,6 +18,18 @@ fn dataset(max_n: usize, dim: usize) -> impl Strategy<Value = Dataset> {
 fn ulp_shift(x: f64, ulps: i64) -> f64 {
     assert!(x > 0.0);
     f64::from_bits((x.to_bits() as i64 + ulps) as u64)
+}
+
+/// Point `i`'s count at radius `r` as `backend` approximates `B_r`: the
+/// points whose bucket sites lie within `r` of `i`'s. The datasets here
+/// are two-dimensional, so the projection is the identity and a bucket's
+/// site is its representative's input point.
+fn projected_count(backend: &ProjectedBackend, data: &Dataset, i: usize, r: f64) -> usize {
+    assert_eq!(backend.projected_dim(), data.dim(), "the projection fired");
+    let site = |j: usize| data.point(backend.representative_of(j));
+    (0..data.len())
+        .filter(|&j| tol::within_radius(site(i).distance(site(j)), r))
+        .count()
 }
 
 /// Adversarially near-tied 1-d datasets: points at multiples of a base step
@@ -38,16 +50,16 @@ fn near_tied_dataset(max_n: usize) -> impl Strategy<Value = Dataset> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// The distance matrix counts agree with a naive scan at arbitrary radii.
+    /// The reference ball counts agree with a naive scan at arbitrary radii.
     #[test]
-    fn distance_matrix_counts_match_naive(data in dataset(18, 3), r in 0.0f64..2.0) {
-        let dm = DistanceMatrix::build(&data);
+    fn ball_counts_match_naive(data in dataset(18, 3), r in 0.0f64..2.0) {
+        let counter = BallCounter::new(&data, 1);
         for i in 0..data.len() {
             let naive = data
                 .iter()
                 .filter(|p| data.point(i).distance(p) <= r + 1e-12)
                 .count();
-            prop_assert_eq!(dm.count_within(i, r), naive);
+            prop_assert_eq!(counter.count(i, r), naive);
         }
     }
 
@@ -205,42 +217,32 @@ proptest! {
         let cap = 1 + cap_sel % data.len();
         let counter = BallCounter::new(&data, cap);
         let profile = counter.l_profile();
-        let deduped = counter.distances().sorted_all_distances();
+        let deduped = counter.breakpoints();
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         prop_assert_eq!(bits(profile.breakpoints()), bits(&deduped));
     }
 
-    /// A shared GeometryIndex is bit-identical to a per-query rebuild, at
-    /// every thread count, and its memoised grid profiles stay identical on
-    /// reuse.
+    /// A shared GeometryIndex is bit-identical to a per-query rebuild, and
+    /// its memoised grid profiles stay identical on reuse.
     #[test]
-    fn geometry_index_reuse_is_bit_identical_across_threads(
+    fn geometry_index_reuse_is_bit_identical(
         data in dataset(16, 2),
         cap_sel in 1usize..8,
     ) {
         let cap = 1 + cap_sel % data.len();
         let domain = GridDomain::unit_cube(2, 1 << 10).unwrap();
-        let reference = DistanceMatrix::build(&data);
         let fresh = BallCounter::new(&data, cap).l_profile();
         let fresh_grid = BallCounter::new(&data, cap).grid_profile(&domain);
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        for threads in [1usize, 2, 4] {
-            let index = GeometryIndex::build(&data, threads);
-            for i in 0..data.len() {
-                prop_assert_eq!(
-                    bits(index.distances().sorted_row(i)),
-                    bits(reference.sorted_row(i))
-                );
-            }
-            let profile = index.l_profile(cap);
-            prop_assert_eq!(bits(profile.breakpoints()), bits(fresh.breakpoints()));
-            prop_assert_eq!(bits(profile.values()), bits(fresh.values()));
-            // First use builds, second reuses the memoised grid profile.
-            for _ in 0..2 {
-                prop_assert_eq!(&*index.grid_profile(cap, &domain), &fresh_grid);
-            }
-            prop_assert_eq!(index.cached_profiles(), 1);
+        let index = GeometryIndex::build(&data);
+        let profile = index.l_profile(cap);
+        prop_assert_eq!(bits(profile.breakpoints()), bits(fresh.breakpoints()));
+        prop_assert_eq!(bits(profile.values()), bits(fresh.values()));
+        // First use builds, second reuses the memoised grid profile.
+        for _ in 0..2 {
+            prop_assert_eq!(&*index.grid_profile(cap, &domain), &fresh_grid);
         }
+        prop_assert_eq!(index.cached_profiles(), 1);
     }
 
     /// The projected backend's counts and profile values — its breakpoint
@@ -256,7 +258,8 @@ proptest! {
         cap_sel in 1usize..10,
         probe in 0.0f64..2.0,
     ) {
-        let exact = GeometryIndex::build(&data, 1);
+        let exact = GeometryIndex::build(&data);
+        let counter = BallCounter::new(&data, 1);
         let projected = ProjectedBackend::build(&data, ProjectedConfig {
             max_buckets: Some(max_buckets),
             ..ProjectedConfig::default()
@@ -266,7 +269,7 @@ proptest! {
         prop_assert!(slack >= 0.0 && slack.is_finite());
         let margin = slack * (1.0 + 1e-9) + 1e-12;
         for i in 0..data.len() {
-            let approx = projected.count_within(i, probe);
+            let approx = projected_count(&projected, &data, i, probe);
             // Upper bracket phrased exactly as the contract states it,
             // through the tolerance layer: every point the backend counts
             // at radius r is a point the exact metric admits once r is
@@ -275,9 +278,9 @@ proptest! {
                 .iter()
                 .filter(|p| tol::within_radius(data.point(i).distance(p), probe + margin))
                 .count();
-            prop_assert_eq!(hi, exact.distances().count_within(i, probe + margin));
+            prop_assert_eq!(hi, counter.count(i, probe + margin));
             let lo = if probe >= margin {
-                exact.distances().count_within(i, probe - margin)
+                counter.count(i, probe - margin)
             } else {
                 0
             };
@@ -307,7 +310,7 @@ proptest! {
 
     /// Projected-backend builds are deterministic: repeated builds — and
     /// builds racing on 1/2/4 concurrent threads — produce bit-identical
-    /// breakpoint and grid profiles, counts, and selection metadata.
+    /// breakpoint and grid profiles and selection metadata.
     #[test]
     fn projected_backend_build_is_deterministic_across_threads(
         data in dataset(24, 2),
@@ -346,7 +349,6 @@ proptest! {
                         backend.representative_of(i),
                         reference.representative_of(i)
                     );
-                    prop_assert_eq!(backend.count_within(i, 0.3), reference.count_within(i, 0.3));
                 }
                 let profile = backend.l_profile(cap);
                 prop_assert_eq!(bits(profile.breakpoints()), bits(ref_profile.breakpoints()));
@@ -381,7 +383,7 @@ fn unified_tolerance_regression() {
     let b = f64::from_bits(a.to_bits() + 100);
     let data = Dataset::from_rows(vec![vec![0.0], vec![a], vec![-b]]).unwrap();
     let counter = BallCounter::new(&data, 2);
-    let deduped = counter.distances().sorted_all_distances();
+    let deduped = counter.breakpoints();
     let profile = counter.l_profile();
     assert_eq!(profile.breakpoints().len(), deduped.len());
     // Distances {0, a, b, a+b}: a and b collapse into one breakpoint.
@@ -394,7 +396,7 @@ fn unified_tolerance_regression() {
     let counter = BallCounter::new(&data, 2);
     assert_eq!(
         counter.l_profile().breakpoints().len(),
-        counter.distances().sorted_all_distances().len()
+        counter.breakpoints().len()
     );
-    assert_eq!(counter.distances().sorted_all_distances().len(), 4);
+    assert_eq!(counter.breakpoints().len(), 4);
 }

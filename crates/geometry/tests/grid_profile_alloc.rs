@@ -10,7 +10,8 @@
 //! nothing else in the binary allocates while the counters run.
 
 use privcluster_geometry::{
-    Dataset, GeometryBackend, GeometryIndex, GridDomain, GridProfile, ProjectedBackend,
+    tol, BallCounter, Dataset, GeometryBackend, GeometryIndex, GridDomain, GridProfile,
+    ProjectedBackend,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -83,14 +84,14 @@ fn a_client_sized_domain_builds_without_per_radius_allocations() {
     // one byte per grid radius would be 3 TB.
     const BOUND: usize = 1 << 20;
 
-    let exact = GeometryIndex::build(&data, 1);
+    let exact = GeometryIndex::build(&data);
     let (grid, largest, total) = allocations(|| exact.grid_profile(16, &domain));
     assert!(
         largest < BOUND && total < BOUND,
         "exact: largest {largest} B, total {total} B"
     );
     // The ball count `l_value(ρ_q)`, bit for bit, where the profile steps.
-    let bc = exact.ball_counter(16);
+    let bc = BallCounter::new(&data, 16);
     for q in pinning_quarters(&grid, &domain) {
         let r = domain.radius_from_index(q) / 2.0;
         assert_eq!(grid.value(q).to_bits(), bc.l_value(r).to_bits(), "L(ρ_{q})");
@@ -103,12 +104,21 @@ fn a_client_sized_domain_builds_without_per_radius_allocations() {
         "projected: largest {largest} B, total {total} B"
     );
     // The weighted ball count over the buckets' sites, bit for bit, where
-    // the profile steps: every point's count is its site's,
-    // `count_within(i, ρ_q)`, and `L` the top 16 of them capped at 16.
+    // the profile steps: every point's count is its site's, the points
+    // whose sites lie within ρ_q of it, and `L` the top 16 of them capped
+    // at 16. In two dimensions the projection is the identity, so a site
+    // is its representative's input point.
+    assert_eq!(projected.projected_dim(), 2);
+    let site = |i: usize| data.point(projected.representative_of(i));
     for q in pinning_quarters(&grid, &domain) {
         let r = domain.radius_from_index(q) / 2.0;
         let mut counts: Vec<usize> = (0..data.len())
-            .map(|i| projected.count_within(i, r).min(16))
+            .map(|i| {
+                let within = (0..data.len())
+                    .filter(|&j| tol::within_radius(site(i).distance(site(j)), r))
+                    .count();
+                within.min(16)
+            })
             .collect();
         counts.sort_unstable_by(|a, b| b.cmp(a));
         let top: usize = counts.iter().take(16).sum();

@@ -25,7 +25,7 @@ fn hot_cap_is_never_rebuilt_under_adversarial_cap_rotation() {
             .collect(),
     )
     .unwrap();
-    let index = GeometryIndex::build(&data, 1);
+    let index = GeometryIndex::build(&data);
     let domain = GridDomain::new(2, 1 << 10, -1.0, 1.0).unwrap();
 
     let hot_cap = 1usize;

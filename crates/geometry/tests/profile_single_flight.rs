@@ -54,7 +54,7 @@ fn racing_same_cap_callers_build_the_profile_once_on_both_backends() {
             .collect(),
     )
     .unwrap();
-    let exact: Arc<dyn GeometryBackend> = Arc::new(GeometryIndex::build(&data, 1));
+    let exact: Arc<dyn GeometryBackend> = Arc::new(GeometryIndex::build(&data));
     let projected: Arc<dyn GeometryBackend> = Arc::new(ProjectedBackend::build_default(&data));
     for (name, backend) in [("exact", exact), ("projected", projected)] {
         let builds = racing_builds(backend, 40);

@@ -26,7 +26,7 @@ pub const RULES: &[RuleInfo] = &[
         summary: "raw `<`/`<=` against a radius-named value instead of `geometry::tol`",
         scope: "library code of crates/geometry and crates/core, excluding tol.rs",
         motivation: "PR 3 found three silently inconsistent distance tolerances \
-(`count_within`'s `r*(1+1e-12)+1e-15`, a 4-ulp breakpoint dedup, and `l_profile`'s \
+(the ball count's `r*(1+1e-12)+1e-15`, a 4-ulp breakpoint dedup, and `l_profile`'s \
 group merge), so a pair of distances could survive dedup as two breakpoints and \
 still be merged by the profile sweep — `LProfile::value_at` disagreed with the \
 direct `l_value` near ties. Every distance comparison now routes through \

@@ -62,7 +62,7 @@ fn prelude_exposes_every_promised_name() {
     let _ = Point::new(vec![0.0, 0.0]);
     let _ = Ball::new(Point::new(vec![0.0, 0.0]), 1.0).unwrap();
     let _ = Dataset::from_rows(vec![vec![0.0, 0.0]]).unwrap();
-    let _ = GeometryIndex::build(&Dataset::from_rows(vec![vec![0.0, 0.0]]).unwrap(), 1);
+    let _ = GeometryIndex::build(&Dataset::from_rows(vec![vec![0.0, 0.0]]).unwrap());
 
     // privcluster_agg
     let _ = sample_and_aggregate::<MeanAnalysis, StdRng>;
@@ -107,7 +107,6 @@ fn facade_modules_are_reachable() {
     let _ = privcluster::geometry::GeometryError::InvalidParameter("x".into());
     let _ = privcluster::baselines::NonPrivateTwoApprox;
     let _ = privcluster::lowerbound::InteriorPointInstance::two_camps(4, 0.1, 0.9);
-    let _ = privcluster::datagen::Workload::Uniform;
     let _ = privcluster::report::Summary::of(&[1.0, 2.0]).unwrap();
     let _ = privcluster::agg::MedianAnalysis;
     let _ = privcluster::engine::EngineError::UnknownDataset("x".into());
