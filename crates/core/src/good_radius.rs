@@ -39,6 +39,7 @@ use crate::error::ClusterError;
 use privcluster_dp::quasiconcave::{solve_quasiconcave, QcSolverConfig, QualityOracle};
 use privcluster_dp::sampling::laplace;
 use privcluster_dp::PrivacyParams;
+use privcluster_geometry::grid_profile::MAX_EXACT_POINTS;
 use privcluster_geometry::{
     BackendKind, Dataset, GeometryBackend, GeometryIndex, GridDomain, GridProfile,
 };
@@ -128,7 +129,9 @@ pub fn good_radius<R: Rng + ?Sized>(
 /// additive slack. The backend must have been
 /// built from exactly this dataset.
 ///
-/// Validates parameters *before* building any `O(n²)` geometry.
+/// Validates parameters *before* building any `O(n²)` geometry, and
+/// refuses an exact backend over more than [`MAX_EXACT_POINTS`] points,
+/// whose profile build packs pairs into 32 bits.
 #[allow(clippy::too_many_arguments)]
 pub fn good_radius_with_index<R: Rng + ?Sized>(
     data: &Dataset,
@@ -144,6 +147,13 @@ pub fn good_radius_with_index<R: Rng + ?Sized>(
         return Err(ClusterError::InvalidParameter(format!(
             "geometry backend covers {} points but the dataset has {}",
             index.len(),
+            data.len()
+        )));
+    }
+    // The kind and n are public, so refusing here costs no privacy.
+    if index.kind() == BackendKind::Exact && data.len() > MAX_EXACT_POINTS {
+        return Err(ClusterError::InvalidParameter(format!(
+            "the exact backend takes at most {MAX_EXACT_POINTS} points, not {}",
             data.len()
         )));
     }

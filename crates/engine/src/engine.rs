@@ -18,9 +18,7 @@
 
 use crate::cache::ResultCache;
 use crate::error::EngineError;
-use crate::fingerprint::{
-    registration_fingerprint, versioned_query_fingerprint, versioned_registration_fingerprint,
-};
+use crate::fingerprint::{versioned_query_fingerprint, versioned_registration_fingerprint};
 use crate::planner::{plan, Plan};
 use crate::pool::run_on_pool;
 use crate::query::{QueryRequest, QueryValue};
@@ -209,6 +207,12 @@ impl Engine {
     /// every later registration and admission through the write-ahead
     /// journal.
     ///
+    /// Every dataset version is rebuilt by the function live registration
+    /// and re-registration commit through, with the journaled fingerprint
+    /// checked where live registration appends the record: a
+    /// checksum-valid record whose fingerprint disagrees with its contents
+    /// is refused as [`EngineError::Durability`].
+    ///
     /// Replay applies **every** committed charge unconditionally — a charge
     /// with no matching release (the crash window between journal commit
     /// and result release) keeps its budget spent, never refunded — and
@@ -234,114 +238,29 @@ impl Engine {
             );
         }
 
-        // Replay registrations and re-registrations **merged in journal
-        // order**, then install each dataset's charge totals. A
-        // re-registration's inherited spend is the chain's composed spend
-        // at that point in the journal: the store kept the dataset's totals
-        // over the charges before it, and installing those before the
-        // successor entry is built makes the recovered `inherited_spend`
-        // bit-identical to what the live engine captured under the
-        // accountant lock.
-        enum Step<'a> {
-            Register(&'a RegisterRecord),
-            Reregister(&'a ReregisterRecord, LedgerTotals),
-        }
-        let mut steps: Vec<(u64, Step)> = Vec::new();
+        // Replay every registration, then every re-registration, each in
+        // journal order, through the path live registration takes. Chains
+        // are independent, and a re-registration carries its chain's totals
+        // over the charges journaled before it, restored before its
+        // inherited spend is read: that spend comes out bit-identical to
+        // what the live engine captured under the accountant lock.
         for reg in report.state.registers() {
-            steps.push((reg.seq, Step::Register(reg)));
+            let (dataset, domain, kind) =
+                replayed_parts(&reg.dataset, &reg.rows, &reg.domain, &reg.backend)?;
+            let ledger = Ledger::Declared(reg.budget, reg.mode);
+            let journal = Journal::Replayed(&reg.fingerprint);
+            engine
+                .commit_version(&reg.dataset, dataset, domain, kind, ledger, journal)
+                .map_err(replay_error)?;
         }
-        for (rereg, inherited) in report.state.reregisters() {
-            steps.push((rereg.seq, Step::Reregister(rereg, *inherited)));
-        }
-        steps.sort_by_key(|(seq, _)| *seq);
-        for (_, step) in steps {
-            match step {
-                Step::Register(reg) => {
-                    let kind = replayed_backend_kind(&reg.dataset, &reg.backend)?;
-                    let domain = replayed_domain(&reg.dataset, &reg.domain)?;
-                    let dataset = replayed_rows(&reg.dataset, &reg.rows)?;
-                    let rebuilt = registration_fingerprint(
-                        &reg.dataset,
-                        &dataset,
-                        &domain,
-                        reg.budget,
-                        reg.mode,
-                        kind,
-                    );
-                    if rebuilt != reg.fingerprint {
-                        return Err(EngineError::Durability(format!(
-                            "registration fingerprint mismatch for `{}`: journal says {}, rebuilt {}",
-                            reg.dataset, reg.fingerprint, rebuilt
-                        )));
-                    }
-                    let entry = DatasetEntry::new(
-                        &reg.dataset,
-                        dataset,
-                        domain,
-                        reg.budget,
-                        reg.mode,
-                        kind,
-                    )
-                    .map_err(|e| EngineError::Durability(e.to_string()))?;
-                    engine
-                        .registry
-                        .register(entry)
-                        .map_err(|e| EngineError::Durability(e.to_string()))?;
-                }
-                Step::Reregister(rereg, inherited_totals) => {
-                    let kind = replayed_backend_kind(&rereg.dataset, &rereg.backend)?;
-                    let domain = replayed_domain(&rereg.dataset, &rereg.domain)?;
-                    let dataset = replayed_rows(&rereg.dataset, &rereg.rows)?;
-                    let current = engine.registry.get(&rereg.dataset).map_err(|_| {
-                        EngineError::Durability(format!(
-                            "journaled re-registration v{} references unregistered dataset `{}`",
-                            rereg.version, rereg.dataset
-                        ))
-                    })?;
-                    // The budget and mode are inherited, never journaled on
-                    // the re-registration record: read them — and the spend
-                    // accumulated so far — from the chain's accountant.
-                    let (inherited, budget, mode) = {
-                        let mut accountant = current.accountant();
-                        accountant.restore_totals(inherited_totals);
-                        (
-                            accountant.composed_spend(),
-                            accountant.budget(),
-                            accountant.mode(),
-                        )
-                    };
-                    let rebuilt = versioned_registration_fingerprint(
-                        &rereg.dataset,
-                        &dataset,
-                        &domain,
-                        budget,
-                        mode,
-                        kind,
-                        rereg.version,
-                    );
-                    if rebuilt != rereg.fingerprint {
-                        return Err(EngineError::Durability(format!(
-                            "re-registration fingerprint mismatch for `{}` v{}: journal says {}, rebuilt {}",
-                            rereg.dataset, rereg.version, rereg.fingerprint, rebuilt
-                        )));
-                    }
-                    let entry = current
-                        .make_successor(dataset, domain, kind, inherited)
-                        .map_err(|e| EngineError::Durability(e.to_string()))?;
-                    if entry.version() != rereg.version {
-                        return Err(EngineError::Durability(format!(
-                            "version chain of `{}` replays to {} but the journal says {}",
-                            rereg.dataset,
-                            entry.version(),
-                            rereg.version
-                        )));
-                    }
-                    engine
-                        .registry
-                        .push_version(entry)
-                        .map_err(|e| EngineError::Durability(e.to_string()))?;
-                }
-            }
+        for (reg, totals) in report.state.reregisters() {
+            let (dataset, domain, kind) =
+                replayed_parts(&reg.dataset, &reg.rows, &reg.domain, &reg.backend)?;
+            let ledger = Ledger::Inherited(Some(*totals));
+            let journal = Journal::Replayed(&reg.fingerprint);
+            engine
+                .commit_version(&reg.dataset, dataset, domain, kind, ledger, journal)
+                .map_err(replay_error)?;
         }
         for (dataset, totals) in report.state.totals() {
             let entry = engine.registry.get(dataset).map_err(|_| {
@@ -499,70 +418,8 @@ impl Engine {
         mode: CompositionMode,
         choice: BackendChoice,
     ) -> Result<DatasetStatus, EngineError> {
-        let kind = self.kind_for(choice, dataset.len())?;
-        let name = name.into();
-        // The serial lock makes check → journal → insert one step, so the
-        // journal's registration order always matches which racer the
-        // write-once registry accepted (replay is first-wins by name).
-        let _serial = self
-            .registration_serial
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
-        if self.registry.get(&name).is_ok() {
-            return Err(EngineError::DatasetExists(name));
-        }
-        // Validation first (a registration that cannot build an entry must
-        // never reach the journal — recovery replays every journaled
-        // registration and would refuse to start on an invalid one)...
-        let entry = DatasetEntry::new(name, dataset, domain, budget, mode, kind)?;
-        // ...then write-ahead: the registration is durable before the
-        // dataset becomes visible — otherwise a crash could leave charges
-        // in the journal whose dataset the journal has never heard of.
-        if let Some(store) = &self.store {
-            store.append(StoreRecord::Register(RegisterRecord {
-                seq: 0, // assigned by the store
-                dataset: entry.name().to_string(),
-                domain: DomainSpec {
-                    dim: entry.domain().dim(),
-                    size: entry.domain().size(),
-                    min: entry.domain().min(),
-                    max: entry.domain().max(),
-                },
-                budget,
-                mode,
-                backend: kind.as_str().to_string(),
-                fingerprint: registration_fingerprint(
-                    entry.name(),
-                    entry.dataset(),
-                    entry.domain(),
-                    budget,
-                    mode,
-                    kind,
-                ),
-                rows: entry
-                    .dataset()
-                    .iter()
-                    .map(|p| p.coords().to_vec())
-                    .collect::<Vec<Vec<f64>>>(),
-            }))?;
-        }
-        let entry = self.registry.register(entry)?;
-        let build = Stopwatch::start();
-        entry.backend(1);
-        let build_seconds = build.elapsed_seconds();
-        self.telemetry.backend_build_seconds.observe(build_seconds);
-        self.telemetry.registrations_total.inc();
-        event!(
-            self.telemetry.events(),
-            Severity::Info,
-            "engine.register",
-            dataset = entry.name(),
-            points = entry.dataset().len(),
-            dim = entry.dataset().dim(),
-            backend = kind.as_str(),
-            build_seconds = build_seconds,
-        );
-        Ok(self.status_of(&entry))
+        let ledger = Ledger::Declared(budget, mode);
+        self.register_live(&name.into(), dataset, domain, choice, ledger)
     }
 
     /// Re-registers an existing name with **new data** (and possibly a new
@@ -590,78 +447,176 @@ impl Engine {
         domain: GridDomain,
         choice: BackendChoice,
     ) -> Result<DatasetStatus, EngineError> {
+        let ledger = Ledger::Inherited(None);
+        self.register_live(&name.into(), dataset, domain, choice, ledger)
+    }
+
+    /// A live registration or re-registration: commits the version, then
+    /// builds its geometry backend and records its counter and event.
+    fn register_live(
+        &self,
+        name: &str,
+        dataset: Dataset,
+        domain: GridDomain,
+        choice: BackendChoice,
+        ledger: Ledger,
+    ) -> Result<DatasetStatus, EngineError> {
         let kind = self.kind_for(choice, dataset.len())?;
-        let name = name.into();
-        // Same serial lock as registration: lookup → journal → push is one
-        // step, so the journal's version order always matches the chain's.
-        let _serial = self
-            .registration_serial
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
-        let current = self.registry.get(&name)?;
-        let entry = {
-            // The accountant lock is held across capture → journal: charges
-            // journal under this same lock, so the inherited spend recorded
-            // here is exactly the composed spend of the charges that
-            // precede the re-registration in the journal — which is what
-            // recovery will recompute at this record's replay point.
-            let accountant = current.accountant();
-            let inherited = accountant.composed_spend();
-            let budget = accountant.budget();
-            let mode = accountant.mode();
-            // Validation first: a re-registration that cannot build its
-            // successor entry must never reach the journal.
-            let entry = current.make_successor(dataset, domain, kind, inherited)?;
-            // ...then write-ahead: the new version is durable before it
-            // becomes visible, so a crash can never leave charges against a
-            // version the journal has never heard of.
-            if let Some(store) = &self.store {
-                store.append(StoreRecord::Reregister(ReregisterRecord {
-                    seq: 0, // assigned by the store
-                    dataset: name.clone(),
-                    version: entry.version(),
-                    domain: DomainSpec {
-                        dim: entry.domain().dim(),
-                        size: entry.domain().size(),
-                        min: entry.domain().min(),
-                        max: entry.domain().max(),
-                    },
-                    backend: kind.as_str().to_string(),
-                    fingerprint: versioned_registration_fingerprint(
-                        &name,
-                        entry.dataset(),
-                        entry.domain(),
-                        budget,
-                        mode,
-                        kind,
-                        entry.version(),
-                    ),
-                    rows: entry
-                        .dataset()
-                        .iter()
-                        .map(|p| p.coords().to_vec())
-                        .collect::<Vec<Vec<f64>>>(),
-                }))?;
-            }
-            self.registry.push_version(entry)?
-        };
+        // The serial lock makes lookup → journal → insert one step, so the
+        // journal's order of registrations and versions always matches the
+        // registry's (replay is first-wins by name, and versions are
+        // gapless).
+        let _serial = lock_recover(&self.registration_serial);
+        let journal = Journal::Append(self.store.as_ref());
+        let entry = self.commit_version(name, dataset, domain, kind, ledger, journal)?;
         let build = Stopwatch::start();
         entry.backend(1);
         let build_seconds = build.elapsed_seconds();
         self.telemetry.backend_build_seconds.observe(build_seconds);
-        self.telemetry.reregistrations_total.inc();
-        event!(
-            self.telemetry.events(),
-            Severity::Info,
-            "engine.reregister",
-            dataset = entry.name(),
-            version = entry.version(),
-            points = entry.dataset().len(),
-            dim = entry.dataset().dim(),
-            backend = kind.as_str(),
-            build_seconds = build_seconds,
-        );
+        let events = self.telemetry.events();
+        let (points, dim) = (entry.dataset().len(), entry.dataset().dim());
+        if entry.version() == 1 {
+            self.telemetry.registrations_total.inc();
+            event!(
+                events,
+                Severity::Info,
+                "engine.register",
+                dataset = entry.name(),
+                points = points,
+                dim = dim,
+                backend = kind.as_str(),
+                build_seconds = build_seconds,
+            );
+        } else {
+            self.telemetry.reregistrations_total.inc();
+            event!(
+                events,
+                Severity::Info,
+                "engine.reregister",
+                dataset = entry.name(),
+                version = entry.version(),
+                points = points,
+                dim = dim,
+                backend = kind.as_str(),
+                build_seconds = build_seconds,
+            );
+        }
         Ok(self.status_of(&entry))
+    }
+
+    /// Builds, makes durable and inserts one dataset version: the one path
+    /// of live registration, live re-registration and journal replay.
+    ///
+    /// Version 1 gets a fresh accountant over its declared budget and must
+    /// not exist yet; a successor of the name's latest version shares that
+    /// version's accountant, whose lock it holds from reading the inherited
+    /// spend until the version is inserted. Charges journal under that same
+    /// lock, so the inherited spend is the composed spend of exactly the
+    /// charges before the record in the journal. The fingerprint is
+    /// computed from the built entry, so replay checks what live
+    /// registration journaled, version number included.
+    fn commit_version(
+        &self,
+        name: &str,
+        dataset: Dataset,
+        domain: GridDomain,
+        kind: BackendKind,
+        ledger: Ledger,
+        journal: Journal<'_>,
+    ) -> Result<Arc<DatasetEntry>, EngineError> {
+        let latest = self.registry.get(name);
+        // Validation first: a version that cannot build its entry must
+        // never reach the journal (recovery replays every journaled
+        // registration and would refuse to start on an invalid one).
+        let (entry, budget, mode, _chain_lock) = match ledger {
+            Ledger::Declared(..) if latest.is_ok() => {
+                return Err(EngineError::DatasetExists(name.to_string()))
+            }
+            Ledger::Declared(budget, mode) => {
+                let entry = DatasetEntry::new(name, dataset, domain, budget, mode, kind)?;
+                (entry, budget, mode, None)
+            }
+            Ledger::Inherited(journaled) => {
+                let current = latest.as_ref().map_err(EngineError::clone)?;
+                let mut accountant = current.accountant();
+                if let Some(totals) = journaled {
+                    accountant.restore_totals(totals);
+                }
+                let inherited = accountant.composed_spend();
+                let (budget, mode) = (accountant.budget(), accountant.mode());
+                let entry = current.make_successor(dataset, domain, kind, inherited)?;
+                (entry, budget, mode, Some(accountant))
+            }
+        };
+        let fingerprint = || {
+            versioned_registration_fingerprint(
+                entry.name(),
+                entry.dataset(),
+                entry.domain(),
+                budget,
+                mode,
+                kind,
+                entry.version(),
+            )
+        };
+        match journal {
+            Journal::Append(None) => {}
+            // Write-ahead: the version is durable before it becomes
+            // visible, so a crash can never leave charges in the journal
+            // against a version the journal has never heard of.
+            Journal::Append(Some(store)) => {
+                let dataset = entry.name().to_string();
+                let domain = DomainSpec {
+                    dim: entry.domain().dim(),
+                    size: entry.domain().size(),
+                    min: entry.domain().min(),
+                    max: entry.domain().max(),
+                };
+                let backend = kind.as_str().to_string();
+                let fingerprint = fingerprint();
+                let rows: Vec<_> = entry
+                    .dataset()
+                    .iter()
+                    .map(|p| p.coords().to_vec())
+                    .collect();
+                store.append(if entry.version() == 1 {
+                    StoreRecord::Register(RegisterRecord {
+                        seq: 0, // assigned by the store
+                        dataset,
+                        domain,
+                        budget,
+                        mode,
+                        backend,
+                        fingerprint,
+                        rows,
+                    })
+                } else {
+                    StoreRecord::Reregister(ReregisterRecord {
+                        seq: 0, // assigned by the store
+                        dataset,
+                        version: entry.version(),
+                        domain,
+                        backend,
+                        fingerprint,
+                        rows,
+                    })
+                })?;
+            }
+            Journal::Replayed(journaled) => {
+                let rebuilt = fingerprint();
+                if rebuilt != journaled {
+                    return Err(EngineError::Durability(format!(
+                        "registration fingerprint mismatch for `{name}` v{}: journal says {journaled}, rebuilt {rebuilt}",
+                        entry.version()
+                    )));
+                }
+            }
+        }
+        if entry.version() == 1 {
+            self.registry.register(entry)
+        } else {
+            self.registry.push_version(entry)
+        }
     }
 
     /// The registered dataset names, sorted.
@@ -750,8 +705,9 @@ impl Engine {
     }
 
     /// Recomputes the derived gauges — per-dataset budget headroom, spend
-    /// counts, cache hits/misses, refusals, the commit queue and
-    /// durability health, and the worker-pool occupancy.
+    /// counts, cache hits/misses, refusals, and the worker-pool occupancy.
+    /// The commit queue and durability health are per shard: the server
+    /// exports them with a `shard` label.
     ///
     /// Gauges are **pulled** here (at snapshot/scrape time) rather than
     /// pushed from admission: a labeled-gauge write would take the metrics
@@ -796,19 +752,6 @@ impl Engine {
                 .gauge_with("dataset_version", labels)
                 .set(entry.version() as f64);
         }
-        registry
-            .gauge("commit_queue_depth")
-            .set(self.commit_queue_depth() as f64);
-        let health = self.durability_health();
-        registry
-            .gauge("store_writer_alive")
-            .set(f64::from(u8::from(health.writer_alive)));
-        registry
-            .gauge("store_commit_error")
-            .set(f64::from(u8::from(health.commit_error)));
-        registry
-            .gauge("store_snapshot_bytes")
-            .set(health.snapshot_bytes as f64);
         registry
             .gauge("pool_queue_depth")
             .set(crate::pool::queue_depth() as f64);
@@ -1153,31 +1096,59 @@ impl Engine {
     }
 }
 
-/// Resolves a journaled backend name during replay.
-fn replayed_backend_kind(name: &str, backend: &str) -> Result<BackendKind, EngineError> {
-    match backend {
-        "exact" => Ok(BackendKind::Exact),
-        "projected" => Ok(BackendKind::Projected),
-        other => Err(EngineError::Durability(format!(
-            "journaled registration of `{name}` names unknown backend `{other}`"
-        ))),
-    }
+/// Where a new dataset version's ledger comes from.
+enum Ledger {
+    /// Version 1: a fresh accountant over a declared budget and theorem.
+    Declared(PrivacyParams, CompositionMode),
+    /// The successor of the name's latest version, sharing its accountant.
+    /// On replay, the chain's journaled totals over the charges before the
+    /// re-registration, restored before the inherited spend is read.
+    Inherited(Option<LedgerTotals>),
 }
 
-/// Rebuilds and validates a journaled domain during replay.
-fn replayed_domain(name: &str, spec: &DomainSpec) -> Result<GridDomain, EngineError> {
-    GridDomain::new(spec.dim, spec.size, spec.min, spec.max).map_err(|e| {
+/// How a new dataset version meets the journal before it becomes visible.
+enum Journal<'a> {
+    /// Live: its record is appended to the journal (`None`: in memory,
+    /// with nothing to append).
+    Append(Option<&'a Store>),
+    /// Replay: its record is already journaled with this fingerprint.
+    Replayed(&'a str),
+}
+
+/// Rebuilds and validates a journaled version's rows, domain and backend.
+fn replayed_parts(
+    name: &str,
+    rows: &[Vec<f64>],
+    domain: &DomainSpec,
+    backend: &str,
+) -> Result<(Dataset, GridDomain, BackendKind), EngineError> {
+    let kind = match backend {
+        "exact" => BackendKind::Exact,
+        "projected" => BackendKind::Projected,
+        other => {
+            return Err(EngineError::Durability(format!(
+                "journaled registration of `{name}` names unknown backend `{other}`"
+            )))
+        }
+    };
+    let domain = GridDomain::new(domain.dim, domain.size, domain.min, domain.max).map_err(|e| {
         EngineError::Durability(format!(
             "journaled domain of `{name}` does not validate: {e}"
         ))
-    })
+    })?;
+    let dataset = Dataset::from_rows(rows.to_vec()).map_err(|e| {
+        EngineError::Durability(format!("journaled rows of `{name}` do not validate: {e}"))
+    })?;
+    Ok((dataset, domain, kind))
 }
 
-/// Rebuilds and validates journaled rows during replay.
-fn replayed_rows(name: &str, rows: &[Vec<f64>]) -> Result<Dataset, EngineError> {
-    Dataset::from_rows(rows.to_vec()).map_err(|e| {
-        EngineError::Durability(format!("journaled rows of `{name}` do not validate: {e}"))
-    })
+/// A journaled version the engine refuses to rebuild is a durability
+/// error, whatever the refusal.
+fn replay_error(e: EngineError) -> EngineError {
+    match e {
+        EngineError::Durability(_) => e,
+        other => EngineError::Durability(other.to_string()),
+    }
 }
 
 /// The outcome of admission: already served (cache) or ready to run.

@@ -9,16 +9,19 @@
 //!   after recovery — never refunded;
 //! * a truncated/corrupt journal tail is detected via checksum and does
 //!   not refund any committed charge;
+//! * a checksum-valid journal whose registration or re-registration
+//!   fingerprint disagrees with its record is refused at open;
 //! * recovery through a snapshot equals recovery from the journal alone,
 //!   and reopening twice is idempotent.
 
 use privcluster_dp::composition::CompositionMode;
 use privcluster_dp::PrivacyParams;
 use privcluster_engine::{
-    protocol, query_fingerprint, Engine, EngineConfig, EngineError, Query, QueryRequest, Store,
-    StoreConfig,
+    protocol, query_fingerprint, registration_fingerprint, versioned_registration_fingerprint,
+    Engine, EngineConfig, EngineError, Query, QueryRequest, Store, StoreConfig,
 };
-use privcluster_geometry::{Dataset, GridDomain};
+use privcluster_geometry::{BackendKind, Dataset, GridDomain};
+use privcluster_store::{DomainSpec, RegisterRecord, ReregisterRecord, StoreRecord};
 use std::path::{Path, PathBuf};
 
 fn scratch_dir(tag: &str) -> PathBuf {
@@ -273,15 +276,13 @@ fn a_charge_without_a_release_stays_spent_after_recovery() {
     {
         let (store, _) = Store::open(store_config(&dir)).unwrap();
         store
-            .append(privcluster_store::StoreRecord::Charge(
-                privcluster_store::ChargeRecord {
-                    seq: 0,
-                    dataset: "demo".into(),
-                    fingerprint: fingerprint.clone(),
-                    label: "good_radius(t=20)".into(),
-                    params: victim.privacy,
-                },
-            ))
+            .append(StoreRecord::Charge(privcluster_store::ChargeRecord {
+                seq: 0,
+                dataset: "demo".into(),
+                fingerprint: fingerprint.clone(),
+                label: "good_radius(t=20)".into(),
+                params: victim.privacy,
+            }))
             .unwrap();
     }
 
@@ -384,6 +385,88 @@ fn corrupt_tails_are_detected_and_never_refund_budget() {
     }
 
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The journal form of the domain `register` declares.
+fn unit_square_spec() -> DomainSpec {
+    DomainSpec {
+        dim: 2,
+        size: 1 << 10,
+        min: 0.0,
+        max: 1.0,
+    }
+}
+
+/// Appends `record` to the journal under `dir` through the store API, the
+/// path the engine's own appends take, so the record is checksum-valid;
+/// then requires `Engine::open` to refuse the journal.
+fn assert_forged_record_is_refused(dir: &Path, record: StoreRecord) {
+    {
+        let (store, _) = Store::open(store_config(dir)).unwrap();
+        store.append(record).unwrap();
+    }
+    let err = Engine::open(engine_config(), store_config(dir)).unwrap_err();
+    assert!(
+        matches!(&err, EngineError::Durability(m) if m.contains("fingerprint mismatch")),
+        "got {err:?}"
+    );
+    std::fs::remove_dir_all(dir).ok();
+}
+
+#[test]
+fn replay_refuses_a_registration_fingerprinted_for_another_budget() {
+    // The record's budget was edited after the engine fingerprinted it.
+    let dir = scratch_dir("forged-register");
+    let fingerprint = registration_fingerprint(
+        "demo",
+        &Dataset::from_rows(rows()).unwrap(),
+        &GridDomain::unit_cube(2, 1 << 10).unwrap(),
+        PrivacyParams::new(100.0, 1e-5).unwrap(),
+        CompositionMode::Basic,
+        BackendKind::Exact,
+    );
+    let record = RegisterRecord {
+        seq: 0,
+        dataset: "demo".into(),
+        domain: unit_square_spec(),
+        budget: PrivacyParams::new(1.0, 1e-5).unwrap(),
+        mode: CompositionMode::Basic,
+        backend: "exact".into(),
+        fingerprint,
+        rows: rows(),
+    };
+    assert_forged_record_is_refused(&dir, StoreRecord::Register(record));
+}
+
+#[test]
+fn replay_refuses_a_reregistration_fingerprinted_for_other_rows() {
+    // After a valid registration, a re-registration carrying other rows
+    // than the ones it was fingerprinted for.
+    let dir = scratch_dir("forged-reregister");
+    register(
+        &Engine::open(engine_config(), store_config(&dir)).unwrap(),
+        1.0,
+    );
+    let other_rows: Vec<Vec<f64>> = rows().into_iter().map(|r| vec![r[1], r[0]]).collect();
+    let fingerprint = versioned_registration_fingerprint(
+        "demo",
+        &Dataset::from_rows(other_rows).unwrap(),
+        &GridDomain::unit_cube(2, 1 << 10).unwrap(),
+        PrivacyParams::new(1.0, 1e-5).unwrap(),
+        CompositionMode::Basic,
+        BackendKind::Exact,
+        2,
+    );
+    let record = ReregisterRecord {
+        seq: 0,
+        dataset: "demo".into(),
+        version: 2,
+        domain: unit_square_spec(),
+        backend: "exact".into(),
+        fingerprint,
+        rows: rows(),
+    };
+    assert_forged_record_is_refused(&dir, StoreRecord::Reregister(record));
 }
 
 #[test]

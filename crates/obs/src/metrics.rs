@@ -179,40 +179,6 @@ impl Histogram {
     }
 }
 
-impl HistogramSnapshot {
-    /// The `q`-quantile (`0 < q < 1`) estimated by linear interpolation
-    /// within the containing bucket — the same estimator Prometheus's
-    /// `histogram_quantile` uses. Returns `None` when empty. Observations
-    /// beyond the last finite bound clamp to that bound.
-    pub fn quantile(&self, q: f64) -> Option<f64> {
-        if self.count == 0 || !(0.0..=1.0).contains(&q) {
-            return None;
-        }
-        let rank = q * self.count as f64;
-        let mut cumulative = 0u64;
-        for (i, &bucket) in self.buckets.iter().enumerate() {
-            let next = cumulative + bucket;
-            if (next as f64) >= rank && bucket > 0 {
-                let lower = if i == 0 { 0.0 } else { self.bounds[i - 1] };
-                let upper = match self.bounds.get(i) {
-                    Some(&bound) => bound,
-                    // +Inf bucket: clamp to the largest finite bound.
-                    None => return Some(*self.bounds.last().expect("bounds are non-empty")),
-                };
-                let into = (rank - cumulative as f64) / bucket as f64;
-                return Some(lower + (upper - lower) * into.clamp(0.0, 1.0));
-            }
-            cumulative = next;
-        }
-        Some(*self.bounds.last().expect("bounds are non-empty"))
-    }
-
-    /// Mean of the recorded observations (`None` when empty).
-    pub fn mean(&self) -> Option<f64> {
-        (self.count > 0).then(|| self.sum / self.count as f64)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -262,31 +228,6 @@ mod tests {
         let snap = h.snapshot();
         assert_eq!(snap.count, 4000);
         assert_eq!(snap.buckets.iter().sum::<u64>(), snap.count);
-    }
-
-    #[test]
-    fn quantiles_interpolate_within_buckets() {
-        let h = Histogram::new(&[1.0, 2.0, 4.0]);
-        for _ in 0..50 {
-            h.observe(0.5);
-        }
-        for _ in 0..50 {
-            h.observe(3.0);
-        }
-        let snap = h.snapshot();
-        // Median sits exactly at the first bucket's upper edge.
-        assert!((snap.quantile(0.5).unwrap() - 1.0).abs() < 1e-12);
-        // p90: rank 90 of 100, 40 into the 50-wide (2.0, 4.0] bucket.
-        assert!((snap.quantile(0.9).unwrap() - 3.6).abs() < 1e-12);
-        assert!((snap.mean().unwrap() - 1.75).abs() < 1e-12);
-        assert_eq!(Histogram::new(&[1.0]).snapshot().quantile(0.5), None);
-    }
-
-    #[test]
-    fn overflow_observations_clamp_to_the_last_bound() {
-        let h = Histogram::new(&[1.0]);
-        h.observe(100.0);
-        assert_eq!(h.snapshot().quantile(0.5), Some(1.0));
     }
 
     #[test]

@@ -41,30 +41,4 @@ proptest! {
         let total: f64 = observations.iter().sum();
         prop_assert!((snap.sum - total).abs() <= 1e-9 * (1.0 + total.abs()));
     }
-
-    /// Quantiles are monotone in `q` and bounded by the bucket layout's
-    /// range whenever the histogram is non-empty.
-    #[test]
-    fn quantiles_are_monotone_and_bounded(
-        raw_bounds in prop::collection::vec(0.001f64..100.0, 1..6),
-        observations in prop::collection::vec(0.0f64..200.0, 1..100),
-    ) {
-        let mut bounds = raw_bounds.clone();
-        bounds.sort_by(|a, b| a.partial_cmp(b).expect("finite bounds"));
-        bounds.dedup();
-        let histogram = Histogram::new(&bounds);
-        for &value in &observations {
-            histogram.observe(value);
-        }
-        let snap = histogram.snapshot();
-        let last = *bounds.last().expect("non-empty bounds");
-        let mut previous = 0.0f64;
-        for step in 1..=10 {
-            let q = step as f64 / 10.0;
-            let estimate = snap.quantile(q).expect("non-empty histogram");
-            prop_assert!(estimate >= 0.0 && estimate <= last);
-            prop_assert!(estimate >= previous - 1e-12);
-            previous = estimate;
-        }
-    }
 }

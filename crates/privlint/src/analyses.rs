@@ -608,8 +608,11 @@ fn bfs_path<'g>(
 enum EventKind {
     ChargeAppend,
     ReleaseAppend,
-    ReregisterAppend,
-    PushVersion,
+    /// A `Register` or `Reregister` record appended.
+    VersionAppend,
+    /// A dataset version inserted into the registry (`register` for
+    /// version 1, `push_version` for a successor).
+    VersionInsert,
     Refund,
 }
 
@@ -629,9 +632,10 @@ enum Node {
 }
 
 /// Per-function dataflow: on every control path, a release append must not precede the charge
-/// append that covers it, `push_version` must not precede the reregister
-/// append, and no refund-shaped call may follow a charge append (spend is
-/// never refunded — PR-5's write-ahead contract).
+/// append that covers it, a registry insert (`register`, `push_version`)
+/// must not precede a registration append (`Register`, `Reregister`), and
+/// no refund-shaped call may follow a charge append (spend is never
+/// refunded — PR-5's write-ahead contract).
 pub fn charge_release_paths(
     scope: &FileScope,
     sig: &SigTokens<'_>,
@@ -663,8 +667,8 @@ pub fn charge_release_paths(
         let kinds: BTreeSet<EventKind> = events.values().map(|e| e.kind).collect();
         let relevant = (kinds.contains(&EventKind::ReleaseAppend)
             && kinds.contains(&EventKind::ChargeAppend))
-            || (kinds.contains(&EventKind::PushVersion)
-                && kinds.contains(&EventKind::ReregisterAppend))
+            || (kinds.contains(&EventKind::VersionInsert)
+                && kinds.contains(&EventKind::VersionAppend))
             || (kinds.contains(&EventKind::Refund) && kinds.contains(&EventKind::ChargeAppend));
         if !relevant {
             continue;
@@ -693,17 +697,18 @@ append — the charge must be durable (appended and fsynced) before any result i
                             ),
                         });
                     }
-                    EventKind::PushVersion
-                        if later.iter().any(|x| x.kind == EventKind::ReregisterAppend)
-                            && seen.insert((e.line, e.col, "push")) =>
+                    EventKind::VersionInsert
+                        if later.iter().any(|x| x.kind == EventKind::VersionAppend)
+                            && seen.insert((e.line, e.col, "insert")) =>
                     {
                         findings.push(Finding {
                             rule: "charge-release-paths",
                             line: e.line,
                             col: e.col,
                             message: format!(
-                                "in `{}`, a control path flips the registry (`push_version`) \
-before the reregister append — the record must be durable before the new version is visible",
+                                "in `{}`, a control path inserts a dataset version (`register` / \
+`push_version`) before its registration append — the record must be durable before the version \
+is visible",
                                 node.name
                             ),
                         });
@@ -732,8 +737,8 @@ journaled — spend must stand on every exit path once the charge append ran (ha
 
 /// Classifies a call as a journal-ordering event, if it is one.
 fn classify_journal_call(sig: &SigTokens<'_>, call: &Call) -> Option<EventKind> {
-    if call.name == "push_version" {
-        return Some(EventKind::PushVersion);
+    if matches!(call.name.as_str(), "register" | "push_version") {
+        return Some(EventKind::VersionInsert);
     }
     if call
         .name
@@ -757,8 +762,8 @@ fn classify_journal_call(sig: &SigTokens<'_>, call: &Call) -> Option<EventKind> 
         if marker("Release", "ReleaseRecord") {
             return Some(EventKind::ReleaseAppend);
         }
-        if marker("Reregister", "ReregisterRecord") {
-            return Some(EventKind::ReregisterAppend);
+        if marker("Register", "RegisterRecord") || marker("Reregister", "ReregisterRecord") {
+            return Some(EventKind::VersionAppend);
         }
     }
     None

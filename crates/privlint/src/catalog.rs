@@ -154,23 +154,28 @@ overlap, waive the witness site with that proof as the reason.",
     },
     RuleInfo {
         id: "charge-release-paths",
-        summary: "a control path that journals a release before its charge, flips the registry \
-before the reregister append, or refunds spend after a journaled charge",
-        scope: "library code of crates/engine, per-function over the branch tree \
+        summary: "a control path that journals a release before its charge, inserts a dataset \
+version before its registration append, or refunds spend after a journaled charge",
+        scope: "library code of crates/engine and crates/server, per-function over the branch tree \
 (`if`/`else` chains and `match` arms)",
         motivation: "The hard-refusal ledger's write-ahead contract (PR 5, \
 extended by the versioned-registration PR): once a charge record is appended \
 and fsynced, the spend must stand on every exit path — released, cached, or \
-errored. The analysis enumerates the function's control paths, so a release \
-reachable before the charge through an early branch, or a refund-shaped call \
-reachable after the charge, is caught even when the lexical order looks right. A \
-refunded charge is a privacy violation (budget restored for a value that may \
-have been observed), not an availability gap.",
+errored. Likewise a dataset version (`register` for version 1, \
+`push_version` for a successor) becomes visible only after its `Register` or \
+`Reregister` record is appended, or a crash could leave charges in the \
+journal against a version it never recorded. The analysis enumerates the \
+function's control paths, so a release reachable before the charge through \
+an early branch, or a refund-shaped call reachable after the charge, is \
+caught even when the lexical order looks right. A refunded charge is a \
+privacy violation (budget restored for a value that may have been observed), \
+not an availability gap.",
         fix: "Journal the charge before any path can release or cache the \
 result, and never refund a journaled charge — on failure after the append, \
-leave the spend standing and return the error. Replay-only code paths that \
-re-apply records without writing may be waived with a reason saying why no \
-journal write happens.",
+leave the spend standing and return the error. Append a registration record \
+before inserting its version. Replay-only code paths that re-apply records \
+without writing may be waived with a reason saying why no journal write \
+happens.",
     },
     RuleInfo {
         id: "wire-field-coverage",

@@ -40,3 +40,25 @@ fn both(s: &Store, reg: &Registry, entry: Entry, r: Release, c: Charge, rec: Rer
     s.append(StoreRecord::Charge(c));
     s.append(StoreRecord::Reregister(rec));
 }
+
+// The version-1 insert before the register append: a crash between them
+// leaves a dataset served whose registration the journal never saw.
+fn register(s: &Store, reg: &Registry, entry: Entry, rec: Register) {
+    reg.register(entry); //~ HIT charge-release-paths
+    s.append(StoreRecord::Register(rec));
+}
+
+// One function for both record kinds, its insert hoisted above the append:
+// each arm's insert is flagged.
+fn commit_version(s: &Store, reg: &Registry, entry: Entry, rec: Register, next: Reregister) {
+    if entry.version() == 1 {
+        reg.register(entry); //~ HIT charge-release-paths
+    } else {
+        reg.push_version(entry); //~ HIT charge-release-paths
+    }
+    s.append(if first {
+        StoreRecord::Register(rec)
+    } else {
+        StoreRecord::Reregister(next)
+    });
+}

@@ -45,3 +45,26 @@ fn replay(reg: &Registry, rereg: &ReregisterRecord, entry: Entry) {
     let _ = rereg;
     reg.push_version(entry);
 }
+
+fn register(s: &Store, reg: &Registry, entry: Entry, rec: RegisterRecord) {
+    s.append(StoreRecord::Register(rec));
+    reg.register(entry);
+}
+
+// Live commits append, replay checks the journaled record instead: on
+// neither path does the insert precede an append.
+fn commit_version(mode: Journal, reg: &Registry, entry: Entry, rec: Register, next: Reregister) {
+    match mode {
+        Journal::Append(s) => s.append(if first {
+            StoreRecord::Register(rec)
+        } else {
+            StoreRecord::Reregister(next)
+        })?,
+        Journal::Replayed(fingerprint) => check(fingerprint)?,
+    }
+    if entry.version() == 1 {
+        reg.register(entry);
+    } else {
+        reg.push_version(entry);
+    }
+}

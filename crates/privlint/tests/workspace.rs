@@ -92,10 +92,10 @@ fn lock_graph_derives_real_engine_edges() {
     );
 }
 
-/// `charge-release-paths` re-derives the PR-5 and PR-8 write-ahead sites
-/// from the live engine source: clean as written (no waivers), and
+/// `charge-release-paths` re-derives the PR-5 and registration write-ahead
+/// sites from the live engine source: clean as written (no waivers), and
 /// violated the moment a refund follows the journaled charge or a version
-/// flip precedes the reregister append.
+/// insert precedes its registration append, for either record kind.
 #[test]
 fn charge_release_rederives_write_ahead_sites() {
     let src = engine_src();
@@ -123,22 +123,43 @@ fn charge_release_rederives_write_ahead_sites() {
             .any(|f| f.rule == "charge-release-paths" && f.message.contains("refund")),
         "refund after the PR-5 charge append must be flagged"
     );
-    // PR-8 site (reregister): flip the registry before the reregister
-    // record is durable.
-    let anchor_b = "store.append(StoreRecord::Reregister(ReregisterRecord {";
-    assert!(src.contains(anchor_b), "reregister anchor moved");
+    // Registration site (`commit_version`, both record kinds): insert the
+    // version before its `Register` or `Reregister` record is durable.
+    let anchor_b = "        match journal {";
+    assert_eq!(
+        src.matches(anchor_b).count(),
+        1,
+        "commit_version anchor moved"
+    );
+    let inserts = [
+        "self.registry.register(entry.clone())?;",
+        "self.registry.push_version(entry.clone())?;",
+    ];
     let tampered = src.replace(
         anchor_b,
-        "self.registry.push_version(entry.clone())?;\n                store.append(StoreRecord::Reregister(ReregisterRecord {",
+        &format!(
+            "        if entry.version() == 1 {{\n            {}\n        }} else {{\n            {}\n        }}\n{anchor_b}",
+            inserts[0], inserts[1]
+        ),
     );
     let found = lint_source("crates/engine/src/engine.rs", &tampered);
-    assert!(
-        found
-            .findings
-            .iter()
-            .any(|f| f.rule == "charge-release-paths" && f.message.contains("push_version")),
-        "version flip before the PR-8 reregister append must be flagged"
-    );
+    for insert in inserts {
+        let line = tampered
+            .lines()
+            .position(|l| l.contains(insert))
+            .expect("inserted line") as u32
+            + 1;
+        assert!(
+            found
+                .findings
+                .iter()
+                .any(|f| f.rule == "charge-release-paths"
+                    && f.line == line
+                    && f.message.contains("registration append")),
+            "`{insert}` before the registration append must be flagged: {:#?}",
+            found.findings
+        );
+    }
 }
 
 /// The lock graph must derive the store's group-commit edge from the live

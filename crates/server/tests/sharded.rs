@@ -6,13 +6,15 @@
 //! * backpressure is deterministic: a batch that exceeds a shard's
 //!   in-flight bound is rejected whole with a structured `retry` error,
 //!   the rejection counter increments, and the shard keeps serving;
+//! * the durability-health gauges exist per shard only, so a merged
+//!   scrape never shows one shard's state under another's name;
 //! * (property) any interleaving of per-dataset query streams, admitted
 //!   through a 2-shard journaled server with group commit, recovers to
 //!   the same per-dataset ledger state as sequential admission through
 //!   one in-memory engine.
 
 use privcluster_engine::{Engine, EngineConfig, GroupCommitConfig, StoreConfig};
-use privcluster_server::ShardedServer;
+use privcluster_server::{shard_of, ShardedServer};
 use proptest::prelude::*;
 use serde::Value;
 use std::path::{Path, PathBuf};
@@ -206,6 +208,53 @@ fn overloaded_shard_rejects_with_retry_and_keeps_serving() {
         .and_then(Value::as_f64);
     assert_eq!(granted, Some(3.0), "2 batch members + 1 query, not 6");
     assert_eq!(server.rejections(), 1, "successes count no rejections");
+}
+
+#[test]
+fn durability_gauges_carry_their_shard() {
+    let dir = scratch_dir("health-gauges");
+    let engines = (0..2)
+        .map(|i| {
+            let mut config = StoreConfig::journal_only(dir.join(format!("journal-shard{i}.pcsj")));
+            config.snapshot_dir = Some(dir.join(format!("snapshots-shard{i}")));
+            Engine::open(engine_config(), config).expect("open journaled shard")
+        })
+        .collect();
+    let server = ShardedServer::new(engines, 0);
+    // Only shard 0 holds a snapshot.
+    let name = (0..)
+        .map(|i| format!("d{i}"))
+        .find(|name| shard_of(name, 2) == 0)
+        .unwrap();
+    let registered = respond(&server, &register_line(&name, 1.0));
+    assert_eq!(get(&registered, "ok"), Some(&Value::Bool(true)));
+    server.engines()[0]
+        .snapshot_now()
+        .unwrap()
+        .expect("snapshot dir is set");
+    let bytes = server.engines()[0].durability_health().snapshot_bytes;
+    assert!(bytes > 0);
+
+    let metrics = server.metrics_snapshot();
+    assert_eq!(
+        metrics.gauge("store_snapshot_bytes{shard=\"0\"}"),
+        Some(bytes as f64)
+    );
+    assert_eq!(
+        metrics.gauge("store_snapshot_bytes{shard=\"1\"}"),
+        Some(0.0)
+    );
+    // An unlabelled copy merged from both shards would read the last
+    // shard's state, whichever shard it describes.
+    for gauge in [
+        "store_snapshot_bytes",
+        "store_writer_alive",
+        "store_commit_error",
+        "commit_queue_depth",
+    ] {
+        assert_eq!(metrics.gauge(gauge), None, "unlabelled `{gauge}`");
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// The per-dataset `status` object (budget, spend, grant/refusal counts) —

@@ -98,6 +98,33 @@ fn good_radius_rejects_dimension_mismatch_and_bad_beta() {
 }
 
 #[test]
+fn exact_inputs_past_the_profile_limit_are_refused_not_a_panic() {
+    let mut rng = StdRng::seed_from_u64(8);
+    let domain = GridDomain::unit_cube(1, 1 << 10).unwrap();
+    let n = privcluster::geometry::grid_profile::MAX_EXACT_POINTS + 1;
+    let data =
+        Dataset::from_rows((0..n).map(|i| vec![(i % 1000) as f64 / 1000.0]).collect()).unwrap();
+    let radius = privcluster::core::good_radius(
+        &data,
+        &domain,
+        100,
+        privacy(),
+        0.1,
+        &GoodRadiusConfig::default(),
+        &mut rng,
+    );
+    assert!(
+        matches!(&radius, Err(ClusterError::InvalidParameter(m)) if m.contains("65536")),
+        "{radius:?}"
+    );
+    let params = OneClusterParams::new(domain, 100, privacy(), 0.1).unwrap();
+    assert!(matches!(
+        one_cluster(&data, &params, &mut rng),
+        Err(ClusterError::InvalidParameter(_))
+    ));
+}
+
+#[test]
 fn k_cluster_with_more_rounds_than_data_stops_rather_than_fails() {
     let mut rng = StdRng::seed_from_u64(5);
     let domain = GridDomain::unit_cube(2, 1 << 14).unwrap();
