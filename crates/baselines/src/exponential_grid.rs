@@ -150,15 +150,8 @@ impl OneClusterSolver for ExponentialGridSolver {
         // privlint::allow(unsalted-rng): baseline solver entry point — single
         // root stream per call, no sibling stream shares this seed.
         let mut rng = StdRng::seed_from_u64(seed);
-        // privlint::allow(entropy-source): wall-clock runtime reported in the
-        // Table-1 diagnostics column only; never feeds randomness, results,
-        // or the wire.
-        let start = std::time::Instant::now();
         let ball = self.solve_impl(data, domain, t, privacy, beta, &mut rng)?;
-        Ok(SolverOutput {
-            ball,
-            runtime: start.elapsed(),
-        })
+        Ok(SolverOutput { ball })
     }
 }
 

@@ -14,8 +14,9 @@
 //!   for the smallest interval holding ≈ `t` points;
 //! * [`nonprivate`] — the non-private 2-approximation reference.
 //!
-//! Documented deviations from the exact constructions cited in the paper are
-//! listed in DESIGN.md §3 (items 3 and 4).
+//! Where a row deviates from the construction the paper cites, its module
+//! says how; the README's "Substitutions and experiments" lists the
+//! deviations.
 
 #![warn(missing_docs)]
 

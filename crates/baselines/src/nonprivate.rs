@@ -28,15 +28,8 @@ impl OneClusterSolver for NonPrivateTwoApprox {
         _beta: f64,
         _seed: u64,
     ) -> Result<SolverOutput, ClusterError> {
-        // privlint::allow(entropy-source): wall-clock runtime reported in the
-        // Table-1 diagnostics column only; never feeds randomness, results,
-        // or the wire.
-        let start = std::time::Instant::now();
         let ball = smallest_ball_two_approx(data, t)?;
-        Ok(SolverOutput {
-            ball,
-            runtime: start.elapsed(),
-        })
+        Ok(SolverOutput { ball })
     }
 }
 

@@ -1,10 +1,10 @@
 //! The private-aggregation baseline (Table 1, row 1; \[NRS07\]-style).
 //!
 //! The behaviourally equivalent restriction of Nissim–Raskhodnikova–Smith's
-//! aggregation to `R^d` (DESIGN.md §3, item 4): release a noisy mean of *all*
-//! points with noise scaled to the whole domain's diameter, then privately
-//! search for the smallest grid radius whose ball around that center holds
-//! ≈ `t` points. Characteristics that Table 1 contrasts, all visible here:
+//! aggregation to `R^d`: release a noisy mean of *all* points with noise
+//! scaled to the whole domain's diameter, then privately search for the
+//! smallest grid radius whose ball around that center holds ≈ `t` points.
+//! Characteristics that Table 1 contrasts, all visible here:
 //!
 //! * when a majority cluster exists the center lands inside it but the noise
 //!   is `Θ(√d/ε)` of the domain scale, so the radius error grows with `√d`;
@@ -96,15 +96,8 @@ impl OneClusterSolver for PrivateAggregationSolver {
         // privlint::allow(unsalted-rng): baseline solver entry point — single
         // root stream per call, no sibling stream shares this seed.
         let mut rng = StdRng::seed_from_u64(seed);
-        // privlint::allow(entropy-source): wall-clock runtime reported in the
-        // Table-1 diagnostics column only; never feeds randomness, results,
-        // or the wire.
-        let start = std::time::Instant::now();
         let ball = Self::solve_impl(data, domain, t, privacy, beta, &mut rng)?;
-        Ok(SolverOutput {
-            ball,
-            runtime: start.elapsed(),
-        })
+        Ok(SolverOutput { ball })
     }
 }
 

@@ -11,8 +11,6 @@ use rand::SeedableRng;
 pub struct SolverOutput {
     /// The returned ball.
     pub ball: Ball,
-    /// Wall-clock running time of the solve.
-    pub runtime: std::time::Duration,
 }
 
 /// A method that, given a dataset over a grid domain and a target size `t`,
@@ -74,15 +72,8 @@ impl OneClusterSolver for PrivClusterSolver {
         if self.paper_constants {
             params = params.with_paper_constants();
         }
-        // privlint::allow(entropy-source): wall-clock runtime reported in the
-        // Table-1 diagnostics column only; never feeds randomness, results,
-        // or the wire.
-        let start = std::time::Instant::now();
         let out = one_cluster(data, &params, &mut rng)?;
-        Ok(SolverOutput {
-            ball: out.ball,
-            runtime: start.elapsed(),
-        })
+        Ok(SolverOutput { ball: out.ball })
     }
 }
 
@@ -155,6 +146,5 @@ mod tests {
             .unwrap();
         let eval = evaluate(&inst.data, 1_000, inst.planted_ball.radius(), &out.ball);
         assert!(eval.captured >= 800, "captured only {}", eval.captured);
-        assert!(out.runtime.as_nanos() > 0);
     }
 }

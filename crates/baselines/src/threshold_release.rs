@@ -4,10 +4,10 @@
 //! grid `X`, followed by a non-private scan for the shortest interval whose
 //! released count is ≈ `t`. We implement the classical hierarchical
 //! (binary-tree) mechanism with per-query error `O(log^{1.5}|X|·/ε)` rather
-//! than the `2^{O(log*|X|)}` construction of [BNS13, BNSV15] the paper cites
-//! (DESIGN.md §3, item 3) — the qualitative Table-1 behaviour (dimension 1
-//! only, radius factor `w = 1`, loss independent of `n` and only mildly
-//! dependent on `|X|`) is identical.
+//! than the `2^{O(log*|X|)}` construction of [BNS13, BNSV15] the paper
+//! cites: the qualitative Table-1 behaviour (dimension 1 only, radius
+//! factor `w = 1`, loss independent of `n` and only mildly dependent on
+//! `|X|`) is identical.
 
 use crate::solver::{OneClusterSolver, SolverOutput};
 use privcluster_core::ClusterError;
@@ -140,10 +140,6 @@ impl OneClusterSolver for ThresholdReleaseSolver {
         // privlint::allow(unsalted-rng): baseline solver entry point — single
         // root stream per call, no sibling stream shares this seed.
         let mut rng = StdRng::seed_from_u64(seed);
-        // privlint::allow(entropy-source): wall-clock runtime reported in the
-        // Table-1 diagnostics column only; never feeds randomness, results,
-        // or the wire.
-        let start = std::time::Instant::now();
 
         // Histogram over the grid leaves.
         let size = domain.size() as usize;
@@ -178,10 +174,7 @@ impl OneClusterSolver for ThresholdReleaseSolver {
         let lo = domain.min() + lo_idx as f64 * step;
         let hi = domain.min() + (hi_idx.saturating_sub(1)) as f64 * step;
         let ball = Ball::new(Point::new(vec![(lo + hi) / 2.0]), (hi - lo) / 2.0)?;
-        Ok(SolverOutput {
-            ball,
-            runtime: start.elapsed(),
-        })
+        Ok(SolverOutput { ball })
     }
 }
 

@@ -1,6 +1,7 @@
 //! Experiment E4 — the additive cluster-size loss Δ: measured loss vs ε and
 //! vs the domain size |X|, next to the paper's `2^{O(log*|X|)}/ε` bound and
-//! the shipped solver's `O(log|X|)/ε` bound (DESIGN.md §3.1).
+//! the shipped solver's `O(log|X|)/ε` bound (the README's "Substitutions and
+//! experiments" says why they differ).
 //!
 //! `cargo run -p privcluster-bench --release --bin exp_delta_scaling`
 

@@ -1,10 +1,10 @@
 //! Shared helpers for the `privcluster` experiment binaries and Criterion
 //! benchmarks.
 //!
-//! Each experiment binary regenerates one table or figure of the paper (see
-//! DESIGN.md §2 for the index and EXPERIMENTS.md for paper-vs-measured
-//! numbers); this module holds the common plumbing: standard parameter
-//! settings, trial loops, and the output directory for JSON records.
+//! Each experiment binary regenerates one table or figure of the paper (the
+//! README's "Substitutions and experiments" lists them with their ids);
+//! this module holds the common plumbing: standard parameter settings,
+//! trial loops, and the output directory for JSON records.
 
 #![warn(missing_docs)]
 
@@ -47,7 +47,7 @@ pub struct TrialResult {
 }
 
 /// Runs `solver` for `trials` independent seeds on the same instance and
-/// returns per-trial results.
+/// returns per-trial results, each with the wall-clock time of its solve.
 #[allow(clippy::too_many_arguments)] // one knob per experiment-table column
 pub fn run_trials(
     solver: &dyn OneClusterSolver,
@@ -62,33 +62,28 @@ pub fn run_trials(
     (0..trials)
         .map(|i| {
             let start = std::time::Instant::now();
-            match solver.solve(
+            let result = solver.solve(
                 &instance.data,
                 domain,
                 t,
                 privacy,
                 beta,
                 base_seed + i as u64,
-            ) {
-                Ok(out) => TrialResult {
-                    solver: solver.name(),
-                    private: solver.is_private(),
-                    evaluation: Some(evaluate(
-                        &instance.data,
-                        t,
-                        instance.planted_ball.radius(),
-                        &out.ball,
-                    )),
-                    runtime: out.runtime,
-                    error: None,
-                },
-                Err(e) => TrialResult {
-                    solver: solver.name(),
-                    private: solver.is_private(),
-                    evaluation: None,
-                    runtime: start.elapsed(),
-                    error: Some(e.to_string()),
-                },
+            );
+            let runtime = start.elapsed();
+            let (evaluation, error) = match result {
+                Ok(out) => {
+                    let radius = instance.planted_ball.radius();
+                    (Some(evaluate(&instance.data, t, radius, &out.ball)), None)
+                }
+                Err(e) => (None, Some(e.to_string())),
+            };
+            TrialResult {
+                solver: solver.name(),
+                private: solver.is_private(),
+                evaluation,
+                runtime,
+                error,
             }
         })
         .collect()
@@ -148,6 +143,7 @@ mod tests {
         let mean_captured = results.mean_of(|e| e.captured as f64).unwrap();
         assert!(mean_captured >= 600.0);
         assert_eq!(results.collect_metric(|e| e.radius_ratio).len(), 2);
+        assert!(results.iter().all(|r| r.runtime.as_nanos() > 0));
     }
 
     #[test]

@@ -23,7 +23,7 @@ pub enum RadiusSearchStrategy {
     /// The exponential mechanism over the full radius grid, evaluated through
     /// the piecewise-constant structure of `L` (the default; quality loss
     /// `O(log n)/ε`, pure DP). Stands in for the paper's RecConcave call —
-    /// see DESIGN.md §3.1.
+    /// see [`privcluster_dp::quasiconcave`].
     PiecewiseExpMech,
     /// The paper's footnote-2 alternative: a noisy binary search for the
     /// crossing point of the monotone function `L`, paying one Laplace
@@ -178,9 +178,10 @@ pub struct OneClusterParams {
     pub privacy: PrivacyParams,
     /// Failure probability `β`.
     pub beta: f64,
-    /// When `true`, refuse to run if `t` is below the configured guarantee's
-    /// requirement (Theorem 3.2's bound); when `false` (default) run anyway
-    /// and report the violation through the diagnostics.
+    /// When `true`, refuse with [`ClusterError::ClusterTooSmall`] if `t`
+    /// does not exceed GoodRadius's loss bound for these parameters (the
+    /// guarantee of Theorem 3.2 is vacuous below it); when `false`
+    /// (default) run anyway.
     pub strict: bool,
     /// GoodRadius configuration.
     pub radius_config: GoodRadiusConfig,

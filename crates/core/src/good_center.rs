@@ -54,7 +54,7 @@ pub struct GoodCenterOutcome {
     pub jl_dim: usize,
     /// How many sparse-vector rounds ran before a heavy box was found.
     pub svt_rounds: usize,
-    /// Execution trace.
+    /// The privacy charges of the run.
     pub diagnostics: Diagnostics,
 }
 
@@ -122,7 +122,6 @@ pub fn good_center<R: Rng + ?Sized>(
             other => ClusterError::Dp(other),
         })?;
         let center = Point::new(key.iter().map(|&bits| f64::from_bits(bits)).collect());
-        diagnostics.event("degenerate radius-0 center released");
         return Ok(GoodCenterOutcome {
             ball: Ball::new(center, 0.0)?,
             nominal_radius: 0.0,
@@ -140,7 +139,6 @@ pub fn good_center<R: Rng + ?Sized>(
         (JlTransform::identity(d), true)
     };
     let projected = jl.project_dataset(data)?;
-    diagnostics.metric("jl_dim", k as f64);
 
     // ---- Steps 2–6: scan random box partitions with AboveThreshold.
     let threshold = t as f64 - config.threshold_slack(eps, n, beta);
@@ -159,7 +157,6 @@ pub fn good_center<R: Rng + ?Sized>(
             break;
         }
     }
-    diagnostics.metric("svt_rounds", rounds as f64);
     let partition = chosen_partition.ok_or_else(|| {
         ClusterError::CenterNotFound(format!(
             "no heavy box found in {rounds} sparse-vector rounds (threshold {threshold:.1})"
@@ -184,7 +181,6 @@ pub fn good_center<R: Rng + ?Sized>(
         .map(|(i, _)| i)
         .collect();
     let captured = data.select(&member_indices);
-    diagnostics.metric("box_member_count", captured.len() as f64);
 
     // ---- Steps 8–10: determine the deterministic capture region C.
     let (capture_center, capture_radius, diameter_bound) = if identity_projection
@@ -193,7 +189,6 @@ pub fn good_center<R: Rng + ?Sized>(
         // Shortcut: the heavy box already lives in the original space.
         let ball = heavy_box.bounding_ball();
         let r_c = ball.radius();
-        diagnostics.event("identity projection: using the heavy box as the capture region");
         (ball.center().clone(), r_c, 2.0 * r_c)
     } else {
         // Full rotation machinery.
@@ -207,7 +202,6 @@ pub fn good_center<R: Rng + ?Sized>(
         let composed =
             advanced_composition(PrivacyParams::new(eps_axis, delta_axis)?, d, delta / 8.0)?;
         diagnostics.charge("axis_interval_choices", composed);
-        diagnostics.metric("axis_interval_length", p_len);
 
         let mut center_coords = Vec::with_capacity(d);
         for axis in 0..d {
@@ -232,7 +226,6 @@ pub fn good_center<R: Rng + ?Sized>(
         let r_c = config.capture_radius(radius, k, d, n, beta);
         (c, r_c, 2.0 * r_c)
     };
-    diagnostics.metric("capture_radius", capture_radius);
 
     let capture_ball = Ball::new(capture_center.clone(), capture_radius)?;
     let final_points: Vec<Point> = captured
@@ -240,7 +233,6 @@ pub fn good_center<R: Rng + ?Sized>(
         .filter(|p| capture_ball.contains(p))
         .cloned()
         .collect();
-    diagnostics.metric("capture_member_count", final_points.len() as f64);
 
     // ---- Step 11: noisy average of D' = D ∩ C.
     let avg_cfg = NoisyAvgConfig::new(eps / 4.0, delta / 4.0, diameter_bound)?;
@@ -252,7 +244,6 @@ pub fn good_center<R: Rng + ?Sized>(
             ),
             other => ClusterError::Dp(other),
         })?;
-    diagnostics.metric("noisy_avg_sigma", outcome.sigma);
 
     // The released radius: every point of D lies within `diameter_bound` of
     // the true average (it lies in a region of that diameter containing the
@@ -261,8 +252,6 @@ pub fn good_center<R: Rng + ?Sized>(
     let noise_margin = outcome.sigma * ((d as f64).sqrt() + 3.0);
     let released_radius = diameter_bound + noise_margin;
     let nominal_radius = config.output_radius(radius, k);
-    diagnostics.metric("released_radius", released_radius);
-    diagnostics.metric("nominal_radius", nominal_radius);
 
     Ok(GoodCenterOutcome {
         ball: Ball::new(outcome.average, released_radius)?,
@@ -321,14 +310,6 @@ mod tests {
         assert!(out.ball.radius() < domain.diameter());
         assert!(out.svt_rounds >= 1);
         assert_eq!(out.jl_dim, 2);
-        assert!(
-            out.diagnostics
-                .metrics()
-                .get("box_member_count")
-                .copied()
-                .unwrap()
-                >= 0.8 * t as f64
-        );
     }
 
     #[test]

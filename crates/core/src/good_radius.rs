@@ -57,7 +57,7 @@ pub struct GoodRadiusOutcome {
     /// With probability `1 − β`, some ball of radius `radius` contains at
     /// least `t − loss_bound` input points.
     pub loss_bound: f64,
-    /// Execution trace.
+    /// The privacy charges of the run.
     pub diagnostics: Diagnostics,
 }
 
@@ -186,7 +186,6 @@ pub fn good_radius_with_index<R: Rng + ?Sized>(
     let delta = privacy.delta();
     let mut diagnostics = Diagnostics::new();
     let grid_len = domain.radius_grid_len();
-    diagnostics.metric("radius_grid_len", grid_len as f64);
 
     // L on the radius grid, with the segments of the quality: built on the
     // first use of this cap and grid (the exact backend's counting pass,
@@ -203,7 +202,6 @@ pub fn good_radius_with_index<R: Rng + ?Sized>(
             (4.0 * steps / eps) * (2.0 * steps / (beta / 2.0)).ln() / 2.0
         }
     };
-    diagnostics.metric("gamma", gamma);
 
     // ---- Step 2: the degenerate radius-0 cluster. L has sensitivity 2, so
     // Lap(4/ε) noise makes this an (ε/2, 0)-DP test.
@@ -211,7 +209,6 @@ pub fn good_radius_with_index<R: Rng + ?Sized>(
     let noisy_l0 = profile.value(0) + laplace(rng, step2_scale);
     let step2_slack = step2_scale * (2.0 / beta).ln();
     diagnostics.charge("step2_zero_radius_test", PrivacyParams::pure(eps / 2.0)?);
-    diagnostics.metric("noisy_l0", noisy_l0);
     let loss_bound = 4.0 * gamma + step2_slack;
     // The paper's threshold is t − 2Γ − slack. When t is within a small
     // factor of 2Γ that threshold is close to zero (or negative) and a single
@@ -233,22 +230,14 @@ pub fn good_radius_with_index<R: Rng + ?Sized>(
     // data-dependent quantity: branching on it would leak an un-noised bit
     // and void the DP guarantee). The Laplace test above still ran and was
     // charged either way.
-    let exact_kind = index.kind() == BackendKind::Exact;
-    if noisy_l0 > zero_threshold {
-        if exact_kind {
-            diagnostics.event("degenerate radius-0 cluster detected in step 2");
-            return Ok(GoodRadiusOutcome {
-                radius: 0.0,
-                degenerate_zero: true,
-                gamma,
-                loss_bound,
-                diagnostics,
-            });
-        }
-        diagnostics.event(
-            "step 2 fired on an approximating backend; deferring to the grid search \
-             instead of releasing radius 0",
-        );
+    if noisy_l0 > zero_threshold && index.kind() == BackendKind::Exact {
+        return Ok(GoodRadiusOutcome {
+            radius: 0.0,
+            degenerate_zero: true,
+            gamma,
+            loss_bound,
+            diagnostics,
+        });
     }
 
     // ---- Step 4: private search over the radius grid.
@@ -266,7 +255,6 @@ pub fn good_radius_with_index<R: Rng + ?Sized>(
                 "step4_piecewise_exp_mech",
                 PrivacyParams::new(eps / 2.0, delta)?,
             );
-            diagnostics.metric("chosen_grid_index", idx as f64);
             domain.radius_from_index(idx)
         }
         RadiusSearchStrategy::NoisyBinarySearch => {
@@ -290,12 +278,10 @@ pub fn good_radius_with_index<R: Rng + ?Sized>(
                 }
             }
             diagnostics.charge("step4_noisy_binary_search", PrivacyParams::pure(eps / 2.0)?);
-            diagnostics.metric("chosen_grid_index", hi as f64);
             domain.radius_from_index(hi)
         }
     };
 
-    diagnostics.metric("radius", radius);
     Ok(GoodRadiusOutcome {
         radius,
         degenerate_zero: false,
@@ -747,7 +733,6 @@ mod tests {
             "radius {} vs 2-approx {two_approx}",
             out.radius
         );
-        assert!(out.diagnostics.metrics().get("radius").copied().is_some());
     }
 
     #[test]

@@ -24,7 +24,7 @@ pub struct KClusterOutcome {
     /// Whether every requested iteration produced a ball (an iteration can
     /// fail once too few uncovered points remain).
     pub completed: bool,
-    /// Execution trace.
+    /// The privacy charges of every round.
     pub diagnostics: Diagnostics,
 }
 
@@ -119,11 +119,6 @@ pub fn k_cluster_with_index<R: Rng + ?Sized>(
 
     for round in 0..k {
         if remaining.len() < per_round.t {
-            diagnostics.event(format!(
-                "round {round}: only {} uncovered points remain (< t = {}), stopping",
-                remaining.len(),
-                per_round.t
-            ));
             completed = false;
             break;
         }
@@ -140,7 +135,6 @@ pub fn k_cluster_with_index<R: Rng + ?Sized>(
         match round_result {
             Ok(out) => {
                 diagnostics.absorb(&format!("round{round}"), out.diagnostics);
-                diagnostics.metric(format!("round{round}.radius"), out.ball.radius());
                 // Post-processing: drop the points the new ball covers.
                 let ball = out.ball;
                 let (uncovered, _) = remaining.filter_with_indices(|p| !ball.contains(p));
@@ -151,8 +145,7 @@ pub fn k_cluster_with_index<R: Rng + ?Sized>(
                 };
                 balls.push(ball);
             }
-            Err(ClusterError::CenterNotFound(msg)) => {
-                diagnostics.event(format!("round {round}: stopped early ({msg})"));
+            Err(ClusterError::CenterNotFound(_)) => {
                 completed = false;
                 break;
             }
@@ -238,6 +231,10 @@ mod tests {
             coverage >= 0.6,
             "k-cluster heuristic covered only {coverage:.2} of the mixture"
         );
+        out.diagnostics
+            .ledger()
+            .verify_within(params.privacy)
+            .unwrap();
     }
 
     #[test]

@@ -24,9 +24,9 @@
 //!    (Observation 3.5), and [`outliers`] turns a found ball into an outlier
 //!    screening predicate (§1.1).
 //!
-//! Every stage records a [`diagnostics::Diagnostics`] trace (noise scales,
-//! chosen boxes, consumed budget) so experiments and tests can inspect what
-//! happened without breaking the privacy abstraction in production use.
+//! Each stage returns its release (a radius, a ball, a list of balls) and a
+//! [`diagnostics::Diagnostics`] ledger of the privacy charges it made; tests
+//! check the ledger against the declared budget.
 
 #![warn(missing_docs)]
 
@@ -35,7 +35,6 @@ pub mod diagnostics;
 pub mod error;
 pub mod good_center;
 pub mod good_radius;
-pub mod guarantees;
 pub mod kcluster;
 pub mod one_cluster;
 pub mod outliers;
@@ -47,7 +46,6 @@ pub use diagnostics::Diagnostics;
 pub use error::ClusterError;
 pub use good_center::{good_center, GoodCenterOutcome};
 pub use good_radius::{good_radius, good_radius_with_index, GoodRadiusOutcome};
-pub use guarantees::TheoreticalGuarantees;
 pub use kcluster::{k_cluster, k_cluster_with_index, KClusterOutcome};
 pub use one_cluster::{one_cluster, one_cluster_with_index, OneClusterOutcome};
 pub use outliers::{screened_noisy_mean, OutlierScreen};

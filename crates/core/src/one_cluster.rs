@@ -6,7 +6,7 @@ use crate::diagnostics::Diagnostics;
 use crate::error::ClusterError;
 use crate::good_center::good_center;
 use crate::good_radius::good_radius_with_index;
-use crate::guarantees::TheoreticalGuarantees;
+use privcluster_dp::quasiconcave::QcSolverConfig;
 use privcluster_geometry::{Ball, Dataset, GeometryBackend, GeometryIndex};
 use rand::Rng;
 
@@ -20,9 +20,7 @@ pub struct OneClusterOutcome {
     /// The additive cluster-size loss bound `Δ` of the run: with probability
     /// `1 − β` the released ball contains at least `t − Δ` input points.
     pub loss_bound: f64,
-    /// The paper's guarantees evaluated at these parameters, for reporting.
-    pub guarantees: TheoreticalGuarantees,
-    /// Execution trace (both stages merged).
+    /// The privacy charges of both stages.
     pub diagnostics: Diagnostics,
 }
 
@@ -43,11 +41,11 @@ pub fn one_cluster<R: Rng + ?Sized>(
 }
 
 /// [`one_cluster`] against a prebuilt, shareable [`GeometryBackend`] of
-/// `data`: the GoodRadius stage reuses the backend instead of rebuilding
-/// the `O(n² d)` pairwise-distance structure (GoodCenter never needed it).
-/// Against the exact backend, results are bit-identical to [`one_cluster`]
-/// for the same RNG stream; against an approximating backend the radius
-/// stage carries the backend's documented slack.
+/// `data`: the GoodRadius stage reuses the backend and the grid profiles
+/// it has cached instead of building its own (GoodCenter never needed
+/// it). Against the exact backend, results are bit-identical to
+/// [`one_cluster`] for the same RNG stream; against an approximating
+/// backend the radius stage carries the backend's documented slack.
 pub fn one_cluster_with_index<R: Rng + ?Sized>(
     data: &Dataset,
     params: &OneClusterParams,
@@ -62,21 +60,17 @@ pub fn one_cluster_with_index<R: Rng + ?Sized>(
             params.domain.dim()
         )));
     }
-    let guarantees = TheoreticalGuarantees::evaluate(params, data.len());
-    if params.strict && !guarantees.t_sufficient {
-        return Err(ClusterError::ClusterTooSmall {
-            requested_t: params.t,
-            required_t: guarantees.delta_bound_used,
-        });
+    if params.strict {
+        let required_t = strict_t_bound(params)?;
+        if params.t as f64 <= required_t {
+            return Err(ClusterError::ClusterTooSmall {
+                requested_t: params.t,
+                required_t,
+            });
+        }
     }
 
     let mut diagnostics = Diagnostics::new();
-    if !guarantees.t_sufficient {
-        diagnostics.event(
-            "warning: t is below the configured loss bound; the utility guarantee is vacuous",
-        );
-    }
-
     let half = params.privacy.scale(0.5)?;
     let half_beta = params.beta / 2.0;
 
@@ -106,7 +100,6 @@ pub fn one_cluster_with_index<R: Rng + ?Sized>(
         rng,
     )?;
     diagnostics.absorb("good_center", center_out.diagnostics);
-    diagnostics.metric("final_radius", center_out.ball.radius());
 
     // The centre stage loses at most the sparse-vector slack plus the
     // stability-histogram loss on top of GoodRadius's loss (Lemma 4.12's
@@ -122,9 +115,26 @@ pub fn one_cluster_with_index<R: Rng + ?Sized>(
         ball: center_out.ball,
         radius_estimate,
         loss_bound,
-        guarantees,
         diagnostics,
     })
+}
+
+/// The cluster size strict mode requires: GoodRadius's loss bound
+/// `4·Γ + (4/ε_r)·ln(2/β)` (Lemma 4.6, with `Γ` the promise the shipped
+/// quasi-concave solver needs over the radius grid in place of
+/// RecConcave's). GoodRadius gets `ε_r = ε/2` and spends half of it on the
+/// solver, mirroring Algorithm 1's split. Refuses an `alpha` outside
+/// `(0, 1)`, as GoodRadius does.
+fn strict_t_bound(params: &OneClusterParams) -> Result<f64, ClusterError> {
+    let radius_eps = params.privacy.epsilon() / 2.0;
+    let solver = QcSolverConfig::new(
+        radius_eps / 2.0,
+        params.privacy.delta() / 2.0,
+        params.radius_config.alpha,
+        params.beta / 4.0,
+    )?;
+    let gamma = solver.required_promise(params.domain.radius_grid_len());
+    Ok(4.0 * gamma + 4.0 / radius_eps * (2.0 / params.beta).ln())
 }
 
 #[cfg(test)]
@@ -150,6 +160,45 @@ mod tests {
         assert!(one_cluster(&wrong_dim, &params, &mut rng).is_err());
         let tiny = Dataset::from_rows(vec![vec![0.0, 0.0, 0.0]; 5]).unwrap();
         assert!(one_cluster(&tiny, &params, &mut rng).is_err());
+    }
+
+    #[test]
+    fn an_alpha_outside_the_unit_interval_is_an_error_not_a_panic() {
+        let mut rng = StdRng::seed_from_u64(8);
+        let domain = GridDomain::unit_cube(2, 1 << 10).unwrap();
+        let inst = planted_ball_cluster(&domain, 200, 100, 0.02, &mut rng);
+        for alpha in [1.5, 0.0] {
+            for strict in [false, true] {
+                let mut params = standard_params(domain.clone(), 100);
+                params.radius_config.alpha = alpha;
+                params.strict = strict;
+                let one = one_cluster(&inst.data, &params, &mut rng).unwrap_err();
+                let k = crate::kcluster::k_cluster(&inst.data, 2, &params, &mut rng).unwrap_err();
+                for err in [one, k] {
+                    assert!(
+                        err.to_string().contains("alpha must lie in (0,1)"),
+                        "alpha {alpha}, strict {strict}: {err}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn the_strict_bound_admits_large_clusters_and_grows_as_epsilon_falls() {
+        let bound = |eps: f64| {
+            let params = OneClusterParams::new(
+                GridDomain::unit_cube(4, 1 << 16).unwrap(),
+                500,
+                PrivacyParams::new(eps, 1e-6).unwrap(),
+                0.1,
+            )
+            .unwrap();
+            strict_t_bound(&params).unwrap()
+        };
+        let loose = bound(1.0);
+        assert!((5.0..5_000.0).contains(&loose), "bound {loose} at ε = 1");
+        assert!(bound(0.1) > loose);
     }
 
     #[test]
@@ -183,13 +232,6 @@ mod tests {
         assert!(out.radius_estimate <= 4.0 * inst.planted_ball.radius() + 0.01);
         assert!(out.radius_estimate > 0.0);
         assert!(out.loss_bound > 0.0);
-        assert!(out.guarantees.gamma_used > 0.0);
-        assert!(out
-            .diagnostics
-            .metrics()
-            .get("final_radius")
-            .copied()
-            .is_some());
     }
 
     #[test]

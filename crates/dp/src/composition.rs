@@ -15,8 +15,8 @@
 //! budget, with a label per charge, and reads its totals from a
 //! [`LedgerTotals`]. The paper's algorithms split their budgets
 //! *statically* (e.g. GoodCenter charges ε/4 to four sub-mechanisms), and
-//! the ledger lets tests and the experiment harness verify that the
-//! declared total is never exceeded under either composition theorem.
+//! the ledger lets tests verify that the declared total is never exceeded
+//! under either composition theorem.
 
 use crate::error::DpError;
 use crate::params::PrivacyParams;
@@ -131,33 +131,6 @@ pub struct LedgerEntry {
     pub label: String,
     /// Its privacy parameters.
     pub params: PrivacyParams,
-}
-
-impl Serialize for LedgerEntry {
-    fn to_json_value(&self) -> Value {
-        Value::Object(vec![
-            ("label".to_string(), Value::String(self.label.clone())),
-            ("params".to_string(), self.params.to_json_value()),
-        ])
-    }
-}
-
-impl Deserialize for LedgerEntry {
-    fn from_json_value(value: &Value) -> Result<Self, String> {
-        let entries = value.as_object().ok_or("ledger entry must be an object")?;
-        let label = entries
-            .iter()
-            .find(|(k, _)| k == "label")
-            .and_then(|(_, v)| v.as_str())
-            .ok_or("ledger entry needs a string `label` field")?
-            .to_string();
-        let params = entries
-            .iter()
-            .find(|(k, _)| k == "params")
-            .map(|(_, v)| PrivacyParams::from_json_value(v))
-            .ok_or("ledger entry needs a `params` field")??;
-        Ok(LedgerEntry { label, params })
-    }
 }
 
 /// The sufficient statistics of a run of charges under both composition
@@ -415,8 +388,8 @@ impl Deserialize for LedgerTotals {
 }
 
 /// Records the privacy charges of an algorithm's sub-mechanisms: each
-/// charge's label (for diagnostics) and the running [`LedgerTotals`] every
-/// composed total is read from.
+/// charge's label and the running [`LedgerTotals`] every composed total is
+/// read from.
 #[derive(Debug, Clone, Default)]
 pub struct PrivacyLedger {
     entries: Vec<LedgerEntry>,
@@ -467,38 +440,6 @@ impl PrivacyLedger {
         mode: CompositionMode,
     ) -> Result<(), DpError> {
         self.totals.verify_within(budget, mode)
-    }
-}
-
-impl Serialize for PrivacyLedger {
-    /// Serializes the labelled charge history, for diagnostics output. The
-    /// totals are not stored: they are refolded from the entries on load,
-    /// so the JSON can never disagree with its own charge list. (The
-    /// store's snapshots do not use this form; they keep one
-    /// [`LedgerTotals`] per dataset.)
-    fn to_json_value(&self) -> Value {
-        Value::Object(vec![(
-            "entries".to_string(),
-            Value::Array(self.entries.iter().map(|e| e.to_json_value()).collect()),
-        )])
-    }
-}
-
-impl Deserialize for PrivacyLedger {
-    fn from_json_value(value: &Value) -> Result<Self, String> {
-        let entries = value
-            .as_object()
-            .and_then(|fields| fields.iter().find(|(k, _)| k == "entries"))
-            .and_then(|(_, v)| v.as_array())
-            .ok_or("ledger must carry an `entries` array")?
-            .iter()
-            .map(LedgerEntry::from_json_value)
-            .collect::<Result<Vec<_>, _>>()?;
-        let mut ledger = PrivacyLedger::new();
-        for entry in entries {
-            ledger.charge(entry.label, entry.params);
-        }
-        Ok(ledger)
     }
 }
 
@@ -729,19 +670,6 @@ mod tests {
             assert_eq!(back, mode, "round trip failed for {json}");
         }
 
-        let mut ledger = PrivacyLedger::new();
-        ledger.charge("q0", PrivacyParams::new(0.25, 2.5e-7).unwrap());
-        ledger.charge("q1", awkward);
-        let json = serde_json::to_string(&ledger).unwrap();
-        let back: PrivacyLedger = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.entries(), ledger.entries());
-        assert_eq!(
-            back.totals, ledger.totals,
-            "recomputed totals must match the original ledger"
-        );
-
-        let bad: Value = serde_json::from_str(r#"{"entries":[{"label":"x"}]}"#).unwrap();
-        assert!(PrivacyLedger::from_json_value(&bad).is_err());
         let bad_mode: Value = serde_json::from_str(r#""fancy""#).unwrap();
         assert!(CompositionMode::from_json_value(&bad_mode).is_err());
     }

@@ -16,10 +16,10 @@
 //! every physically representable domain (`|F| ≤ 2⁶⁴`, so `ln|F| ≤ 45`) is
 //! *smaller* than RecConcave's `8^{log*|F|} ≥ 4096`-factor requirement — the
 //! asymptotic `2^{O(log*)}` behaviour of the paper is therefore *not*
-//! reproduced, a substitution documented in DESIGN.md §3.1 and measured in
-//! experiment E4. The engine is `(ε, 0)`-DP (strictly stronger than the
-//! `(ε, δ)` the interface allows), and quasi-concavity is not required for
-//! privacy, only for the utility statement.
+//! reproduced, a substitution the README's "Substitutions and experiments"
+//! lists and experiment E4 measures. The engine is `(ε, 0)`-DP (strictly
+//! stronger than the `(ε, δ)` the interface allows), and quasi-concavity is
+//! not required for privacy, only for the utility statement.
 
 use crate::error::DpError;
 use crate::exponential::{piecewise_exponential_mechanism, PiecewiseQuality, Segment};
@@ -122,8 +122,8 @@ impl QcSolverConfig {
     /// `p ≥ (2/(αε))·(ln|F| + ln(1/β))`.
     ///
     /// This plays the role of Theorem 4.3's promise requirement (the paper's
-    /// `Γ` for GoodRadius); the corresponding RecConcave value is
-    /// [`crate::util::paper_gamma`].
+    /// `Γ` for GoodRadius); RecConcave's is `8^{log*|F|}·O(log*|F|/(αε))`
+    /// (see the module docs).
     pub fn required_promise(&self, domain_len: u64) -> f64 {
         2.0 / (self.alpha * self.epsilon)
             * ((domain_len.max(2) as f64).ln() + (1.0 / self.beta).ln())

@@ -14,10 +14,11 @@
 //!
 //! * [`registry`] — named, immutable [`Dataset`]s with their
 //!   [`GridDomain`]s, per-dataset budgets, and the cached geometry backend
-//!   (exact `O(n²)` index, or the sub-quadratic projected sampler for
-//!   large `n`, selected by size threshold or per-registration override);
+//!   (the exact index, whose grid profiles cost `O(n²)` on first use, or
+//!   the sub-quadratic projected sampler for large `n`, selected by size
+//!   threshold or per-registration override);
 //! * [`accountant`] — the [`BudgetAccountant`] over
-//!   [`PrivacyLedger`], refusing queries that would exhaust the budget;
+//!   [`LedgerTotals`], refusing queries that would exhaust the budget;
 //! * [`query`] — the [`Query`] surface: GoodRadius, 1-cluster, k-cluster,
 //!   sample-and-aggregate mean, and the Table-1 baselines for A/B runs;
 //! * [`planner`] — validate-then-execute plans with deterministic
@@ -86,7 +87,7 @@
 //!
 //! [`Dataset`]: privcluster_geometry::Dataset
 //! [`GridDomain`]: privcluster_geometry::GridDomain
-//! [`PrivacyLedger`]: privcluster_dp::PrivacyLedger
+//! [`LedgerTotals`]: privcluster_dp::composition::LedgerTotals
 //! [`BudgetAccountant`]: accountant::BudgetAccountant
 
 #![warn(missing_docs)]

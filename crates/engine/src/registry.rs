@@ -90,7 +90,8 @@ pub struct DatasetEntry {
     /// `Auto`).
     backend_kind: BackendKind,
     /// The shared per-version geometry backend — the exact
-    /// `O(n² d)`-distances [`GeometryIndex`] or the sub-quadratic
+    /// [`GeometryIndex`] (an `O(n d)` copy of the points whose grid
+    /// profiles are built per cap on first use) or the sub-quadratic
     /// [`ProjectedBackend`], per `backend_kind` — built once (at
     /// registration by the engine, or on first use) and reused by every
     /// later query. Versions are immutable, so it can never go stale.

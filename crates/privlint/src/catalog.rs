@@ -67,8 +67,8 @@ on a code path that feeds released values, cache keys or journal records breaks 
 replay in a way no test can pin down deterministically.",
         fix: "Derive all randomness from the vendored seed-deterministic `StdRng` \
 with an explicit seed, and keep wall-clock reads out of library code. Timing \
-that is genuinely diagnostics-only (e.g. Table-1 runtime columns) may be \
-waived with a reason saying where the value flows.",
+that is genuinely diagnostics-only (e.g. telemetry timing that flows into \
+metrics only) may be waived with a reason saying where the value flows.",
     },
     RuleInfo {
         id: "unsalted-rng",

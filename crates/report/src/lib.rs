@@ -1,10 +1,10 @@
 //! Experiment-harness output utilities: tables, summary statistics, ASCII
 //! plots, and serde-serializable experiment records.
 //!
-//! The bench crate's experiment binaries use this crate to print the
-//! table/figure reproductions referenced from EXPERIMENTS.md and to persist
-//! machine-readable JSON records next to them, so every reported number can
-//! be regenerated and diffed.
+//! The bench crate's experiment binaries use this crate to print their
+//! table and figure reproductions and to persist machine-readable JSON
+//! records next to them, so every reported number can be regenerated and
+//! diffed.
 
 #![warn(missing_docs)]
 

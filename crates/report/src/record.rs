@@ -1,9 +1,9 @@
 //! Machine-readable experiment records.
 //!
 //! Every experiment binary writes one [`ExperimentRecord`] (JSON) next to its
-//! console output, keyed by the experiment id used in DESIGN.md /
-//! EXPERIMENTS.md (T1, F1, E3, …), so reported numbers can be regenerated and
-//! diffed mechanically.
+//! console output, keyed by its experiment id (T1, F1_F2, E3, …; the README's
+//! "Substitutions and experiments" lists them), so reported numbers can be
+//! regenerated and diffed mechanically.
 
 use crate::stats::Summary;
 use serde::{Deserialize, Serialize};
@@ -24,7 +24,7 @@ pub struct Measurement {
 /// A full experiment record.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ExperimentRecord {
-    /// Experiment id (matches DESIGN.md §2, e.g. "T1", "E4").
+    /// Experiment id (e.g. "T1", "E4").
     pub id: String,
     /// One-line description.
     pub description: String,

@@ -280,6 +280,9 @@ proptest! {
         seeds_b in prop::collection::vec(0u64..1000, 1..5),
         picks in prop::collection::vec(0.0f64..1.0, 0..8),
     ) {
+        // The two datasets must route to different shards, or no history
+        // crosses shards.
+        prop_assert_ne!(shard_of("alpha", 2), shard_of("echo", 2));
         let take_a: Vec<bool> = picks.iter().map(|&p| p < 0.5).collect();
         // Merge the two per-dataset streams under the proptest-chosen
         // pattern (then drain whichever remains).
@@ -289,14 +292,14 @@ proptest! {
             let next = if pick_a {
                 a.next().map(|s| ("alpha", s))
             } else {
-                b.next().map(|s| ("bravo", s))
+                b.next().map(|s| ("echo", s))
             };
             if let Some((dataset, &seed)) = next {
                 lines.push(query_line(dataset, seed));
             }
         }
         lines.extend(a.map(|&s| query_line("alpha", s)));
-        lines.extend(b.map(|&s| query_line("bravo", s)));
+        lines.extend(b.map(|&s| query_line("echo", s)));
 
         let dir = scratch_dir("proptest");
         {
@@ -304,7 +307,7 @@ proptest! {
                 max_batch: 8,
                 max_wait_us: 0,
             }));
-            for dataset in ["alpha", "bravo"] {
+            for dataset in ["alpha", "echo"] {
                 let registered = respond(&sharded, &register_line(dataset, 2.0));
                 prop_assert_eq!(get(&registered, "ok"), Some(&Value::Bool(true)));
             }
@@ -317,13 +320,13 @@ proptest! {
 
         let sequential = in_memory_server(1, 0);
         respond(&sequential, &register_line("alpha", 2.0));
-        respond(&sequential, &register_line("bravo", 2.0));
+        respond(&sequential, &register_line("echo", 2.0));
         for line in &lines {
             respond(&sequential, line);
         }
 
         let recovered = journaled_server(&dir, 2, None);
-        for dataset in ["alpha", "bravo"] {
+        for dataset in ["alpha", "echo"] {
             let recovered_status = status_object(&recovered, dataset);
             let sequential_status = status_object(&sequential, dataset);
             prop_assert_eq!(recovered_status, sequential_status);

@@ -11,6 +11,7 @@ use privcluster::baselines::{
 use privcluster::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::time::Instant;
 
 fn main() {
     let mut rng = StdRng::seed_from_u64(99);
@@ -35,7 +36,10 @@ fn main() {
         "method", "private", "captured", "radius/ref", "time"
     );
     for solver in solvers {
-        match solver.solve(&instance.data, &domain, t, privacy, 0.1, 1234) {
+        let start = Instant::now();
+        let result = solver.solve(&instance.data, &domain, t, privacy, 0.1, 1234);
+        let elapsed = start.elapsed();
+        match result {
             Ok(out) => {
                 let eval = evaluate(&instance.data, t, reference, &out.ball);
                 println!(
@@ -45,7 +49,7 @@ fn main() {
                     eval.captured,
                     t,
                     eval.radius_ratio,
-                    out.runtime
+                    elapsed
                 );
             }
             Err(e) => println!("{:<38} failed: {e}", solver.name()),

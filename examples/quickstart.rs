@@ -2,6 +2,7 @@
 //!
 //! Run with `cargo run --release --example quickstart`.
 
+use privcluster::dp::util::paper_delta_bound;
 use privcluster::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -53,13 +54,22 @@ fn main() {
     println!(
         "captured          = {captured_cluster}/{t} planted points ({captured_total} points total)"
     );
+    // Theorem 3.2's loss bound and radius factor, with unit constants.
+    let paper_delta = paper_delta_bound(
+        params.domain.size(),
+        params.domain.dim(),
+        n,
+        params.privacy.epsilon(),
+        params.beta,
+        params.privacy.delta(),
+    );
     println!(
         "loss bound Δ      = {:.1} (paper bound for these parameters: {:.1})",
-        outcome.loss_bound, outcome.guarantees.delta_bound_paper
+        outcome.loss_bound, paper_delta
     );
     println!(
         "radius factor     = {:.1}x the planted radius (paper: O(sqrt(log n)) = {:.1} asymptotically)",
         outcome.ball.radius() / instance.planted_ball.radius(),
-        outcome.guarantees.radius_factor_paper
+        (n as f64).ln().sqrt()
     );
 }
