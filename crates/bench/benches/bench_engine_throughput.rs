@@ -147,12 +147,16 @@ fn bench_engine_register_exact(c: &mut Criterion) {
     group.finish();
 }
 
-/// The first `grid_profile(t, domain)` of a fresh exact index (n = 1,000,
-/// t = n/2): the pair-counting pass and sweep the first GoodRadius query on
-/// a newly registered dataset waits for. The index is built in set-up; the
-/// profile build runs on the calling thread. `projected_n20000` is the same
-/// first build on a fresh projected backend of `projected_large(20_000)`
-/// with t = n/4, the service benchmark's `projected-large` cap.
+/// The first `grid_profile(t, domain)` of a fresh exact index: the
+/// pair-counting pass and sweep the first GoodRadius query on a newly
+/// registered dataset waits for. The index is built in set-up. `n1000` is
+/// `planted(1_000)` with t = n/2 on the calling thread; `off_grid_n1000`
+/// is the service benchmark's `exact-cold` shape, `off_grid(1_000)` with
+/// its cap t = 200, on the calling thread, and `off_grid_n1000_2w` the
+/// same with the build split over two workers, as `serve --threads 2`
+/// splits it. `projected_n20000` is the same first build on a fresh
+/// projected backend of `projected_large(20_000)` with t = n/4, the
+/// service benchmark's `projected-large` cap.
 fn bench_first_l_profile(c: &mut Criterion) {
     let mut group = c.benchmark_group("engine_first_l_profile");
     let n = 1000usize;
@@ -164,6 +168,16 @@ fn bench_first_l_profile(c: &mut Criterion) {
             BatchSize::PerIteration,
         )
     });
+    let (data, domain) = off_grid(n, 42);
+    for (suffix, workers) in [("", 1), ("_2w", 2)] {
+        group.bench_function(format!("off_grid_n{n}{suffix}"), |b| {
+            b.iter_batched(
+                || GeometryIndex::build(&data).with_workers(workers),
+                |index| index.grid_profile(200, &domain).segment_starts().len(),
+                BatchSize::PerIteration,
+            )
+        });
+    }
     let n = 20_000usize;
     let (data, domain) = projected_large(n, 42);
     group.bench_function(format!("projected_n{n}"), |b| {

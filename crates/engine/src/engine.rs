@@ -41,18 +41,21 @@ use std::sync::{Arc, Mutex};
 /// Engine tuning knobs.
 #[derive(Debug, Clone, Copy)]
 pub struct EngineConfig {
-    /// Worker threads used by [`Engine::run_batch`].
+    /// Worker threads used by [`Engine::run_batch`], and the most threads
+    /// one grid-profile build splits over.
     pub threads: usize,
     /// Capacity of the released-result cache (0 disables caching).
     pub cache_capacity: usize,
     /// Largest dataset (in points) that [`BackendChoice::Auto`] still
     /// serves with the exact `O(n²)` geometry backend; anything bigger gets
     /// the sub-quadratic projected backend. The default, 4096 points, caps
-    /// an exact grid-profile build at about 100 MB (12 bytes per kept pair,
-    /// at most `n(n+1)/2` pairs); at 65,536 points a build could hold
-    /// 26 GB, which is the scaling cliff the projected backend removes. An
-    /// exact backend takes at most 65,536 points whatever this says: a
-    /// registration that resolves to one above that is refused.
+    /// an exact grid-profile build at about 100 MB (12 bytes per pair it
+    /// keeps, the pairs within the radius past which `L` cannot change, at
+    /// most all `n(n+1)/2`; the per-radius tables are smaller); at 65,536
+    /// points a build could hold 26 GB, which is the scaling cliff the
+    /// projected backend removes. An exact backend takes at most 65,536
+    /// points whatever this says: a registration that resolves to one
+    /// above that is refused.
     pub exact_backend_max_points: usize,
 }
 
@@ -278,7 +281,7 @@ impl Engine {
         for name in engine.registry.names() {
             let entry = engine.registry.get(&name)?;
             let build = Stopwatch::start();
-            entry.backend(1);
+            entry.backend(engine.config.threads);
             engine
                 .telemetry
                 .backend_build_seconds
@@ -470,7 +473,7 @@ impl Engine {
         let journal = Journal::Append(self.store.as_ref());
         let entry = self.commit_version(name, dataset, domain, kind, ledger, journal)?;
         let build = Stopwatch::start();
-        entry.backend(1);
+        entry.backend(self.config.threads);
         let build_seconds = build.elapsed_seconds();
         self.telemetry.backend_build_seconds.observe(build_seconds);
         let events = self.telemetry.events();

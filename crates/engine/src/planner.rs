@@ -21,8 +21,7 @@ use crate::query::{BaselineMethod, Query, QueryValue, WireBall};
 use crate::registry::DatasetEntry;
 use privcluster_agg::{sample_and_aggregate, MeanAnalysis, SaConfig};
 use privcluster_baselines::{
-    ExponentialGridSolver, NonPrivateTwoApprox, OneClusterSolver, PrivateAggregationSolver,
-    ThresholdReleaseSolver,
+    ExponentialGridSolver, OneClusterSolver, PrivateAggregationSolver, ThresholdReleaseSolver,
 };
 use privcluster_core::{
     good_radius_with_index, k_cluster_with_index, one_cluster_with_index, GoodRadiusConfig,
@@ -203,6 +202,14 @@ pub fn plan(
             }
         }
         Query::Baseline { method, t, beta } => {
+            // A non-private method's ball and count are exact functions of
+            // the data, so no charge could pay for releasing them.
+            if !method.is_private() {
+                return Err(invalid(format!(
+                    "baseline method {} is not differentially private; only private methods are served",
+                    method.as_str()
+                )));
+            }
             check_t(*t)?;
             check_beta(*beta)?;
             if *method == BaselineMethod::ThresholdRelease && entry.domain().dim() != 1 {
@@ -210,14 +217,7 @@ pub fn plan(
                     "threshold_release is a 1-dimensional method".into(),
                 ));
             }
-            // The non-private arm keeps the whole bid for the solver and
-            // reports its count exactly (the response flags it non-private);
-            // private arms fund the noisy count from the bid.
-            let (algo_privacy, count_epsilon) = if method.is_private() {
-                split_for_count(privacy)?
-            } else {
-                (privacy, 0.0)
-            };
+            let (algo_privacy, count_epsilon) = split_for_count(privacy)?;
             Prepared::Baseline {
                 method: *method,
                 t: *t,
@@ -241,17 +241,13 @@ fn split_for_count(privacy: PrivacyParams) -> Result<(PrivacyParams, f64), Engin
 
 /// Releases a 1-sensitive count through the dp crate's Laplace mechanism
 /// (`(count_epsilon, 0)`-DP), rounded and clamped to the public range
-/// `[0, n]` (post-processing). A `count_epsilon` of 0 means the caller is
-/// the flagged non-private arm and the exact count is returned.
+/// `[0, n]` (post-processing).
 fn noisy_count<R: rand::Rng + ?Sized>(
     exact: usize,
     n: usize,
     count_epsilon: f64,
     rng: &mut R,
 ) -> usize {
-    if count_epsilon <= 0.0 {
-        return exact;
-    }
     let mechanism = LaplaceMechanism::for_count(count_epsilon)
         .expect("MIN_QUERY_EPSILON keeps the count epsilon positive and finite");
     mechanism
@@ -366,7 +362,9 @@ impl Plan {
                     BaselineMethod::PrivateAggregation => Box::new(PrivateAggregationSolver),
                     BaselineMethod::ExponentialGrid => Box::new(ExponentialGridSolver::default()),
                     BaselineMethod::ThresholdRelease => Box::new(ThresholdReleaseSolver::default()),
-                    BaselineMethod::NonPrivateTwoApprox => Box::new(NonPrivateTwoApprox),
+                    BaselineMethod::NonPrivateTwoApprox => {
+                        unreachable!("plan refuses the non-private baseline")
+                    }
                 };
                 let out = solver.solve(data, domain, *t, *privacy, *beta, seed)?;
                 // The solvers re-seed their own StdRng from `seed`, so `rng`
@@ -586,26 +584,18 @@ mod tests {
     }
 
     #[test]
-    fn nonprivate_baseline_is_flagged() {
+    fn the_nonprivate_baseline_is_refused_at_plan_time() {
         let e = entry();
-        let p = plan(
-            &Query::Baseline {
-                method: BaselineMethod::NonPrivateTwoApprox,
-                t: 300,
-                beta: 0.1,
-            },
-            privacy(),
-            &e,
-        )
-        .unwrap();
-        match p.execute(&e, 0).unwrap() {
-            QueryValue::Ball {
-                captured, private, ..
-            } => {
-                assert!(!private);
-                assert!(captured >= 300);
+        let query = Query::Baseline {
+            method: BaselineMethod::NonPrivateTwoApprox,
+            t: 300,
+            beta: 0.1,
+        };
+        match plan(&query, privacy(), &e) {
+            Err(EngineError::InvalidQuery(message)) => {
+                assert!(message.contains("non_private_two_approx"), "{message}")
             }
-            other => panic!("expected a ball, got {other:?}"),
+            other => panic!("expected an invalid_query refusal, got {other:?}"),
         }
     }
 

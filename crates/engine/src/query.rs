@@ -25,10 +25,10 @@ pub enum BaselineMethod {
     ExponentialGrid,
     /// 1-d threshold query release.
     ThresholdRelease,
-    /// Non-private 2-approximation reference. The engine still charges the
-    /// declared query budget for it so A/B runs draw down a dataset's budget
-    /// identically regardless of which arm executed (the method itself
-    /// offers no privacy; the response flags it as non-private).
+    /// Non-private 2-approximation reference. Its ball and count are exact
+    /// functions of the data, so the engine refuses it (`invalid_query`, at
+    /// plan time, before any charge); the Table-1 experiments call the
+    /// solver directly.
     NonPrivateTwoApprox,
 }
 

@@ -198,12 +198,15 @@ impl DatasetEntry {
 
     /// The entry's shared [`GeometryBackend`], building it on first call
     /// and returning the cached copy (an `O(1)` `Arc` clone) ever after.
-    /// Builds are deterministic, so it does not matter which caller wins
-    /// the race. `threads` is unused: no build runs in parallel. The
-    /// signature stays because perfbench's traced passes name it.
-    pub fn backend(&self, _threads: usize) -> Arc<dyn GeometryBackend> {
+    /// An exact backend's grid-profile builds split over up to `threads`
+    /// workers, the count of the call that builds it; the projected
+    /// backend's run on one. Builds and profiles are deterministic at any
+    /// thread count, so it does not matter which caller wins the race.
+    pub fn backend(&self, threads: usize) -> Arc<dyn GeometryBackend> {
         Arc::clone(self.backend.get_or_init(|| match self.backend_kind {
-            BackendKind::Exact => Arc::new(GeometryIndex::build(&self.dataset)),
+            BackendKind::Exact => {
+                Arc::new(GeometryIndex::build(&self.dataset).with_workers(threads))
+            }
             BackendKind::Projected => Arc::new(ProjectedBackend::build_default(&self.dataset)),
         }))
     }

@@ -15,7 +15,7 @@
 use privcluster_datagen::planted_ball_cluster;
 use privcluster_dp::composition::CompositionMode;
 use privcluster_dp::{basic_composition, PrivacyParams};
-use privcluster_engine::{Engine, EngineConfig, EngineError, Query, QueryRequest};
+use privcluster_engine::{BaselineMethod, Engine, EngineConfig, EngineError, Query, QueryRequest};
 use privcluster_geometry::{Dataset, GridDomain};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -218,6 +218,31 @@ fn sample_aggregate_past_the_exact_limit_is_refused_before_any_charge() {
         other => panic!("expected an invalid_query refusal, got {other:?}"),
     }
     let status = engine.status("wide").unwrap();
+    assert_eq!(status.granted, 0);
+    assert!(status.spent.is_none());
+    assert!((status.remaining_epsilon - 1.0).abs() < 1e-12);
+}
+
+/// The non-private baseline's ball and count are exact functions of the
+/// data: a request for it is refused as `invalid_query` before any charge,
+/// and the ledger shows nothing granted or spent.
+#[test]
+fn the_non_private_baseline_is_refused_before_any_charge() {
+    let engine = engine_with_budget(CompositionMode::Basic);
+    let query = QueryRequest {
+        dataset: "guarded".into(),
+        version: None,
+        seed: 0,
+        privacy: PrivacyParams::new(1.0, 1e-6).unwrap(),
+        query: Query::Baseline {
+            method: BaselineMethod::NonPrivateTwoApprox,
+            t: 250,
+            beta: 0.1,
+        },
+    };
+    let refused = engine.query(&query).unwrap_err();
+    assert_eq!(refused.kind(), "invalid_query", "{refused:?}");
+    let status = engine.status("guarded").unwrap();
     assert_eq!(status.granted, 0);
     assert!(status.spent.is_none());
     assert!((status.remaining_epsilon - 1.0).abs() < 1e-12);

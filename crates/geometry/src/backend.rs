@@ -6,10 +6,13 @@
 //! — [`GeometryIndex`](crate::index::GeometryIndex) over the dataset's
 //! points — answers it perfectly.
 //! It registers in `O(n d)`, but its first grid profile for each cap and
-//! grid computes all `n(n+1)/2` pair distances (`O(n²·d + G)` time for `G`
-//! grid radii) and holds 12 transient bytes per pair within the radius
-//! where `L` saturates: a hard scaling cliff, and it takes at most
-//! [`MAX_EXACT_POINTS`] points, 65,536. The paper's own remedy (§4) is to
+//! grid computes the distance of every pair whose first coordinates lie
+//! within the radius past which `L` cannot change, up to all `n(n+1)/2`
+//! (`O(n²·d + G)` time for `G` grid radii, split over the engine's worker
+//! threads), and holds 12 transient bytes per pair within that radius: a
+//! hard scaling cliff, and it takes at most [`MAX_EXACT_POINTS`] points,
+//! 65,536. (The projected backend's weighted pass runs on one thread.)
+//! The paper's own remedy (§4) is to
 //! give up exactness: Johnson–Lindenstrauss-project to `k = O(log n)`
 //! dimensions and reason about *coarse spatial buckets* instead of
 //! individual points.
@@ -388,7 +391,7 @@ impl GeometryBackend for ProjectedBackend {
     fn grid_profile(&self, cap: usize, domain: &GridDomain) -> Arc<GridProfile> {
         // Same single-flight slot discipline as GeometryIndex.
         ProfileCache::get_or_build(&self.profiles, cap, domain, || {
-            grid_profile::count_pairs(&self.sites, Some(&self.weights), cap, domain).0
+            grid_profile::count_pairs(&self.sites, Some(&self.weights), cap, domain, 1).0
         })
     }
 

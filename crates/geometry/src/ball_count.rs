@@ -62,6 +62,13 @@ impl BallCounter {
         }
     }
 
+    /// The counter for cap `cap`, keeping the sorted rows already filled.
+    #[cfg(test)]
+    pub(crate) fn with_cap(self, cap: usize) -> Self {
+        assert!(cap >= 1, "cap t must be at least 1");
+        BallCounter { cap, ..self }
+    }
+
     /// The cap `t`.
     pub fn cap(&self) -> usize {
         self.cap
@@ -151,7 +158,7 @@ impl BallCounter {
     /// one `O(n²·d)` pass (see [`grid_profile`]). Panics past
     /// [`grid_profile::MAX_EXACT_POINTS`] points.
     pub fn grid_profile(&self, domain: &GridDomain) -> GridProfile {
-        grid_profile::count_pairs(self.dm.points(), None, self.cap, domain).0
+        grid_profile::count_pairs(self.dm.points(), None, self.cap, domain, 1).0
     }
 
     /// Precomputes `L(r, S)` at every breakpoint in a single sweep.
@@ -179,7 +186,7 @@ impl BallCounter {
 pub(crate) fn breakpoint_profile(dm: &DistanceMatrix, cap: usize) -> LProfile {
     assert!(cap >= 1, "cap t must be at least 1");
     let pairs = dm.sorted_pairs();
-    let mut top = TopCounts::new(dm.len(), cap);
+    let mut top = LayerCounts::new(dm.len(), cap);
     let mut breakpoints = Vec::new();
     let mut values = Vec::new();
     let mut idx = 0usize;
@@ -208,44 +215,31 @@ pub(crate) fn breakpoint_profile(dm: &DistanceMatrix, cap: usize) -> LProfile {
 }
 
 /// The sum of the `t` largest of `n` counts capped at `t`, where every
-/// update raises one count by one (the exact sweep's ball-membership
+/// update raises one count by one (the exact sweeps' ball-membership
 /// events), maintained in `O(1)` per update.
 ///
-/// Let `θ` be the `t`-th largest count, reading missing counts as zero.
-/// The top `t` are then every count above `θ` plus enough counts equal to
-/// `θ`. Raising a count below `θ` changes nothing; raising one at or above
-/// `θ` adds one to the sum. `θ` itself only moves when a count leaves `θ`
-/// and the counts above `θ` fill all `t` slots: the new `t`-th largest is
-/// then the smallest of them, which is `θ + 1` because the raised count
-/// sits there. A histogram of the counts says how many of them stay above
-/// the new `θ`; since `θ` never falls, only its entries above `θ` are
-/// ever read, and raises below `θ` skip it.
+/// Let `N_v` be how many counts are at least `v`. The `t` largest counts,
+/// each at most `t`, sum to `Σ_{v=1..t} min(t, N_v)`: among them are
+/// `min(t, N_v)` counts of at least `v`. A raise from `v` to `v + 1` adds
+/// one to `N_{v+1}`, and so adds one to the sum exactly when `N_{v+1}` is
+/// then at most `t`.
 #[derive(Debug)]
-pub(crate) struct TopCounts {
+pub(crate) struct LayerCounts {
     cap: usize,
     counts: Vec<usize>,
-    /// `hist[v]` for `v > theta`: how many counts equal `v` (entries at or
-    /// below `theta` go stale). No count exceeds `n` (a point has `n`
-    /// membership events), so `v ≤ min(t, n)`.
-    hist: Vec<usize>,
-    /// The `t`-th largest count (zero while fewer than `t` are positive).
-    theta: usize,
-    /// How many counts exceed `theta`; always fewer than `t`.
-    above: usize,
+    /// `layers[v]` is `N_{v+1}`, how many counts are above `v`. No count
+    /// exceeds `n` (a point has `n` membership events), so `v < min(t, n)`.
+    layers: Vec<usize>,
     /// Sum of the `t` largest counts.
     sum: u64,
 }
 
-impl TopCounts {
+impl LayerCounts {
     pub(crate) fn new(n: usize, cap: usize) -> Self {
-        let mut hist = vec![0; cap.min(n) + 1];
-        hist[0] = n;
-        TopCounts {
+        LayerCounts {
             cap,
             counts: vec![0; n],
-            hist,
-            theta: 0,
-            above: 0,
+            layers: vec![0; cap.min(n)],
             sum: 0,
         }
     }
@@ -268,22 +262,11 @@ impl TopCounts {
     /// Raises count `i` by one unless it already sits at the cap.
     pub(crate) fn increment(&mut self, i: usize) {
         let v = self.counts[i];
-        // Most raises start below `θ` or at the cap and change nothing
-        // else; one branch (not two) sends the rest on.
-        let raised = v < self.cap;
-        self.counts[i] = v + usize::from(raised);
-        if !(raised & (v >= self.theta)) {
-            return;
-        }
-        self.hist[v] -= 1;
-        self.hist[v + 1] += 1;
-        self.sum += 1;
-        if v == self.theta {
-            self.above += 1;
-            if self.above == self.cap {
-                self.theta += 1;
-                self.above -= self.hist[self.theta];
-            }
+        if v < self.cap {
+            self.counts[i] = v + 1;
+            let layer = &mut self.layers[v];
+            *layer += 1;
+            self.sum += u64::from(*layer <= self.cap);
         }
     }
 }
@@ -341,9 +324,9 @@ impl LProfile {
 
 /// The capped counts of weighted sites and the sum of the `t` largest,
 /// each site's count taken as many times as its weight: the weighted
-/// sweeps' [`TopCounts`] (the grid profile over weighted sites, and the
+/// sweeps' [`LayerCounts`] (the grid profile over weighted sites, and the
 /// projected backend's reference breakpoint profile). A raise adds any
-/// number of points to a count at once, which `TopCounts`' one-step
+/// number of points to a count at once, which `LayerCounts`' one-step
 /// updates cannot express; it costs `O(log t)`, and the sum is a
 /// `TopSumTree` query, `O(log² t)`.
 #[derive(Debug)]
@@ -681,6 +664,33 @@ pub(crate) mod tests {
                 Dataset::from_rows(rows).expect("uniform dimension")
             })
         })
+    }
+
+    /// The layer tally's sum is the sum of the `t` largest capped counts
+    /// after every raise, on random raise sequences of `n` counts (none
+    /// raised past `n`, as in a sweep), at every cap from 1 to `n + 1`.
+    #[test]
+    fn layer_counts_sum_the_t_largest_counts() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(32);
+        for n in 1..=12 {
+            for cap in 1..=n + 1 {
+                let mut tally = LayerCounts::new(n, cap);
+                let mut counts = vec![0usize; n];
+                for _ in 0..n * n {
+                    let i = rng.gen_range(0..n);
+                    if counts[i] == n {
+                        continue;
+                    }
+                    counts[i] += 1;
+                    tally.increment(i);
+                    let mut capped: Vec<usize> = counts.iter().map(|&c| c.min(cap)).collect();
+                    capped.sort_unstable_by(|a, b| b.cmp(a));
+                    let top: usize = capped.iter().take(cap).sum();
+                    assert_eq!(tally.sum(), top as u64, "n {n}, cap {cap}, {counts:?}");
+                }
+            }
+        }
     }
 
     fn bits(v: &[f64]) -> Vec<u64> {

@@ -30,51 +30,85 @@
 //!   projected coordinates, weighted by their buckets' occupancies
 //!   ([`ProjectedBackend`](crate::backend::ProjectedBackend)).
 //!
-//! One `O(B²·d)` pass over `B` sites finds each pair's distance and keys
-//! each pair it keeps (see [the cut](#the-cut)) to the first quarter index
-//! whose ball holds it: the estimate `⌊4d/ℓ⌋`, corrected against
-//! [`tol::ball_threshold`]`(ρ_j)` computed on the fly. The kept pairs are
-//! grouped by key, and `L` is read off after each key: with unit weights by
-//! the same `O(1)`-per-pair `TopCounts` sweep as
-//! [`BallCounter::l_profile`](crate::ball_count::BallCounter::l_profile),
-//! with weights by a Fenwick tree over the counts (`WeightedCounts`),
-//! queried once per key. The Fenwick tree alone would serve both, but on
-//! unit weights its `O(log t)` raises and the cut's sorts took 3.4 times
-//! as long (median over 12 runs, 1,000 off-grid points, `t` = 500, on a
-//! 2-vCPU VM), so the exact backend keeps `TopCounts`. With at most `max(P/16, 2^16)` keys for `P` pairs, a
-//! counting sort groups them in 12 transient bytes per kept pair (a 4-byte
-//! key, a 4-byte pair and a 4-byte slot of the key order). On grids far
-//! finer than the data, such as `size` 2⁴⁰, the kept pairs are sorted by
-//! key instead (16 bytes each). Nothing allocates per grid radius. It takes
-//! at most [`MAX_EXACT_POINTS`] sites, 65,536.
+//! # The pass
+//!
+//! It works on the *slab*: the sites whose coordinates are all finite,
+//! ordered by their first coordinate and stored one column per coordinate.
+//! A site with a coordinate that is not finite is `+∞` or NaN away from
+//! every site, itself included, so it lies in no ball and keeps no pair;
+//! leaving it out changes no count. It takes at most [`MAX_EXACT_POINTS`]
+//! sites, 65,536.
+//!
+//! 1. **The cut** ([below](#the-cut)) gives a radius past which `L` cannot
+//!    change. Let `top` be the first quarter index whose ball holds it, or
+//!    the last index `2·(G − 1)` when none does. Only pairs within
+//!    `T(top) = ball_threshold(ρ_top)` are kept, so every key up to `top`
+//!    is complete.
+//! 2. **The window.** A kept pair's first coordinates differ by at most
+//!    `T(top)`, so row `i` computes its distances only to the later slab
+//!    sites whose first coordinate lies within `T(top)·(1 + 1e-9)` of its
+//!    own (a two-pointer sweep finds each row's end). Each distance is
+//!    the sum `Point::distance` squares, in the same coordinate order, so
+//!    the pairs kept and their distances are exactly those of all
+//!    `n(n+1)/2`. A pair past `T(top)` is skipped on its squared distance,
+//!    before the square root.
+//! 3. **Keys.** Each kept pair is keyed to the first quarter index whose
+//!    ball holds it. The estimate `⌊4d/ℓ⌋`, which is that index or the one
+//!    before it except within rounding of a quarter radius or on grids
+//!    finer than the tolerance, gallops to the first `j` with `d ≤ T[j]` in
+//!    a table of `T[j] = ball_threshold(ρ_j)`, `j ≤ top`: the comparison
+//!    [`tol::within_radius`] makes.
+//! 4. **Grouping.** With at most `max(P/16, 2^16)` keys for `P` pairs, a
+//!    counting sort groups the kept pairs in 12 transient bytes per kept
+//!    pair (a 4-byte key and a 4-byte pair as each is found, then a 4-byte
+//!    slot of the key order), beside 8 bytes per key for the table and 4
+//!    per key and worker for the key counts. On grids far finer than the
+//!    data, such as `size` 2⁴⁰, there is no table: each key gallops over
+//!    `tol::within_radius` itself and the kept pairs are sorted by key
+//!    (16 bytes each). Nothing allocates per grid radius.
+//! 5. **The sweep** reads `L` after each key, in ascending order, and stops
+//!    once `L` saturates: with unit weights by the layer tally
+//!    `LayerCounts`, `O(1)` per pair; with weights by a Fenwick tree over
+//!    the counts (`WeightedCounts`), queried once per key, since one raise
+//!    there can add many points to a count.
+//!
+//! **Workers.** A build with more than `SPLIT_PAIRS` candidate pairs in
+//! its windows splits its rows over the caller's workers (at most one per
+//! `SPLIT_PAIRS` candidates), striped, row `i` to worker `i mod W`, so that
+//! dense and sparse stretches of the slab are shared; the cut's probes are
+//! split the same way. Each worker counting-sorts its own pairs, and the
+//! sweep reads key `j`'s pairs as every worker's run of it in turn. The
+//! cut's reaches merge by `min`, which is exact, and `L` after a key
+//! depends only on which pairs carry keys up to it, so the profile is
+//! bit-identical at any worker count.
 //!
 //! # The cut
 //!
-//! Let `m = min(t, n)` for cap `t` and `n` points (the sites' total
-//! weight), and `ρ_m(x)` the distance from a site `x` to its `m`-th nearest
-//! point, itself included: where the weight taken in distance order first
-//! reaches `m`. The `m` points within `ρ_m(x)` of `x` lie pairwise within
-//! `2·ρ_m(x)`, so each has `m` points in its ball of that radius, and `L(r)`
-//! takes its largest value for every `r ≥ r* = 2·min_x ρ_m(x)` (§3.1). A
-//! pair farther apart than `r*` therefore changes `L` at no radius before it
-//! saturates. The counting pass takes `x` over every 16th site, and with
-//! weights also the heaviest, so a site that alone stands for `m` points
-//! cuts at radius 0 (one length-`B` selection each with unit weights, one
-//! sort with weights; the profile does not depend on which sites are tried,
-//! so choosing them from the data costs no privacy), and widens `r*` by
-//! `1 + 1e-9` for rounding.
-//! Let `top` be the first quarter index whose ball holds `r*`, or the last
-//! index `2·(G − 1)` when none does. The pass keeps the pairs within
-//! `T(top) = ball_threshold(ρ_top)`, so every key up to `top` is complete;
-//! a pair past it is skipped on its squared distance, before the square
-//! root and the key. If `L` has not saturated by a `top` below the last
-//! index (rounding), the pass runs again with `top` set to the last index.
-//! Pairs past `T` of the last index count at no index GoodRadius reads.
+//! Let `m = min(t, n)` for cap `t` and `n` points (the slab sites' total
+//! weight), and `ρ_m(p)` the distance from a site `p` to its `m`-th
+//! nearest point, itself included: where the weight taken in distance
+//! order first reaches `m`. For any site `y`, the ball of radius
+//! `ρ_m(p) + d(p, y)` around `y` holds `p`'s `m` nearest points, so `y`'s
+//! count there is `m`. Take `u(y) = min_p (ρ_m(p) + d(p, y))` over the
+//! probed sites `p`. Once the sites with `u(y) ≤ r` stand for `m` points,
+//! `L(r)` takes its largest value, so `L` saturates by `r*`, the `m`-th
+//! smallest `u(y)` counted by weight. (A probe's own `m` nearest points have
+//! `u ≤ 2·ρ_m(p)`, so `r*` is at most §3.1's `2·min_p ρ_m(p)`.) The probes
+//! are every 16th slab site, and with weights also the heaviest, so a site
+//! that alone stands for `m` points cuts at radius 0; the profile does not
+//! depend on which sites are probed, so choosing them from the data costs no
+//! privacy. Each probe computes its distance to every slab site once, for
+//! `ρ_m(p)` (a length-`n` selection with unit weights, a sort with weights)
+//! and for `u`. `r*` is widened by `1 + 1e-9` for rounding. If `L` has not
+//! saturated by a `top` below the last index (rounding), the pass runs again
+//! with `top` set to the last index. Pairs past `T` of the last index count
+//! at no index GoodRadius reads.
 
-use crate::ball_count::{TopCounts, WeightedCounts};
+use crate::ball_count::{LayerCounts, WeightedCounts};
 use crate::domain::GridDomain;
 use crate::point::Point;
 use crate::tol;
+use std::ops::Range;
 
 #[cfg(debug_assertions)]
 static PROFILE_BUILD_COUNT: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
@@ -232,12 +266,20 @@ const SMALL_TABLE: u64 = 1 << 16;
 /// The sites the cut's `ρ_m(x)` is taken at: every `PROBE_STRIDE`-th.
 const PROBE_STRIDE: usize = 16;
 
+/// The fewest candidate pairs (or probe distances) a worker takes: a build
+/// with fewer runs on the calling thread alone. A scoped spawn and join
+/// took a median 0.035 ms (0.14 ms at most, 200 runs on a 2-vCPU VM); this
+/// many candidate pairs take one worker about 0.09 ms (about 5.5 ns a pair
+/// on 1,000 off-grid points), so a worker that takes them repays its
+/// spawn. A 64-point build, 2,080 pairs, stays on one thread.
+const SPLIT_PAIRS: usize = 1 << 14;
+
 /// `L(·, S)` on `domain`'s quarter grid with cap `cap` (≥ 1), over `sites`
 /// where site `i` stands for `weights[i]` points (one each when `weights`
-/// is `None`): see the module docs. With unit weights it is
-/// `BallCounter::l_value(ρ_j)` at quarter index `j`, bit for bit. Also
-/// returns how many site pairs the last pass kept within its cut (each
-/// site's pair with itself included).
+/// is `None`), on up to `workers` threads: see the module docs. With unit
+/// weights it is `BallCounter::l_value(ρ_j)` at quarter index `j`, bit for
+/// bit, at any worker count. Also returns how many site pairs the last
+/// pass kept within its cut (each site's pair with itself included).
 ///
 /// # Panics
 /// Panics past [`MAX_EXACT_POINTS`] sites.
@@ -246,27 +288,25 @@ pub(crate) fn count_pairs(
     weights: Option<&[usize]>,
     cap: usize,
     domain: &GridDomain,
+    workers: usize,
 ) -> (GridProfile, usize) {
     let n = sites.len();
     assert!(
         n <= MAX_EXACT_POINTS,
         "a grid profile takes at most {MAX_EXACT_POINTS} sites, not {n}"
     );
-    // Coordinate `k` of every site, contiguous, so that each row's
-    // distances are computed one coordinate at a time over all the later
-    // sites (the same sum, in the same order, as `Point::distance`).
-    let dim = sites.first().map_or(0, Point::dim);
-    let columns: Vec<Vec<f64>> = (0..dim)
-        .map(|k| sites.iter().map(|p| p.coords()[k]).collect())
-        .collect();
+    let slab = Slab::new(sites, weights);
     let last = last_quarter(domain);
-    let r_star = saturation_radius(&columns, n, weights, cap);
+    let r_star = saturation_radius(&slab, cap, workers);
     let top = first_quarter_within(domain, r_star, 0, last).unwrap_or(last);
-    let count = |top| match weights {
-        None => count_up_to(&columns, n, cap, domain, top, TopCounts::new(n, cap)),
+    let count = |top| match &slab.weights {
+        None => {
+            let tally = LayerCounts::new(slab.len, cap);
+            count_up_to(&slab, cap, domain, top, workers, tally)
+        }
         Some(weights) => {
             let tally = WeightedCounts::new(weights, cap);
-            count_up_to(&columns, n, cap, domain, top, tally)
+            count_up_to(&slab, cap, domain, top, workers, tally)
         }
     };
     let (mut steps, mut kept, saturated) = count(top);
@@ -277,21 +317,148 @@ pub(crate) fn count_pairs(
     (GridProfile::new(steps, domain), kept)
 }
 
-/// The steps of `L` at quarter indices `0..=top` from the site pairs within
-/// `T(top) = ball_threshold(ρ_top)`, counted into `tally`, how many pairs
-/// that kept, and whether `L` saturated by `top`.
+/// The sites whose coordinates are all finite, ordered by their first
+/// coordinate, as columns: see the module docs. Slab site `s` is a site
+/// under another index, which changes no top-`t` sum.
+struct Slab {
+    /// Coordinate `k` of every slab site, contiguous, so that a row's
+    /// distances are computed one coordinate at a time.
+    columns: Vec<Vec<f64>>,
+    /// Each slab site's weight; `None` for one each.
+    weights: Option<Vec<usize>>,
+    len: usize,
+}
+
+impl Slab {
+    fn new(sites: &[Point], weights: Option<&[usize]>) -> Self {
+        let mut order: Vec<(f64, usize)> = sites
+            .iter()
+            .enumerate()
+            .filter(|(_, site)| site.coords().iter().all(|c| c.is_finite()))
+            .map(|(i, site)| (site.coords().first().copied().unwrap_or(0.0), i))
+            .collect();
+        order.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        let dim = sites.first().map_or(0, Point::dim);
+        let columns = (0..dim)
+            .map(|k| order.iter().map(|&(_, i)| sites[i].coords()[k]).collect())
+            .collect();
+        Slab {
+            columns,
+            weights: weights.map(|w| order.iter().map(|&(_, i)| w[i]).collect()),
+            len: order.len(),
+        }
+    }
+
+    /// How many points the slab's sites stand for: their total weight.
+    fn points(&self) -> usize {
+        self.weights.as_ref().map_or(self.len, |w| w.iter().sum())
+    }
+
+    /// Into `sums`, the squared distance from site `i` to each site of
+    /// `others`: the sum `Point::distance` squares, in the same order.
+    /// Without coordinates `sums` is left as it is (zeros, as passed).
+    fn squared_distances(&self, i: usize, others: Range<usize>, sums: &mut [f64]) {
+        for (k, column) in self.columns.iter().enumerate() {
+            let a = column[i];
+            for (sum, &b) in sums.iter_mut().zip(&column[others.clone()]) {
+                let d = a - b;
+                *sum = if k == 0 { d * d } else { *sum + d * d };
+            }
+        }
+    }
+
+    /// Each row's window end: the first site after `i` whose first
+    /// coordinate exceeds site `i`'s by more than `width` (`len` when none
+    /// does, and for every row without coordinates).
+    fn window_ends(&self, width: f64) -> Vec<usize> {
+        let Some(xs) = self.columns.first() else {
+            return vec![self.len; self.len];
+        };
+        let mut end = 0;
+        (0..self.len)
+            .map(|i| {
+                while end < self.len && xs[end] - xs[i] <= width {
+                    end += 1;
+                }
+                end
+            })
+            .collect()
+    }
+
+    /// Calls `keep(d, i << 16 | j)` for each pair `i ≤ j` of slab sites at
+    /// a distance `d` of at most `cut`, each site's pair with itself
+    /// included, over this worker's rows (`i ≡ worker` mod `workers`). Row
+    /// `i` reads only its window, `i..ends[i]`.
+    fn for_each_kept_pair(
+        &self,
+        ends: &[usize],
+        cut: f64,
+        (worker, workers): (usize, usize),
+        mut keep: impl FnMut(f64, u32),
+    ) {
+        let cut_sq = cut * cut;
+        let mut row = vec![0.0f64; self.len];
+        for i in (worker..self.len).step_by(workers) {
+            let row = &mut row[..ends[i] - i];
+            self.squared_distances(i, i..ends[i], row);
+            let pair = (i as u32) << 16;
+            for (j, &sum) in (i as u32..).zip(row.iter()) {
+                // A conservative test on the square (the tolerance dwarfs the
+                // square root's rounding), then the exact one on the distance.
+                if !tol::within_radius_sq(sum, cut_sq) {
+                    continue;
+                }
+                let d = sum.sqrt();
+                if d > cut {
+                    continue;
+                }
+                keep(d, pair | j);
+            }
+        }
+    }
+}
+
+/// How many of `workers` to split `work` candidate pairs over: one, or as
+/// many as each have at least [`SPLIT_PAIRS`].
+fn split(workers: usize, work: usize) -> usize {
+    workers.min(work / SPLIT_PAIRS).max(1)
+}
+
+/// `job(w)` for each worker `w < workers`: worker 0 on the calling thread,
+/// the others on scoped threads. A worker's panic resumes on the caller.
+fn on_workers<T: Send>(workers: usize, job: impl Fn(usize) -> T + Sync) -> Vec<T> {
+    let job = &job;
+    std::thread::scope(|scope| {
+        let others: Vec<_> = (1..workers).map(|w| scope.spawn(move || job(w))).collect();
+        let mut done = vec![job(0)];
+        done.extend(others.into_iter().map(|worker| {
+            worker
+                .join()
+                .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+        }));
+        done
+    })
+}
+
+/// The steps of `L` at quarter indices `0..=top` from the slab pairs within
+/// `T(top) = ball_threshold(ρ_top)`, counted into `tally` on up to
+/// `workers` threads, how many pairs that kept, and whether `L` saturated
+/// by `top`.
 fn count_up_to(
-    columns: &[Vec<f64>],
-    n: usize,
+    slab: &Slab,
     cap: usize,
     domain: &GridDomain,
     top: u64,
+    workers: usize,
     tally: impl Tally,
 ) -> (Vec<(u64, f64)>, usize, bool) {
     let cut = tol::ball_threshold(quarter_radius(domain, top));
+    // The rounding margin of a kept pair's first-axis gap: see the module docs.
+    let ends = slab.window_ends(cut * (1.0 + 1e-9));
+    let candidates = ends.iter().enumerate().map(|(i, &end)| end - i).sum();
+    let workers = split(workers, candidates);
     let per_unit = 4.0 / domain.grid_step();
-    let key = |d: f64| quarter_key(domain, per_unit, d, top);
-    let pairs = n * (n + 1) / 2;
+    let pairs = slab.len * (slab.len + 1) / 2;
     let most = cap.min(tally.points()) as u64;
     let mut sweep = Sweep {
         tally,
@@ -301,88 +468,90 @@ fn count_up_to(
     };
     let kept;
     if top < (pairs as u64 / 16).max(SMALL_TABLE) {
-        // Counting sort by key: `counts` becomes each key's start, then,
-        // after the scatter, its end.
-        let mut counts = vec![0usize; top as usize + 1];
-        let mut keyed: Vec<(u32, u32)> = Vec::new();
-        for_each_kept_pair(columns, n, cut, |d, pair| {
-            let key = key(d);
-            counts[key as usize] += 1;
-            keyed.push((key as u32, pair));
+        let thresholds: Vec<f64> = (0..=top)
+            .map(|j| tol::ball_threshold(quarter_radius(domain, j)))
+            .collect();
+        let key = |d: f64| {
+            let estimate = ((d * per_unit) as u64).min(top);
+            first_holding(|j| d <= thresholds[j as usize], 0, top, estimate) as u32
+        };
+        let sorted = on_workers(workers, |worker| {
+            let mut slots = vec![0u32; thresholds.len()];
+            let mut keyed = Vec::new();
+            slab.for_each_kept_pair(&ends, cut, (worker, workers), |d, pair| {
+                let key = key(d);
+                slots[key as usize] += 1;
+                keyed.push((key, pair));
+            });
+            // Counting sort by key: `slots` becomes each key's start, then,
+            // after the scatter, its end.
+            let mut total = 0;
+            for slot in &mut slots {
+                let here = *slot;
+                *slot = total;
+                total += here;
+            }
+            let mut order = vec![0u32; keyed.len()];
+            for (key, pair) in keyed {
+                let slot = &mut slots[key as usize];
+                order[*slot as usize] = pair;
+                *slot += 1;
+            }
+            (slots, order)
         });
-        kept = keyed.len();
-        let mut total = 0;
-        for count in &mut counts {
-            let here = *count;
-            *count = total;
-            total += here;
-        }
-        let mut order = vec![0u32; total];
-        for &(key, pair) in &keyed {
-            let slot = &mut counts[key as usize];
-            order[*slot] = pair;
-            *slot += 1;
-        }
-        drop(keyed);
-        let mut at = 0;
-        for (j, &end) in counts.iter().enumerate() {
-            if end > at && sweep.add(j as u64, order[at..end].iter().copied()) {
+        kept = sorted.iter().map(|(_, order)| order.len()).sum();
+        // Key `j`'s pairs are each worker's run of it, in turn.
+        let mut starts = vec![0; sorted.len()];
+        for j in 0..thresholds.len() {
+            let runs = || {
+                let from = sorted.iter().zip(&starts);
+                from.map(|((slots, order), &at)| &order[at..slots[j] as usize])
+            };
+            if runs().any(|run| !run.is_empty()) && sweep.add(j as u64, runs().flatten().copied()) {
                 break;
             }
-            at = end;
+            for (at, (slots, _)) in starts.iter_mut().zip(&sorted) {
+                *at = slots[j] as usize;
+            }
         }
     } else {
-        // A grid far finer than the data: sort the keyed pairs instead.
-        let mut keyed: Vec<(u64, u32)> = Vec::new();
-        for_each_kept_pair(columns, n, cut, |d, pair| keyed.push((key(d), pair)));
-        kept = keyed.len();
-        keyed.sort_unstable_by_key(|&(key, _)| key);
-        for group in keyed.chunk_by(|a, b| a.0 == b.0) {
-            if sweep.add(group[0].0, group.iter().map(|&(_, pair)| pair)) {
+        // A grid far finer than the data: each worker sorts its keyed
+        // pairs, and the sweep merges the sorted lists key by key.
+        let lists = on_workers(workers, |worker| {
+            let mut keyed: Vec<(u64, u32)> = Vec::new();
+            slab.for_each_kept_pair(&ends, cut, (worker, workers), |d, pair| {
+                keyed.push((quarter_key(domain, per_unit, d, top), pair));
+            });
+            keyed.sort_unstable_by_key(|&(key, _)| key);
+            keyed
+        });
+        kept = lists.iter().map(Vec::len).sum();
+        let mut heads = vec![0; lists.len()];
+        let mut next = heads.clone();
+        while let Some(key) = lists
+            .iter()
+            .zip(&heads)
+            .filter_map(|(list, &at)| list.get(at).map(|&(key, _)| key))
+            .min()
+        {
+            for ((list, &at), end) in lists.iter().zip(&heads).zip(&mut next) {
+                *end = at + list[at..].iter().take_while(|e| e.0 == key).count();
+            }
+            let group = lists.iter().zip(heads.iter().zip(&next));
+            let pairs = group.flat_map(|(list, (&at, &end))| list[at..end].iter().map(|e| e.1));
+            if sweep.add(key, pairs) {
                 break;
             }
+            heads.copy_from_slice(&next);
         }
     }
     let saturated = sweep.tally.top_sum() == sweep.full;
     (sweep.steps, kept, saturated)
 }
 
-/// Calls `keep(d, i << 16 | j)` for each pair `i ≤ j` of the `n` sites
-/// whose distance `d` is at most `cut`, each site's pair with itself
-/// included. A NaN distance (from a coordinate that is not finite) lies in
-/// no ball and is never kept.
-fn for_each_kept_pair(columns: &[Vec<f64>], n: usize, cut: f64, mut keep: impl FnMut(f64, u32)) {
-    let cut_sq = cut * cut;
-    let mut row = vec![0.0f64; n];
-    for i in 0..n {
-        let row = &mut row[i..];
-        for (k, column) in columns.iter().enumerate() {
-            let a = column[i];
-            for (sum, &b) in row.iter_mut().zip(&column[i..]) {
-                let d = a - b;
-                *sum = if k == 0 { d * d } else { *sum + d * d };
-            }
-        }
-        let pair = (i as u32) << 16;
-        for (j, &sum) in (i as u32..).zip(row.iter()) {
-            // A conservative test on the square (the tolerance dwarfs the
-            // square root's rounding), then the exact one on the distance.
-            if !tol::within_radius_sq(sum, cut_sq) {
-                continue;
-            }
-            let d = sum.sqrt();
-            if d > cut {
-                continue;
-            }
-            keep(d, pair | j);
-        }
-    }
-}
-
 /// The first quarter index whose ball holds `d`, for a `d` within
-/// `T(top)`. Starts from the estimate `⌊4d/ℓ⌋` (`per_unit` is `4/ℓ`), which
-/// is that index or the one before it except within rounding of a quarter
-/// radius or on grids finer than the tolerance.
+/// `T(top)`, on a grid too fine for a table of thresholds. Starts from the
+/// estimate `⌊4d/ℓ⌋` (`per_unit` is `4/ℓ`).
 fn quarter_key(domain: &GridDomain, per_unit: f64, d: f64, top: u64) -> u64 {
     let estimate = ((d * per_unit) as u64).min(top);
     first_holding(
@@ -404,7 +573,7 @@ trait Tally {
     fn points(&self) -> usize;
 }
 
-impl Tally for TopCounts {
+impl Tally for LayerCounts {
     fn pair(&mut self, a: usize, b: usize) {
         self.increment(a);
         if b != a {
@@ -461,45 +630,72 @@ impl<T: Tally> Sweep<T> {
     }
 }
 
-/// The cut's `r*`: twice the least distance from a probed site (every
-/// [`PROBE_STRIDE`]-th, and the heaviest when weighted) to its
-/// `min(cap, n)`-th nearest point, itself included, widened by `1 + 1e-9`
-/// for rounding; `+∞` without sites.
-fn saturation_radius(columns: &[Vec<f64>], n: usize, weights: Option<&[usize]>, cap: usize) -> f64 {
-    let points = weights.map_or(n, |w| w.iter().sum());
-    let nearest = cap.min(points);
+/// The cut's `r*`: the `min(cap, n)`-th smallest reach `u(y) = min_p
+/// (ρ_m(p) + d(p, y))` over the slab sites `y`, counted by weight, with
+/// `p` over every [`PROBE_STRIDE`]-th slab site and the heaviest when
+/// weighted, widened by `1 + 1e-9` for rounding; `+∞` without sites. The
+/// probes are split over up to `workers` threads, and their reaches merged
+/// by `min`.
+fn saturation_radius(slab: &Slab, cap: usize, workers: usize) -> f64 {
+    let n = slab.len;
+    let nearest = cap.min(slab.points());
+    if nearest == 0 {
+        return f64::INFINITY;
+    }
+    let weights = slab.weights.as_deref();
     let heaviest = weights.and_then(|w| (0..n).max_by_key(|&i| w[i]));
-    let mut sums = vec![0.0f64; n];
-    let mut by_distance: Vec<(f64, usize)> = Vec::new();
-    let mut least = f64::INFINITY;
-    for i in (0..n).step_by(PROBE_STRIDE).chain(heaviest) {
-        for (k, column) in columns.iter().enumerate() {
-            let a = column[i];
-            for (sum, &b) in sums.iter_mut().zip(column) {
-                let d = a - b;
-                *sum = if k == 0 { d * d } else { *sum + d * d };
+    let probes: Vec<usize> = (0..n).step_by(PROBE_STRIDE).chain(heaviest).collect();
+    let workers = split(workers, probes.len() * n);
+    let reaches = on_workers(workers, |worker| {
+        let mut sums = vec![0.0f64; n];
+        let mut reach = vec![f64::INFINITY; n];
+        for &p in probes.iter().skip(worker).step_by(workers) {
+            slab.squared_distances(p, 0..n, &mut sums);
+            let own = order_statistic(&sums, weights, nearest).sqrt();
+            for (u, &sum) in reach.iter_mut().zip(&sums) {
+                *u = u.min(own + sum.sqrt());
             }
         }
-        let sum = match weights {
-            None => *sums.select_nth_unstable_by(nearest - 1, f64::total_cmp).1,
-            Some(weights) => {
-                // The weight taken in distance order first reaches `nearest`.
-                by_distance.clear();
-                by_distance.extend(sums.iter().copied().zip(weights.iter().copied()));
-                by_distance.sort_unstable_by(|a, b| a.0.total_cmp(&b.0));
-                let mut within = 0;
-                by_distance
-                    .iter()
-                    .find(|&&(_, w)| {
-                        within += w;
-                        within >= nearest
-                    })
-                    .map_or(f64::INFINITY, |&(sum, _)| sum)
-            }
-        };
-        least = least.min(sum);
+        reach
+    });
+    let mut reach = vec![f64::INFINITY; n];
+    for worker in &reaches {
+        for (u, &v) in reach.iter_mut().zip(worker) {
+            *u = u.min(v);
+        }
     }
-    2.0 * least.sqrt() * (1.0 + 1e-9)
+    order_statistic(&reach, weights, nearest) * (1.0 + 1e-9)
+}
+
+/// The `m`-th smallest of `values` (`1 ≤ m ≤` their total weight), each
+/// taken `weights[i]` times (once without weights): where the weight taken
+/// in ascending order first reaches `m`.
+fn order_statistic(values: &[f64], weights: Option<&[usize]>, m: usize) -> f64 {
+    match weights {
+        // The values are squared distances or reaches `ρ_m(p) + d(p, y)`,
+        // never NaN or negative (not even `-0.0`: a difference of equal
+        // coordinates is `+0.0`), and such floats order as their bits.
+        None => {
+            let mut bits: Vec<u64> = values.iter().map(|v| v.to_bits()).collect();
+            f64::from_bits(*bits.select_nth_unstable(m - 1).1)
+        }
+        Some(weights) => {
+            let mut by_value: Vec<(f64, usize)> = values
+                .iter()
+                .copied()
+                .zip(weights.iter().copied())
+                .collect();
+            by_value.sort_unstable_by(|a, b| a.0.total_cmp(&b.0));
+            let mut within = 0;
+            by_value
+                .iter()
+                .find(|&&(_, w)| {
+                    within += w;
+                    within >= m
+                })
+                .map_or(f64::INFINITY, |&(value, _)| value)
+        }
+    }
 }
 
 #[cfg(test)]
@@ -671,7 +867,7 @@ pub(crate) mod tests {
             let grid = exact.grid_profile(cap, &domain);
             assert_ball_count_at(&grid, &BallCounter::new(&data, cap), &domain, 0..=last_quarter(&domain));
             assert_segments_hold(&grid, &domain);
-            let unit = count_pairs(data.points(), Some(&vec![1; n]), cap, &domain).0;
+            let unit = count_pairs(data.points(), Some(&vec![1; n]), cap, &domain, 1).0;
             proptest::prop_assert_eq!(&unit, &*grid);
             let projected = ProjectedBackend::build(&data, ProjectedConfig {
                 max_buckets: Some(max_buckets),
@@ -702,17 +898,14 @@ pub(crate) mod tests {
                 let data = Dataset::from_rows(rows).unwrap();
                 let domain = GridDomain::unit_cube(dim, size).unwrap();
                 let cap = rng.gen_range(n / 2..=n + 4);
-                let columns: Vec<Vec<f64>> = (0..dim)
-                    .map(|k| data.iter().map(|p| p.coords()[k]).collect())
-                    .collect();
-                let r_star = saturation_radius(&columns, n, None, cap);
+                let r_star = saturation_radius(&Slab::new(data.points(), None), cap, 1);
                 let top = first_quarter_within(&domain, r_star, 0, last_quarter(&domain));
                 assert!(
                     top.is_none_or(|top| top >= SMALL_TABLE),
                     "{top:?}: the dense path"
                 );
                 let bc = BallCounter::new(&data, cap);
-                let (grid, _) = count_pairs(data.points(), None, cap, &domain);
+                let (grid, _) = count_pairs(data.points(), None, cap, &domain, 1);
                 assert_ball_count_at(&grid, &bc, &domain, pinning_quarters(&grid, &domain));
             }
         }
@@ -737,7 +930,7 @@ pub(crate) mod tests {
                 let data = Dataset::from_rows(rows).unwrap();
                 for cap in 1..=6 {
                     let bc = BallCounter::new(&data, cap);
-                    let (grid, _) = count_pairs(data.points(), None, cap, &domain);
+                    let (grid, _) = count_pairs(data.points(), None, cap, &domain, 1);
                     let around =
                         (j.saturating_sub(2)..=j + 2).chain(pinning_quarters(&grid, &domain));
                     assert_ball_count_at(&grid, &bc, &domain, around);
@@ -762,7 +955,7 @@ pub(crate) mod tests {
         let points: Vec<Point> = rows.iter().map(|row| Point::new(row.to_vec())).collect();
         let domain = GridDomain::unit_cube(2, 5).unwrap();
         for cap in 1..=8 {
-            let (grid, _) = count_pairs(&points, None, cap, &domain);
+            let (grid, _) = count_pairs(&points, None, cap, &domain, 1);
             for q in 0..=last_quarter(&domain) {
                 let r = quarter_radius(&domain, q);
                 let ball = |x: &Point| {
@@ -841,7 +1034,7 @@ pub(crate) mod tests {
     fn empty_data_reads_zero_with_one_segment() {
         let domain = GridDomain::unit_cube(1, 9).unwrap();
         for weights in [None, Some(&[][..])] {
-            let (counted, kept) = count_pairs(&[], weights, 3, &domain);
+            let (counted, kept) = count_pairs(&[], weights, 3, &domain, 1);
             assert_eq!(kept, 0);
             assert_eq!(counted.value(0), 0.0);
             assert_eq!(counted.segment_starts(), &[0]);
@@ -862,12 +1055,12 @@ pub(crate) mod tests {
         let cap = 200;
         let mut weights = vec![3; sites.len()];
         weights[23] = cap;
-        let (grid, kept) = count_pairs(&sites, Some(&weights), cap, &domain);
+        let (grid, kept) = count_pairs(&sites, Some(&weights), cap, &domain, 1);
         assert_eq!(kept, sites.len());
         assert_eq!(grid.value(0), cap as f64);
         assert_eq!(grid.segment_starts(), &[0]);
         weights[23] = cap - 1;
-        let (grid, kept) = count_pairs(&sites, Some(&weights), cap, &domain);
+        let (grid, kept) = count_pairs(&sites, Some(&weights), cap, &domain, 1);
         assert!(kept > sites.len(), "kept {kept}");
         let quarters = pinning_quarters(&grid, &domain);
         for q in quarters {
@@ -877,16 +1070,10 @@ pub(crate) mod tests {
         }
     }
 
-    /// The cut applies where it should: on 1,000 off-grid points with a
-    /// third of them in a disc of radius 0.08 and cap 200, the counting
-    /// pass keeps under a quarter of the pairs, and its profile is the ball
-    /// count.
-    #[test]
-    fn the_cut_keeps_a_planted_clusters_pairs_only() {
-        let mut rng = StdRng::seed_from_u64(21);
-        let domain = GridDomain::unit_cube(2, 1025).unwrap();
-        let n = 1000;
-        let rows: Vec<Vec<f64>> = (0..n)
+    /// `n` off-grid points in the unit square, a third of them uniform in
+    /// a disc of radius 0.08 around (0.4, 0.6) and the rest uniform.
+    fn planted_disc(n: usize, rng: &mut StdRng) -> Vec<Vec<f64>> {
+        (0..n)
             .map(|i| {
                 if i < n / 3 {
                     let (angle, radius) =
@@ -897,12 +1084,72 @@ pub(crate) mod tests {
                     vec![rng.gen::<f64>(), rng.gen::<f64>()]
                 }
             })
-            .collect();
-        let data = Dataset::from_rows(rows).unwrap();
+            .collect()
+    }
+
+    /// The cut applies where it should: on 1,000 off-grid points with a
+    /// third of them in a disc of radius 0.08 and cap 200, the counting
+    /// pass keeps under an eighth of the pairs (51,134 of 500,500; the cut
+    /// at `2·min_p ρ_m(p)` kept 72,485), and its profile is the ball count.
+    #[test]
+    fn the_cut_keeps_a_planted_clusters_pairs_only() {
+        let mut rng = StdRng::seed_from_u64(21);
+        let domain = GridDomain::unit_cube(2, 1025).unwrap();
+        let n = 1000;
+        let data = Dataset::from_rows(planted_disc(n, &mut rng)).unwrap();
         let pairs = n * (n + 1) / 2;
-        let (counted, kept) = count_pairs(data.points(), None, 200, &domain);
-        assert!(kept < pairs / 4, "kept {kept} of {pairs} pairs");
+        let (counted, kept) = count_pairs(data.points(), None, 200, &domain, 1);
+        assert!(kept < pairs / 8, "kept {kept} of {pairs} pairs");
         let bc = BallCounter::new(&data, 200);
         assert_ball_count_at(&counted, &bc, &domain, pinning_quarters(&counted, &domain));
+    }
+
+    /// Past the worker split: 1,000–1,200 rows of three kinds (off-grid
+    /// with a third in a small disc; on-grid with many repeated points;
+    /// off-grid with a few rows holding NaN or ±∞), at caps from 1 to
+    /// `n/2`, and past `n` on the grid. The profile on one worker is the
+    /// profile on two, and both are the ball count at every pinning
+    /// quarter. Each kind keeps more than two workers' worth of pairs at
+    /// cap `n/2`, so the build does split. (Past `n` the off-grid profiles
+    /// step at about ten thousand quarters, each a ball count of its own:
+    /// seconds in a debug build, so only the on-grid rows take that cap.)
+    #[test]
+    fn large_inputs_count_the_same_on_one_worker_and_two() {
+        let mut rng = StdRng::seed_from_u64(32);
+        let domain = GridDomain::unit_cube(2, 1025).unwrap();
+        for kind in 0..3 {
+            let n = rng.gen_range(1000..=1200);
+            let mut rows = planted_disc(n, &mut rng);
+            for row in &mut rows {
+                match kind {
+                    // 24 × 24 grid points around (0.3, 0.3): about three
+                    // rows per point.
+                    1 => {
+                        for c in row.iter_mut() {
+                            *c = (300 + rng.gen_range(0..24)) as f64 / 1024.0;
+                        }
+                    }
+                    2 if rng.gen::<f64>() < 0.05 => {
+                        let odd = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
+                        row[rng.gen_range(0..2)] = odd[rng.gen_range(0..3)];
+                    }
+                    _ => {}
+                }
+            }
+            let data = Dataset::from_rows(rows).unwrap();
+            let mut bc = BallCounter::new(&data, 1);
+            let past_n = (kind == 1).then_some(n + 7);
+            for cap in [1, 50, n / 4, n / 2].into_iter().chain(past_n) {
+                let (one, kept) = count_pairs(data.points(), None, cap, &domain, 1);
+                let (two, kept_two) = count_pairs(data.points(), None, cap, &domain, 2);
+                assert_eq!(one, two, "kind {kind}, cap {cap}");
+                assert_eq!(kept, kept_two, "kind {kind}, cap {cap}");
+                if cap == n / 2 {
+                    assert!(kept >= 2 * SPLIT_PAIRS, "kind {kind}: kept {kept}");
+                }
+                bc = bc.with_cap(cap);
+                assert_ball_count_at(&one, &bc, &domain, pinning_quarters(&one, &domain));
+            }
+        }
     }
 }

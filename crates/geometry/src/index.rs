@@ -11,12 +11,22 @@
 //! behind an `Arc` at registration time and serve every later query from
 //! its cached profiles.
 //!
+//! A build is [`grid_profile`]'s counting pass: it takes the radius past
+//! which `L` cannot change from every 16th point, computes a pair's
+//! distance only when the two points' first coordinates lie within that
+//! radius, keys the pairs within it from a table of the quarter radii's
+//! thresholds, and sweeps them with a layer tally of the counts, `O(1)` a
+//! pair. Past a pair count that pays for the spawn it splits its rows
+//! over the [`GeometryIndex::with_workers`] threads, and its profile is
+//! bit-identical at any thread count.
+//!
 //! Memory: the index holds the `n` points and its cached profiles. Each
 //! cached grid profile holds at most one entry per grid radius and per
 //! pair, `O(min(G, n²))` for `G` grid radii, and building one briefly
-//! holds 12 bytes per pair it keeps, the pairs within the radius where `L`
-//! saturates (16 on grids far finer than the data; see [`grid_profile`]).
-//! The index takes at most
+//! holds 12 bytes per pair it keeps, the pairs within that radius (16 on
+//! grids far finer than the data), beside 8 bytes per quarter index up to
+//! it for the threshold table and 4 per index and thread for the key
+//! counts. The index takes at most
 //! [`MAX_EXACT_POINTS`](crate::grid_profile::MAX_EXACT_POINTS) points
 //! (65,536), the most a profile build packs into its 32-bit pairs. At most
 //! [`MAX_CACHED_PROFILES`] profiles are retained (the cap `t` is
@@ -49,6 +59,8 @@ pub const MAX_CACHED_PROFILES: usize = 8;
 #[derive(Debug)]
 pub struct GeometryIndex {
     dm: DistanceMatrix,
+    /// The threads a profile build may split over.
+    workers: usize,
     /// Lazily-built grid profiles, bounded by [`MAX_CACHED_PROFILES`] (LRU
     /// eviction).
     profiles: Mutex<ProfileCache>,
@@ -125,6 +137,7 @@ impl ProfileCache {
 
 impl GeometryIndex {
     /// Builds the index for `data` in `O(n d)`: a copy of its points.
+    /// Its profiles build on one thread; see [`GeometryIndex::with_workers`].
     pub fn build(data: &Dataset) -> Self {
         Self::from_matrix(DistanceMatrix::build(data))
     }
@@ -134,8 +147,19 @@ impl GeometryIndex {
     pub fn from_matrix(dm: DistanceMatrix) -> Self {
         GeometryIndex {
             dm,
+            workers: 1,
             profiles: Mutex::new(ProfileCache::default()),
         }
+    }
+
+    /// The index with its profile builds split over up to `workers`
+    /// threads (the engine passes its pool size), and so do the indexes
+    /// [`GeometryBackend::rebuild_for`] builds from it. A build splits only
+    /// past a pair count that pays for the spawn, and its profile is
+    /// bit-identical at any worker count.
+    pub fn with_workers(mut self, workers: usize) -> Self {
+        self.workers = workers.max(1);
+        self
     }
 
     /// Number of indexed points.
@@ -164,7 +188,7 @@ impl GeometryIndex {
     /// [`MAX_EXACT_POINTS`](crate::grid_profile::MAX_EXACT_POINTS) points.
     pub fn grid_profile(&self, cap: usize, domain: &GridDomain) -> Arc<GridProfile> {
         ProfileCache::get_or_build(&self.profiles, cap, domain, || {
-            grid_profile::count_pairs(self.dm.points(), None, cap, domain).0
+            grid_profile::count_pairs(self.dm.points(), None, cap, domain, self.workers).0
         })
     }
 
@@ -197,7 +221,7 @@ impl GeometryBackend for GeometryIndex {
     }
 
     fn rebuild_for(&self, data: &Dataset) -> Arc<dyn GeometryBackend> {
-        Arc::new(GeometryIndex::build(data))
+        Arc::new(GeometryIndex::build(data).with_workers(self.workers))
     }
 }
 

@@ -136,8 +136,8 @@ proof as the reason.",
         scope: "library code of every crate; acquisitions are `geometry::sync` \
 `lock_recover`/`read_recover`/`write_recover` calls and bare `.lock()` on a path receiver",
         motivation: "The engine holds multiple guards at once on its hot path \
-(registration serial → pending → cache → accountant → journal), and ROADMAP \
-item 2 (sharded admission) will multiply the lock surface. Two functions that \
+(registration serial → pending → cache → accountant → journal), and sharded \
+admission repeats that lock surface on every shard. Two functions that \
 acquire the same pair of locks in opposite orders deadlock only under \
 contention — the kind of bug that passes every single-threaded test and kills \
 the service in production. The analysis builds the workspace lock graph \
