@@ -30,9 +30,12 @@
 //!   budget `B = O(√n)`, and every query is answered from the buckets'
 //!   **weighted sites**: each representative's projected coordinates,
 //!   weighted by its bucket's occupancy. Build cost is `O(n·d·k)` time for
-//!   the projection (none when it is the identity) and `O(n·k)` per
-//!   candidate cell width, and it keeps `O(n + B)`: a bucket id per point
-//!   and `B` sites, no `B²` samples. It never builds a `DistanceMatrix`
+//!   the projection (none when it is the identity) and one `O(n·k)` pass
+//!   over the points' cells (`partition::CellIds`) for each candidate cell
+//!   width that the points' bounding box cannot settle, plus one for the
+//!   accepted width's buckets if its cells were not counted on the way. It
+//!   keeps `O(n + B)`: a bucket id per point and `B` sites, no `B²`
+//!   samples. It never builds a `DistanceMatrix`
 //!   (pinned by `distance::debug_build_count` in tests). Its grid
 //!   profile is the weighted ball count over the sites at each quarter
 //!   radius, one `O(B²·k)` pass ([`crate::grid_profile`]).
@@ -84,13 +87,12 @@ use crate::domain::GridDomain;
 use crate::grid_profile::{self, GridProfile, MAX_EXACT_POINTS};
 use crate::index::ProfileCache;
 use crate::jl::JlTransform;
-use crate::partition::BoxPartition;
+use crate::partition::{BoxPartition, CellIds};
 use crate::point::Point;
 use crate::tol;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::borrow::Cow;
-use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
 /// Which implementation serves a dataset's geometry queries.
@@ -239,8 +241,10 @@ impl ProjectedBackend {
             .target_dim
             .unwrap_or_else(|| JlTransform::backend_target_dim(n, d))
             .clamp(1, d);
-        // The identity embedding moves no coordinate (it could only flip
-        // the sign of a zero), so it borrows the dataset's points.
+        // The identity embedding borrows the dataset's points. Projecting
+        // through it would add `0·x` terms, which turn one NaN or ±∞
+        // coordinate into a row of NaN; borrowing keeps a non-finite
+        // coordinate on its own axis.
         let projected: Cow<[Point]> = if k >= d {
             Cow::Borrowed(data.points())
         } else {
@@ -255,25 +259,14 @@ impl ProjectedBackend {
             .max_buckets
             .unwrap_or_else(|| default_max_buckets(n))
             .clamp(1, MAX_EXACT_POINTS);
-        let (partition, cell_width) = choose_partition(&projected, k, max_buckets, &mut rng);
+        let (cell_width, cells) = choose_partition(&projected, k, max_buckets, &mut rng);
 
-        // Bucket in input order: bucket ids, representatives (= the first
-        // member seen, hence an input point) and occupancies are all
-        // independent of any thread schedule.
-        let cells = partition.cells_of(&projected);
-        let mut cell_to_bucket: HashMap<&[i64], u32> = HashMap::new();
-        let mut bucket_of: Vec<u32> = Vec::with_capacity(n);
-        let mut reps: Vec<usize> = Vec::new();
-        let mut weights: Vec<usize> = Vec::new();
-        for (i, cell) in cells.chunks_exact(k).enumerate() {
-            let id = *cell_to_bucket.entry(cell).or_insert_with(|| {
-                reps.push(i);
-                weights.push(0);
-                (reps.len() - 1) as u32
-            });
-            weights[id as usize] += 1;
-            bucket_of.push(id);
-        }
+        // The buckets are the accepted partition's cells, numbered in input
+        // order: bucket ids, representatives (each cell's first point, hence
+        // an input point) and occupancies are all independent of any thread
+        // schedule.
+        let weights = cells.occupancies();
+        let (bucket_of, reps) = cells.into_ids_and_firsts();
 
         // Realised displacement: how far any point sits from its bucket's
         // representative (projected space). This, not the a-priori
@@ -416,46 +409,74 @@ fn default_max_buckets(n: usize) -> usize {
 }
 
 /// Picks the finest shifted cube partition whose occupied-cell count stays
-/// within `max_buckets`: start at twice the projected extent (a handful of
-/// cells), coarsen if even that overflows, then repeatedly halve the width
-/// while the budget holds. Each candidate draws fresh per-axis shifts from
-/// the deterministic stream, so the choice is reproducible. A refining
-/// candidate's count stops once past the budget; the others are counted in
-/// full, since the refining loop compares them with `n`.
+/// within `max_buckets`, and returns its width and its numbered cells: start
+/// at twice the projected extent (a handful of cells), coarsen if even that
+/// overflows, then repeatedly halve the width while the budget holds. Each
+/// candidate draws fresh per-axis shifts from the deterministic stream, so
+/// the choice is reproducible. A refining candidate's count stops once past
+/// the budget; the others are counted in full, since the refining loop
+/// compares them with `n`.
+///
+/// The loops test a count only against `max_buckets` and `n`. A candidate
+/// whose cells within the points' bounding box number at most
+/// `min(max_buckets, n − 1)` ([`box_cell_bound`]) passes both tests, so it
+/// is not counted; the accepted width is numbered once at the end if its
+/// cells were not counted on the way.
 fn choose_partition(
     projected: &[Point],
     kdim: usize,
     max_buckets: usize,
     rng: &mut StdRng,
-) -> (BoxPartition, f64) {
+) -> (f64, CellIds) {
+    let n = projected.len();
+    // Finite gaps only: at every width a ±∞ coordinate lies in a saturated
+    // cell of its own and a NaN one in cell 0.
     let extent = projected
         .iter()
-        .map(|p| {
+        .flat_map(|p| {
             p.coords()
                 .iter()
                 .zip(projected[0].coords())
                 .map(|(a, b)| (a - b).abs())
-                .fold(0.0f64, f64::max)
         })
+        .filter(|gap| gap.is_finite())
         .fold(0.0f64, f64::max);
-    if projected.len() <= 1 || extent <= 0.0 {
-        // Zero, one, or all-identical points: a single cell of any width.
+    let mut accepted = CellIds::default();
+    if n <= 1 || extent <= 0.0 {
+        // Zero or one point, or no finite gap between them: one cell of any
+        // width holds every finite point.
         let partition = BoxPartition::aligned_cubes(kdim, 1.0).expect("positive width");
-        return (partition, 1.0);
+        accepted.number(&partition, projected, n);
+        return (1.0, accepted);
     }
-    let mut width = extent * 2.0;
+    let bounds = finite_bounds(projected, kdim);
+    let settled = max_buckets.min(n - 1);
+    // A candidate's occupied-cell count, or its box bound when that is at
+    // most `settled`; and whether `into` now holds the candidate's cells.
+    let count = |partition: &BoxPartition, limit: usize, into: &mut CellIds| {
+        if let Some((lower, upper)) = &bounds {
+            let bound = box_cell_bound(partition, lower, upper);
+            if bound <= settled {
+                return (bound, false);
+            }
+        }
+        (into.number(partition, projected, limit), true)
+    };
+
+    // The width never passes `f64::MAX`: a finite gap may exceed half of it.
+    let mut width = (extent * 2.0).min(f64::MAX);
     let mut partition =
         BoxPartition::random_cubes(kdim, width, rng).expect("positive finite width");
-    let n = projected.len();
-    let mut occupied = partition.occupied_cell_count(projected, n);
+    let (mut occupied, mut numbered) = count(&partition, n, &mut accepted);
     for _ in 0..64 {
-        if occupied <= max_buckets {
+        if occupied <= max_buckets || width > f64::MAX / 2.0 {
             break;
         }
         width *= 2.0;
         partition = BoxPartition::random_cubes(kdim, width, rng).expect("positive finite width");
-        occupied = partition.occupied_cell_count(projected, n);
+        (occupied, numbered) = count(&partition, n, &mut accepted);
     }
+    let mut trial = CellIds::default();
     while occupied < n {
         let next = width / 2.0;
         // Never refine below a data-relative floor: once cells are ~1e-12
@@ -465,15 +486,51 @@ fn choose_partition(
             break;
         }
         let candidate = BoxPartition::random_cubes(kdim, next, rng).expect("positive finite width");
-        let occ = candidate.occupied_cell_count(projected, max_buckets);
+        let (occ, counted) = count(&candidate, max_buckets, &mut trial);
         if occ > max_buckets {
             break;
         }
-        width = next;
-        partition = candidate;
-        occupied = occ;
+        (width, partition, occupied, numbered) = (next, candidate, occ, counted);
+        std::mem::swap(&mut accepted, &mut trial);
     }
-    (partition, width)
+    if !numbered {
+        accepted.number(&partition, projected, n);
+    }
+    (width, accepted)
+}
+
+/// Each axis's least and greatest coordinate over `points`, or `None` if a
+/// coordinate is not finite: a NaN lies in cell 0 and a ±∞ in a saturated
+/// cell, either of which can lie outside the finite coordinates' box.
+fn finite_bounds(points: &[Point], kdim: usize) -> Option<(Vec<f64>, Vec<f64>)> {
+    let mut lower = vec![f64::INFINITY; kdim];
+    let mut upper = vec![f64::NEG_INFINITY; kdim];
+    for p in points {
+        for ((lo, hi), &x) in lower.iter_mut().zip(&mut upper).zip(p.coords()) {
+            if !x.is_finite() {
+                return None;
+            }
+            *lo = lo.min(x);
+            *hi = hi.max(x);
+        }
+    }
+    Some((lower, upper))
+}
+
+/// How many cells of `partition` the box `[lower, upper]` meets, saturated:
+/// `Π_a (cell_a(upper_a) − cell_a(lower_a) + 1)`. Every point of the box
+/// lies in one of them, because `fl((x − s)/w)` and the floor are both
+/// monotone in `x`, so no more cells than this are occupied.
+fn box_cell_bound(partition: &BoxPartition, lower: &[f64], upper: &[f64]) -> usize {
+    let mut cells = 1usize;
+    for (axis, (&lo, &hi)) in partition.axes().iter().zip(lower.iter().zip(upper)) {
+        // `hi`'s cell is at least `lo`'s, so the wrapped difference is their
+        // exact distance.
+        let span = axis.cell_index(hi).wrapping_sub(axis.cell_index(lo)) as u64;
+        let span = usize::try_from(span).unwrap_or(usize::MAX);
+        cells = cells.saturating_mul(span.saturating_add(1));
+    }
+    cells
 }
 
 #[cfg(test)]
@@ -485,7 +542,7 @@ pub(crate) mod tests {
     use crate::sync::lock_recover;
     use proptest::prelude::{prop, Strategy};
     use rand::Rng;
-    use std::collections::HashSet;
+    use std::collections::{HashMap, HashSet};
 
     impl ProjectedBackend {
         /// How many grid profiles are cached.
@@ -812,12 +869,45 @@ pub(crate) mod tests {
             assert!(backend.bucket_count() <= data.len());
         }
     }
-    /// What the build chose before it keyed cells into one flat buffer: the
-    /// JL transform applied even when it is the identity, each point keyed
-    /// by its own `cell_of` vector, every candidate width's occupied cells
-    /// counted in full, and buckets found in a `HashMap<Vec<i64>, u32>`.
-    /// Returns the cell width, bucket ids, representatives, weights and
-    /// displacement.
+    #[test]
+    fn coordinates_at_and_near_infinity_build_and_profile() {
+        // A ±∞ coordinate gives no finite gap and lies in a saturated cell
+        // of its own; a finite one near `f64::MAX` is more than half of
+        // `f64`'s range from the others, so twice the extent overflows. The
+        // weighted pass keeps no pair for a non-finite site.
+        let domain = GridDomain::unit_cube(2, 1 << 10).unwrap();
+        let cases = [
+            (5, f64::INFINITY),
+            (0, f64::NEG_INFINITY),
+            (9, 1e308),
+            (3, -f64::MAX),
+        ];
+        for (row, value) in cases {
+            let mut rows: Vec<Vec<f64>> =
+                clustered(20).iter().map(|p| p.coords().to_vec()).collect();
+            rows[row][0] = value;
+            let data = Dataset::from_rows(rows).unwrap();
+            let backend = ProjectedBackend::build_default(&data);
+            assert_eq!(backend.weights.iter().sum::<usize>(), 20);
+            assert_eq!(
+                backend.weights[backend.bucket_of[row] as usize], 1,
+                "row {row} at {value}"
+            );
+            assert!(backend.cell_width().is_finite() && backend.cell_width() > 0.0);
+            let profile = backend.grid_profile(5, &domain);
+            let quarters = pinning_quarters(&profile, &domain)
+                .into_iter()
+                .chain([0, 1, 40]);
+            assert_weighted_ball_count_at(&profile, &backend, 5, &domain, quarters);
+        }
+    }
+
+    /// What the build chose before it numbered cells in one pass: each
+    /// point keyed by its own cell vector, floored through libm, every
+    /// candidate width's occupied cells counted in full, and buckets found
+    /// in a `HashMap<Vec<i64>, u32>`. The identity projection borrows the
+    /// points, as the build does. Returns the cell width, bucket ids,
+    /// representatives, weights and displacement.
     fn per_point_buckets(
         data: &Dataset,
         config: ProjectedConfig,
@@ -829,18 +919,24 @@ pub(crate) mod tests {
             .target_dim
             .unwrap_or_else(|| JlTransform::backend_target_dim(n, d))
             .clamp(1, d);
-        let transform = if k >= d {
-            JlTransform::identity(d)
+        let projected: Vec<Point> = if k >= d {
+            data.points().to_vec()
         } else {
-            JlTransform::sample(d, k, &mut rng).unwrap()
+            let transform = JlTransform::sample(d, k, &mut rng).unwrap();
+            data.iter().map(|p| transform.project(p).unwrap()).collect()
         };
-        let projected: Vec<Point> = data.iter().map(|p| transform.project(p).unwrap()).collect();
+        let cell_of = |partition: &BoxPartition, p: &Point| -> Vec<i64> {
+            let axes = partition.axes().iter().zip(p.coords());
+            axes.map(|(axis, &x)| ((x - axis.shift()) / axis.width()).floor() as i64)
+                .collect()
+        };
         let max_buckets = config
             .max_buckets
             .unwrap_or_else(|| default_max_buckets(n))
             .max(1);
         let occupied = |partition: &BoxPartition| {
-            let cells: HashSet<Vec<i64>> = projected.iter().map(|p| partition.cell_of(p)).collect();
+            let cells: HashSet<Vec<i64>> =
+                projected.iter().map(|p| cell_of(partition, p)).collect();
             cells.len()
         };
         let extent = projected
@@ -885,7 +981,7 @@ pub(crate) mod tests {
         let (mut bucket_of, mut reps, mut weights) = (Vec::new(), Vec::new(), Vec::new());
         for (i, p) in projected.iter().enumerate() {
             let id = *cell_to_bucket
-                .entry(partition.cell_of(p))
+                .entry(cell_of(&partition, p))
                 .or_insert_with(|| {
                     reps.push(i);
                     weights.push(0);
@@ -902,21 +998,32 @@ pub(crate) mod tests {
 
     /// Up to 60 rows in 1, 2, 3 or 24 dimensions (24 makes the JL
     /// projection fire below n = 18), on a 1/8 grid, anywhere in the unit
-    /// cube, or copies of earlier rows; with a bucket budget of 1 to 3
-    /// (the coarsening loop runs whenever the first width splits the
-    /// data), at least `n`, or anything up to 64.
+    /// cube, copies of earlier rows, or holding one NaN coordinate, all
+    /// moved by 0, +10 or −7.5 (a NaN lies in cell 0, then outside the
+    /// finite points' box); with a bucket budget of 1 to 3 (the coarsening
+    /// loop runs whenever the first width splits the data), at least `n`,
+    /// or anything up to 64.
     fn data_and_budget() -> impl Strategy<Value = (Dataset, usize)> {
         let dims = (0usize..4).prop_map(|i| [1, 2, 3, 24][i]);
-        (dims, 1usize..60).prop_flat_map(|(dim, n)| {
-            let row = (0u8..3, prop::collection::vec(0.0f64..1.0, dim), 0usize..64);
+        let offsets = (0usize..3).prop_map(|i| [0.0, 10.0, -7.5][i]);
+        (dims, 1usize..60, offsets).prop_flat_map(|(dim, n, offset)| {
+            let row = (0u8..4, prop::collection::vec(0.0f64..1.0, dim), 0usize..64);
             let budget = (0u8..3, 1usize..64);
             (prop::collection::vec(row, n), budget).prop_map(move |(specs, (kind, b))| {
                 let mut rows: Vec<Vec<f64>> = Vec::with_capacity(n);
                 for (kind, coords, copy) in specs {
                     let row = match kind {
-                        0 => coords.iter().map(|c| (c * 8.0).floor() / 8.0).collect(),
+                        0 => coords
+                            .iter()
+                            .map(|c| (c * 8.0).floor() / 8.0 + offset)
+                            .collect(),
                         1 if !rows.is_empty() => rows[copy % rows.len()].clone(),
-                        _ => coords,
+                        3 => {
+                            let mut row: Vec<f64> = coords.iter().map(|c| c + offset).collect();
+                            row[copy % dim] = f64::NAN;
+                            row
+                        }
+                        _ => coords.iter().map(|c| c + offset).collect(),
                     };
                     rows.push(row);
                 }
@@ -933,8 +1040,8 @@ pub(crate) mod tests {
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
 
-        /// The flat cell keys, the capped counts and the borrowed identity
-        /// projection choose what per-point keying chose: the same cell
+        /// The numbered cells, the capped counts and the widths the bounding
+        /// box settles choose what per-point keying chose: the same cell
         /// width, bucket ids, representatives, weights and displacement,
         /// bit for bit.
         #[test]

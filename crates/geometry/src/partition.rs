@@ -7,13 +7,21 @@
 //! deterministic zero shift). The key property, used in Lemma 4.12, is that a
 //! set of diameter `w` is contained in a single cell of a randomly shifted
 //! partition of width `W` with probability at least `1 − w/W` per axis.
+//!
+//! `CellIds` is the one pass over a partition's cells: it computes every
+//! point's cell and numbers the cells in order of first appearance. GoodCenter's
+//! histogram and heavy-box query count over its numbers, and the projected
+//! geometry backend picks its cell width and its buckets with it.
 
 use crate::box_region::AxisAlignedBox;
 use crate::dataset::Dataset;
 use crate::error::GeometryError;
 use crate::point::Point;
 use rand::Rng;
-use std::collections::{HashMap, HashSet};
+use std::collections::hash_map::RandomState;
+use std::collections::HashMap;
+use std::hash::BuildHasher;
+use std::sync::OnceLock;
 
 /// A partition of the real line into half-open intervals
 /// `[shift + j·width, shift + (j+1)·width)`, `j ∈ Z`.
@@ -60,9 +68,12 @@ impl ShiftedIntervalPartition {
         self.shift
     }
 
-    /// Index of the cell containing `x`.
+    /// Index of the cell containing `x`: `⌊(x − shift)/width⌋`, saturated at
+    /// the ends of `i64`, and 0 when `x` is NaN. It equals
+    /// `((x − shift)/width).floor() as i64` for every `x`, but calls no libm
+    /// function (`floor_to_i64`).
     pub fn cell_index(&self, x: f64) -> i64 {
-        ((x - self.shift) / self.width).floor() as i64
+        floor_to_i64((x - self.shift) / self.width)
     }
 
     /// The half-open interval `[lo, hi)` of cell `j`.
@@ -121,11 +132,6 @@ impl BoxPartition {
         &self.axes
     }
 
-    /// The integer index vector of the cell containing `p`.
-    pub fn cell_of(&self, p: &Point) -> Vec<i64> {
-        self.cells_of(std::slice::from_ref(p))
-    }
-
     /// The axis-aligned box of a cell index vector.
     pub fn cell_box(&self, index: &[i64]) -> Result<AxisAlignedBox, GeometryError> {
         if index.len() != self.dim() {
@@ -146,54 +152,191 @@ impl BoxPartition {
 
     /// Histogram of cell occupancies: maps occupied cell indices to the number
     /// of dataset points they contain. Only non-empty cells are materialized,
-    /// so the cost is `O(n k)` regardless of how many cells the partition has.
+    /// one key each, so the cost is `O(n k)` regardless of how many cells the
+    /// partition has (`CellIds`).
     pub fn histogram(&self, data: &Dataset) -> HashMap<Vec<i64>, usize> {
-        let mut hist: HashMap<Vec<i64>, usize> = HashMap::new();
-        for p in data.iter() {
-            *hist.entry(self.cell_of(p)).or_insert(0) += 1;
-        }
-        hist
-    }
-
-    /// The cell index vectors of `points`, one after another in one buffer:
-    /// point `i`'s [`BoxPartition::cell_of`] is `cells[i·k..(i + 1)·k]`.
-    pub fn cells_of(&self, points: &[Point]) -> Vec<i64> {
-        let mut cells = Vec::with_capacity(points.len() * self.dim());
-        for p in points {
-            debug_assert_eq!(p.dim(), self.dim());
-            cells.extend(
-                self.axes
-                    .iter()
-                    .zip(p.coords())
-                    .map(|(axis, &c)| axis.cell_index(c)),
-            );
-        }
+        let cells = CellIds::of(self, data.points());
         cells
-    }
-
-    /// Number of distinct occupied cells among `points`, counted up to
-    /// `limit`: once more than `limit` are seen it stops and returns
-    /// `limit + 1`. `O(n k)` with one allocation for every point's cell
-    /// indices ([`BoxPartition::cells_of`]), no dataset required. The
-    /// projected geometry backend probes candidate cell widths with this
-    /// while it searches for the finest grid whose bucket count fits its
-    /// budget.
-    pub fn occupied_cell_count(&self, points: &[Point], limit: usize) -> usize {
-        let cells = self.cells_of(points);
-        let mut seen: HashSet<&[i64]> = HashSet::new();
-        for cell in cells.chunks_exact(self.dim()) {
-            if seen.insert(cell) && seen.len() > limit {
-                break;
-            }
-        }
-        seen.len()
+            .occupancies()
+            .into_iter()
+            .enumerate()
+            .map(|(j, count)| (cells.cell(j).to_vec(), count))
+            .collect()
     }
 
     /// The occupancy of the fullest cell — GoodCenter's query
     /// `q(S) = max_j |f(S) ∩ B_j|` (step 5). Returns 0 for an empty dataset.
     pub fn max_cell_count(&self, data: &Dataset) -> usize {
-        self.histogram(data).values().copied().max().unwrap_or(0)
+        let cells = CellIds::of(self, data.points());
+        cells.occupancies().into_iter().max().unwrap_or(0)
     }
+}
+
+/// `v.floor() as i64` for every `f64` `v`, without libm: baseline x86-64
+/// has no rounding instruction, so `f64::floor` is a function call there.
+/// `v as i64` truncates toward zero, saturating at both ends and mapping NaN
+/// to 0. The truncation rounded up exactly when it lies above `v`, and the
+/// floor is then one less, saturated at `i64::MIN` (which every `v` below
+/// −2⁶³ floors to as well). Below 2⁵² in magnitude the truncation is exact
+/// as an `f64`; from 2⁵² on every `f64` is an integer.
+fn floor_to_i64(v: f64) -> i64 {
+    let t = v as i64;
+    if (t as f64) > v {
+        t.saturating_sub(1)
+    } else {
+        t
+    }
+}
+
+/// Every point's cell under a [`BoxPartition`], with the cells numbered
+/// `0, 1, …` in order of first appearance.
+///
+/// One pass over the points: each point's cell indices are looked up in an
+/// open-addressing table of cell numbers, probed linearly from a
+/// multiplicative mix of the indices ([`cell_hash`]) and compared exactly,
+/// so the numbers never depend on the hash. The mix is keyed once per
+/// process from the standard library's random hasher keys, as a `HashMap`'s
+/// SipHash is, so no input can be built in advance to collide.
+///
+/// Memory: 4 bytes per point numbered (its cell number), and per distinct
+/// cell its `k` indices, its first point and fewer than four 4-byte table
+/// slots (the table starts at 16 slots and doubles once over half full):
+/// `8·k + 24` bytes. [`CellIds::number`] reuses the buffers.
+#[derive(Debug, Default)]
+pub(crate) struct CellIds {
+    /// Point `i`'s cell number.
+    ids: Vec<u32>,
+    /// Cell number `j`'s first point.
+    firsts: Vec<usize>,
+    /// Cell number `j`'s indices: `cells[j·k..(j + 1)·k]`.
+    cells: Vec<i64>,
+    /// Cell numbers by slot, [`EMPTY`] where vacant; a power of two, at
+    /// least twice the number of cells.
+    table: Vec<u32>,
+    /// The partition's dimension `k`.
+    dim: usize,
+}
+
+/// A vacant slot of [`CellIds`]'s table.
+const EMPTY: u32 = u32::MAX;
+
+/// The table's size before the first cell.
+const MIN_SLOTS: usize = 16;
+
+impl CellIds {
+    /// Every cell of `points` under `partition`, numbered.
+    pub(crate) fn of(partition: &BoxPartition, points: &[Point]) -> Self {
+        let mut cells = CellIds::default();
+        cells.number(partition, points, usize::MAX);
+        cells
+    }
+
+    /// Numbers the cells of `points` under `partition` in order of first
+    /// appearance and returns how many there are. Once more than `limit`
+    /// appear it stops and returns `limit + 1`; only the points before the
+    /// first point of that cell then have numbers. `O(n·k)`.
+    pub(crate) fn number(
+        &mut self,
+        partition: &BoxPartition,
+        points: &[Point],
+        limit: usize,
+    ) -> usize {
+        let k = partition.dim();
+        self.dim = k;
+        self.ids.clear();
+        self.firsts.clear();
+        self.cells.clear();
+        self.table.clear();
+        self.table.resize(MIN_SLOTS, EMPTY);
+        let key = hash_key();
+        let mut cell = vec![0i64; k];
+        for (i, p) in points.iter().enumerate() {
+            debug_assert_eq!(p.dim(), k);
+            for ((index, axis), &x) in cell.iter_mut().zip(&partition.axes).zip(p.coords()) {
+                *index = axis.cell_index(x);
+            }
+            let id = match self.find(key, &cell) {
+                Ok(id) => id,
+                Err(_) if self.firsts.len() == limit => return limit + 1,
+                Err(slot) => self.insert(key, slot, i, &cell),
+            };
+            self.ids.push(id);
+        }
+        self.firsts.len()
+    }
+
+    /// The indices of cell number `j`.
+    pub(crate) fn cell(&self, j: usize) -> &[i64] {
+        &self.cells[j * self.dim..(j + 1) * self.dim]
+    }
+
+    /// Each numbered point's cell number, and each cell's first point.
+    pub(crate) fn into_ids_and_firsts(self) -> (Vec<u32>, Vec<usize>) {
+        (self.ids, self.firsts)
+    }
+
+    /// How many numbered points each cell holds, by cell number.
+    pub(crate) fn occupancies(&self) -> Vec<usize> {
+        let mut counts = vec![0usize; self.firsts.len()];
+        for &id in &self.ids {
+            counts[id as usize] += 1;
+        }
+        counts
+    }
+
+    /// The number of `cell`, or the vacant slot where it belongs. The probe
+    /// starts at the top bits of the cell's hash.
+    fn find(&self, key: u64, cell: &[i64]) -> Result<u32, usize> {
+        let mask = self.table.len() - 1;
+        let mut slot = (cell_hash(key, cell) >> (64 - self.table.len().trailing_zeros())) as usize;
+        loop {
+            match self.table[slot] {
+                EMPTY => return Err(slot),
+                id if same_cell(self.cell(id as usize), cell) => return Ok(id),
+                _ => slot = (slot + 1) & mask,
+            }
+        }
+    }
+
+    /// Gives `cell`, first seen at point `first`, the next number and puts
+    /// it in the vacant `slot`; doubles the table once it is over half full.
+    fn insert(&mut self, key: u64, slot: usize, first: usize, cell: &[i64]) -> u32 {
+        let id = u32::try_from(self.firsts.len()).expect("fewer than 2³² cells");
+        self.firsts.push(first);
+        self.cells.extend_from_slice(cell);
+        self.table[slot] = id;
+        if 2 * self.firsts.len() > self.table.len() {
+            let slots = 2 * self.table.len();
+            self.table.clear();
+            self.table.resize(slots, EMPTY);
+            for j in 0..self.firsts.len() {
+                if let Err(slot) = self.find(key, self.cell(j)) {
+                    self.table[slot] = j as u32;
+                }
+            }
+        }
+        id
+    }
+}
+
+/// A multiplicative mix of a cell's indices, started from `key`. Its last
+/// step is a multiplication, so its top bits depend on every bit of the
+/// indices.
+fn cell_hash(key: u64, cell: &[i64]) -> u64 {
+    cell.iter().fold(key, |h, &c| {
+        (h.rotate_left(5) ^ c as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15)
+    })
+}
+
+/// `a == b` for two cells of one partition, without a `memcmp` call.
+fn same_cell(a: &[i64], b: &[i64]) -> bool {
+    a.iter().zip(b).all(|(x, y)| x == y)
+}
+
+/// [`cell_hash`]'s key, drawn once per process.
+fn hash_key() -> u64 {
+    static KEY: OnceLock<u64> = OnceLock::new();
+    *KEY.get_or_init(|| RandomState::new().hash_one(0u64))
 }
 
 #[cfg(test)]
@@ -242,13 +385,62 @@ mod tests {
         assert!((rate - 0.25).abs() < 0.02, "rate = {rate}");
     }
 
+    /// Point `p`'s cell under `partition`, floored through libm.
+    fn libm_cell_of(partition: &BoxPartition, p: &Point) -> Vec<i64> {
+        partition
+            .axes()
+            .iter()
+            .zip(p.coords())
+            .map(|(axis, &x)| ((x - axis.shift()) / axis.width()).floor() as i64)
+            .collect()
+    }
+
+    #[test]
+    fn floor_without_libm_is_floor_as_i64() {
+        let two = |e: i32| 2f64.powi(e);
+        let mut values = vec![
+            0.0,
+            0.5,
+            f64::NAN,
+            f64::INFINITY,
+            f64::MIN_POSITIVE,
+            f64::MAX,
+            two(52),
+            two(53),
+            two(62),
+            two(63),
+            two(64),
+            1e300,
+        ];
+        for m in [1.0, 2.0, 3.0, 1e6, two(51), two(52) - 1.0, two(62), two(63)] {
+            // One ulp below the integer `m`, `m` itself and one ulp above.
+            values.extend([
+                f64::from_bits(m.to_bits() - 1),
+                m,
+                f64::from_bits(m.to_bits() + 1),
+            ]);
+        }
+        let negated: Vec<f64> = values.iter().map(|v| -v).collect();
+        values.extend(negated);
+        let mut rng = StdRng::seed_from_u64(33);
+        values.extend((0..1_000_000).map(|_| f64::from_bits(rng.gen::<u64>())));
+        for v in values {
+            assert_eq!(
+                floor_to_i64(v),
+                v.floor() as i64,
+                "{v:e} ({:#x})",
+                v.to_bits()
+            );
+        }
+    }
+
     #[test]
     fn box_partition_cells_and_boxes() {
         let bp = BoxPartition::aligned_cubes(2, 1.0).unwrap();
         assert_eq!(bp.dim(), 2);
         assert_eq!(bp.axes().len(), 2);
         let p = Point::new(vec![1.5, -0.5]);
-        let cell = bp.cell_of(&p);
+        let cell = libm_cell_of(&bp, &p);
         assert_eq!(cell, vec![1, -1]);
         let bx = bp.cell_box(&cell).unwrap();
         assert!(bx.contains(&p));
@@ -273,6 +465,69 @@ mod tests {
         assert_eq!(hist[&vec![0, 0]], 3);
         assert_eq!(hist[&vec![5, 5]], 1);
         assert_eq!(bp.max_cell_count(&data), 3);
+
+        // Against one `Vec<i64>` key per point, on random data: rows on a
+        // coarse grid (shared cells), anywhere, copies of earlier rows, or
+        // holding a NaN or an infinite coordinate.
+        let mut rng = StdRng::seed_from_u64(5);
+        for case in 0..200 {
+            let dim = 1 + case % 4;
+            let n = rng.gen_range(0..300);
+            let mut rows: Vec<Vec<f64>> = Vec::with_capacity(n);
+            for _ in 0..n {
+                let mut row: Vec<f64> = (0..dim).map(|_| rng.gen_range(-3.0..3.0)).collect();
+                match rng.gen_range(0..6) {
+                    0 => row.iter_mut().for_each(|c| *c = (*c * 2.0).floor() / 2.0),
+                    1 if !rows.is_empty() => row = rows[rng.gen_range(0..rows.len())].clone(),
+                    2 => {
+                        row[rng.gen_range(0..dim)] =
+                            [f64::NAN, f64::INFINITY, -f64::INFINITY][case % 3]
+                    }
+                    _ => {}
+                }
+                rows.push(row);
+            }
+            let data = Dataset::new(rows.into_iter().map(Point::new).collect())
+                .unwrap_or_else(|_| Dataset::empty(dim));
+            let bp = BoxPartition::random_cubes(dim, rng.gen_range(0.05..2.0), &mut rng).unwrap();
+            let mut per_point: HashMap<Vec<i64>, usize> = HashMap::new();
+            for p in data.iter() {
+                *per_point.entry(libm_cell_of(&bp, p)).or_insert(0) += 1;
+            }
+            assert_eq!(bp.histogram(&data), per_point, "case {case}");
+            let fullest = per_point.values().copied().max().unwrap_or(0);
+            assert_eq!(bp.max_cell_count(&data), fullest, "case {case}");
+        }
+    }
+
+    #[test]
+    fn cell_numbers_follow_first_appearance_and_stop_past_the_limit() {
+        let bp = BoxPartition::aligned_cubes(2, 1.0).unwrap();
+        let points: Vec<Point> = [[0.5, 0.5], [3.5, 0.5], [0.2, 0.9], [7.0, 7.0], [3.1, 0.0]]
+            .into_iter()
+            .map(|c| Point::new(c.to_vec()))
+            .collect();
+        let mut cells = CellIds::default();
+        assert_eq!(cells.number(&bp, &points, 3), 3);
+        assert_eq!(cells.ids, [0, 1, 0, 2, 1]);
+        assert_eq!(cells.firsts, [0, 1, 3]);
+        assert_eq!(cells.cell(2), &[7, 7]);
+        assert_eq!(cells.occupancies(), vec![2, 2, 1]);
+        // Past the limit it stops at the first point of the extra cell.
+        assert_eq!(cells.number(&bp, &points, 2), 3);
+        assert_eq!(cells.ids, [0, 1, 0]);
+        assert_eq!(cells.number(&bp, &points, 1), 2);
+        assert_eq!(cells.ids, [0]);
+        // Enough cells to double the table several times.
+        let line: Vec<Point> = (0..1000)
+            .map(|i| Point::new(vec![(i % 700) as f64, 0.0]))
+            .collect();
+        assert_eq!(cells.number(&bp, &line, usize::MAX), 700);
+        assert!(cells
+            .ids
+            .iter()
+            .enumerate()
+            .all(|(i, &id)| id as usize == i % 700));
     }
 
     #[test]

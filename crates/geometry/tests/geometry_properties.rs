@@ -128,7 +128,8 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
         let partition = BoxPartition::random_cubes(2, width, &mut rng).unwrap();
         for p in data.iter() {
-            let cell = partition.cell_of(p);
+            let axes = partition.axes().iter().zip(p.coords());
+            let cell: Vec<i64> = axes.map(|(axis, &x)| axis.cell_index(x)).collect();
             let bx = partition.cell_box(&cell).unwrap();
             prop_assert!(bx.contains(p));
         }

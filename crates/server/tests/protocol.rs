@@ -172,6 +172,25 @@ fn coordinates_that_are_not_finite_are_refused_before_the_journal() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A finite coordinate can lie more than half of `f64`'s range from
+/// another, so that twice the projected backend's extent overflows. Such a
+/// registration still builds its backend, without panicking the server,
+/// and answers a query.
+#[test]
+fn coordinates_near_the_f64_limit_register_on_the_projected_backend() {
+    let server = server();
+    let register = r#"{"op":"register","dataset":"far","domain":{"dim":2,"size":16},"budget":{"epsilon":4.0,"delta":0.0001},"backend":"projected","points":[[0.5,0.5],[1e308,0.25],[-1e308,0.75],[0.25,0.25]]}"#;
+    let query = r#"{"op":"query","dataset":"far","seed":1,"epsilon":1.0,"delta":1e-6,"query":{"type":"good_radius","t":2,"beta":0.1}}"#;
+    for line in [register, query] {
+        let (response, _) = server.handle_line(line);
+        assert_eq!(
+            get(&response, "ok"),
+            Some(&Value::Bool(true)),
+            "{response:?}"
+        );
+    }
+}
+
 #[test]
 fn reregister_inherits_the_ledger_and_scopes_the_cache() {
     let server = server();
